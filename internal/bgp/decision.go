@@ -2,7 +2,7 @@ package bgp
 
 import (
 	"net/netip"
-	"sort"
+	"slices"
 	"strings"
 
 	"centralium/internal/core"
@@ -10,18 +10,12 @@ import (
 	"centralium/internal/telemetry"
 )
 
-// candidate pairs a RIB route with the session it arrived on.
-type candidate struct {
-	attrs   core.RouteAttrs
-	session SessionID
-}
-
 // recompute runs the decision pipeline and, when a tap is attached,
 // reports installed best-path changes by comparing the prefix's canonical
 // FIB group key across the run. Disabled-tap cost is one nil compare.
 // The incremental engine routes through recomputeTracked, which emits the
 // same best-path event in the same position while capturing the run's
-// dependency profile; this body is the unmodified oracle path.
+// dependency profile; this body is the oracle's.
 func (s *Speaker) recompute(p netip.Prefix) {
 	if !s.fullRecompute {
 		s.recomputeTracked(p)
@@ -64,15 +58,7 @@ func (s *Speaker) recomputeOne(p netip.Prefix) {
 		info.AdvertisedPathLen = 0
 		st.hasRep, st.hasRepSel = false, false
 		if oi.installFIB {
-			if !s.fullRecompute && st.fibOK && hopsEqual(st.fibHops, localHops) {
-				s.fibTbl.Touch(p)
-				s.incr.FIBMemoHits++
-			} else {
-				s.fibTbl.Install(p, localHops)
-				if !s.fullRecompute {
-					st.fibOK, st.fibHops = true, localHops
-				}
-			}
+			s.installHops(p, st, localHops)
 		} else {
 			s.fibTbl.Remove(p)
 			st.fibOK = false
@@ -100,26 +86,27 @@ func (s *Speaker) recomputeOne(p netip.Prefix) {
 
 	// Track the high-water distinct-next-hop baseline for percentage
 	// thresholds ("75% of full health").
-	if n := s.distinctDevicesOf(cands, nil); n > st.baseline {
-		st.baseline = n
+	if len(cands) > st.baseline {
+		if n := s.distinctDevicesOf(cands, nil); n > st.baseline {
+			st.baseline = n
+		}
 	}
 
-	var attrs []core.RouteAttrs
-	if s.fullRecompute {
-		attrs = make([]core.RouteAttrs, 0, len(cands))
-	} else {
-		attrs = s.attrsScratch[:0]
-	}
-	for i := range cands {
-		attrs = append(attrs, cands[i].attrs)
-	}
-	if !s.fullRecompute {
+	// SelectPaths wants the routes contiguous; the first statement matching
+	// candidate 0 governs, so without one the copy is skipped and the native
+	// path taken directly.
+	dec := core.SelectionDecision{UsedNative: true}
+	if s.rpa.HasPathSelection(&cands[0].attrs) {
+		attrs := s.attrsScratch[:0]
+		for i := range cands {
+			attrs = append(attrs, cands[i].attrs)
+		}
 		s.attrsScratch = attrs
+		dec = s.rpa.SelectPaths(attrs, st.baseline)
 	}
 
 	var selected []int
 	viaRPA := false
-	dec := s.rpa.SelectPaths(attrs, st.baseline)
 	if !dec.UsedNative {
 		selected = dec.Selected
 		viaRPA = true
@@ -128,12 +115,13 @@ func (s *Speaker) recomputeOne(p netip.Prefix) {
 		s.stats.RPASelections++
 		s.emitRPAHit(p, dec.MatchedSet)
 	} else {
-		selected = s.nativeSelection(cands)
+		selected = nativeSelect(s.selScratch, cands, s.cfg.Multipath)
+		s.selScratch = selected
 		s.stats.NativeDecisions++
 
 		// BgpNativeMinNextHop (RPA) and the vendor minimum-ECMP knob both
 		// constrain the native result.
-		nc := s.rpa.NativeConstraintFor(&attrs[0])
+		nc := s.rpa.NativeConstraintFor(&cands[0].attrs)
 		required := 0
 		keepWarm := false
 		if nc.Present {
@@ -199,39 +187,13 @@ func (s *Speaker) recomputeOne(p netip.Prefix) {
 	s.advertise(p, st, &cands[advIdx].attrs, cands[advIdx].session, aggBW)
 }
 
-// gather collects candidates from all sessions in deterministic order.
-// (Every peer session has an Adj-RIB-In map and vice versa, so the shared
-// session order covers exactly the adjIn key set.)
+// gather returns the prefix's candidates in deterministic (session) order:
+// its Adj-RIB-In column, in place. Callers must not modify or retain it.
 func (s *Speaker) gather(p netip.Prefix) []candidate {
-	var out []candidate
-	if !s.fullRecompute {
-		out = s.candScratch[:0]
+	if st := s.prefixes[p]; st != nil {
+		return st.cands
 	}
-	for _, sess := range s.sessionOrder() {
-		if attrs, ok := s.adjIn[sess][p]; ok {
-			out = append(out, candidate{attrs: attrs, session: sess})
-		}
-	}
-	if !s.fullRecompute {
-		s.candScratch = out
-	}
-	return out
-}
-
-func allIdx(c []candidate) []int {
-	out := make([]int, len(c))
-	for i := range c {
-		out[i] = i
-	}
-	return out
-}
-
-func distinctDevices(cands []candidate, idx []int) int {
-	seen := make(map[string]struct{}, len(idx))
-	for _, i := range idx {
-		seen[cands[i].attrs.NextHop] = struct{}{}
-	}
-	return len(seen)
+	return nil
 }
 
 // better reports whether a is strictly preferred over b by the native BGP
@@ -258,14 +220,9 @@ func equalPreference(a, b *core.RouteAttrs) bool {
 
 // nativeSelect runs native path selection: the maximal equally-preferred
 // set under the standard comparison; multipath keeps the whole set, single
-// path mode keeps the deterministic best.
-func nativeSelect(cands []candidate, multipath bool) []int {
-	return nativeSelectInto(nil, cands, multipath)
-}
-
-// nativeSelectInto is nativeSelect writing into dst (reused when the caller
-// holds a scratch buffer; dst may be nil).
-func nativeSelectInto(dst []int, cands []candidate, multipath bool) []int {
+// path mode keeps the deterministic best. The result is written into dst
+// (the speaker's index scratch; nil allocates).
+func nativeSelect(dst []int, cands []candidate, multipath bool) []int {
 	if len(cands) == 0 {
 		return nil
 	}
@@ -345,31 +302,26 @@ func leastFavorable(cands []candidate, selected []int) int {
 // only memoizes the resulting hop set to skip the canonical group-key
 // rebuild when the install is a provable same-key rewrite.
 func (s *Speaker) installFIB(p netip.Prefix, st *prefixState, cands []candidate, selected []int) (float64, string) {
-	var attrs []core.RouteAttrs
-	if s.fullRecompute {
-		attrs = make([]core.RouteAttrs, 0, len(selected))
-	} else {
-		attrs = s.wattsScratch[:0]
-	}
-	for _, i := range selected {
-		attrs = append(attrs, cands[i].attrs)
-	}
-	if !s.fullRecompute {
-		s.wattsScratch = attrs
-	}
-
 	mode := "ecmp"
-	var weights []int
-	if s.fullRecompute {
-		weights = make([]int, len(selected))
-	} else {
-		if cap(s.weightScratch) < len(selected) {
-			s.weightScratch = make([]int, len(selected))
-		}
-		weights = s.weightScratch[:len(selected)]
-		clear(weights)
+	if cap(s.weightScratch) < len(selected) {
+		s.weightScratch = make([]int, len(selected))
 	}
-	if wd := s.rpa.AssignWeights(attrs, s.now()); wd.Applied {
+	weights := s.weightScratch[:len(selected)]
+	clear(weights)
+
+	// AssignWeights wants the selected routes contiguous; the first
+	// statement whose destination matches route 0 governs, so without a
+	// candidate statement the copy is skipped.
+	var wd core.WeightDecision
+	if s.rpa.HasRouteAttribute(&cands[selected[0]].attrs) {
+		attrs := s.wattsScratch[:0]
+		for _, i := range selected {
+			attrs = append(attrs, cands[i].attrs)
+		}
+		s.wattsScratch = attrs
+		wd = s.rpa.AssignWeights(attrs, s.now())
+	}
+	if wd.Applied {
 		mode = "rpa"
 		copy(weights, wd.Weights)
 		s.stats.WeightOverrides++
@@ -393,12 +345,7 @@ func (s *Speaker) installFIB(p netip.Prefix, st *prefixState, cands []candidate,
 		}
 	}
 
-	var hops []fib.NextHop
-	if s.fullRecompute {
-		hops = make([]fib.NextHop, 0, len(selected))
-	} else {
-		hops = s.hopsScratch[:0]
-	}
+	hops := s.hopsScratch[:0]
 	aggBW := 0.0
 	for k, i := range selected {
 		if weights[k] <= 0 {
@@ -411,22 +358,26 @@ func (s *Speaker) installFIB(p netip.Prefix, st *prefixState, cands []candidate,
 		}
 		aggBW += bw
 	}
-	if !s.fullRecompute {
-		s.hopsScratch = hops
-		if st.fibOK && hopsEqual(st.fibHops, hops) {
-			s.fibTbl.Touch(p)
-			s.incr.FIBMemoHits++
-			return aggBW, mode
-		}
+	s.hopsScratch = hops
+	s.installHops(p, st, hops)
+	return aggBW, mode
+}
+
+// installHops installs a hop set through the incremental engine's FIB memo:
+// an install equal to the live entry's recorded hops is replayed via Touch.
+// The oracle always installs and records nothing.
+func (s *Speaker) installHops(p netip.Prefix, st *prefixState, hops []fib.NextHop) {
+	if !s.fullRecompute && st.fibOK && slices.Equal(st.fibHops, hops) {
+		s.fibTbl.Touch(p)
+		s.incr.FIBMemoHits++
+		return
 	}
 	s.fibTbl.Install(p, hops)
-	if !s.fullRecompute && len(hops) > 0 {
-		// Clone: hops is scratch, the memo must own its record.
-		st.fibOK, st.fibHops = true, append([]fib.NextHop(nil), hops...)
-	} else {
-		st.fibOK = false
+	st.fibOK = !s.fullRecompute && len(hops) > 0
+	if st.fibOK {
+		// Copy: hops is scratch (or shared), the memo must own its record.
+		st.fibHops = append(st.fibHops[:0], hops...)
 	}
-	return aggBW, mode
 }
 
 // emitRPAHit reports an RPA statement (or path set) governing a decision.
@@ -454,7 +405,9 @@ func (s *Speaker) peerCapacity(sess SessionID) float64 {
 	return 0
 }
 
-// advKeyOf canonicalizes the advertised content for duplicate suppression.
+// advKeyOf renders the canonical PathKey of an advertisement. Duplicate
+// suppression compares advContent structurally; the string is only built
+// for checkpoints, AdjRIBOut, and entries restored from a checkpoint.
 func advKeyOf(path []uint32, comms []string, origin core.Origin) string {
 	var b strings.Builder
 	for _, asn := range path {
@@ -462,8 +415,8 @@ func advKeyOf(path []uint32, comms []string, origin core.Origin) string {
 		b.WriteString(uitoa(asn))
 	}
 	b.WriteString("|")
-	sorted := append([]string(nil), comms...)
-	sort.Strings(sorted)
+	sorted := slices.Clone(comms)
+	slices.Sort(sorted)
 	b.WriteString(strings.Join(sorted, ","))
 	b.WriteString("|")
 	b.WriteString(origin.String())
@@ -500,9 +453,9 @@ func (s *Speaker) advertise(p netip.Prefix, st *prefixState, route *core.RouteAt
 	incr := !s.fullRecompute
 	// Advertisement memo: under an unchanged epoch (same peers, prepends,
 	// drain state, and egress policy) a repeat call with the same route
-	// content, source session, and aggregate bandwidth recomputes the same
-	// per-session keys and suppresses every one of them — eligibility reads
-	// only the prefix and peer names, and messages carry only the AS path,
+	// content, source session, and aggregate bandwidth builds the same
+	// content and suppresses it on every session — eligibility reads only
+	// the prefix and peer names, and messages carry only the AS path,
 	// communities, origin, and bandwidth compared here. Skip the loop.
 	if incr && st.advOK && st.advEpoch == s.advEpoch && st.advFrom == learnedFrom &&
 		st.advBW == aggBW && advRouteEqual(&st.advRoute, route) {
@@ -513,7 +466,13 @@ func (s *Speaker) advertise(p netip.Prefix, st *prefixState, route *core.RouteAt
 	if pr := s.peers[learnedFrom]; pr != nil {
 		fromDevice = pr.device
 	}
+	bw := 0.0
+	if s.cfg.WCMP == WCMPDistributed {
+		bw = aggBW
+	}
 
+	// built holds this call's contents, one per distinct prepend.
+	built := s.advScratch[:0]
 	for _, sess := range s.sessionOrder() {
 		pr := s.peers[sess]
 		eligible := true
@@ -528,31 +487,47 @@ func (s *Speaker) advertise(p netip.Prefix, st *prefixState, route *core.RouteAt
 			continue
 		}
 
-		// Prepend own ASN (1 + maintenance prepend) onto the path.
-		path := make([]uint32, 0, 1+pr.prepend+len(route.ASPath))
-		for i := 0; i <= pr.prepend; i++ {
-			path = append(path, s.cfg.ASN)
+		pathLen := 1 + pr.prepend + len(route.ASPath)
+		var c *advContent
+		for _, b := range built {
+			if len(b.path) == pathLen {
+				c = b
+				break
+			}
 		}
-		path = append(path, route.ASPath...)
+		if c == nil {
+			// Prepend own ASN (1 + maintenance prepend) onto the path.
+			c = &advContent{comms: route.Communities, origin: route.Origin}
+			c.path = c.inline[:0]
+			if pathLen > len(c.inline) {
+				c.path = make([]uint32, 0, pathLen)
+			}
+			for i := 0; i <= pr.prepend; i++ {
+				c.path = append(c.path, s.cfg.ASN)
+			}
+			c.path = append(c.path, route.ASPath...)
+			built = append(built, c)
+		}
 
-		bw := 0.0
-		if s.cfg.WCMP == WCMPDistributed {
-			bw = aggBW
-		}
-		key := advKeyOf(path, route.Communities, route.Origin)
-		if prev, ok := st.advertised[sess]; ok && prev.pathKey == key && prev.bw == bw {
+		if prev, ok := st.advertised[sess]; ok && prev.matches(c, bw) {
+			if prev.content == nil {
+				// A snapshot-restored entry: adopt the content it matched.
+				st.advertised[sess] = adv{content: c, bw: bw, pathLen: pathLen}
+			}
 			continue // nothing changed on this session
 		}
-		st.advertised[sess] = adv{pathKey: key, bw: bw, pathLen: len(path)}
+		st.advertised[sess] = adv{content: c, bw: bw, pathLen: pathLen}
 		s.stats.UpdatesSent++
 		s.outbox = append(s.outbox, OutMsg{Session: sess, Update: Update{
 			Prefix:            p,
-			ASPath:            path,
-			Communities:       append([]string(nil), route.Communities...),
-			Origin:            route.Origin,
+			ASPath:            c.path,
+			Communities:       c.comms,
+			Origin:            c.origin,
 			LinkBandwidthGbps: bw,
 		}})
 	}
+	clear(built)
+	s.advScratch = built[:0]
 	if incr {
 		// Record after the loop: any withdrawal inside it cleared advOK,
 		// and the loop's final state is exactly what the memo asserts.
@@ -566,11 +541,15 @@ func (s *Speaker) advertise(p netip.Prefix, st *prefixState, route *core.RouteAt
 
 // withdrawAll retracts the prefix from every session it was advertised on.
 func (s *Speaker) withdrawAll(p netip.Prefix, st *prefixState) {
-	sessions := make([]SessionID, 0, len(st.advertised))
+	if len(st.advertised) == 0 {
+		return
+	}
+	sessions := s.sessScratch[:0]
 	for sess := range st.advertised {
 		sessions = append(sessions, sess)
 	}
-	sort.Slice(sessions, func(i, j int) bool { return sessions[i] < sessions[j] })
+	slices.Sort(sessions)
+	s.sessScratch = sessions
 	for _, sess := range sessions {
 		s.withdrawOne(p, st, sess)
 	}

@@ -19,11 +19,16 @@ package bgp
 // Table.Touch), so tap streams, outbox messages, FIB state, speaker
 // statistics, and snapshot fingerprints stay byte-identical to the oracle.
 //
-// The oracle is the unmodified full recompute, kept behind
-// Speaker.SetFullRecompute / fabric.Options.FullRecompute. The
-// differential conformance suite (internal/fabric, internal/snapshot)
-// sweeps seeds × scenarios × {full, incremental} × worker widths and
-// asserts byte identity of everything observable.
+// The oracle is the full recompute, kept behind Speaker.SetFullRecompute /
+// fabric.Options.FullRecompute: every bulk trigger re-runs every prefix, and
+// neither memo is consulted. That is the whole difference — which prefixes
+// re-run and whether a run may be cut short. How a run stores and allocates
+// is shared: both engines read the same Adj-RIB-In columns in place, use
+// the same scratch buffers and session-order cache, and build the same
+// shared advertisement content. The differential conformance suite
+// (internal/fabric, internal/snapshot) sweeps seeds × scenarios × {full,
+// incremental} × worker widths and asserts byte identity of everything
+// observable.
 //
 // Dirty predicates, per trigger (checked only for steady prefixes; a
 // recompute is always sound, so predicates only need to be conservative
@@ -31,7 +36,7 @@ package bgp
 //
 //   - session up (AddPeer): prefixes whose last run reached the advertise
 //     step while undrained — only those replay an advertisement onto the
-//     new session. Candidates cannot change (the new Adj-RIB-In is empty).
+//     new session. Candidates cannot change (the session has sent nothing).
 //   - session down (RemovePeer): keeps its existing targeted behavior —
 //     only prefixes with a path via that peer recompute.
 //   - drain: prefixes currently advertised somewhere (they must withdraw).
@@ -51,10 +56,11 @@ package bgp
 // statement applies always emits an RPA hit, which marks the prefix
 // non-steady — so a steady profile can never go stale by clock advance.
 //
-// Derived state (profiles, memos, the representative routes) is never
-// serialized: SpeakerState is unchanged, snapshots are byte-identical
-// across modes, and a restored speaker rebuilds profiles lazily as it
-// recomputes (rebuild-on-restore).
+// Derived state (profiles, memos, the representative routes, the shared
+// advertisement content behind each Adj-RIB-Out key) is never serialized:
+// SpeakerState is unchanged, snapshots are byte-identical across modes, and
+// a restored speaker rebuilds it lazily as it recomputes
+// (rebuild-on-restore).
 
 import (
 	"net/netip"
@@ -130,7 +136,6 @@ func (s *Speaker) SetFullRecompute(on bool) {
 // ran without maintaining it.
 func (s *Speaker) invalidateDerived() {
 	s.advEpoch++
-	s.sessOrder = nil
 	for _, st := range s.prefixes {
 		st.prof = evalProfile{}
 		st.advOK = false
@@ -186,13 +191,7 @@ func (s *Speaker) skipRecompute(p netip.Prefix, st *prefixState) {
 // determinism contract — outbox order drives jitter draws), re-running
 // non-steady or dirty prefixes and compensating the rest.
 func (s *Speaker) recomputeDirty(dirty func(p netip.Prefix, st *prefixState) bool) {
-	all := s.allPrefixes()
-	ps := make([]netip.Prefix, 0, len(all))
-	for p := range all {
-		ps = append(ps, p)
-	}
-	sortPrefixes(ps)
-	for _, p := range ps {
+	for _, p := range s.knownPrefixes() {
 		st := s.prefixes[p]
 		if st == nil || !st.prof.steady() || dirty(p, st) {
 			s.recompute(p)
@@ -246,67 +245,27 @@ func (s *Speaker) recomputeTracked(p netip.Prefix) {
 	}
 }
 
-// sessionOrder returns the sessions sorted by ID. The incremental engine
-// caches the slice (invalidated on session add/remove) because the sort
-// sits on the per-update hot path twice (gather and advertise); the oracle
-// rebuilds it fresh every call, preserving the original allocation
-// behavior. Callers must not mutate the result.
+// sessionOrder returns the sessions sorted by ID. The slice is cached
+// (invalidated on session add/remove) because the sort sits on the
+// per-update hot path. Callers must not mutate the result.
 func (s *Speaker) sessionOrder() []SessionID {
-	if !s.fullRecompute && s.sessOrder != nil {
-		return s.sessOrder
-	}
-	out := make([]SessionID, 0, len(s.peers))
-	for sess := range s.peers {
-		out = append(out, sess)
-	}
-	slices.Sort(out)
-	if !s.fullRecompute {
+	if s.sessOrder == nil {
+		out := make([]SessionID, 0, len(s.peers))
+		for sess := range s.peers {
+			out = append(out, sess)
+		}
+		slices.Sort(out)
 		s.sessOrder = out
 	}
-	return out
+	return s.sessOrder
 }
 
-// localHops is the shared next-hop set for locally originated prefixes.
-// fib.Table never mutates install input, so sharing is safe.
+// localHops is the next-hop set for locally originated prefixes.
 var localHops = []fib.NextHop{{ID: LocalNextHop, Weight: 1}}
 
-// hopsEqual compares two next-hop sets elementwise (pre-normalization
-// identity: equal inputs produce the same canonical group, so a match
-// proves the install is a same-key rewrite).
-func hopsEqual(a, b []fib.NextHop) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// nativeSelection runs native path selection, reusing the speaker's index
-// scratch in incremental mode. The result is consumed within the current
-// recompute run and never retained.
-func (s *Speaker) nativeSelection(cands []candidate) []int {
-	if s.fullRecompute {
-		return nativeSelect(cands, s.cfg.Multipath)
-	}
-	out := nativeSelectInto(s.selScratch, cands, s.cfg.Multipath)
-	s.selScratch = out
-	return out
-}
-
 // distinctDevicesOf counts distinct next-hop devices among the indexed
-// candidates (all candidates when idx is nil), reusing the speaker's set
-// scratch in incremental mode.
+// candidates (all candidates when idx is nil).
 func (s *Speaker) distinctDevicesOf(cands []candidate, idx []int) int {
-	if s.fullRecompute {
-		if idx == nil {
-			idx = allIdx(cands)
-		}
-		return distinctDevices(cands, idx)
-	}
 	if s.distinctScratch == nil {
 		s.distinctScratch = make(map[string]struct{}, 16)
 	}
@@ -330,18 +289,5 @@ func (s *Speaker) distinctDevicesOf(cands []candidate, idx []int) int {
 // name, so equality here plus an unchanged advertisement epoch proves a
 // repeat advertise call is suppressed on every session.
 func advRouteEqual(a, b *core.RouteAttrs) bool {
-	if a.Origin != b.Origin || len(a.ASPath) != len(b.ASPath) || len(a.Communities) != len(b.Communities) {
-		return false
-	}
-	for i := range a.ASPath {
-		if a.ASPath[i] != b.ASPath[i] {
-			return false
-		}
-	}
-	for i := range a.Communities {
-		if a.Communities[i] != b.Communities[i] {
-			return false
-		}
-	}
-	return true
+	return a.Origin == b.Origin && slices.Equal(a.ASPath, b.ASPath) && slices.Equal(a.Communities, b.Communities)
 }

@@ -87,8 +87,8 @@ func TestPropertyNativeSelectPermutationInvariance(t *testing.T) {
 			perm[i] = cands[j]
 		}
 		for _, multipath := range []bool{true, false} {
-			a := sessionSet(cands, nativeSelect(cands, multipath))
-			b := sessionSet(perm, nativeSelect(perm, multipath))
+			a := sessionSet(cands, nativeSelect(nil, cands, multipath))
+			b := sessionSet(perm, nativeSelect(nil, perm, multipath))
 			if !equalSessionSets(a, b) {
 				t.Fatalf("trial %d multipath=%v: selection depends on candidate order:\n  %v\n  vs %v\n  cands: %+v",
 					trial, multipath, a, b, cands)
@@ -151,7 +151,7 @@ func TestPropertyLeastFavorableRule(t *testing.T) {
 	r := rand.New(rand.NewSource(403))
 	for trial := 0; trial < propTrials; trial++ {
 		cands := genCandidates(r)
-		selected := nativeSelect(cands, true)
+		selected := nativeSelect(nil, cands, true)
 		if len(selected) == 0 {
 			continue
 		}

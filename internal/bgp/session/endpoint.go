@@ -66,6 +66,9 @@ type conn struct {
 	peerASN  uint32
 	lastRecv time.Time
 	done     chan struct{}
+	// doneOnce guards close(done): Close and the read loop's deferred
+	// teardown both tear a conn down, possibly at once.
+	doneOnce sync.Once
 
 	// Outbound updates are queued (unbounded, order-preserving) and
 	// drained by a dedicated writer goroutine. Writing synchronously while
@@ -420,12 +423,13 @@ func (e *Endpoint) teardown(c *conn) {
 	if owned {
 		e.emitFSM(telemetry.KindSessionDown, c)
 	}
-	select {
-	case <-c.done:
-	default:
-		close(c.done)
-	}
-	c.qcond.Broadcast() // release a writer parked in dequeue
+	c.doneOnce.Do(func() { close(c.done) })
+	// Release a writer parked in dequeue. Broadcasting under qmu closes the
+	// window between the writer's check of done and its Wait, in which the
+	// wake-up would be lost and Close would wait for the writer forever.
+	c.qmu.Lock()
+	c.qcond.Broadcast()
+	c.qmu.Unlock()
 	c.netConn.Close()
 }
 

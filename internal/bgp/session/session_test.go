@@ -3,6 +3,8 @@ package session
 import (
 	"net"
 	"net/netip"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -155,6 +157,77 @@ func TestPeerDeathWithdrawsRoutes(t *testing.T) {
 	b.WithSpeaker(func(s *bgp.Speaker) { gone = s.FIB().Lookup(defaultRoute) == nil })
 	if !gone {
 		t.Fatal("stale route survived peer death")
+	}
+}
+
+// TestConcurrentTeardown is the regression test for two teardown races:
+// Close and the read loop's deferred teardown both tear a dying session
+// down, and used to double-close conn.done ("close of closed channel");
+// and the wake-up of a writer parked in dequeue could be lost between its
+// check of done and its Wait, leaving Close (in this test's cleanup)
+// waiting forever. Run under -race -count=20 or more.
+func TestConcurrentTeardown(t *testing.T) {
+	a, _ := pairOverTCP(t, NewRegistry(), time.Second)
+	a.mu.Lock()
+	c := a.conns["s1"]
+	a.mu.Unlock()
+	if c == nil {
+		t.Fatal("session s1 not registered")
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			a.teardown(c)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	select {
+	case <-c.done:
+	default:
+		t.Fatal("done not closed after teardown")
+	}
+	if n := len(a.Sessions()); n != 0 {
+		t.Fatalf("%d sessions left after teardown", n)
+	}
+}
+
+// TestDeliverHandsOverFreshSlices holds the endpoint's side of the
+// speaker's immutability contract (bgp.Speaker.HandleUpdate keeps an
+// UPDATE's AS path and communities by reference): what deliver passes on is
+// freshly allocated, so overwriting the wire message afterwards — as a
+// reader reusing its buffers would — cannot reach into the Adj-RIB-In.
+func TestDeliverHandsOverFreshSlices(t *testing.T) {
+	reg := NewRegistry()
+	a, _ := pairOverTCP(t, reg, time.Second)
+	a.mu.Lock()
+	c := a.conns["s1"]
+	a.mu.Unlock()
+	p := netip.MustParsePrefix("10.9.0.0/16")
+	m := &wire.Update{
+		ASPath:      []wire.ASPathSegment{{Type: wire.SegSequence, ASNs: []uint32{65002, 64999}}},
+		Communities: reg.Encode([]string{"RACK"}),
+		NLRI:        []netip.Prefix{p},
+	}
+	a.deliver(c, m)
+	m.ASPath[0].ASNs[1] = 1
+	m.Communities[0] = 0
+	var got []core.RouteAttrs
+	if err := a.WithSpeaker(func(sp *bgp.Speaker) { got = sp.Candidates(p) }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 {
+		t.Fatalf("%d candidates for %v, want 1", len(got), p)
+	}
+	if want := []uint32{65002, 64999}; !slices.Equal(got[0].ASPath, want) {
+		t.Errorf("AS path %v, want %v: the speaker's route aliases the wire message", got[0].ASPath, want)
+	}
+	if want := []string{"RACK"}; !slices.Equal(got[0].Communities, want) {
+		t.Errorf("communities %v, want %v: the speaker's route aliases the wire message", got[0].Communities, want)
 	}
 }
 

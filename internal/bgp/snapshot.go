@@ -1,7 +1,8 @@
 package bgp
 
 // Checkpoint support: SpeakerState is the complete serializable state of a
-// Speaker — configuration, peers, Adj-RIB-In, originated prefixes,
+// Speaker — configuration, peers, Adj-RIB-In (exported per session, derived
+// from the per-prefix columns), originated prefixes,
 // per-prefix decision bookkeeping (Adj-RIB-Out, baselines, last decision),
 // the deployed RPA config with its match cache, the FIB, and the activity
 // counters. NewSpeakerFromState rebuilds an equivalent speaker by direct
@@ -13,7 +14,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
+	"strings"
 
 	"centralium/internal/core"
 	"centralium/internal/fib"
@@ -80,39 +82,45 @@ type SpeakerState struct {
 	FIB   fib.TableState
 }
 
-func cloneAttrs(a core.RouteAttrs) core.RouteAttrs {
-	a.ASPath = append([]uint32(nil), a.ASPath...)
-	a.Communities = append([]string(nil), a.Communities...)
-	return a
-}
-
 // ExportState captures the speaker for checkpointing. It fails if the
 // outbox is non-empty: the fabric drains outboxes synchronously after
 // every event, so pending messages mean the caller is checkpointing
-// mid-event, where no consistent cut exists. The result shares no memory
-// with the speaker.
+// mid-event, where no consistent cut exists. The result shares no mutable
+// memory with the speaker: route AS paths and communities are immutable
+// everywhere (see HandleUpdate) and travel by reference.
 func (s *Speaker) ExportState() (SpeakerState, error) {
 	if len(s.outbox) > 0 {
 		return SpeakerState{}, fmt.Errorf("bgp %s: %d undelivered outbox messages; checkpoint only between events", s.cfg.ID, len(s.outbox))
 	}
 	st := SpeakerState{Cfg: s.cfg, Drained: s.drained, Stats: s.stats}
 
-	for _, sess := range s.Peers() {
+	sessions := s.sessionOrder()
+	ribOf := make(map[SessionID]int, len(sessions))
+	if len(sessions) > 0 {
+		st.AdjIn = make([]AdjRIBInState, len(sessions))
+	}
+	for i, sess := range sessions {
 		pr := s.peers[sess]
 		st.Peers = append(st.Peers, PeerState{
 			Session: sess, Device: pr.device, ASN: pr.asn,
 			LinkGbps: pr.linkGbps, Prepend: pr.prepend,
 		})
-		rib := AdjRIBInState{Session: sess}
-		ps := make([]netip.Prefix, 0, len(s.adjIn[sess]))
-		for p := range s.adjIn[sess] {
-			ps = append(ps, p)
+		st.AdjIn[i].Session = sess
+		ribOf[sess] = i
+	}
+
+	known := make([]netip.Prefix, 0, len(s.prefixes))
+	for p := range s.prefixes {
+		known = append(known, p)
+	}
+	sortPrefixes(known)
+	// The per-session Adj-RIB-In view, derived from the columns: walking
+	// prefixes in sorted order leaves every session's routes sorted.
+	for _, p := range known {
+		for _, c := range s.prefixes[p].cands {
+			rib := &st.AdjIn[ribOf[c.session]]
+			rib.Routes = append(rib.Routes, c.attrs)
 		}
-		sortPrefixes(ps)
-		for _, p := range ps {
-			rib.Routes = append(rib.Routes, cloneAttrs(s.adjIn[sess][p]))
-		}
-		st.AdjIn = append(st.AdjIn, rib)
 	}
 
 	origins := make([]netip.Prefix, 0, len(s.originated))
@@ -124,30 +132,25 @@ func (s *Speaker) ExportState() (SpeakerState, error) {
 		o := s.originated[p]
 		st.Originated = append(st.Originated, OriginatedState{
 			Prefix:        p,
-			Communities:   append([]string(nil), o.communities...),
+			Communities:   o.communities,
 			Origin:        o.origin,
 			BandwidthGbps: o.bandwidthGbps,
 			InstallFIB:    o.installFIB,
 		})
 	}
 
-	known := make([]netip.Prefix, 0, len(s.prefixes))
-	for p := range s.prefixes {
-		known = append(known, p)
-	}
-	sortPrefixes(known)
 	for _, p := range known {
 		b := s.prefixes[p]
 		pb := PrefixBookState{Prefix: p, Baseline: b.baseline, HasLast: b.hasLast, Last: b.last}
-		sess := make([]SessionID, 0, len(b.advertised))
-		for id := range b.advertised {
-			sess = append(sess, id)
-		}
-		sort.Slice(sess, func(i, j int) bool { return sess[i] < sess[j] })
-		for _, id := range sess {
-			a := b.advertised[id]
-			pb.Advertised = append(pb.Advertised, AdvState{
-				Session: id, PathKey: a.pathKey, BW: a.bw, PathLen: a.pathLen,
+		if len(b.advertised) > 0 {
+			pb.Advertised = make([]AdvState, 0, len(b.advertised))
+			for id, a := range b.advertised {
+				pb.Advertised = append(pb.Advertised, AdvState{
+					Session: id, PathKey: a.pathKey(), BW: a.bw, PathLen: a.pathLen,
+				})
+			}
+			slices.SortFunc(pb.Advertised, func(x, y AdvState) int {
+				return strings.Compare(string(x.Session), string(y.Session))
 			})
 		}
 		st.Prefixes = append(st.Prefixes, pb)
@@ -181,20 +184,10 @@ func NewSpeakerFromState(st SpeakerState, now func() int64) (*Speaker, error) {
 			session: p.Session, device: p.Device, asn: p.ASN,
 			linkGbps: p.LinkGbps, prepend: p.Prepend,
 		}
-		s.adjIn[p.Session] = make(map[netip.Prefix]core.RouteAttrs)
-	}
-	for _, rib := range st.AdjIn {
-		m := s.adjIn[rib.Session]
-		if m == nil {
-			return nil, fmt.Errorf("bgp %s: Adj-RIB-In for unknown session %q", st.Cfg.ID, rib.Session)
-		}
-		for _, r := range rib.Routes {
-			m[r.Prefix] = cloneAttrs(r)
-		}
 	}
 	for _, o := range st.Originated {
 		s.originated[o.Prefix] = originInfo{
-			communities:   append([]string(nil), o.Communities...),
+			communities:   o.Communities,
 			origin:        o.Origin,
 			bandwidthGbps: o.BandwidthGbps,
 			installFIB:    o.InstallFIB,
@@ -211,9 +204,12 @@ func NewSpeakerFromState(st SpeakerState, now func() int64) (*Speaker, error) {
 			if s.peers[a.Session] == nil {
 				return nil, fmt.Errorf("bgp %s: Adj-RIB-Out for unknown session %q", st.Cfg.ID, a.Session)
 			}
-			b.advertised[a.Session] = adv{pathKey: a.PathKey, bw: a.BW, pathLen: a.PathLen}
+			b.advertised[a.Session] = adv{key: a.PathKey, bw: a.BW, pathLen: a.PathLen}
 		}
 		s.prefixes[pb.Prefix] = b
+	}
+	if err := s.restoreAdjIn(st.AdjIn); err != nil {
+		return nil, err
 	}
 
 	if len(st.RPA) > 0 {
@@ -231,4 +227,45 @@ func NewSpeakerFromState(st SpeakerState, now func() int64) (*Speaker, error) {
 	s.rpa.Cache().RestoreState(st.Cache)
 	s.fibTbl = fib.NewFromState(st.FIB)
 	return s, nil
+}
+
+// restoreAdjIn rebuilds the per-prefix columns from the per-session
+// checkpoint form. All columns are carved, at their exact size, out of one
+// allocation (a capped sub-slice each, so a column that later grows moves
+// out instead of running into its neighbour). Well-formed state lists
+// sessions in sorted order, which makes every insert an append; anything
+// else still ends up sorted and duplicate-free, last write winning.
+func (s *Speaker) restoreAdjIn(ribs []AdjRIBInState) error {
+	total := 0
+	for i := range ribs {
+		if s.peers[ribs[i].Session] == nil {
+			return fmt.Errorf("bgp %s: Adj-RIB-In for unknown session %q", s.cfg.ID, ribs[i].Session)
+		}
+		total += len(ribs[i].Routes)
+	}
+	if total == 0 {
+		return nil
+	}
+	// Count each column's routes in its (still empty) slice length, then
+	// carve.
+	backing := make([]candidate, total)
+	for i := range ribs {
+		for j := range ribs[i].Routes {
+			st := s.state(ribs[i].Routes[j].Prefix)
+			st.cands = backing[:len(st.cands)+1]
+		}
+	}
+	for _, st := range s.prefixes {
+		if n := len(st.cands); n > 0 {
+			st.cands = backing[:0:n]
+			backing = backing[n:]
+		}
+	}
+	for i := range ribs {
+		for j := range ribs[i].Routes {
+			r := &ribs[i].Routes[j]
+			s.prefixes[r.Prefix].setCandidate(ribs[i].Session, *r)
+		}
+	}
+	return nil
 }

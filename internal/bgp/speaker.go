@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
-	"sort"
 
 	"centralium/internal/core"
 	"centralium/internal/fib"
@@ -17,10 +16,14 @@ const LocalNextHop = "local"
 
 // Speaker is one emulated BGP daemon. It is single-threaded by design,
 // mirroring a real daemon's decision thread, and owns no state shared with
-// other speakers: peers, Adj-RIB-In, prefix state, FIB table, and the RPA
-// evaluator are all per-instance, and every side effect is handed off
-// through two explicit channels — the outbox (drained via TakeOutbox by
-// whoever drives the speaker) and the telemetry tap (set via SetTap). That
+// other speakers: peers, prefix state (which holds the Adj-RIB-In, one
+// column per prefix), FIB table, and the RPA evaluator are all per-instance,
+// and every side effect is handed off through two explicit channels — the
+// outbox (drained via TakeOutbox by whoever drives the speaker) and the
+// telemetry tap (set via SetTap). What speakers do share is immutable: the
+// AS-path and community slices of an Update travel by reference from the
+// sender's advertisement through the event queue into the receiver's
+// Adj-RIB-In, and nobody writes through them (see HandleUpdate). That
 // containment is the worker-safety contract the fabric's batch-parallel
 // engine relies on: a speaker may be driven from any goroutine as long as
 // no two goroutines touch the same speaker concurrently (the engine
@@ -30,7 +33,6 @@ type Speaker struct {
 	cfg   Config
 	peers map[SessionID]*peer
 
-	adjIn      map[SessionID]map[netip.Prefix]core.RouteAttrs
 	originated map[netip.Prefix]originInfo
 	prefixes   map[netip.Prefix]*prefixState
 
@@ -64,14 +66,16 @@ type Speaker struct {
 
 	// Scratch buffers reused across decision runs (the speaker is
 	// single-threaded and the pipeline never retains them — the FIB memo
-	// clones before recording). Incremental mode only; the oracle keeps
-	// the original per-run allocation behavior.
-	candScratch     []candidate
+	// copies before recording). Both decision engines use them: the oracle
+	// differs from the incremental engine in which prefixes re-run, not in
+	// how a run allocates.
 	attrsScratch    []core.RouteAttrs
 	wattsScratch    []core.RouteAttrs
 	hopsScratch     []fib.NextHop
 	selScratch      []int
 	weightScratch   []int
+	sessScratch     []SessionID
+	advScratch      []*advContent
 	distinctScratch map[string]struct{}
 }
 
@@ -92,7 +96,6 @@ func NewSpeaker(cfg Config, now func() int64) *Speaker {
 		cfg:           cfg,
 		fullRecompute: DefaultFullRecompute(),
 		peers:         make(map[SessionID]*peer),
-		adjIn:         make(map[SessionID]map[netip.Prefix]core.RouteAttrs),
 		originated:    make(map[netip.Prefix]originInfo),
 		prefixes:      make(map[netip.Prefix]*prefixState),
 		rpa:           emptyRPA,
@@ -150,6 +153,16 @@ func (s *Speaker) TakeOutbox() []OutMsg {
 	return out
 }
 
+// RecycleOutbox hands a slice obtained from TakeOutbox back once its
+// messages have been routed, so the next decision run appends into the same
+// backing array. The caller must not touch buf afterwards.
+func (s *Speaker) RecycleOutbox(buf []OutMsg) {
+	if s.outbox == nil {
+		clear(buf)
+		s.outbox = buf[:0]
+	}
+}
+
 // AddPeer registers a session to a neighboring device. Existing
 // advertisements are replayed onto the new session.
 func (s *Speaker) AddPeer(sess SessionID, device string, asn uint32, linkGbps float64) {
@@ -157,7 +170,6 @@ func (s *Speaker) AddPeer(sess SessionID, device string, asn uint32, linkGbps fl
 		panic(fmt.Sprintf("bgp %s: duplicate session %q", s.cfg.ID, sess))
 	}
 	s.peers[sess] = &peer{session: sess, device: device, asn: asn, linkGbps: linkGbps}
-	s.adjIn[sess] = make(map[netip.Prefix]core.RouteAttrs)
 	if s.tap != nil {
 		s.tap.Emit(telemetry.Event{
 			Kind: telemetry.KindSessionUp, Time: s.now(), Device: s.cfg.ID,
@@ -171,7 +183,7 @@ func (s *Speaker) AddPeer(sess SessionID, device string, asn uint32, linkGbps fl
 		s.recomputeAll()
 		return
 	}
-	// A new session has an empty Adj-RIB-In, so no prefix's candidate set
+	// A new session has received nothing yet, so no prefix's candidate set
 	// changes; only prefixes that advertise (and are not drained) replay
 	// their advertisement onto the new session.
 	s.recomputeDirty(func(_ netip.Prefix, st *prefixState) bool {
@@ -186,18 +198,17 @@ func (s *Speaker) RemovePeer(sess SessionID) {
 	if pr == nil {
 		return
 	}
-	affected := make([]netip.Prefix, 0, len(s.adjIn[sess]))
-	for p := range s.adjIn[sess] {
-		affected = append(affected, p)
+	var affected []netip.Prefix
+	for p, st := range s.prefixes {
+		if st.dropCandidate(sess) {
+			affected = append(affected, p)
+		}
+		delete(st.advertised, sess)
 	}
 	sortPrefixes(affected)
 	delete(s.peers, sess)
-	delete(s.adjIn, sess)
 	s.advEpoch++
 	s.sessOrder = nil
-	for _, st := range s.prefixes {
-		delete(st.advertised, sess)
-	}
 	if s.tap != nil {
 		s.tap.Emit(telemetry.Event{
 			Kind: telemetry.KindSessionDown, Time: s.now(), Device: s.cfg.ID,
@@ -211,12 +222,7 @@ func (s *Speaker) RemovePeer(sess SessionID) {
 
 // Peers returns the registered session IDs, sorted.
 func (s *Speaker) Peers() []SessionID {
-	out := make([]SessionID, 0, len(s.peers))
-	for id := range s.peers {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Clone(s.sessionOrder())
 }
 
 // SetPeerPrepend sets the export AS-path prepend count toward a neighboring
@@ -359,6 +365,14 @@ func (s *Speaker) WithdrawOrigin(p netip.Prefix) {
 
 // HandleUpdate processes one received UPDATE on a session: loop check,
 // ingress RouteFilter RPA, Adj-RIB-In write, decision.
+//
+// The speaker keeps u.ASPath and u.Communities by reference — in its
+// Adj-RIB-In and, prepended onto a fresh path, in what it advertises on —
+// so the caller hands them over for good: they must not be written to
+// after the call. Every producer obeys this by construction (advertise
+// builds a new path per call, the live-session endpoint and the snapshot
+// decoder allocate per message), and taps and perturbers may likewise
+// retain what they are shown.
 func (s *Speaker) HandleUpdate(sess SessionID, u Update) {
 	pr := s.peers[sess]
 	if pr == nil {
@@ -366,8 +380,7 @@ func (s *Speaker) HandleUpdate(sess SessionID, u Update) {
 	}
 	s.stats.UpdatesReceived++
 	if u.Withdraw {
-		if _, had := s.adjIn[sess][u.Prefix]; had {
-			delete(s.adjIn[sess], u.Prefix)
+		if st := s.prefixes[u.Prefix]; st != nil && st.dropCandidate(sess) {
 			s.emitAdjIn(sess, pr, &u)
 			s.recompute(u.Prefix)
 		}
@@ -387,8 +400,7 @@ func (s *Speaker) HandleUpdate(sess SessionID, u Update) {
 	}
 	attrs := core.RouteAttrs{
 		Prefix:            u.Prefix,
-		ASPath:            append([]uint32(nil), u.ASPath...),
-		Communities:       append([]string(nil), u.Communities...),
+		ASPath:            u.ASPath,
 		LocalPref:         s.cfg.LocalPref,
 		MED:               u.MED,
 		Origin:            u.Origin,
@@ -396,17 +408,19 @@ func (s *Speaker) HandleUpdate(sess SessionID, u Update) {
 		Peer:              pr.device,
 		LinkBandwidthGbps: u.LinkBandwidthGbps,
 	}
+	if len(u.Communities) > 0 { // an empty list is stored as nil, as a decoded checkpoint holds it
+		attrs.Communities = u.Communities
+	}
 	// Ingress Route Filter RPA (Figure 6: after sanity and ingress policy).
 	if !s.rpa.AllowRoute(&attrs, pr.device, core.Ingress) {
 		s.stats.FilterRejects++
 		// A denied route must also clear any previous RIB entry.
-		if _, had := s.adjIn[sess][u.Prefix]; had {
-			delete(s.adjIn[sess], u.Prefix)
+		if st := s.prefixes[u.Prefix]; st != nil && st.dropCandidate(sess) {
 			s.recompute(u.Prefix)
 		}
 		return
 	}
-	s.adjIn[sess][u.Prefix] = attrs
+	s.state(u.Prefix).setCandidate(sess, attrs)
 	s.emitAdjIn(sess, pr, &u)
 	s.recompute(u.Prefix)
 }
@@ -453,21 +467,21 @@ func (s *Speaker) Baseline(p netip.Prefix) int {
 	return 0
 }
 
-// allPrefixes returns the set of prefixes known from any source.
-func (s *Speaker) allPrefixes() map[netip.Prefix]struct{} {
-	out := make(map[netip.Prefix]struct{})
-	for _, rib := range s.adjIn {
-		for p := range rib {
-			out[p] = struct{}{}
-		}
+// knownPrefixes returns every prefix known from any source, sorted. Every
+// Adj-RIB-In column hangs off a prefixState, so the state map plus the
+// originated set covers them all.
+func (s *Speaker) knownPrefixes() []netip.Prefix {
+	ps := make([]netip.Prefix, 0, len(s.prefixes)+len(s.originated))
+	for p := range s.prefixes {
+		ps = append(ps, p)
 	}
 	for p := range s.originated {
-		out[p] = struct{}{}
+		if s.prefixes[p] == nil {
+			ps = append(ps, p)
+		}
 	}
-	for p := range s.prefixes {
-		out[p] = struct{}{}
-	}
-	return out
+	sortPrefixes(ps)
+	return ps
 }
 
 // recomputeAll re-runs the decision process for every known prefix in
@@ -475,13 +489,7 @@ func (s *Speaker) allPrefixes() map[netip.Prefix]struct{} {
 // outbox messages, and iterating a Go map here would randomize message
 // scheduling (and therefore jitter draws) between runs of the same seed.
 func (s *Speaker) recomputeAll() {
-	all := s.allPrefixes()
-	ps := make([]netip.Prefix, 0, len(all))
-	for p := range all {
-		ps = append(ps, p)
-	}
-	sortPrefixes(ps)
-	for _, p := range ps {
+	for _, p := range s.knownPrefixes() {
 		s.recompute(p)
 	}
 }
@@ -521,7 +529,7 @@ func (s *Speaker) AdjRIBOut(p netip.Prefix) map[SessionID]AdvertisedRoute {
 	}
 	out := make(map[SessionID]AdvertisedRoute, len(st.advertised))
 	for sess, a := range st.advertised {
-		out[sess] = AdvertisedRoute{PathLen: a.pathLen, PathKey: a.pathKey}
+		out[sess] = AdvertisedRoute{PathLen: a.pathLen, PathKey: a.pathKey()}
 	}
 	return out
 }

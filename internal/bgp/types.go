@@ -7,6 +7,7 @@ package bgp
 
 import (
 	"net/netip"
+	"slices"
 
 	"centralium/internal/core"
 	"centralium/internal/fib"
@@ -127,10 +128,52 @@ type originInfo struct {
 	installFIB bool
 }
 
-// adv is the content of the last advertisement sent on a session for a
-// prefix, used to suppress duplicate updates.
+// advContent is the immutable content of one advertisement — the AS path
+// (own prepends included), communities and origin. advertise builds one per
+// call and per distinct prepend; every session's adv entry and every OutMsg
+// of that call point at it, and the receiving speakers store the same
+// slices in their Adj-RIB-In. Nothing may write through path or comms.
+type advContent struct {
+	path   []uint32
+	comms  []string
+	origin core.Origin
+	// key caches the rendered PathKey; only checkpoints, AdjRIBOut and the
+	// comparison against snapshot-restored entries ever ask for it.
+	key string
+	// inline backs path when it fits, so a content is one allocation.
+	inline [8]uint32
+}
+
+// pathKey renders (once) the canonical advertisement identity.
+func (c *advContent) pathKey() string {
+	if c.key == "" {
+		c.key = advKeyOf(c.path, c.comms, c.origin)
+	}
+	return c.key
+}
+
+// sameContent reports whether two advertisements are the same for duplicate
+// suppression, i.e. exactly when their PathKeys are equal, decided
+// structurally. Only a community list that differs elementwise falls back
+// to the rendered keys (the key is order-insensitive in communities).
+func sameContent(a, b *advContent) bool {
+	if a == b {
+		return true
+	}
+	if a.origin != b.origin || !slices.Equal(a.path, b.path) {
+		return false
+	}
+	return slices.Equal(a.comms, b.comms) || a.pathKey() == b.pathKey()
+}
+
+// adv is the last advertisement sent on a session for a prefix, used to
+// suppress duplicate updates.
 type adv struct {
-	pathKey string
+	// content is nil for an entry that came out of a snapshot, which carries
+	// only the rendered key; the next advertise call on the prefix compares
+	// by key and upgrades the entry.
+	content *advContent
+	key     string
 	bw      float64
 	// pathLen is the advertised AS-path length including this speaker's own
 	// prepends; the invariant checkers compare it against the decision's
@@ -138,8 +181,41 @@ type adv struct {
 	pathLen int
 }
 
+// pathKey returns the entry's canonical advertisement identity.
+func (a *adv) pathKey() string {
+	if a.content != nil {
+		return a.content.pathKey()
+	}
+	return a.key
+}
+
+// matches reports whether the entry already carries content c at bandwidth
+// bw, so re-sending would be a duplicate.
+func (a *adv) matches(c *advContent, bw float64) bool {
+	if a.bw != bw {
+		return false
+	}
+	if a.content != nil {
+		return sameContent(a.content, c)
+	}
+	return a.key == c.pathKey()
+}
+
+// candidate pairs a RIB route with the session it arrived on.
+type candidate struct {
+	attrs   core.RouteAttrs
+	session SessionID
+}
+
 // prefixState is per-prefix bookkeeping.
 type prefixState struct {
+	// cands is the prefix's column of the Adj-RIB-In: the routes received
+	// for it, one per session, sorted by session — exactly what the decision
+	// process reads, so gather hands it out in place. It is the only
+	// Adj-RIB-In store; the per-session view (ExportState, RemovePeer) is
+	// derived from it.
+	cands []candidate
+
 	advertised map[SessionID]adv
 	// baseline is the high-water count of distinct candidate next-hop
 	// devices, the denominator for percentage MinNextHop thresholds.
@@ -240,4 +316,41 @@ type AdvertisedRoute struct {
 type OutMsg struct {
 	Session SessionID
 	Update  Update
+}
+
+// findCandidate returns the column position of sess, or where it would be
+// inserted.
+func (st *prefixState) findCandidate(sess SessionID) (int, bool) {
+	lo, hi := 0, len(st.cands)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if st.cands[mid].session < sess {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(st.cands) && st.cands[lo].session == sess
+}
+
+// setCandidate writes the route received on sess into the column.
+func (st *prefixState) setCandidate(sess SessionID, attrs core.RouteAttrs) {
+	i, found := st.findCandidate(sess)
+	if found {
+		st.cands[i].attrs = attrs
+		return
+	}
+	st.cands = append(st.cands, candidate{})
+	copy(st.cands[i+1:], st.cands[i:])
+	st.cands[i] = candidate{attrs: attrs, session: sess}
+}
+
+// dropCandidate removes sess's route from the column and reports whether
+// there was one.
+func (st *prefixState) dropCandidate(sess SessionID) bool {
+	i, found := st.findCandidate(sess)
+	if found {
+		st.cands = slices.Delete(st.cands, i, i+1)
+	}
+	return found
 }

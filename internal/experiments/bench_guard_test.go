@@ -1,24 +1,37 @@
 package experiments
 
 import (
+	"bufio"
 	"encoding/json"
 	"os"
 	"testing"
 )
 
 // The bench-regression guard, gated behind CENTRALIUM_BENCH_GUARD=1
-// because it converges the 1k-device fabric (tens of seconds). Two checks:
+// because it converges the 1k-device fabric. It is a table of (metric,
+// committed value, tolerance), checked against the committed snapshots:
 //
-//   - Determinism anchor: the incremental engine's 1k-device converge
-//     must produce exactly the event count and virtual time committed in
-//     results/BENCH_parallel.json (which the full-recompute oracle
-//     produced). Any drift means the engines are no longer byte-identical
-//     — a correctness failure, not a performance one, so the tolerance is
-//     zero.
-//   - Speedup floor: at the medium scale, incremental must beat the
-//     oracle by >= 1.8x wall-clock (the 2x acceptance target with 10%
-//     tolerance for machine noise). The committed 1k-device ratio lives
-//     in results/BENCH_incremental.json.
+//   - Determinism anchors, zero tolerance: event count and virtual time of
+//     the 1k-device converge (results/BENCH_parallel.json, produced by the
+//     full-recompute oracle) and of the medium converge, in both decision
+//     engines (results/BENCH_history.jsonl). Drift means the engines are
+//     no longer byte-identical — a correctness failure, not a performance
+//     one.
+//   - Work avoidance, zero tolerance: the incremental engine's memo-hit
+//     counts at medium. They are what makes it the cheaper engine, and they
+//     are exact, so they are guarded as counts rather than through a
+//     wall-clock ratio.
+//   - Allocation budget: allocs/event at medium within the 2.0 budget
+//     (+15%), the engine hot path's contract (DESIGN.md, "Engine data
+//     layout and the immutability contract").
+//
+// Until PR 14 the floor was a 1.8x incremental-vs-oracle wall ratio at
+// medium. That ratio measured mostly how the oracle allocated (5.7M
+// allocations per converge against 1.4M); now that both engines share one
+// data path the oracle converges medium within ~1.3x of the incremental
+// engine — too close to hold a wall-clock floor on a shared CI runner — and
+// the committed absolute rows above replace the ratio; the measured walls
+// are logged, not judged.
 
 type benchReport struct {
 	ID   string `json:"id"`
@@ -44,42 +57,95 @@ func loadBenchReport(t *testing.T, path string) *benchReport {
 	return &r
 }
 
-func TestBenchGuardIncrementalDeterminismAnchor(t *testing.T) {
-	if os.Getenv("CENTRALIUM_BENCH_GUARD") != "1" {
-		t.Skip("set CENTRALIUM_BENCH_GUARD=1 to run the bench-regression guard")
+// lastHistoryRow returns the values of the most recently appended row with
+// the given label among the reports with the given id in the append-only
+// history.
+func lastHistoryRow(t *testing.T, path, id, label string) map[string]float64 {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatalf("read bench history: %v", err)
 	}
-	ref := loadBenchReport(t, "../../results/BENCH_parallel.json")
-	wantEvents := ref.Rows[0].Values["events"]
-	wantVirtual := ref.Rows[0].Values["virtual_ms"]
-	if wantEvents == 0 {
-		t.Fatal("committed snapshot has no event count")
+	defer f.Close()
+	var last map[string]float64
+	sc := bufio.NewScanner(f)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		if len(sc.Bytes()) == 0 {
+			continue
+		}
+		var r benchReport
+		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+			t.Fatalf("parse %s: %v", path, err)
+		}
+		if r.ID != id {
+			continue
+		}
+		for _, row := range r.Rows {
+			if row.Label == label {
+				last = row.Values
+			}
+		}
 	}
-	st := RunConvergenceMode(ConvergenceScales()[2], 42, 1, false)
-	if got := float64(st.Events); got != wantEvents {
-		t.Errorf("1kdevice incremental events = %.0f, committed snapshot %.0f (zero tolerance: this is a byte-identity break)", got, wantEvents)
+	if err := sc.Err(); err != nil {
+		t.Fatalf("read %s: %v", path, err)
 	}
-	if got := float64(st.Virtual) / 1e6; got != wantVirtual {
-		t.Errorf("1kdevice incremental virtual = %.6fms, committed snapshot %.6fms", got, wantVirtual)
+	if last == nil {
+		t.Fatalf("%s has no %q row labelled %q", path, id, label)
 	}
-	if st.AdvMemoHits == 0 || st.FIBMemoHits == 0 {
-		t.Errorf("incremental engine never engaged (adv-memo %d, fib-memo %d)", st.AdvMemoHits, st.FIBMemoHits)
-	}
+	return last
 }
 
-func TestBenchGuardIncrementalSpeedupFloor(t *testing.T) {
+// allocsPerEventBudget is the engine hot path's allocation budget at the
+// medium scale; the guard allows 15% over it.
+const allocsPerEventBudget = 2.0
+
+func TestBenchGuard(t *testing.T) {
 	if os.Getenv("CENTRALIUM_BENCH_GUARD") != "1" {
 		t.Skip("set CENTRALIUM_BENCH_GUARD=1 to run the bench-regression guard")
 	}
-	sc := ConvergenceScales()[1] // medium: seconds, not minutes
-	full := RunConvergenceMode(sc, 42, 1, true)
-	incr := RunConvergenceMode(sc, 42, 1, false)
-	if full.Events != incr.Events || full.Virtual != incr.Virtual {
-		t.Fatalf("modes diverged: full %d events/%v, incremental %d events/%v",
-			full.Events, full.Virtual, incr.Events, incr.Virtual)
+	scales := ConvergenceScales()
+	large := loadBenchReport(t, "../../results/BENCH_parallel.json").Rows[0].Values
+	medium := lastHistoryRow(t, "../../results/BENCH_history.jsonl", "engine-convergence", "scale=medium mode=incremental")
+	if large["events"] == 0 || medium["events"] == 0 {
+		t.Fatal("committed snapshot has no event count")
 	}
-	ratio := float64(full.Wall) / float64(incr.Wall)
-	t.Logf("medium-scale wall: full %v, incremental %v (%.2fx)", full.Wall, incr.Wall, ratio)
-	if ratio < 1.8 {
-		t.Errorf("incremental speedup %.2fx below the 1.8x floor (2x target, 10%% tolerance)", ratio)
+
+	big := RunConvergenceMode(scales[2], 42, 1, false)
+	full := RunConvergenceMode(scales[1], 42, 1, true)
+	incr := RunConvergenceMode(scales[1], 42, 1, false)
+	t.Logf("medium-scale wall: full %v, incremental %v (%.2fx); incremental %.2f allocs/event, oracle %.2f",
+		full.Wall, incr.Wall, float64(full.Wall)/float64(incr.Wall),
+		float64(incr.Mallocs)/float64(incr.Events), float64(full.Mallocs)/float64(full.Events))
+
+	virtualMs := func(s ConvergenceStats) float64 { return float64(s.Virtual) / 1e6 }
+	// over is the allowed relative excess of got over want; a negative
+	// value demands equality in both directions.
+	const exact = -1
+	table := []struct {
+		metric    string
+		got, want float64
+		over      float64
+	}{
+		{"1kdevice incremental events", float64(big.Events), large["events"], exact},
+		{"1kdevice incremental virtual_ms", virtualMs(big), large["virtual_ms"], exact},
+		{"medium incremental events", float64(incr.Events), medium["events"], exact},
+		{"medium incremental virtual_ms", virtualMs(incr), medium["virtual_ms"], exact},
+		{"medium oracle events", float64(full.Events), medium["events"], exact},
+		{"medium oracle virtual_ms", virtualMs(full), medium["virtual_ms"], exact},
+		{"medium adv-memo hits", float64(incr.AdvMemoHits), medium["adv_memo_hits"], exact},
+		{"medium fib-memo hits", float64(incr.FIBMemoHits), medium["fib_memo_hits"], exact},
+		{"medium incremental allocs/event", float64(incr.Mallocs) / float64(incr.Events), allocsPerEventBudget, 0.15},
+	}
+	for _, row := range table {
+		switch {
+		case row.over < 0 && row.got != row.want:
+			t.Errorf("%s = %v, committed %v (zero tolerance: this is a byte-identity break)", row.metric, row.got, row.want)
+		case row.over >= 0 && row.got > row.want*(1+row.over):
+			t.Errorf("%s = %.3f, over the committed %.3f by more than %.0f%%", row.metric, row.got, row.want, row.over*100)
+		}
+	}
+	if big.AdvMemoHits == 0 || big.FIBMemoHits == 0 {
+		t.Errorf("incremental engine never engaged at 1kdevice (adv-memo %d, fib-memo %d)", big.AdvMemoHits, big.FIBMemoHits)
 	}
 }

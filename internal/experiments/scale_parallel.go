@@ -73,6 +73,9 @@ type ConvergenceStats struct {
 	Batched int64
 	Virtual time.Duration
 	Wall    time.Duration
+	// Mallocs counts heap allocations over the same window as Wall
+	// (originate + converge; fabric construction excluded).
+	Mallocs uint64
 
 	// FullRecompute records the decision-engine mode the run converged
 	// under; the remaining fields are the fleet-summed incremental-engine
@@ -125,6 +128,8 @@ func runConvergence(sc ConvergenceScale, seed int64, workers int, mode *bool) Co
 	if mode != nil {
 		n.SetFullRecompute(*mode)
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	start := time.Now()
 	for _, eb := range tp.ByLayer(topo.LayerEB) {
 		n.OriginateAt(eb.ID, migrate.DefaultRoute, []string{migrate.BackboneCommunity}, 0)
@@ -138,6 +143,8 @@ func runConvergence(sc ConvergenceScale, seed int64, workers int, mode *bool) Co
 		prefixes++
 	}
 	events := n.Converge()
+	wall := time.Since(start)
+	runtime.ReadMemStats(&after)
 	incr := n.IncrementalStats()
 	return ConvergenceStats{
 		Devices:           tp.NumDevices(),
@@ -147,7 +154,8 @@ func runConvergence(sc ConvergenceScale, seed int64, workers int, mode *bool) Co
 		Events:            events,
 		Batched:           n.EventsBatched(),
 		Virtual:           time.Duration(n.Now()),
-		Wall:              time.Since(start),
+		Wall:              wall,
+		Mallocs:           after.Mallocs - before.Mallocs,
 		FullRecompute:     n.FullRecompute(),
 		SkippedRecomputes: incr.SkippedRecomputes,
 		AdvMemoHits:       incr.AdvertiseMemoHits,

@@ -245,8 +245,12 @@ func TestScheduleClampsToPast(t *testing.T) {
 		t.Fatal("past-scheduled callback never fired")
 	}
 	e := n.eng
-	e.scheduleDelivery(e.now-100, &delivery{sess: "nope", to: "leaf"})
-	n.Converge() // unknown session: delivered event is discarded quietly
+	var s *session
+	for _, s = range n.sessions {
+		break
+	}
+	e.push(e.now-100, event{sess: s, epoch: s.epoch - 1})
+	n.Converge() // stale session epoch: delivered event is discarded quietly
 	if n.Now() < 10*int64(time.Millisecond) {
 		t.Fatalf("clock moved backwards: %d", n.Now())
 	}

@@ -16,67 +16,68 @@
 package fabric
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"centralium/internal/bgp"
-	"centralium/internal/telemetry"
-	"centralium/internal/topo"
 )
 
-// delivery is one in-flight UPDATE: the structured form of a message event.
-// Carrying the target device (instead of an opaque closure) is what lets
-// the parallel engine partition same-window events by device.
-type delivery struct {
-	sess bgp.SessionID
-	to   topo.DeviceID
-	u    bgp.Update
+// event is one scheduled engine entry: either a control callback (fn) or a
+// message delivery. A delivery is structured (session, direction, UPDATE)
+// rather than an opaque closure, which is what lets the parallel engine
+// partition same-window events by target device. Events live in the
+// engine's slab; the queue orders small keys that point at them.
+type event struct {
+	fn func() // control callback; nil for a delivery
+
+	sess *session
+	// to is the receiving end of sess: 0 delivers to sess.a, 1 to sess.b.
+	to uint8
 	// epoch is the session incarnation the message was sent under; if the
 	// session bounced while the message was in flight it dies with its TCP
 	// connection instead of being delivered into the new incarnation.
 	epoch int
+	u     bgp.Update
 }
 
-// event is one scheduled engine entry: either a control callback (fn) or a
-// message delivery (dlv). out/taps buffer a delivery's side effects during
-// the parallel phase so the merge phase can replay them in event order.
-type event struct {
-	at  int64 // virtual nanoseconds
-	seq int64 // tie-break for equal timestamps: FIFO
-	fn  func()
-	dlv *delivery
-
-	out  []bgp.OutMsg
-	taps []telemetry.Event
+// qkey is one queue entry: the ordering key plus the slab slot of its event.
+type qkey struct {
+	at   int64 // virtual nanoseconds
+	seq  int64 // tie-break for equal timestamps: FIFO
+	slot int32
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (k qkey) before(o qkey) bool {
+	if k.at != o.at {
+		return k.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return k.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+// compareKeys is the (at, seq) order as a three-way comparison.
+func compareKeys(x, y qkey) int {
+	switch {
+	case x.before(y):
+		return -1
+	case y.before(x):
+		return 1
+	}
+	return 0
 }
 
 // engine is the virtual clock and event queue.
 type engine struct {
-	now   int64
-	seq   int64
-	queue eventHeap
+	now int64
+	seq int64
+	// queue is a binary min-heap of keys, sifted by hand; slab holds the
+	// events, free the vacant slots. All three are dropped when the queue
+	// drains, so a quiescent network does not hold the memory of its
+	// busiest moment.
+	queue []qkey
+	slab  []event
+	free  []int32
 	seed  int64
 	rng   *seededRNG
 
@@ -95,29 +96,90 @@ type engine struct {
 	// network's BaseLatency): events less than lookahead apart cannot be
 	// causally related, which is what makes window-parallelism safe.
 	lookahead int64
+	// batch is collectBatch's reusable result buffer.
+	batch []qkey
 }
 
 func newEngine(seed int64) *engine {
 	return &engine{seed: seed, rng: newSeededRNG(seed, 0)}
 }
 
-// schedule enqueues fn at the given absolute virtual time (clamped to now).
-func (e *engine) schedule(at int64, fn func()) {
+// push enqueues ev at the given absolute virtual time (clamped to now).
+func (e *engine) push(at int64, ev event) {
 	if at < e.now {
 		at = e.now
 	}
+	var slot int32
+	if n := len(e.free); n > 0 {
+		slot = e.free[n-1]
+		e.free = e.free[:n-1]
+		e.slab[slot] = ev
+	} else {
+		if len(e.slab) == cap(e.slab) {
+			// Double, rather than append's 1.25x for large slices: the slab
+			// is the engine's biggest allocation and regrowing it dominated
+			// the bytes a convergence allocates.
+			e.slab = slices.Grow(e.slab, max(len(e.slab), 16))
+		}
+		slot = int32(len(e.slab))
+		e.slab = append(e.slab, ev)
+	}
 	e.seq++
-	heap.Push(&e.queue, &event{at: at, seq: e.seq, fn: fn})
+	k := qkey{at: at, seq: e.seq, slot: slot}
+	// Sift up.
+	q := append(e.queue, k)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !k.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = k
+	e.queue = q
 }
 
-// scheduleDelivery enqueues a message delivery at the given virtual time.
-func (e *engine) scheduleDelivery(at int64, d *delivery) {
-	if at < e.now {
-		at = e.now
+// pop removes and returns the earliest key. Its slab slot stays occupied
+// until release.
+func (e *engine) pop() qkey {
+	q := e.queue
+	top := q[0]
+	n := len(q) - 1
+	k := q[n]
+	q = q[:n]
+	// Sift the former last key down from the root.
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && q[r].before(q[child]) {
+			child = r
+		}
+		if !q[child].before(k) {
+			break
+		}
+		q[i] = q[child]
+		i = child
 	}
-	e.seq++
-	heap.Push(&e.queue, &event{at: at, seq: e.seq, dlv: d})
+	if n > 0 {
+		q[i] = k
+	}
+	e.queue = q
+	return top
 }
+
+// release vacates a popped event's slot (dropping its references).
+func (e *engine) release(slot int32) {
+	e.slab[slot] = event{}
+	e.free = append(e.free, slot)
+}
+
+// schedule enqueues fn at the given absolute virtual time (clamped to now).
+func (e *engine) schedule(at int64, fn func()) { e.push(at, event{fn: fn}) }
 
 // after enqueues fn delay nanoseconds from now.
 func (e *engine) after(delay int64, fn func()) { e.schedule(e.now+delay, fn) }
@@ -161,37 +223,47 @@ func (e *engine) runCore(deadline int64, maxEvents int64) int64 {
 	}
 	var n int64
 	for len(e.queue) > 0 && n < maxEvents && e.queue[0].at <= deadline {
-		if e.workers > 1 && len(e.hooks) == 0 && e.queue[0].dlv != nil {
+		if e.workers > 1 && len(e.hooks) == 0 && e.slab[e.queue[0].slot].fn == nil {
 			batch := e.collectBatch(deadline, maxEvents-n)
 			if len(batch) > 1 {
 				e.net.execBatch(batch)
-				n += int64(len(batch))
-				e.processed += int64(len(batch))
 				e.batched += int64(len(batch))
-				continue
+				for _, k := range batch {
+					e.release(k.slot)
+				}
+			} else {
+				// Window of one: run it serially (no fan-out overhead).
+				e.runOne(batch[0])
 			}
-			// Window of one: run it serially (no fan-out overhead).
-			ev := batch[0]
-			e.now = ev.at
-			e.net.deliver(ev.dlv)
-			n++
-			e.processed++
+			n += int64(len(batch))
+			e.processed += int64(len(batch))
 			continue
 		}
-		ev := heap.Pop(&e.queue).(*event)
-		e.now = ev.at
-		if ev.dlv != nil {
-			e.net.deliver(ev.dlv)
-		} else {
-			ev.fn()
-		}
+		e.runOne(e.pop())
 		n++
 		e.processed++
 		for _, h := range e.hooks {
 			h(e.now)
 		}
 	}
+	if len(e.queue) == 0 {
+		e.queue, e.slab, e.free, e.batch = nil, nil, nil, nil
+	}
 	return n
+}
+
+// runOne executes one popped event. The event is copied out and its slot
+// vacated first: what it schedules may reuse the slot or move the slab, and
+// a callback may re-enter the loop.
+func (e *engine) runOne(k qkey) {
+	ev := e.slab[k.slot]
+	e.release(k.slot)
+	e.now = k.at
+	if ev.fn != nil {
+		ev.fn()
+	} else {
+		e.net.deliver(&ev)
+	}
 }
 
 // collectBatch pops the maximal run of consecutive delivery events whose
@@ -200,20 +272,22 @@ func (e *engine) runCore(deadline int64, maxEvents int64) int64 {
 // new events no earlier than head.at+lookahead, so the collected batch is
 // exactly the set of events the sequential engine would process over the
 // same span; a control event (fn) bounds the window because it may mutate
-// shared fleet state (sessions, device power) mid-span.
-func (e *engine) collectBatch(deadline, budget int64) []*event {
+// shared fleet state (sessions, device power) mid-span. The popped events
+// keep their slab slots until the caller releases them.
+func (e *engine) collectBatch(deadline, budget int64) []qkey {
 	horizon := e.queue[0].at + e.lookahead
 	if horizon < e.queue[0].at { // overflow guard for astronomical clocks
 		horizon = math.MaxInt64
 	}
-	var batch []*event
+	batch := e.batch[:0]
 	for len(e.queue) > 0 && int64(len(batch)) < budget {
 		h := e.queue[0]
-		if h.dlv == nil || h.at >= horizon || h.at > deadline {
+		if e.slab[h.slot].fn != nil || h.at >= horizon || h.at > deadline {
 			break
 		}
-		batch = append(batch, heap.Pop(&e.queue).(*event))
+		batch = append(batch, e.pop())
 	}
+	e.batch = batch
 	return batch
 }
 

@@ -110,6 +110,8 @@ func (o *Options) setDefaults() {
 type session struct {
 	id   bgp.SessionID
 	a, b topo.DeviceID
+	// ends are the nodes of a and b, indexed like a delivery's direction.
+	ends [2]*Node
 	gbps float64
 	up   bool
 	// epoch counts teardowns. A message scheduled for delivery carries the
@@ -117,6 +119,37 @@ type session struct {
 	// flight the message dies with its TCP connection instead of being
 	// delivered into the new incarnation after resync.
 	epoch int
+	// fifo is the last scheduled delivery time toward each end (0: nothing
+	// sent that way yet), so messages on one session stay ordered, as over
+	// TCP.
+	fifo [2]int64
+}
+
+// newSession builds the (down) session of link li, resolving its end nodes.
+func (n *Network) newSession(li int, l topo.Link) *session {
+	return &session{
+		id:   sessionIDFor(li, l),
+		a:    l.A,
+		b:    l.B,
+		ends: [2]*Node{n.nodes[l.A], n.nodes[l.B]},
+		gbps: l.CapacityGbps,
+	}
+}
+
+// end returns the direction index of dev on the session (0 for a, 1 for b).
+func (s *session) end(dev topo.DeviceID) uint8 {
+	if dev == s.a {
+		return 0
+	}
+	return 1
+}
+
+// endID returns the device at a direction index.
+func (s *session) endID(dir uint8) topo.DeviceID {
+	if dir == 0 {
+		return s.a
+	}
+	return s.b
 }
 
 // Node is one emulated switch: the device record plus its BGP speaker.
@@ -161,9 +194,6 @@ type Network struct {
 	eng      *engine
 	nodes    map[topo.DeviceID]*Node
 	sessions map[bgp.SessionID]*session
-	// fifo tracks the last scheduled delivery time per (session, receiver)
-	// so messages on one session stay ordered, as over TCP.
-	fifo map[string]int64
 	// perturb, when set, is consulted for every outgoing message.
 	perturb Perturber
 	// tap is the fleet-wide telemetry sink; per-node shims route to it.
@@ -180,7 +210,6 @@ func New(t *topo.Topology, opts Options) *Network {
 		eng:      newEngine(opts.Seed),
 		nodes:    make(map[topo.DeviceID]*Node),
 		sessions: make(map[bgp.SessionID]*session),
-		fifo:     make(map[string]int64),
 	}
 	n.eng.net = n
 	n.eng.workers = opts.Workers
@@ -206,12 +235,7 @@ func New(t *topo.Topology, opts Options) *Network {
 		n.nodes[d.ID] = node
 	}
 	for li, l := range t.Links() {
-		s := &session{
-			id:   sessionIDFor(li, l),
-			a:    l.A,
-			b:    l.B,
-			gbps: l.CapacityGbps,
-		}
+		s := n.newSession(li, l)
 		n.sessions[s.id] = s
 		n.establish(s)
 	}
@@ -228,7 +252,7 @@ func (n *Network) establish(s *session) {
 		return
 	}
 	s.up = true
-	na, nb := n.nodes[s.a], n.nodes[s.b]
+	na, nb := s.ends[0], s.ends[1]
 	na.Speaker.AddPeer(s.id, string(s.b), nb.Device.ASN, s.gbps)
 	n.flush(s.a)
 	nb.Speaker.AddPeer(s.id, string(s.a), na.Device.ASN, s.gbps)
@@ -242,16 +266,20 @@ func (n *Network) teardown(s *session) {
 	}
 	s.up = false
 	s.epoch++
-	n.nodes[s.a].Speaker.RemovePeer(s.id)
+	s.ends[0].Speaker.RemovePeer(s.id)
 	n.flush(s.a)
-	n.nodes[s.b].Speaker.RemovePeer(s.id)
+	s.ends[1].Speaker.RemovePeer(s.id)
 	n.flush(s.b)
 }
 
 // flush drains one speaker's outbox, scheduling deliveries with base
 // latency plus seeded jitter, preserving per-session FIFO order.
-func (n *Network) flush(dev topo.DeviceID) {
-	n.routeMsgs(dev, n.nodes[dev].Speaker.TakeOutbox())
+func (n *Network) flush(dev topo.DeviceID) { n.flushNode(n.nodes[dev]) }
+
+func (n *Network) flushNode(node *Node) {
+	msgs := node.Speaker.TakeOutbox()
+	n.routeMsgs(node.Device.ID, msgs)
+	node.Speaker.RecycleOutbox(msgs)
 }
 
 // routeMsgs schedules one batch of outgoing messages from dev. This is the
@@ -260,21 +288,19 @@ func (n *Network) flush(dev topo.DeviceID) {
 // consumes the RNG (and consults the chaos perturber) in exactly the
 // sequential order.
 func (n *Network) routeMsgs(dev topo.DeviceID, msgs []bgp.OutMsg) {
-	for _, m := range msgs {
+	for i := range msgs {
+		m := &msgs[i]
 		s := n.sessions[m.Session]
 		if s == nil || !s.up {
 			continue
 		}
-		target := s.a
-		if target == dev {
-			target = s.b
-		}
+		to := 1 - s.end(dev)
 		delay := int64(n.opts.BaseLatency)
 		if j := int64(n.opts.Jitter); j > 0 {
 			delay += n.eng.rng.Int63n(j)
 		}
 		if n.perturb != nil {
-			pb := n.perturb(m.Session, dev, target, m.Update)
+			pb := n.perturb(m.Session, dev, s.endID(to), m.Update)
 			if pb.Drop {
 				continue
 			}
@@ -286,28 +312,24 @@ func (n *Network) routeMsgs(dev topo.DeviceID, msgs []bgp.OutMsg) {
 			}
 		}
 		at := n.eng.now + delay
-		key := string(m.Session) + ">" + string(target)
-		if last := n.fifo[key]; at <= last {
+		if last := s.fifo[to]; at <= last {
 			at = last + 1
 		}
-		n.fifo[key] = at
-		n.eng.scheduleDelivery(at, &delivery{sess: m.Session, to: target, u: m.Update, epoch: s.epoch})
+		s.fifo[to] = at
+		n.eng.push(at, event{sess: s, to: to, epoch: s.epoch, u: m.Update})
 	}
 }
 
 // deliver executes one delivery event sequentially: pre-checks against the
 // current session/device state, UPDATE handling, and an immediate flush.
-func (n *Network) deliver(d *delivery) {
-	tn := n.nodes[d.to]
-	if tn == nil || !tn.up {
-		return
-	}
-	if cur := n.sessions[d.sess]; cur == nil || !cur.up || cur.epoch != d.epoch {
-		return // session went down (or bounced) while in flight
+func (n *Network) deliver(d *event) {
+	tn := d.sess.ends[d.to]
+	if !tn.up || !d.sess.up || d.sess.epoch != d.epoch {
+		return // device down, or session went down (or bounced) in flight
 	}
 	tn.vnow = n.eng.now
-	tn.Speaker.HandleUpdate(d.sess, d.u)
-	n.flush(d.to)
+	tn.Speaker.HandleUpdate(d.sess.id, d.u)
+	n.flushNode(tn)
 }
 
 // Node returns the node for a device (nil if unknown).

@@ -4,8 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"centralium/internal/bgp"
 	"centralium/internal/telemetry"
-	"centralium/internal/topo"
 )
 
 // This file is the batch-parallel execution path of the engine (see
@@ -57,34 +57,52 @@ func (t *nodeTap) take() []telemetry.Event {
 	return out
 }
 
+// batchEvent is one delivery of a window plus the side effects its handling
+// produced during the parallel phase, buffered so the merge phase can replay
+// them in event order.
+type batchEvent struct {
+	at int64
+	event
+	out  []bgp.OutMsg
+	taps []telemetry.Event
+}
+
 // execBatch runs one causally independent window of delivery events:
 // parallel per-device handling, then a sequential merge in (time, seq)
-// order. Called by the engine with len(batch) > 1.
-func (n *Network) execBatch(batch []*event) {
+// order. Called by the engine with len(keys) > 1.
+func (n *Network) execBatch(keys []qkey) {
+	// Copy the events out of the slab: the merge phase schedules deliveries,
+	// which may move it.
+	batch := make([]batchEvent, len(keys))
+	for i, k := range keys {
+		batch[i] = batchEvent{at: k.at, event: n.eng.slab[k.slot]}
+	}
+
 	// Partition by target device, preserving per-device event order.
-	groups := make(map[topo.DeviceID][]*event, len(batch))
-	var order []topo.DeviceID
-	for _, ev := range batch {
-		key := ev.dlv.to
+	groups := make(map[*Node][]*batchEvent, len(batch))
+	var order []*Node
+	for i := range batch {
+		be := &batch[i]
+		key := be.sess.ends[be.to]
 		if groups[key] == nil {
 			order = append(order, key)
 		}
-		groups[key] = append(groups[key], ev)
+		groups[key] = append(groups[key], be)
 	}
 
 	if len(order) == 1 {
 		// One device: no parallelism to extract; step sequentially.
-		for _, ev := range batch {
-			n.eng.now = ev.at
-			n.deliver(ev.dlv)
+		for i := range batch {
+			n.eng.now = batch[i].at
+			n.deliver(&batch[i].event)
 		}
 		return
 	}
 
 	buffer := n.tap != nil
 	if buffer {
-		for _, key := range order {
-			n.nodes[key].tap.buffering = true
+		for _, node := range order {
+			node.tap.buffering = true
 		}
 	}
 
@@ -106,30 +124,27 @@ func (n *Network) execBatch(batch []*event) {
 				if i >= int64(len(order)) {
 					return
 				}
-				n.handleGroup(groups[order[i]])
+				handleGroup(order[i], groups[order[i]])
 			}
 		}()
 	}
 	wg.Wait()
 
 	// Phase 2: merge in global event order.
-	for _, ev := range batch {
-		n.eng.now = ev.at
-		if len(ev.taps) > 0 {
-			for _, te := range ev.taps {
-				n.tap.Emit(te)
-			}
-			ev.taps = nil
+	for i := range batch {
+		be := &batch[i]
+		n.eng.now = be.at
+		for _, te := range be.taps {
+			n.tap.Emit(te)
 		}
-		if len(ev.out) > 0 {
-			n.routeMsgs(ev.dlv.to, ev.out)
-			ev.out = nil
+		if len(be.out) > 0 {
+			n.routeMsgs(be.sess.endID(be.to), be.out)
 		}
 	}
 
 	if buffer {
-		for _, key := range order {
-			n.nodes[key].tap.buffering = false
+		for _, node := range order {
+			node.tap.buffering = false
 		}
 	}
 }
@@ -138,19 +153,14 @@ func (n *Network) execBatch(batch []*event) {
 // each event's side effects (outbox, tap emissions) for the merge phase.
 // The pre-checks read session/device state that cannot change inside a
 // delivery-only window, so evaluating them here matches sequential timing.
-func (n *Network) handleGroup(evs []*event) {
-	for _, ev := range evs {
-		d := ev.dlv
-		node := n.nodes[d.to]
-		if node == nil || !node.up {
-			continue
+func handleGroup(node *Node, evs []*batchEvent) {
+	for _, be := range evs {
+		if !node.up || !be.sess.up || be.sess.epoch != be.epoch {
+			continue // device down, or session went down (or bounced) in flight
 		}
-		if cur := n.sessions[d.sess]; cur == nil || !cur.up || cur.epoch != d.epoch {
-			continue // session went down (or bounced) while in flight
-		}
-		node.vnow = ev.at
-		node.Speaker.HandleUpdate(d.sess, d.u)
-		ev.out = node.Speaker.TakeOutbox()
-		ev.taps = node.tap.take()
+		node.vnow = be.at
+		node.Speaker.HandleUpdate(be.sess.id, be.u)
+		be.out = node.Speaker.TakeOutbox()
+		be.taps = node.tap.take()
 	}
 }

@@ -15,9 +15,10 @@ package fabric
 //     caller re-attaches them after restore (they carry no protocol state).
 
 import (
-	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"centralium/internal/bgp"
@@ -50,7 +51,9 @@ type NodeState struct {
 	Speaker bgp.SpeakerState
 }
 
-// FIFOState is one (session, receiver) last-delivery-time entry.
+// FIFOState is one (session, receiver) last-delivery-time entry. Key is
+// "<session>><receiver>"; the network keeps the times in two slots per
+// session and renders the keys only here.
 type FIFOState struct {
 	Key string
 	At  int64
@@ -78,20 +81,16 @@ type NetState struct {
 	FIFO     []FIFOState    // sorted by key
 }
 
-func cloneUpdate(u bgp.Update) bgp.Update {
-	u.ASPath = append([]uint32(nil), u.ASPath...)
-	u.Communities = append([]string(nil), u.Communities...)
-	return u
-}
-
 // ExportState captures the network for checkpointing. It fails if any
 // pending event is a control callback (see the package comment above): the
 // caller must checkpoint at a quiescent point or during a pure-delivery
-// convergence phase.
+// convergence phase. The state shares no mutable memory with the network:
+// UPDATE and route AS paths and communities are immutable everywhere (see
+// bgp.Speaker.HandleUpdate) and travel by reference.
 func (n *Network) ExportState() (*NetState, error) {
-	for _, ev := range n.eng.queue {
-		if ev.dlv == nil {
-			return nil, fmt.Errorf("fabric: pending control event at t=%v; checkpoints are only consistent when the queue holds pure message deliveries (quiescent points and convergence phases)", time.Duration(ev.at))
+	for _, k := range n.eng.queue {
+		if n.eng.slab[k.slot].fn != nil {
+			return nil, fmt.Errorf("fabric: pending control event at t=%v; checkpoints are only consistent when the queue holds pure message deliveries (quiescent points and convergence phases)", time.Duration(k.at))
 		}
 	}
 	topoJSON, err := n.Topo.ExportJSON()
@@ -110,27 +109,35 @@ func (n *Network) ExportState() (*NetState, error) {
 		RNGDraws:    n.eng.rng.Draws(),
 	}
 
-	for _, ev := range n.eng.queue {
-		st.Queue = append(st.Queue, DeliveryState{
-			At:      ev.at,
-			Seq:     ev.seq,
-			Session: string(ev.dlv.sess),
-			To:      string(ev.dlv.to),
-			Epoch:   ev.dlv.epoch,
-			Update:  cloneUpdate(ev.dlv.u),
-		})
-	}
-	sort.Slice(st.Queue, func(i, j int) bool {
-		if st.Queue[i].At != st.Queue[j].At {
-			return st.Queue[i].At < st.Queue[j].At
+	if len(n.eng.queue) > 0 {
+		keys := slices.Clone(n.eng.queue)
+		slices.SortFunc(keys, compareKeys)
+		st.Queue = make([]DeliveryState, len(keys))
+		for i, k := range keys {
+			ev := &n.eng.slab[k.slot]
+			st.Queue[i] = DeliveryState{
+				At:      k.at,
+				Seq:     k.seq,
+				Session: string(ev.sess.id),
+				To:      string(ev.sess.endID(ev.to)),
+				Epoch:   ev.epoch,
+				Update:  ev.u,
+			}
 		}
-		return st.Queue[i].Seq < st.Queue[j].Seq
-	})
+	}
 
+	// FIFO entries are sorted by rendered key, which is not session order
+	// (a session ID may be a prefix of another).
 	for _, info := range n.SessionList() {
 		s := n.sessions[info.ID]
 		st.Sessions = append(st.Sessions, SessionState{ID: string(s.id), Up: s.up, Epoch: s.epoch})
+		for dir, at := range s.fifo {
+			if at != 0 {
+				st.FIFO = append(st.FIFO, FIFOState{Key: string(s.id) + ">" + string(s.endID(uint8(dir))), At: at})
+			}
+		}
 	}
+	slices.SortFunc(st.FIFO, func(x, y FIFOState) int { return strings.Compare(x.Key, y.Key) })
 
 	devs := make([]topo.DeviceID, 0, len(n.nodes))
 	for id := range n.nodes {
@@ -146,15 +153,6 @@ func (n *Network) ExportState() (*NetState, error) {
 		st.Nodes = append(st.Nodes, NodeState{
 			Device: string(id), Up: node.up, VNow: node.vnow, Speaker: sp,
 		})
-	}
-
-	keys := make([]string, 0, len(n.fifo))
-	for k := range n.fifo {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		st.FIFO = append(st.FIFO, FIFOState{Key: k, At: n.fifo[k]})
 	}
 	return st, nil
 }
@@ -183,9 +181,10 @@ type RestoreOptions struct {
 }
 
 // NewFromState rebuilds a Network from a checkpoint. Each call yields a
-// fully independent network (state is deep-copied, the topology
-// re-imported), which is what makes cheap what-if forking possible: decode
-// once, restore N times, diverge each branch freely. Taps, hooks, and
+// fully independent network (everything mutable is copied, the topology
+// re-imported; AS paths and communities are immutable and shared with the
+// state), which is what makes cheap what-if forking possible: decode once,
+// restore N times, diverge each branch freely. Taps, hooks, and
 // perturbers start detached; callers re-attach their own wiring.
 func NewFromState(st *NetState, opts RestoreOptions) (*Network, error) {
 	t := opts.Topo
@@ -222,7 +221,6 @@ func NewFromState(st *NetState, opts RestoreOptions) (*Network, error) {
 		},
 		nodes:    make(map[topo.DeviceID]*Node),
 		sessions: make(map[bgp.SessionID]*session),
-		fifo:     make(map[string]int64, len(st.FIFO)),
 	}
 	n.eng.net = n
 	n.eng.workers = workers
@@ -255,7 +253,7 @@ func NewFromState(st *NetState, opts RestoreOptions) (*Network, error) {
 	}
 
 	for li, l := range t.Links() {
-		s := &session{id: sessionIDFor(li, l), a: l.A, b: l.B, gbps: l.CapacityGbps}
+		s := n.newSession(li, l)
 		n.sessions[s.id] = s
 	}
 	if len(st.Sessions) != len(n.sessions) {
@@ -271,27 +269,55 @@ func NewFromState(st *NetState, opts RestoreOptions) (*Network, error) {
 	}
 
 	for _, f := range st.FIFO {
-		n.fifo[f.Key] = f.At
+		s, dir := n.parseFIFOKey(f.Key)
+		if s == nil {
+			return nil, fmt.Errorf("fabric: FIFO entry %q names no session end", f.Key)
+		}
+		s.fifo[dir] = f.At
 	}
 
-	n.eng.queue = make(eventHeap, 0, len(st.Queue))
-	for _, q := range st.Queue {
-		if n.sessions[bgp.SessionID(q.Session)] == nil {
+	// A queue sorted by (At, Seq) is a valid heap. Well-formed state arrives
+	// sorted; it is sorted again rather than trusted.
+	n.eng.queue = make([]qkey, len(st.Queue))
+	n.eng.slab = make([]event, len(st.Queue))
+	for i := range st.Queue {
+		q := &st.Queue[i]
+		s := n.sessions[bgp.SessionID(q.Session)]
+		if s == nil {
 			return nil, fmt.Errorf("fabric: queued delivery on unknown session %q", q.Session)
 		}
-		n.eng.queue = append(n.eng.queue, &event{
-			at:  q.At,
-			seq: q.Seq,
-			dlv: &delivery{
-				sess:  bgp.SessionID(q.Session),
-				to:    topo.DeviceID(q.To),
-				u:     cloneUpdate(q.Update),
-				epoch: q.Epoch,
-			},
-		})
+		to := topo.DeviceID(q.To)
+		if to != s.a && to != s.b {
+			return nil, fmt.Errorf("fabric: queued delivery on session %q to %q, which is not one of its ends", q.Session, q.To)
+		}
+		n.eng.queue[i] = qkey{at: q.At, seq: q.Seq, slot: int32(i)}
+		n.eng.slab[i] = event{sess: s, to: s.end(to), epoch: q.Epoch, u: q.Update}
 	}
-	heap.Init(&n.eng.queue)
+	slices.SortFunc(n.eng.queue, compareKeys)
 	return n, nil
+}
+
+// parseFIFOKey resolves a "<session>><receiver>" key to the session and
+// the direction index of the receiver; nil when the key names no session
+// end. Every '>' is tried as the separator, so no assumption is made about
+// the characters of session and device names.
+func (n *Network) parseFIFOKey(key string) (*session, uint8) {
+	for i := 0; i < len(key); i++ {
+		if key[i] != '>' {
+			continue
+		}
+		s := n.sessions[bgp.SessionID(key[:i])]
+		if s == nil {
+			continue
+		}
+		switch topo.DeviceID(key[i+1:]) {
+		case s.a:
+			return s, 0
+		case s.b:
+			return s, 1
+		}
+	}
+	return nil, 0
 }
 
 // Step processes up to maxEvents pending events (<=0 means the default

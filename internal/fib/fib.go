@@ -7,9 +7,10 @@
 package fib
 
 import (
-	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -47,6 +48,10 @@ type Table struct {
 	warmEntries map[netip.Prefix]bool // kept despite withdrawal (KeepFibWarm)
 
 	observer func(WriteEvent) // optional write notification (telemetry tap)
+
+	// keyBuf and hopBuf are renderKey's scratch.
+	keyBuf []byte
+	hopBuf []NextHop
 }
 
 // WriteEvent describes one forwarding-table write for an observer: which
@@ -98,24 +103,43 @@ func New(groupLimit int) *Table {
 	}
 }
 
-// groupKey canonicalizes a next-hop set: sorted by ID, weights normalized by
-// their GCD so {a:2,b:2} and {a:1,b:1} share one group, as hardware ECMP
-// groups do.
-func groupKey(hops []NextHop) string {
-	sorted := append([]NextHop(nil), hops...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
+// renderKey canonicalizes a next-hop set into the table's key scratch:
+// sorted by ID, weights normalized by their GCD so {a:2,b:2} and {a:1,b:1}
+// share one group, as hardware ECMP groups do. Hop sets that arrive already
+// sorted (the speaker's always do: one hop per selected session, in session
+// order) are read in place. The result is valid until the next call; probing
+// a map or comparing with string(key) does not allocate, so only a caller
+// that creates a new group pays for a key string.
+func (t *Table) renderKey(hops []NextHop) []byte {
+	if !slices.IsSortedFunc(hops, compareHopID) {
+		t.hopBuf = append(t.hopBuf[:0], hops...)
+		slices.SortFunc(t.hopBuf, compareHopID)
+		hops = t.hopBuf
+	}
+	g := weightGCD(hops)
+	key := t.keyBuf[:0]
+	for _, h := range hops {
+		key = append(key, h.ID...)
+		key = append(key, '=')
+		key = strconv.AppendInt(key, int64(h.Weight/g), 10)
+		key = append(key, ';')
+	}
+	t.keyBuf = key
+	return key
+}
+
+func compareHopID(a, b NextHop) int { return strings.Compare(a.ID, b.ID) }
+
+// weightGCD returns the GCD of the hops' weights, or 1 when all are zero.
+func weightGCD(hops []NextHop) int {
 	g := 0
-	for _, h := range sorted {
+	for _, h := range hops {
 		g = gcd(g, h.Weight)
 	}
 	if g == 0 {
 		g = 1
 	}
-	var b strings.Builder
-	for _, h := range sorted {
-		fmt.Fprintf(&b, "%s=%d;", h.ID, h.Weight/g)
-	}
-	return b.String()
+	return g
 }
 
 func gcd(a, b int) int {
@@ -140,17 +164,17 @@ func (t *Table) Install(p netip.Prefix, hops []NextHop) {
 		t.Remove(p)
 		return
 	}
-	key := groupKey(hops)
+	key := t.renderKey(hops)
 	if old := t.entries[p]; old != nil {
-		if old.key == key {
+		if old.key == string(key) {
 			return // no-op rewrite
 		}
 		t.release(old)
 	}
-	g := t.groups[key]
+	g := t.groups[string(key)]
 	if g == nil {
-		g = &group{key: key, hops: normalizeHops(hops)}
-		t.groups[key] = g
+		g = &group{key: string(key), hops: normalizeHops(hops)}
+		t.groups[g.key] = g
 		t.groupChurn++
 		if len(t.groups) > t.limit {
 			t.overflows++
@@ -166,14 +190,8 @@ func (t *Table) Install(p netip.Prefix, hops []NextHop) {
 
 func normalizeHops(hops []NextHop) []NextHop {
 	sorted := append([]NextHop(nil), hops...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
-	g := 0
-	for _, h := range sorted {
-		g = gcd(g, h.Weight)
-	}
-	if g == 0 {
-		g = 1
-	}
+	slices.SortFunc(sorted, compareHopID)
+	g := weightGCD(sorted)
 	for i := range sorted {
 		sorted[i].Weight /= g
 	}
@@ -363,11 +381,11 @@ func (t *Table) ExportState() TableState {
 func NewFromState(st TableState) *Table {
 	t := New(st.Limit)
 	for _, e := range st.Entries {
-		key := groupKey(e.Hops)
-		g := t.groups[key]
+		key := t.renderKey(e.Hops)
+		g := t.groups[string(key)]
 		if g == nil {
-			g = &group{key: key, hops: normalizeHops(e.Hops)}
-			t.groups[key] = g
+			g = &group{key: string(key), hops: normalizeHops(e.Hops)}
+			t.groups[g.key] = g
 		}
 		g.refs++
 		t.entries[e.Prefix] = g

@@ -162,6 +162,8 @@ func TestPrefixesSorted(t *testing.T) {
 	}
 }
 
+func groupKey(hops []NextHop) string { return string(New(0).renderKey(hops)) }
+
 func TestGroupKeyProperties(t *testing.T) {
 	// Property: key is invariant under permutation and weight scaling.
 	f := func(w1, w2 uint8, scale uint8) bool {

@@ -23,6 +23,9 @@ package server
 // latest-wins state, which makes checkpoint-style compaction safe and
 // lock-free with respect to the serving path: Rotate, re-append the
 // mirror, Sync, Compact — without ever taking a planEntry or memo lock.
+// Plans and executions are rewritten, and recovered into the LRU-bounded
+// serving stores, in the order of their latest records, so which of them
+// survive a restart is the most recently recorded ones, deterministically.
 
 import (
 	"crypto/sha256"
@@ -66,10 +69,23 @@ type baseRecord struct {
 	Params      planner.Params `json:"params"`
 }
 
-// planMirror is one plan's live durable state.
+// planMirror is one plan's (or execution's) live durable state.
 type planMirror struct {
 	checkpoint []byte
 	final      []byte
+	// seq orders mirrors by their latest record (see persistor.seq).
+	seq int64
+}
+
+// byRecency returns the mirror's keys ordered by latest record, oldest
+// first.
+func byRecency(m map[string]*planMirror) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Slice(out, func(i, j int) bool { return m[out[i]].seq < m[out[j]].seq })
+	return out
 }
 
 // persistor owns the daemon's append path into the store. All methods
@@ -88,6 +104,8 @@ type persistor struct {
 	memos     map[string][]byte
 	memoOrder []string
 	memoMax   int
+	// seq counts records folded into the mirror (appended or replayed).
+	seq int64
 
 	// compactEvery triggers checkpoint-style compaction once the log
 	// holds more than this many segments.
@@ -120,38 +138,32 @@ func (p *persistor) append(typ uint8, key string, value []byte) error {
 		return err
 	}
 	p.appends++
+	p.apply(typ, key, value)
+	if p.st.Log.SegmentCount() > p.compactEvery {
+		if err := p.compactLocked(); err != nil {
+			return fmt.Errorf("compact: %w", err)
+		}
+	}
+	return nil
+}
+
+// apply folds one record into the live mirror: the latest record per key
+// wins. Unknown record types are forward compatibility, not corruption,
+// and are skipped.
+func (p *persistor) apply(typ uint8, key string, value []byte) {
+	p.seq++
 	v := append([]byte(nil), value...)
 	switch typ {
 	case recBase:
 		p.bases[key] = v
 	case recPlanCheckpoint:
-		pm := p.plans[key]
-		if pm == nil {
-			pm = &planMirror{}
-			p.plans[key] = pm
-		}
-		pm.checkpoint = v
+		p.touch(p.plans, key).checkpoint = v
 	case recPlanFinal:
-		pm := p.plans[key]
-		if pm == nil {
-			pm = &planMirror{}
-			p.plans[key] = pm
-		}
-		pm.final = v
+		p.touch(p.plans, key).final = v
 	case recExecCheckpoint:
-		pm := p.execs[key]
-		if pm == nil {
-			pm = &planMirror{}
-			p.execs[key] = pm
-		}
-		pm.checkpoint = v
+		p.touch(p.execs, key).checkpoint = v
 	case recExecFinal:
-		pm := p.execs[key]
-		if pm == nil {
-			pm = &planMirror{}
-			p.execs[key] = pm
-		}
-		pm.final = v
+		p.touch(p.execs, key).final = v
 	case recMemo:
 		if _, ok := p.memos[key]; !ok {
 			p.memoOrder = append(p.memoOrder, key)
@@ -162,12 +174,18 @@ func (p *persistor) append(typ uint8, key string, value []byte) error {
 		}
 		p.memos[key] = v
 	}
-	if p.st.Log.SegmentCount() > p.compactEvery {
-		if err := p.compactLocked(); err != nil {
-			return fmt.Errorf("compact: %w", err)
-		}
+}
+
+// touch returns (creating if needed) the mirror of key, stamped as the
+// most recently recorded.
+func (p *persistor) touch(m map[string]*planMirror, key string) *planMirror {
+	pm := m[key]
+	if pm == nil {
+		pm = &planMirror{}
+		m[key] = pm
 	}
-	return nil
+	pm.seq = p.seq
+	return pm
 }
 
 // compactLocked rewrites the live mirror into a fresh segment and drops
@@ -182,12 +200,7 @@ func (p *persistor) compactLocked() error {
 			return err
 		}
 	}
-	planIDs := make([]string, 0, len(p.plans))
-	for id := range p.plans {
-		planIDs = append(planIDs, id)
-	}
-	sort.Strings(planIDs)
-	for _, key := range planIDs {
+	for _, key := range byRecency(p.plans) {
 		pm := p.plans[key]
 		if pm.checkpoint != nil {
 			if _, err := p.st.Log.Append(recPlanCheckpoint, store.EncodeKV(key, pm.checkpoint)); err != nil {
@@ -200,12 +213,7 @@ func (p *persistor) compactLocked() error {
 			}
 		}
 	}
-	execIDs := make([]string, 0, len(p.execs))
-	for id := range p.execs {
-		execIDs = append(execIDs, id)
-	}
-	sort.Strings(execIDs)
-	for _, key := range execIDs {
+	for _, key := range byRecency(p.execs) {
 		pm := p.execs[key]
 		if pm.checkpoint != nil {
 			if _, err := p.st.Log.Append(recExecCheckpoint, store.EncodeKV(key, pm.checkpoint)); err != nil {
@@ -306,51 +314,7 @@ func (p *persistor) recover(s *Server) (recoveryStats, error) {
 		if err != nil {
 			return fmt.Errorf("record %d: %w", r.Index, err)
 		}
-		v := append([]byte(nil), value...)
-		switch r.Type {
-		case recBase:
-			p.bases[key] = v
-		case recPlanCheckpoint:
-			pm := p.plans[key]
-			if pm == nil {
-				pm = &planMirror{}
-				p.plans[key] = pm
-			}
-			pm.checkpoint = v
-		case recPlanFinal:
-			pm := p.plans[key]
-			if pm == nil {
-				pm = &planMirror{}
-				p.plans[key] = pm
-			}
-			pm.final = v
-		case recExecCheckpoint:
-			pm := p.execs[key]
-			if pm == nil {
-				pm = &planMirror{}
-				p.execs[key] = pm
-			}
-			pm.checkpoint = v
-		case recExecFinal:
-			pm := p.execs[key]
-			if pm == nil {
-				pm = &planMirror{}
-				p.execs[key] = pm
-			}
-			pm.final = v
-		case recMemo:
-			if _, ok := p.memos[key]; !ok {
-				p.memoOrder = append(p.memoOrder, key)
-				for len(p.memoOrder) > p.memoMax {
-					delete(p.memos, p.memoOrder[0])
-					p.memoOrder = p.memoOrder[1:]
-				}
-			}
-			p.memos[key] = v
-		default:
-			// Unknown record types are forward compatibility, not
-			// corruption: skip them.
-		}
+		p.apply(r.Type, key, value)
 		return nil
 	})
 	if err != nil {
@@ -376,7 +340,9 @@ func (p *persistor) recover(s *Server) (recoveryStats, error) {
 		s.cache.add(entry)
 		rs.Bases++
 	}
-	for id, pm := range p.plans {
+	// Oldest first: the LRU-bounded stores keep the most recently recorded.
+	for _, id := range byRecency(p.plans) {
+		pm := p.plans[id]
 		pe := s.plans.get(id)
 		pe.mu.Lock()
 		pe.checkpoint = pm.checkpoint
@@ -384,7 +350,8 @@ func (p *persistor) recover(s *Server) (recoveryStats, error) {
 		pe.mu.Unlock()
 		rs.Plans++
 	}
-	for id, pm := range p.execs {
+	for _, id := range byRecency(p.execs) {
+		pm := p.execs[id]
 		ee := s.execs.get(id)
 		ee.mu.Lock()
 		ee.checkpoint = pm.checkpoint

@@ -742,4 +742,3 @@ func decodeState(data []byte) (*fabric.NetState, map[string]string, error) {
 	}
 	return st, meta, nil
 }
-

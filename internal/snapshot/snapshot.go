@@ -34,8 +34,10 @@ import (
 // Capture, Decode, or Load, a Snapshot is safe for concurrent use by any
 // number of goroutines — Restore, RestoreWith, Fork, Encode,
 // EncodeCanonical, Fingerprint, and Now never write to the state, and
-// fabric.NewFromState deep-copies everything it adopts, so forks taken
-// concurrently from one shared snapshot are fully independent networks.
+// fabric.NewFromState copies everything mutable it adopts (AS paths and
+// community lists are immutable engine-wide and shared by reference), so
+// forks taken concurrently from one shared snapshot are fully independent
+// networks.
 // The one mutable field is Meta: callers that modify it while other
 // goroutines encode the same snapshot must synchronize, or use
 // EncodeCanonical, which never reads Meta. TestConcurrentFork holds this

@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -155,6 +156,22 @@ func TestRestoreStateMatchesOriginal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The cut must exercise what the network stores differently from the
+	// format: queued deliveries (slab slots) and per-session FIFO times in
+	// both directions (two slots on the session, keyed strings here).
+	if len(snap.state.Queue) == 0 {
+		t.Fatal("test wants a mid-convergence capture with in-flight deliveries")
+	}
+	receivers := map[string]int{}
+	both := false
+	for _, f := range snap.state.FIFO {
+		sess := f.Key[:strings.LastIndexByte(f.Key, '>')]
+		receivers[sess]++
+		both = both || receivers[sess] == 2
+	}
+	if !both {
+		t.Fatal("test wants a session with FIFO times in both directions")
+	}
 	restored, err := snap.Restore()
 	if err != nil {
 		t.Fatal(err)
@@ -167,6 +184,56 @@ func TestRestoreStateMatchesOriginal(t *testing.T) {
 	eb, _ := resnap.Encode()
 	if !bytes.Equal(ea, eb) {
 		t.Fatal("capture(restore(snap)) != snap")
+	}
+}
+
+// TestDecodeOwnsItsSlices holds the decoder's side of the immutability
+// contract: what Decode returns is freshly allocated — it aliases neither
+// the input buffer nor another decode of the same bytes — so the engine may
+// keep a restored UPDATE's AS path and communities by reference.
+func TestDecodeOwnsItsSlices(t *testing.T) {
+	n := buildRich(t, 42, 1)
+	churn(n)
+	snap, err := Capture(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := snap.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := bytes.Clone(enc)
+	a, err := Decode(input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Decode(input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for i := range a.state.Queue {
+		ua, ub := &a.state.Queue[i].Update, &b.state.Queue[i].Update
+		if len(ua.ASPath) > 0 {
+			if &ua.ASPath[0] == &ub.ASPath[0] {
+				t.Fatalf("queued UPDATE %d: two decodes share one AS path", i)
+			}
+			checked++
+		}
+		if len(ua.Communities) > 0 && &ua.Communities[0] == &ub.Communities[0] {
+			t.Fatalf("queued UPDATE %d: two decodes share one community list", i)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no queued announcement to check")
+	}
+	clear(input) // scribble over the buffer the snapshot was decoded from
+	again, err := a.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, enc) {
+		t.Fatal("decoded snapshot changed when its input buffer was overwritten")
 	}
 }
 
