@@ -362,44 +362,27 @@ func BenchmarkTapDisabled(b *testing.B) {
 	b.Run("noop-tap", func(b *testing.B) { bench(b, telemetry.TapFunc(func(telemetry.Event) {})) })
 }
 
-// --- Convergence scaling: sequential vs batch-parallel engine ----------------
+// --- Convergence scaling -----------------------------------------------------
 
 // BenchmarkConvergence measures a cold-start fleet convergence (backbone
-// default route + rack prefixes) at three fabric sizes, on the sequential
-// and the batch-parallel engine. Both modes produce byte-identical results
-// (the differential tests enforce it); the benchmark prices the wall-clock
-// difference, which tracks physical cores. results/BENCH_parallel.json is
-// the committed snapshot. The 1kdevice size takes minutes per run
-// sequentially — use -bench 'Convergence/(small|medium)' for a quick pass.
+// default route + rack prefixes) at three fabric sizes, under each decision
+// engine pinned explicitly: <scale>/incremental and <scale>/full. Both
+// produce byte-identical results (the differential tests enforce it); the
+// benchmark prices the wall-clock difference. The engine-convergence rows of
+// results/BENCH_history.jsonl are the committed trajectory. The 1kdevice
+// size takes seconds per run — use -bench 'Convergence/(small|medium)' for
+// a quick pass.
 func BenchmarkConvergence(b *testing.B) {
 	for _, sc := range experiments.ConvergenceScales() {
-		for _, workers := range []int{1, 4} {
-			b.Run(fmt.Sprintf("%s/workers-%d", sc.Name, workers), func(b *testing.B) {
-				var events, batched int64
-				for i := 0; i < b.N; i++ {
-					st := experiments.RunConvergence(sc, 42, workers)
-					if st.Events == 0 {
-						b.Fatal("no events")
-					}
-					events, batched = st.Events, st.Batched
-				}
-				b.ReportMetric(float64(events), "events")
-				b.ReportMetric(float64(batched), "batched")
-			})
-		}
-		// The decision-engine dimension: the bare names above run the
-		// fleet default (incremental); these pin each engine explicitly.
-		// results/BENCH_incremental.json is the committed snapshot of the
-		// full-vs-incremental gap at the 1kdevice scale.
 		for _, mode := range []struct {
 			name string
 			full bool
 		}{{"incremental", false}, {"full", true}} {
-			b.Run(fmt.Sprintf("%s/workers-1/%s", sc.Name, mode.name), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/%s", sc.Name, mode.name), func(b *testing.B) {
 				var events int64
 				var skipped, advMemo, fibMemo int
 				for i := 0; i < b.N; i++ {
-					st := experiments.RunConvergenceMode(sc, 42, 1, mode.full)
+					st := experiments.RunConvergenceMode(sc, 42, mode.full)
 					if st.Events == 0 {
 						b.Fatal("no events")
 					}
@@ -420,8 +403,7 @@ func BenchmarkConvergence(b *testing.B) {
 // BenchmarkWarmStartSweep prices the snapshot subsystem's payoff: the
 // what-if sweep builds one converged Figure 4 mesh per drained SSW when
 // cold, versus one build plus cheap checkpoint forks when warm. Output is
-// byte-identical either way (TestWarmStartMatchesCold enforces it);
-// results/BENCH_checkpoint.json is the committed snapshot of the ratio.
+// byte-identical either way (TestWarmStartMatchesCold enforces it).
 func BenchmarkWarmStartSweep(b *testing.B) {
 	for _, mode := range []struct {
 		name string

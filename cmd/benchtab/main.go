@@ -8,19 +8,13 @@
 //	benchtab -exp fig2 [-seed 42]
 //	benchtab -all
 //	benchtab -exp fig4 -json            # one machine-readable report per line
-//	benchtab -parallel 4 -exp scale-parallel
 //	benchtab -warm -exp sweep-mnh
-//
-// -parallel N runs every experiment's fabric on the batch-parallel engine
-// with N workers. Parallel mode is byte-identical to sequential (the
-// differential tests enforce it), so -parallel never changes any table —
-// only wall-clock on multicore hosts.
 //
 // -warm warm-starts the sweep experiments: each sweep's shared
 // pre-migration base is built once, checkpointed, and forked per
-// measurement (see internal/snapshot) instead of rebuilt from scratch.
-// Like -parallel, it never changes a table — the warm-vs-cold equality
-// tests enforce byte-identical output.
+// measurement (see internal/snapshot) instead of rebuilt from scratch. It
+// never changes a table — the warm-vs-cold equality tests enforce
+// byte-identical output.
 package main
 
 import (
@@ -30,25 +24,19 @@ import (
 	"os"
 
 	"centralium/internal/experiments"
-	"centralium/internal/fabric"
 )
 
 func main() {
 	var (
-		exp      = flag.String("exp", "", "experiment ID to run (see -list)")
-		all      = flag.Bool("all", false, "run every experiment")
-		list     = flag.Bool("list", false, "list experiments")
-		seed     = flag.Int64("seed", 42, "emulation seed")
-		jsonOut  = flag.Bool("json", false, "emit one JSON report per experiment instead of text")
-		parallel = flag.Int("parallel", 0, "fabric engine worker count (0/1 = sequential; results are byte-identical either way)")
-		slow     = flag.Bool("slow", false, "include slow (multi-minute) experiments in -all")
-		warm     = flag.Bool("warm", false, "warm-start sweeps from forked checkpoints of shared bases (byte-identical tables, less wall-clock)")
+		exp     = flag.String("exp", "", "experiment ID to run (see -list)")
+		all     = flag.Bool("all", false, "run every experiment")
+		list    = flag.Bool("list", false, "list experiments")
+		seed    = flag.Int64("seed", 42, "emulation seed")
+		jsonOut = flag.Bool("json", false, "emit one JSON report per experiment instead of text")
+		warm    = flag.Bool("warm", false, "warm-start sweeps from forked checkpoints of shared bases (byte-identical tables, less wall-clock)")
 	)
 	flag.Parse()
 
-	if *parallel > 1 {
-		fabric.SetDefaultWorkers(*parallel)
-	}
 	if *warm {
 		experiments.SetWarmStart(true)
 	}
@@ -56,18 +44,10 @@ func main() {
 	switch {
 	case *list:
 		for _, e := range experiments.All() {
-			note := ""
-			if e.Slow {
-				note = " [slow]"
-			}
-			fmt.Printf("%-14s %s%s\n", e.ID, e.Title, note)
+			fmt.Printf("%-14s %s\n", e.ID, e.Title)
 		}
 	case *all:
 		for _, e := range experiments.All() {
-			if e.Slow && !*slow {
-				fmt.Fprintf(os.Stderr, "benchtab: skipping slow experiment %s (use -slow to include)\n", e.ID)
-				continue
-			}
 			if err := emit(e.ID, *seed, *jsonOut); err != nil {
 				fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
 				os.Exit(1)

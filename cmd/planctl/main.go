@@ -82,7 +82,7 @@ func main() {
 		batches  = fs.String("batch", "1,2", "comma-separated batch sizes to search on the bottom-up wave")
 		mnh      = fs.String("mnh", "", "comma-separated MinNextHop percent overrides to search")
 		bare     = fs.Bool("bare", false, "also search unprotected (bare) waves")
-		workers  = fs.Int("workers", 0, "evaluation pool width (0: CENTRALIUM_PARALLEL); never changes results")
+		workers  = fs.Int("workers", 0, "evaluation pool width (0: 1); never changes results")
 		sched    = fs.String("schedule", "", "schedule text to evaluate (score/explain)")
 		ckpt     = fs.String("checkpoint", "", "write a resumable search checkpoint here after every level")
 		resume   = fs.String("resume", "", "resume the search from this checkpoint file")

@@ -27,8 +27,7 @@ package bgp
 // the same scratch buffers and session-order cache, and build the same
 // shared advertisement content. The differential conformance suite
 // (internal/fabric, internal/snapshot) sweeps seeds × scenarios × {full,
-// incremental} × worker widths and asserts byte identity of everything
-// observable.
+// incremental} and asserts byte identity of everything observable.
 //
 // Dirty predicates, per trigger (checked only for steady prefixes; a
 // recompute is always sound, so predicates only need to be conservative
@@ -76,8 +75,9 @@ import (
 // defaultFullRecompute is the fleet-wide default decision-engine mode.
 // False (the default) selects the incremental engine; the
 // CENTRALIUM_FULL_RECOMPUTE environment variable or SetDefaultFullRecompute
-// flips whole test suites onto the oracle without code changes, mirroring
-// CENTRALIUM_PARALLEL for the event engine.
+// flips whole test suites onto the oracle without code changes. The read
+// happens in init, outside Go's test cache key: pass -count=1 when pinning
+// the oracle.
 var defaultFullRecompute atomic.Bool
 
 func init() {

@@ -23,12 +23,10 @@ const LocalNextHop = "local"
 // telemetry tap (set via SetTap). What speakers do share is immutable: the
 // AS-path and community slices of an Update travel by reference from the
 // sender's advertisement through the event queue into the receiver's
-// Adj-RIB-In, and nobody writes through them (see HandleUpdate). That
-// containment is the worker-safety contract the fabric's batch-parallel
-// engine relies on: a speaker may be driven from any goroutine as long as
-// no two goroutines touch the same speaker concurrently (the engine
-// guarantees this by partitioning each event window by target device, with
-// a per-node buffering tap and deferred outbox routing).
+// Adj-RIB-In, and nobody writes through them (see HandleUpdate). A speaker
+// may be driven from any goroutine as long as no two goroutines touch the
+// same speaker concurrently; the fabric drives all of a network's speakers
+// from its one event loop.
 type Speaker struct {
 	cfg   Config
 	peers map[SessionID]*peer

@@ -12,8 +12,7 @@ import (
 // committed value, tolerance), checked against the committed snapshots:
 //
 //   - Determinism anchors, zero tolerance: event count and virtual time of
-//     the 1k-device converge (results/BENCH_parallel.json, produced by the
-//     full-recompute oracle) and of the medium converge, in both decision
+//     the 1k-device converge and of the medium converge, in both decision
 //     engines (results/BENCH_history.jsonl). Drift means the engines are
 //     no longer byte-identical — a correctness failure, not a performance
 //     one.
@@ -39,22 +38,6 @@ type benchReport struct {
 		Label  string             `json:"label"`
 		Values map[string]float64 `json:"values"`
 	} `json:"rows"`
-}
-
-func loadBenchReport(t *testing.T, path string) *benchReport {
-	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read committed snapshot: %v", err)
-	}
-	var r benchReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		t.Fatalf("parse %s: %v", path, err)
-	}
-	if len(r.Rows) == 0 {
-		t.Fatalf("%s has no rows", path)
-	}
-	return &r
 }
 
 // lastHistoryRow returns the values of the most recently appended row with
@@ -105,15 +88,16 @@ func TestBenchGuard(t *testing.T) {
 		t.Skip("set CENTRALIUM_BENCH_GUARD=1 to run the bench-regression guard")
 	}
 	scales := ConvergenceScales()
-	large := loadBenchReport(t, "../../results/BENCH_parallel.json").Rows[0].Values
-	medium := lastHistoryRow(t, "../../results/BENCH_history.jsonl", "engine-convergence", "scale=medium mode=incremental")
+	const history = "../../results/BENCH_history.jsonl"
+	large := lastHistoryRow(t, history, "engine-convergence", "scale=1kdevice mode=incremental")
+	medium := lastHistoryRow(t, history, "engine-convergence", "scale=medium mode=incremental")
 	if large["events"] == 0 || medium["events"] == 0 {
 		t.Fatal("committed snapshot has no event count")
 	}
 
-	big := RunConvergenceMode(scales[2], 42, 1, false)
-	full := RunConvergenceMode(scales[1], 42, 1, true)
-	incr := RunConvergenceMode(scales[1], 42, 1, false)
+	big := RunConvergenceMode(scales[2], 42, false)
+	full := RunConvergenceMode(scales[1], 42, true)
+	incr := RunConvergenceMode(scales[1], 42, false)
 	t.Logf("medium-scale wall: full %v, incremental %v (%.2fx); incremental %.2f allocs/event, oracle %.2f",
 		full.Wall, incr.Wall, float64(full.Wall)/float64(incr.Wall),
 		float64(incr.Mallocs)/float64(incr.Events), float64(full.Mallocs)/float64(full.Events))

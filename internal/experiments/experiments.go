@@ -17,9 +17,6 @@ type Experiment struct {
 	ID    string // e.g. "fig2", "table3"
 	Title string
 	Run   func(seed int64) (string, error)
-	// Slow marks experiments that take minutes rather than seconds (the
-	// 1k-device scale scenario); `benchtab -all` skips them unless -slow.
-	Slow bool
 }
 
 // registry holds all experiments, keyed by ID.
@@ -27,10 +24,6 @@ var registry = map[string]Experiment{}
 
 func register(id, title string, run func(seed int64) (string, error)) {
 	registry[id] = Experiment{ID: id, Title: title, Run: run}
-}
-
-func registerSlow(id, title string, run func(seed int64) (string, error)) {
-	registry[id] = Experiment{ID: id, Title: title, Run: run, Slow: true}
 }
 
 // All returns every experiment sorted by ID.

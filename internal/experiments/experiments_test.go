@@ -14,7 +14,7 @@ func TestRegistryComplete(t *testing.T) {
 		"table1", "table2", "table3",
 		"fig2", "fig3", "fig4", "fig5", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
 		"sweep-fig4", "sweep-fig5", "sweep-mnh", "sweep-scale", "sweep-whatif",
-		"chaos", "scale-parallel", "scale-incremental", "planner", "server", "store", "guard",
+		"chaos", "planner",
 	}
 	for _, id := range want {
 		if _, ok := Get(id); !ok {

@@ -135,7 +135,6 @@ func init() {
 	// The -json rows price the checkpoint subsystem: the same sweep cold
 	// (one converged base per branch) and warm (one base, forked per
 	// branch), with the byte-identity of the two outputs asserted inline.
-	// results/BENCH_checkpoint.json is the committed snapshot.
 	registerRows("sweep-whatif", func(seed int64) []Row {
 		prev := WarmStart()
 		defer SetWarmStart(prev)

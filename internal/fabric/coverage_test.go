@@ -205,34 +205,6 @@ func TestSessionPeerResolution(t *testing.T) {
 	}
 }
 
-// TestWorkerKnobs covers the worker-count plumbing: option defaulting, the
-// global default, clamping, and negative-option clamps.
-func TestWorkerKnobs(t *testing.T) {
-	prev := SetDefaultWorkers(3)
-	defer SetDefaultWorkers(prev)
-	if DefaultWorkers() != 3 {
-		t.Fatalf("DefaultWorkers = %d, want 3", DefaultWorkers())
-	}
-	n := New(lineTopo(), Options{Seed: 1}) // Workers 0 -> default
-	if n.Workers() != 3 {
-		t.Errorf("Workers() = %d, want the global default 3", n.Workers())
-	}
-	n.SetWorkers(-5)
-	if n.Workers() != 1 {
-		t.Errorf("SetWorkers(-5) left %d, want clamp to 1", n.Workers())
-	}
-	if SetDefaultWorkers(0); DefaultWorkers() != 1 {
-		t.Errorf("SetDefaultWorkers(0) left %d, want clamp to 1", DefaultWorkers())
-	}
-	n2 := New(lineTopo(), Options{Seed: 1, Workers: -2, Jitter: -1})
-	if n2.Workers() != 1 {
-		t.Errorf("Options{Workers: -2} left %d, want clamp to 1", n2.Workers())
-	}
-	if n2.opts.Jitter != 0 {
-		t.Errorf("Options{Jitter: -1} left %v, want 0 (explicitly disabled)", n2.opts.Jitter)
-	}
-}
-
 // TestScheduleClampsToPast covers the past-timestamp clamp on both
 // schedule paths: a callback scheduled "in the past" fires at now.
 func TestScheduleClampsToPast(t *testing.T) {

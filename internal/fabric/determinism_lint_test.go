@@ -24,6 +24,14 @@ import (
 // differential suites. Constructing seeded local generators
 // (rand.New(rand.NewSource(seed))) is fine; drawing from the package
 // source (rand.Intn, rand.Shuffle, ...) is not.
+//
+// The simulation core proper (fabric, bgp, fib) additionally runs on one
+// event loop: a `go` statement there is an error, because a second
+// goroutine touching speaker or engine state is a second engine to keep
+// byte-identical. And the fabric package may not read the environment: an
+// init-time os.Getenv changes the engine under every test without entering
+// Go's test cache key. (bgp's CENTRALIUM_FULL_RECOMPUTE read pins the
+// reference oracle and stays.)
 func TestDeterminismLint(t *testing.T) {
 	// Allowed files: the counted engine RNG is the one sanctioned
 	// unrestricted math/rand consumer.
@@ -32,6 +40,10 @@ func TestDeterminismLint(t *testing.T) {
 	// daemons and legitimately uses wall-clock deadlines; it is not part
 	// of the deterministic simulation core.
 	skipDirs := map[string]bool{"session": true}
+
+	// oneLoop marks the packages where goroutines are banned; the planner's
+	// candidate-evaluation pool is a different mechanism and stays.
+	oneLoop := map[string]bool{".": true, "../bgp": true, "../fib": true}
 
 	for _, dir := range []string{".", "../bgp", "../fib", "../planner", "../migrate", "../controller"} {
 		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
@@ -47,7 +59,7 @@ func TestDeterminismLint(t *testing.T) {
 			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 				return nil
 			}
-			lintFile(t, path, randAllowed[filepath.Base(path)])
+			lintFile(t, path, randAllowed[filepath.Base(path)], oneLoop[dir], dir == ".")
 			return nil
 		})
 		if err != nil {
@@ -66,9 +78,10 @@ var seededLocalOK = map[string]bool{
 }
 
 // lintFile flags time.Now calls and, unless allowed, global math/rand use
-// in one source file. Detection is AST-based (selector expressions against
-// the actual package imports), so comments and strings never false-match.
-func lintFile(t *testing.T, path string, randOK bool) {
+// in one source file; with oneLoop also `go` statements, and with noEnv
+// os.Getenv. Detection is AST-based (selector expressions against the
+// actual package imports), so comments and strings never false-match.
+func lintFile(t *testing.T, path string, randOK, oneLoop, noEnv bool) {
 	t.Helper()
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, path, nil, 0)
@@ -79,6 +92,7 @@ func lintFile(t *testing.T, path string, randOK bool) {
 	// Map local import names to flagged packages.
 	timeNames := map[string]bool{}
 	randNames := map[string]bool{}
+	osNames := map[string]bool{}
 	for _, imp := range f.Imports {
 		p, _ := strconv.Unquote(imp.Path.Value)
 		name := filepath.Base(p)
@@ -90,13 +104,15 @@ func lintFile(t *testing.T, path string, randOK bool) {
 			timeNames[name] = true
 		case "math/rand", "math/rand/v2":
 			randNames[name] = true
+		case "os":
+			osNames[name] = true
 		}
-	}
-	if len(timeNames) == 0 && len(randNames) == 0 {
-		return
 	}
 
 	ast.Inspect(f, func(node ast.Node) bool {
+		if g, ok := node.(*ast.GoStmt); ok && oneLoop {
+			t.Errorf("%s: go statement in the simulation core — the engine is one event loop", fset.Position(g.Pos()))
+		}
 		sel, ok := node.(*ast.SelectorExpr)
 		if !ok {
 			return true
@@ -108,6 +124,9 @@ func lintFile(t *testing.T, path string, randOK bool) {
 		pos := fset.Position(sel.Pos())
 		if timeNames[id.Name] && sel.Sel.Name == "Now" {
 			t.Errorf("%s: time.Now() in the deterministic core — use the virtual clock (Network.Now)", pos)
+		}
+		if noEnv && osNames[id.Name] && sel.Sel.Name == "Getenv" {
+			t.Errorf("%s: os.Getenv in internal/fabric — engine behaviour must not depend on the environment", pos)
 		}
 		if randNames[id.Name] && !randOK && !seededLocalOK[sel.Sel.Name] {
 			t.Errorf("%s: global math/rand (%s.%s) in the deterministic core — draw from a seeded local source", pos, id.Name, sel.Sel.Name)

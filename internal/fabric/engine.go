@@ -5,11 +5,9 @@
 // transients (first/last-router funneling, WCMP next-hop-group explosion) —
 // while keeping every run exactly reproducible.
 //
-// The engine has two execution modes that produce byte-identical results:
-// sequential (one event at a time) and batch-parallel (events inside a
-// conservative lookahead window are partitioned by target device and fanned
-// across a worker pool, with all externally visible side effects merged in
-// sorted event order). See DESIGN.md, "Batch-parallel engine".
+// The engine is one sequential event loop: events run one at a time in
+// (time, seq) order on the calling goroutine. See DESIGN.md, "One event
+// loop".
 //
 // This package is the substitute for Meta's production fleet (see
 // DESIGN.md, substitution table).
@@ -26,9 +24,9 @@ import (
 
 // event is one scheduled engine entry: either a control callback (fn) or a
 // message delivery. A delivery is structured (session, direction, UPDATE)
-// rather than an opaque closure, which is what lets the parallel engine
-// partition same-window events by target device. Events live in the
-// engine's slab; the queue orders small keys that point at them.
+// rather than an opaque closure, which is what lets a checkpoint serialize
+// the queue. Events live in the engine's slab; the queue orders small keys
+// that point at them.
 type event struct {
 	fn func() // control callback; nil for a delivery
 
@@ -82,22 +80,11 @@ type engine struct {
 	rng   *seededRNG
 
 	processed int64
-	// batched counts events that executed through the parallel batch path;
-	// tests and benchmarks use it to confirm fan-out actually engaged.
-	batched int64
-	hooks   []func(now int64)
+	hooks     []func(now int64)
 
 	// net executes deliveries (the engine owns ordering, the network owns
 	// semantics).
 	net *Network
-	// workers is the parallel fan-out width; <=1 runs fully sequentially.
-	workers int
-	// lookahead is the minimum delay of any scheduled delivery (the
-	// network's BaseLatency): events less than lookahead apart cannot be
-	// causally related, which is what makes window-parallelism safe.
-	lookahead int64
-	// batch is collectBatch's reusable result buffer.
-	batch []qkey
 }
 
 func newEngine(seed int64) *engine {
@@ -207,38 +194,15 @@ func (e *engine) runUntil(deadline int64, maxEvents int64) int64 {
 	return n
 }
 
-// runCore is the shared event loop. Sequential mode pops one event at a
-// time. Parallel mode additionally batches runs of consecutive delivery
-// events that fall inside one lookahead window and hands them to the
-// network's batch executor, which preserves sequential semantics exactly.
-//
-// Per-event hooks (OnEvent) observe global fleet state between every two
-// events, which is inherently serializing: while any hook is registered the
-// loop steps sequentially regardless of the worker count, so hook-driven
-// consumers (transient samplers, the chaos monitor) see exactly the
-// sequential interleaving.
+// runCore is the event loop: pop the earliest event, run it, then call the
+// per-event hooks (OnEvent), which therefore observe fleet state between
+// every two events.
 func (e *engine) runCore(deadline int64, maxEvents int64) int64 {
 	if maxEvents <= 0 {
 		maxEvents = DefaultMaxEvents
 	}
 	var n int64
 	for len(e.queue) > 0 && n < maxEvents && e.queue[0].at <= deadline {
-		if e.workers > 1 && len(e.hooks) == 0 && e.slab[e.queue[0].slot].fn == nil {
-			batch := e.collectBatch(deadline, maxEvents-n)
-			if len(batch) > 1 {
-				e.net.execBatch(batch)
-				e.batched += int64(len(batch))
-				for _, k := range batch {
-					e.release(k.slot)
-				}
-			} else {
-				// Window of one: run it serially (no fan-out overhead).
-				e.runOne(batch[0])
-			}
-			n += int64(len(batch))
-			e.processed += int64(len(batch))
-			continue
-		}
 		e.runOne(e.pop())
 		n++
 		e.processed++
@@ -247,7 +211,7 @@ func (e *engine) runCore(deadline int64, maxEvents int64) int64 {
 		}
 	}
 	if len(e.queue) == 0 {
-		e.queue, e.slab, e.free, e.batch = nil, nil, nil, nil
+		e.queue, e.slab, e.free = nil, nil, nil
 	}
 	return n
 }
@@ -264,31 +228,6 @@ func (e *engine) runOne(k qkey) {
 	} else {
 		e.net.deliver(&ev)
 	}
-}
-
-// collectBatch pops the maximal run of consecutive delivery events whose
-// timestamps fall within one lookahead window of the head (and within the
-// deadline and event budget). Any event processed in the window schedules
-// new events no earlier than head.at+lookahead, so the collected batch is
-// exactly the set of events the sequential engine would process over the
-// same span; a control event (fn) bounds the window because it may mutate
-// shared fleet state (sessions, device power) mid-span. The popped events
-// keep their slab slots until the caller releases them.
-func (e *engine) collectBatch(deadline, budget int64) []qkey {
-	horizon := e.queue[0].at + e.lookahead
-	if horizon < e.queue[0].at { // overflow guard for astronomical clocks
-		horizon = math.MaxInt64
-	}
-	batch := e.batch[:0]
-	for len(e.queue) > 0 && int64(len(batch)) < budget {
-		h := e.queue[0]
-		if e.slab[h.slot].fn != nil || h.at >= horizon || h.at > deadline {
-			break
-		}
-		batch = append(batch, e.pop())
-	}
-	e.batch = batch
-	return batch
 }
 
 // Duration helpers: the virtual clock counts nanoseconds.

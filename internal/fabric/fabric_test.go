@@ -1,7 +1,11 @@
 package fabric
 
 import (
+	"fmt"
 	"net/netip"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -111,6 +115,61 @@ func TestWithdrawPropagation(t *testing.T) {
 	}
 }
 
+// diffScenario drives one network through a migration-flavored script that
+// exercises every delivery-path feature of the engine: multi-origin
+// convergence, drain, link flap, session-epoch death (RestartDevice),
+// device decommission, and timed runs.
+func diffScenario(n *Network) {
+	for i, eb := range n.Topo.ByLayer(topo.LayerEB) {
+		n.OriginateAt(eb.ID, defaultRoute, []string{backboneCommunity}, 0)
+		if i == 0 {
+			n.OriginateAt(eb.ID, netip.MustParsePrefix("10.0.0.0/8"), nil, 0)
+		}
+	}
+	for _, rsw := range n.Topo.ByLayer(topo.LayerRSW) {
+		n.OriginateAt(rsw.ID, netip.MustParsePrefix(fmt.Sprintf("192.168.%d.0/24", rsw.Index)), nil, 0)
+	}
+	n.Converge()
+
+	fadus := n.Topo.ByLayer(topo.LayerFADU)
+	fauus := n.Topo.ByLayer(topo.LayerFAUU)
+	ssws := n.Topo.ByLayer(topo.LayerSSW)
+
+	// Maintenance drain with a concurrent link flap.
+	n.SetDrained(fadus[0].ID, true)
+	n.After(2*time.Millisecond, func() { n.SetLinkUp(fadus[1].ID, fauus[0].ID, false) })
+	n.RunFor(20 * time.Millisecond)
+	n.SetLinkUp(fadus[1].ID, fauus[0].ID, true)
+	n.Converge()
+
+	// Daemon restart (cold): in-flight messages die with their epoch.
+	n.RestartDevice(ssws[0].ID, 5*time.Millisecond, false)
+	n.RunFor(2 * time.Millisecond) // mid-restart traffic
+	n.Converge()
+
+	// Decommission one spine and undrain the FADU.
+	n.SetDeviceUp(ssws[1].ID, false)
+	n.SetDrained(fadus[0].ID, false)
+	n.Converge()
+}
+
+// runDiffScenario runs diffScenario on a fresh default fabric, with or
+// without a recording tap, and collects the comparable surface.
+func runDiffScenario(seed int64, tapped bool) incrResult {
+	n := New(topo.BuildFabric(topo.FabricParams{}), Options{Seed: seed})
+	tap := &recordTap{}
+	if tapped {
+		n.SetTap(tap)
+	}
+	diffScenario(n)
+	return incrResult{
+		digest: fleetDigest(n),
+		stream: strings.Join(tap.lines, "\n"),
+		events: n.EventsProcessed(),
+		clock:  n.Now(),
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	run := func() int64 {
 		tp := topo.BuildFabric(topo.FabricParams{})
@@ -127,6 +186,46 @@ func TestDeterminism(t *testing.T) {
 	if a == 0 {
 		t.Fatal("no events processed")
 	}
+}
+
+// TestDifferentialParallelEquivalence pins what replaced intra-network
+// parallelism: one goroutine drives a network, and a process drives many
+// networks at once (the daemon's worker pool, the planner's candidate
+// pool). Per seed the scenario runs alone and then on four goroutines
+// together; every run must be byte-identical to the solo one — telemetry
+// stream (content, order, timestamps), fleet FIB, clock, event count — so
+// networks share no mutable state. CI runs it under the race detector.
+func TestDifferentialParallelEquivalence(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			ref := runDiffScenario(seed, true)
+			if ref.events == 0 || ref.stream == "" {
+				t.Fatal("scenario processed no events")
+			}
+			got := make([]incrResult, 4)
+			var wg sync.WaitGroup
+			for i := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[i] = runDiffScenario(seed, true)
+				}()
+			}
+			wg.Wait()
+			for _, g := range got {
+				compareIncrRuns(t, ref, g)
+			}
+		})
+	}
+}
+
+// TestDifferentialNoTap runs the same scenario with and without a telemetry
+// tap: observing the fleet must not change what it does.
+func TestDifferentialNoTap(t *testing.T) {
+	tapped, bare := runDiffScenario(7, true), runDiffScenario(7, false)
+	tapped.stream = "" // the untapped run has none to compare
+	compareIncrRuns(t, tapped, bare)
 }
 
 func TestSeedChangesOrdering(t *testing.T) {
@@ -249,21 +348,29 @@ func TestRunForAdvancesClock(t *testing.T) {
 	if n.Now() != start+int64(50*time.Millisecond) {
 		t.Fatalf("clock = %d", n.Now())
 	}
+	// A negative Jitter disables it (0 would mean the 5ms default).
+	if j := New(lineTopo(), Options{Seed: 1, Jitter: -1}).opts.Jitter; j != 0 {
+		t.Errorf("Options{Jitter: -1} left %v, want 0 (explicitly disabled)", j)
+	}
 }
 
 func TestAfterAndOnEvent(t *testing.T) {
 	n := New(lineTopo(), Options{Seed: 1})
-	var samples int
-	n.OnEvent(func(now int64) { samples++ })
+	var clocks []int64
+	n.OnEvent(func(now int64) { clocks = append(clocks, now) })
 	fired := false
 	n.After(10*time.Millisecond, func() { fired = true })
 	n.OriginateAt("origin", defaultRoute, nil, 0)
-	n.Converge()
+	processed := n.Converge()
 	if !fired {
 		t.Fatal("After callback not fired")
 	}
-	if samples == 0 {
-		t.Fatal("OnEvent hook never invoked")
+	// The hook is every probe's sampling point: once per event, in order.
+	if processed == 0 || int64(len(clocks)) != processed {
+		t.Fatalf("OnEvent hook ran %d times for %d events", len(clocks), processed)
+	}
+	if !slices.IsSorted(clocks) || clocks[len(clocks)-1] != n.Now() {
+		t.Fatalf("hook clocks out of order or behind the engine: last %d, now %d", clocks[len(clocks)-1], n.Now())
 	}
 }
 

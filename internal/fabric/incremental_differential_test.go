@@ -9,17 +9,54 @@ import (
 
 	"centralium/internal/bgp"
 	"centralium/internal/core"
+	"centralium/internal/telemetry"
 	"centralium/internal/topo"
 )
 
 // The incremental-engine conformance suite: every scenario runs under the
-// full-recompute oracle and the incremental dependency-index engine, at
-// sequential and parallel worker widths, and all runs must be
-// byte-identical — same telemetry stream (content, order, timestamps),
-// same fleet FIB, same clock, same event count. This is the proof
-// obligation of the incremental decision engine (DESIGN.md, "Incremental
-// decision-process recomputation"): skipping a recompute is only legal
-// when it is observationally equivalent to running it.
+// full-recompute oracle and the incremental dependency-index engine, and
+// all runs must be byte-identical — same telemetry stream (content, order,
+// timestamps), same fleet FIB, same clock, same event count. This is the
+// proof obligation of the incremental decision engine (DESIGN.md,
+// "Incremental decision-process recomputation"): skipping a recompute is
+// only legal when it is observationally equivalent to running it.
+
+// recordTap renders every tap event to a line so two runs can be compared
+// byte-for-byte, ordering and timestamps included.
+type recordTap struct {
+	lines []string
+}
+
+func (r *recordTap) Emit(ev telemetry.Event) {
+	r.lines = append(r.lines, fmt.Sprintf("%+v", ev))
+}
+
+// fleetDigest renders every up device's FIB, sorted by device then prefix.
+func fleetDigest(n *Network) string {
+	var b strings.Builder
+	for _, id := range n.UpDevices() {
+		for _, e := range n.Speaker(id).FIB().Snapshot() {
+			fmt.Fprintf(&b, "%s %s %v\n", id, e.Prefix, e.Hops)
+		}
+	}
+	return b.String()
+}
+
+// firstDiff locates the first divergent line of two multi-line strings for
+// a readable failure message.
+func firstDiff(want, got string) string {
+	wl, gl := strings.Split(want, "\n"), strings.Split(got, "\n")
+	n := len(wl)
+	if len(gl) < n {
+		n = len(gl)
+	}
+	for i := 0; i < n; i++ {
+		if wl[i] != gl[i] {
+			return fmt.Sprintf("line %d:\n  want: %s\n  got:  %s", i+1, wl[i], gl[i])
+		}
+	}
+	return fmt.Sprintf("line counts differ: want %d, got %d", len(wl), len(gl))
+}
 
 // incrPhases is a scenario cut into phases so the mode-flip test can
 // switch engines between any two phases.
@@ -156,22 +193,21 @@ func incrScenarioWeights() incrPhases {
 
 // incrResult is everything one run exposes for comparison.
 type incrResult struct {
-	digest  string
-	stream  string
-	events  int64
-	batched int64
-	clock   int64
-	incr    bgp.IncrementalStats
-	rpaSel  int64
-	wOver   int64
+	digest string
+	stream string
+	events int64
+	clock  int64
+	incr   bgp.IncrementalStats
+	rpaSel int64
+	wOver  int64
 }
 
 // runIncrMode runs a scenario on a fresh default fabric with the given
-// worker width and decision-engine mode and collects the comparable
-// surface. Distributed WCMP is on so weight paths are exercised.
-func runIncrMode(seed int64, workers int, full bool, phases incrPhases) incrResult {
+// decision-engine mode and collects the comparable surface. Distributed
+// WCMP is on so weight paths are exercised.
+func runIncrMode(seed int64, full bool, phases incrPhases) incrResult {
 	tp := topo.BuildFabric(topo.FabricParams{})
-	n := New(tp, Options{Seed: seed, Workers: workers, SpeakerConfig: func(*topo.Device) bgp.Config {
+	n := New(tp, Options{Seed: seed, SpeakerConfig: func(*topo.Device) bgp.Config {
 		return bgp.Config{Multipath: true, WCMP: bgp.WCMPDistributed}
 	}})
 	n.SetFullRecompute(full)
@@ -179,12 +215,11 @@ func runIncrMode(seed int64, workers int, full bool, phases incrPhases) incrResu
 	n.SetTap(tap)
 	phases.run(n)
 	res := incrResult{
-		digest:  fleetDigest(n),
-		stream:  strings.Join(tap.lines, "\n"),
-		events:  n.EventsProcessed(),
-		batched: n.EventsBatched(),
-		clock:   n.Now(),
-		incr:    n.IncrementalStats(),
+		digest: fleetDigest(n),
+		stream: strings.Join(tap.lines, "\n"),
+		events: n.EventsProcessed(),
+		clock:  n.Now(),
+		incr:   n.IncrementalStats(),
 	}
 	for _, id := range n.UpDevices() {
 		st := n.Speaker(id).Stats()
@@ -194,29 +229,28 @@ func runIncrMode(seed int64, workers int, full bool, phases incrPhases) incrResu
 	return res
 }
 
-func compareIncrRuns(t *testing.T, label string, ref, got incrResult) {
+func compareIncrRuns(t *testing.T, ref, got incrResult) {
 	t.Helper()
 	if got.events != ref.events {
-		t.Errorf("%s: events processed %d, oracle %d", label, got.events, ref.events)
+		t.Errorf("events processed %d, reference %d", got.events, ref.events)
 	}
 	if got.clock != ref.clock {
-		t.Errorf("%s: final clock %d, oracle %d", label, got.clock, ref.clock)
+		t.Errorf("final clock %d, reference %d", got.clock, ref.clock)
 	}
 	if got.digest != ref.digest {
-		t.Errorf("%s: fleet FIB digest diverged:\n%s", label, firstDiff(ref.digest, got.digest))
+		t.Errorf("fleet FIB digest diverged:\n%s", firstDiff(ref.digest, got.digest))
 	}
 	if got.stream != ref.stream {
-		t.Errorf("%s: telemetry stream diverged:\n%s", label, firstDiff(ref.stream, got.stream))
+		t.Errorf("telemetry stream diverged:\n%s", firstDiff(ref.stream, got.stream))
 	}
 }
 
 // TestIncrementalDifferentialConformance is the headline artifact: 10
-// seeds x 2 scenarios x {full, incremental} x worker widths {1, 4}, all
-// byte-identical to the sequential oracle. Vacuousness guards on both
-// sides: the oracle must really exercise RPA machinery, the incremental
-// runs must really skip recomputes and hit both memos (equivalence by
-// silent fallback to the oracle would prove nothing), and the parallel
-// runs must really take the batch path.
+// seeds x 2 scenarios, the incremental engine byte-identical to the
+// full-recompute oracle. Vacuousness guards on both sides: the oracle must
+// really exercise RPA machinery, and the incremental run must really skip
+// recomputes and hit both memos (equivalence by silent fallback to the
+// oracle would prove nothing).
 func TestIncrementalDifferentialConformance(t *testing.T) {
 	scenarios := []struct {
 		name    string
@@ -235,7 +269,7 @@ func TestIncrementalDifferentialConformance(t *testing.T) {
 			sc, seed := sc, seed
 			t.Run(fmt.Sprintf("%s/seed%d", sc.name, seed), func(t *testing.T) {
 				t.Parallel()
-				ref := runIncrMode(seed, 1, true, sc.build())
+				ref := runIncrMode(seed, true, sc.build())
 				if n := ref.incr.SkippedRecomputes + ref.incr.AdvertiseMemoHits + ref.incr.FIBMemoHits; n != 0 {
 					t.Errorf("oracle run reports %d incremental counter hits, want 0", n)
 				}
@@ -245,29 +279,16 @@ func TestIncrementalDifferentialConformance(t *testing.T) {
 				if sc.needWt && ref.wOver == 0 {
 					t.Fatal("scenario never drove a weight override; conformance would be vacuous")
 				}
-				for _, mode := range []struct {
-					workers int
-					full    bool
-				}{{1, false}, {4, false}, {4, true}} {
-					label := fmt.Sprintf("workers=%d full=%v", mode.workers, mode.full)
-					got := runIncrMode(seed, mode.workers, mode.full, sc.build())
-					compareIncrRuns(t, label, ref, got)
-					if mode.workers > 1 && got.batched == 0 {
-						t.Errorf("%s: never took the batch path", label)
-					}
-					if !mode.full {
-						if got.incr.SkippedRecomputes == 0 {
-							t.Errorf("%s: no skipped recomputes; incremental engine never engaged", label)
-						}
-						if got.incr.AdvertiseMemoHits == 0 {
-							t.Errorf("%s: no advertise-memo hits", label)
-						}
-						if got.incr.FIBMemoHits == 0 {
-							t.Errorf("%s: no FIB-memo hits", label)
-						}
-					} else if n := got.incr.SkippedRecomputes + got.incr.AdvertiseMemoHits + got.incr.FIBMemoHits; n != 0 {
-						t.Errorf("%s: oracle mode reports %d incremental counter hits, want 0", label, n)
-					}
+				got := runIncrMode(seed, false, sc.build())
+				compareIncrRuns(t, ref, got)
+				if got.incr.SkippedRecomputes == 0 {
+					t.Error("no skipped recomputes; incremental engine never engaged")
+				}
+				if got.incr.AdvertiseMemoHits == 0 {
+					t.Error("no advertise-memo hits")
+				}
+				if got.incr.FIBMemoHits == 0 {
+					t.Error("no FIB-memo hits")
 				}
 			})
 		}
@@ -280,10 +301,10 @@ func TestIncrementalDifferentialConformance(t *testing.T) {
 // result-free (entering incremental mode discards all derived state).
 func TestIncrementalMidRunModeFlip(t *testing.T) {
 	const seed = 21
-	ref := runIncrMode(seed, 1, false, incrScenarioRPA())
+	ref := runIncrMode(seed, false, incrScenarioRPA())
 
 	tp := topo.BuildFabric(topo.FabricParams{})
-	n := New(tp, Options{Seed: seed, Workers: 1, SpeakerConfig: func(*topo.Device) bgp.Config {
+	n := New(tp, Options{Seed: seed, SpeakerConfig: func(*topo.Device) bgp.Config {
 		return bgp.Config{Multipath: true, WCMP: bgp.WCMPDistributed}
 	}})
 	tap := &recordTap{}

@@ -140,31 +140,28 @@ func (r *retainer) Emit(ev telemetry.Event) {
 // TestUpdatesAreImmutable exercises the immutability contract instead of
 // just stating it: the differential scenario runs with a tap and a
 // perturber that retain the slices of every UPDATE they are shown — as the
-// contract allows them to — and none may have changed by the end, in either
-// engine mode. (AS paths and community lists are shared between the
+// contract allows them to — and none may have changed by the end. (AS paths and community lists are shared between the
 // sender's Adj-RIB-Out, the queue, and every receiver's Adj-RIB-In; a
 // single in-place write anywhere would show here.)
 func TestUpdatesAreImmutable(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		n := New(topo.BuildFabric(topo.FabricParams{}), Options{Seed: 3, Workers: workers})
-		tapped, perturbed := &retainer{}, &retainer{}
-		n.SetTap(tapped)
-		n.SetPerturber(func(_ bgp.SessionID, _, _ topo.DeviceID, u bgp.Update) Perturbation {
-			if !u.Withdraw {
-				perturbed.keep(u.ASPath, u.Communities)
-			}
-			return Perturbation{}
-		})
-		diffScenario(n)
-		for name, r := range map[string]*retainer{"tap": tapped, "perturber": perturbed} {
-			if len(r.seen) == 0 {
-				t.Fatalf("workers=%d: %s saw no UPDATEs", workers, name)
-			}
-			for i, u := range r.seen {
-				if !slices.Equal(u.path, u.pathCopy) || !slices.Equal(u.comms, u.commsCopy) {
-					t.Fatalf("workers=%d: UPDATE %d retained by the %s changed: path %v (was %v), communities %v (was %v)",
-						workers, i, name, u.path, u.pathCopy, u.comms, u.commsCopy)
-				}
+	n := New(topo.BuildFabric(topo.FabricParams{}), Options{Seed: 3})
+	tapped, perturbed := &retainer{}, &retainer{}
+	n.SetTap(tapped)
+	n.SetPerturber(func(_ bgp.SessionID, _, _ topo.DeviceID, u bgp.Update) Perturbation {
+		if !u.Withdraw {
+			perturbed.keep(u.ASPath, u.Communities)
+		}
+		return Perturbation{}
+	})
+	diffScenario(n)
+	for name, r := range map[string]*retainer{"tap": tapped, "perturber": perturbed} {
+		if len(r.seen) == 0 {
+			t.Fatalf("%s saw no UPDATEs", name)
+		}
+		for i, u := range r.seen {
+			if !slices.Equal(u.path, u.pathCopy) || !slices.Equal(u.comms, u.commsCopy) {
+				t.Fatalf("UPDATE %d retained by the %s changed: path %v (was %v), communities %v (was %v)",
+					i, name, u.path, u.pathCopy, u.comms, u.commsCopy)
 			}
 		}
 	}

@@ -3,10 +3,7 @@ package fabric
 import (
 	"fmt"
 	"net/netip"
-	"os"
 	"sort"
-	"strconv"
-	"sync/atomic"
 	"time"
 
 	"centralium/internal/bgp"
@@ -16,46 +13,13 @@ import (
 	"centralium/internal/topo"
 )
 
-// defaultWorkers is the fleet-wide default for Options.Workers == 0. It is
-// seeded from CENTRALIUM_PARALLEL so a whole test suite (or CI job) can opt
-// into the parallel engine without code changes; SetDefaultWorkers overrides
-// it programmatically (cmd/benchtab -parallel). Atomic so concurrent tests
-// that build networks while another adjusts the default stay race-clean —
-// and because parallel mode is byte-identical to sequential, the value in
-// effect never changes results, only wall-clock.
-var defaultWorkers atomic.Int64
-
-func init() {
-	defaultWorkers.Store(1)
-	if v := os.Getenv("CENTRALIUM_PARALLEL"); v != "" {
-		if k, err := strconv.Atoi(v); err == nil && k > 0 {
-			defaultWorkers.Store(int64(k))
-		}
-	}
-}
-
-// SetDefaultWorkers sets the worker count used by networks built with
-// Options.Workers == 0 and returns the previous default. Values below 1
-// are clamped to 1 (sequential).
-func SetDefaultWorkers(w int) int {
-	if w < 1 {
-		w = 1
-	}
-	return int(defaultWorkers.Swap(int64(w)))
-}
-
-// DefaultWorkers returns the current fleet-wide default worker count.
-func DefaultWorkers() int { return int(defaultWorkers.Load()) }
-
 // Options configures the emulation.
 type Options struct {
 	// Seed drives all randomness (message jitter). Same seed, same run.
 	Seed int64
 
 	// BaseLatency is the fixed per-message propagation delay
-	// (default 1ms). It is also the parallel engine's lookahead: no
-	// message arrives sooner than BaseLatency after it was sent, so
-	// deliveries less than BaseLatency apart are causally independent.
+	// (default 1ms).
 	BaseLatency time.Duration
 
 	// Jitter is the maximum extra random delay per message (default 5ms).
@@ -67,11 +31,10 @@ type Options struct {
 	// multipath on, ECMP, least-favorable advertisement.
 	SpeakerConfig func(d *topo.Device) bgp.Config
 
-	// Workers selects the engine execution mode: 1 is fully sequential,
-	// N>1 fans same-window event handling across N goroutines with a
-	// deterministic merge — byte-identical output, less wall-clock on
-	// multicore hosts. 0 uses the fleet default (CENTRALIUM_PARALLEL env
-	// or SetDefaultWorkers), which is sequential unless overridden.
+	// Workers is ignored: the engine is one sequential event loop and no
+	// code reads this field. It stays declared only because bench/rigs.go
+	// (frozen outside a benchmark PR) sets it; it goes with the
+	// fabric.par_speedup_w2 rig that sets it.
 	Workers int
 
 	// FullRecompute forces every speaker onto the full-recompute oracle:
@@ -97,12 +60,6 @@ func (o *Options) setDefaults() {
 		o.SpeakerConfig = func(*topo.Device) bgp.Config {
 			return bgp.Config{Multipath: true}
 		}
-	}
-	if o.Workers == 0 {
-		o.Workers = DefaultWorkers()
-	}
-	if o.Workers < 1 {
-		o.Workers = 1
 	}
 }
 
@@ -158,15 +115,12 @@ type Node struct {
 	Speaker *bgp.Speaker
 	up      bool
 
-	// vnow is the virtual time of the event currently (or last) dispatched
-	// to this node. The speaker's clock reads max(vnow, engine now) so tap
-	// events carry correct per-event timestamps even while a parallel
-	// worker drives the node ahead of the engine's merged clock.
+	// vnow is the virtual time of the last delivery dispatched to this
+	// node. Nothing reads it but the checkpoint: the CSNP node record
+	// carries it, so it keeps being stamped until the next CSNP version
+	// bump drops the slot (the wire format and every fingerprint must not
+	// move before then).
 	vnow int64
-	// tap is the per-node telemetry shim: it forwards to the network tap,
-	// except while a parallel worker owns the node, when it buffers so the
-	// merge phase can emit the fleet stream in sequential event order.
-	tap *nodeTap
 }
 
 // Up reports whether the device is administratively up.
@@ -196,8 +150,6 @@ type Network struct {
 	sessions map[bgp.SessionID]*session
 	// perturb, when set, is consulted for every outgoing message.
 	perturb Perturber
-	// tap is the fleet-wide telemetry sink; per-node shims route to it.
-	tap telemetry.Tap
 }
 
 // New builds the emulation: one speaker per device, one session per link.
@@ -212,23 +164,13 @@ func New(t *topo.Topology, opts Options) *Network {
 		sessions: make(map[bgp.SessionID]*session),
 	}
 	n.eng.net = n
-	n.eng.workers = opts.Workers
-	n.eng.lookahead = int64(opts.BaseLatency)
+	now := n.Now // every speaker reads the one engine clock
 	for _, d := range t.Devices() {
 		cfg := opts.SpeakerConfig(d)
 		cfg.ID = string(d.ID)
 		cfg.ASN = d.ASN
 		node := &Node{Device: d, up: true}
-		node.tap = &nodeTap{net: n}
-		// The clock is max(node dispatch time, engine clock): identical to
-		// the engine clock on the sequential path, and the per-event time
-		// while a parallel worker drives the node ahead of the merge.
-		node.Speaker = bgp.NewSpeaker(cfg, func() int64 {
-			if node.vnow > n.eng.now {
-				return node.vnow
-			}
-			return n.eng.now
-		})
+		node.Speaker = bgp.NewSpeaker(cfg, now)
 		if opts.FullRecompute {
 			node.Speaker.SetFullRecompute(true)
 		}
@@ -282,11 +224,8 @@ func (n *Network) flushNode(node *Node) {
 	node.Speaker.RecycleOutbox(msgs)
 }
 
-// routeMsgs schedules one batch of outgoing messages from dev. This is the
-// serialization point of both engine modes: jitter draws, perturber calls,
-// and FIFO bookkeeping happen here, in event order, so a parallel run
-// consumes the RNG (and consults the chaos perturber) in exactly the
-// sequential order.
+// routeMsgs schedules one batch of outgoing messages from dev: jitter
+// draws, perturber calls, and FIFO bookkeeping happen here, in event order.
 func (n *Network) routeMsgs(dev topo.DeviceID, msgs []bgp.OutMsg) {
 	for i := range msgs {
 		m := &msgs[i]
@@ -304,9 +243,8 @@ func (n *Network) routeMsgs(dev topo.DeviceID, msgs []bgp.OutMsg) {
 			if pb.Drop {
 				continue
 			}
-			// Only stretches are honored: a (hypothetical) negative
-			// ExtraDelay would break the lookahead invariant that no
-			// message arrives sooner than BaseLatency after it was sent.
+			// Only stretches are honored: no message arrives sooner than
+			// BaseLatency after it was sent.
 			if pb.ExtraDelay > 0 {
 				delay += int64(pb.ExtraDelay)
 			}
@@ -320,8 +258,8 @@ func (n *Network) routeMsgs(dev topo.DeviceID, msgs []bgp.OutMsg) {
 	}
 }
 
-// deliver executes one delivery event sequentially: pre-checks against the
-// current session/device state, UPDATE handling, and an immediate flush.
+// deliver executes one delivery event: pre-checks against the current
+// session/device state, UPDATE handling, and an immediate flush.
 func (n *Network) deliver(d *event) {
 	tn := d.sess.ends[d.to]
 	if !tn.up || !d.sess.up || d.sess.epoch != d.epoch {
@@ -344,45 +282,17 @@ func (n *Network) Now() int64 { return n.eng.now }
 // EventsProcessed returns the total events processed so far.
 func (n *Network) EventsProcessed() int64 { return n.eng.processed }
 
-// EventsBatched returns how many events executed through the parallel
-// batch path (0 on a sequential run): the differential tests assert it is
-// nonzero to prove the fan-out machinery — not a silent fallback — produced
-// the identical results.
-func (n *Network) EventsBatched() int64 { return n.eng.batched }
-
 // OnEvent registers a hook invoked after every processed event — the
 // sampling point for transient metrics (funneling, NHG occupancy).
 func (n *Network) OnEvent(h func(now int64)) { n.eng.hooks = append(n.eng.hooks, h) }
 
 // SetTap attaches one telemetry tap to every speaker in the fabric (nil
 // detaches). Speaker clocks are the engine's virtual clock, so the fleet
-// stream is deterministically timestamped under a fixed seed. Speakers emit
-// through a per-node shim: on the sequential path it forwards straight to
-// t, and under the parallel engine it buffers per worker so the merged
-// fleet stream is byte-identical to a sequential run.
+// stream is deterministically timestamped under a fixed seed.
 func (n *Network) SetTap(t telemetry.Tap) {
-	n.tap = t
 	for _, node := range n.nodes {
-		if t == nil {
-			node.Speaker.SetTap(nil) // keep the zero-cost disabled hot path
-		} else {
-			node.Speaker.SetTap(node.tap)
-		}
+		node.Speaker.SetTap(t)
 	}
-}
-
-// Workers reports the engine's configured parallel fan-out width (1 =
-// sequential).
-func (n *Network) Workers() int { return n.eng.workers }
-
-// SetWorkers changes the engine execution mode between events; because
-// parallel mode is byte-identical to sequential, switching mid-run never
-// changes results. Values below 1 clamp to 1.
-func (n *Network) SetWorkers(w int) {
-	if w < 1 {
-		w = 1
-	}
-	n.eng.workers = w
 }
 
 // FullRecompute reports whether the fleet runs the full-recompute oracle
@@ -397,10 +307,9 @@ func (n *Network) FullRecompute() bool {
 }
 
 // SetFullRecompute switches every speaker between the full-recompute
-// oracle and the incremental decision engine. Like SetWorkers, the switch
-// is result-free: both modes are byte-identical, so flipping mid-run only
-// changes wall-clock (the differential suite flips mid-scenario to prove
-// it).
+// oracle and the incremental decision engine. The switch is result-free:
+// both modes are byte-identical, so flipping mid-run only changes
+// wall-clock (the differential suite flips mid-scenario to prove it).
 func (n *Network) SetFullRecompute(on bool) {
 	for _, node := range n.nodes {
 		node.Speaker.SetFullRecompute(on)

@@ -72,9 +72,13 @@ type NetState struct {
 	Now       int64
 	Seq       int64
 	Processed int64
-	Batched   int64
-	RNGDraws  uint64
-	Queue     []DeliveryState // sorted by (At, Seq)
+	// Batched is written as 0 and ignored on restore. It was the
+	// batch-parallel engine's event counter; the CSNP engine record still
+	// carries the slot, and it goes at the next CSNP version bump (snapshots
+	// written before the engine had one loop may hold a nonzero value).
+	Batched  int64
+	RNGDraws uint64
+	Queue    []DeliveryState // sorted by (At, Seq)
 
 	Sessions []SessionState // sorted by ID
 	Nodes    []NodeState    // sorted by device
@@ -105,7 +109,6 @@ func (n *Network) ExportState() (*NetState, error) {
 		Now:         n.eng.now,
 		Seq:         n.eng.seq,
 		Processed:   n.eng.processed,
-		Batched:     n.eng.batched,
 		RNGDraws:    n.eng.rng.Draws(),
 	}
 
@@ -157,14 +160,8 @@ func (n *Network) ExportState() (*NetState, error) {
 	return st, nil
 }
 
-// RestoreOptions tunes a restore. The zero value restores with the fleet
-// default worker count — parallel mode is byte-identical to sequential, so
-// the choice never affects results, only wall-clock.
+// RestoreOptions tunes a restore.
 type RestoreOptions struct {
-	// Workers selects the engine execution mode, as Options.Workers does
-	// (0 uses the fleet default).
-	Workers int
-
 	// FullRecompute restores every speaker onto the full-recompute oracle,
 	// as Options.FullRecompute does at construction. Mode is not part of
 	// the captured state (snapshots are byte-identical across modes), so a
@@ -195,20 +192,12 @@ func NewFromState(st *NetState, opts RestoreOptions) (*Network, error) {
 			return nil, fmt.Errorf("fabric: restore topology: %w", err)
 		}
 	}
-	workers := opts.Workers
-	if workers == 0 {
-		workers = DefaultWorkers()
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	n := &Network{
 		Topo: t,
 		opts: Options{
 			Seed:          st.Seed,
 			BaseLatency:   st.BaseLatency,
 			Jitter:        st.Jitter,
-			Workers:       workers,
 			FullRecompute: opts.FullRecompute,
 		},
 		eng: &engine{
@@ -217,28 +206,20 @@ func NewFromState(st *NetState, opts RestoreOptions) (*Network, error) {
 			seed:      st.Seed,
 			rng:       newSeededRNG(st.Seed, st.RNGDraws),
 			processed: st.Processed,
-			batched:   st.Batched,
 		},
 		nodes:    make(map[topo.DeviceID]*Node),
 		sessions: make(map[bgp.SessionID]*session),
 	}
 	n.eng.net = n
-	n.eng.workers = workers
-	n.eng.lookahead = int64(st.BaseLatency)
 
+	now := n.Now
 	for _, ns := range st.Nodes {
 		d := t.Device(topo.DeviceID(ns.Device))
 		if d == nil {
 			return nil, fmt.Errorf("fabric: state names unknown device %q", ns.Device)
 		}
 		node := &Node{Device: d, up: ns.Up, vnow: ns.VNow}
-		node.tap = &nodeTap{net: n}
-		sp, err := bgp.NewSpeakerFromState(ns.Speaker, func() int64 {
-			if node.vnow > n.eng.now {
-				return node.vnow
-			}
-			return n.eng.now
-		})
+		sp, err := bgp.NewSpeakerFromState(ns.Speaker, now)
 		if err != nil {
 			return nil, fmt.Errorf("fabric: restore %s: %w", ns.Device, err)
 		}
@@ -321,11 +302,8 @@ func (n *Network) parseFIFOKey(key string) (*session, uint8) {
 }
 
 // Step processes up to maxEvents pending events (<=0 means the default
-// budget) and reports how many ran and whether the queue drained. The stop
-// point is mode-independent: the parallel engine bounds its batches by the
-// remaining budget, so stepping K events leaves exactly the state a
-// sequential engine would — which makes Step the checkpointing cut point
-// for mid-run snapshots.
+// budget) and reports how many ran and whether the queue drained — the
+// checkpointing cut point for mid-run snapshots.
 func (n *Network) Step(maxEvents int64) (int64, bool) {
 	return n.eng.run(maxEvents)
 }

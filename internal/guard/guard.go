@@ -11,7 +11,7 @@
 // journals a checkpoint to a WAL-backed journal before every wave, so a
 // killed process resumes the execution to the byte-identical terminal
 // state. Everything is deterministic: same snapshot, same campaign, same
-// decision log, at any worker width.
+// decision log.
 package guard
 
 import (
@@ -133,10 +133,6 @@ type Campaign struct {
 	// SettlePerDevice settles after every device rather than every wave.
 	SettlePerDevice bool
 
-	// Workers sizes the restore engine (0 gets the fleet default); it
-	// never changes results, only wall-clock.
-	Workers int
-
 	// Instrument, when set, runs on the quiescent fork immediately
 	// before each wave attempt executes — the chaos conformance suite's
 	// fault-injection point. It must only arm virtual-clock callbacks
@@ -174,9 +170,6 @@ func (c *Campaign) normalize() error {
 	if c.FairShare <= 0 && len(c.Watch) > 0 {
 		c.FairShare = 1 / float64(len(c.Watch))
 	}
-	if c.Workers <= 0 {
-		c.Workers = fabric.DefaultWorkers()
-	}
 	if c.Envelope == (Envelope{}) {
 		c.Envelope = DefaultEnvelope()
 	}
@@ -209,7 +202,6 @@ func FromParams(p planner.Params) Campaign {
 		BlackholeEps:    p.BlackholeEps,
 		SampleEvery:     p.SampleEvery,
 		SettlePerDevice: p.SettlePerDevice,
-		Workers:         p.Workers,
 	}
 }
 
@@ -346,7 +338,7 @@ func newRun(base *snapshot.Snapshot, c Campaign) (*run, error) {
 	if err := c.normalize(); err != nil {
 		return nil, err
 	}
-	n, err := base.RestoreWith(fabric.RestoreOptions{Workers: c.Workers})
+	n, err := base.Restore()
 	if err != nil {
 		return nil, fmt.Errorf("guard: restore base: %w", err)
 	}
@@ -366,7 +358,7 @@ func newRun(base *snapshot.Snapshot, c Campaign) (*run, error) {
 }
 
 func (r *run) restore(snap *snapshot.Snapshot) (*fabric.Network, error) {
-	n, err := snap.RestoreWith(fabric.RestoreOptions{Workers: r.c.Workers, Topo: r.tp.Clone()})
+	n, err := snap.RestoreWith(fabric.RestoreOptions{Topo: r.tp.Clone()})
 	if err != nil {
 		return nil, fmt.Errorf("guard: restore: %w", err)
 	}

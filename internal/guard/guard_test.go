@@ -49,22 +49,6 @@ func TestCleanCampaignCompletes(t *testing.T) {
 	}
 }
 
-func TestCleanCampaignDeterministicAcrossWidths(t *testing.T) {
-	var logs []string
-	for _, workers := range []int{1, 4} {
-		snap, c := fig10Campaign(t, 7)
-		c.Workers = workers
-		res, err := Run(context.Background(), snap, c)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		logs = append(logs, res.Log)
-	}
-	if logs[0] != logs[1] {
-		t.Fatalf("decision logs diverge across widths:\n--- w=1 ---\n%s\n--- w=4 ---\n%s", logs[0], logs[1])
-	}
-}
-
 func TestViolationRetriesThenCompletes(t *testing.T) {
 	snap, c := fig10Campaign(t, 3)
 	// A transient fault: restart a spine during wave 1, attempt 0 only.

@@ -53,9 +53,9 @@ func (m WaveMetrics) String() string {
 // probe instruments one wave attempt's fork: it taps the fabric into a
 // pathology collector and samples the workload on every engine event,
 // exactly as the planner's evaluation probe does — the guard judges a
-// live wave by the same metrics the planner scored it by. Attaching an
-// event hook forces the engine into serial stepping, so measurement is
-// deterministic at any worker width.
+// live wave by the same metrics the planner scored it by. The hook runs
+// between every two events of the one engine loop, so measurement is
+// deterministic.
 type probe struct {
 	c         *Campaign
 	net       *fabric.Network

@@ -5,8 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"centralium/internal/fabric"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the planner golden schedule files")
@@ -56,17 +54,11 @@ func TestGoldenSchedule(t *testing.T) {
 }
 
 // TestWorkerWidthIndependence is the determinism contract across the
-// evaluation pool: serial (1 worker) and parallel (4 workers, the CI
-// CENTRALIUM_PARALLEL width) searches must produce byte-identical
-// winners, scores, and search statistics.
+// evaluation pool: serial (1 worker) and parallel (4 workers) searches
+// must produce byte-identical winners, scores, and search statistics.
 func TestWorkerWidthIndependence(t *testing.T) {
 	serial := goldenPlan(t, 1)
-
-	// Exercise the fleet-default path too: Workers=0 picks up
-	// fabric.DefaultWorkers, which CI pins via CENTRALIUM_PARALLEL=4.
-	prev := fabric.SetDefaultWorkers(4)
-	defer fabric.SetDefaultWorkers(prev)
-	parallel := goldenPlan(t, 0)
+	parallel := goldenPlan(t, 4)
 
 	if serial.Winner.String() != parallel.Winner.String() {
 		t.Fatalf("worker width changed the winner:\n  1: %s\n  4: %s", serial.Winner, parallel.Winner)

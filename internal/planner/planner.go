@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"centralium/internal/controller"
-	"centralium/internal/fabric"
 	"centralium/internal/snapshot"
 	"centralium/internal/topo"
 	"centralium/internal/traffic"
@@ -65,9 +64,8 @@ type Params struct {
 	// SampleEvery thins the per-event transient sampling (0 gets 1).
 	SampleEvery int `json:"sample_every"`
 
-	// Workers sizes the candidate-evaluation pool (0 gets the fabric
-	// fleet default, i.e. CENTRALIUM_PARALLEL). Worker count never
-	// changes results, only wall-clock.
+	// Workers sizes the candidate-evaluation pool (0 gets 1). Worker
+	// count never changes results, only wall-clock.
 	Workers int `json:"workers"`
 
 	// settleDefaulted records that setDefaults chose SettlePerDevice.
@@ -98,7 +96,7 @@ func (p *Params) setDefaults() {
 		p.FairShare = 1 / float64(len(p.Watch))
 	}
 	if p.Workers <= 0 {
-		p.Workers = fabric.DefaultWorkers()
+		p.Workers = 1
 	}
 	if !p.SettlePerDevice && !p.settleDefaulted {
 		p.SettlePerDevice = true

@@ -153,9 +153,9 @@ func fingerprint(state []byte) string {
 
 // probe instruments one fork: it taps the fabric into a pathology
 // collector, samples the workload on every engine event, and integrates
-// the transient metrics the Score is built from. Attaching an event hook
-// forces the engine into serial stepping, so per-fork measurement is
-// deterministic; the planner's parallelism lives one level up, across
+// the transient metrics the Score is built from. The hook runs between
+// every two events of the fork's one engine loop, so per-fork measurement
+// is deterministic; the planner's parallelism lives one level up, across
 // candidate forks.
 type probe struct {
 	p         *Params

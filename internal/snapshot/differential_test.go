@@ -16,18 +16,17 @@ import (
 // the snapshot through the wire format, and restoring must be invisible —
 // the concatenated telemetry stream (before the cut + after restore) and
 // the final state fingerprint must be byte-identical to an uninterrupted
-// run. Checked across 10 seeds, two scenario geometries, both engine modes
-// (sequential and batch-parallel), and cross-mode restores.
+// run. Checked across 10 seeds and two scenario geometries.
 
 type diffScenario struct {
 	name    string
-	build   func(seed int64, workers int) *fabric.Network
+	build   func(seed int64) *fabric.Network
 	disturb func(n *fabric.Network)
 }
 
-func buildMeshScenario(seed int64, workers int) *fabric.Network {
+func buildMeshScenario(seed int64) *fabric.Network {
 	mesh := topo.BuildMesh(topo.MeshParams{})
-	n := fabric.New(mesh, fabric.Options{Seed: seed, Workers: workers})
+	n := fabric.New(mesh, fabric.Options{Seed: seed})
 	for i := 0; i < 2; i++ {
 		n.OriginateAt(topo.EBID(i), defaultRoute, []string{backboneCommunity}, 0)
 	}
@@ -37,12 +36,12 @@ func buildMeshScenario(seed int64, workers int) *fabric.Network {
 	return n
 }
 
-func buildPodScenario(seed int64, workers int) *fabric.Network {
+func buildPodScenario(seed int64) *fabric.Network {
 	fab := topo.BuildFabric(topo.FabricParams{
 		Pods: 2, RSWsPerPod: 2, FSWsPerPod: 2, Planes: 2,
 		SSWsPerPlane: 2, Grids: 2, FADUsPerGrid: 2, FAUUsPerGrid: 2, EBs: 2,
 	})
-	n := fabric.New(fab, fabric.Options{Seed: seed, Workers: workers})
+	n := fabric.New(fab, fabric.Options{Seed: seed})
 	for i := 0; i < 2; i++ {
 		n.OriginateAt(topo.EBID(i), defaultRoute, []string{backboneCommunity}, 0)
 	}
@@ -79,17 +78,13 @@ func recordTap(n *fabric.Network, lines *[]string) {
 	}))
 }
 
-// fingerprint encodes the network's state with the one engine-mode
-// diagnostic (the batched-events counter, which only the parallel engine
-// advances) normalized to zero, so fingerprints compare across modes. All
-// simulation-visible state stays in.
+// fingerprint is the network's full encoded state.
 func fingerprint(tb testing.TB, n *fabric.Network) []byte {
 	tb.Helper()
 	snap, err := Capture(n)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	snap.state.Batched = 0
 	enc, err := snap.Encode()
 	if err != nil {
 		tb.Fatal(err)
@@ -100,66 +95,58 @@ func fingerprint(tb testing.TB, n *fabric.Network) []byte {
 func TestRestoreDifferential(t *testing.T) {
 	const checkpointAfter = 200
 	for _, sc := range diffScenarios {
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/w%d", sc.name, workers), func(t *testing.T) {
-				for seed := int64(1); seed <= 10; seed++ {
-					// Uninterrupted reference run.
-					ref := sc.build(seed, workers)
-					var refLines []string
-					recordTap(ref, &refLines)
-					ref.Converge()
-					sc.disturb(ref)
-					ref.Converge()
-					refPrint := fingerprint(t, ref)
+		t.Run(sc.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 10; seed++ {
+				// Uninterrupted reference run.
+				ref := sc.build(seed)
+				var refLines []string
+				recordTap(ref, &refLines)
+				ref.Converge()
+				sc.disturb(ref)
+				ref.Converge()
+				refPrint := fingerprint(t, ref)
 
-					// Interrupted run: checkpoint mid-convergence, ship
-					// through the wire format, restore, continue. Even
-					// seeds restore into the opposite engine mode —
-					// checkpoints are mode-portable.
-					run := sc.build(seed, workers)
-					var lines []string
-					recordTap(run, &lines)
-					run.Step(checkpointAfter)
-					snap, err := Capture(run)
-					if err != nil {
-						t.Fatalf("seed %d: capture: %v", seed, err)
-					}
-					enc, err := snap.Encode()
-					if err != nil {
-						t.Fatalf("seed %d: encode: %v", seed, err)
-					}
-					dec, err := Decode(enc)
-					if err != nil {
-						t.Fatalf("seed %d: decode: %v", seed, err)
-					}
-					restoreWorkers := workers
-					if seed%2 == 0 {
-						restoreWorkers = 5 - workers // 1 <-> 4
-					}
-					restored, err := dec.RestoreWith(fabric.RestoreOptions{Workers: restoreWorkers})
-					if err != nil {
-						t.Fatalf("seed %d: restore: %v", seed, err)
-					}
-					recordTap(restored, &lines)
-					restored.Converge()
-					sc.disturb(restored)
-					restored.Converge()
-					gotPrint := fingerprint(t, restored)
+				// Interrupted run: checkpoint mid-convergence, ship
+				// through the wire format, restore, continue.
+				run := sc.build(seed)
+				var lines []string
+				recordTap(run, &lines)
+				run.Step(checkpointAfter)
+				snap, err := Capture(run)
+				if err != nil {
+					t.Fatalf("seed %d: capture: %v", seed, err)
+				}
+				enc, err := snap.Encode()
+				if err != nil {
+					t.Fatalf("seed %d: encode: %v", seed, err)
+				}
+				dec, err := Decode(enc)
+				if err != nil {
+					t.Fatalf("seed %d: decode: %v", seed, err)
+				}
+				restored, err := dec.Restore()
+				if err != nil {
+					t.Fatalf("seed %d: restore: %v", seed, err)
+				}
+				recordTap(restored, &lines)
+				restored.Converge()
+				sc.disturb(restored)
+				restored.Converge()
+				gotPrint := fingerprint(t, restored)
 
-					if len(lines) != len(refLines) {
-						t.Fatalf("seed %d: telemetry stream length %d != %d", seed, len(lines), len(refLines))
-					}
-					for i := range lines {
-						if lines[i] != refLines[i] {
-							t.Fatalf("seed %d: telemetry diverges at event %d:\n  restored: %s\n  reference: %s",
-								seed, i, lines[i], refLines[i])
-						}
-					}
-					if !bytes.Equal(gotPrint, refPrint) {
-						t.Fatalf("seed %d: final state fingerprint differs after restore", seed)
+				if len(lines) != len(refLines) {
+					t.Fatalf("seed %d: telemetry stream length %d != %d", seed, len(lines), len(refLines))
+				}
+				for i := range lines {
+					if lines[i] != refLines[i] {
+						t.Fatalf("seed %d: telemetry diverges at event %d:\n  restored: %s\n  reference: %s",
+							seed, i, lines[i], refLines[i])
 					}
 				}
-			})
-		}
+				if !bytes.Equal(gotPrint, refPrint) {
+					t.Fatalf("seed %d: final state fingerprint differs after restore", seed)
+				}
+			}
+		})
 	}
 }

@@ -13,7 +13,7 @@ import (
 // a clean error.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	for _, seed := range []int64{1, 42} {
-		n := buildRich(f, seed, 1)
+		n := buildRich(f, seed)
 		churn(n)
 		snap, err := Capture(n)
 		if err != nil {

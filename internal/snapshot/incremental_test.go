@@ -24,7 +24,7 @@ func TestFingerprintModePortability(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			prints := make([][]byte, 2)
 			for i, full := range []bool{true, false} {
-				n := sc.build(7, 1)
+				n := sc.build(7)
 				n.SetFullRecompute(full)
 				n.Converge()
 				sc.disturb(n)
@@ -52,7 +52,7 @@ func TestRestoreCrossEngineMode(t *testing.T) {
 	for _, sc := range diffScenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 5; seed++ {
-				ref := sc.build(seed, 1)
+				ref := sc.build(seed)
 				ref.SetFullRecompute(false)
 				var refLines []string
 				recordTap(ref, &refLines)
@@ -65,7 +65,7 @@ func TestRestoreCrossEngineMode(t *testing.T) {
 					{false, false}, {false, true}, {true, false}, {true, true},
 				} {
 					label := fmt.Sprintf("seed %d %v->%v", seed, pair.before, pair.after)
-					run := sc.build(seed, 1)
+					run := sc.build(seed)
 					run.SetFullRecompute(pair.before)
 					var lines []string
 					recordTap(run, &lines)

@@ -61,15 +61,16 @@ func Capture(n *fabric.Network) (*Snapshot, error) {
 	return &Snapshot{Meta: map[string]string{}, state: st}, nil
 }
 
-// Restore builds an independent network from the snapshot, running with
-// the fleet-default engine mode. Every call yields a fresh network; the
+// Restore builds an independent network from the snapshot, on the
+// fleet-default decision engine. Every call yields a fresh network; the
 // snapshot remains reusable.
 func (s *Snapshot) Restore() (*fabric.Network, error) {
 	return s.RestoreWith(fabric.RestoreOptions{})
 }
 
-// RestoreWith is Restore with explicit options (engine worker count —
-// byte-identical either way, so the choice is free at restore time).
+// RestoreWith is Restore with explicit options (decision-engine mode, an
+// adopted topology — byte-identical either way, so the choice is free at
+// restore time).
 func (s *Snapshot) RestoreWith(opts fabric.RestoreOptions) (*fabric.Network, error) {
 	if s.state == nil {
 		return nil, fmt.Errorf("snapshot: empty snapshot")
@@ -125,14 +126,13 @@ func (s *Snapshot) Encode() ([]byte, error) {
 // EncodeCanonical renders the captured state alone, with no metadata
 // section: a pure state identity. Two snapshots of byte-identical fabric
 // states encode canonically to equal bytes regardless of what their Meta
-// maps hold — and regardless of the engine width that executed them: the
-// parallel batch counter is an observational statistic, not state (the
-// restore differential holds everything else byte-identical across
-// widths), so the canonical form clears it. That is what makes the
-// encoding usable as a memoization and cache key, including across
-// processes running at different CENTRALIUM_PARALLEL widths. Unlike
-// Encode with a cleared Meta, it never touches the Meta field, so it is
-// safe to call concurrently with everything else.
+// maps hold, which is what makes the encoding usable as a memoization and
+// cache key. The engine record's Batched slot is cleared first: today's
+// engine always writes 0 there, but snapshots persisted while a
+// batch-parallel engine existed may carry a count, and their fingerprints
+// (cleared then as now) must not move. Unlike Encode with a cleared Meta,
+// it never touches the Meta field, so it is safe to call concurrently with
+// everything else.
 func (s *Snapshot) EncodeCanonical() ([]byte, error) {
 	if s.state == nil {
 		return nil, fmt.Errorf("snapshot: empty snapshot")

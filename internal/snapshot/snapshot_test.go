@@ -23,10 +23,10 @@ const backboneCommunity = "backbone"
 // originated prefixes with communities and bandwidth, a deployed RPA with
 // MinNextHop + keep-warm (so the match cache and warm-FIB paths are live),
 // prepends, a drained device, downed links, and session epoch churn.
-func buildRich(tb testing.TB, seed int64, workers int) *fabric.Network {
+func buildRich(tb testing.TB, seed int64) *fabric.Network {
 	tb.Helper()
 	mesh := topo.BuildMesh(topo.MeshParams{})
-	n := fabric.New(mesh, fabric.Options{Seed: seed, Workers: workers})
+	n := fabric.New(mesh, fabric.Options{Seed: seed})
 	for i := 0; i < 2; i++ {
 		n.OriginateAt(topo.EBID(i), defaultRoute, []string{backboneCommunity}, 0)
 	}
@@ -76,7 +76,7 @@ func churn(n *fabric.Network) {
 }
 
 func TestRoundTripDeepEqual(t *testing.T) {
-	n := buildRich(t, 42, 1)
+	n := buildRich(t, 42)
 	churn(n)
 	snap, err := Capture(n)
 	if err != nil {
@@ -121,7 +121,7 @@ func TestRoundTripDeepEqual(t *testing.T) {
 }
 
 func TestEncodeIsDeterministic(t *testing.T) {
-	n := buildRich(t, 7, 1)
+	n := buildRich(t, 7)
 	a, err := Capture(n)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestEncodeIsDeterministic(t *testing.T) {
 }
 
 func TestCaptureRejectsPendingControlEvent(t *testing.T) {
-	n := buildRich(t, 3, 1)
+	n := buildRich(t, 3)
 	n.After(time.Millisecond, func() {})
 	if _, err := Capture(n); err == nil {
 		t.Fatal("capture with a pending control callback must fail")
@@ -150,7 +150,7 @@ func TestCaptureRejectsPendingControlEvent(t *testing.T) {
 }
 
 func TestRestoreStateMatchesOriginal(t *testing.T) {
-	n := buildRich(t, 11, 1)
+	n := buildRich(t, 11)
 	churn(n)
 	snap, err := Capture(n)
 	if err != nil {
@@ -192,7 +192,7 @@ func TestRestoreStateMatchesOriginal(t *testing.T) {
 // the input buffer nor another decode of the same bytes — so the engine may
 // keep a restored UPDATE's AS path and communities by reference.
 func TestDecodeOwnsItsSlices(t *testing.T) {
-	n := buildRich(t, 42, 1)
+	n := buildRich(t, 42)
 	churn(n)
 	snap, err := Capture(n)
 	if err != nil {
@@ -238,7 +238,7 @@ func TestDecodeOwnsItsSlices(t *testing.T) {
 }
 
 func TestForkIndependence(t *testing.T) {
-	n := buildRich(t, 5, 1)
+	n := buildRich(t, 5)
 	snap, err := Capture(n)
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +285,7 @@ func TestForkIndependence(t *testing.T) {
 }
 
 func TestSaveLoad(t *testing.T) {
-	n := buildRich(t, 9, 1)
+	n := buildRich(t, 9)
 	snap, err := Capture(n)
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +311,7 @@ func TestSaveLoad(t *testing.T) {
 }
 
 func TestDecodeRejectsCorruptInput(t *testing.T) {
-	n := buildRich(t, 21, 1)
+	n := buildRich(t, 21)
 	churn(n)
 	snap, err := Capture(n)
 	if err != nil {
@@ -358,7 +358,7 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 }
 
 func TestDecodeRejectsDuplicateSection(t *testing.T) {
-	n := buildRich(t, 2, 1)
+	n := buildRich(t, 2)
 	snap, err := Capture(n)
 	if err != nil {
 		t.Fatal(err)
@@ -383,7 +383,7 @@ func TestDecodeRejectsDuplicateSection(t *testing.T) {
 }
 
 func TestRestoreRejectsTamperedState(t *testing.T) {
-	n := buildRich(t, 13, 1)
+	n := buildRich(t, 13)
 	snap, err := Capture(n)
 	if err != nil {
 		t.Fatal(err)
