@@ -81,7 +81,7 @@ func (s *Speaker) recomputeOne(p netip.Prefix) {
 		s.withdrawAll(p, st)
 		return
 	}
-	st.hasRep, st.repRoute = true, cands[0].attrs
+	st.hasRep, st.repRoute = true, cands[0].Attrs
 	st.hasRepSel = false
 
 	// Track the high-water distinct-next-hop baseline for percentage
@@ -96,10 +96,10 @@ func (s *Speaker) recomputeOne(p netip.Prefix) {
 	// candidate 0 governs, so without one the copy is skipped and the native
 	// path taken directly.
 	dec := core.SelectionDecision{UsedNative: true}
-	if s.rpa.HasPathSelection(&cands[0].attrs) {
+	if s.rpa.HasPathSelection(&cands[0].Attrs) {
 		attrs := s.attrsScratch[:0]
 		for i := range cands {
-			attrs = append(attrs, cands[i].attrs)
+			attrs = append(attrs, cands[i].Attrs)
 		}
 		s.attrsScratch = attrs
 		dec = s.rpa.SelectPaths(attrs, st.baseline)
@@ -121,7 +121,7 @@ func (s *Speaker) recomputeOne(p netip.Prefix) {
 
 		// BgpNativeMinNextHop (RPA) and the vendor minimum-ECMP knob both
 		// constrain the native result.
-		nc := s.rpa.NativeConstraintFor(&cands[0].attrs)
+		nc := s.rpa.NativeConstraintFor(&cands[0].Attrs)
 		required := 0
 		keepWarm := false
 		if nc.Present {
@@ -142,7 +142,7 @@ func (s *Speaker) recomputeOne(p netip.Prefix) {
 			if keepWarm {
 				// Keep forwarding entries so in-flight packets survive,
 				// but advertise nothing (the Figure 14 footgun).
-				st.hasRepSel, st.repSel = true, cands[selected[0]].attrs
+				st.hasRepSel, st.repSel = true, cands[selected[0]].Attrs
 				_, info.WeightMode = s.installFIB(p, st, cands, selected)
 				s.fibTbl.MarkWarm(p)
 				// MarkWarm notifies the tap on every run, changed or not.
@@ -166,12 +166,12 @@ func (s *Speaker) recomputeOne(p netip.Prefix) {
 	info.SelectedPaths = len(selected)
 	info.DistinctNextHops = s.distinctDevicesOf(cands, selected)
 	for _, i := range selected {
-		if l := len(cands[i].attrs.ASPath); l > info.MaxSelectedPathLen {
+		if l := len(cands[i].Attrs.ASPath); l > info.MaxSelectedPathLen {
 			info.MaxSelectedPathLen = l
 		}
 	}
 
-	st.hasRepSel, st.repSel = true, cands[selected[0]].attrs
+	st.hasRepSel, st.repSel = true, cands[selected[0]].Attrs
 	var aggBW float64
 	aggBW, info.WeightMode = s.installFIB(p, st, cands, selected)
 
@@ -183,13 +183,13 @@ func (s *Speaker) recomputeOne(p netip.Prefix) {
 	} else {
 		advIdx = bestOf(cands, selected)
 	}
-	info.AdvertisedPathLen = len(cands[advIdx].attrs.ASPath)
-	s.advertise(p, st, &cands[advIdx].attrs, cands[advIdx].session, aggBW)
+	info.AdvertisedPathLen = len(cands[advIdx].Attrs.ASPath)
+	s.advertise(p, st, &cands[advIdx].Attrs, cands[advIdx].Session, aggBW)
 }
 
 // gather returns the prefix's candidates in deterministic (session) order:
 // its Adj-RIB-In column, in place. Callers must not modify or retain it.
-func (s *Speaker) gather(p netip.Prefix) []candidate {
+func (s *Speaker) gather(p netip.Prefix) []Candidate {
 	if st := s.prefixes[p]; st != nil {
 		return st.cands
 	}
@@ -222,13 +222,13 @@ func equalPreference(a, b *core.RouteAttrs) bool {
 // set under the standard comparison; multipath keeps the whole set, single
 // path mode keeps the deterministic best. The result is written into dst
 // (the speaker's index scratch; nil allocates).
-func nativeSelect(dst []int, cands []candidate, multipath bool) []int {
+func nativeSelect(dst []int, cands []Candidate, multipath bool) []int {
 	if len(cands) == 0 {
 		return nil
 	}
 	best := 0
 	for i := 1; i < len(cands); i++ {
-		if better(&cands[i].attrs, &cands[best].attrs) {
+		if better(&cands[i].Attrs, &cands[best].Attrs) {
 			best = i
 		}
 	}
@@ -238,7 +238,7 @@ func nativeSelect(dst []int, cands []candidate, multipath bool) []int {
 			if i == best {
 				continue
 			}
-			if equalPreference(&cands[i].attrs, &cands[best].attrs) && tieBreakLess(&cands[i], &cands[best]) {
+			if equalPreference(&cands[i].Attrs, &cands[best].Attrs) && tieBreakLess(&cands[i], &cands[best]) {
 				best = i
 			}
 		}
@@ -246,28 +246,28 @@ func nativeSelect(dst []int, cands []candidate, multipath bool) []int {
 	}
 	out := dst[:0]
 	for i := range cands {
-		if equalPreference(&cands[i].attrs, &cands[best].attrs) {
+		if equalPreference(&cands[i].Attrs, &cands[best].Attrs) {
 			out = append(out, i)
 		}
 	}
 	return out
 }
 
-func tieBreakLess(a, b *candidate) bool {
-	if a.attrs.Peer != b.attrs.Peer {
-		return a.attrs.Peer < b.attrs.Peer
+func tieBreakLess(a, b *Candidate) bool {
+	if a.Attrs.Peer != b.Attrs.Peer {
+		return a.Attrs.Peer < b.Attrs.Peer
 	}
-	return a.session < b.session
+	return a.Session < b.Session
 }
 
 // bestOf returns the index (into cands) of the best route among selected,
 // with deterministic tie-breaks.
-func bestOf(cands []candidate, selected []int) int {
+func bestOf(cands []Candidate, selected []int) int {
 	best := selected[0]
 	for _, i := range selected[1:] {
-		if better(&cands[i].attrs, &cands[best].attrs) {
+		if better(&cands[i].Attrs, &cands[best].Attrs) {
 			best = i
-		} else if equalPreference(&cands[i].attrs, &cands[best].attrs) && tieBreakLess(&cands[i], &cands[best]) {
+		} else if equalPreference(&cands[i].Attrs, &cands[best].Attrs) && tieBreakLess(&cands[i], &cands[best]) {
 			best = i
 		}
 	}
@@ -277,10 +277,10 @@ func bestOf(cands []candidate, selected []int) int {
 // leastFavorable returns the index of the selected route with the least
 // favorable attributes — longest AS path first (Section 5.3.1), then the
 // inverse of the standard tie-breaks, deterministically.
-func leastFavorable(cands []candidate, selected []int) int {
+func leastFavorable(cands []Candidate, selected []int) int {
 	worst := selected[0]
 	for _, i := range selected[1:] {
-		a, w := &cands[i].attrs, &cands[worst].attrs
+		a, w := &cands[i].Attrs, &cands[worst].Attrs
 		switch {
 		case len(a.ASPath) != len(w.ASPath):
 			if len(a.ASPath) > len(w.ASPath) {
@@ -301,7 +301,7 @@ func leastFavorable(cands []candidate, selected []int) int {
 // fresh (RouteAttribute expiry is clock-dependent); the incremental engine
 // only memoizes the resulting hop set to skip the canonical group-key
 // rebuild when the install is a provable same-key rewrite.
-func (s *Speaker) installFIB(p netip.Prefix, st *prefixState, cands []candidate, selected []int) (float64, string) {
+func (s *Speaker) installFIB(p netip.Prefix, st *prefixState, cands []Candidate, selected []int) (float64, string) {
 	mode := "ecmp"
 	if cap(s.weightScratch) < len(selected) {
 		s.weightScratch = make([]int, len(selected))
@@ -313,10 +313,10 @@ func (s *Speaker) installFIB(p netip.Prefix, st *prefixState, cands []candidate,
 	// statement whose destination matches route 0 governs, so without a
 	// candidate statement the copy is skipped.
 	var wd core.WeightDecision
-	if s.rpa.HasRouteAttribute(&cands[selected[0]].attrs) {
+	if s.rpa.HasRouteAttribute(&cands[selected[0]].Attrs) {
 		attrs := s.wattsScratch[:0]
 		for _, i := range selected {
-			attrs = append(attrs, cands[i].attrs)
+			attrs = append(attrs, cands[i].Attrs)
 		}
 		s.wattsScratch = attrs
 		wd = s.rpa.AssignWeights(attrs, s.now())
@@ -329,9 +329,9 @@ func (s *Speaker) installFIB(p netip.Prefix, st *prefixState, cands []candidate,
 	} else if s.cfg.WCMP == WCMPDistributed {
 		mode = "wcmp"
 		for k, i := range selected {
-			bw := cands[i].attrs.LinkBandwidthGbps
+			bw := cands[i].Attrs.LinkBandwidthGbps
 			if bw <= 0 {
-				bw = s.peerCapacity(cands[i].session)
+				bw = s.peerCapacity(cands[i].Session)
 			}
 			w := int(bw)
 			if w < 1 {
@@ -351,10 +351,10 @@ func (s *Speaker) installFIB(p netip.Prefix, st *prefixState, cands []candidate,
 		if weights[k] <= 0 {
 			continue // weight 0 = drained path: selected but carries nothing
 		}
-		hops = append(hops, fib.NextHop{ID: string(cands[i].session), Weight: weights[k]})
-		bw := cands[i].attrs.LinkBandwidthGbps
+		hops = append(hops, fib.NextHop{ID: string(cands[i].Session), Weight: weights[k]})
+		bw := cands[i].Attrs.LinkBandwidthGbps
 		if bw <= 0 {
-			bw = s.peerCapacity(cands[i].session)
+			bw = s.peerCapacity(cands[i].Session)
 		}
 		aggBW += bw
 	}
@@ -458,7 +458,7 @@ func (s *Speaker) advertise(p netip.Prefix, st *prefixState, route *core.RouteAt
 	// the prefix and peer names, and messages carry only the AS path,
 	// communities, origin, and bandwidth compared here. Skip the loop.
 	if incr && st.advOK && st.advEpoch == s.advEpoch && st.advFrom == learnedFrom &&
-		st.advBW == aggBW && advRouteEqual(&st.advRoute, route) {
+		st.advBW == aggBW && st.advRoute.equal(route) {
 		s.incr.AdvertiseMemoHits++
 		return
 	}
@@ -509,14 +509,21 @@ func (s *Speaker) advertise(p netip.Prefix, st *prefixState, route *core.RouteAt
 			built = append(built, c)
 		}
 
-		if prev, ok := st.advertised[sess]; ok && prev.matches(c, bw) {
-			if prev.content == nil {
-				// A snapshot-restored entry: adopt the content it matched.
-				st.advertised[sess] = adv{content: c, bw: bw, pathLen: pathLen}
-			}
+		i, found := st.findAdv(sess)
+		dup := found && st.advertised[i].matches(c, bw)
+		if dup && st.advertised[i].content != nil {
 			continue // nothing changed on this session
 		}
-		st.advertised[sess] = adv{content: c, bw: bw, pathLen: pathLen}
+		if st.advertised == nil {
+			// Nearly every peer ends up in the column; size it once.
+			st.advertised = make([]AdvState, 0, len(s.peers))
+		}
+		// For a duplicate this only upgrades a checkpoint-restored entry to
+		// the content it matched.
+		st.advertised = putEntry(st.advertised, &st.advShared, i, found, AdvState{Session: sess, BW: bw, PathLen: pathLen, content: c})
+		if dup {
+			continue
+		}
 		s.stats.UpdatesSent++
 		s.outbox = append(s.outbox, OutMsg{Session: sess, Update: Update{
 			Prefix:            p,
@@ -535,36 +542,36 @@ func (s *Speaker) advertise(p netip.Prefix, st *prefixState, route *core.RouteAt
 		st.advEpoch = s.advEpoch
 		st.advFrom = learnedFrom
 		st.advBW = aggBW
-		st.advRoute = *route
+		st.advRoute = advRoute{origin: route.Origin, path: route.ASPath, comms: route.Communities}
 	}
 }
 
-// withdrawAll retracts the prefix from every session it was advertised on.
+// withdrawAll retracts the prefix from every session it was advertised on,
+// in session order. The column is dropped, not edited, so never copied.
 func (s *Speaker) withdrawAll(p netip.Prefix, st *prefixState) {
 	if len(st.advertised) == 0 {
 		return
 	}
-	sessions := s.sessScratch[:0]
-	for sess := range st.advertised {
-		sessions = append(sessions, sess)
+	for i := range st.advertised {
+		s.sendWithdraw(p, st.advertised[i].Session)
 	}
-	slices.Sort(sessions)
-	s.sessScratch = sessions
-	for _, sess := range sessions {
-		s.withdrawOne(p, st, sess)
-	}
-}
-
-func (s *Speaker) withdrawOne(p netip.Prefix, st *prefixState, sess SessionID) {
-	if _, ok := st.advertised[sess]; !ok {
-		return
-	}
-	delete(st.advertised, sess)
+	st.advertised, st.advShared = nil, false
 	// The advertisement memo asserts the Adj-RIB-Out it recorded; any
 	// withdrawal invalidates it.
 	st.advOK = false
+}
+
+func (s *Speaker) withdrawOne(p netip.Prefix, st *prefixState, sess SessionID) {
+	if st.dropAdv(sess) {
+		st.advOK = false
+		s.sendWithdraw(p, sess)
+	}
+}
+
+// sendWithdraw queues the withdrawal of p on sess, if the session still is.
+func (s *Speaker) sendWithdraw(p netip.Prefix, sess SessionID) {
 	if _, stillUp := s.peers[sess]; !stillUp {
-		return // session gone; nothing to send
+		return
 	}
 	s.stats.WithdrawalsSent++
 	s.outbox = append(s.outbox, OutMsg{Session: sess, Update: Update{Prefix: p, Withdraw: true}})

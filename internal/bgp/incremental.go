@@ -265,7 +265,7 @@ var localHops = []fib.NextHop{{ID: LocalNextHop, Weight: 1}}
 
 // distinctDevicesOf counts distinct next-hop devices among the indexed
 // candidates (all candidates when idx is nil).
-func (s *Speaker) distinctDevicesOf(cands []candidate, idx []int) int {
+func (s *Speaker) distinctDevicesOf(cands []Candidate, idx []int) int {
 	if s.distinctScratch == nil {
 		s.distinctScratch = make(map[string]struct{}, 16)
 	}
@@ -273,21 +273,20 @@ func (s *Speaker) distinctDevicesOf(cands []candidate, idx []int) int {
 	clear(m)
 	if idx == nil {
 		for i := range cands {
-			m[cands[i].attrs.NextHop] = struct{}{}
+			m[cands[i].Attrs.NextHop] = struct{}{}
 		}
 	} else {
 		for _, i := range idx {
-			m[cands[i].attrs.NextHop] = struct{}{}
+			m[cands[i].Attrs.NextHop] = struct{}{}
 		}
 	}
 	return len(m)
 }
 
-// advRouteEqual compares the route fields the advertise step reads: the
-// AS path and communities it propagates, the origin, and (implicitly, via
-// the caller) the prefix. Egress RouteFilters read only prefix and peer
-// name, so equality here plus an unchanged advertisement epoch proves a
-// repeat advertise call is suppressed on every session.
-func advRouteEqual(a, b *core.RouteAttrs) bool {
-	return a.Origin == b.Origin && slices.Equal(a.ASPath, b.ASPath) && slices.Equal(a.Communities, b.Communities)
+// equal reports whether r is, to the advertise step, the route recorded.
+// Egress RouteFilters read only prefix and peer name, so equality here plus
+// an unchanged advertisement epoch proves a repeat advertise call is
+// suppressed on every session.
+func (a *advRoute) equal(r *core.RouteAttrs) bool {
+	return a.origin == r.Origin && slices.Equal(a.path, r.ASPath) && slices.Equal(a.comms, r.Communities)
 }

@@ -31,48 +31,117 @@ func layoutSpeaker(n int) *Speaker {
 // decision re-runs, both memos hit, nothing is sent) allocates nothing, and
 // one that changes the best path and is re-advertised on every session
 // stays under a small fixed ceiling — one shared content for the whole
-// fan-out, plus the FIB's new next-hop group.
+// fan-out, plus the FIB's new next-hop group. The same numbers hold on a
+// speaker restored from a checkpoint once its first writes have copied the
+// columns it shares with the checkpoint.
 func TestHandleUpdateAllocs(t *testing.T) {
 	p := netip.MustParsePrefix("0.0.0.0/0")
-	s := layoutSpeaker(4)
-	s.SetFullRecompute(false) // the zero is the memos'; the oracle has none
+	fresh := layoutSpeaker(4)
+	fresh.SetFullRecompute(false) // the zero is the memos'; the oracle has none
 	sessions := []SessionID{"s0", "s1", "s2", "s3"}
 	updates := make([]Update, len(sessions))
 	for i, sess := range sessions {
 		updates[i] = Update{Prefix: p, ASPath: []uint32{uint32(100 + i), 60}}
-		s.HandleUpdate(sess, updates[i])
+		fresh.HandleUpdate(sess, updates[i])
 	}
-	s.RecycleOutbox(s.TakeOutbox())
-
-	i := 0
-	dup := testing.AllocsPerRun(200, func() {
-		s.HandleUpdate(sessions[i%4], updates[i%4])
-		i++
-	})
-	if dup != 0 {
-		t.Errorf("duplicate UPDATE: %.1f allocs/run, want 0", dup)
+	fresh.RecycleOutbox(fresh.TakeOutbox())
+	st, err := fresh.ExportState()
+	if err != nil {
+		t.Fatal(err)
 	}
+	restored, err := NewSpeakerFromState(st, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored.SetFullRecompute(false)
 
-	// An accepted change: s0 alternates between a short path (becomes the
-	// single best, advertised to the three other peers) and the ECMP tie.
-	short := Update{Prefix: p, ASPath: []uint32{100}}
-	flip := false
-	accepted := testing.AllocsPerRun(200, func() {
-		flip = !flip
-		if flip {
-			s.HandleUpdate("s0", short)
-		} else {
-			s.HandleUpdate("s0", updates[0])
+	for name, s := range map[string]*Speaker{"fresh": fresh, "restored": restored} {
+		i := 0
+		dup := testing.AllocsPerRun(200, func() {
+			s.HandleUpdate(sessions[i%4], updates[i%4])
+			i++
+		})
+		if dup != 0 {
+			t.Errorf("%s: duplicate UPDATE: %.1f allocs/run, want 0", name, dup)
 		}
-		s.RecycleOutbox(s.TakeOutbox())
-	})
-	t.Logf("accepted UPDATE: %.1f allocs/run", accepted)
-	const ceiling = 6
-	if accepted > ceiling {
-		t.Errorf("accepted UPDATE: %.1f allocs/run, ceiling %d", accepted, ceiling)
+
+		// An accepted change: s0 alternates between a short path (becomes the
+		// single best, advertised to the three other peers) and the ECMP tie.
+		short := Update{Prefix: p, ASPath: []uint32{100}}
+		flip := false
+		sentBefore := s.Stats().UpdatesSent
+		accepted := testing.AllocsPerRun(200, func() {
+			flip = !flip
+			if flip {
+				s.HandleUpdate("s0", short)
+			} else {
+				s.HandleUpdate("s0", updates[0])
+			}
+			s.RecycleOutbox(s.TakeOutbox())
+		})
+		t.Logf("%s: accepted UPDATE: %.1f allocs/run", name, accepted)
+		const ceiling = 6
+		if accepted > ceiling {
+			t.Errorf("%s: accepted UPDATE: %.1f allocs/run, ceiling %d", name, accepted, ceiling)
+		}
+		if sent := s.Stats().UpdatesSent - sentBefore; sent < 200 {
+			t.Fatalf("%s: accepted arm sent only %d updates; it did not exercise the advertise path", name, sent)
+		}
 	}
-	if sent := s.Stats().UpdatesSent; sent < 200 {
-		t.Fatalf("accepted arm sent only %d updates; it did not exercise the advertise path", sent)
+}
+
+// TestRestoredColumnsCopyOnFirstWrite: a restored speaker reads its columns
+// out of the checkpoint's memory until it writes one, and the write copies
+// that column only — the other prefixes keep sharing, and the checkpoint
+// reads as it did.
+func TestRestoredColumnsCopyOnFirstWrite(t *testing.T) {
+	p := netip.MustParsePrefix("10.0.0.0/8")
+	q := netip.MustParsePrefix("10.1.0.0/16")
+	orig := layoutSpeaker(3)
+	for _, pfx := range []netip.Prefix{p, q} {
+		orig.HandleUpdate("s0", Update{Prefix: pfx, ASPath: []uint32{100, 60}})
+		orig.HandleUpdate("s1", Update{Prefix: pfx, ASPath: []uint32{101, 60}})
+	}
+	orig.TakeOutbox()
+	st, err := orig.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pristine := fmt.Sprintf("%+v", st)
+	s, err := NewSpeakerFromState(st, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	column := func(pfx netip.Prefix) *PrefixBookState {
+		for i := range st.Prefixes {
+			if st.Prefixes[i].Prefix == pfx {
+				return &st.Prefixes[i]
+			}
+		}
+		t.Fatalf("no state for %v", pfx)
+		return nil
+	}
+	for _, pfx := range []netip.Prefix{p, q} {
+		b, pb := s.prefixes[pfx], column(pfx)
+		if !b.candsShared || !b.advShared || &b.cands[0] != &pb.Cands[0] || &b.advertised[0] != &pb.Advertised[0] {
+			t.Fatalf("%v: columns not adopted by reference", pfx)
+		}
+		if cap(b.cands) != len(b.cands) || cap(b.advertised) != len(b.advertised) {
+			t.Fatalf("%v: an adopted column has spare capacity an append could write into", pfx)
+		}
+	}
+
+	// A withdrawal on s1 edits p's Adj-RIB-In; the decision then re-advertises
+	// toward s1 (no longer the source device), editing p's Adj-RIB-Out.
+	s.HandleUpdate("s1", Update{Prefix: p, Withdraw: true})
+	if b := s.prefixes[p]; b.candsShared || b.advShared || len(b.cands) != 1 {
+		t.Errorf("%v: written columns still marked shared (cands %v adv %v), %d candidates", p, b.candsShared, b.advShared, len(b.cands))
+	}
+	if b, pb := s.prefixes[q], column(q); !b.candsShared || !b.advShared || &b.cands[0] != &pb.Cands[0] || &b.advertised[0] != &pb.Advertised[0] {
+		t.Errorf("%v: a write to %v copied this prefix's columns too", q, p)
+	}
+	if again := fmt.Sprintf("%+v", st); again != pristine {
+		t.Errorf("the write reached the checkpoint:\n before %s\n after  %s", pristine, again)
 	}
 }
 
@@ -100,9 +169,9 @@ func TestRestoredAdvEntriesUpgradeLazily(t *testing.T) {
 	if len(st.advertised) != 2 {
 		t.Fatalf("restored Adj-RIB-Out has %d entries, want 2 (split horizon toward s0)", len(st.advertised))
 	}
-	for sess, a := range st.advertised {
-		if a.content != nil || a.key == "" {
-			t.Fatalf("restored entry on %s is not string-only: %+v", sess, a)
+	for _, a := range st.advertised {
+		if a.content != nil || a.PathKey == "" {
+			t.Fatalf("restored entry on %s is not string-only: %+v", a.Session, a)
 		}
 	}
 
@@ -111,14 +180,23 @@ func TestRestoredAdvEntriesUpgradeLazily(t *testing.T) {
 		t.Fatalf("no-op trigger on a restored speaker sent %d messages: %+v", len(out), out)
 	}
 	var shared *advContent
-	for sess, a := range st.advertised {
+	for _, a := range st.advertised {
 		if a.content == nil {
-			t.Fatalf("entry on %s was not upgraded", sess)
+			t.Fatalf("entry on %s was not upgraded", a.Session)
 		}
 		if shared == nil {
 			shared = a.content
 		} else if a.content != shared {
-			t.Errorf("entry on %s has its own content; want one shared by the call", sess)
+			t.Errorf("entry on %s has its own content; want one shared by the call", a.Session)
+		}
+	}
+	// The upgrade wrote a copy: the checkpoint the speaker was restored from
+	// still holds string-only entries.
+	for _, pb := range before.Prefixes {
+		for _, a := range pb.Advertised {
+			if a.content != nil {
+				t.Fatalf("the upgrade on %s wrote through to the checkpoint", a.Session)
+			}
 		}
 	}
 	after, err := s.ExportState()
@@ -145,9 +223,14 @@ func checkColumns(t *testing.T, s *Speaker, model map[SessionID]map[netip.Prefix
 	slices.Sort(sessions)
 	for p, st := range s.prefixes {
 		for i := 1; i < len(st.cands); i++ {
-			if st.cands[i-1].session >= st.cands[i].session {
+			if st.cands[i-1].Session >= st.cands[i].Session {
 				t.Fatalf("%s: column of %v not strictly session-sorted at %d: %q then %q",
-					step, p, i, st.cands[i-1].session, st.cands[i].session)
+					step, p, i, st.cands[i-1].Session, st.cands[i].Session)
+			}
+		}
+		for i := 1; i < len(st.advertised); i++ {
+			if st.advertised[i-1].Session >= st.advertised[i].Session {
+				t.Fatalf("%s: Adj-RIB-Out column of %v not strictly session-sorted at %d", step, p, i)
 			}
 		}
 		var want []string
@@ -158,7 +241,7 @@ func checkColumns(t *testing.T, s *Speaker, model map[SessionID]map[netip.Prefix
 		}
 		var got []string
 		for _, c := range st.cands {
-			got = append(got, fmt.Sprintf("%s %v %v %d", c.session, c.attrs.ASPath, c.attrs.Communities, c.attrs.MED))
+			got = append(got, fmt.Sprintf("%s %v %v %d", c.Session, c.Attrs.ASPath, c.Attrs.Communities, c.Attrs.MED))
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s: column of %v:\n got  %v\n want %v", step, p, got, want)
@@ -266,28 +349,30 @@ func TestColumnInvariants(t *testing.T) {
 	}
 }
 
-// TestRestoreSortsUnsortedAdjIn: well-formed checkpoints list Adj-RIB-In
-// sessions in sorted order, but restore does not rely on it — a hand-built
-// state in any order (and with a session listed twice, last write winning)
-// still yields sorted, duplicate-free columns.
+// TestRestoreSortsUnsortedAdjIn: well-formed checkpoints hold session-sorted
+// columns, which restore adopts in place, but it does not rely on it — a
+// hand-built column in any order (and with a session listed twice, last
+// write winning) is rebuilt sorted and duplicate-free in the speaker's own
+// memory, and a column naming an unknown session is rejected.
 func TestRestoreSortsUnsortedAdjIn(t *testing.T) {
 	p := netip.MustParsePrefix("10.0.0.0/8")
 	q := netip.MustParsePrefix("10.1.0.0/16")
-	route := func(p netip.Prefix, asn uint32, med uint32) core.RouteAttrs {
-		return core.RouteAttrs{Prefix: p, ASPath: []uint32{asn, 60}, LocalPref: 100, MED: med}
+	cand := func(sess SessionID, p netip.Prefix, asn uint32, med uint32) Candidate {
+		return Candidate{Session: sess, Attrs: core.RouteAttrs{Prefix: p, ASPath: []uint32{asn, 60}, LocalPref: 100, MED: med}}
 	}
 	st := SpeakerState{
 		Cfg: Config{ID: "du", ASN: 300, Multipath: true},
 		Peers: []PeerState{
 			{Session: "s2", Device: "p2", ASN: 102}, {Session: "s0", Device: "p0", ASN: 100}, {Session: "s1", Device: "p1", ASN: 101},
 		},
-		AdjIn: []AdjRIBInState{
-			{Session: "s2", Routes: []core.RouteAttrs{route(p, 102, 0), route(q, 102, 0)}},
-			{Session: "s0", Routes: []core.RouteAttrs{route(q, 100, 0), route(p, 100, 0)}},
-			{Session: "s1", Routes: []core.RouteAttrs{route(p, 101, 0)}},
-			{Session: "s0", Routes: []core.RouteAttrs{route(p, 100, 7)}},
+		Prefixes: []PrefixBookState{
+			{Prefix: p,
+				Cands:      []Candidate{cand("s2", p, 102, 0), cand("s0", p, 100, 0), cand("s1", p, 101, 0), cand("s0", p, 100, 7)},
+				Advertised: []AdvState{{Session: "s1", PathKey: "k1"}, {Session: "s0", PathKey: "k0"}, {Session: "s1", PathKey: "k1b"}}},
+			{Prefix: q, Cands: []Candidate{cand("s0", q, 100, 0), cand("s2", q, 102, 0)}},
 		},
 	}
+	pristine := fmt.Sprintf("%+v", st)
 	s, err := NewSpeakerFromState(st, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -299,13 +384,26 @@ func TestRestoreSortsUnsortedAdjIn(t *testing.T) {
 	if want := []string{"100/7", "101/0", "102/0"}; !slices.Equal(got, want) {
 		t.Errorf("column of %v = %v, want %v (session order, last write wins)", p, got, want)
 	}
-	if n := len(s.Candidates(q)); n != 2 {
-		t.Errorf("column of %v has %d routes, want 2", q, n)
+	out := s.AdjRIBOut(p)
+	if len(out) != 2 || out["s0"].PathKey != "k0" || out["s1"].PathKey != "k1b" {
+		t.Errorf("Adj-RIB-Out of %v = %v, want s0:k0 s1:k1b (last write wins)", p, out)
 	}
-	if _, err := NewSpeakerFromState(SpeakerState{
-		Cfg:   st.Cfg,
-		AdjIn: []AdjRIBInState{{Session: "ghost", Routes: []core.RouteAttrs{route(p, 1, 0)}}},
-	}, nil); err == nil {
-		t.Error("Adj-RIB-In for an unknown session restored without error")
+	if bp := s.prefixes[p]; bp.candsShared || bp.advShared {
+		t.Error("a malformed column was adopted by reference")
+	}
+	if bq := s.prefixes[q]; !bq.candsShared || &bq.cands[0] != &st.Prefixes[1].Cands[0] || cap(bq.cands) != len(bq.cands) {
+		t.Error("a well-formed column was not adopted in place with its capacity clipped")
+	}
+	if again := fmt.Sprintf("%+v", st); again != pristine {
+		t.Error("restore wrote to the state it was given")
+	}
+
+	for name, pb := range map[string]PrefixBookState{
+		"Adj-RIB-In":  {Prefix: p, Cands: []Candidate{cand("ghost", p, 1, 0)}},
+		"Adj-RIB-Out": {Prefix: p, Advertised: []AdvState{{Session: "ghost", PathKey: "k"}}},
+	} {
+		if _, err := NewSpeakerFromState(SpeakerState{Cfg: st.Cfg, Peers: st.Peers, Prefixes: []PrefixBookState{pb}}, nil); err == nil {
+			t.Errorf("%s for an unknown session restored without error", name)
+		}
 	}
 }

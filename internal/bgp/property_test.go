@@ -19,9 +19,9 @@ const propTrials = 300
 // genCandidates builds 1..8 candidate routes for one prefix with randomized
 // preference attributes, drawn so ties are common (the interesting regime
 // for multipath and tie-break rules).
-func genCandidates(r *rand.Rand) []candidate {
+func genCandidates(r *rand.Rand) []Candidate {
 	n := 1 + r.Intn(8)
-	cands := make([]candidate, 0, n)
+	cands := make([]Candidate, 0, n)
 	for i := 0; i < n; i++ {
 		pathLen := 1 + r.Intn(3)
 		path := make([]uint32, pathLen)
@@ -32,9 +32,9 @@ func genCandidates(r *rand.Rand) []candidate {
 		if r.Intn(2) == 0 {
 			comms = []string{"D"}
 		}
-		cands = append(cands, candidate{
-			session: SessionID(fmt.Sprintf("s%d", i)),
-			attrs: core.RouteAttrs{
+		cands = append(cands, Candidate{
+			Session: SessionID(fmt.Sprintf("s%d", i)),
+			Attrs: core.RouteAttrs{
 				Prefix:      netip.MustParsePrefix("0.0.0.0/0"),
 				ASPath:      path,
 				Communities: comms,
@@ -51,10 +51,10 @@ func genCandidates(r *rand.Rand) []candidate {
 
 // sessionSet projects a selection to the set of chosen sessions, the
 // order- and index-independent identity of a selection.
-func sessionSet(cands []candidate, idx []int) map[SessionID]bool {
+func sessionSet(cands []Candidate, idx []int) map[SessionID]bool {
 	out := make(map[SessionID]bool, len(idx))
 	for _, i := range idx {
-		out[cands[i].session] = true
+		out[cands[i].Session] = true
 	}
 	return out
 }
@@ -82,7 +82,7 @@ func TestPropertyNativeSelectPermutationInvariance(t *testing.T) {
 	r := rand.New(rand.NewSource(401))
 	for trial := 0; trial < propTrials; trial++ {
 		cands := genCandidates(r)
-		perm := make([]candidate, len(cands))
+		perm := make([]Candidate, len(cands))
 		for i, j := range r.Perm(len(cands)) {
 			perm[i] = cands[j]
 		}
@@ -118,12 +118,12 @@ func TestPropertySelectPathsPermutationInvariance(t *testing.T) {
 		cands := genCandidates(r)
 		attrs := make([]core.RouteAttrs, len(cands))
 		for i := range cands {
-			attrs[i] = cands[i].attrs
+			attrs[i] = cands[i].Attrs
 		}
 		dec := ev.SelectPaths(attrs, 4)
 		order := r.Perm(len(cands))
 		permAttrs := make([]core.RouteAttrs, len(cands))
-		permCands := make([]candidate, len(cands))
+		permCands := make([]Candidate, len(cands))
 		for i, j := range order {
 			permAttrs[i] = attrs[j]
 			permCands[i] = cands[j]
@@ -160,7 +160,7 @@ func TestPropertyLeastFavorableRule(t *testing.T) {
 		maxLen := 0
 		inSelection := false
 		for _, i := range selected {
-			if l := len(cands[i].attrs.ASPath); l > maxLen {
+			if l := len(cands[i].Attrs.ASPath); l > maxLen {
 				maxLen = l
 			}
 			if i == worst {
@@ -170,10 +170,10 @@ func TestPropertyLeastFavorableRule(t *testing.T) {
 		if !inSelection {
 			t.Fatalf("trial %d: leastFavorable returned %d, not in selection %v", trial, worst, selected)
 		}
-		if got := len(cands[worst].attrs.ASPath); got != maxLen {
+		if got := len(cands[worst].Attrs.ASPath); got != maxLen {
 			t.Fatalf("trial %d: least-favorable path len %d, selection max %d (cands %+v)", trial, got, maxLen, cands)
 		}
-		if better(&cands[worst].attrs, &cands[best].attrs) {
+		if better(&cands[worst].Attrs, &cands[best].Attrs) {
 			t.Fatalf("trial %d: least favorable strictly better than best", trial)
 		}
 	}

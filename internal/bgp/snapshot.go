@@ -1,21 +1,20 @@
 package bgp
 
 // Checkpoint support: SpeakerState is the complete serializable state of a
-// Speaker — configuration, peers, Adj-RIB-In (exported per session, derived
-// from the per-prefix columns), originated prefixes,
-// per-prefix decision bookkeeping (Adj-RIB-Out, baselines, last decision),
-// the deployed RPA config with its match cache, the FIB, and the activity
-// counters. NewSpeakerFromState rebuilds an equivalent speaker by direct
-// state injection: unlike AddPeer/Originate/SetRPA it runs no decision
-// process and emits nothing, so restoring is side-effect free and a
-// restored speaker continues byte-identically to the captured one.
+// Speaker — configuration, peers, originated prefixes, per-prefix state in
+// the engine's own layout (the Adj-RIB-In and Adj-RIB-Out columns, baselines,
+// last decision), the deployed RPA config with its match cache, the FIB, and
+// the activity counters. NewSpeakerFromState rebuilds an equivalent speaker
+// by direct state injection: unlike AddPeer/Originate/SetRPA it runs no
+// decision process and emits nothing, so restoring is side-effect free and a
+// restored speaker continues byte-identically to the captured one. It adopts
+// the columns by reference: a SpeakerState handed to it must never be
+// written again, and the speaker copies a column before its first write.
 
 import (
 	"encoding/json"
 	"fmt"
 	"net/netip"
-	"slices"
-	"strings"
 
 	"centralium/internal/core"
 	"centralium/internal/fib"
@@ -30,12 +29,6 @@ type PeerState struct {
 	Prepend  int
 }
 
-// AdjRIBInState holds one session's received routes, sorted by prefix.
-type AdjRIBInState struct {
-	Session SessionID
-	Routes  []core.RouteAttrs
-}
-
 // OriginatedState is the serializable form of one locally originated
 // prefix.
 type OriginatedState struct {
@@ -46,22 +39,14 @@ type OriginatedState struct {
 	InstallFIB    bool
 }
 
-// AdvState is one Adj-RIB-Out entry: what was last advertised on a session
-// for a prefix (the duplicate-suppression state).
-type AdvState struct {
-	Session SessionID
-	PathKey string
-	BW      float64
-	PathLen int
-}
-
-// PrefixBookState is the per-prefix decision bookkeeping.
+// PrefixBookState is the per-prefix bookkeeping and the prefix's two columns.
 type PrefixBookState struct {
 	Prefix     netip.Prefix
 	Baseline   int
 	HasLast    bool
 	Last       DecisionInfo
-	Advertised []AdvState // sorted by session
+	Cands      []Candidate // Adj-RIB-In column, sorted by session
+	Advertised []AdvState  // Adj-RIB-Out column, sorted by session
 }
 
 // SpeakerState is the complete serializable state of one speaker. All
@@ -72,7 +57,6 @@ type SpeakerState struct {
 	Stats   Stats
 
 	Peers      []PeerState       // sorted by session
-	AdjIn      []AdjRIBInState   // one per peer session, sorted by session
 	Originated []OriginatedState // sorted by prefix
 	Prefixes   []PrefixBookState // sorted by prefix
 
@@ -86,41 +70,21 @@ type SpeakerState struct {
 // outbox is non-empty: the fabric drains outboxes synchronously after
 // every event, so pending messages mean the caller is checkpointing
 // mid-event, where no consistent cut exists. The result shares no mutable
-// memory with the speaker: route AS paths and communities are immutable
-// everywhere (see HandleUpdate) and travel by reference.
+// memory with the speaker: the columns are copied (into one allocation per
+// speaker each), route AS paths and communities are immutable everywhere
+// (see HandleUpdate) and travel by reference.
 func (s *Speaker) ExportState() (SpeakerState, error) {
 	if len(s.outbox) > 0 {
 		return SpeakerState{}, fmt.Errorf("bgp %s: %d undelivered outbox messages; checkpoint only between events", s.cfg.ID, len(s.outbox))
 	}
 	st := SpeakerState{Cfg: s.cfg, Drained: s.drained, Stats: s.stats}
 
-	sessions := s.sessionOrder()
-	ribOf := make(map[SessionID]int, len(sessions))
-	if len(sessions) > 0 {
-		st.AdjIn = make([]AdjRIBInState, len(sessions))
-	}
-	for i, sess := range sessions {
+	for _, sess := range s.sessionOrder() {
 		pr := s.peers[sess]
 		st.Peers = append(st.Peers, PeerState{
 			Session: sess, Device: pr.device, ASN: pr.asn,
 			LinkGbps: pr.linkGbps, Prepend: pr.prepend,
 		})
-		st.AdjIn[i].Session = sess
-		ribOf[sess] = i
-	}
-
-	known := make([]netip.Prefix, 0, len(s.prefixes))
-	for p := range s.prefixes {
-		known = append(known, p)
-	}
-	sortPrefixes(known)
-	// The per-session Adj-RIB-In view, derived from the columns: walking
-	// prefixes in sorted order leaves every session's routes sorted.
-	for _, p := range known {
-		for _, c := range s.prefixes[p].cands {
-			rib := &st.AdjIn[ribOf[c.session]]
-			rib.Routes = append(rib.Routes, c.attrs)
-		}
 	}
 
 	origins := make([]netip.Prefix, 0, len(s.originated))
@@ -139,21 +103,34 @@ func (s *Speaker) ExportState() (SpeakerState, error) {
 		})
 	}
 
-	for _, p := range known {
+	known := make([]netip.Prefix, 0, len(s.prefixes))
+	nCands, nAdv := 0, 0
+	for p, b := range s.prefixes {
+		known = append(known, p)
+		nCands += len(b.cands)
+		nAdv += len(b.advertised)
+	}
+	sortPrefixes(known)
+	cands := make([]Candidate, 0, nCands)
+	advs := make([]AdvState, 0, nAdv)
+	if len(known) > 0 {
+		st.Prefixes = make([]PrefixBookState, len(known))
+	}
+	for i, p := range known {
 		b := s.prefixes[p]
-		pb := PrefixBookState{Prefix: p, Baseline: b.baseline, HasLast: b.hasLast, Last: b.last}
-		if len(b.advertised) > 0 {
-			pb.Advertised = make([]AdvState, 0, len(b.advertised))
-			for id, a := range b.advertised {
-				pb.Advertised = append(pb.Advertised, AdvState{
-					Session: id, PathKey: a.pathKey(), BW: a.bw, PathLen: a.pathLen,
-				})
-			}
-			slices.SortFunc(pb.Advertised, func(x, y AdvState) int {
-				return strings.Compare(string(x.Session), string(y.Session))
-			})
+		pb := &st.Prefixes[i]
+		*pb = PrefixBookState{Prefix: p, Baseline: b.baseline, HasLast: b.hasLast, Last: b.last}
+		if n := len(b.cands); n > 0 {
+			cands = append(cands, b.cands...)
+			pb.Cands = cands[len(cands)-n : len(cands) : len(cands)]
 		}
-		st.Prefixes = append(st.Prefixes, pb)
+		if n := len(b.advertised); n > 0 {
+			for j := range b.advertised {
+				a := &b.advertised[j]
+				advs = append(advs, AdvState{Session: a.Session, PathKey: a.pathKey(), BW: a.BW, PathLen: a.PathLen})
+			}
+			pb.Advertised = advs[len(advs)-n : len(advs) : len(advs)]
+		}
 	}
 
 	if !s.rpaCfg.IsEmpty() || s.rpaCfg.Version != 0 {
@@ -171,20 +148,28 @@ func (s *Speaker) ExportState() (SpeakerState, error) {
 // NewSpeakerFromState rebuilds a speaker from a checkpoint. The clock
 // function plays the same role as in NewSpeaker. The speaker starts with
 // no tap attached; the owner re-attaches telemetry after restore.
+//
+// Well-formed columns (sessions strictly ascending, every one a peer) are
+// adopted by reference behind one prefixState slab; anything else is rejected
+// (unknown session) or rebuilt sorted, last write winning, in owned memory.
 func NewSpeakerFromState(st SpeakerState, now func() int64) (*Speaker, error) {
-	s := NewSpeaker(st.Cfg, now)
+	s := newSpeaker(st.Cfg, now)
 	s.drained = st.Drained
 	s.stats = st.Stats
 
-	for _, p := range st.Peers {
+	s.peers = make(map[SessionID]*peer, len(st.Peers))
+	peers := make([]peer, len(st.Peers))
+	for i, p := range st.Peers {
 		if _, dup := s.peers[p.Session]; dup {
 			return nil, fmt.Errorf("bgp %s: duplicate peer session %q in state", st.Cfg.ID, p.Session)
 		}
-		s.peers[p.Session] = &peer{
+		peers[i] = peer{
 			session: p.Session, device: p.Device, asn: p.ASN,
 			linkGbps: p.LinkGbps, prepend: p.Prepend,
 		}
+		s.peers[p.Session] = &peers[i]
 	}
+	s.originated = make(map[netip.Prefix]originInfo, len(st.Originated))
 	for _, o := range st.Originated {
 		s.originated[o.Prefix] = originInfo{
 			communities:   o.Communities,
@@ -193,79 +178,68 @@ func NewSpeakerFromState(st SpeakerState, now func() int64) (*Speaker, error) {
 			installFIB:    o.InstallFIB,
 		}
 	}
-	for _, pb := range st.Prefixes {
-		b := &prefixState{
-			advertised: make(map[SessionID]adv, len(pb.Advertised)),
-			baseline:   pb.Baseline,
-			last:       pb.Last,
-			hasLast:    pb.HasLast,
-		}
-		for _, a := range pb.Advertised {
-			if s.peers[a.Session] == nil {
-				return nil, fmt.Errorf("bgp %s: Adj-RIB-Out for unknown session %q", st.Cfg.ID, a.Session)
+
+	order := s.sessionOrder()
+	s.prefixes = make(map[netip.Prefix]*prefixState, len(st.Prefixes))
+	slab := make([]prefixState, len(st.Prefixes))
+	for i := range st.Prefixes {
+		pb := &st.Prefixes[i]
+		b := &slab[i]
+		b.baseline, b.last, b.hasLast = pb.Baseline, pb.Last, pb.HasLast
+		if n := len(pb.Cands); n > 0 && adoptable(order, n, func(j int) SessionID { return pb.Cands[j].Session }) {
+			b.cands, b.candsShared = pb.Cands[:n:n], true
+		} else {
+			for j := range pb.Cands {
+				c := &pb.Cands[j]
+				if s.peers[c.Session] == nil {
+					return nil, fmt.Errorf("bgp %s: Adj-RIB-In for unknown session %q", st.Cfg.ID, c.Session)
+				}
+				b.setCandidate(c.Session, c.Attrs)
 			}
-			b.advertised[a.Session] = adv{key: a.PathKey, bw: a.BW, pathLen: a.PathLen}
+		}
+		if n := len(pb.Advertised); n > 0 && adoptable(order, n, func(j int) SessionID { return pb.Advertised[j].Session }) {
+			b.advertised, b.advShared = pb.Advertised[:n:n], true
+		} else {
+			for _, a := range pb.Advertised {
+				if s.peers[a.Session] == nil {
+					return nil, fmt.Errorf("bgp %s: Adj-RIB-Out for unknown session %q", st.Cfg.ID, a.Session)
+				}
+				j, found := b.findAdv(a.Session)
+				b.advertised = putEntry(b.advertised, &b.advShared, j, found, a)
+			}
 		}
 		s.prefixes[pb.Prefix] = b
 	}
-	if err := s.restoreAdjIn(st.AdjIn); err != nil {
-		return nil, err
-	}
 
+	s.rpaCfg = noRPA
 	if len(st.RPA) > 0 {
-		var cfg core.Config
-		if err := json.Unmarshal(st.RPA, &cfg); err != nil {
+		s.rpaCfg = new(core.Config)
+		if err := json.Unmarshal(st.RPA, s.rpaCfg); err != nil {
 			return nil, fmt.Errorf("bgp %s: unmarshal RPA config: %w", st.Cfg.ID, err)
 		}
-		ev, err := core.NewEvaluator(&cfg)
-		if err != nil {
-			return nil, fmt.Errorf("bgp %s: recompile RPA config: %w", st.Cfg.ID, err)
-		}
-		s.rpa = ev
-		s.rpaCfg = &cfg
+	}
+	var err error
+	if s.rpa, err = core.NewEvaluator(s.rpaCfg); err != nil {
+		return nil, fmt.Errorf("bgp %s: recompile RPA config: %w", st.Cfg.ID, err)
 	}
 	s.rpa.Cache().RestoreState(st.Cache)
 	s.fibTbl = fib.NewFromState(st.FIB)
 	return s, nil
 }
 
-// restoreAdjIn rebuilds the per-prefix columns from the per-session
-// checkpoint form. All columns are carved, at their exact size, out of one
-// allocation (a capped sub-slice each, so a column that later grows moves
-// out instead of running into its neighbour). Well-formed state lists
-// sessions in sorted order, which makes every insert an append; anything
-// else still ends up sorted and duplicate-free, last write winning.
-func (s *Speaker) restoreAdjIn(ribs []AdjRIBInState) error {
-	total := 0
-	for i := range ribs {
-		if s.peers[ribs[i].Session] == nil {
-			return fmt.Errorf("bgp %s: Adj-RIB-In for unknown session %q", s.cfg.ID, ribs[i].Session)
-		}
-		total += len(ribs[i].Routes)
-	}
-	if total == 0 {
-		return nil
-	}
-	// Count each column's routes in its (still empty) slice length, then
-	// carve.
-	backing := make([]candidate, total)
-	for i := range ribs {
-		for j := range ribs[i].Routes {
-			st := s.state(ribs[i].Routes[j].Prefix)
-			st.cands = backing[:len(st.cands)+1]
+// adoptable reports whether a column of n entries, whose j-th session is
+// at(j), may be used in place: its sessions must be a subsequence of order
+// (the speaker's sessions, ascending), i.e. strictly ascending and all
+// known. A checkpoint's session IDs usually are the peer list's own strings,
+// so most comparisons end at the pointer.
+func adoptable(order []SessionID, n int, at func(int) SessionID) bool {
+	j := 0
+	for _, sess := range order {
+		if at(j) == sess {
+			if j++; j == n {
+				return true
+			}
 		}
 	}
-	for _, st := range s.prefixes {
-		if n := len(st.cands); n > 0 {
-			st.cands = backing[:0:n]
-			backing = backing[n:]
-		}
-	}
-	for i := range ribs {
-		for j := range ribs[i].Routes {
-			r := &ribs[i].Routes[j]
-			s.prefixes[r.Prefix].setCandidate(ribs[i].Session, *r)
-		}
-	}
-	return nil
+	return false
 }

@@ -72,7 +72,6 @@ type Speaker struct {
 	hopsScratch     []fib.NextHop
 	selScratch      []int
 	weightScratch   []int
-	sessScratch     []SessionID
 	advScratch      []*advContent
 	distinctScratch map[string]struct{}
 }
@@ -80,28 +79,34 @@ type Speaker struct {
 // NewSpeaker constructs a speaker. The clock function may be nil (treated
 // as a constant zero clock).
 func NewSpeaker(cfg Config, now func() int64) *Speaker {
+	emptyRPA, err := core.NewEvaluator(noRPA)
+	if err != nil {
+		panic("bgp: empty RPA config failed to compile: " + err.Error())
+	}
+	s := newSpeaker(cfg, now)
+	s.peers = make(map[SessionID]*peer)
+	s.originated = make(map[netip.Prefix]originInfo)
+	s.prefixes = make(map[netip.Prefix]*prefixState)
+	s.rpa, s.rpaCfg = emptyRPA, noRPA
+	s.fibTbl = fib.New(cfg.FIBGroupLimit)
+	return s
+}
+
+// newSpeaker applies the configuration defaults; the caller fills in the
+// maps, the RPA evaluator and the FIB (empty ones, or a checkpoint's).
+func newSpeaker(cfg Config, now func() int64) *Speaker {
 	if cfg.LocalPref == 0 {
 		cfg.LocalPref = 100
 	}
 	if now == nil {
 		now = func() int64 { return 0 }
 	}
-	emptyRPA, err := core.NewEvaluator(&core.Config{})
-	if err != nil {
-		panic("bgp: empty RPA config failed to compile: " + err.Error())
-	}
-	return &Speaker{
-		cfg:           cfg,
-		fullRecompute: DefaultFullRecompute(),
-		peers:         make(map[SessionID]*peer),
-		originated:    make(map[netip.Prefix]originInfo),
-		prefixes:      make(map[netip.Prefix]*prefixState),
-		rpa:           emptyRPA,
-		rpaCfg:        &core.Config{},
-		fibTbl:        fib.New(cfg.FIBGroupLimit),
-		now:           now,
-	}
+	return &Speaker{cfg: cfg, fullRecompute: DefaultFullRecompute(), now: now}
 }
+
+// noRPA is the configuration of every speaker without a deployed RPA, shared
+// and never written (SetRPA replaces a speaker's config, it does not edit it).
+var noRPA = &core.Config{}
 
 // ID returns the speaker's device name.
 func (s *Speaker) ID() string { return s.cfg.ID }
@@ -201,7 +206,7 @@ func (s *Speaker) RemovePeer(sess SessionID) {
 		if st.dropCandidate(sess) {
 			affected = append(affected, p)
 		}
-		delete(st.advertised, sess)
+		st.dropAdv(sess)
 	}
 	sortPrefixes(affected)
 	delete(s.peers, sess)
@@ -294,7 +299,7 @@ func (s *Speaker) Drained() bool { return s.drained }
 // operation whose latency Figure 12 reports.
 func (s *Speaker) SetRPA(cfg *core.Config) error {
 	if cfg == nil {
-		cfg = &core.Config{}
+		cfg = noRPA
 	}
 	ev, err := core.NewEvaluator(cfg)
 	if err != nil {
@@ -450,7 +455,7 @@ func (s *Speaker) Candidates(p netip.Prefix) []core.RouteAttrs {
 	cands := s.gather(p)
 	out := make([]core.RouteAttrs, len(cands))
 	for i := range cands {
-		out[i] = cands[i].attrs
+		out[i] = cands[i].Attrs
 	}
 	return out
 }
@@ -526,8 +531,9 @@ func (s *Speaker) AdjRIBOut(p netip.Prefix) map[SessionID]AdvertisedRoute {
 		return nil
 	}
 	out := make(map[SessionID]AdvertisedRoute, len(st.advertised))
-	for sess, a := range st.advertised {
-		out[sess] = AdvertisedRoute{PathLen: a.pathLen, PathKey: a.pathKey()}
+	for i := range st.advertised {
+		a := &st.advertised[i]
+		out[a.Session] = AdvertisedRoute{PathLen: a.PathLen, PathKey: a.pathKey()}
 	}
 	return out
 }
@@ -539,7 +545,7 @@ func (s *Speaker) AdvertiseMode() AdvertiseMode { return s.cfg.Advertise }
 func (s *Speaker) state(p netip.Prefix) *prefixState {
 	st := s.prefixes[p]
 	if st == nil {
-		st = &prefixState{advertised: make(map[SessionID]adv)}
+		st = &prefixState{}
 		s.prefixes[p] = st
 	}
 	return st

@@ -166,45 +166,50 @@ func sameContent(a, b *advContent) bool {
 	return slices.Equal(a.comms, b.comms) || a.pathKey() == b.pathKey()
 }
 
-// adv is the last advertisement sent on a session for a prefix, used to
-// suppress duplicate updates.
-type adv struct {
-	// content is nil for an entry that came out of a snapshot, which carries
-	// only the rendered key; the next advertise call on the prefix compares
-	// by key and upgrades the entry.
-	content *advContent
-	key     string
-	bw      float64
-	// pathLen is the advertised AS-path length including this speaker's own
+// AdvState is one Adj-RIB-Out entry: what was last advertised on a session
+// for a prefix, used to suppress duplicate updates. It is the engine's
+// column entry and the checkpoint's: at rest content is nil and PathKey
+// rendered; a live entry carries the content and renders the key on demand.
+type AdvState struct {
+	Session SessionID
+	PathKey string
+	BW      float64
+	// PathLen is the advertised AS-path length including this speaker's own
 	// prepends; the invariant checkers compare it against the decision's
 	// selected-path lengths (§5.3.1 consistency).
-	pathLen int
+	PathLen int
+
+	// content is nil for an entry that came out of a checkpoint, which
+	// carries only the rendered key; the next advertise call on the prefix
+	// compares by key and upgrades the entry.
+	content *advContent
 }
 
 // pathKey returns the entry's canonical advertisement identity.
-func (a *adv) pathKey() string {
+func (a *AdvState) pathKey() string {
 	if a.content != nil {
 		return a.content.pathKey()
 	}
-	return a.key
+	return a.PathKey
 }
 
 // matches reports whether the entry already carries content c at bandwidth
 // bw, so re-sending would be a duplicate.
-func (a *adv) matches(c *advContent, bw float64) bool {
-	if a.bw != bw {
+func (a *AdvState) matches(c *advContent, bw float64) bool {
+	if a.BW != bw {
 		return false
 	}
 	if a.content != nil {
 		return sameContent(a.content, c)
 	}
-	return a.key == c.pathKey()
+	return a.PathKey == c.pathKey()
 }
 
-// candidate pairs a RIB route with the session it arrived on.
-type candidate struct {
-	attrs   core.RouteAttrs
-	session SessionID
+// Candidate pairs a RIB route with the session it arrived on: one entry of
+// a prefix's Adj-RIB-In column, in the engine and in a checkpoint alike.
+type Candidate struct {
+	Attrs   core.RouteAttrs
+	Session SessionID
 }
 
 // prefixState is per-prefix bookkeeping.
@@ -214,9 +219,18 @@ type prefixState struct {
 	// process reads, so gather hands it out in place. It is the only
 	// Adj-RIB-In store; the per-session view (ExportState, RemovePeer) is
 	// derived from it.
-	cands []candidate
+	cands []Candidate
 
-	advertised map[SessionID]adv
+	// advertised is the prefix's column of the Adj-RIB-Out: the last
+	// advertisement per session, sorted by session.
+	advertised []AdvState
+
+	// candsShared and advShared mark a column adopted by reference from a
+	// checkpoint: the snapshot and every sibling fork read the same memory,
+	// so the first in-place write copies it (owned), and its
+	// capacity is clipped to its length so no append can reach it either.
+	candsShared, advShared bool
+
 	// baseline is the high-water count of distinct candidate next-hop
 	// devices, the denominator for percentage MinNextHop thresholds.
 	baseline int
@@ -252,7 +266,7 @@ type prefixState struct {
 	advEpoch uint64
 	advFrom  SessionID
 	advBW    float64
-	advRoute core.RouteAttrs
+	advRoute advRoute
 
 	// FIB memo: the exact hop set last installed for the prefix. A repeat
 	// install of an equal set is a same-key rewrite, replayed via
@@ -260,6 +274,14 @@ type prefixState struct {
 	// Invalidated whenever the decision process removes the entry.
 	fibOK   bool
 	fibHops []fib.NextHop
+}
+
+// advRoute is what the advertise step reads of the route it is handed,
+// besides the prefix; the slices are the route's own (routes are immutable).
+type advRoute struct {
+	origin core.Origin
+	path   []uint32
+	comms  []string
 }
 
 // DecisionInfo snapshots the outcome of the last decision-process run for
@@ -318,31 +340,58 @@ type OutMsg struct {
 	Update  Update
 }
 
-// findCandidate returns the column position of sess, or where it would be
-// inserted.
-func (st *prefixState) findCandidate(sess SessionID) (int, bool) {
-	lo, hi := 0, len(st.cands)
+// The Adj-RIB-In and Adj-RIB-Out columns are both sorted by session; candKey
+// and advKey name an entry's session for the helpers they share.
+func candKey(c *Candidate) SessionID { return c.Session }
+func advKey(a *AdvState) SessionID   { return a.Session }
+
+// seek returns the column position of sess, or where it would be inserted.
+// It is kept small enough to inline, which turns key into a field read.
+func seek[T any](col []T, key func(*T) SessionID, sess SessionID) int {
+	lo, hi := 0, len(col)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if st.cands[mid].session < sess {
+		if key(&col[mid]) < sess {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(st.cands) && st.cands[lo].session == sess
+	return lo
+}
+
+// owned returns col writable in place: itself or, if it is still shared
+// with a checkpoint, a copy with room for grow more entries.
+func owned[T any](col []T, shared *bool, grow int) []T {
+	if *shared {
+		col = append(make([]T, 0, len(col)+grow), col...)
+		*shared = false
+	}
+	return col
+}
+
+// putEntry writes e at the position seek returned for its session: over the
+// entry found there, or inserted.
+func putEntry[T any](col []T, shared *bool, i int, found bool, e T) []T {
+	if found {
+		col = owned(col, shared, 0)
+		col[i] = e
+		return col
+	}
+	return slices.Insert(owned(col, shared, 1), i, e)
+}
+
+// findCandidate returns the column position of sess's route and whether
+// there is one.
+func (st *prefixState) findCandidate(sess SessionID) (int, bool) {
+	i := seek(st.cands, candKey, sess)
+	return i, i < len(st.cands) && st.cands[i].Session == sess
 }
 
 // setCandidate writes the route received on sess into the column.
 func (st *prefixState) setCandidate(sess SessionID, attrs core.RouteAttrs) {
 	i, found := st.findCandidate(sess)
-	if found {
-		st.cands[i].attrs = attrs
-		return
-	}
-	st.cands = append(st.cands, candidate{})
-	copy(st.cands[i+1:], st.cands[i:])
-	st.cands[i] = candidate{attrs: attrs, session: sess}
+	st.cands = putEntry(st.cands, &st.candsShared, i, found, Candidate{Attrs: attrs, Session: sess})
 }
 
 // dropCandidate removes sess's route from the column and reports whether
@@ -350,7 +399,21 @@ func (st *prefixState) setCandidate(sess SessionID, attrs core.RouteAttrs) {
 func (st *prefixState) dropCandidate(sess SessionID) bool {
 	i, found := st.findCandidate(sess)
 	if found {
-		st.cands = slices.Delete(st.cands, i, i+1)
+		st.cands = slices.Delete(owned(st.cands, &st.candsShared, 0), i, i+1)
+	}
+	return found
+}
+
+// findAdv and dropAdv are the same over the Adj-RIB-Out column.
+func (st *prefixState) findAdv(sess SessionID) (int, bool) {
+	i := seek(st.advertised, advKey, sess)
+	return i, i < len(st.advertised) && st.advertised[i].Session == sess
+}
+
+func (st *prefixState) dropAdv(sess SessionID) bool {
+	i, found := st.findAdv(sess)
+	if found {
+		st.advertised = slices.Delete(owned(st.advertised, &st.advShared, 0), i, i+1)
 	}
 	return found
 }

@@ -5,6 +5,11 @@ import (
 	"encoding/json"
 	"os"
 	"testing"
+
+	"centralium/internal/fabric"
+	"centralium/internal/migrate"
+	"centralium/internal/snapshot"
+	"centralium/internal/topo"
 )
 
 // The bench-regression guard, gated behind CENTRALIUM_BENCH_GUARD=1
@@ -23,6 +28,10 @@ import (
 //   - Allocation budget: allocs/event at medium within the 2.0 budget
 //     (+15%), the engine hot path's contract (DESIGN.md, "Engine data
 //     layout and the immutability contract").
+//   - Restore budget: allocations of one restore of the converged medium
+//     fabric within +15% of the committed count (the `fork-sharing` row). A
+//     restore adopts the snapshot's RIB columns instead of rebuilding them;
+//     a change that re-grows it to per-route work fails here.
 //
 // Until PR 14 the floor was a 1.8x incremental-vs-oracle wall ratio at
 // medium. That ratio measured mostly how the oracle allocated (5.7M
@@ -83,6 +92,30 @@ func lastHistoryRow(t *testing.T, path, id, label string) map[string]float64 {
 // medium scale; the guard allows 15% over it.
 const allocsPerEventBudget = 2.0
 
+// mediumRestoreAllocs converges the scale point as RunConvergenceMode does,
+// captures it, and counts the allocations of one restore.
+func mediumRestoreAllocs(t *testing.T, sc ConvergenceScale) float64 {
+	t.Helper()
+	tp := topo.BuildFabric(sc.Params)
+	n := fabric.New(tp, fabric.Options{Seed: 42})
+	for _, eb := range tp.ByLayer(topo.LayerEB) {
+		n.OriginateAt(eb.ID, migrate.DefaultRoute, []string{migrate.BackboneCommunity}, 0)
+	}
+	for _, rsw := range tp.ByLayer(topo.LayerRSW) {
+		n.OriginateAt(rsw.ID, rackPrefix(rsw), nil, 0)
+	}
+	n.Converge()
+	snap, err := snapshot.Capture(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return testing.AllocsPerRun(3, func() {
+		if _, err := snap.Restore(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 func TestBenchGuard(t *testing.T) {
 	if os.Getenv("CENTRALIUM_BENCH_GUARD") != "1" {
 		t.Skip("set CENTRALIUM_BENCH_GUARD=1 to run the bench-regression guard")
@@ -102,6 +135,9 @@ func TestBenchGuard(t *testing.T) {
 		full.Wall, incr.Wall, float64(full.Wall)/float64(incr.Wall),
 		float64(incr.Mallocs)/float64(incr.Events), float64(full.Mallocs)/float64(full.Events))
 
+	restore := lastHistoryRow(t, history, "fork-sharing", "restore scale=medium")
+	restoreAllocs := mediumRestoreAllocs(t, scales[1])
+
 	virtualMs := func(s ConvergenceStats) float64 { return float64(s.Virtual) / 1e6 }
 	// over is the allowed relative excess of got over want; a negative
 	// value demands equality in both directions.
@@ -120,6 +156,7 @@ func TestBenchGuard(t *testing.T) {
 		{"medium adv-memo hits", float64(incr.AdvMemoHits), medium["adv_memo_hits"], exact},
 		{"medium fib-memo hits", float64(incr.FIBMemoHits), medium["fib_memo_hits"], exact},
 		{"medium incremental allocs/event", float64(incr.Mallocs) / float64(incr.Events), allocsPerEventBudget, 0.15},
+		{"medium restore allocs", restoreAllocs, restore["allocs_after"], 0.15},
 	}
 	for _, row := range table {
 		switch {

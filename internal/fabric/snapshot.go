@@ -60,14 +60,14 @@ type FIFOState struct {
 }
 
 // NetState is the complete serializable state of a Network. It is fully
-// self-contained (the topology travels as its JSON export) and shares no
-// memory with the network, so one captured state can seed any number of
-// independent restored networks.
+// self-contained and immutable once built: NewFromState adopts much of it by
+// reference (see there), so one captured state can seed any number of
+// independent restored networks as long as nobody writes to it.
 type NetState struct {
 	Seed        int64
 	BaseLatency time.Duration
 	Jitter      time.Duration
-	Topo        []byte // topo.ExportJSON
+	Topo        *topo.Topology // frozen master: restores clone it, nothing mutates it
 
 	Now       int64
 	Seq       int64
@@ -97,15 +97,11 @@ func (n *Network) ExportState() (*NetState, error) {
 			return nil, fmt.Errorf("fabric: pending control event at t=%v; checkpoints are only consistent when the queue holds pure message deliveries (quiescent points and convergence phases)", time.Duration(k.at))
 		}
 	}
-	topoJSON, err := n.Topo.ExportJSON()
-	if err != nil {
-		return nil, fmt.Errorf("fabric: export topology: %w", err)
-	}
 	st := &NetState{
 		Seed:        n.opts.Seed,
 		BaseLatency: n.opts.BaseLatency,
 		Jitter:      n.opts.Jitter,
-		Topo:        topoJSON,
+		Topo:        n.Topo.Clone(),
 		Now:         n.eng.now,
 		Seq:         n.eng.seq,
 		Processed:   n.eng.processed,
@@ -169,28 +165,27 @@ type RestoreOptions struct {
 	FullRecompute bool
 
 	// Topo, when non-nil, is adopted as the restored network's topology
-	// instead of re-importing the state's JSON export. The network takes
-	// ownership — callers forking one state many times pass a fresh
-	// Clone() per restore. It must describe the same topology the state
-	// was captured on; the device/session cross-checks below enforce the
-	// shape.
+	// instead of a clone of the state's master. The network takes ownership
+	// — callers forking one state many times pass a fresh Clone() per
+	// restore. It must describe the same topology the state was captured
+	// on; the device/session cross-checks below enforce the shape.
 	Topo *topo.Topology
 }
 
-// NewFromState rebuilds a Network from a checkpoint. Each call yields a
-// fully independent network (everything mutable is copied, the topology
-// re-imported; AS paths and communities are immutable and shared with the
-// state), which is what makes cheap what-if forking possible: decode once,
-// restore N times, diverge each branch freely. Taps, hooks, and
-// perturbers start detached; callers re-attach their own wiring.
+// NewFromState rebuilds a Network from a checkpoint. Each call yields an
+// independent network, which is what makes cheap what-if forking possible:
+// decode once, restore N times, diverge each branch freely. What a network
+// edits in place it gets a copy of (topology, queue, FIBs, match caches);
+// what the engine treats as immutable it shares read-only with the state and
+// every sibling restore: AS paths and community lists, and each speaker's
+// Adj-RIB-In and Adj-RIB-Out columns, which the speaker copies before its
+// first write to one (bgp.NewSpeakerFromState). Nothing may write to st once
+// it has been restored from. Taps, hooks, and perturbers start detached;
+// callers re-attach their own wiring.
 func NewFromState(st *NetState, opts RestoreOptions) (*Network, error) {
 	t := opts.Topo
 	if t == nil {
-		var err error
-		t, err = topo.ImportJSON(st.Topo)
-		if err != nil {
-			return nil, fmt.Errorf("fabric: restore topology: %w", err)
-		}
+		t = st.Topo.Clone()
 	}
 	n := &Network{
 		Topo: t,
@@ -207,8 +202,8 @@ func NewFromState(st *NetState, opts RestoreOptions) (*Network, error) {
 			rng:       newSeededRNG(st.Seed, st.RNGDraws),
 			processed: st.Processed,
 		},
-		nodes:    make(map[topo.DeviceID]*Node),
-		sessions: make(map[bgp.SessionID]*session),
+		nodes:    make(map[topo.DeviceID]*Node, len(st.Nodes)),
+		sessions: make(map[bgp.SessionID]*session, len(st.Sessions)),
 	}
 	n.eng.net = n
 
@@ -229,8 +224,8 @@ func NewFromState(st *NetState, opts RestoreOptions) (*Network, error) {
 		node.Speaker = sp
 		n.nodes[d.ID] = node
 	}
-	if len(n.nodes) != len(t.Devices()) {
-		return nil, fmt.Errorf("fabric: state has %d devices, topology has %d", len(n.nodes), len(t.Devices()))
+	if len(n.nodes) != t.NumDevices() {
+		return nil, fmt.Errorf("fabric: state has %d devices, topology has %d", len(n.nodes), t.NumDevices())
 	}
 
 	for li, l := range t.Links() {

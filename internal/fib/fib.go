@@ -376,15 +376,22 @@ func (t *Table) ExportState() TableState {
 // NewFromState rebuilds a table from a checkpoint: NHG objects are
 // re-shared by canonical key with correct reference counts, warm flags are
 // re-applied, and the counters are restored verbatim (reconstruction
-// itself counts as zero writes). The observer starts nil; the owner
+// itself counts as zero writes). A hop set that is already in normal form —
+// every one ExportState wrote is — is shared with the state, not copied: a
+// group's hops are never written. The observer starts nil; the owner
 // re-attaches telemetry after restore.
 func NewFromState(st TableState) *Table {
 	t := New(st.Limit)
+	t.entries = make(map[netip.Prefix]*group, len(st.Entries))
 	for _, e := range st.Entries {
 		key := t.renderKey(e.Hops)
 		g := t.groups[string(key)]
 		if g == nil {
-			g = &group{key: string(key), hops: normalizeHops(e.Hops)}
+			hops := e.Hops
+			if !slices.IsSortedFunc(hops, compareHopID) || weightGCD(hops) != 1 {
+				hops = normalizeHops(hops)
+			}
+			g = &group{key: string(key), hops: hops}
 			t.groups[g.key] = g
 		}
 		g.refs++

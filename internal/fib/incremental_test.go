@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/netip"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -160,5 +161,30 @@ func TestTouchRestoreRoundTrip(t *testing.T) {
 	}
 	if !back.IsWarm(fibP1) || back.IsWarm(fibP2) {
 		t.Fatal("warm flags lost in round trip")
+	}
+}
+
+// TestNewFromStateSharesOnlyNormalHops: a restored table points its groups
+// at the state's hop sets when they are in normal form (sorted, weights
+// reduced — what ExportState writes) and normalizes a copy otherwise; either
+// way the state is left as it was.
+func TestNewFromStateSharesOnlyNormalHops(t *testing.T) {
+	p, q := netip.MustParsePrefix("10.0.0.0/8"), netip.MustParsePrefix("10.1.0.0/16")
+	normal := []NextHop{{ID: "a", Weight: 1}, {ID: "b", Weight: 3}}
+	raw := []NextHop{{ID: "b", Weight: 2}, {ID: "a", Weight: 2}}
+	st := TableState{Entries: []Entry{{Prefix: p, Hops: normal}, {Prefix: q, Hops: raw}}}
+	tbl := NewFromState(st)
+	if got := tbl.Lookup(p); &got[0] != &normal[0] {
+		t.Error("a hop set in normal form was copied")
+	}
+	got := tbl.Lookup(q)
+	if want := []NextHop{{ID: "a", Weight: 1}, {ID: "b", Weight: 1}}; !slices.Equal(got, want) {
+		t.Errorf("Lookup(%v) = %v, want %v", q, got, want)
+	}
+	if raw[0] != (NextHop{ID: "b", Weight: 2}) || raw[1] != (NextHop{ID: "a", Weight: 2}) {
+		t.Errorf("restore normalized the state's hop set in place: %v", raw)
+	}
+	if tbl.EntryKey(q) != NewFromState(tbl.ExportState()).EntryKey(q) {
+		t.Error("group key changed across a second round trip")
 	}
 }

@@ -322,7 +322,6 @@ func fetchSnapshot(objs ObjectStore, fp string) (*snapshot.Snapshot, error) {
 // run is one guarded execution in flight.
 type run struct {
 	c     *Campaign
-	tp    *topo.Topology
 	waves []planner.Step
 
 	log       strings.Builder
@@ -338,15 +337,15 @@ func newRun(base *snapshot.Snapshot, c Campaign) (*run, error) {
 	if err := c.normalize(); err != nil {
 		return nil, err
 	}
-	n, err := base.Restore()
-	if err != nil {
-		return nil, fmt.Errorf("guard: restore base: %w", err)
-	}
-	r := &run{c: &c, tp: n.Topo}
+	r := &run{c: &c}
 	if len(c.Schedule.Steps) > 0 {
 		r.waves = c.Schedule.Clone().Steps
 	} else {
-		ctl := &controller.Controller{Topo: r.tp}
+		tp, err := base.Topology()
+		if err != nil {
+			return nil, fmt.Errorf("guard: base topology: %w", err)
+		}
+		ctl := &controller.Controller{Topo: tp}
 		r.waves = planner.FromWaves(ctl.Waves(controller.Rollout{
 			Intent: c.Intent, OriginAltitude: c.OriginAltitude,
 		})).Steps
@@ -358,7 +357,7 @@ func newRun(base *snapshot.Snapshot, c Campaign) (*run, error) {
 }
 
 func (r *run) restore(snap *snapshot.Snapshot) (*fabric.Network, error) {
-	n, err := snap.RestoreWith(fabric.RestoreOptions{Topo: r.tp.Clone()})
+	n, err := snap.Restore()
 	if err != nil {
 		return nil, fmt.Errorf("guard: restore: %w", err)
 	}
@@ -375,16 +374,12 @@ func (r *run) transition(st State, wave, attempt int, detail string) {
 	}
 }
 
-// persist journals the guard record (and puts the snapshot in the object
-// store) for the given resume point; started marks a checkpoint taken
-// after the wave's start line was logged; term carries the terminal
-// fields.
-func (r *run) persist(snap *snapshot.Snapshot, fp string, wave, attempt int, started bool, term *Checkpoint) error {
+// persist journals the guard record (and puts the last-good snapshot's
+// encoding in the object store) for the given resume point; started marks
+// a checkpoint taken after the wave's start line was logged; term carries
+// the terminal fields.
+func (r *run) persist(enc []byte, fp string, wave, attempt int, started bool, term *Checkpoint) error {
 	if r.c.Objects != nil {
-		enc, err := snap.Encode()
-		if err != nil {
-			return fmt.Errorf("guard: encode snapshot: %w", err)
-		}
 		if err := r.c.Objects.Put(fp, enc); err != nil {
 			return fmt.Errorf("guard: object store: %w", err)
 		}
@@ -425,22 +420,22 @@ func (r *run) drive(ctx context.Context, lastGood *snapshot.Snapshot, startWave,
 	var net *fabric.Network
 	for w := startWave; w < len(r.waves); w++ {
 		step := r.waves[w]
-		fp, err := lastGood.Fingerprint()
+		enc, fp, err := lastGood.EncodeWithFingerprint()
 		if err != nil {
-			return nil, fmt.Errorf("guard: fingerprint: %w", err)
+			return nil, fmt.Errorf("guard: encode snapshot: %w", err)
 		}
 		attempt0, startedHere := 0, false
 		if w == startWave {
 			attempt0, startedHere = startAttempt, startedAlready
 		}
 		if r.c.MaxWaves > 0 && wavesThisCall >= r.c.MaxWaves {
-			if err := r.persist(lastGood, fp, w, attempt0, startedHere, nil); err != nil {
+			if err := r.persist(enc, fp, w, attempt0, startedHere, nil); err != nil {
 				return nil, err
 			}
 			r.transition(StatePaused, w, attempt0, "pacing")
 			return r.paused(lastGood, w), nil
 		}
-		if err := r.persist(lastGood, fp, w, attempt0, startedHere, nil); err != nil {
+		if err := r.persist(enc, fp, w, attempt0, startedHere, nil); err != nil {
 			return nil, err
 		}
 		if attempt0 == 0 && !startedHere {
@@ -469,7 +464,7 @@ func (r *run) drive(ctx context.Context, lastGood *snapshot.Snapshot, startWave,
 				// Freeze at the wave boundary: the attempt's fork is
 				// abandoned, the checkpoint re-targets this attempt, and
 				// the resumed run replays it identically.
-				if err := r.persist(lastGood, fp, w, attempt, true, nil); err != nil {
+				if err := r.persist(enc, fp, w, attempt, true, nil); err != nil {
 					return nil, err
 				}
 				r.transition(StatePaused, w, attempt, "context")
@@ -494,10 +489,10 @@ func (r *run) drive(ctx context.Context, lastGood *snapshot.Snapshot, startWave,
 			r.transition(StateRolledBack, w, attempt, short(fp))
 			r.logf("wave %d: pause; roll back to last-good %s", w, short(fp))
 			if attempt >= maxRetries {
-				return r.abort(lastGood, fp, w, attempt, step, viols, m)
+				return r.abort(lastGood, enc, fp, w, attempt, step, viols, m)
 			}
 			r.retries++
-			if err := r.persist(lastGood, fp, w, attempt+1, true, nil); err != nil {
+			if err := r.persist(enc, fp, w, attempt+1, true, nil); err != nil {
 				return nil, err
 			}
 		}
@@ -512,14 +507,14 @@ func (r *run) drive(ctx context.Context, lastGood *snapshot.Snapshot, startWave,
 		lastGood = snap
 		wavesThisCall++
 	}
-	fp, err := lastGood.Fingerprint()
+	enc, fp, err := lastGood.EncodeWithFingerprint()
 	if err != nil {
-		return nil, fmt.Errorf("guard: fingerprint: %w", err)
+		return nil, fmt.Errorf("guard: encode snapshot: %w", err)
 	}
 	r.logf("guard %s: campaign complete: %d wave(s), %d retried attempt(s), %d rollback(s)",
 		r.c.Name, len(r.waves), r.retries, r.rollbacks)
 	term := &Checkpoint{FinalFP: fp}
-	if err := r.persist(lastGood, fp, len(r.waves), 0, false, term); err != nil {
+	if err := r.persist(enc, fp, len(r.waves), 0, false, term); err != nil {
 		return nil, err
 	}
 	r.transition(StateCompleted, len(r.waves), 0, short(fp))
@@ -533,7 +528,7 @@ func (r *run) drive(ctx context.Context, lastGood *snapshot.Snapshot, startWave,
 
 // abort quarantines the offenders, restores the last-good fabric as the
 // terminal state, and seals the incident report.
-func (r *run) abort(lastGood *snapshot.Snapshot, fp string, wave, attempt int, step planner.Step, viols []Violation, m WaveMetrics) (*Result, error) {
+func (r *run) abort(lastGood *snapshot.Snapshot, enc []byte, fp string, wave, attempt int, step planner.Step, viols []Violation, m WaveMetrics) (*Result, error) {
 	q := offenders(viols, step.Devices)
 	r.transition(StateQuarantined, wave, attempt, strings.Join(q, ","))
 	r.logf("wave %d: retry budget exhausted; quarantine [%s]; abort", wave, strings.Join(q, ","))
@@ -548,7 +543,7 @@ func (r *run) abort(lastGood *snapshot.Snapshot, fp string, wave, attempt int, s
 		Log: r.log.String(),
 	}
 	tcp := &Checkpoint{Aborted: true, Quarantined: q, FinalFP: fp, Report: EncodeIncidentReport(report)}
-	if err := r.persist(lastGood, fp, wave, attempt, true, tcp); err != nil {
+	if err := r.persist(enc, fp, wave, attempt, true, tcp); err != nil {
 		return nil, err
 	}
 	r.transition(StateAborted, wave, attempt, short(fp))

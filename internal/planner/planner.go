@@ -154,6 +154,8 @@ type Search struct {
 	p    Params
 	ev   *evaluator
 	base []byte
+	// tp is the base's topology, for layer lookups only.
+	tp *topo.Topology
 
 	beam      []node
 	completed []Candidate
@@ -202,21 +204,22 @@ func newSearchFromState(state []byte, p Params) (*Search, error) {
 	if err != nil {
 		return nil, fmt.Errorf("planner: base snapshot: %w", err)
 	}
-	n, err := snap.Restore()
+	tp, err := snap.Topology()
 	if err != nil {
 		return nil, fmt.Errorf("planner: base snapshot: %w", err)
 	}
 	for _, d := range sortedDevices(p.Intent) {
-		if n.Topo.Device(d) == nil {
+		if tp.Device(d) == nil {
 			return nil, fmt.Errorf("planner: intent device %s not in the snapshot's topology", d)
 		}
 	}
 	s := &Search{
 		p:    p,
 		base: state,
+		tp:   tp,
 		memo: make(map[string]memoEntry),
 	}
-	s.ev = &evaluator{p: &s.p, tp: n.Topo}
+	s.ev = &evaluator{p: &s.p}
 	s.beam = []node{{state: state, fp: fingerprint(state)}}
 	return s, nil
 }
@@ -279,7 +282,7 @@ func (s *Search) wavesByDistance(devs []topo.DeviceID) [][]topo.DeviceID {
 	byDist := make(map[int][]topo.DeviceID)
 	var dists []int
 	for _, d := range devs {
-		dev := s.ev.tp.Device(d)
+		dev := s.tp.Device(d)
 		if dev == nil {
 			continue
 		}
@@ -415,10 +418,23 @@ func (s *Search) Step() (bool, error) {
 		}
 	}
 
+	// Decode each expanding node once; its candidates fork the one decoded
+	// snapshot from the pool (the snapshot concurrency contract covers it).
+	parents := make([]*snapshot.Snapshot, len(s.beam))
+	for _, ex := range uniq {
+		if parents[ex.nodeIdx] == nil {
+			snap, err := s.ev.decode(s.beam[ex.nodeIdx].state)
+			if err != nil {
+				return false, err
+			}
+			parents[ex.nodeIdx] = snap
+		}
+	}
+
 	// Evaluate unique expansions on the pool; results land in the memo.
 	if err := s.runPool(len(uniq), func(i int) error {
 		ex := uniq[i]
-		out, child, err := s.ev.evalStep(s.beam[ex.nodeIdx].state, ex.step)
+		out, child, err := s.ev.evalStep(parents[ex.nodeIdx], ex.step)
 		if err != nil {
 			return err
 		}
@@ -584,7 +600,11 @@ func (s *Search) scoreScheduleLocked(sched Schedule) (*Report, error) {
 		me, ok := s.memo[key]
 		s.mu.Unlock()
 		if !ok {
-			out, child, err := s.ev.evalStep(state, st)
+			parent, err := s.ev.decode(state)
+			if err != nil {
+				return nil, err
+			}
+			out, child, err := s.ev.evalStep(parent, st)
 			if err != nil {
 				return nil, err
 			}

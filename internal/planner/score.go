@@ -242,20 +242,18 @@ func (pb *probe) finish(label string, events int64) StepOutcome {
 }
 
 // evaluator owns the fork/instrument/execute machinery shared by the beam
-// search, the exhaustive baseline, and schedule scoring. The topology is
-// imported once and cloned per fork, exactly as snapshot.Fork does.
+// search, the exhaustive baseline, and schedule scoring.
 type evaluator struct {
-	p  *Params
-	tp *topo.Topology
+	p *Params
 }
 
-// restore rebuilds a running fork from an encoded state.
-func (e *evaluator) restore(state []byte) (*fabric.Network, error) {
+// decode parses an encoded search state.
+func (e *evaluator) decode(state []byte) (*snapshot.Snapshot, error) {
 	snap, err := snapshot.Decode(state)
 	if err != nil {
 		return nil, fmt.Errorf("planner: decode state: %w", err)
 	}
-	return snap.RestoreWith(fabric.RestoreOptions{Topo: e.tp.Clone()})
+	return snap, nil
 }
 
 // capture re-encodes a quiescent fork as the next search state.
@@ -269,9 +267,10 @@ func (e *evaluator) capture(n *fabric.Network) ([]byte, error) {
 
 // evalStep forks the parent state, pushes one wave through the real
 // rollout path (controller.Execute), and returns the measured transient
-// plus the child state.
-func (e *evaluator) evalStep(parent []byte, st Step) (StepOutcome, []byte, error) {
-	n, err := e.restore(parent)
+// plus the child state. It only reads parent, so the pool evaluates every
+// candidate of a beam node against one decoded snapshot.
+func (e *evaluator) evalStep(parent *snapshot.Snapshot, st Step) (StepOutcome, []byte, error) {
+	n, err := parent.Restore()
 	if err != nil {
 		return StepOutcome{}, nil, err
 	}
@@ -312,7 +311,11 @@ func (e *evaluator) evalStep(parent []byte, st Step) (StepOutcome, []byte, error
 // protect. The finalize set is derived from the restored state alone, so
 // memoizing by state fingerprint stays sound.
 func (e *evaluator) evalMigration(state []byte) (StepOutcome, error) {
-	n, err := e.restore(state)
+	snap, err := e.decode(state)
+	if err != nil {
+		return StepOutcome{}, err
+	}
+	n, err := snap.Restore()
 	if err != nil {
 		return StepOutcome{}, err
 	}

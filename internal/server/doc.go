@@ -11,10 +11,10 @@
 // fingerprint (snapshot.Fingerprint); a singleflight latch collapses
 // concurrent cold misses for the same base into one build. Every request
 // then forks its own private network from the cached snapshot
-// (snapshot.RestoreWith on a per-request topology clone) — the
-// concurrency contract pinned by internal/snapshot's tests is exactly
-// what makes one immutable snapshot safely forkable from any number of
-// request goroutines.
+// (snapshot.Restore: the fork clones the topology and shares the RIB
+// columns read-only until it writes one) — the concurrency contract
+// pinned by internal/snapshot's tests is exactly what makes one immutable
+// snapshot safely forkable from any number of request goroutines.
 //
 // # Determinism
 //

@@ -386,15 +386,5 @@ func restoreEntry(st *store.Store, scenarioKey string, rec baseRecord) (*cacheEn
 	if err != nil {
 		return nil, err
 	}
-	n, err := snap.Restore()
-	if err != nil {
-		return nil, err
-	}
-	return &cacheEntry{
-		Fingerprint: rec.Fingerprint,
-		Snap:        snap,
-		Params:      rec.Params,
-		tp:          n.Topo,
-		scenarioKey: scenarioKey,
-	}, nil
+	return &cacheEntry{Fingerprint: rec.Fingerprint, Snap: snap, Params: rec.Params, scenarioKey: scenarioKey}, nil
 }

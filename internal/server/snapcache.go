@@ -14,25 +14,23 @@ import (
 	"centralium/internal/fabric"
 	"centralium/internal/planner"
 	"centralium/internal/snapshot"
-	"centralium/internal/topo"
 )
 
-// cacheEntry is one warm base: the captured snapshot, its identity, the
-// scenario's planning parameters, and a master topology that forks clone
-// instead of re-importing. Everything here is read-only after build.
+// cacheEntry is one warm base: the captured snapshot, its identity, and
+// the scenario's planning parameters. Everything here is read-only after
+// build.
 type cacheEntry struct {
 	Fingerprint string
 	Snap        *snapshot.Snapshot
 	Params      planner.Params
-	tp          *topo.Topology
 	scenarioKey string
 }
 
 // fork materializes a private network from the entry — the per-request
-// isolation step. The topology is cloned per fork (networks mutate
-// drain/cost state on their topology), the snapshot is shared.
+// isolation step. The snapshot is shared; the restore clones its topology
+// (networks mutate drain/cost state on theirs).
 func (e *cacheEntry) fork() (*fabric.Network, error) {
-	return e.Snap.RestoreWith(fabric.RestoreOptions{Topo: e.tp.Clone()})
+	return e.Snap.Restore()
 }
 
 // loadCall is the singleflight latch for one in-progress base build.
@@ -163,18 +161,7 @@ func buildEntry(scenario string, seed int64, key string) (*cacheEntry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fingerprint %s: %w", key, err)
 	}
-	// One restore to materialize the master topology; forks clone it.
-	n, err := snap.Restore()
-	if err != nil {
-		return nil, fmt.Errorf("restore %s: %w", key, err)
-	}
-	return &cacheEntry{
-		Fingerprint: fp,
-		Snap:        snap,
-		Params:      params,
-		tp:          n.Topo,
-		scenarioKey: key,
-	}, nil
+	return &cacheEntry{Fingerprint: fp, Snap: snap, Params: params, scenarioKey: key}, nil
 }
 
 // respMemo is the (fingerprint, request) → response-bytes memo, an LRU.

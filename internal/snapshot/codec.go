@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
@@ -23,6 +24,7 @@ import (
 	"centralium/internal/core"
 	"centralium/internal/fabric"
 	"centralium/internal/fib"
+	"centralium/internal/topo"
 )
 
 // Magic identifies a Centralium snapshot file.
@@ -49,7 +51,13 @@ var ErrTruncated = errors.New("snapshot: truncated input")
 // Writer
 // ---------------------------------------------------------------------------
 
-type writer struct{ buf []byte }
+type writer struct {
+	buf []byte
+	// ribs is encodeAdjIn's scratch: the per-session view of one speaker.
+	ribs [][]*core.RouteAttrs
+	// err is the first state the format cannot carry; encodeState returns it.
+	err error
+}
 
 func (w *writer) u64(v uint64)  { w.buf = binary.AppendUvarint(w.buf, v) }
 func (w *writer) i64(v int64)   { w.buf = binary.AppendVarint(w.buf, v) }
@@ -71,7 +79,8 @@ func (w *writer) prefix(p netip.Prefix) {
 		w.str("")
 		return
 	}
-	w.str(p.String())
+	var scratch [64]byte
+	w.bytes(p.AppendTo(scratch[:0]))
 }
 
 // section appends one tagged section whose payload is produced by fill.
@@ -80,6 +89,9 @@ func (w *writer) section(tag byte, fill func(*writer)) {
 	fill(&body)
 	w.buf = append(w.buf, tag)
 	w.bytes(body.buf)
+	if w.err == nil {
+		w.err = body.err
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -145,7 +157,8 @@ func (r *reader) bool() bool {
 	return v == 1
 }
 
-func (r *reader) bytes() []byte {
+// raw returns the next length-prefixed blob as a view into the input.
+func (r *reader) raw() []byte {
 	l := r.u64()
 	if r.err != nil {
 		return nil
@@ -154,13 +167,24 @@ func (r *reader) bytes() []byte {
 		r.fail(ErrTruncated)
 		return nil
 	}
-	out := make([]byte, l)
-	copy(out, r.b[r.off:r.off+int(l)])
+	out := r.b[r.off : r.off+int(l) : r.off+int(l)]
 	r.off += int(l)
 	return out
 }
 
-func (r *reader) str() string { return string(r.bytes()) }
+func (r *reader) bytes() []byte { return slices.Clone(r.raw()) }
+
+func (r *reader) str() string { return string(r.raw()) }
+
+// strLike reads the next string, returning like itself when they are equal:
+// a checkpoint repeats device names and path keys in long runs, and the
+// decoded state keeps one copy of a run.
+func (r *reader) strLike(like string) string {
+	if b := r.raw(); string(b) != like {
+		return string(b)
+	}
+	return like
+}
 
 // count reads a collection length, rejecting values that could not fit in
 // the remaining bytes (each element costs at least one byte) — the
@@ -291,6 +315,43 @@ func encodeCache(w *writer, c *core.CacheState) {
 	}
 }
 
+// encodeAdjIn writes the Adj-RIB-In as the format has always carried it: one
+// record per peer, in peer order, holding that session's routes sorted by
+// prefix. The state keeps the routes per prefix (the engine's columns), so
+// the per-session view exists only here, while the encoder writes. Columns
+// list sessions in peer order, which the cursor k follows.
+func encodeAdjIn(w *writer, s *bgp.SpeakerState) {
+	for len(w.ribs) < len(s.Peers) {
+		w.ribs = append(w.ribs, nil)
+	}
+	ribs := w.ribs[:len(s.Peers)]
+	for i := range s.Prefixes {
+		k := 0
+		for j := range s.Prefixes[i].Cands {
+			c := &s.Prefixes[i].Cands[j]
+			for k < len(s.Peers) && s.Peers[k].Session != c.Session {
+				k++
+			}
+			if k == len(s.Peers) {
+				// Neither a speaker nor the decoder builds such a column.
+				w.err = fmt.Errorf("snapshot: %s: Adj-RIB-In column of %v is not in peer order at session %q", s.Cfg.ID, s.Prefixes[i].Prefix, c.Session)
+				return
+			}
+			ribs[k] = append(ribs[k], &c.Attrs)
+		}
+	}
+	w.u64(uint64(len(s.Peers)))
+	for k := range ribs {
+		w.str(string(s.Peers[k].Session))
+		w.u64(uint64(len(ribs[k])))
+		for _, a := range ribs[k] {
+			encodeAttrs(w, a)
+		}
+		clear(ribs[k])
+		ribs[k] = ribs[k][:0]
+	}
+}
+
 func encodeSpeaker(w *writer, s *bgp.SpeakerState) {
 	w.str(s.Cfg.ID)
 	w.u64(uint64(s.Cfg.ASN))
@@ -322,15 +383,7 @@ func encodeSpeaker(w *writer, s *bgp.SpeakerState) {
 		w.f64(p.LinkGbps)
 		w.i64(int64(p.Prepend))
 	}
-	w.u64(uint64(len(s.AdjIn)))
-	for i := range s.AdjIn {
-		rib := &s.AdjIn[i]
-		w.str(string(rib.Session))
-		w.u64(uint64(len(rib.Routes)))
-		for j := range rib.Routes {
-			encodeAttrs(w, &rib.Routes[j])
-		}
-	}
+	encodeAdjIn(w, s)
 	w.u64(uint64(len(s.Originated)))
 	for i := range s.Originated {
 		o := &s.Originated[i]
@@ -351,7 +404,8 @@ func encodeSpeaker(w *writer, s *bgp.SpeakerState) {
 		w.bool(pb.HasLast)
 		encodeDecision(w, &pb.Last)
 		w.u64(uint64(len(pb.Advertised)))
-		for _, a := range pb.Advertised {
+		for j := range pb.Advertised {
+			a := &pb.Advertised[j]
 			w.str(string(a.Session))
 			w.str(a.PathKey)
 			w.f64(a.BW)
@@ -363,8 +417,14 @@ func encodeSpeaker(w *writer, s *bgp.SpeakerState) {
 	encodeFIB(w, &s.FIB)
 }
 
-// encodeState renders a NetState plus metadata into the wire format.
-func encodeState(st *fabric.NetState, meta map[string]string) []byte {
+// encodeState renders a NetState plus metadata into the wire format. The
+// topology travels as its JSON export, rendered per encode: at rest the
+// state holds only the parsed form restores clone.
+func encodeState(st *fabric.NetState, meta map[string]string) ([]byte, error) {
+	topoJSON, err := st.Topo.ExportJSON()
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: export topology: %w", err)
+	}
 	var w writer
 	w.buf = append(w.buf, Magic[:]...)
 	w.u64(Version)
@@ -388,7 +448,7 @@ func encodeState(st *fabric.NetState, meta map[string]string) []byte {
 		w.i64(int64(st.BaseLatency))
 		w.i64(int64(st.Jitter))
 	})
-	w.section(tagTopo, func(w *writer) { w.bytes(st.Topo) })
+	w.section(tagTopo, func(w *writer) { w.bytes(topoJSON) })
 	w.section(tagEngine, func(w *writer) {
 		w.i64(st.Now)
 		w.i64(st.Seq)
@@ -431,7 +491,10 @@ func encodeState(st *fabric.NetState, meta map[string]string) []byte {
 			w.i64(f.At)
 		}
 	})
-	return w.buf
+	if w.err != nil {
+		return nil, w.err
+	}
+	return w.buf, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -460,7 +523,8 @@ func decodeUpdate(r *reader) bgp.Update {
 	return u
 }
 
-func decodeAttrs(r *reader) core.RouteAttrs {
+// decodeAttrs reads one route learned from device (its NextHop and Peer).
+func decodeAttrs(r *reader, device string) core.RouteAttrs {
 	var a core.RouteAttrs
 	a.Prefix = r.prefix()
 	if n := r.count(); n > 0 {
@@ -478,8 +542,8 @@ func decodeAttrs(r *reader) core.RouteAttrs {
 	a.LocalPref = uint32(r.u64())
 	a.MED = uint32(r.u64())
 	a.Origin = core.Origin(r.u64())
-	a.NextHop = r.str()
-	a.Peer = r.str()
+	a.NextHop = r.strLike(device)
+	a.Peer = r.strLike(device)
 	a.LinkBandwidthGbps = r.f64()
 	return a
 }
@@ -548,6 +612,49 @@ func decodeCache(r *reader) core.CacheState {
 	return c
 }
 
+// transposeAdjIn moves the routes read per session (ribs[i] is peer i's)
+// into the state's per-prefix columns, all carved at their exact size out of
+// one allocation. A column lists sessions in record order, so sorted input
+// yields sorted columns. Every column hangs off a prefix record: a route
+// without one is an error.
+func transposeAdjIn(r *reader, s *bgp.SpeakerState, ribs [][]core.RouteAttrs) {
+	total := 0
+	for _, routes := range ribs {
+		total += len(routes)
+	}
+	if r.err != nil || total == 0 {
+		return
+	}
+	book := make(map[netip.Prefix]*bgp.PrefixBookState, len(s.Prefixes))
+	for i := range s.Prefixes {
+		book[s.Prefixes[i].Prefix] = &s.Prefixes[i]
+	}
+	// Count each column's routes in its (still empty) slice length; carve.
+	backing := make([]bgp.Candidate, total)
+	for _, routes := range ribs {
+		for j := range routes {
+			pb := book[routes[j].Prefix]
+			if pb == nil {
+				r.fail(fmt.Errorf("snapshot: %s: Adj-RIB-In route for %v, which has no prefix record", s.Cfg.ID, routes[j].Prefix))
+				return
+			}
+			pb.Cands = backing[:len(pb.Cands)+1]
+		}
+	}
+	for i := range s.Prefixes {
+		if n := len(s.Prefixes[i].Cands); n > 0 {
+			s.Prefixes[i].Cands = backing[:0:n]
+			backing = backing[n:]
+		}
+	}
+	for i, routes := range ribs {
+		for j := range routes {
+			pb := book[routes[j].Prefix]
+			pb.Cands = append(pb.Cands, bgp.Candidate{Attrs: routes[j], Session: s.Peers[i].Session})
+		}
+	}
+}
+
 func decodeSpeaker(r *reader) bgp.SpeakerState {
 	var s bgp.SpeakerState
 	s.Cfg.ID = r.str()
@@ -582,14 +689,21 @@ func decodeSpeaker(r *reader) bgp.SpeakerState {
 			s.Peers[i].Prepend = r.intN()
 		}
 	}
-	if n := r.count(); n > 0 {
-		s.AdjIn = make([]bgp.AdjRIBInState, n)
-		for i := range s.AdjIn {
-			s.AdjIn[i].Session = bgp.SessionID(r.str())
+	// The Adj-RIB-In arrives per session and is kept per prefix: the routes
+	// wait in ribs until the prefix records have been read.
+	var ribs [][]core.RouteAttrs
+	if n := r.count(); n != len(s.Peers) {
+		r.fail(fmt.Errorf("snapshot: %s has %d peers but %d Adj-RIB-In records", s.Cfg.ID, len(s.Peers), n))
+	} else if n > 0 {
+		ribs = make([][]core.RouteAttrs, n)
+		for i := range ribs {
+			if sess := r.str(); r.err == nil && sess != string(s.Peers[i].Session) {
+				r.fail(fmt.Errorf("snapshot: %s: Adj-RIB-In record %d is for session %q, peer %d is %q", s.Cfg.ID, i, sess, i, s.Peers[i].Session))
+			}
 			if m := r.count(); m > 0 {
-				s.AdjIn[i].Routes = make([]core.RouteAttrs, m)
-				for j := range s.AdjIn[i].Routes {
-					s.AdjIn[i].Routes[j] = decodeAttrs(r)
+				ribs[i] = make([]core.RouteAttrs, m)
+				for j := range ribs[i] {
+					ribs[i][j] = decodeAttrs(r, s.Peers[i].Device)
 				}
 			}
 		}
@@ -620,15 +734,29 @@ func decodeSpeaker(r *reader) bgp.SpeakerState {
 			pb.Last = decodeDecision(r)
 			if m := r.count(); m > 0 {
 				pb.Advertised = make([]bgp.AdvState, m)
+				k, key := 0, ""
 				for j := range pb.Advertised {
-					pb.Advertised[j].Session = bgp.SessionID(r.str())
-					pb.Advertised[j].PathKey = r.str()
-					pb.Advertised[j].BW = r.f64()
-					pb.Advertised[j].PathLen = r.intN()
+					a := &pb.Advertised[j]
+					// Entries follow peer order and mostly repeat one path
+					// key: keep the peer list's string, and one key.
+					raw := r.raw()
+					for k < len(s.Peers) && string(s.Peers[k].Session) < string(raw) {
+						k++
+					}
+					if k < len(s.Peers) && string(s.Peers[k].Session) == string(raw) {
+						a.Session = s.Peers[k].Session
+					} else {
+						a.Session = bgp.SessionID(raw)
+					}
+					key = r.strLike(key)
+					a.PathKey = key
+					a.BW = r.f64()
+					a.PathLen = r.intN()
 				}
 			}
 		}
 	}
+	transposeAdjIn(r, &s, ribs)
 	s.RPA = r.bytes()
 	if len(s.RPA) == 0 {
 		s.RPA = nil
@@ -679,7 +807,9 @@ func decodeState(data []byte) (*fabric.NetState, map[string]string, error) {
 			st.BaseLatency = time.Duration(s.i64())
 			st.Jitter = time.Duration(s.i64())
 		case tagTopo:
-			st.Topo = s.bytes()
+			if doc := s.raw(); s.err == nil {
+				st.Topo, s.err = topo.ImportJSON(doc)
+			}
 		case tagEngine:
 			st.Now = s.i64()
 			st.Seq = s.i64()

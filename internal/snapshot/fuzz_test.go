@@ -6,11 +6,13 @@ import (
 	"testing"
 )
 
-// FuzzSnapshotRoundTrip holds two lines: (1) any bytes that decode must
+// FuzzSnapshotRoundTrip holds three lines: (1) any bytes that decode must
 // re-encode to a snapshot that decodes back deep-equal (the codec is a
-// bijection on its own output), and (2) no input — truncated, bit-flipped,
+// bijection on its own output), (2) no input — truncated, bit-flipped,
 // or adversarial — may panic or allocate unboundedly; malformed input gets
-// a clean error.
+// a clean error, and (3) whatever restores shares the decoded state only
+// read-only: running the fork leaves the snapshot's encoding alone, however
+// malformed the columns it was handed.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	for _, seed := range []int64{1, 42} {
 		n := buildRich(f, seed)
@@ -57,6 +59,12 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(enc, enc2) {
 			t.Fatal("encode not deterministic on decoded state")
+		}
+		if n, err := snap.Restore(); err == nil {
+			n.Step(300)
+			if enc3, err := snap.Encode(); err != nil || !bytes.Equal(enc, enc3) {
+				t.Fatalf("running a restored fork changed the snapshot (encode error %v)", err)
+			}
 		}
 	})
 }

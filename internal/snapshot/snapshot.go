@@ -32,16 +32,21 @@ import (
 //
 // Concurrency contract: the captured state is immutable. Once built by
 // Capture, Decode, or Load, a Snapshot is safe for concurrent use by any
-// number of goroutines — Restore, RestoreWith, Fork, Encode,
-// EncodeCanonical, Fingerprint, and Now never write to the state, and
-// fabric.NewFromState copies everything mutable it adopts (AS paths and
-// community lists are immutable engine-wide and shared by reference), so
-// forks taken concurrently from one shared snapshot are fully independent
-// networks.
+// number of goroutines — Restore, RestoreWith, Fork, Topology, Encode,
+// EncodeCanonical, Fingerprint, and Now never write to the state. A restored
+// network is not a deep copy of it: fabric.NewFromState copies what a
+// network edits in place (topology, queue, FIBs, match caches) and shares
+// the rest read-only with the snapshot and every sibling restore — AS paths
+// and community lists, immutable engine-wide, and each speaker's Adj-RIB-In
+// and Adj-RIB-Out columns, which the speaker copies before its first write
+// to one. So forks taken concurrently from one shared snapshot are
+// independent networks, and diverging them leaves the snapshot's bytes
+// untouched; it stays reachable for as long as a network restored from it.
 // The one mutable field is Meta: callers that modify it while other
 // goroutines encode the same snapshot must synchronize, or use
-// EncodeCanonical, which never reads Meta. TestConcurrentFork holds this
-// contract under the race detector.
+// EncodeCanonical, which never reads Meta. TestConcurrentFork and
+// TestSharedForksLeaveSnapshotUntouched hold this contract under the race
+// detector.
 type Snapshot struct {
 	Meta map[string]string
 
@@ -78,25 +83,26 @@ func (s *Snapshot) RestoreWith(opts fabric.RestoreOptions) (*fabric.Network, err
 	return fabric.NewFromState(s.state, opts)
 }
 
+// Topology returns a copy of the topology the snapshot was captured on, for
+// callers that need the graph without a running fabric.
+func (s *Snapshot) Topology() (*topo.Topology, error) {
+	if s.state == nil {
+		return nil, fmt.Errorf("snapshot: empty snapshot")
+	}
+	return s.state.Topo.Clone(), nil
+}
+
 // Fork restores n independent what-if branches from one snapshot. Each
-// branch is a fully separate network — diverging one (draining devices,
+// branch is a separate network — diverging one (draining devices,
 // injecting faults, deploying RPAs) never affects the others or the
-// snapshot itself. The topology is imported once and cloned per branch,
-// which makes forking markedly cheaper than n separate Restores.
+// snapshot itself.
 func (s *Snapshot) Fork(n int) ([]*fabric.Network, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("snapshot: fork count %d < 1", n)
 	}
-	if s.state == nil {
-		return nil, fmt.Errorf("snapshot: empty snapshot")
-	}
-	tp, err := topo.ImportJSON(s.state.Topo)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: fork: %w", err)
-	}
 	out := make([]*fabric.Network, n)
 	for i := range out {
-		net, err := s.RestoreWith(fabric.RestoreOptions{Topo: tp.Clone()})
+		net, err := s.Restore()
 		if err != nil {
 			return nil, fmt.Errorf("snapshot: fork %d: %w", i, err)
 		}
@@ -120,7 +126,7 @@ func (s *Snapshot) Encode() ([]byte, error) {
 	if s.state == nil {
 		return nil, fmt.Errorf("snapshot: empty snapshot")
 	}
-	return encodeState(s.state, s.Meta), nil
+	return encodeState(s.state, s.Meta)
 }
 
 // EncodeCanonical renders the captured state alone, with no metadata
@@ -139,7 +145,7 @@ func (s *Snapshot) EncodeCanonical() ([]byte, error) {
 	}
 	st := *s.state
 	st.Batched = 0
-	return encodeState(&st, nil), nil
+	return encodeState(&st, nil)
 }
 
 // Fingerprint hashes the canonical encoding: a compact state identity for
@@ -150,8 +156,26 @@ func (s *Snapshot) Fingerprint() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
+	return fingerprintOf(data), nil
+}
+
+func fingerprintOf(canonical []byte) string {
+	sum := sha256.Sum256(canonical)
+	return hex.EncodeToString(sum[:])
+}
+
+// EncodeWithFingerprint returns Encode's bytes and the fingerprint they are
+// stored under. With no metadata and nothing for the canonical form to
+// clear, the two encodings are the same bytes and one pass serves both.
+func (s *Snapshot) EncodeWithFingerprint() (enc []byte, fp string, err error) {
+	if enc, err = s.EncodeCanonical(); err != nil {
+		return nil, "", err
+	}
+	fp = fingerprintOf(enc)
+	if len(s.Meta) > 0 || s.state.Batched != 0 {
+		enc, err = s.Encode()
+	}
+	return enc, fp, err
 }
 
 // Decode parses bytes produced by Encode. Corrupt or truncated input
