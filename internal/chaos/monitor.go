@@ -3,30 +3,22 @@ package chaos
 import (
 	"fmt"
 
-	"centralium/internal/telemetry"
+	"centralium/internal/probe"
 	"centralium/internal/traffic"
 )
 
-// Monitor is the continuous invariant checker: it attaches to the
-// fabric's telemetry tap (the PR-1 streaming plane) to learn when routing
-// state changed, and to the engine's event hook to re-propagate the
-// traffic matrix and check the data-plane invariants at every dirty
-// sampling point. Violations observed inside a fault disturbance window
-// are flagged InGrace; the rest are "effective" — turbulence the fleet
+// Monitor is the continuous invariant checker: the one probe
+// (internal/probe) re-propagates the traffic matrix whenever routing state
+// changed, and the monitor checks the data-plane invariants on each
+// sample. Violations observed inside a fault disturbance window are
+// flagged InGrace; the rest are "effective" — turbulence the fleet
 // produced without an active excuse.
-//
-// The monitor implements telemetry.Tap; compose it with other taps via
-// telemetry.MultiTap if the run also streams to a collector.
 type Monitor struct {
 	cfg CheckConfig
 	inj *Injector // nil means nothing is ever in grace
 	// SampleEvery rate-limits propagation: check every Nth engine event
-	// (only when routing state is dirty). 1 = every event.
+	// (only when routing state is dirty). 0 or 1 = every event.
 	SampleEvery int
-
-	pr     *traffic.Propagator
-	dirty  bool
-	events int
 
 	violations []Violation
 	// transitions logs violation onsets and clears (not every dirty
@@ -38,29 +30,13 @@ type Monitor struct {
 
 // NewMonitor builds a monitor over the same scope as CheckQuiescent.
 func NewMonitor(cfg CheckConfig, inj *Injector) *Monitor {
-	return &Monitor{
-		cfg:         cfg,
-		inj:         inj,
-		SampleEvery: 1,
-		pr:          &traffic.Propagator{Net: cfg.Net},
-		active:      make(map[string]bool),
-	}
+	return &Monitor{cfg: cfg, inj: inj, active: make(map[string]bool)}
 }
 
-// Attach wires the monitor into the network: speaker taps for dirtiness,
-// the engine hook for sampling. Call before the activity to observe.
+// Attach wires the monitor into the network through the probe's sampler.
+// Call before the activity to observe.
 func (m *Monitor) Attach() {
-	m.cfg.Net.SetTap(m)
-	m.cfg.Net.OnEvent(m.sample)
-}
-
-// Emit implements telemetry.Tap: any event that can change forwarding
-// marks the fleet dirty for the next sample.
-func (m *Monitor) Emit(ev telemetry.Event) {
-	switch ev.Kind {
-	case telemetry.KindFIBWrite, telemetry.KindBestPath, telemetry.KindSessionUp, telemetry.KindSessionDown:
-		m.dirty = true
-	}
+	probe.Attach(m.cfg.Net, m.cfg.Demands, m.SampleEvery, m.Sample)
 }
 
 // Violations returns every continuous observation, in virtual-time order.
@@ -85,17 +61,10 @@ func (m *Monitor) Effective() int {
 // log.
 func (m *Monitor) Transitions() []string { return m.transitions }
 
-// sample runs the data-plane checks if routing state changed since the
-// last look.
-func (m *Monitor) sample(now int64) {
-	m.events++
-	if !m.dirty || m.events%m.SampleEvery != 0 {
-		return
-	}
-	m.dirty = false
+// Sample runs the data-plane checks on one propagation of the demands —
+// the probe sampler's callback.
+func (m *Monitor) Sample(now int64, res *traffic.Result) {
 	inGrace := m.inj != nil && m.inj.DisturbedAt(now)
-
-	res := m.pr.Run(m.cfg.Demands)
 	m.observe(InvNoLoop, res.HasLoop(), now, inGrace,
 		fmt.Sprintf("%.4f circulating", res.Looped/max1(res.Injected)))
 	m.observe(InvNoBlackhole, res.BlackholedFraction() > 1e-9, now, inGrace,

@@ -165,9 +165,7 @@ func runOnRig(rig *migrate.ChaosRig, p RunParams) (RunResult, error) {
 
 	cfg := CheckConfig{Net: n, Demands: rig.Demands, Prefixes: rig.Prefixes, Protected: rig.Protected}
 	mon := NewMonitor(cfg, inj)
-	if p.SampleEvery > 0 {
-		mon.SampleEvery = p.SampleEvery
-	}
+	mon.SampleEvery = p.SampleEvery
 	mon.Attach()
 
 	inj.Arm()

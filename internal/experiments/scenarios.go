@@ -10,6 +10,7 @@ import (
 	"centralium/internal/core"
 	"centralium/internal/fabric"
 	"centralium/internal/migrate"
+	"centralium/internal/probe"
 	"centralium/internal/topo"
 	"centralium/internal/traffic"
 )
@@ -253,9 +254,8 @@ func Fig10(seed int64) string {
 			[]topo.Layer{topo.LayerFSW, topo.LayerSSW, topo.LayerFA}, migrate.BackboneCommunity)
 		fas := []topo.DeviceID{topo.FAID(0), topo.FAID(1)}
 		demands := traffic.UniformDemands(tp.ByLayer(topo.LayerFSW), migrate.DefaultRoute, 100)
-		pr := &traffic.Propagator{Net: n}
-		n.OnEvent(func(int64) {
-			if _, share := pr.Run(demands).MaxDeviceShare(fas); share > peak {
+		sampler := probe.Attach(n, demands, 1, func(_ int64, r *traffic.Result) {
+			if _, share := r.MaxDeviceShare(fas); share > peak {
 				peak = share
 			}
 		})
@@ -279,7 +279,7 @@ func Fig10(seed int64) string {
 			panic(err)
 		}
 		n.Converge()
-		_, final = pr.Run(demands).MaxDeviceShare(fas)
+		_, final = sampler.Measure().MaxDeviceShare(fas)
 		if final > peak {
 			peak = final
 		}

@@ -43,9 +43,10 @@ func TestDeterminismLint(t *testing.T) {
 
 	// oneLoop marks the packages where goroutines are banned; the planner's
 	// candidate-evaluation pool is a different mechanism and stays.
-	oneLoop := map[string]bool{".": true, "../bgp": true, "../fib": true}
+	// The probe's hook runs inside that loop, so it is held to the same rule.
+	oneLoop := map[string]bool{".": true, "../bgp": true, "../fib": true, "../probe": true}
 
-	for _, dir := range []string{".", "../bgp", "../fib", "../planner", "../migrate", "../controller"} {
+	for _, dir := range []string{".", "../bgp", "../fib", "../probe", "../planner", "../migrate", "../controller"} {
 		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
 			if err != nil {
 				return err
@@ -133,4 +134,75 @@ func lintFile(t *testing.T, path string, randOK, oneLoop, noEnv bool) {
 		}
 		return true
 	})
+}
+
+// TestOneProbeLint keeps transient measurement in one place. Outside
+// internal/probe no non-test file under internal/ or cmd/ may both register
+// an after-event hook (a .OnEvent( call) and name traffic.Propagator — that
+// pair is a hand-rolled per-event sampler, and every one of those samples
+// under its own policy. And the planner and guard may not build a
+// telemetry.Collector: a fleet aggregation point per fork buys a mutex and
+// a per-device event ring nothing reads, to run four detectors the probe
+// runs directly.
+func TestOneProbeLint(t *testing.T) {
+	for _, root := range []string{"..", "../../cmd"} {
+		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			pkg := filepath.Base(filepath.Dir(path))
+			if root == ".." && pkg == "probe" {
+				return nil
+			}
+			fset := token.NewFileSet()
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				t.Fatalf("parse %s: %v", path, err)
+			}
+			names := map[string]string{} // local import name -> path
+			for _, imp := range f.Imports {
+				p, _ := strconv.Unquote(imp.Path.Value)
+				name := filepath.Base(p)
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+				names[name] = p
+			}
+			var hook, propagator token.Pos
+			ast.Inspect(f, func(node ast.Node) bool {
+				if call, ok := node.(*ast.CallExpr); ok {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "OnEvent" {
+						hook = call.Pos()
+					}
+				}
+				sel, ok := node.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				id, ok := sel.X.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				switch {
+				case names[id.Name] == "centralium/internal/traffic" && sel.Sel.Name == "Propagator":
+					propagator = sel.Pos()
+				case names[id.Name] == "centralium/internal/telemetry" && sel.Sel.Name == "NewCollector" &&
+					root == ".." && (pkg == "planner" || pkg == "guard"):
+					t.Errorf("%s: telemetry.NewCollector in %s — measure through internal/probe", fset.Position(sel.Pos()), pkg)
+				}
+				return true
+			})
+			if hook.IsValid() && propagator.IsValid() {
+				t.Errorf("%s: after-event hook next to a traffic.Propagator (%s) — a hand-rolled sampler; use probe.Attach",
+					fset.Position(hook), fset.Position(propagator))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("walk %s: %v", root, err)
+		}
+	}
 }

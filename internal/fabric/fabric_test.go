@@ -159,7 +159,7 @@ func runDiffScenario(seed int64, tapped bool) incrResult {
 	n := New(topo.BuildFabric(topo.FabricParams{}), Options{Seed: seed})
 	tap := &recordTap{}
 	if tapped {
-		n.SetTap(tap)
+		n.AddTap(tap)
 	}
 	diffScenario(n)
 	return incrResult{

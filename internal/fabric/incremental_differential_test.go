@@ -212,7 +212,7 @@ func runIncrMode(seed int64, full bool, phases incrPhases) incrResult {
 	}})
 	n.SetFullRecompute(full)
 	tap := &recordTap{}
-	n.SetTap(tap)
+	n.AddTap(tap)
 	phases.run(n)
 	res := incrResult{
 		digest: fleetDigest(n),
@@ -308,7 +308,7 @@ func TestIncrementalMidRunModeFlip(t *testing.T) {
 		return bgp.Config{Multipath: true, WCMP: bgp.WCMPDistributed}
 	}})
 	tap := &recordTap{}
-	n.SetTap(tap)
+	n.AddTap(tap)
 	phases := incrScenarioRPA()
 	n.SetFullRecompute(true)
 	phases[0](n)

@@ -146,7 +146,7 @@ func (r *retainer) Emit(ev telemetry.Event) {
 func TestUpdatesAreImmutable(t *testing.T) {
 	n := New(topo.BuildFabric(topo.FabricParams{}), Options{Seed: 3})
 	tapped, perturbed := &retainer{}, &retainer{}
-	n.SetTap(tapped)
+	n.AddTap(tapped)
 	n.SetPerturber(func(_ bgp.SessionID, _, _ topo.DeviceID, u bgp.Update) Perturbation {
 		if !u.Withdraw {
 			perturbed.keep(u.ASPath, u.Communities)

@@ -150,6 +150,8 @@ type Network struct {
 	sessions map[bgp.SessionID]*session
 	// perturb, when set, is consulted for every outgoing message.
 	perturb Perturber
+	// taps is the fan-out every speaker emits into (see AddTap).
+	taps telemetry.MultiTap
 }
 
 // New builds the emulation: one speaker per device, one session per link.
@@ -286,12 +288,15 @@ func (n *Network) EventsProcessed() int64 { return n.eng.processed }
 // sampling point for transient metrics (funneling, NHG occupancy).
 func (n *Network) OnEvent(h func(now int64)) { n.eng.hooks = append(n.eng.hooks, h) }
 
-// SetTap attaches one telemetry tap to every speaker in the fabric (nil
-// detaches). Speaker clocks are the engine's virtual clock, so the fleet
-// stream is deterministically timestamped under a fixed seed.
-func (n *Network) SetTap(t telemetry.Tap) {
+// AddTap attaches one more telemetry tap to every speaker in the fabric;
+// every attached tap sees every event, in attachment order. Speaker clocks
+// are the engine's virtual clock, so the fleet stream is deterministically
+// timestamped under a fixed seed. A network with no tap keeps nil speaker
+// taps (the one-nil-check hot path); restored forks start with none.
+func (n *Network) AddTap(t telemetry.Tap) {
+	n.taps = append(n.taps, t)
 	for _, node := range n.nodes {
-		node.Speaker.SetTap(t)
+		node.Speaker.SetTap(n.taps)
 	}
 }
 

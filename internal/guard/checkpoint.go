@@ -4,22 +4,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"sync"
+
+	"centralium/internal/planner"
 )
 
-// Journal persists guard checkpoints, latest-wins — the interface
-// internal/store's WAL-backed journal satisfies. The level passed to
-// SaveProgress is the wave index, advisory only.
-type Journal interface {
-	SaveProgress(level int, checkpoint []byte) error
-}
+// Journal persists guard checkpoints, latest-wins: the planner's journal
+// interface (one SaveProgress method, which internal/store's WAL-backed
+// journal satisfies). The level passed to SaveProgress is the wave index,
+// advisory only.
+type Journal = planner.Journal
 
 // JournalFunc adapts a function to the Journal interface.
-type JournalFunc func(level int, checkpoint []byte) error
-
-// SaveProgress implements Journal.
-func (f JournalFunc) SaveProgress(level int, checkpoint []byte) error {
-	return f(level, checkpoint)
-}
+type JournalFunc = planner.JournalFunc
 
 // ObjectStore persists the guard's last-good snapshots, keyed by
 // fingerprint — the interface internal/store's content-addressed

@@ -26,6 +26,7 @@ import (
 	"centralium/internal/core"
 	"centralium/internal/fabric"
 	"centralium/internal/planner"
+	"centralium/internal/probe"
 	"centralium/internal/snapshot"
 	"centralium/internal/topo"
 	"centralium/internal/traffic"
@@ -160,9 +161,6 @@ func (c *Campaign) normalize() error {
 	}
 	if c.Name == "" {
 		c.Name = "campaign"
-	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = 1
 	}
 	if c.BlackholeEps <= 0 {
 		c.BlackholeEps = 0.001
@@ -572,10 +570,21 @@ func quiesce(n *fabric.Network) error {
 	return nil
 }
 
+// WaveMetrics is one wave attempt's measured transient — the guard's
+// evidence base. The guard judges a live wave by the same probe, and so the
+// same metrics, the planner scored it by.
+type WaveMetrics = probe.Metrics
+
 // executeWave pushes one wave attempt (possibly several degraded-shape
-// steps) through the real rollout path under the guard probe.
+// steps) through the real rollout path under the transient probe.
 func executeWave(ctx context.Context, n *fabric.Network, c *Campaign, steps []planner.Step) (WaveMetrics, error) {
-	pb := newProbe(n, c)
+	pb := probe.NewTransient(n, probe.Workload{
+		Demands:      c.Demands,
+		Watch:        c.Watch,
+		FairShare:    c.FairShare,
+		BlackholeEps: c.BlackholeEps,
+		SampleEvery:  c.SampleEvery,
+	})
 	events := int64(0)
 	ctl := &controller.Controller{
 		Topo:   n.Topo,
@@ -593,10 +602,10 @@ func executeWave(ctx context.Context, n *fabric.Network, c *Campaign, steps []pl
 			},
 		})
 		if err != nil {
-			return pb.finish(events), err
+			return pb.Finish(events), err
 		}
 	}
-	return pb.finish(events), nil
+	return pb.Finish(events), nil
 }
 
 // degradedShape maps (wave, attempt, policy) to the attempt's step list:

@@ -10,6 +10,7 @@ import (
 	"centralium/internal/controller"
 	"centralium/internal/core"
 	"centralium/internal/fabric"
+	"centralium/internal/probe"
 	"centralium/internal/telemetry"
 	"centralium/internal/topo"
 	"centralium/internal/traffic"
@@ -31,7 +32,7 @@ type Scenario1Params struct {
 	SSWs, FAv1s, Edges, FAv2s int
 	Seed                      int64
 	UseRPA                    bool
-	// SampleEvery controls transient sampling cost (default 1: every event).
+	// SampleEvery thins transient sampling to every N-th event (default 1).
 	SampleEvery int
 }
 
@@ -67,9 +68,6 @@ func RunScenario1(p Scenario1Params) Scenario1Result {
 	}
 	if p.FAv2s == 0 {
 		p.FAv2s = 4
-	}
-	if p.SampleEvery <= 0 {
-		p.SampleEvery = 1
 	}
 	exp := topo.BuildExpansion(topo.ExpansionParams{
 		SSWs: p.SSWs, FAv1s: p.FAv1s, Edges: p.Edges, FAv2s: p.FAv2s,
@@ -108,21 +106,13 @@ func RunScenario1(p Scenario1Params) Scenario1Result {
 		aggDevices = append(aggDevices, topo.FAv2ID(i))
 	}
 	demands := traffic.UniformDemands(exp.ByLayer(topo.LayerSSW), DefaultRoute, 100)
-	pr := &traffic.Propagator{Net: n}
 
 	res := Scenario1Result{}
-	sampleCount := 0
-	sample := func(int64) {
-		sampleCount++
-		if sampleCount%p.SampleEvery != 0 {
-			return
-		}
-		_, share := pr.Run(demands).MaxDeviceShare(aggDevices)
-		if share > res.PeakShare {
+	sampler := probe.Attach(n, demands, p.SampleEvery, func(_ int64, r *traffic.Result) {
+		if _, share := r.MaxDeviceShare(aggDevices); share > res.PeakShare {
 			res.PeakShare = share
 		}
-	}
-	n.OnEvent(sample)
+	})
 
 	// Activate FAv2 nodes one at a time, staggered, letting convergence
 	// overlap activation as it would in production.
@@ -134,7 +124,7 @@ func RunScenario1(p Scenario1Params) Scenario1Result {
 	}
 	res.Events = n.Converge()
 
-	_, res.FinalShare = pr.Run(demands).MaxDeviceShare(aggDevices)
+	_, res.FinalShare = sampler.Measure().MaxDeviceShare(aggDevices)
 	if res.FinalShare > res.PeakShare {
 		res.PeakShare = res.FinalShare
 	}
@@ -197,9 +187,6 @@ func (p *Scenario2Params) setDefaults() {
 	}
 	if p.MinNextHopPercent == 0 {
 		p.MinNextHopPercent = 75
-	}
-	if p.SampleEvery <= 0 {
-		p.SampleEvery = 1
 	}
 }
 
@@ -266,19 +253,12 @@ func RunScenario2On(n *fabric.Network, p Scenario2Params) Scenario2Result {
 		fadus = append(fadus, d.ID)
 	}
 	demands := traffic.UniformDemands(mesh.ByLayer(topo.LayerFSW), DefaultRoute, 100)
-	pr := &traffic.Propagator{Net: n}
 
 	res := Scenario2Result{FairShare: 1 / float64(len(fadus))}
 	if p.Tap != nil {
-		n.SetTap(p.Tap)
+		n.AddTap(p.Tap)
 	}
-	sampleCount := 0
-	n.OnEvent(func(now int64) {
-		sampleCount++
-		if sampleCount%p.SampleEvery != 0 {
-			return
-		}
-		r := pr.Run(demands)
+	probe.Attach(n, demands, p.SampleEvery, func(now int64, r *traffic.Result) {
 		dev, share := r.MaxDeviceShare(fadus)
 		if share > res.PeakFADUShare {
 			res.PeakFADUShare = share

@@ -7,6 +7,7 @@ import (
 	"centralium/internal/controller"
 	"centralium/internal/core"
 	"centralium/internal/fabric"
+	"centralium/internal/probe"
 	"centralium/internal/topo"
 	"centralium/internal/traffic"
 )
@@ -87,7 +88,7 @@ func RunAnycastScenario(seed int64, useRPA bool) AnycastResult {
 	leafFIB := n.Speaker("leaf").FIB()
 	res := AnycastResult{MinConcurrentPaths: len(leafFIB.Lookup(anycastVIP))}
 	leafFIB.ResetStats()
-	n.OnEvent(func(int64) {
+	probe.Attach(n, nil, 1, func(int64, *traffic.Result) {
 		if cur := len(leafFIB.Lookup(anycastVIP)); cur > 0 && cur < res.MinConcurrentPaths {
 			res.MinConcurrentPaths = cur
 		}

@@ -10,10 +10,9 @@ import (
 	"centralium/internal/controller"
 	"centralium/internal/core"
 	"centralium/internal/fabric"
+	"centralium/internal/probe"
 	"centralium/internal/snapshot"
-	"centralium/internal/telemetry"
 	"centralium/internal/topo"
-	"centralium/internal/traffic"
 )
 
 // Score is the planner's safety-ordered schedule cost. Fields accumulate
@@ -151,94 +150,31 @@ func fingerprint(state []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// probe instruments one fork: it taps the fabric into a pathology
-// collector, samples the workload on every engine event, and integrates
-// the transient metrics the Score is built from. The hook runs between
-// every two events of the fork's one engine loop, so per-fork measurement
-// is deterministic; the planner's parallelism lives one level up, across
-// candidate forks.
-type probe struct {
-	p         *Params
-	net       *fabric.Network
-	pr        *traffic.Propagator
-	col       *telemetry.Collector
-	out       StepOutcome
-	startNow  int64
-	lastNow   int64
-	lastBlack bool
-	samples   int64
-	baseAlert int
-}
-
-func newProbe(n *fabric.Network, p *Params) *probe {
-	pb := &probe{p: p, net: n, pr: &traffic.Propagator{Net: n}}
-	pb.col = telemetry.NewCollector(telemetry.CollectorOptions{
-		Detectors: telemetry.StandardDetectors(),
-		OnEvent: func(ev telemetry.Event) {
-			switch ev.Kind {
-			case telemetry.KindFIBWrite:
-				if ev.NHGroups > pb.out.PeakNHG {
-					pb.out.PeakNHG = ev.NHGroups
-				}
-			case telemetry.KindAdjRIBIn, telemetry.KindBestPath:
-				pb.out.Churn++
-			}
-		},
-	})
-	n.SetTap(pb.col)
-	pb.startNow = n.Now()
-	pb.lastNow = pb.startNow
-	n.OnEvent(func(now int64) { pb.observe(now) })
-	return pb
-}
-
-// observe is the per-event sampler: propagate the workload, track the
-// watched devices' peak share, and integrate the black-hole window.
-func (pb *probe) observe(now int64) {
-	pb.samples++
-	if pb.samples%int64(pb.p.SampleEvery) != 0 {
-		return
-	}
-	pb.sampleAt(now)
-}
-
-// sampleAt measures the workload at one instant: integrate the window
-// since the previous sample under the previous sample's verdict, then
-// re-sample.
-func (pb *probe) sampleAt(now int64) {
-	if pb.lastBlack && now > pb.lastNow {
-		pb.out.BlackholeNs += now - pb.lastNow
-	}
-	res := pb.pr.Run(pb.p.Demands)
-	dev, share := res.MaxDeviceShare(pb.p.Watch)
-	if share > pb.out.PeakShare {
-		pb.out.PeakShare = share
-	}
-	bh := res.BlackholedFraction()
-	pb.lastBlack = bh > pb.p.BlackholeEps
-	pb.lastNow = now
-	pb.col.Emit(telemetry.Event{
-		Kind:       telemetry.KindTrafficSample,
-		Time:       now,
-		Device:     string(dev),
-		Share:      share,
-		FairShare:  pb.p.FairShare,
-		Blackholed: bh,
+// measure attaches the one transient probe to a fork, under the search's
+// workload. Per-fork measurement is deterministic; the planner's
+// parallelism lives one level up, across candidate forks.
+func (e *evaluator) measure(n *fabric.Network) *probe.Transient {
+	return probe.NewTransient(n, probe.Workload{
+		Demands:      e.p.Demands,
+		Watch:        e.p.Watch,
+		FairShare:    e.p.FairShare,
+		BlackholeEps: e.p.BlackholeEps,
+		SampleEvery:  e.p.SampleEvery,
 	})
 }
 
-// finish closes the measurement window and returns the outcome. The
-// settled end state is always sampled, even if the phase generated no
-// events — a no-op deployment (e.g. a bare wave pushing empty configs)
-// must still answer for the state it leaves behind.
-func (pb *probe) finish(label string, events int64) StepOutcome {
-	now := pb.net.Now()
-	pb.sampleAt(now)
-	pb.out.Label = label
-	pb.out.ConvergeNs = now - pb.startNow
-	pb.out.Events = events
-	pb.out.Alerts = len(pb.col.Alerts())
-	return pb.out
+// outcome is the planner's subset of a finished measurement.
+func outcome(label string, m probe.Metrics) StepOutcome {
+	return StepOutcome{
+		Label:       label,
+		BlackholeNs: m.BlackholeNs,
+		PeakShare:   m.PeakShare,
+		ConvergeNs:  m.ConvergeNs,
+		PeakNHG:     m.PeakNHG,
+		Churn:       m.Churn,
+		Alerts:      m.Alerts,
+		Events:      m.Events,
+	}
 }
 
 // evaluator owns the fork/instrument/execute machinery shared by the beam
@@ -274,7 +210,7 @@ func (e *evaluator) evalStep(parent *snapshot.Snapshot, st Step) (StepOutcome, [
 	if err != nil {
 		return StepOutcome{}, nil, err
 	}
-	pb := newProbe(n, e.p)
+	pb := e.measure(n)
 	events := int64(0)
 	ctl := &controller.Controller{
 		Topo:   n.Topo,
@@ -293,7 +229,7 @@ func (e *evaluator) evalStep(parent *snapshot.Snapshot, st Step) (StepOutcome, [
 	if err != nil {
 		return StepOutcome{}, nil, fmt.Errorf("planner: step %q: %w", st.String(), err)
 	}
-	out := pb.finish(st.String(), events)
+	out := outcome(st.String(), pb.Finish(events))
 	child, err := e.capture(n)
 	if err != nil {
 		return StepOutcome{}, nil, err
@@ -319,7 +255,7 @@ func (e *evaluator) evalMigration(state []byte) (StepOutcome, error) {
 	if err != nil {
 		return StepOutcome{}, err
 	}
-	pb := newProbe(n, e.p)
+	pb := e.measure(n)
 	stagger := e.p.DrainStaggerNs
 	if stagger <= 0 {
 		stagger = int64(20 * time.Millisecond)
@@ -356,7 +292,7 @@ func (e *evaluator) evalMigration(state []byte) (StepOutcome, error) {
 	if deployErr != nil {
 		return StepOutcome{}, deployErr
 	}
-	return pb.finish("migration", events), nil
+	return outcome("migration", pb.Finish(events)), nil
 }
 
 // configEqual compares two RPA configs structurally.

@@ -22,6 +22,7 @@ import (
 	"centralium/internal/controller"
 	"centralium/internal/core"
 	"centralium/internal/fabric"
+	"centralium/internal/probe"
 	"centralium/internal/topo"
 	"centralium/internal/traffic"
 )
@@ -30,8 +31,12 @@ import (
 // Transient is set, throughout deployment transients.
 type Invariant struct {
 	Name string
-	// Transient invariants are also sampled after every emulation event
-	// during the rollout.
+	// Transient invariants are also sampled during the rollout, by the one
+	// probe (internal/probe): after an emulation event, if forwarding state
+	// may have moved since the last sample. A transient Check must
+	// therefore be a function of forwarding state (the network's FIBs and
+	// the traffic result) — one that read, say, the virtual clock or a
+	// queue depth would miss the instants nothing was re-sampled.
 	Transient bool
 	// Check inspects the network (and the workload's traffic result when
 	// the spec has a workload; nil otherwise) and returns a violation
@@ -73,15 +78,9 @@ type Spec struct {
 	// planner-proposed schedules through this.
 	Schedule [][]topo.DeviceID
 
-	// SampleEvery thins transient sampling (default 1: every event).
+	// SampleEvery thins transient sampling to every N-th emulation event
+	// (default 1).
 	SampleEvery int
-
-	// Instrument, when set, is called with the network the qualification
-	// will actually run on, before any deployment. Under Gate that is the
-	// what-if fork — restored taps start detached, so this is the hook for
-	// re-attaching telemetry (centraliumd streams gate transients to its
-	// /v1/events subscribers through it).
-	Instrument func(n *fabric.Network)
 
 	// OnReport, when set, observes the finished report. Gate's HealthCheck
 	// only surfaces an error; this hook hands callers the structured
@@ -127,27 +126,20 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// Run executes the qualification: deploy the intent through the controller
-// (per-device settling, sampling transient invariants after every event),
-// then evaluate all invariants at steady state.
+// Run executes the qualification on spec.Net itself: deploy the intent
+// through the controller (per-device settling, sampling transient
+// invariants as forwarding state moves), then evaluate all invariants at
+// steady state.
 func Run(spec Spec) (*Report, error) {
 	if spec.Net == nil {
 		return nil, fmt.Errorf("qualify: spec %q has no network", spec.Name)
 	}
-	if spec.SampleEvery <= 0 {
-		spec.SampleEvery = 1
-	}
 	rep := &Report{Spec: spec.Name, Passed: true}
 	n := spec.Net
-	if spec.Instrument != nil {
-		spec.Instrument(n)
-	}
-	pr := &traffic.Propagator{Net: n}
 
-	evaluate := func(transient bool) {
-		var res *traffic.Result
-		if spec.Workload != nil {
-			res = pr.Run(spec.Workload)
+	evaluate := func(transient bool, res *traffic.Result) {
+		if spec.Workload == nil {
+			res = nil
 		}
 		for _, inv := range spec.Invariants {
 			if transient && !inv.Transient {
@@ -167,13 +159,8 @@ func Run(spec Spec) (*Report, error) {
 			}
 		}
 	}
-
-	samples := 0
-	n.OnEvent(func(int64) {
-		samples++
-		if samples%spec.SampleEvery == 0 {
-			evaluate(true)
-		}
+	sampler := probe.Attach(n, spec.Workload, spec.SampleEvery, func(_ int64, res *traffic.Result) {
+		evaluate(true, res)
 	})
 
 	ctl := &controller.Controller{
@@ -202,7 +189,7 @@ func Run(spec Spec) (*Report, error) {
 		return rep, nil
 	}
 	rep.Events += n.Converge()
-	evaluate(false)
+	evaluate(false, sampler.Measure())
 	if spec.OnReport != nil {
 		spec.OnReport(rep)
 	}

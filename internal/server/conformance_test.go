@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"centralium/internal/planner"
+	"centralium/internal/qualify"
 )
 
 // confSeed keeps every conformance request on one shared base snapshot.
@@ -208,6 +209,46 @@ func TestConformanceConcurrentVsSerial(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWhatIfForksOnce pins what dropping the second fork must not move: for
+// every request of the batch that qualifies, the served body (qualify.Run on
+// the request's own fork) equals the body the pre-deployment gate
+// (qualify.Gate, which forks its network again) produces for the same spec.
+func TestWhatIfForksOnce(t *testing.T) {
+	reqs := conformanceRequests(t)
+	served := runSerial(t, reqs, 4)
+	srv, _ := confServer(t, 1)
+	for i, r := range reqs {
+		if served[i].status != http.StatusOK {
+			continue
+		}
+		req, err := DecodeWhatIfRequest([]byte(r.body))
+		if err == nil {
+			err = req.Validate()
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		entry, err := srv.cache.get(req.Scenario, req.Seed)
+		if err != nil {
+			t.Fatalf("%s: base: %v", r.name, err)
+		}
+		fork, err := entry.fork()
+		if err != nil {
+			t.Fatalf("%s: fork: %v", r.name, err)
+		}
+		var rep *qualify.Report
+		spec := whatIfSpec(req, entry, fork, "gate")
+		spec.OnReport = func(r *qualify.Report) { rep = r }
+		qualify.Gate(spec).Check() // the verdict arrives through OnReport
+		if rep == nil {
+			t.Fatalf("%s: gate produced no report", r.name)
+		}
+		if gated := string(whatIfResult(req, entry, rep).body); gated != served[i].body {
+			t.Errorf("%s: served body differs from the gate's\nserved: %s\ngate:   %s", r.name, served[i].body, gated)
+		}
 	}
 }
 

@@ -14,7 +14,9 @@
 // (snapshot.Restore: the fork clones the topology and shares the RIB
 // columns read-only until it writes one) — the concurrency contract
 // pinned by internal/snapshot's tests is exactly what makes one immutable
-// snapshot safely forkable from any number of request goroutines.
+// snapshot safely forkable from any number of request goroutines. A
+// request forks once: a what-if runs qualify.Run on its fork, not
+// qualify.Gate, which would fork the fork.
 //
 // # Determinism
 //

@@ -75,9 +75,10 @@ func (s *Server) whatif(ctx context.Context, ar *apiRequest) result {
 	return res
 }
 
-// runWhatIf forks the base and qualifies the requested schedule through
-// controller.WhatIf + qualify.Gate — the same pre-deployment gate a live
-// rollout would run, scored on a fork of the request's own fork.
+// runWhatIf forks the base once and qualifies the requested schedule on
+// that fork with qualify.Run — the qualification a live rollout's
+// pre-deployment gate (qualify.Gate) would run on its own fork of the live
+// network; the request already owns its fork, so there is no second one.
 func (s *Server) runWhatIf(req *WhatIfRequest, entry *cacheEntry) result {
 	if s.testHookEvalDelay != nil {
 		s.testHookEvalDelay(req)
@@ -87,14 +88,24 @@ func (s *Server) runWhatIf(req *WhatIfRequest, entry *cacheEntry) result {
 		return errorResult(http.StatusInternalServerError, "fork base: %v", err)
 	}
 	label := fmt.Sprintf("%s/%d", req.Scenario, req.Seed)
-	waves := req.Waves()
-	if waves != nil {
-		// The schedule must cover the intent: the gate would fail the
-		// rollout anyway, but the codec can say why precisely.
-		if err := coversIntent(waves, entry.Params); err != nil {
+	spec := whatIfSpec(req, entry, fork, label)
+	if spec.Schedule != nil {
+		// The schedule must cover the intent: the rollout would fail
+		// anyway, but the codec can say why precisely.
+		if err := coversIntent(spec.Schedule, entry.Params); err != nil {
 			return errorResult(http.StatusBadRequest, "%v", err)
 		}
 	}
+	fork.AddTap(s.events.tap("whatif " + label))
+	rep, err := qualify.Run(spec)
+	if err != nil {
+		return errorResult(http.StatusInternalServerError, "what-if: %v", err)
+	}
+	return whatIfResult(req, entry, rep)
+}
+
+// whatIfSpec is the qualification a what-if request asks for, on net.
+func whatIfSpec(req *WhatIfRequest, entry *cacheEntry, net *fabric.Network, label string) qualify.Spec {
 	invariants := []qualify.Invariant{qualify.NoBlackholes(), qualify.NoLoops()}
 	if req.MaxFunnelShare > 0 {
 		invariants = append(invariants, qualify.FunnelBound(entry.Params.Watch, req.MaxFunnelShare))
@@ -102,26 +113,20 @@ func (s *Server) runWhatIf(req *WhatIfRequest, entry *cacheEntry) result {
 	if req.MaxLinkUtilization > 0 {
 		invariants = append(invariants, qualify.MaxLinkUtilization(req.MaxLinkUtilization))
 	}
-	var rep *qualify.Report
-	gate := qualify.Gate(qualify.Spec{
+	return qualify.Spec{
 		Name:           label,
-		Net:            fork,
+		Net:            net,
 		Intent:         entry.Params.Intent,
 		OriginAltitude: entry.Params.OriginAltitude,
 		Workload:       entry.Params.Demands,
 		Invariants:     invariants,
-		Schedule:       waves,
+		Schedule:       req.Waves(),
 		SampleEvery:    req.SampleEvery,
-		Instrument: func(n *fabric.Network) {
-			n.SetTap(s.events.tap("whatif " + label))
-		},
-		OnReport: func(r *qualify.Report) { rep = r },
-	})
-	gateErr := gate.Check()
-	if rep == nil {
-		// The gate failed before qualification ran (capture/fork error).
-		return errorResult(http.StatusInternalServerError, "what-if gate: %v", gateErr)
 	}
+}
+
+// whatIfResult renders a qualification report as the response body.
+func whatIfResult(req *WhatIfRequest, entry *cacheEntry, rep *qualify.Report) result {
 	resp := &WhatIfResponse{
 		Fingerprint: entry.Fingerprint,
 		Scenario:    req.Scenario,
@@ -324,7 +329,8 @@ func (s *Server) plan(ctx context.Context, ar *apiRequest) result {
 		resp.BaselineScore = &baseScore
 		resp.FromBaseline = res.FromBaseline
 		body := encodeBody(resp)
-		pe.final = body
+		// A finished plan answers from final; its resume state is dead weight.
+		pe.final, pe.checkpoint = body, nil
 		if s.persist != nil {
 			if err := s.persist.savePlanFinal(id, body); err != nil {
 				s.persist.noteError()

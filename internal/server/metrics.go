@@ -7,21 +7,68 @@ package server
 // concurrent responses) trivially safe from timing.
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"time"
 
 	"centralium/internal/guard"
-	"centralium/internal/metrics"
 )
 
-// latencySampleCap bounds the per-endpoint latency reservoir.
-const latencySampleCap = 4096
+// Latencies are kept as counts in fixed log-spaced buckets — latSub per
+// octave from 1µs up, so a reported percentile is within 2^(1/latSub) (9%)
+// of the true one — in two windows of latencyWindow observations: the one
+// filling and the one before it. Percentiles and the maximum are read over
+// both, so they follow the last latencyWindow..2×latencyWindow requests in
+// O(1) memory (2 KB an endpoint), however long the daemon lives.
+const (
+	latencyWindow = 4096
+	latSub        = 8
+	latBuckets    = 32 * latSub
+)
+
+type latencyCounts struct {
+	buckets [latBuckets]uint32
+	n       int
+	maxMs   float64
+}
 
 type endpointStats struct {
-	requests int64
-	errors   int64
-	lat      *metrics.Sample
+	requests  int64
+	errors    int64
+	cur, prev latencyCounts
+}
+
+// latBucket is the bucket holding d: floor(latSub·log2(µs)), clamped.
+func latBucket(d time.Duration) int {
+	us := float64(d) / float64(time.Microsecond)
+	if us < 1 {
+		return 0
+	}
+	return min(int(math.Log2(us)*latSub), latBuckets-1)
+}
+
+// record counts one latency, starting a new window when this one is full.
+func (es *endpointStats) record(d time.Duration) {
+	es.cur.buckets[latBucket(d)]++
+	es.cur.n++
+	es.cur.maxMs = max(es.cur.maxMs, float64(d)/float64(time.Millisecond))
+	if es.cur.n == latencyWindow {
+		es.prev, es.cur = es.cur, latencyCounts{}
+	}
+}
+
+// percentile is the geometric middle, in milliseconds, of the bucket
+// holding the p-th percentile of both windows (0 when nothing is recorded).
+func (es *endpointStats) percentile(p float64) float64 {
+	rank := int(p / 100 * float64(es.cur.n+es.prev.n-1))
+	for i := range es.cur.buckets {
+		rank -= int(es.cur.buckets[i] + es.prev.buckets[i])
+		if rank < 0 {
+			return math.Exp2((float64(i)+0.5)/latSub) / 1000
+		}
+	}
+	return 0
 }
 
 type serverMetrics struct {
@@ -54,17 +101,13 @@ func (m *serverMetrics) observe(endpoint string, status int, d time.Duration) {
 	defer m.mu.Unlock()
 	es, ok := m.endpoints[endpoint]
 	if !ok {
-		es = &endpointStats{lat: metrics.NewSample(latencySampleCap)}
+		es = &endpointStats{}
 		m.endpoints[endpoint] = es
 	}
+	es.record(d)
 	es.requests++
 	if status >= 400 {
 		es.errors++
-	}
-	// AddDuration records milliseconds; cap the reservoir so a long-lived
-	// daemon's metrics stay O(1).
-	if es.lat.Len() < latencySampleCap {
-		es.lat.AddDuration(d)
 	}
 }
 
@@ -181,12 +224,9 @@ func (m *serverMetrics) snapshot() ([]EndpointMetrics, int64, int64, int64) {
 	out := make([]EndpointMetrics, 0, len(m.endpoints))
 	for name, es := range m.endpoints {
 		em := EndpointMetrics{Endpoint: name, Requests: es.requests, Errors: es.errors}
-		// Percentile of an empty sample is NaN, which JSON cannot carry.
-		if es.lat.Len() > 0 {
-			em.P50Ms = es.lat.Percentile(50)
-			em.P99Ms = es.lat.Percentile(99)
-			em.MaxMs = es.lat.Max()
-		}
+		em.P50Ms = es.percentile(50)
+		em.P99Ms = es.percentile(99)
+		em.MaxMs = max(es.cur.maxMs, es.prev.maxMs)
 		out = append(out, em)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Endpoint < out[j].Endpoint })

@@ -304,6 +304,44 @@ func fetchMetrics(t *testing.T, ts *httptest.Server) *MetricsSnapshot {
 	return m
 }
 
+// TestLatencyFollowsRecentTraffic pins the latency windows: a daemon that
+// served a full window of fast requests and then a full window of slow ones
+// must report the slow ones, not freeze on its first observations — to
+// within a bucket's width (2^(1/latSub)), in memory that does not grow.
+func TestLatencyFollowsRecentTraffic(t *testing.T) {
+	m := newServerMetrics()
+	read := func() EndpointMetrics {
+		eps, _, _, _ := m.snapshot()
+		return eps[0]
+	}
+	near := func(got, want float64) bool { return got > want/1.1 && got < want*1.1 }
+	if empty := (&endpointStats{}).percentile(50); empty != 0 {
+		t.Fatalf("empty endpoint reports p50 %v", empty)
+	}
+	for i := 0; i < latencyWindow; i++ {
+		m.observe("whatif", 200, time.Millisecond)
+	}
+	if fast := read(); !near(fast.P50Ms, 1) || fast.MaxMs != 1 {
+		t.Fatalf("fast window: %+v", fast)
+	}
+	for i := 0; i < latencyWindow; i++ {
+		m.observe("whatif", 200, 50*time.Millisecond)
+	}
+	slow := read()
+	if !near(slow.P50Ms, 50) || !near(slow.P99Ms, 50) || slow.MaxMs != 50 {
+		t.Errorf("percentiles did not follow recent traffic: %+v", slow)
+	}
+	if slow.Requests != 2*latencyWindow {
+		t.Errorf("requests %d", slow.Requests)
+	}
+	// Out-of-range latencies clamp to the end buckets instead of indexing past them.
+	m.observe("whatif", 200, 0)
+	m.observe("whatif", 200, 1000*time.Hour)
+	if got := read(); got.MaxMs != float64(1000*time.Hour/time.Millisecond) {
+		t.Errorf("max after a huge latency: %+v", got)
+	}
+}
+
 // TestMetricsAndHealth checks the observability endpoints account for
 // real traffic.
 func TestMetricsAndHealth(t *testing.T) {

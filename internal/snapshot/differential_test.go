@@ -73,7 +73,7 @@ func eventLine(ev telemetry.Event) string {
 }
 
 func recordTap(n *fabric.Network, lines *[]string) {
-	n.SetTap(telemetry.TapFunc(func(ev telemetry.Event) {
+	n.AddTap(telemetry.TapFunc(func(ev telemetry.Event) {
 		*lines = append(*lines, eventLine(ev))
 	}))
 }
