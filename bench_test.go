@@ -365,8 +365,8 @@ func BenchmarkTapDisabled(b *testing.B) {
 // --- Convergence scaling -----------------------------------------------------
 
 // BenchmarkConvergence measures a cold-start fleet convergence (backbone
-// default route + rack prefixes) at three fabric sizes, under each decision
-// engine pinned explicitly: <scale>/incremental and <scale>/full. Both
+// default route + rack prefixes) at three fabric sizes, with the advertise
+// memo on and off: <scale>/incremental and <scale>/full (the oracle). Both
 // produce byte-identical results (the differential tests enforce it); the
 // benchmark prices the wall-clock difference. The engine-convergence rows of
 // results/BENCH_history.jsonl are the committed trajectory. The 1kdevice
@@ -380,19 +380,17 @@ func BenchmarkConvergence(b *testing.B) {
 		}{{"incremental", false}, {"full", true}} {
 			b.Run(fmt.Sprintf("%s/%s", sc.Name, mode.name), func(b *testing.B) {
 				var events int64
-				var skipped, advMemo, fibMemo int
+				var advMemo int
 				for i := 0; i < b.N; i++ {
 					st := experiments.RunConvergenceMode(sc, 42, mode.full)
 					if st.Events == 0 {
 						b.Fatal("no events")
 					}
 					events = st.Events
-					skipped, advMemo, fibMemo = st.SkippedRecomputes, st.AdvMemoHits, st.FIBMemoHits
+					advMemo = st.AdvMemoHits
 				}
 				b.ReportMetric(float64(events), "events")
-				b.ReportMetric(float64(skipped), "skipped")
 				b.ReportMetric(float64(advMemo), "adv-memo")
-				b.ReportMetric(float64(fibMemo), "fib-memo")
 			})
 		}
 	}

@@ -84,7 +84,7 @@ func main() {
 		bare     = fs.Bool("bare", false, "also search unprotected (bare) waves")
 		workers  = fs.Int("workers", 0, "evaluation pool width (0: 1); never changes results")
 		sched    = fs.String("schedule", "", "schedule text to evaluate (score/explain)")
-		ckpt     = fs.String("checkpoint", "", "write a resumable search checkpoint here after every level")
+		ckpt     = fs.String("checkpoint", "", "write a resumable search checkpoint (compact JSON, for -resume) here after every level")
 		resume   = fs.String("resume", "", "resume the search from this checkpoint file")
 		dataDir  = fs.String("data-dir", "", "durable store directory: journal search progress to its WAL and auto-resume an interrupted plan")
 		guardX   = fs.Bool("guard", false, "execute the resulting schedule under the guard supervisor")
@@ -113,6 +113,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "       planctl plan -scenario fig10 -seed 1 [-bare] [-checkpoint f] [-resume f]")
 	fmt.Fprintln(os.Stderr, "       planctl score -scenario fig10 -schedule \"dev1 > dev2,dev3\"")
 	fmt.Fprintln(os.Stderr, "       planctl plan -scenario fig10 -guard [-envelope spec] [-max-retries n]")
+	fmt.Fprintln(os.Stderr, "checkpoint files are compact JSON, written for -resume; pipe one through a JSON formatter to read it")
 }
 
 // run dispatches one planctl invocation. overrides carries the

@@ -13,14 +13,7 @@ import (
 // recompute runs the decision pipeline and, when a tap is attached,
 // reports installed best-path changes by comparing the prefix's canonical
 // FIB group key across the run. Disabled-tap cost is one nil compare.
-// The incremental engine routes through recomputeTracked, which emits the
-// same best-path event in the same position while capturing the run's
-// dependency profile; this body is the oracle's.
 func (s *Speaker) recompute(p netip.Prefix) {
-	if !s.fullRecompute {
-		s.recomputeTracked(p)
-		return
-	}
 	if s.tap == nil {
 		s.recomputeOne(p)
 		return
@@ -45,7 +38,6 @@ func (s *Speaker) recompute(p netip.Prefix) {
 func (s *Speaker) recomputeOne(p netip.Prefix) {
 	s.stats.Recomputes++
 	st := s.state(p)
-	st.reachAdv = false
 	info := DecisionInfo{AdvertisedPathLen: -1, MaxSelectedPathLen: -1, WeightMode: "ecmp"}
 	defer func() {
 		info.Withdrawn = len(st.advertised) == 0
@@ -56,12 +48,10 @@ func (s *Speaker) recomputeOne(p netip.Prefix) {
 	if oi, ok := s.originated[p]; ok {
 		info.Originated = true
 		info.AdvertisedPathLen = 0
-		st.hasRep, st.hasRepSel = false, false
 		if oi.installFIB {
-			s.installHops(p, st, localHops)
+			s.fibTbl.Install(p, localHops)
 		} else {
 			s.fibTbl.Remove(p)
-			st.fibOK = false
 		}
 		localAttrs := core.RouteAttrs{
 			Prefix:            p,
@@ -75,14 +65,10 @@ func (s *Speaker) recomputeOne(p netip.Prefix) {
 
 	cands := s.gather(p)
 	if len(cands) == 0 {
-		st.hasRep, st.hasRepSel = false, false
 		s.fibTbl.Remove(p)
-		st.fibOK = false
 		s.withdrawAll(p, st)
 		return
 	}
-	st.hasRep, st.repRoute = true, cands[0].Attrs
-	st.hasRepSel = false
 
 	// Track the high-water distinct-next-hop baseline for percentage
 	// thresholds ("75% of full health").
@@ -142,14 +128,10 @@ func (s *Speaker) recomputeOne(p netip.Prefix) {
 			if keepWarm {
 				// Keep forwarding entries so in-flight packets survive,
 				// but advertise nothing (the Figure 14 footgun).
-				st.hasRepSel, st.repSel = true, cands[selected[0]].Attrs
-				_, info.WeightMode = s.installFIB(p, st, cands, selected)
+				_, info.WeightMode = s.installFIB(p, cands, selected)
 				s.fibTbl.MarkWarm(p)
-				// MarkWarm notifies the tap on every run, changed or not.
-				s.runEmits++
 			} else {
 				s.fibTbl.Remove(p)
-				st.fibOK = false
 			}
 			s.withdrawAll(p, st)
 			return
@@ -158,7 +140,6 @@ func (s *Speaker) recomputeOne(p netip.Prefix) {
 
 	if len(selected) == 0 {
 		s.fibTbl.Remove(p)
-		st.fibOK = false
 		s.withdrawAll(p, st)
 		return
 	}
@@ -171,9 +152,8 @@ func (s *Speaker) recomputeOne(p netip.Prefix) {
 		}
 	}
 
-	st.hasRepSel, st.repSel = true, cands[selected[0]].Attrs
 	var aggBW float64
-	aggBW, info.WeightMode = s.installFIB(p, st, cands, selected)
+	aggBW, info.WeightMode = s.installFIB(p, cands, selected)
 
 	// Advertisement: RPA speakers advertise the least favorable selected
 	// path (Section 5.3.1); native decisions advertise the best path.
@@ -298,10 +278,9 @@ func leastFavorable(cands []Candidate, selected []int) int {
 // installFIB writes the weighted next-hop set for the selected routes and
 // returns the aggregate advertised bandwidth for WCMP mode plus the weight
 // assignment mode ("rpa", "wcmp", or "ecmp"). Weights are always computed
-// fresh (RouteAttribute expiry is clock-dependent); the incremental engine
-// only memoizes the resulting hop set to skip the canonical group-key
-// rebuild when the install is a provable same-key rewrite.
-func (s *Speaker) installFIB(p netip.Prefix, st *prefixState, cands []Candidate, selected []int) (float64, string) {
+// fresh (RouteAttribute expiry is clock-dependent); the table itself
+// recognises an install that rewrites the live entry with the same set.
+func (s *Speaker) installFIB(p netip.Prefix, cands []Candidate, selected []int) (float64, string) {
 	mode := "ecmp"
 	if cap(s.weightScratch) < len(selected) {
 		s.weightScratch = make([]int, len(selected))
@@ -359,33 +338,12 @@ func (s *Speaker) installFIB(p netip.Prefix, st *prefixState, cands []Candidate,
 		aggBW += bw
 	}
 	s.hopsScratch = hops
-	s.installHops(p, st, hops)
+	s.fibTbl.Install(p, hops)
 	return aggBW, mode
 }
 
-// installHops installs a hop set through the incremental engine's FIB memo:
-// an install equal to the live entry's recorded hops is replayed via Touch.
-// The oracle always installs and records nothing.
-func (s *Speaker) installHops(p netip.Prefix, st *prefixState, hops []fib.NextHop) {
-	if !s.fullRecompute && st.fibOK && slices.Equal(st.fibHops, hops) {
-		s.fibTbl.Touch(p)
-		s.incr.FIBMemoHits++
-		return
-	}
-	s.fibTbl.Install(p, hops)
-	st.fibOK = !s.fullRecompute && len(hops) > 0
-	if st.fibOK {
-		// Copy: hops is scratch (or shared), the memo must own its record.
-		st.fibHops = append(st.fibHops[:0], hops...)
-	}
-}
-
 // emitRPAHit reports an RPA statement (or path set) governing a decision.
-// The per-run emission count is maintained even with no tap attached: an
-// RPA-governed run must never be profiled as steady, or a later skip would
-// drop its per-run emissions and counter residue.
 func (s *Speaker) emitRPAHit(p netip.Prefix, statement string) {
-	s.runEmits++
 	if s.tap == nil {
 		return
 	}
@@ -445,19 +403,19 @@ func uitoa(v uint32) string {
 // locally originated routes); the split-horizon rule never re-advertises a
 // route to the device it came from.
 func (s *Speaker) advertise(p netip.Prefix, st *prefixState, route *core.RouteAttrs, learnedFrom SessionID, aggBW float64) {
-	st.reachAdv = true
 	if s.drained {
 		s.withdrawAll(p, st)
 		return
 	}
-	incr := !s.fullRecompute
 	// Advertisement memo: under an unchanged epoch (same peers, prepends,
 	// drain state, and egress policy) a repeat call with the same route
 	// content, source session, and aggregate bandwidth builds the same
 	// content and suppresses it on every session — eligibility reads only
 	// the prefix and peer names, and messages carry only the AS path,
-	// communities, origin, and bandwidth compared here. Skip the loop.
-	if incr && st.advOK && st.advEpoch == s.advEpoch && st.advFrom == learnedFrom &&
+	// communities, origin, and bandwidth compared here. Skip the loop —
+	// unless this speaker is the oracle, which always walks it: the one
+	// branch the mode decides.
+	if !s.fullRecompute && st.advOK && st.advEpoch == s.advEpoch && st.advFrom == learnedFrom &&
 		st.advBW == aggBW && st.advRoute.equal(route) {
 		s.incr.AdvertiseMemoHits++
 		return
@@ -535,15 +493,14 @@ func (s *Speaker) advertise(p netip.Prefix, st *prefixState, route *core.RouteAt
 	}
 	clear(built)
 	s.advScratch = built[:0]
-	if incr {
-		// Record after the loop: any withdrawal inside it cleared advOK,
-		// and the loop's final state is exactly what the memo asserts.
-		st.advOK = true
-		st.advEpoch = s.advEpoch
-		st.advFrom = learnedFrom
-		st.advBW = aggBW
-		st.advRoute = advRoute{origin: route.Origin, path: route.ASPath, comms: route.Communities}
-	}
+	// Record after the loop: any withdrawal inside it cleared advOK, and the
+	// loop's final state is exactly what the memo asserts. The oracle records
+	// too, so the memo is current whenever a mode switch starts trusting it.
+	st.advOK = true
+	st.advEpoch = s.advEpoch
+	st.advFrom = learnedFrom
+	st.advBW = aggBW
+	st.advRoute = advRoute{origin: route.Origin, path: route.ASPath, comms: route.Communities}
 }
 
 // withdrawAll retracts the prefix from every session it was advertised on,

@@ -9,10 +9,10 @@ import (
 )
 
 // The speaker-level conformance harness: a full-recompute oracle speaker
-// and an incremental speaker walk identical operation sequences, and after
-// every single operation the drained outboxes and the complete exported
-// state (Adj-RIBs, decisions, FIB, stats — skip compensation included)
-// must render identically. This is a finer cut than the fabric-level
+// and a speaker that trusts its advertise memo walk identical operation
+// sequences, and after every single operation the drained outboxes and the
+// complete exported state (Adj-RIBs, decisions, FIB, stats) must render
+// identically. This is a finer cut than the fabric-level
 // differential suite: it localizes a divergence to the exact operation
 // that caused it.
 
@@ -91,7 +91,8 @@ func incrWeightCfg(expiresAt int64) *core.Config {
 }
 
 // driveIncrementalSequence walks the pair through every operation class
-// with a distinct dirty predicate: session up (AddPeer), route churn,
+// that bumps the advertisement epoch or moves a route: session up (AddPeer),
+// route churn,
 // origination, RPA deploy and redeploy, drain/undrain, prepends,
 // statement expiry crossed by the virtual clock, withdrawal, and session
 // down (RemovePeer).
@@ -171,32 +172,28 @@ func TestIncrementalOpSequenceEquivalence(t *testing.T) {
 	}
 }
 
-// TestIncrementalCountersEngage guards against vacuous equivalence: the
-// sequence must actually exercise the skip path and both memos, and the
-// oracle must never touch them.
-func TestIncrementalCountersEngage(t *testing.T) {
+// TestAdvertiseMemoEngages guards against vacuous equivalence: the sequence
+// must actually hit the advertise memo, the oracle must never consult it, and
+// the two counters whose mechanisms are gone stay zero.
+func TestAdvertiseMemoEngages(t *testing.T) {
 	pr := newSpeakerPair(t, Config{ID: "dut", ASN: 65000, Multipath: true, WCMP: WCMPDistributed})
 	driveIncrementalSequence(pr)
 	st := pr.incr.IncrementalStats()
-	if st.SkippedRecomputes == 0 {
-		t.Error("incremental speaker never skipped a recompute")
-	}
 	if st.AdvertiseMemoHits == 0 {
-		t.Error("incremental speaker never hit the advertise memo")
+		t.Error("speaker never hit the advertise memo")
 	}
-	if st.FIBMemoHits == 0 {
-		t.Error("incremental speaker never hit the FIB memo")
+	if st.SkippedRecomputes != 0 || st.FIBMemoHits != 0 {
+		t.Errorf("inert counters moved: %+v", st)
 	}
 	if got := pr.full.IncrementalStats(); got != (IncrementalStats{}) {
-		t.Errorf("oracle speaker reports incremental counters %+v, want zero", got)
+		t.Errorf("oracle speaker reports memo counters %+v, want zero", got)
 	}
 }
 
-// TestIncrementalModeFlipMidSequence flips the incremental speaker onto
-// the oracle mid-sequence and back. Re-entering incremental mode must
-// discard every memo (SetFullRecompute's invalidation contract); a stale
-// advertisement or FIB memo would surface as a divergence in the steps
-// after the second flip.
+// TestIncrementalModeFlipMidSequence flips the memo-trusting speaker onto
+// the oracle mid-sequence and back. The memo must be current when it is
+// trusted again (the oracle keeps recording it); a stale one would surface as
+// a divergence in the steps after the second flip.
 func TestIncrementalModeFlipMidSequence(t *testing.T) {
 	pr := newSpeakerPair(t, Config{ID: "dut", ASN: 65000, Multipath: true, WCMP: WCMPDistributed})
 	pr.step("add-peers", func(s *Speaker) {
@@ -215,10 +212,21 @@ func TestIncrementalModeFlipMidSequence(t *testing.T) {
 	})
 
 	pr.incr.SetFullRecompute(true) // both on the oracle now
+	// A route change under an unchanged epoch: a memo still holding the
+	// pre-flip route would swallow the change back.
+	pr.step("reroute-on-oracle", func(s *Speaker) {
+		s.HandleUpdate("s0", Update{Prefix: incrPfxN, ASPath: []uint32{65001, 64999}, Origin: core.OriginIGP})
+	})
+	pr.incr.SetFullRecompute(false)
+	pr.step("route-back", func(s *Speaker) {
+		s.HandleUpdate("s0", Update{Prefix: incrPfxN, ASPath: []uint32{65001}, Origin: core.OriginIGP})
+	})
+
+	pr.incr.SetFullRecompute(true)
 	pr.step("drain-on-oracle", func(s *Speaker) { s.SetDrained(true) })
 	pr.step("undrain-on-oracle", func(s *Speaker) { s.SetDrained(false) })
 
-	pr.incr.SetFullRecompute(false) // back to incremental: memos must be cold
+	pr.incr.SetFullRecompute(false) // memo trusted again: it must be current
 	pr.step("deploy-pathsel", func(s *Speaker) {
 		if err := s.SetRPA(incrPathSelCfg()); err != nil {
 			t.Fatal(err)
@@ -230,33 +238,11 @@ func TestIncrementalModeFlipMidSequence(t *testing.T) {
 	})
 }
 
-// TestDefaultFullRecomputeToggle pins the fleet-default plumbing: the
-// process default decides a new speaker's mode, and flipping it never
-// touches existing speakers.
-func TestDefaultFullRecomputeToggle(t *testing.T) {
-	orig := DefaultFullRecompute()
-	defer SetDefaultFullRecompute(orig)
-
-	SetDefaultFullRecompute(true)
-	a := NewSpeaker(Config{ID: "a", ASN: 1}, nil)
-	if !a.FullRecompute() {
-		t.Error("speaker built under full default is incremental")
-	}
-	SetDefaultFullRecompute(false)
-	b := NewSpeaker(Config{ID: "b", ASN: 2}, nil)
-	if b.FullRecompute() {
-		t.Error("speaker built under incremental default is full")
-	}
-	if !a.FullRecompute() {
-		t.Error("existing speaker changed mode when the default flipped")
-	}
-}
-
 // TestSortPrefixesOrdering pins sortPrefixes' contract after the move to
 // slices.SortFunc: ascending address bytes first (IPv4 before IPv6 per
 // netip.Addr.Compare), then ascending mask length for equal addresses.
 // Every iteration surface that feeds goldens — tap streams, snapshot
-// encoding, recomputeDirty's walk — inherits exactly this order.
+// encoding, recomputeAll's walk — inherits exactly this order.
 func TestSortPrefixesOrdering(t *testing.T) {
 	want := []netip.Prefix{
 		netip.MustParsePrefix("0.0.0.0/0"),

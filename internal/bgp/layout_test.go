@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"centralium/internal/core"
 )
@@ -28,7 +29,8 @@ func layoutSpeaker(n int) *Speaker {
 
 // TestHandleUpdateAllocs pins the per-event allocation contract with no tap
 // attached: an UPDATE that repeats what the session already announced (the
-// decision re-runs, both memos hit, nothing is sent) allocates nothing, and
+// decision re-runs, the FIB sees a no-op rewrite, the advertise memo hits,
+// nothing is sent) allocates nothing, and
 // one that changes the best path and is re-advertised on every session
 // stays under a small fixed ceiling — one shared content for the whole
 // fan-out, plus the FIB's new next-hop group. The same numbers hold on a
@@ -37,7 +39,7 @@ func layoutSpeaker(n int) *Speaker {
 func TestHandleUpdateAllocs(t *testing.T) {
 	p := netip.MustParsePrefix("0.0.0.0/0")
 	fresh := layoutSpeaker(4)
-	fresh.SetFullRecompute(false) // the zero is the memos'; the oracle has none
+	fresh.SetFullRecompute(false) // the zero is the memo's; the oracle walks the sessions
 	sessions := []SessionID{"s0", "s1", "s2", "s3"}
 	updates := make([]Update, len(sessions))
 	for i, sess := range sessions {
@@ -87,6 +89,15 @@ func TestHandleUpdateAllocs(t *testing.T) {
 		if sent := s.Stats().UpdatesSent - sentBefore; sent < 200 {
 			t.Fatalf("%s: accepted arm sent only %d updates; it did not exercise the advertise path", name, sent)
 		}
+	}
+}
+
+// TestPrefixStateSize pins the per-prefix, per-speaker (and so per-fork)
+// bookkeeping: two columns, the last decision and the advertise memo. It was
+// 616 bytes while it also carried a dependency profile and two route copies.
+func TestPrefixStateSize(t *testing.T) {
+	if got := unsafe.Sizeof(prefixState{}); got > 256 {
+		t.Errorf("unsafe.Sizeof(prefixState{}) = %d, want <= 256", got)
 	}
 }
 

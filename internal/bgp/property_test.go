@@ -74,7 +74,7 @@ func equalSessionSets(a, b map[SessionID]bool) bool {
 // TestPropertyNativeSelectPermutationInvariance: native selection is a
 // function of the candidate *set*, not the slice order — for any
 // permutation, the same sessions are selected (multipath) and the same
-// single session wins (single-path). The incremental engine depends on
+// single session wins (single-path). The speaker depends on
 // this: its cached session order fixes one arrival-independent iteration
 // order and this property says no other order could have chosen
 // differently.

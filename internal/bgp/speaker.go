@@ -48,8 +48,8 @@ type Speaker struct {
 	// site guards on that so the disabled hot path is one pointer compare.
 	tap telemetry.Tap
 
-	// Incremental decision engine (see incremental.go). fullRecompute
-	// selects the oracle; the rest is derived state, never serialized.
+	// fullRecompute makes the speaker the oracle: advertise ignores its memo
+	// (see incremental.go). The rest is derived state, never serialized.
 	fullRecompute bool
 	// advEpoch invalidates every advertisement memo at once on triggers
 	// that change advertise behavior globally (peer set, prepends, drain,
@@ -57,16 +57,10 @@ type Speaker struct {
 	advEpoch uint64
 	// sessOrder caches the sorted session list; nil means rebuild.
 	sessOrder []SessionID
-	// runEmits counts per-run tap emissions not implied by a state change,
-	// maintained by emit sites inside the pipeline for profile capture.
-	runEmits int
-	incr     IncrementalStats
+	incr      IncrementalStats
 
 	// Scratch buffers reused across decision runs (the speaker is
-	// single-threaded and the pipeline never retains them — the FIB memo
-	// copies before recording). Both decision engines use them: the oracle
-	// differs from the incremental engine in which prefixes re-run, not in
-	// how a run allocates.
+	// single-threaded and the pipeline never retains them).
 	attrsScratch    []core.RouteAttrs
 	wattsScratch    []core.RouteAttrs
 	hopsScratch     []fib.NextHop
@@ -101,7 +95,7 @@ func newSpeaker(cfg Config, now func() int64) *Speaker {
 	if now == nil {
 		now = func() int64 { return 0 }
 	}
-	return &Speaker{cfg: cfg, fullRecompute: DefaultFullRecompute(), now: now}
+	return &Speaker{cfg: cfg, fullRecompute: defaultFullRecompute, now: now}
 }
 
 // noRPA is the configuration of every speaker without a deployed RPA, shared
@@ -181,17 +175,8 @@ func (s *Speaker) AddPeer(sess SessionID, device string, asn uint32, linkGbps fl
 	}
 	s.advEpoch++
 	s.sessOrder = nil
-	if s.fullRecompute {
-		// Replay current decisions to the new peer.
-		s.recomputeAll()
-		return
-	}
-	// A new session has received nothing yet, so no prefix's candidate set
-	// changes; only prefixes that advertise (and are not drained) replay
-	// their advertisement onto the new session.
-	s.recomputeDirty(func(_ netip.Prefix, st *prefixState) bool {
-		return st.reachAdv && !s.drained
-	})
+	// Replay current decisions to the new peer.
+	s.recomputeAll()
 }
 
 // RemovePeer tears down a session: its routes leave the RIB and affected
@@ -250,17 +235,10 @@ func (s *Speaker) SetAllPeersPrepend(n int) {
 	s.reAdvertiseAll()
 }
 
-// reAdvertiseAll recomputes after an export-policy change: selection is
-// untouched, so only prefixes with live advertisements can be affected.
+// reAdvertiseAll recomputes after an export-policy change.
 func (s *Speaker) reAdvertiseAll() {
 	s.advEpoch++
-	if s.fullRecompute {
-		s.recomputeAll()
-		return
-	}
-	s.recomputeDirty(func(_ netip.Prefix, st *prefixState) bool {
-		return len(st.advertised) > 0
-	})
+	s.recomputeAll()
 }
 
 // SetDrained steers traffic away from this device: while drained, the
@@ -272,23 +250,7 @@ func (s *Speaker) SetDrained(d bool) {
 	}
 	s.drained = d
 	s.advEpoch++
-	if s.fullRecompute {
-		s.recomputeAll()
-		return
-	}
-	if d {
-		// Draining withdraws live advertisements; prefixes advertising
-		// nothing have nothing to withdraw.
-		s.recomputeDirty(func(_ netip.Prefix, st *prefixState) bool {
-			return len(st.advertised) > 0
-		})
-	} else {
-		// Undraining re-advertises every prefix whose decision reaches the
-		// advertise step.
-		s.recomputeDirty(func(_ netip.Prefix, st *prefixState) bool {
-			return st.reachAdv
-		})
-	}
+	s.recomputeAll()
 }
 
 // Drained reports the drain state.
@@ -305,34 +267,10 @@ func (s *Speaker) SetRPA(cfg *core.Config) error {
 	if err != nil {
 		return fmt.Errorf("bgp %s: %w", s.cfg.ID, err)
 	}
-	oldEv := s.rpa
-	filterDirt := len(s.rpaCfg.RouteFilter) > 0 || len(cfg.RouteFilter) > 0
 	s.rpa = ev
 	s.rpaCfg = cfg.Clone()
 	s.advEpoch++
-	if s.fullRecompute {
-		s.recomputeAll()
-		return nil
-	}
-	// Dirty set: prefixes whose representative routes match a statement of
-	// the outgoing or incoming config (selection or weights can change),
-	// plus — when either config filters routes — everything that reaches
-	// the advertise step (egress eligibility can change). Prefixes the old
-	// config actually governed are non-steady anyway (cache activity or
-	// RPA-hit emissions), so they recompute regardless.
-	s.recomputeDirty(func(_ netip.Prefix, st *prefixState) bool {
-		if filterDirt && st.reachAdv {
-			return true
-		}
-		if st.hasRep && (oldEv.HasPathSelection(&st.repRoute) || ev.HasPathSelection(&st.repRoute) ||
-			oldEv.HasRouteAttribute(&st.repRoute) || ev.HasRouteAttribute(&st.repRoute)) {
-			return true
-		}
-		if st.hasRepSel && (oldEv.HasRouteAttribute(&st.repSel) || ev.HasRouteAttribute(&st.repSel)) {
-			return true
-		}
-		return false
-	})
+	s.recomputeAll()
 	return nil
 }
 
@@ -498,9 +436,9 @@ func (s *Speaker) recomputeAll() {
 }
 
 // sortPrefixes orders prefixes by address, then mask length. The ordering
-// is a determinism contract: recompute drivers in both engine modes walk
-// prefixes in this order, which fixes outbox message order and therefore
-// every downstream jitter draw.
+// is a determinism contract: recomputeAll walks prefixes in this order,
+// which fixes outbox message order and therefore every downstream jitter
+// draw.
 func sortPrefixes(ps []netip.Prefix) {
 	slices.SortFunc(ps, comparePrefixes)
 }

@@ -10,7 +10,6 @@ import (
 	"slices"
 
 	"centralium/internal/core"
-	"centralium/internal/fib"
 )
 
 // SessionID names one BGP session. Parallel sessions between the same pair
@@ -239,41 +238,19 @@ type prefixState struct {
 	last    DecisionInfo
 	hasLast bool
 
-	// Incremental-engine derived state (see incremental.go). None of it is
-	// serialized: SpeakerState — and therefore every snapshot fingerprint —
-	// is identical across engine modes, and restore rebuilds it lazily.
-
-	// prof is the dependency profile of the last tracked decision run.
-	prof evalProfile
-	// reachAdv is true when the last run reached the advertise step (the
-	// only runs a new session, undrain, or egress-filter change can affect).
-	reachAdv bool
-	// repRoute/repSel are the run's representative routes for RPA dirty
-	// tests: the first candidate (what PathSelection statement matching
-	// keys on) and the first selected route (what RouteAttribute statement
-	// matching keys on). hasRep/hasRepSel guard staleness.
-	hasRep    bool
-	repRoute  core.RouteAttrs
-	hasRepSel bool
-	repSel    core.RouteAttrs
-
 	// Advertisement memo: the inputs of the last completed advertise loop.
 	// A repeat call with equal inputs under the same advertisement epoch is
 	// provably suppressed on every session, so the loop (and its per-session
 	// path builds and duplicate-suppression keys) is skipped entirely.
-	// Invalidated by any withdrawal and by every epoch bump.
+	// Invalidated by any withdrawal and by every epoch bump. Derived state:
+	// never serialized, so SpeakerState — and every snapshot fingerprint — is
+	// the same whether or not the speaker trusts it, and a restored speaker
+	// starts without one.
 	advOK    bool
 	advEpoch uint64
 	advFrom  SessionID
 	advBW    float64
 	advRoute advRoute
-
-	// FIB memo: the exact hop set last installed for the prefix. A repeat
-	// install of an equal set is a same-key rewrite, replayed via
-	// fib.Table.Touch without rebuilding the canonical group key.
-	// Invalidated whenever the decision process removes the entry.
-	fibOK   bool
-	fibHops []fib.NextHop
 }
 
 // advRoute is what the advertise step reads of the route it is handed,

@@ -155,10 +155,8 @@ func (e *Evaluator) HasPathSelection(r *RouteAttrs) bool {
 }
 
 // HasRouteAttribute reports whether any RouteAttribute statement's
-// destination covers the route, ignoring expiry. The incremental decision
-// engine uses it as a conservative superset test when computing the dirty
-// set of an RPA deploy (an expired statement can never start applying, so
-// including it is harmless).
+// destination covers the route, ignoring expiry; speakers skip the copy
+// AssignWeights needs when none does.
 func (e *Evaluator) HasRouteAttribute(r *RouteAttrs) bool {
 	for _, es := range e.routeAtt {
 		if es.src.Destination.Matches(r) {

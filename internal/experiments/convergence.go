@@ -51,21 +51,19 @@ type ConvergenceStats struct {
 	// (originate + converge; fabric construction excluded).
 	Mallocs uint64
 
-	// FullRecompute records the decision-engine mode the run converged
-	// under; the remaining fields are the fleet-summed incremental-engine
-	// counters (all zero on the full-recompute oracle).
-	FullRecompute     bool
-	SkippedRecomputes int
-	AdvMemoHits       int
-	FIBMemoHits       int
+	// FullRecompute records whether the run converged on the oracle
+	// (advertise memo off); AdvMemoHits is the fleet-summed count of
+	// advertise calls the memo satisfied (zero on the oracle).
+	FullRecompute bool
+	AdvMemoHits   int
 }
 
 // RunConvergenceMode builds the fabric at one scale point, originates the
 // backbone default route at every EB plus rack prefixes, and converges
-// under an explicit decision-engine mode (true forces the full-recompute
-// oracle, false forces incremental), overriding the fleet default. Results
-// (events, virtual time, final routing state) are byte-identical across
-// modes, so the mode only moves Wall and the incremental counters.
+// under an explicit mode (true forces the full-recompute oracle, false the
+// advertise memo), overriding the fleet default. Results (events, virtual
+// time, final routing state) are byte-identical across modes, so the mode
+// only moves Wall and the memo-hit count.
 func RunConvergenceMode(sc ConvergenceScale, seed int64, fullRecompute bool) ConvergenceStats {
 	tp := topo.BuildFabric(sc.Params)
 	n := fabric.New(tp, fabric.Options{Seed: seed})
@@ -87,19 +85,16 @@ func RunConvergenceMode(sc ConvergenceScale, seed int64, fullRecompute bool) Con
 	events := n.Converge()
 	wall := time.Since(start)
 	runtime.ReadMemStats(&after)
-	incr := n.IncrementalStats()
 	return ConvergenceStats{
-		Devices:           tp.NumDevices(),
-		Links:             tp.NumLinks(),
-		Prefixes:          prefixes,
-		Events:            events,
-		Virtual:           time.Duration(n.Now()),
-		Wall:              wall,
-		Mallocs:           after.Mallocs - before.Mallocs,
-		FullRecompute:     n.FullRecompute(),
-		SkippedRecomputes: incr.SkippedRecomputes,
-		AdvMemoHits:       incr.AdvertiseMemoHits,
-		FIBMemoHits:       incr.FIBMemoHits,
+		Devices:       tp.NumDevices(),
+		Links:         tp.NumLinks(),
+		Prefixes:      prefixes,
+		Events:        events,
+		Virtual:       time.Duration(n.Now()),
+		Wall:          wall,
+		Mallocs:       after.Mallocs - before.Mallocs,
+		FullRecompute: n.FullRecompute(),
+		AdvMemoHits:   n.IncrementalStats().AdvertiseMemoHits,
 	}
 }
 

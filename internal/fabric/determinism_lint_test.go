@@ -206,3 +206,59 @@ func TestOneProbeLint(t *testing.T) {
 		}
 	}
 }
+
+// TestOneDecisionDriver keeps the full-recompute mode where it belongs. The
+// decision process has one driver (recomputeAll over recomputeOne); the mode
+// decides a single thing — whether advertise may trust its memo — so in
+// non-test internal/bgp the speaker's fullRecompute field may be named only
+// by advertise (once: the one mode-dependent branch), its accessors
+// SetFullRecompute and FullRecompute, and the constructor. A second engine
+// starts with an `if s.fullRecompute` somewhere else; this fails it before
+// the differential suites have two paths to keep byte-identical.
+func TestOneDecisionDriver(t *testing.T) {
+	allowed := map[string]bool{"advertise": true, "SetFullRecompute": true, "FullRecompute": true, "newSpeaker": true}
+	inAdvertise := 0
+	paths, err := filepath.Glob("../bgp/*.go")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no internal/bgp sources (err %v)", err)
+	}
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatalf("parse %s: %v", path, err)
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			ast.Inspect(fn, func(node ast.Node) bool {
+				var name *ast.Ident
+				switch n := node.(type) {
+				case *ast.SelectorExpr:
+					name = n.Sel
+				case *ast.KeyValueExpr: // a Speaker literal's field key
+					name, _ = n.Key.(*ast.Ident)
+				}
+				if name == nil || name.Name != "fullRecompute" {
+					return true
+				}
+				switch {
+				case !allowed[fn.Name.Name]:
+					t.Errorf("%s: %s reads the full-recompute mode — only advertise may branch on it",
+						fset.Position(name.Pos()), fn.Name.Name)
+				case fn.Name.Name == "advertise":
+					inAdvertise++
+				}
+				return true
+			})
+		}
+	}
+	if inAdvertise != 1 {
+		t.Errorf("advertise names fullRecompute %d times, want exactly 1 (the one mode-dependent branch)", inAdvertise)
+	}
+}

@@ -13,13 +13,13 @@ import (
 	"centralium/internal/topo"
 )
 
-// The incremental-engine conformance suite: every scenario runs under the
-// full-recompute oracle and the incremental dependency-index engine, and
-// all runs must be byte-identical — same telemetry stream (content, order,
+// The oracle conformance suite: every scenario runs under the
+// full-recompute oracle and with the advertise memo trusted, and all runs
+// must be byte-identical — same telemetry stream (content, order,
 // timestamps), same fleet FIB, same clock, same event count. This is the
-// proof obligation of the incremental decision engine (DESIGN.md,
-// "Incremental decision-process recomputation"): skipping a recompute is
-// only legal when it is observationally equivalent to running it.
+// memo's proof obligation (DESIGN.md, "Advertise memo and the oracle"):
+// skipping the advertise loop is only legal when it is observationally
+// equivalent to walking it.
 
 // recordTap renders every tap event to a line so two runs can be compared
 // byte-for-byte, ordering and timestamps included.
@@ -75,9 +75,9 @@ func mustDeploy(n *Network, dev topo.DeviceID, cfg *core.Config) {
 }
 
 // incrScenarioRPA is the migration-flavored scenario: PathSelection RPA
-// deploys (including a redeploy, which exercises the SetRPA dirty set),
-// maintenance drains, AS-path prepends, a link flap, and a cold daemon
-// restart — every operation with a distinct dirty predicate.
+// deploys (including a redeploy), maintenance drains, AS-path prepends, a
+// link flap, and a cold daemon restart — every operation that bumps the
+// advertisement epoch.
 func incrScenarioRPA() incrPhases {
 	prefSpine := &core.Config{PathSelection: []core.PathSelectionStatement{{
 		Name:        "prefer-spine",
@@ -149,8 +149,8 @@ func incrScenarioRPA() incrPhases {
 // RPA with an expiry pins WCMP weights at the spine layer, then expires
 // mid-run while drains and a device decommission force recomputes on both
 // sides of the expiry boundary. Expiry is the one time-dependent input of
-// the decision process; the suite proves the incremental engine needs no
-// clock-driven invalidation for it (see internal/bgp/incremental.go).
+// the decision process; weights are computed fresh on every run, so the
+// suite proves the memo needs no clock-driven invalidation for it.
 func incrScenarioWeights() incrPhases {
 	return incrPhases{
 		func(n *Network) {
@@ -246,11 +246,11 @@ func compareIncrRuns(t *testing.T, ref, got incrResult) {
 }
 
 // TestIncrementalDifferentialConformance is the headline artifact: 10
-// seeds x 2 scenarios, the incremental engine byte-identical to the
+// seeds x 2 scenarios, the memo-trusting fleet byte-identical to the
 // full-recompute oracle. Vacuousness guards on both sides: the oracle must
-// really exercise RPA machinery, and the incremental run must really skip
-// recomputes and hit both memos (equivalence by silent fallback to the
-// oracle would prove nothing).
+// really exercise RPA machinery, and the other run must really hit the
+// advertise memo (equivalence by silent fallback to the oracle would prove
+// nothing).
 func TestIncrementalDifferentialConformance(t *testing.T) {
 	scenarios := []struct {
 		name    string
@@ -270,8 +270,8 @@ func TestIncrementalDifferentialConformance(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/seed%d", sc.name, seed), func(t *testing.T) {
 				t.Parallel()
 				ref := runIncrMode(seed, true, sc.build())
-				if n := ref.incr.SkippedRecomputes + ref.incr.AdvertiseMemoHits + ref.incr.FIBMemoHits; n != 0 {
-					t.Errorf("oracle run reports %d incremental counter hits, want 0", n)
+				if n := ref.incr.AdvertiseMemoHits; n != 0 {
+					t.Errorf("oracle run reports %d advertise-memo hits, want 0", n)
 				}
 				if sc.needRPA && ref.rpaSel == 0 {
 					t.Fatal("scenario never drove an RPA path selection; conformance would be vacuous")
@@ -281,24 +281,18 @@ func TestIncrementalDifferentialConformance(t *testing.T) {
 				}
 				got := runIncrMode(seed, false, sc.build())
 				compareIncrRuns(t, ref, got)
-				if got.incr.SkippedRecomputes == 0 {
-					t.Error("no skipped recomputes; incremental engine never engaged")
-				}
 				if got.incr.AdvertiseMemoHits == 0 {
-					t.Error("no advertise-memo hits")
-				}
-				if got.incr.FIBMemoHits == 0 {
-					t.Error("no FIB-memo hits")
+					t.Error("no advertise-memo hits; the memo never engaged")
 				}
 			})
 		}
 	}
 }
 
-// TestIncrementalMidRunModeFlip switches engines between scenario phases —
-// oracle, then incremental, then oracle again — and must still match both
-// pure runs. This pins SetFullRecompute's contract that a mid-run flip is
-// result-free (entering incremental mode discards all derived state).
+// TestIncrementalMidRunModeFlip switches modes between scenario phases —
+// oracle, then memo, then oracle again — and must still match both pure
+// runs. This pins SetFullRecompute's contract that a mid-run flip is
+// result-free (the oracle keeps the memo's record current).
 func TestIncrementalMidRunModeFlip(t *testing.T) {
 	const seed = 21
 	ref := runIncrMode(seed, false, incrScenarioRPA())

@@ -37,13 +37,14 @@ type Options struct {
 	// fabric.par_speedup_w2 rig that sets it.
 	Workers int
 
-	// FullRecompute forces every speaker onto the full-recompute oracle:
-	// each bulk trigger re-runs the decision pipeline for every known
-	// prefix. False uses the fleet default (CENTRALIUM_FULL_RECOMPUTE env
-	// or bgp.SetDefaultFullRecompute), which is the incremental engine
-	// unless overridden. Both modes are byte-identical — tap streams, FIB
-	// state, snapshot fingerprints — so the choice only affects wall-clock;
-	// the oracle exists for differential testing.
+	// FullRecompute makes every speaker the full-recompute oracle: the
+	// advertise step walks every session on every decision run instead of
+	// trusting its per-prefix memo. That is all the mode toggles — there
+	// is one decision driver. False uses the process default (the memo,
+	// unless the CENTRALIUM_FULL_RECOMPUTE env pins the oracle). Both modes
+	// are byte-identical — tap streams, FIB state, snapshot fingerprints —
+	// so the choice only affects wall-clock; the oracle exists for
+	// differential testing.
 	FullRecompute bool
 }
 
@@ -311,25 +312,22 @@ func (n *Network) FullRecompute() bool {
 	return true
 }
 
-// SetFullRecompute switches every speaker between the full-recompute
-// oracle and the incremental decision engine. The switch is result-free:
-// both modes are byte-identical, so flipping mid-run only changes
-// wall-clock (the differential suite flips mid-scenario to prove it).
+// SetFullRecompute makes every speaker the full-recompute oracle
+// (advertise memo off) or not. The switch is result-free: both modes are
+// byte-identical, so flipping mid-run only changes wall-clock (the
+// differential suite flips mid-scenario to prove it).
 func (n *Network) SetFullRecompute(on bool) {
 	for _, node := range n.nodes {
 		node.Speaker.SetFullRecompute(on)
 	}
 }
 
-// IncrementalStats sums the fleet's incremental-engine work-avoidance
-// counters (all zero under the oracle).
+// IncrementalStats sums the fleet's advertise-memo hits (zero under the
+// oracle); the struct's other two counters are inert, see its declaration.
 func (n *Network) IncrementalStats() bgp.IncrementalStats {
 	var agg bgp.IncrementalStats
 	for _, node := range n.nodes {
-		st := node.Speaker.IncrementalStats()
-		agg.SkippedRecomputes += st.SkippedRecomputes
-		agg.AdvertiseMemoHits += st.AdvertiseMemoHits
-		agg.FIBMemoHits += st.FIBMemoHits
+		agg.AdvertiseMemoHits += node.Speaker.IncrementalStats().AdvertiseMemoHits
 	}
 	return agg
 }

@@ -161,7 +161,7 @@ type RestoreOptions struct {
 	// FullRecompute restores every speaker onto the full-recompute oracle,
 	// as Options.FullRecompute does at construction. Mode is not part of
 	// the captured state (snapshots are byte-identical across modes), so a
-	// restore may freely pick either engine; false uses the fleet default.
+	// restore may freely pick either; false uses the process default.
 	FullRecompute bool
 
 	// Topo, when non-nil, is adopted as the restored network's topology

@@ -8,12 +8,12 @@ import (
 	"testing"
 )
 
-// Tests for the Touch fast path the incremental decision engine uses in
-// place of a same-group Install, and for the churn/peak counters under
-// Touch-heavy write sequences: a Touch must be indistinguishable — stats,
-// exported state, warm flags, observer silence — from the Install it
-// replaces, and must never double-count NHG churn or move the occupancy
-// peak.
+// Tests for Touch, which leaves the residue of a no-op rewrite without being
+// shown the hops (the frozen benchmark still times it; see Touch), and for
+// the churn/peak counters under rewrite-heavy write sequences: a Touch must
+// be indistinguishable — stats, exported state, warm flags, observer silence
+// — from the same-set Install it stands for, and must never double-count NHG
+// churn or move the occupancy peak.
 
 var (
 	fibP1 = netip.MustParsePrefix("10.0.0.0/8")
@@ -86,10 +86,9 @@ func TestTouchClearsWarm(t *testing.T) {
 	}
 }
 
-// TestChurnPeakNoDoubleCountUnderTouch models an incremental convergence
-// window: a burst of recomputes where most runs re-select the same hop
-// set. GroupChurn and PeakGroups must reflect only the distinct NHG
-// objects ever created — Touches add writes, never churn or peak — and
+// TestChurnPeakNoDoubleCountUnderTouch models a convergence window: a burst
+// of recomputes where most runs re-select the same hop set. GroupChurn and
+// PeakGroups must reflect only the distinct NHG objects ever created — Touches add writes, never churn or peak — and
 // must equal what the same route history costs with full reinstalls.
 func TestChurnPeakNoDoubleCountUnderTouch(t *testing.T) {
 	full := New(4)

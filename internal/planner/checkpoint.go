@@ -101,7 +101,9 @@ func (s *Search) Checkpoint() ([]byte, error) {
 		cp.Memo = append(cp.Memo, mc)
 	}
 	s.mu.Unlock()
-	return json.MarshalIndent(cp, "", "  ")
+	// Compact: only ResumeSearch reads these, and most of the ~1 MB is
+	// base64 that indenting would walk once more per level.
+	return json.Marshal(cp)
 }
 
 // ResumeSearch rebuilds a search from a checkpoint. The resumed search

@@ -1,6 +1,8 @@
 package planner
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -131,5 +133,61 @@ func TestCheckpointResumeIdentity(t *testing.T) {
 		if done {
 			return // interrupted past the final level; every boundary covered
 		}
+	}
+}
+
+// TestResumeAcceptsIndentedCheckpoint: checkpoints are compact JSON now, but
+// one written before that — json.MarshalIndent with two spaces, which is
+// json.Indent over the same bytes — still resumes to the byte-identical
+// winner, so checkpoint files and WALs from an older build stay usable.
+func TestResumeAcceptsIndentedCheckpoint(t *testing.T) {
+	full := goldenPlan(t, 2)
+
+	snap, p, err := ScenarioSetup("fig10", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SearchBare = true
+	p.BatchSizes = []int{1, 2}
+	p.MinNextHops = []int{50}
+	p.Workers = 2
+	s, err := NewSearch(snap, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Step(); err != nil {
+		t.Fatal(err)
+	}
+	compact, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.ContainsRune(compact, '\n') {
+		t.Error("checkpoint is not compact JSON")
+	}
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, compact, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+
+	resumed, err := ResumeSearch(indented.Bytes())
+	if err != nil {
+		t.Fatalf("resume from an indented checkpoint: %v", err)
+	}
+	if again, err := resumed.Checkpoint(); err != nil || !bytes.Equal(again, compact) {
+		t.Errorf("re-checkpointing the resumed search changed the bytes (err %v)", err)
+	}
+	for done := false; !done; {
+		if done, err = resumed.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := resumed.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Winner.String() != full.Winner.String() || res.Score != full.Score {
+		t.Fatalf("indented checkpoint changed the outcome:\n resumed: %s %s\n    full: %s %s",
+			res.Winner, res.Score, full.Winner, full.Score)
 	}
 }

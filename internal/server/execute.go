@@ -146,42 +146,6 @@ type execEntry struct {
 	objects    *guard.MemObjects
 }
 
-// execStore holds resumable executions, LRU-bounded like planStore.
-type execStore struct {
-	mu    sync.Mutex
-	execs map[string]*execEntry
-	order []string
-	max   int
-}
-
-func newExecStore(max int) *execStore {
-	return &execStore{execs: make(map[string]*execEntry), max: max}
-}
-
-// get returns (creating if needed) the entry for an exec ID.
-func (es *execStore) get(id string) *execEntry {
-	es.mu.Lock()
-	defer es.mu.Unlock()
-	if ee, ok := es.execs[id]; ok {
-		for i, o := range es.order {
-			if o == id {
-				es.order = append(append(es.order[:i:i], es.order[i+1:]...), id)
-				break
-			}
-		}
-		return ee
-	}
-	ee := &execEntry{objects: guard.NewMemObjects()}
-	es.execs[id] = ee
-	es.order = append(es.order, id)
-	for len(es.order) > es.max {
-		victim := es.order[0]
-		es.order = es.order[1:]
-		delete(es.execs, victim)
-	}
-	return ee
-}
-
 func (s *Server) execute(ctx context.Context, ar *apiRequest) result {
 	req, err := DecodeExecuteRequest(ar.body)
 	if err != nil {
@@ -269,7 +233,8 @@ func (s *Server) execute(ctx context.Context, ar *apiRequest) result {
 		}
 		resp.FinalFingerprint = fp
 		body := encodeBody(resp)
-		ee.final = body
+		// A terminal execution answers from final, like a finished plan.
+		ee.final, ee.checkpoint = body, nil
 		if s.persist != nil {
 			if perr := s.persist.saveExecFinal(id, body); perr != nil {
 				s.persist.noteError()

@@ -187,40 +187,42 @@ type planEntry struct {
 	final      []byte
 }
 
-// planStore holds resumable searches, LRU-bounded.
-type planStore struct {
-	mu    sync.Mutex
-	plans map[string]*planEntry
-	order []string
-	max   int
+// entryStore holds the daemon's resumable jobs of one kind (planEntry or
+// execEntry) by ID, LRU-bounded.
+type entryStore[E any] struct {
+	mu       sync.Mutex
+	entries  map[string]*E
+	order    []string // least recently used first
+	max      int
+	newEntry func() *E
 }
 
-func newPlanStore(max int) *planStore {
-	return &planStore{plans: make(map[string]*planEntry), max: max}
+func newEntryStore[E any](max int, newEntry func() *E) *entryStore[E] {
+	return &entryStore[E]{entries: make(map[string]*E), max: max, newEntry: newEntry}
 }
 
-// get returns (creating if needed) the entry for a plan ID.
-func (ps *planStore) get(id string) *planEntry {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if pe, ok := ps.plans[id]; ok {
-		for i, o := range ps.order {
+// get returns (creating if needed) the entry for an ID.
+func (es *entryStore[E]) get(id string) *E {
+	es.mu.Lock()
+	defer es.mu.Unlock()
+	if e, ok := es.entries[id]; ok {
+		for i, o := range es.order {
 			if o == id {
-				ps.order = append(append(ps.order[:i:i], ps.order[i+1:]...), id)
+				es.order = append(append(es.order[:i:i], es.order[i+1:]...), id)
 				break
 			}
 		}
-		return pe
+		return e
 	}
-	pe := &planEntry{}
-	ps.plans[id] = pe
-	ps.order = append(ps.order, id)
-	for len(ps.order) > ps.max {
-		victim := ps.order[0]
-		ps.order = ps.order[1:]
-		delete(ps.plans, victim)
+	e := es.newEntry()
+	es.entries[id] = e
+	es.order = append(es.order, id)
+	for len(es.order) > es.max {
+		victim := es.order[0]
+		es.order = es.order[1:]
+		delete(es.entries, victim)
 	}
-	return pe
+	return e
 }
 
 func (s *Server) plan(ctx context.Context, ar *apiRequest) result {

@@ -23,9 +23,12 @@ package server
 // latest-wins state, which makes checkpoint-style compaction safe and
 // lock-free with respect to the serving path: Rotate, re-append the
 // mirror, Sync, Compact — without ever taking a planEntry or memo lock.
-// Plans and executions are rewritten, and recovered into the LRU-bounded
-// serving stores, in the order of their latest records, so which of them
-// survive a restart is the most recently recorded ones, deterministically.
+// The mirror holds the most recently recorded PlanStoreSize plans and
+// executions — what the LRU-bounded serving stores would keep of a replay —
+// and rewrites and recovers them in the order of their latest records, so
+// which of them survive a restart is deterministic and the compacted log
+// does not grow with the number of jobs ever served. A final record drops
+// the job's checkpoint: a finished job answers from its final bytes.
 
 import (
 	"crypto/sha256"
@@ -69,7 +72,8 @@ type baseRecord struct {
 	Params      planner.Params `json:"params"`
 }
 
-// planMirror is one plan's (or execution's) live durable state.
+// planMirror is one plan's (or execution's) live durable state: a resume
+// checkpoint while it runs, the final response once it is done.
 type planMirror struct {
 	checkpoint []byte
 	final      []byte
@@ -96,11 +100,13 @@ type persistor struct {
 	st *store.Store
 
 	// Live mirrors: the latest value per key, exactly what a compacted
-	// log must preserve. memoOrder bounds the memo mirror FIFO-style so
-	// the rewritten log cannot outgrow the in-memory memo.
+	// log must preserve. memoOrder bounds the memo mirror FIFO-style, and
+	// planMax the plan and execution mirrors by recency, so the rewritten
+	// log cannot outgrow the in-memory memo and serving stores.
 	bases     map[string][]byte
 	plans     map[string]*planMirror
 	execs     map[string]*planMirror
+	planMax   int
 	memos     map[string][]byte
 	memoOrder []string
 	memoMax   int
@@ -116,12 +122,13 @@ type persistor struct {
 	errors      int64
 }
 
-func newPersistor(st *store.Store, compactEvery, memoMax int) *persistor {
+func newPersistor(st *store.Store, compactEvery, memoMax, planMax int) *persistor {
 	return &persistor{
 		st:           st,
 		bases:        make(map[string][]byte),
 		plans:        make(map[string]*planMirror),
 		execs:        make(map[string]*planMirror),
+		planMax:      planMax,
 		memos:        make(map[string][]byte),
 		memoMax:      memoMax,
 		compactEvery: compactEvery,
@@ -159,11 +166,13 @@ func (p *persistor) apply(typ uint8, key string, value []byte) {
 	case recPlanCheckpoint:
 		p.touch(p.plans, key).checkpoint = v
 	case recPlanFinal:
-		p.touch(p.plans, key).final = v
+		pm := p.touch(p.plans, key)
+		pm.final, pm.checkpoint = v, nil
 	case recExecCheckpoint:
 		p.touch(p.execs, key).checkpoint = v
 	case recExecFinal:
-		p.touch(p.execs, key).final = v
+		pm := p.touch(p.execs, key)
+		pm.final, pm.checkpoint = v, nil
 	case recMemo:
 		if _, ok := p.memos[key]; !ok {
 			p.memoOrder = append(p.memoOrder, key)
@@ -177,10 +186,14 @@ func (p *persistor) apply(typ uint8, key string, value []byte) {
 }
 
 // touch returns (creating if needed) the mirror of key, stamped as the
-// most recently recorded.
+// most recently recorded; a new key past planMax evicts the least recently
+// recorded one.
 func (p *persistor) touch(m map[string]*planMirror, key string) *planMirror {
 	pm := m[key]
 	if pm == nil {
+		if len(m) >= p.planMax {
+			delete(m, byRecency(m)[0])
+		}
 		pm = &planMirror{}
 		m[key] = pm
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"net/http/httptest"
 	"sort"
 	"testing"
 
@@ -100,13 +101,13 @@ func TestRecoveryKeepsMostRecentlyRecorded(t *testing.T) {
 					t.Fatalf("cycle %d: open server: %v", cycle, err)
 				}
 				var execs, plans []string
-				for id, ee := range s.execs.execs {
+				for id, ee := range s.execs.entries {
 					if ee.checkpoint == nil && ee.final == nil {
 						t.Errorf("cycle %d: execution %s recovered empty", cycle, id)
 					}
 					execs = append(execs, id)
 				}
-				for id := range s.plans.plans {
+				for id := range s.plans.entries {
 					plans = append(plans, id)
 				}
 				sort.Strings(execs)
@@ -122,5 +123,140 @@ func TestRecoveryKeepsMostRecentlyRecorded(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// walRecordTypes reopens dir's store and counts its WAL records by type and
+// key.
+func walRecordTypes(t *testing.T, dir string) map[uint8]map[string]int {
+	t.Helper()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatalf("reopen store: %v", err)
+	}
+	defer st.Close()
+	counts := make(map[uint8]map[string]int)
+	err = st.Log.Replay(func(r store.Record) error {
+		key, _, err := store.DecodeKV(r.Data)
+		if err != nil {
+			return err
+		}
+		if counts[r.Type] == nil {
+			counts[r.Type] = make(map[string]int)
+		}
+		counts[r.Type][key]++
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	return counts
+}
+
+// TestFinishedPlanDropsMirrorCheckpoint: once a plan's final response is
+// recorded its resume checkpoint is dead weight — the mirror must not hold
+// it, a compaction must not rewrite it, and a daemon recovered from the
+// compacted log must still answer with the byte-identical final. (The mirror
+// used to keep the last ~865 KB checkpoint of every finished plan for the
+// life of the process and copy it into every compacted log.)
+func TestFinishedPlanDropsMirrorCheckpoint(t *testing.T) {
+	wantFinal, wantWhatIf := referenceRun(t)
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(Config{Workers: 2, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	if wi := postWhatIf(t, ts.Client(), ts.URL, recWhatIfBody); wi.body != wantWhatIf {
+		t.Fatalf("whatif diverged: %s", wi.body)
+	}
+	for i := 0; ; i++ { // one journaled checkpoint per level, then the final
+		rec := postPlan(t, ts.Client(), ts.URL, recStepBody)
+		if decodePlan(t, rec).Done {
+			if rec.body != wantFinal {
+				t.Fatalf("plan diverged: %s", rec.body)
+			}
+			break
+		}
+		if i > 64 {
+			t.Fatal("plan never finished")
+		}
+	}
+	ts.Close()
+
+	s.persist.mu.Lock()
+	for id, pm := range s.persist.plans {
+		if pm.final != nil && pm.checkpoint != nil {
+			t.Errorf("mirror holds a %d-byte checkpoint for finished plan %s", len(pm.checkpoint), id)
+		}
+	}
+	err = s.persist.compactLocked()
+	s.persist.mu.Unlock()
+	if err != nil {
+		t.Fatalf("compact: %v", err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	recs := walRecordTypes(t, dir)
+	if len(recs[recPlanFinal]) != 1 {
+		t.Fatalf("compacted log holds %d plan finals, want 1", len(recs[recPlanFinal]))
+	}
+	for id := range recs[recPlanFinal] {
+		if n := recs[recPlanCheckpoint][id]; n != 0 {
+			t.Errorf("compacted log holds %d checkpoint record(s) for finished plan %s", n, id)
+		}
+	}
+	checkRecovered(t, dir, wantFinal, wantWhatIf)
+}
+
+// TestMirrorBoundedByPlanStoreSize: the mirror — and so every compacted log
+// — holds the most recently recorded PlanStoreSize plans and executions, not
+// every one the daemon ever served.
+func TestMirrorBoundedByPlanStoreSize(t *testing.T) {
+	const size = 4
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 1, PlanStoreSize: size, Store: st})
+	var wantPlans, wantExecs []string
+	for i := 0; i < size+10; i++ {
+		plan, exec := fmt.Sprintf("p%02d", i), fmt.Sprintf("e%02d", i)
+		for _, r := range []struct {
+			typ uint8
+			id  string
+		}{{recPlanCheckpoint, plan}, {recExecCheckpoint, exec}, {recPlanFinal, plan}, {recExecFinal, exec}} {
+			if err := s.persist.append(r.typ, r.id, []byte(r.id+" body")); err != nil {
+				t.Fatalf("append: %v", err)
+			}
+		}
+		if i >= 10 {
+			wantPlans, wantExecs = append(wantPlans, plan), append(wantExecs, exec)
+		}
+	}
+	s.persist.mu.Lock()
+	plans, execs := byRecency(s.persist.plans), byRecency(s.persist.execs)
+	err = s.persist.compactLocked()
+	s.persist.mu.Unlock()
+	if err != nil {
+		t.Fatalf("compact: %v", err)
+	}
+	if fmt.Sprint(plans) != fmt.Sprint(wantPlans) || fmt.Sprint(execs) != fmt.Sprint(wantExecs) {
+		t.Errorf("mirror holds plans %v, executions %v; want %v, %v", plans, execs, wantPlans, wantExecs)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs := walRecordTypes(t, dir)
+	if len(recs[recPlanFinal]) != size || len(recs[recExecFinal]) != size {
+		t.Errorf("compacted log holds %d plan and %d execution finals, want %d each",
+			len(recs[recPlanFinal]), len(recs[recExecFinal]), size)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"centralium/internal/guard"
 	"centralium/internal/store"
 )
 
@@ -84,8 +85,8 @@ type Server struct {
 	cfg     Config
 	cache   *snapCache
 	memo    *respMemo
-	plans   *planStore
-	execs   *execStore
+	plans   *entryStore[planEntry]
+	execs   *entryStore[execEntry]
 	events  *broadcaster
 	metrics *serverMetrics
 
@@ -116,15 +117,15 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		cache:   newSnapCache(cfg.CacheSize),
 		memo:    newRespMemo(cfg.MemoSize),
-		plans:   newPlanStore(cfg.PlanStoreSize),
-		execs:   newExecStore(cfg.PlanStoreSize),
+		plans:   newEntryStore(cfg.PlanStoreSize, func() *planEntry { return &planEntry{} }),
+		execs:   newEntryStore(cfg.PlanStoreSize, func() *execEntry { return &execEntry{objects: guard.NewMemObjects()} }),
 		events:  newBroadcaster(cfg.EventBuffer),
 		metrics: newServerMetrics(),
 		sem:     make(chan struct{}, cfg.Workers),
 		mux:     http.NewServeMux(),
 	}
 	if cfg.Store != nil {
-		s.persist = newPersistor(cfg.Store, cfg.CompactSegments, cfg.MemoSize)
+		s.persist = newPersistor(cfg.Store, cfg.CompactSegments, cfg.MemoSize, cfg.PlanStoreSize)
 		// Bases and memos are caches of deterministic computations: a
 		// persistence failure degrades durability (cold rebuild after a
 		// restart), never correctness, so it counts instead of failing

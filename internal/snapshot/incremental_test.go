@@ -8,15 +8,14 @@ import (
 	"centralium/internal/fabric"
 )
 
-// The decision-engine mode is not part of a fabric's captured state: the
-// incremental engine's dependency index, memos, and counters are derived
-// state, rebuilt lazily after a restore. These tests pin the two halves of
-// that contract — equal runs fingerprint equally regardless of mode, and a
-// checkpoint taken under either engine restores into either engine and
-// continues byte-identically.
+// The full-recompute mode is not part of a fabric's captured state: the
+// advertise memo and its hit counter are derived state, rebuilt lazily
+// after a restore. These tests pin the two halves of that contract — equal
+// runs fingerprint equally regardless of mode, and a checkpoint taken under
+// either mode restores into either mode and continues byte-identically.
 
 // TestFingerprintModePortability runs the same scenario under the oracle
-// and the incremental engine and requires byte-equal state encodings: if
+// and with the memo trusted and requires byte-equal state encodings: if
 // any derived field leaked into SpeakerState, the codec — not just the tap
 // stream — would betray the mode.
 func TestFingerprintModePortability(t *testing.T) {
@@ -42,11 +41,11 @@ func TestFingerprintModePortability(t *testing.T) {
 }
 
 // TestRestoreCrossEngineMode checkpoints a run mid-convergence under one
-// decision-engine mode and restores it into the other (all four mode
-// pairs), continuing each against an uninterrupted incremental reference.
-// Telemetry streams and final fingerprints must stay byte-identical:
-// restores are mode-portable because the incremental engine trusts nothing
-// it has not rebuilt since the restore.
+// mode and restores it into the other (all four mode pairs), continuing
+// each against an uninterrupted memo-trusting reference. Telemetry streams
+// and final fingerprints must stay byte-identical: restores are
+// mode-portable because a restored speaker trusts no memo it has not
+// recorded since the restore.
 func TestRestoreCrossEngineMode(t *testing.T) {
 	const checkpointAfter = 200
 	for _, sc := range diffScenarios {
