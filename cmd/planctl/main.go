@@ -6,8 +6,8 @@
 // Usage:
 //
 //	planctl plan -scenario fig10 -seed 1 -bare -batch 1,2
-//	planctl plan -scenario decommission -checkpoint search.json
-//	planctl plan -resume search.json
+//	planctl plan -scenario decommission -checkpoint search.ckpt
+//	planctl plan -resume search.ckpt
 //	planctl plan -scenario fig10 -snapshot state.csnp
 //	planctl plan -scenario fig10 -guard -envelope "share=0.6,session-downs=0"
 //	planctl score -scenario fig10 -schedule "fsw.pod0.0 > ssw.pl0.0,ssw.pl0.1"
@@ -84,8 +84,8 @@ func main() {
 		bare     = fs.Bool("bare", false, "also search unprotected (bare) waves")
 		workers  = fs.Int("workers", 0, "evaluation pool width (0: 1); never changes results")
 		sched    = fs.String("schedule", "", "schedule text to evaluate (score/explain)")
-		ckpt     = fs.String("checkpoint", "", "write a resumable search checkpoint (compact JSON, for -resume) here after every level")
-		resume   = fs.String("resume", "", "resume the search from this checkpoint file")
+		ckpt     = fs.String("checkpoint", "", "write a resumable search checkpoint (binary container, for -resume) here after every level")
+		resume   = fs.String("resume", "", "resume the search from this checkpoint file (JSON checkpoints from older builds still resume)")
 		dataDir  = fs.String("data-dir", "", "durable store directory: journal search progress to its WAL and auto-resume an interrupted plan")
 		guardX   = fs.Bool("guard", false, "execute the resulting schedule under the guard supervisor")
 		envSpec  = fs.String("envelope", "", "guard safety envelope, e.g. \"share=0.6,session-downs=0\" (empty: guard default)")
@@ -113,7 +113,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, "       planctl plan -scenario fig10 -seed 1 [-bare] [-checkpoint f] [-resume f]")
 	fmt.Fprintln(os.Stderr, "       planctl score -scenario fig10 -schedule \"dev1 > dev2,dev3\"")
 	fmt.Fprintln(os.Stderr, "       planctl plan -scenario fig10 -guard [-envelope spec] [-max-retries n]")
-	fmt.Fprintln(os.Stderr, "checkpoint files are compact JSON, written for -resume; pipe one through a JSON formatter to read it")
+	fmt.Fprintln(os.Stderr, "checkpoint files are a binary container, written for -resume; dumping one is out of scope")
 }
 
 // run dispatches one planctl invocation. overrides carries the

@@ -14,7 +14,6 @@
 package core
 
 import (
-	"hash/fnv"
 	"net/netip"
 	"strconv"
 	"strings"
@@ -99,33 +98,58 @@ func (a *RouteAttrs) OriginASN() uint32 {
 	return a.ASPath[len(a.ASPath)-1]
 }
 
+// FNV-1a, 64 bit (hash/fnv's New64a, without the hash.Hash object).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnvAdd folds s into the FNV-1a state h.
+func fnvAdd[T string | []byte](h uint64, s T) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
+}
+
+// fnvField folds s and the zero byte that ends a field into h.
+func fnvField[T string | []byte](h uint64, s T) uint64 {
+	return fnvAdd(h, s) * fnvPrime64 // h ^ 0 is h
+}
+
 // Fingerprint returns a stable 64-bit hash of the attributes that signature
 // matching reads. Two routes with equal fingerprints produce identical
 // match results, which is what makes the statement cache (Table 2) sound.
+//
+// The hash is FNV-1a over Prefix.String(), ASPathString(), each community,
+// NextHop and Peer, each followed by a zero byte, then LocalPref, MED,
+// Origin and the bandwidth in Mbps as big-endian uint32s. The values are
+// persisted (cache sections of snapshots), so the byte stream is fixed; a
+// cache hit pays for this on every lookup, so it renders no strings.
 func (a *RouteAttrs) Fingerprint() uint64 {
-	h := fnv.New64a()
-	write := func(s string) {
-		h.Write([]byte(s))
-		h.Write([]byte{0})
+	var scratch [64]byte
+	h := uint64(fnvOffset64)
+	if a.Prefix.IsValid() {
+		h = fnvField(h, a.Prefix.AppendTo(scratch[:0]))
+	} else {
+		h = fnvField(h, "invalid Prefix") // String's rendering; AppendTo's differs for the zero Prefix
 	}
-	write(a.Prefix.String())
-	write(a.ASPathString())
+	for i, asn := range a.ASPath {
+		if i > 0 {
+			h = fnvAdd(h, " ")
+		}
+		h = fnvAdd(h, strconv.AppendUint(scratch[:0], uint64(asn), 10))
+	}
+	h = fnvField(h, "")
 	for _, c := range a.Communities {
-		write(c)
+		h = fnvField(h, c)
 	}
-	write(a.NextHop)
-	write(a.Peer)
-	var buf [8]byte
-	putU32 := func(v uint32) {
-		buf[0] = byte(v >> 24)
-		buf[1] = byte(v >> 16)
-		buf[2] = byte(v >> 8)
-		buf[3] = byte(v)
-		h.Write(buf[:4])
+	h = fnvField(h, a.NextHop)
+	h = fnvField(h, a.Peer)
+	for _, v := range [4]uint32{a.LocalPref, a.MED, uint32(a.Origin), uint32(a.LinkBandwidthGbps * 1000)} {
+		for shift := 24; shift >= 0; shift -= 8 {
+			h = (h ^ uint64(byte(v>>shift))) * fnvPrime64
+		}
 	}
-	putU32(a.LocalPref)
-	putU32(a.MED)
-	putU32(uint32(a.Origin))
-	putU32(uint32(a.LinkBandwidthGbps * 1000))
-	return h.Sum64()
+	return h
 }

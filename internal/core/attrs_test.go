@@ -1,7 +1,13 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
 	"net/netip"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -93,5 +99,88 @@ func TestFingerprintQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// fingerprintRendered is Fingerprint as it was first written — strings
+// rendered and fed to hash/fnv. The values are persisted, so it stays here
+// as the reference the allocation-free implementation must agree with.
+func fingerprintRendered(a *RouteAttrs) uint64 {
+	h := fnv.New64a()
+	write := func(s string) {
+		h.Write([]byte(s))
+		h.Write([]byte{0})
+	}
+	write(a.Prefix.String())
+	write(a.ASPathString())
+	for _, c := range a.Communities {
+		write(c)
+	}
+	write(a.NextHop)
+	write(a.Peer)
+	for _, v := range []uint32{a.LocalPref, a.MED, uint32(a.Origin), uint32(a.LinkBandwidthGbps * 1000)} {
+		h.Write(binary.BigEndian.AppendUint32(nil, v))
+	}
+	return h.Sum64()
+}
+
+func TestFingerprintMatchesRenderedReference(t *testing.T) {
+	prefixes := []netip.Prefix{
+		{}, // zero: String and AppendTo render it differently
+		netip.MustParsePrefix("0.0.0.0/0"),
+		netip.MustParsePrefix("10.1.2.0/24"),
+		netip.MustParsePrefix("255.255.255.255/32"),
+		netip.MustParsePrefix("::/0"),
+		netip.MustParsePrefix("2001:db8::/32"),
+		netip.MustParsePrefix("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff/128"),
+		netip.MustParsePrefix("::ffff:10.0.0.0/104"),
+	}
+	paths := [][]uint32{nil, {}, {0}, {math.MaxUint32}, {0, math.MaxUint32, 65001}, {12}, {1, 2}}
+	comms := [][]string{nil, {}, {""}, {"A"}, {"BACKBONE_DEFAULT_ROUTE", "", "x y"}}
+	rng := rand.New(rand.NewSource(1))
+	checked := 0
+	for _, p := range prefixes {
+		for _, path := range paths {
+			for _, cs := range comms {
+				a := RouteAttrs{
+					Prefix: p, ASPath: path, Communities: cs,
+					LocalPref: rng.Uint32(), MED: rng.Uint32(), Origin: Origin(rng.Intn(3)),
+					NextHop: fmt.Sprint("nh", rng.Intn(3)), Peer: strings.Repeat("p", rng.Intn(3)),
+					LinkBandwidthGbps: float64(rng.Intn(4)) * 12.5,
+				}
+				if got, want := a.Fingerprint(), fingerprintRendered(&a); got != want {
+					t.Errorf("Fingerprint(%+v) = %#x, the rendered reference gives %#x", a, got, want)
+				}
+				checked++
+			}
+		}
+	}
+	f := func(hi, lo uint64, bits uint8, path []uint32, cs []string, nh, peer string, lp, med uint32, bw float64) bool {
+		var raw [16]byte
+		binary.BigEndian.PutUint64(raw[:8], hi)
+		binary.BigEndian.PutUint64(raw[8:], lo)
+		addr := netip.AddrFrom16(raw)
+		if bits&1 == 0 {
+			addr = netip.AddrFrom4([4]byte(raw[:4]))
+		}
+		a := RouteAttrs{
+			Prefix: netip.PrefixFrom(addr, int(bits)%(addr.BitLen()+1)), ASPath: path, Communities: cs,
+			NextHop: nh, Peer: peer, LocalPref: lp, MED: med, Origin: Origin(bits % 3), LinkBandwidthGbps: bw,
+		}
+		return a.Fingerprint() == fingerprintRendered(&a)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	if checked == 0 {
+		t.Fatal("no attrs checked")
+	}
+}
+
+func TestFingerprintDoesNotAllocate(t *testing.T) {
+	a := mkRoute("2001:db8:aaaa:bbbb:cccc:dddd:eeee:0/112", []uint32{65001, 4200000000, 7}, "BACKBONE_DEFAULT_ROUTE", "X")
+	a.NextHop, a.Peer = "ssw.pl0.0", "fsw.pod0.1"
+	if n := testing.AllocsPerRun(100, func() { a.Fingerprint() }); n != 0 {
+		t.Errorf("Fingerprint allocates %v times a call", n)
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"centralium/internal/fabric"
 	"centralium/internal/migrate"
+	"centralium/internal/planner"
 	"centralium/internal/snapshot"
 	"centralium/internal/topo"
 )
@@ -31,6 +32,11 @@ import (
 //     fabric within +15% of the committed count (the `fork-sharing` row). A
 //     restore adopts the snapshot's RIB columns instead of rebuilding them;
 //     a change that re-grows it to per-route work fails here.
+//   - Checkpoint bytes, zero tolerance: what the fig10 beam-3 plan of
+//     bench/'s plan-search hands its journal, summed over its levels (the
+//     `plan-checkpoint-container` row). A checkpoint holds each distinct
+//     state once; a format that repeats one, or a state encoding that grows,
+//     moves this count.
 //
 // There is no wall-clock floor: with the memo off the oracle converges
 // medium within ~1.2x of the memo run — too close to hold on a shared CI
@@ -112,6 +118,32 @@ func mediumRestoreAllocs(t *testing.T, sc ConvergenceScale) float64 {
 	})
 }
 
+// fig10CheckpointBytes runs the fig10 plan of bench/'s plan-search at beam 3
+// under a journal and sums the checkpoints the journal is handed.
+func fig10CheckpointBytes(t *testing.T) float64 {
+	t.Helper()
+	snap, p, err := planner.ScenarioSetup("fig10", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Beam, p.RandomCands = 3, 2
+	// Generated configs are versioned by a per-process counter, and the
+	// version travels in every state that deploys one.
+	for _, cfg := range p.Intent {
+		cfg.Version = 1
+	}
+	s, err := planner.NewSearch(snap, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := 0
+	journal := planner.JournalFunc(func(_ int, cp []byte) error { sum += len(cp); return nil })
+	if _, err := planner.RunJournaled(s, journal); err != nil {
+		t.Fatal(err)
+	}
+	return float64(sum)
+}
+
 func TestBenchGuard(t *testing.T) {
 	if os.Getenv("CENTRALIUM_BENCH_GUARD") != "1" {
 		t.Skip("set CENTRALIUM_BENCH_GUARD=1 to run the bench-regression guard")
@@ -133,6 +165,8 @@ func TestBenchGuard(t *testing.T) {
 
 	restore := lastHistoryRow(t, history, "fork-sharing", "restore scale=medium")
 	restoreAllocs := mediumRestoreAllocs(t, scales[1])
+	const checkpointRow = "fig10 beam=3 checkpoint bytes, summed over levels"
+	checkpoints := lastHistoryRow(t, history, "plan-checkpoint-container", checkpointRow)
 
 	virtualMs := func(s ConvergenceStats) float64 { return float64(s.Virtual) / 1e6 }
 	// over is the allowed relative excess of got over want; a negative
@@ -152,6 +186,7 @@ func TestBenchGuard(t *testing.T) {
 		{"medium adv-memo hits", float64(incr.AdvMemoHits), medium["adv_memo_hits"], exact},
 		{"medium incremental allocs/event", float64(incr.Mallocs) / float64(incr.Events), allocsPerEventBudget, 0.15},
 		{"medium restore allocs", restoreAllocs, restore["allocs_after"], 0.15},
+		{checkpointRow, fig10CheckpointBytes(t), checkpoints["after"], exact},
 	}
 	for _, row := range table {
 		switch {

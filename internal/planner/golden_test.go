@@ -136,10 +136,12 @@ func TestCheckpointResumeIdentity(t *testing.T) {
 	}
 }
 
-// TestResumeAcceptsIndentedCheckpoint: checkpoints are compact JSON now, but
-// one written before that — json.MarshalIndent with two spaces, which is
-// json.Indent over the same bytes — still resumes to the byte-identical
-// winner, so checkpoint files and WALs from an older build stay usable.
+// TestResumeAcceptsIndentedCheckpoint: checkpoints are a binary container
+// now, but one written by an older build — version-1 JSON, compact or
+// indented with two spaces (json.MarshalIndent, which is json.Indent over
+// the same bytes) — still resumes to the byte-identical winner, so
+// checkpoint files and WALs from those builds stay usable. The version-1
+// bytes come from the test-only writer in export_test.go.
 func TestResumeAcceptsIndentedCheckpoint(t *testing.T) {
 	full := goldenPlan(t, 2)
 
@@ -158,36 +160,39 @@ func TestResumeAcceptsIndentedCheckpoint(t *testing.T) {
 	if _, err := s.Step(); err != nil {
 		t.Fatal(err)
 	}
-	compact, err := s.Checkpoint()
+	compact, err := s.checkpointV1()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if bytes.ContainsRune(compact, '\n') {
-		t.Error("checkpoint is not compact JSON")
 	}
 	var indented bytes.Buffer
 	if err := json.Indent(&indented, compact, "", "  "); err != nil {
 		t.Fatal(err)
 	}
-
-	resumed, err := ResumeSearch(indented.Bytes())
-	if err != nil {
-		t.Fatalf("resume from an indented checkpoint: %v", err)
-	}
-	if again, err := resumed.Checkpoint(); err != nil || !bytes.Equal(again, compact) {
-		t.Errorf("re-checkpointing the resumed search changed the bytes (err %v)", err)
-	}
-	for done := false; !done; {
-		if done, err = resumed.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := resumed.Result()
+	current, err := s.Checkpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Winner.String() != full.Winner.String() || res.Score != full.Score {
-		t.Fatalf("indented checkpoint changed the outcome:\n resumed: %s %s\n    full: %s %s",
-			res.Winner, res.Score, full.Winner, full.Score)
+
+	for name, v1 := range map[string][]byte{"compact": compact, "indented": indented.Bytes()} {
+		resumed, err := ResumeSearch(v1)
+		if err != nil {
+			t.Fatalf("resume from a %s version-1 checkpoint: %v", name, err)
+		}
+		if again, err := resumed.Checkpoint(); err != nil || !bytes.Equal(again, current) {
+			t.Errorf("%s: the search resumed from version 1 checkpoints differently from the one that wrote it (err %v)", name, err)
+		}
+		for done := false; !done; {
+			if done, err = resumed.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := resumed.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Winner.String() != full.Winner.String() || res.Score != full.Score {
+			t.Fatalf("%s version-1 checkpoint changed the outcome:\n resumed: %s %s\n    full: %s %s",
+				name, res.Winner, res.Score, full.Winner, full.Score)
+		}
 	}
 }

@@ -151,9 +151,11 @@ type node struct {
 // Search is a resumable beam search. Step() advances one level;
 // Checkpoint() serializes the whole search between levels.
 type Search struct {
-	p    Params
-	ev   *evaluator
-	base []byte
+	p  Params
+	ev *evaluator
+	// base is the search's root state; baseFP its fingerprint.
+	base   []byte
+	baseFP string
 	// tp is the base's topology, for layer lookups only.
 	tp *topo.Topology
 
@@ -184,12 +186,12 @@ func NewSearch(base *snapshot.Snapshot, p Params) (*Search, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newSearchFromState(state, p)
+	return newSearchFromState(state, fingerprint(state), p)
 }
 
 // newSearchFromState is the raw-bytes constructor shared with checkpoint
-// resume.
-func newSearchFromState(state []byte, p Params) (*Search, error) {
+// resume; fp is state's fingerprint.
+func newSearchFromState(state []byte, fp string, p Params) (*Search, error) {
 	p.setDefaults()
 	if len(p.Intent) == 0 {
 		return nil, fmt.Errorf("planner: empty intent")
@@ -214,13 +216,14 @@ func newSearchFromState(state []byte, p Params) (*Search, error) {
 		}
 	}
 	s := &Search{
-		p:    p,
-		base: state,
-		tp:   tp,
-		memo: make(map[string]memoEntry),
+		p:      p,
+		base:   state,
+		baseFP: fp,
+		tp:     tp,
+		memo:   make(map[string]memoEntry),
 	}
 	s.ev = &evaluator{p: &s.p}
-	s.beam = []node{{state: state, fp: fingerprint(state)}}
+	s.beam = []node{{state: state, fp: fp}}
 	return s, nil
 }
 
@@ -591,8 +594,7 @@ func (s *Search) BaselineSchedule() Schedule {
 // serially. Used for the baseline, planctl score/explain, and Approver.
 func (s *Search) scoreScheduleLocked(sched Schedule) (*Report, error) {
 	rep := &Report{Schedule: sched}
-	state := s.base
-	fp := fingerprint(state)
+	state, fp := s.base, s.baseFP
 	var score Score
 	for _, st := range sched.Steps {
 		key := fp + "|" + st.String()

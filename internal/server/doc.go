@@ -29,6 +29,21 @@
 // race detector. (fingerprint, request) pairs are memoized, which can
 // only ever save work, never change bytes.
 //
+// # Plan searches
+//
+// A POST /v1/plan search is resumable by plan ID and stays live between
+// requests: the daemon holds the *planner.Search itself, and a request
+// that stops early (max_levels, a deadline) leaves it where the next one
+// continues. Serialized checkpoints exist for recovery only. With a store,
+// every completed level appends one to the WAL before the next level
+// starts, and the daemon's only in-memory copy is the persistor's mirror;
+// the handler resumes from it when it has no live search — after a
+// restart, an LRU eviction, or a step that failed (the search that ran an
+// unjournaled level is dropped, as a crash would drop it). A journaled
+// checkpoint that does not resume is treated as absent and the plan
+// restarts from level 0: the final body is a pure function of (base,
+// params), so it is byte-identical either way.
+//
 // # Admission, deadlines, drain
 //
 // Work runs on a bounded worker pool (Config.Workers). Requests beyond

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/netip"
 	"sort"
@@ -179,12 +180,15 @@ func coversIntent(waves [][]topo.DeviceID, p planner.Params) error {
 
 // --- POST /v1/plan ----------------------------------------------------------
 
-// planEntry is one resumable search: its checkpoint between requests,
-// and the final response bytes once done (idempotent completion).
+// planEntry is one resumable search: the live search between requests,
+// and the final response bytes once done (idempotent completion). The
+// search's serialized form lives in the persistor's mirror only, and is
+// read back only when there is no live search — after a restart, an LRU
+// eviction or a failed step.
 type planEntry struct {
-	mu         sync.Mutex
-	checkpoint []byte
-	final      []byte
+	mu     sync.Mutex
+	search *planner.Search
+	final  []byte
 }
 
 // entryStore holds the daemon's resumable jobs of one kind (planEntry or
@@ -248,13 +252,22 @@ func (s *Server) plan(ctx context.Context, ar *apiRequest) result {
 		return result{status: http.StatusOK, body: pe.final}
 	}
 
-	var search *planner.Search
-	if pe.checkpoint != nil {
-		search, err = planner.ResumeSearch(pe.checkpoint)
-		if err != nil {
-			return errorResult(http.StatusInternalServerError, "resume plan %s: %v", id, err)
+	search := pe.search
+	if search == nil && s.persist != nil {
+		if cp := s.persist.planCheckpoint(id); cp != nil {
+			if s.testHookResume != nil {
+				s.testHookResume()
+			}
+			if search, err = planner.ResumeSearch(cp); err != nil {
+				// An unresumable checkpoint is an absent one: the final body is
+				// a pure function of (base, params), so the plan restarts from
+				// level 0 and the next journaled level replaces the bad record.
+				log.Printf("server: plan %s: journaled checkpoint does not resume, restarting the search: %v", id, err)
+				s.unresumablePlans.Add(1)
+			}
 		}
-	} else {
+	}
+	if search == nil {
 		p := entry.Params
 		if req.Beam > 0 {
 			p.Beam = req.Beam
@@ -276,15 +289,15 @@ func (s *Server) plan(ctx context.Context, ar *apiRequest) result {
 			return errorResult(http.StatusInternalServerError, "start plan %s: %v", id, err)
 		}
 	}
+	pe.search = search
 
 	// With a store, every completed level journals durably before the
 	// next one starts: a crash mid-request loses at most the level in
 	// flight, and a restarted daemon resumes this plan ID from the last
-	// journaled checkpoint. pe.mu is held, so the assignment is safe.
+	// journaled checkpoint.
 	step := search.Step
 	if s.persist != nil {
 		journal := planner.JournalFunc(func(level int, cp []byte) error {
-			pe.checkpoint = cp
 			return s.persist.savePlanCheckpoint(id, cp)
 		})
 		step = func() (bool, error) { return search.StepJournaled(journal) }
@@ -295,20 +308,18 @@ func (s *Server) plan(ctx context.Context, ar *apiRequest) result {
 			break
 		}
 		if ctx.Err() != nil {
-			// Deadline mid-search: freeze progress so the next request
-			// resumes from here. The client already has its 504.
+			// Deadline mid-search: the live search keeps its progress and the
+			// next request continues from here. The client already has its 504.
 			break
 		}
 		done, err = step()
 		if err != nil {
+			// The search may be mid-level: drop it, so the next request
+			// resumes from the last journaled level as it would after a crash.
+			pe.search = nil
 			return errorResult(http.StatusInternalServerError, "plan %s: %v", id, err)
 		}
 	}
-	cp, err := search.Checkpoint()
-	if err != nil {
-		return errorResult(http.StatusInternalServerError, "checkpoint plan %s: %v", id, err)
-	}
-	pe.checkpoint = cp
 
 	resp := &PlanResponse{
 		PlanID:      id,
@@ -331,8 +342,8 @@ func (s *Server) plan(ctx context.Context, ar *apiRequest) result {
 		resp.BaselineScore = &baseScore
 		resp.FromBaseline = res.FromBaseline
 		body := encodeBody(resp)
-		// A finished plan answers from final; its resume state is dead weight.
-		pe.final, pe.checkpoint = body, nil
+		// A finished plan answers from final; its search is dead weight.
+		pe.final, pe.search = body, nil
 		if s.persist != nil {
 			if err := s.persist.savePlanFinal(id, body); err != nil {
 				s.persist.noteError()
@@ -416,6 +427,8 @@ func (s *Server) metricsHandler(ctx context.Context, ar *apiRequest) result {
 	if s.persist != nil {
 		snap.StoreEnabled = true
 		snap.StoreAppends, snap.StoreCompactions, snap.StoreErrors, snap.StoreSegments = s.persist.stats()
+		snap.StoreBytes, snap.StorePlanCheckpointBytes = s.persist.bytesAppended()
+		snap.UnresumablePlans = s.unresumablePlans.Load()
 		snap.RecoveredBases, snap.RecoveredPlans, snap.RecoveredExecs, snap.RecoveredMemos, snap.RecoveredTruncatedBytes =
 			s.recovered.Bases, s.recovered.Plans, s.recovered.Execs, s.recovered.Memos, s.recovered.TruncatedBytes
 	}

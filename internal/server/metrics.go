@@ -206,6 +206,11 @@ type MetricsSnapshot struct {
 	StoreCompactions int64 `json:"store_compactions"`
 	StoreErrors      int64 `json:"store_errors"`
 	StoreSegments    int   `json:"store_segments"`
+	// StoreBytes is the payload bytes behind StoreAppends (frame headers
+	// and compaction rewrites excluded); StorePlanCheckpointBytes the plan
+	// checkpoints' share of it.
+	StoreBytes               int64 `json:"store_bytes"`
+	StorePlanCheckpointBytes int64 `json:"store_plan_checkpoint_bytes"`
 	// Recovered* report what boot-time recovery rebuilt; truncated bytes
 	// count the corrupt WAL tail recovery discarded.
 	RecoveredBases          int `json:"recovered_bases"`
@@ -213,6 +218,9 @@ type MetricsSnapshot struct {
 	RecoveredExecs          int `json:"recovered_execs"`
 	RecoveredMemos          int `json:"recovered_memos"`
 	RecoveredTruncatedBytes int `json:"recovered_truncated_bytes"`
+	// UnresumablePlans counts journaled plan checkpoints that failed to
+	// resume and were restarted from level 0.
+	UnresumablePlans int64 `json:"unresumable_plans"`
 
 	Draining bool `json:"draining"`
 }

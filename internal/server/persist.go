@@ -29,6 +29,10 @@ package server
 // which of them survive a restart is deterministic and the compacted log
 // does not grow with the number of jobs ever served. A final record drops
 // the job's checkpoint: a finished job answers from its final bytes.
+//
+// The mirror is also the only in-memory copy of a plan's checkpoint: a
+// planEntry holds the live search, not its bytes, and the plan handler
+// asks the mirror (planCheckpoint) only when it has no live search.
 
 import (
 	"crypto/sha256"
@@ -120,6 +124,8 @@ type persistor struct {
 	appends     int64
 	compactions int64
 	errors      int64
+	// bytes counts the payload bytes append wrote, by record type.
+	bytes [recExecFinal + 1]int64
 }
 
 func newPersistor(st *store.Store, compactEvery, memoMax, planMax int) *persistor {
@@ -141,10 +147,12 @@ func newPersistor(st *store.Store, compactEvery, memoMax, planMax int) *persisto
 func (p *persistor) append(typ uint8, key string, value []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, err := p.st.Log.Append(typ, store.EncodeKV(key, value)); err != nil {
+	payload := store.EncodeKV(key, value)
+	if _, err := p.st.Log.Append(typ, payload); err != nil {
 		return err
 	}
 	p.appends++
+	p.bytes[typ] += int64(len(payload))
 	p.apply(typ, key, value)
 	if p.st.Log.SegmentCount() > p.compactEvery {
 		if err := p.compactLocked(); err != nil {
@@ -276,6 +284,17 @@ func (p *persistor) savePlanCheckpoint(id string, cp []byte) error {
 	return p.append(recPlanCheckpoint, id, cp)
 }
 
+// planCheckpoint returns the latest journaled checkpoint of a plan, nil
+// when it has none. The bytes are the mirror's: read-only to the caller.
+func (p *persistor) planCheckpoint(id string) []byte {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if pm := p.plans[id]; pm != nil {
+		return pm.checkpoint
+	}
+	return nil
+}
+
 func (p *persistor) savePlanFinal(id string, body []byte) error {
 	return p.append(recPlanFinal, id, body)
 }
@@ -304,6 +323,17 @@ func (p *persistor) stats() (appends, compactions, errs int64, segments int) {
 	return p.appends, p.compactions, p.errors, p.st.Log.SegmentCount()
 }
 
+// bytesAppended reports the payload bytes behind stats' appends: in total,
+// and the plan checkpoints' share.
+func (p *persistor) bytesAppended() (total, planCheckpoints int64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, n := range p.bytes {
+		total += n
+	}
+	return total, p.bytes[recPlanCheckpoint]
+}
+
 // recoveryStats counts what a boot-time recovery rebuilt.
 type recoveryStats struct {
 	Bases          int
@@ -315,11 +345,12 @@ type recoveryStats struct {
 }
 
 // recover replays the WAL into the persistor's mirror, then hydrates the
-// server's serving-path state from it: plan entries resume by ID, memo
-// bodies answer repeat requests, and base snapshots come back warm from
-// the object store — each verified against its content address before
-// use; a missing or corrupt object degrades to a cold rebuild, never to
-// wrong state.
+// server's serving-path state from it: finished plans answer from their
+// final bytes (an unfinished one resumes from the mirror's checkpoint when
+// its ID is next posted), memo bodies answer repeat requests, and base
+// snapshots come back warm from the object store — each verified against
+// its content address before use; a missing or corrupt object degrades to
+// a cold rebuild, never to wrong state.
 func (p *persistor) recover(s *Server) (recoveryStats, error) {
 	var rs recoveryStats
 	err := p.st.Log.Replay(func(r store.Record) error {
@@ -358,7 +389,6 @@ func (p *persistor) recover(s *Server) (recoveryStats, error) {
 		pm := p.plans[id]
 		pe := s.plans.get(id)
 		pe.mu.Lock()
-		pe.checkpoint = pm.checkpoint
 		pe.final = pm.final
 		pe.mu.Unlock()
 		rs.Plans++

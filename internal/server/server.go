@@ -94,6 +94,9 @@ type Server struct {
 	// recovered is what boot-time recovery rebuilt, frozen after Open.
 	persist   *persistor
 	recovered recoveryStats
+	// unresumablePlans counts journaled plan checkpoints that failed to
+	// resume (the plan restarted from level 0).
+	unresumablePlans atomic.Int64
 
 	sem      chan struct{}
 	queued   atomic.Int64
@@ -108,6 +111,9 @@ type Server struct {
 	// evaluation takes longer than the request's deadline" on scenario
 	// bases small enough to qualify in under a millisecond.
 	testHookEvalDelay func(*WhatIfRequest)
+	// testHookResume, when set (tests only), runs before every
+	// planner.ResumeSearch the plan handler makes.
+	testHookResume func()
 }
 
 // New builds a daemon.

@@ -84,14 +84,17 @@ func (w *writer) prefix(p netip.Prefix) {
 }
 
 // section appends one tagged section whose payload is produced by fill.
+// fill writes straight into w; the payload's uvarint length, known only
+// afterwards, is then slid in front of it with one copy.
 func (w *writer) section(tag byte, fill func(*writer)) {
-	var body writer
-	fill(&body)
 	w.buf = append(w.buf, tag)
-	w.bytes(body.buf)
-	if w.err == nil {
-		w.err = body.err
-	}
+	start := len(w.buf)
+	fill(w)
+	var prefix [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(prefix[:], uint64(len(w.buf)-start))
+	w.buf = append(w.buf, prefix[:n]...)
+	copy(w.buf[start+n:], w.buf[start:])
+	copy(w.buf[start:], prefix[:n])
 }
 
 // ---------------------------------------------------------------------------
@@ -334,7 +337,9 @@ func encodeAdjIn(w *writer, s *bgp.SpeakerState) {
 			}
 			if k == len(s.Peers) {
 				// Neither a speaker nor the decoder builds such a column.
-				w.err = fmt.Errorf("snapshot: %s: Adj-RIB-In column of %v is not in peer order at session %q", s.Cfg.ID, s.Prefixes[i].Prefix, c.Session)
+				if w.err == nil {
+					w.err = fmt.Errorf("snapshot: %s: Adj-RIB-In column of %v is not in peer order at session %q", s.Cfg.ID, s.Prefixes[i].Prefix, c.Session)
+				}
 				return
 			}
 			ribs[k] = append(ribs[k], &c.Attrs)
