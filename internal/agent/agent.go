@@ -61,7 +61,7 @@ func statePath(device string) string { return nsdb.DevicePath(device, "state") }
 // intended RPA config into NSDB (applications call this; the agent picks
 // it up on its next reconcile pass).
 func SetIntendedRPA(db *nsdb.Cluster, device string, cfg *core.Config) {
-	db.Publish(nsdb.Intended, RPAPath(device), cfg.Clone())
+	db.Publish(nsdb.Intended, RPAPath(device), cfg)
 }
 
 // ClearIntendedRPA removes a device's intended RPA. The agent reconciles
@@ -124,7 +124,7 @@ func (a *Agent) ReconcileOnce() ([]string, error) {
 					continue
 				}
 				want = &core.Config{Version: have.Version + 1}
-			} else if haveOK && configsEqual(want, have) {
+			} else if haveOK && nsdb.Equal(want, have) {
 				continue
 			}
 			if err := a.deploy(dev, want); err != nil {
@@ -144,12 +144,6 @@ func (a *Agent) ReconcileOnce() ([]string, error) {
 	return touched, firstErr
 }
 
-func configsEqual(a, b *core.Config) bool {
-	da, errA := a.Marshal()
-	db, errB := b.Marshal()
-	return errA == nil && errB == nil && string(da) == string(db)
-}
-
 // deploy pushes one config over RPC, records the latency, and publishes
 // the new current state.
 func (a *Agent) deploy(device string, cfg *core.Config) error {
@@ -165,7 +159,7 @@ func (a *Agent) deploy(device string, cfg *core.Config) error {
 		a.DeployLatencies.AddDuration(time.Since(start))
 	}
 	a.deploys.Add(1)
-	a.DB.Publish(nsdb.Current, RPAPath(device), cfg.Clone())
+	a.DB.Publish(nsdb.Current, RPAPath(device), cfg)
 	return nil
 }
 

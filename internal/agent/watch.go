@@ -67,7 +67,7 @@ func (a *Agent) Watch(ctx context.Context, onErr func(error)) error {
 					continue
 				}
 			}
-			if have, haveOK := CurrentRPA(a.DB, dev); haveOK && configsEqual(want, have) {
+			if have, haveOK := CurrentRPA(a.DB, dev); haveOK && nsdb.Equal(want, have) {
 				continue
 			}
 			report(a.deploy(dev, want))

@@ -12,7 +12,6 @@ package bgp
 // written again, and the speaker copies a column before its first write.
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/netip"
 
@@ -60,8 +59,11 @@ type SpeakerState struct {
 	Originated []OriginatedState // sorted by prefix
 	Prefixes   []PrefixBookState // sorted by prefix
 
-	// RPA is the deployed core.Config as JSON; empty means no RPA.
-	RPA   []byte
+	// RPA is the deployed program, nil when the config is empty at version
+	// 0. ExportState hands over the speaker's own pointer and
+	// NewSpeakerFromState adopts it: a capture and its forks run one
+	// compiled program. The checkpoint codec stores RPA.JSON().
+	RPA   *core.Program
 	Cache core.CacheState
 	FIB   fib.TableState
 }
@@ -133,12 +135,8 @@ func (s *Speaker) ExportState() (SpeakerState, error) {
 		}
 	}
 
-	if !s.rpaCfg.IsEmpty() || s.rpaCfg.Version != 0 {
-		data, err := json.Marshal(s.rpaCfg)
-		if err != nil {
-			return SpeakerState{}, fmt.Errorf("bgp %s: marshal RPA config: %w", s.cfg.ID, err)
-		}
-		st.RPA = data
+	if cfg := s.RPAConfig(); !cfg.IsEmpty() || cfg.Version != 0 {
+		st.RPA = s.Program()
 	}
 	st.Cache = s.rpa.Cache().ExportState()
 	st.FIB = s.fibTbl.ExportState()
@@ -211,17 +209,11 @@ func NewSpeakerFromState(st SpeakerState, now func() int64) (*Speaker, error) {
 		s.prefixes[pb.Prefix] = b
 	}
 
-	s.rpaCfg = noRPA
-	if len(st.RPA) > 0 {
-		s.rpaCfg = new(core.Config)
-		if err := json.Unmarshal(st.RPA, s.rpaCfg); err != nil {
-			return nil, fmt.Errorf("bgp %s: unmarshal RPA config: %w", st.Cfg.ID, err)
-		}
+	prog := st.RPA
+	if prog == nil {
+		prog = noRPA
 	}
-	var err error
-	if s.rpa, err = core.NewEvaluator(s.rpaCfg); err != nil {
-		return nil, fmt.Errorf("bgp %s: recompile RPA config: %w", st.Cfg.ID, err)
-	}
+	s.rpa = prog.NewEvaluator()
 	s.rpa.Cache().RestoreState(st.Cache)
 	s.fibTbl = fib.NewFromState(st.FIB)
 	return s, nil

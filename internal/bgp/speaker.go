@@ -35,7 +35,6 @@ type Speaker struct {
 	prefixes   map[netip.Prefix]*prefixState
 
 	rpa     *core.Evaluator
-	rpaCfg  *core.Config
 	fibTbl  *fib.Table
 	outbox  []OutMsg
 	stats   Stats
@@ -73,15 +72,11 @@ type Speaker struct {
 // NewSpeaker constructs a speaker. The clock function may be nil (treated
 // as a constant zero clock).
 func NewSpeaker(cfg Config, now func() int64) *Speaker {
-	emptyRPA, err := core.NewEvaluator(noRPA)
-	if err != nil {
-		panic("bgp: empty RPA config failed to compile: " + err.Error())
-	}
 	s := newSpeaker(cfg, now)
 	s.peers = make(map[SessionID]*peer)
 	s.originated = make(map[netip.Prefix]originInfo)
 	s.prefixes = make(map[netip.Prefix]*prefixState)
-	s.rpa, s.rpaCfg = emptyRPA, noRPA
+	s.rpa = noRPA.NewEvaluator()
 	s.fibTbl = fib.New(cfg.FIBGroupLimit)
 	return s
 }
@@ -98,9 +93,9 @@ func newSpeaker(cfg Config, now func() int64) *Speaker {
 	return &Speaker{cfg: cfg, fullRecompute: defaultFullRecompute, now: now}
 }
 
-// noRPA is the configuration of every speaker without a deployed RPA, shared
-// and never written (SetRPA replaces a speaker's config, it does not edit it).
-var noRPA = &core.Config{}
+// noRPA is the program of every speaker without a deployed RPA, compiled once
+// and shared like any other; the empty config has no statement to refuse.
+var noRPA, _ = core.Compile(&core.Config{})
 
 // ID returns the speaker's device name.
 func (s *Speaker) ID() string { return s.cfg.ID }
@@ -114,8 +109,12 @@ func (s *Speaker) FIB() *fib.Table { return s.fibTbl }
 // Stats returns a snapshot of the activity counters.
 func (s *Speaker) Stats() Stats { return s.stats }
 
-// RPAConfig returns the currently deployed RPA configuration.
-func (s *Speaker) RPAConfig() *core.Config { return s.rpaCfg }
+// RPAConfig returns the currently deployed RPA configuration, read-only.
+func (s *Speaker) RPAConfig() *core.Config { return s.rpa.Program().Config() }
+
+// Program returns the deployed configuration's compiled form: the pointer
+// SetRPA compiled or NewSpeakerFromState adopted.
+func (s *Speaker) Program() *core.Program { return s.rpa.Program() }
 
 // SetTap attaches (or, with nil, detaches) a telemetry tap. The tap sees
 // session lifecycle, Adj-RIB-In activity, best-path changes, FIB/NHG
@@ -258,17 +257,18 @@ func (s *Speaker) Drained() bool { return s.drained }
 
 // SetRPA deploys an RPA configuration, replacing any previous one, and
 // re-runs the decision process for every known prefix. This is the
-// operation whose latency Figure 12 reports.
+// operation whose latency Figure 12 reports. The config is compiled once and
+// kept by reference: the caller must not edit it afterwards (see
+// core.Config). Nil removes the RPA.
 func (s *Speaker) SetRPA(cfg *core.Config) error {
-	if cfg == nil {
-		cfg = noRPA
+	prog := noRPA
+	if cfg != nil {
+		var err error
+		if prog, err = core.Compile(cfg); err != nil {
+			return fmt.Errorf("bgp %s: %w", s.cfg.ID, err)
+		}
 	}
-	ev, err := core.NewEvaluator(cfg)
-	if err != nil {
-		return fmt.Errorf("bgp %s: %w", s.cfg.ID, err)
-	}
-	s.rpa = ev
-	s.rpaCfg = cfg.Clone()
+	s.rpa = prog.NewEvaluator()
 	s.advEpoch++
 	s.recomputeAll()
 	return nil

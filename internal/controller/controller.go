@@ -9,8 +9,8 @@ package controller
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
+	"maps"
 	"sort"
 
 	"centralium/internal/core"
@@ -25,15 +25,12 @@ type Intent map[topo.DeviceID]*core.Config
 // (orthogonal RPAs compose by concatenation).
 func (in Intent) Merge(other Intent) Intent {
 	out := make(Intent, len(in)+len(other))
-	for d, c := range in {
-		out[d] = c.Clone()
-	}
+	maps.Copy(out, in)
 	for d, c := range other {
 		if prev, ok := out[d]; ok {
-			out[d] = prev.Merge(c)
-		} else {
-			out[d] = c.Clone()
+			c = prev.Merge(c)
 		}
+		out[d] = c
 	}
 	return out
 }
@@ -250,7 +247,7 @@ func (c *Controller) RunCtx(ctx context.Context, r Rollout) error {
 	// Publish intent so the consistency loop can detect stragglers.
 	if c.DB != nil {
 		for dev, cfg := range r.Intent {
-			c.DB.Publish(nsdb.Intended, nsdb.DevicePath(string(dev), "rpa"), cfg.Clone())
+			c.DB.Publish(nsdb.Intended, nsdb.DevicePath(string(dev), "rpa"), cfg)
 		}
 	}
 	var (
@@ -278,7 +275,7 @@ func (c *Controller) RunCtx(ctx context.Context, r Rollout) error {
 			}
 			if r.UnwindOnFailure {
 				if cfg := c.Fetch(dev); cfg != nil {
-					prior[dev] = cfg.Clone()
+					prior[dev] = cfg
 				}
 			}
 			if err := c.Deploy(dev, r.Intent[dev]); err != nil {
@@ -287,7 +284,7 @@ func (c *Controller) RunCtx(ctx context.Context, r Rollout) error {
 			c.deployments++
 			deployedSoFar = append(deployedSoFar, dev)
 			if c.DB != nil && !c.BackendUpdatesCurrent {
-				c.DB.Publish(nsdb.Current, nsdb.DevicePath(string(dev), "rpa"), r.Intent[dev].Clone())
+				c.DB.Publish(nsdb.Current, nsdb.DevicePath(string(dev), "rpa"), r.Intent[dev])
 			}
 			if r.SettlePerDevice && c.Settle != nil {
 				c.Settle()
@@ -339,9 +336,9 @@ func (c *Controller) unwind(r Rollout, deployed []topo.DeviceID, prior map[topo.
 		if c.DB != nil {
 			// Re-point intent at the restored config so the consistency
 			// loop does not report the unwound devices as stragglers.
-			c.DB.Publish(nsdb.Intended, nsdb.DevicePath(string(dev), "rpa"), cfg.Clone())
+			c.DB.Publish(nsdb.Intended, nsdb.DevicePath(string(dev), "rpa"), cfg)
 			if !c.BackendUpdatesCurrent {
-				c.DB.Publish(nsdb.Current, nsdb.DevicePath(string(dev), "rpa"), cfg.Clone())
+				c.DB.Publish(nsdb.Current, nsdb.DevicePath(string(dev), "rpa"), cfg)
 			}
 		}
 		if r.SettlePerDevice && c.Settle != nil {
@@ -373,17 +370,11 @@ func (c *Controller) stragglerFraction(intent Intent, deployed []topo.DeviceID) 
 			continue
 		}
 		want, _ := leader.Store.Get(nsdb.Intended, path)
-		if !jsonEqual(cur, want) {
+		if !nsdb.Equal(cur, want) {
 			stragglers = append(stragglers, dev)
 		}
 	}
 	return float64(len(stragglers)) / float64(len(deployed)), stragglers
-}
-
-func jsonEqual(a, b any) bool {
-	da, errA := json.Marshal(a)
-	db, errB := json.Marshal(b)
-	return errA == nil && errB == nil && string(da) == string(db)
 }
 
 // Stragglers returns devices whose current RPA differs from intended — the

@@ -289,7 +289,7 @@ func TestSlowRollGate(t *testing.T) {
 			if dev == straggler {
 				return nil // "succeeds" but never converges
 			}
-			db.Publish(nsdb.Current, nsdb.DevicePath(string(dev), "rpa"), cfg.Clone())
+			db.Publish(nsdb.Current, nsdb.DevicePath(string(dev), "rpa"), cfg)
 			return nil
 		},
 	}
@@ -320,7 +320,7 @@ func TestSlowRollGate(t *testing.T) {
 		if dev == straggler {
 			return nil
 		}
-		db2.Publish(nsdb.Current, nsdb.DevicePath(string(dev), "rpa"), cfg.Clone())
+		db2.Publish(nsdb.Current, nsdb.DevicePath(string(dev), "rpa"), cfg)
 		return nil
 	}
 	err = c2.Run(Rollout{Intent: intent, OriginAltitude: topo.LayerEB.Altitude(),

@@ -29,7 +29,7 @@ type recordingBackend struct {
 func newRecordingBackend(prior map[topo.DeviceID]*core.Config) *recordingBackend {
 	cfgs := make(map[topo.DeviceID]*core.Config)
 	for d, c := range prior {
-		cfgs[d] = c.Clone()
+		cfgs[d] = c
 	}
 	return &recordingBackend{configs: cfgs, failOn: map[int]error{}}
 }
@@ -43,7 +43,7 @@ func (b *recordingBackend) deploy(d topo.DeviceID, cfg *core.Config) error {
 		return err
 	}
 	b.sequence = append(b.sequence, d)
-	b.configs[d] = cfg.Clone()
+	b.configs[d] = cfg
 	return nil
 }
 
@@ -52,7 +52,7 @@ func (b *recordingBackend) fetch(d topo.DeviceID) *core.Config {
 	if !ok {
 		return nil
 	}
-	return cfg.Clone()
+	return cfg
 }
 
 // snapshot renders the backend's deployed state for pre/post comparison.
@@ -65,7 +65,7 @@ func (b *recordingBackend) snapshot() map[topo.DeviceID]*core.Config {
 		if c.Version == 0 && len(c.PathSelection) == 0 {
 			continue
 		}
-		out[d] = c.Clone()
+		out[d] = c
 	}
 	return out
 }

@@ -25,7 +25,7 @@ type OrchestratedChange struct {
 	// verification); nil skips verification.
 	VerifyBasePolicy func() error
 
-	// RemoveBasePolicy undoes ApplyBasePolicy. When set, Execute calls it
+	// RemoveBasePolicy undoes ApplyBasePolicy. When set, ExecuteCtx calls it
 	// if the change fails after the base policy was applied — failed
 	// verification or a failed rollout — so an aborted change never leaves
 	// the base policy dangling with no RPA depending on it (the reverse of
@@ -35,12 +35,6 @@ type OrchestratedChange struct {
 
 	// Rollout is the dependent RPA deployment.
 	Rollout Rollout
-}
-
-// Execute runs the change in the safe order on the controller. It is
-// ExecuteCtx under a background context.
-func (c *Controller) Execute(oc OrchestratedChange) error {
-	return c.ExecuteCtx(context.Background(), oc)
 }
 
 // ExecuteCtx runs the change in the safe order under a context: base

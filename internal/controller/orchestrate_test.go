@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"context"
 	"errors"
 	"net/netip"
 	"strings"
@@ -55,7 +56,7 @@ func TestOrchestratedChangeOrdering(t *testing.T) {
 
 	// Orchestrated: base policy (re-originate with the community) first,
 	// verified, then the RPA — now both paths are selected.
-	err := c.Execute(OrchestratedChange{
+	err := c.ExecuteCtx(context.Background(), OrchestratedChange{
 		Name: "tag-and-equalize",
 		ApplyBasePolicy: func() error {
 			n.OriginateAt("origin", p, []string{"NEW_TAG"}, 0)
@@ -81,14 +82,14 @@ func TestOrchestratedChangeOrdering(t *testing.T) {
 
 func TestOrchestratedChangeErrors(t *testing.T) {
 	c := &Controller{Deploy: func(topo.DeviceID, *core.Config) error { return nil }}
-	err := c.Execute(OrchestratedChange{
+	err := c.ExecuteCtx(context.Background(), OrchestratedChange{
 		Name:            "x",
 		ApplyBasePolicy: func() error { return errors.New("push failed") },
 	})
 	if err == nil || !strings.Contains(err.Error(), "base policy") {
 		t.Fatalf("err = %v", err)
 	}
-	err = c.Execute(OrchestratedChange{
+	err = c.ExecuteCtx(context.Background(), OrchestratedChange{
 		Name:             "y",
 		VerifyBasePolicy: func() error { return errors.New("not converged") },
 	})

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -22,7 +23,7 @@ func layerIntent(tp *topo.Topology, layers ...topo.Layer) Intent {
 }
 
 // TestExecuteSequencing drives full intents through the real rollout path
-// (controller.Execute) with a recording backend and asserts the §5.3.2
+// (controller.ExecuteCtx) with a recording backend and asserts the §5.3.2
 // layer ordering of the actual deployments — not just the Waves plan.
 func TestExecuteSequencing(t *testing.T) {
 	tp := topo.BuildFig10(topo.Fig10Params{FSWs: 2, SSWs: 2, FAs: 2})
@@ -67,7 +68,7 @@ func TestExecuteSequencing(t *testing.T) {
 				Deploy: func(d topo.DeviceID, _ *core.Config) error { order = append(order, d); return nil },
 				Settle: func() { settles++ },
 			}
-			err := ctl.Execute(OrchestratedChange{
+			err := ctl.ExecuteCtx(context.Background(), OrchestratedChange{
 				Name: tc.name,
 				Rollout: Rollout{
 					Intent:         intent,
@@ -170,7 +171,7 @@ func TestScheduleOverride(t *testing.T) {
 		{topo.SSWID(0, 1)},               // explicit out-of-altitude order
 		{topo.FAID(0), topo.SSWID(0, 0)}, // mixed-layer wave allowed
 	}
-	err := ctl.Execute(OrchestratedChange{
+	err := ctl.ExecuteCtx(context.Background(), OrchestratedChange{
 		Name:    "schedule override",
 		Rollout: Rollout{Intent: intent, Schedule: schedule, OriginAltitude: topo.LayerEB.Altitude()},
 	})

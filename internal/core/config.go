@@ -3,12 +3,19 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 )
 
 // Config is the full RPA configuration deployed to one switch: the union of
 // the three primitive kinds of Figure 7. This is the payload the Centralium
 // controller generates per switch and the Switch Agent pushes over RPC.
+//
+// A Config is a value: once a *Config has been handed to anyone — deployed,
+// compiled, put in an intent, published — it is never edited again, because
+// receivers keep the pointer and a Program compiled from it is shared by every
+// speaker and fork it reaches. To change one, copy the struct and replace the
+// slices you touch, as Merge, planner.Step.Intent and guard.Campaign do.
 type Config struct {
 	// Version increases monotonically with each generation; the agent uses
 	// it to detect stragglers (Section 5.1's consistency guarantee).
@@ -22,19 +29,6 @@ type Config struct {
 // IsEmpty reports whether the config carries no statements.
 func (c *Config) IsEmpty() bool {
 	return len(c.PathSelection) == 0 && len(c.RouteAttribute) == 0 && len(c.RouteFilter) == 0
-}
-
-// Clone returns a deep copy.
-func (c *Config) Clone() *Config {
-	data, err := json.Marshal(c)
-	if err != nil {
-		panic("core: config not marshalable: " + err.Error())
-	}
-	var out Config
-	if err := json.Unmarshal(data, &out); err != nil {
-		panic("core: config round-trip failed: " + err.Error())
-	}
-	return &out
 }
 
 // Marshal renders the config as indented JSON — the deployment payload and
@@ -62,68 +56,10 @@ func (c *Config) LOC() int {
 	return strings.Count(string(data), "\n") + 1
 }
 
-// Validate checks structural validity: names present and unique within each
-// kind, weights non-negative, regexes compile, prefix rules parse.
+// Validate checks structural validity: Compile with the program dropped.
 func (c *Config) Validate() error {
-	seen := make(map[string]bool)
-	for i := range c.PathSelection {
-		st := &c.PathSelection[i]
-		if st.Name == "" {
-			return fmt.Errorf("core: path-selection statement %d has no name", i)
-		}
-		if seen["ps/"+st.Name] {
-			return fmt.Errorf("core: duplicate path-selection statement %q", st.Name)
-		}
-		seen["ps/"+st.Name] = true
-		for j := range st.PathSets {
-			if _, err := compileSignature(st.PathSets[j].Signature); err != nil {
-				return fmt.Errorf("core: statement %q set %d: %w", st.Name, j, err)
-			}
-			m := st.PathSets[j].MinNextHop
-			if m.Count < 0 || m.Percent < 0 || m.Percent > 100 {
-				return fmt.Errorf("core: statement %q set %d: invalid MinNextHop %+v", st.Name, j, m)
-			}
-		}
-		m := st.BgpNativeMinNextHop
-		if m.Count < 0 || m.Percent < 0 || m.Percent > 100 {
-			return fmt.Errorf("core: statement %q: invalid BgpNativeMinNextHop %+v", st.Name, m)
-		}
-		if st.ExpectedNextHops < 0 {
-			return fmt.Errorf("core: statement %q: negative ExpectedNextHops", st.Name)
-		}
-	}
-	for i := range c.RouteAttribute {
-		st := &c.RouteAttribute[i]
-		if st.Name == "" {
-			return fmt.Errorf("core: route-attribute statement %d has no name", i)
-		}
-		if seen["ra/"+st.Name] {
-			return fmt.Errorf("core: duplicate route-attribute statement %q", st.Name)
-		}
-		seen["ra/"+st.Name] = true
-		for j := range st.NextHopWeights {
-			if st.NextHopWeights[j].Weight < 0 {
-				return fmt.Errorf("core: route-attribute %q weight %d is negative", st.Name, j)
-			}
-			if _, err := compileSignature(st.NextHopWeights[j].Signature); err != nil {
-				return fmt.Errorf("core: route-attribute %q weight %d: %w", st.Name, j, err)
-			}
-		}
-	}
-	for i := range c.RouteFilter {
-		st := &c.RouteFilter[i]
-		if st.Name == "" {
-			return fmt.Errorf("core: route-filter statement %d has no name", i)
-		}
-		if seen["rf/"+st.Name] {
-			return fmt.Errorf("core: duplicate route-filter statement %q", st.Name)
-		}
-		seen["rf/"+st.Name] = true
-		if _, err := compileFilter(st); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := Compile(c)
+	return err
 }
 
 // Merge returns a new config containing the statements of both, with c's
@@ -131,13 +67,10 @@ func (c *Config) Validate() error {
 // exclusive prefix sets (Section 5.3 footnote), so concatenation is the
 // production composition rule. The result takes the higher version.
 func (c *Config) Merge(other *Config) *Config {
-	out := c.Clone()
-	o := other.Clone()
-	out.PathSelection = append(out.PathSelection, o.PathSelection...)
-	out.RouteAttribute = append(out.RouteAttribute, o.RouteAttribute...)
-	out.RouteFilter = append(out.RouteFilter, o.RouteFilter...)
-	if o.Version > out.Version {
-		out.Version = o.Version
+	return &Config{
+		Version:        max(c.Version, other.Version),
+		PathSelection:  slices.Concat(c.PathSelection, other.PathSelection),
+		RouteAttribute: slices.Concat(c.RouteAttribute, other.RouteAttribute),
+		RouteFilter:    slices.Concat(c.RouteFilter, other.RouteFilter),
 	}
-	return out
 }

@@ -53,19 +53,6 @@ func TestConfigRoundTrip(t *testing.T) {
 	}
 }
 
-func TestConfigClone(t *testing.T) {
-	c := sampleConfig()
-	cl := c.Clone()
-	cl.PathSelection[0].Name = "changed"
-	cl.RouteAttribute[0].NextHopWeights[0].Weight = 99
-	if c.PathSelection[0].Name != "ps1" {
-		t.Error("Clone shares PathSelection backing array")
-	}
-	if c.RouteAttribute[0].NextHopWeights[0].Weight != 2 {
-		t.Error("Clone shares NextHopWeights")
-	}
-}
-
 func TestConfigLOC(t *testing.T) {
 	c := sampleConfig()
 	loc := c.LOC()
@@ -81,21 +68,58 @@ func TestConfigLOC(t *testing.T) {
 	}
 }
 
+// invalidConfigs is every way a config can be refused, with the error text —
+// written by the pre-Compile Validate, so a moved string shows up here.
+var invalidConfigs = []struct {
+	cfg  *Config
+	want string
+}{
+	{&Config{PathSelection: []PathSelectionStatement{{Name: ""}}},
+		`core: path-selection statement 0 has no name`},
+	{&Config{PathSelection: []PathSelectionStatement{{Name: "a"}, {Name: "a"}}},
+		`core: duplicate path-selection statement "a"`},
+	{&Config{PathSelection: []PathSelectionStatement{{Name: "a", PathSets: []PathSet{{Signature: PathSignature{ASPathRegex: "("}}}}}},
+		"core: statement \"a\" set 0: core: bad as_path_regex \"(\": error parsing regexp: missing closing ): `(`"},
+	{&Config{PathSelection: []PathSelectionStatement{{Name: "a", PathSets: []PathSet{{Signature: PathSignature{PeerRegex: "["}}}}}},
+		"core: statement \"a\" set 0: core: bad peer_regex \"[\": error parsing regexp: missing closing ]: `[`"},
+	{&Config{PathSelection: []PathSelectionStatement{{Name: "a", BgpNativeMinNextHop: MinNextHop{Percent: 150}}}},
+		`core: statement "a": invalid BgpNativeMinNextHop {Count:0 Percent:150}`},
+	{&Config{PathSelection: []PathSelectionStatement{{Name: "a", PathSets: []PathSet{{MinNextHop: MinNextHop{Count: -1}}}}}},
+		`core: statement "a" set 0: invalid MinNextHop {Count:-1 Percent:0}`},
+	{&Config{PathSelection: []PathSelectionStatement{{Name: "a", PathSets: []PathSet{{MinNextHop: MinNextHop{Percent: 101}}}}}},
+		`core: statement "a" set 0: invalid MinNextHop {Count:0 Percent:101}`},
+	{&Config{PathSelection: []PathSelectionStatement{{Name: "a", ExpectedNextHops: -1}}},
+		`core: statement "a": negative ExpectedNextHops`},
+	{&Config{RouteAttribute: []RouteAttributeStatement{{Name: ""}}},
+		`core: route-attribute statement 0 has no name`},
+	{&Config{RouteAttribute: []RouteAttributeStatement{{Name: "r", NextHopWeights: []NextHopWeight{{Weight: -1}}}}},
+		`core: route-attribute "r" weight 0 is negative`},
+	{&Config{RouteAttribute: []RouteAttributeStatement{{Name: "r", NextHopWeights: []NextHopWeight{{Signature: PathSignature{NextHopRegex: "*"}}}}}},
+		"core: route-attribute \"r\" weight 0: core: bad next_hop_regex \"*\": error parsing regexp: missing argument to repetition operator: `*`"},
+	{&Config{RouteAttribute: []RouteAttributeStatement{{Name: "r"}, {Name: "r"}}},
+		`core: duplicate route-attribute statement "r"`},
+	{&Config{RouteFilter: []RouteFilterStatement{{Name: ""}}},
+		`core: route-filter statement 0 has no name`},
+	{&Config{RouteFilter: []RouteFilterStatement{{Name: "f"}, {Name: "f"}}},
+		`core: duplicate route-filter statement "f"`},
+	{&Config{RouteFilter: []RouteFilterStatement{{Name: "b1", PeerSignature: "("}}},
+		"core: filter \"b1\" peer signature: error parsing regexp: missing closing ): `(`"},
+	{&Config{RouteFilter: []RouteFilterStatement{{Name: "b2", Ingress: &PrefixFilter{Rules: []PrefixRule{{Prefix: "not-a-prefix"}}}}}},
+		`core: filter "b2" rule 0: netip.ParsePrefix("not-a-prefix"): no '/'`},
+	{&Config{RouteFilter: []RouteFilterStatement{{Name: "b3", Egress: &PrefixFilter{Rules: []PrefixRule{{Prefix: "10.0.0.0/8", MinMaskLength: 20, MaxMaskLength: 16}}}}}},
+		`core: filter "b3" rule 0: min mask 20 > max mask 16`},
+	{&Config{RouteFilter: []RouteFilterStatement{{Name: "b4", Ingress: &PrefixFilter{Rules: []PrefixRule{{Prefix: "10.0.0.0/8", MinMaskLength: 4, MaxMaskLength: 16}}}}}},
+		`core: filter "b4" rule 0: min mask 4 shorter than prefix /8`},
+	// An earlier kind's error wins over a later kind's.
+	{&Config{
+		PathSelection: []PathSelectionStatement{{Name: "a", ExpectedNextHops: -1}},
+		RouteFilter:   []RouteFilterStatement{{Name: ""}},
+	}, `core: statement "a": negative ExpectedNextHops`},
+}
+
 func TestConfigValidateRejects(t *testing.T) {
-	bad := []*Config{
-		{PathSelection: []PathSelectionStatement{{Name: ""}}},
-		{PathSelection: []PathSelectionStatement{{Name: "a"}, {Name: "a"}}},
-		{PathSelection: []PathSelectionStatement{{Name: "a", PathSets: []PathSet{{Signature: PathSignature{ASPathRegex: "("}}}}}},
-		{PathSelection: []PathSelectionStatement{{Name: "a", BgpNativeMinNextHop: MinNextHop{Percent: 150}}}},
-		{PathSelection: []PathSelectionStatement{{Name: "a", PathSets: []PathSet{{MinNextHop: MinNextHop{Count: -1}}}}}},
-		{RouteAttribute: []RouteAttributeStatement{{Name: ""}}},
-		{RouteAttribute: []RouteAttributeStatement{{Name: "r", NextHopWeights: []NextHopWeight{{Weight: -1}}}}},
-		{RouteAttribute: []RouteAttributeStatement{{Name: "r"}, {Name: "r"}}},
-		{RouteFilter: []RouteFilterStatement{{Name: ""}}},
-		{RouteFilter: []RouteFilterStatement{{Name: "f"}, {Name: "f"}}},
-	}
-	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
+	for i, tc := range invalidConfigs {
+		if err := tc.cfg.Validate(); err == nil {
 			t.Errorf("config %d: expected validation error", i)
 		}
 	}

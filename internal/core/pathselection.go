@@ -18,6 +18,9 @@ type MinNextHop struct {
 // IsZero reports whether the threshold imposes no constraint.
 func (m MinNextHop) IsZero() bool { return m.Count == 0 && m.Percent == 0 }
 
+// valid reports whether the threshold is in range; a NaN percentage is not.
+func (m MinNextHop) valid() bool { return m.Count >= 0 && m.Percent >= 0 && m.Percent <= 100 }
+
 // Required returns the effective minimum next-hop count given a baseline
 // (the number of next hops the switch would have at full health).
 func (m MinNextHop) Required(baseline int) int {
@@ -93,57 +96,27 @@ type evalStatement struct {
 	sets []*compiledSignature
 }
 
-// Evaluator evaluates a switch's deployed RPAs. It owns the compiled
-// statements and the match cache; one Evaluator lives per switch. It is not
-// safe for concurrent use — the emulated speaker is single-threaded, as is a
-// BGP daemon's decision process.
+// Evaluator evaluates a switch's deployed RPAs: a Program, which it may
+// share with any number of other evaluators, and the match cache, which is
+// this switch's alone. It is not safe for concurrent use — the emulated
+// speaker is single-threaded, as is a BGP daemon's decision process.
 type Evaluator struct {
-	pathSel  []*evalStatement
-	routeAtt []*evalAttrStatement
-	filters  []*evalFilterStatement
-	cache    *Cache
+	prog  *Program
+	cache *Cache
 }
 
 // NewEvaluator compiles a Config into an Evaluator. It returns an error if
 // any regex fails to compile or the config is structurally invalid.
 func NewEvaluator(cfg *Config) (*Evaluator, error) {
-	if err := cfg.Validate(); err != nil {
+	p, err := Compile(cfg)
+	if err != nil {
 		return nil, err
 	}
-	e := &Evaluator{cache: NewCache(defaultCacheSize)}
-	for i := range cfg.PathSelection {
-		st := &cfg.PathSelection[i]
-		es := &evalStatement{src: st}
-		for j := range st.PathSets {
-			cs, err := compileSignature(st.PathSets[j].Signature)
-			if err != nil {
-				return nil, fmt.Errorf("statement %q set %d: %w", st.Name, j, err)
-			}
-			es.sets = append(es.sets, cs)
-		}
-		e.pathSel = append(e.pathSel, es)
-	}
-	for i := range cfg.RouteAttribute {
-		st := &cfg.RouteAttribute[i]
-		es := &evalAttrStatement{src: st}
-		for j := range st.NextHopWeights {
-			cs, err := compileSignature(st.NextHopWeights[j].Signature)
-			if err != nil {
-				return nil, fmt.Errorf("route-attribute statement %q weight %d: %w", st.Name, j, err)
-			}
-			es.sigs = append(es.sigs, cs)
-		}
-		e.routeAtt = append(e.routeAtt, es)
-	}
-	for i := range cfg.RouteFilter {
-		es, err := compileFilter(&cfg.RouteFilter[i])
-		if err != nil {
-			return nil, err
-		}
-		e.filters = append(e.filters, es)
-	}
-	return e, nil
+	return p.NewEvaluator(), nil
 }
+
+// Program returns the compiled program the evaluator runs.
+func (e *Evaluator) Program() *Program { return e.prog }
 
 // Cache returns the evaluator's statement cache (for stats and tests).
 func (e *Evaluator) Cache() *Cache { return e.cache }
@@ -158,7 +131,7 @@ func (e *Evaluator) HasPathSelection(r *RouteAttrs) bool {
 // destination covers the route, ignoring expiry; speakers skip the copy
 // AssignWeights needs when none does.
 func (e *Evaluator) HasRouteAttribute(r *RouteAttrs) bool {
-	for _, es := range e.routeAtt {
+	for _, es := range e.prog.routeAtt {
 		if es.src.Destination.Matches(r) {
 			return true
 		}
@@ -169,7 +142,7 @@ func (e *Evaluator) HasRouteAttribute(r *RouteAttrs) bool {
 // findStatement returns the first PathSelection statement whose destination
 // matches the route, or nil.
 func (e *Evaluator) findStatement(r *RouteAttrs) *evalStatement {
-	for _, es := range e.pathSel {
+	for _, es := range e.prog.pathSel {
 		if es.src.Destination.Matches(r) {
 			return es
 		}

@@ -54,7 +54,7 @@ func (e *Evaluator) AssignWeights(routes []RouteAttrs, now int64) WeightDecision
 	if len(routes) == 0 {
 		return WeightDecision{}
 	}
-	for _, es := range e.routeAtt {
+	for _, es := range e.prog.routeAtt {
 		if es.src.ExpiresAt != 0 && now >= es.src.ExpiresAt {
 			continue
 		}

@@ -41,7 +41,6 @@ type compiledFilter struct {
 }
 
 type evalFilterStatement struct {
-	src     *RouteFilterStatement
 	peer    *regexp.Regexp // nil = all peers
 	ingress *compiledFilter
 	egress  *compiledFilter
@@ -76,7 +75,7 @@ func compilePrefixFilter(f *PrefixFilter, stmt string) (*compiledFilter, error) 
 }
 
 func compileFilter(st *RouteFilterStatement) (*evalFilterStatement, error) {
-	es := &evalFilterStatement{src: st}
+	es := &evalFilterStatement{}
 	var err error
 	if st.PeerSignature != "" {
 		if es.peer, err = regexp.Compile(st.PeerSignature); err != nil {
@@ -125,7 +124,7 @@ func (d Direction) String() string {
 // statement at all, the route is allowed (RPA augments, never implicitly
 // blocks).
 func (e *Evaluator) AllowRoute(r *RouteAttrs, peer string, dir Direction) bool {
-	for _, es := range e.filters {
+	for _, es := range e.prog.filters {
 		if es.peer != nil && !es.peer.MatchString(peer) {
 			continue
 		}

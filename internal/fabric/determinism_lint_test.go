@@ -262,3 +262,91 @@ func TestOneDecisionDriver(t *testing.T) {
 		t.Errorf("advertise names fullRecompute %d times, want exactly 1 (the one mode-dependent branch)", inAdvertise)
 	}
 }
+
+// TestOneRPACompile keeps an RPA config's compile in one place. In non-test
+// internal/ and cmd/ only internal/core may compile a regex; inside core,
+// compileSignature and compileFilter are called from Compile and from
+// nowhere else (a second caller is a second walker of a config's statements,
+// whose checks and error strings then drift from the first's); core.Config
+// has no Clone method (a config is shared by pointer and never edited, so
+// there is nothing a deep copy protects); and internal/bgp does not import
+// encoding/json (a speaker hands its program over by pointer, it neither
+// renders nor parses its config).
+func TestOneRPACompile(t *testing.T) {
+	callers := map[string]map[string]bool{"compileSignature": {}, "compileFilter": {}}
+	for _, root := range []string{"..", "../../cmd"} {
+		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			pkg := filepath.Base(filepath.Dir(path))
+			inCore, inBGP := root == ".." && pkg == "core", root == ".." && pkg == "bgp"
+			fset := token.NewFileSet()
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				t.Fatalf("parse %s: %v", path, err)
+			}
+			regexpName := ""
+			for _, imp := range f.Imports {
+				switch p, _ := strconv.Unquote(imp.Path.Value); {
+				case p == "regexp":
+					if regexpName = "regexp"; imp.Name != nil {
+						regexpName = imp.Name.Name
+					}
+				case p == "encoding/json" && inBGP:
+					t.Errorf("%s: internal/bgp imports encoding/json — a speaker shares its *core.Program, it does not render or parse its config", fset.Position(imp.Pos()))
+				}
+			}
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				if inCore && fn.Name.Name == "Clone" && fn.Recv != nil && strings.TrimPrefix(recvType(fn.Recv.List[0].Type), "*") == "Config" {
+					t.Errorf("%s: Clone declared on core.Config — configs are immutable and shared by pointer", fset.Position(fn.Pos()))
+				}
+				ast.Inspect(fn, func(node ast.Node) bool {
+					call, ok := node.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					switch fun := call.Fun.(type) {
+					case *ast.Ident:
+						if inCore && callers[fun.Name] != nil {
+							callers[fun.Name][fn.Name.Name] = true
+						}
+					case *ast.SelectorExpr:
+						if id, ok := fun.X.(*ast.Ident); ok && regexpName != "" && id.Name == regexpName && !inCore &&
+							(fun.Sel.Name == "Compile" || fun.Sel.Name == "MustCompile") {
+							t.Errorf("%s: regexp.%s outside internal/core — RPA regexes compile in core.Compile only", fset.Position(call.Pos()), fun.Sel.Name)
+						}
+					}
+					return true
+				})
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("walk %s: %v", root, err)
+		}
+	}
+	for callee, from := range callers {
+		if len(from) != 1 || !from["Compile"] {
+			t.Errorf("core.%s is called from %v, want exactly {Compile}", callee, from)
+		}
+	}
+}
+
+// recvType renders a receiver type expression ("*Config", "Config").
+func recvType(e ast.Expr) string {
+	switch x := e.(type) {
+	case *ast.StarExpr:
+		return "*" + recvType(x.X)
+	case *ast.Ident:
+		return x.Name
+	}
+	return ""
+}

@@ -106,6 +106,7 @@ func TestChaosGuardConformance(t *testing.T) {
 				}); len(sweep) > 0 {
 					t.Fatalf("seed %d plan %s: terminal sweep dirty: %v\nlog:\n%s", seed, plan.name, sweep, res.Log)
 				}
+				requireConfigsUnedited(t, res)
 				logs[i] = res.Log
 				states[i] = res.State
 				fp, err := res.Snapshot.Fingerprint()

@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"centralium/internal/controller"
-	"centralium/internal/core"
 	"centralium/internal/fabric"
 	"centralium/internal/planner"
 	"centralium/internal/probe"
@@ -180,9 +179,9 @@ func (c *Campaign) normalize() error {
 	// 1..n in sorted device order.
 	canon := make(controller.Intent, len(c.Intent))
 	for i, d := range c.Intent.Devices() {
-		cfg := c.Intent[d].Clone()
+		cfg := *c.Intent[d]
 		cfg.Version = int64(i + 1)
-		canon[d] = cfg
+		canon[d] = &cfg
 	}
 	c.Intent = canon
 	return nil
@@ -319,8 +318,9 @@ func fetchSnapshot(objs ObjectStore, fp string) (*snapshot.Snapshot, error) {
 
 // run is one guarded execution in flight.
 type run struct {
-	c     *Campaign
-	waves []planner.Step
+	c        *Campaign
+	waves    []planner.Step
+	workload probe.Workload // what the transient probe measures every attempt under
 
 	log       strings.Builder
 	retries   int
@@ -335,7 +335,13 @@ func newRun(base *snapshot.Snapshot, c Campaign) (*run, error) {
 	if err := c.normalize(); err != nil {
 		return nil, err
 	}
-	r := &run{c: &c}
+	r := &run{c: &c, workload: probe.Workload{
+		Demands:      c.Demands,
+		Watch:        c.Watch,
+		FairShare:    c.FairShare,
+		BlackholeEps: c.BlackholeEps,
+		SampleEvery:  c.SampleEvery,
+	}}
 	if len(c.Schedule.Steps) > 0 {
 		r.waves = c.Schedule.Clone().Steps
 	} else {
@@ -457,7 +463,7 @@ func (r *run) drive(ctx context.Context, lastGood *snapshot.Snapshot, startWave,
 			if r.c.Instrument != nil {
 				r.c.Instrument(work, w, attempt)
 			}
-			m, xerr := executeWave(ctx, work, r.c, steps)
+			m, xerr := planner.ExecuteSteps(ctx, work, r.workload, r.c.Intent, r.c.OriginAltitude, r.c.SettlePerDevice, steps)
 			if xerr != nil && isCtxErr(xerr) {
 				// Freeze at the wave boundary: the attempt's fork is
 				// abandoned, the checkpoint re-targets this attempt, and
@@ -574,39 +580,6 @@ func quiesce(n *fabric.Network) error {
 // evidence base. The guard judges a live wave by the same probe, and so the
 // same metrics, the planner scored it by.
 type WaveMetrics = probe.Metrics
-
-// executeWave pushes one wave attempt (possibly several degraded-shape
-// steps) through the real rollout path under the transient probe.
-func executeWave(ctx context.Context, n *fabric.Network, c *Campaign, steps []planner.Step) (WaveMetrics, error) {
-	pb := probe.NewTransient(n, probe.Workload{
-		Demands:      c.Demands,
-		Watch:        c.Watch,
-		FairShare:    c.FairShare,
-		BlackholeEps: c.BlackholeEps,
-		SampleEvery:  c.SampleEvery,
-	})
-	events := int64(0)
-	ctl := &controller.Controller{
-		Topo:   n.Topo,
-		Deploy: func(d topo.DeviceID, cfg *core.Config) error { return n.DeployRPA(d, cfg) },
-		Settle: func() { events += n.Converge() },
-	}
-	for _, st := range steps {
-		err := ctl.ExecuteCtx(ctx, controller.OrchestratedChange{
-			Name: "guarded wave",
-			Rollout: controller.Rollout{
-				Intent:          st.Intent(c.Intent),
-				OriginAltitude:  c.OriginAltitude,
-				Schedule:        [][]topo.DeviceID{st.Devices},
-				SettlePerDevice: c.SettlePerDevice,
-			},
-		})
-		if err != nil {
-			return pb.Finish(events), err
-		}
-	}
-	return pb.Finish(events), nil
-}
 
 // degradedShape maps (wave, attempt, policy) to the attempt's step list:
 // attempt 0 is the wave as planned; later attempts halve the batch per

@@ -1,7 +1,9 @@
 package guard
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -47,6 +49,7 @@ func TestCleanCampaignCompletes(t *testing.T) {
 	if !strings.Contains(res.Log, "campaign complete") {
 		t.Fatalf("log missing completion line:\n%s", res.Log)
 	}
+	requireConfigsUnedited(t, res)
 }
 
 func TestViolationRetriesThenCompletes(t *testing.T) {
@@ -74,6 +77,7 @@ func TestViolationRetriesThenCompletes(t *testing.T) {
 	if !strings.Contains(res.Log, "VIOLATION session-downs") {
 		t.Fatalf("log missing session-downs violation:\n%s", res.Log)
 	}
+	requireConfigsUnedited(t, res)
 }
 
 func TestPersistentFaultQuarantinesAndAborts(t *testing.T) {
@@ -112,4 +116,54 @@ func TestPersistentFaultQuarantinesAndAborts(t *testing.T) {
 	if res.WavesDone != 1 {
 		t.Fatalf("waves done = %d, want 1 (aborted at wave 1)", res.WavesDone)
 	}
+}
+
+// requireConfigsUnedited is the immutability rule of core.Config as a
+// property of a finished campaign: every live speaker's program still
+// renders to what it rendered to when a wave captured it.
+func requireConfigsUnedited(t *testing.T, res *Result) {
+	t.Helper()
+	for _, dev := range res.Net.Topo.Devices() {
+		prog := res.Net.Speaker(dev.ID).Program()
+		want, err := json.Marshal(prog.Config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(prog.JSON(), want) {
+			t.Fatalf("%s: config edited after it was compiled:\n rendered: %s\n      now: %s", dev.ID, prog.JSON(), want)
+		}
+	}
+}
+
+// TestDegradedRetryLeavesIntentUnedited drives the decommission campaign,
+// whose intent carries 75% thresholds, into the second retry of its one wave,
+// which deploys a 50% override of them: the override is made on a copy, so
+// the caller's intent and the configs earlier attempts deployed read as
+// before.
+func TestDegradedRetryLeavesIntentUnedited(t *testing.T) {
+	snap, p, err := planner.ScenarioSetup("decommission", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := FromParams(p)
+	c.Retry.MinNextHop = 50
+	c.Instrument = func(n *fabric.Network, wave, attempt int) {
+		if attempt < 2 {
+			n.After(time.Millisecond, func() {
+				n.RestartDevice(c.Intent.Devices()[0], 2*time.Millisecond, false)
+			})
+		}
+	}
+	before, _ := json.Marshal(c.Intent)
+	res, err := Run(context.Background(), snap, c)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if res.State != StateCompleted || !strings.Contains(res.Log, "!mnh=50") {
+		t.Fatalf("state %s; the campaign must complete on an mnh=50 retry shape\nlog:\n%s", res.State, res.Log)
+	}
+	if after, _ := json.Marshal(c.Intent); !bytes.Equal(before, after) {
+		t.Fatalf("the run edited the caller's intent:\nbefore: %s\n after: %s", before, after)
+	}
+	requireConfigsUnedited(t, res)
 }

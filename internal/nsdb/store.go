@@ -208,7 +208,7 @@ func (s *Store) OutOfSync(pattern string) []string {
 	for path, iv := range intended {
 		seen[path] = true
 		cv, ok := current[path]
-		if !ok || !jsonEqual(iv, cv) {
+		if !ok || !Equal(iv, cv) {
 			out = append(out, path)
 		}
 	}
@@ -221,7 +221,9 @@ func (s *Store) OutOfSync(pattern string) []string {
 	return out
 }
 
-func jsonEqual(a, b any) bool {
+// Equal is the store's notion of in sync, JSON equality, for callers that
+// compare values outside OutOfSync.
+func Equal(a, b any) bool {
 	da, errA := json.Marshal(a)
 	db, errB := json.Marshal(b)
 	if errA != nil || errB != nil {

@@ -7,6 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"centralium/internal/core"
+	"centralium/internal/snapshot"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the planner golden schedule files")
@@ -193,6 +196,119 @@ func TestResumeAcceptsIndentedCheckpoint(t *testing.T) {
 		if res.Winner.String() != full.Winner.String() || res.Score != full.Score {
 			t.Fatalf("%s version-1 checkpoint changed the outcome:\n resumed: %s %s\n    full: %s %s",
 				name, res.Winner, res.Score, full.Winner, full.Score)
+		}
+	}
+}
+
+// TestGoldenRunLeavesConfigsUnedited is the immutability rule of core.Config
+// as a property of the golden search, which deploys bare and MinNextHop-50
+// variants of the shared intent configs all along: every program still
+// renders to what it rendered to when it was first asked. The intent's
+// programs, rendered before the first level, must match a fresh marshal of
+// their configs after the last; every state the search memoized
+// must carry, per speaker, exactly the bytes a fresh marshal of the restored
+// speaker's config gives.
+func TestGoldenRunLeavesConfigsUnedited(t *testing.T) {
+	t.Run("fig10", func(t *testing.T) { goldenRunLeavesConfigsUnedited(t, "fig10") })
+	// The decommission intent carries the percentage thresholds a
+	// MinNextHop step overrides.
+	t.Run("decommission", func(t *testing.T) { goldenRunLeavesConfigsUnedited(t, "decommission") })
+}
+
+func goldenRunLeavesConfigsUnedited(t *testing.T, scenario string) {
+	snap, p, err := ScenarioSetup(scenario, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SearchBare = true
+	p.BatchSizes = []int{1, 2}
+	p.MinNextHops = []int{50}
+	p.Workers = 4
+	s, err := NewSearch(snap, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, prog := range s.ev.intent {
+		prog.JSON() // render now what the search would render at its first terminal phase
+	}
+	for done := false; !done; {
+		if done, err = s.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	unedited := func(where string, prog *core.Program) {
+		t.Helper()
+		want, err := json.Marshal(prog.Config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(prog.JSON(), want) {
+			t.Fatalf("%s: config edited after it was compiled:\n rendered: %s\n      now: %s", where, prog.JSON(), want)
+		}
+	}
+	for d, prog := range s.ev.intent {
+		unedited("intent for "+string(d), prog)
+	}
+	states, overridden := 0, 0
+	for key, me := range s.memo {
+		if me.child == nil {
+			continue
+		}
+		child, err := snapshot.Decode(me.child)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := child.Restore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range sortedDevices(p.Intent) {
+			prog := n.Speaker(d).Program()
+			unedited(key+" "+string(d), prog)
+			if !bytes.Equal(prog.JSON(), s.ev.intent[d].JSON()) && prog.Config().Version != 0 {
+				overridden++
+			}
+		}
+		states++
+	}
+	if states == 0 || overridden == 0 {
+		t.Fatalf("vacuous: %d memoized states, %d speakers running a step's variant of their intent config", states, overridden)
+	}
+}
+
+// TestStepIntentCopiesOnWrite: a step's projection of the intent shares
+// what it does not change and never writes into the shared configs.
+func TestStepIntentCopiesOnWrite(t *testing.T) {
+	_, p, err := ScenarioSetup("decommission", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	devs := sortedDevices(p.Intent)
+	before, _ := json.Marshal(p.Intent)
+	for _, st := range []Step{{Devices: devs}, {Devices: devs, Bare: true}, {Devices: devs, MinNextHop: 50}, {Devices: devs[:1], Bare: true, MinNextHop: 50}} {
+		for d, cfg := range st.Intent(p.Intent) {
+			orig := p.Intent[d]
+			if cfg == orig || cfg.Version != orig.Version {
+				t.Fatalf("step %q: %s must get a copy of its intent config at the same version", st, d)
+			}
+			if st.Bare != cfg.IsEmpty() {
+				t.Fatalf("step %q: %s bare %v, config empty %v", st, d, st.Bare, cfg.IsEmpty())
+			}
+			for i, ps := range cfg.PathSelection {
+				want := orig.PathSelection[i].BgpNativeMinNextHop.Percent
+				if want <= 0 || want == 50 {
+					t.Fatalf("fixture: %s statement %d has threshold %v, want one a 50%% override changes", d, i, want)
+				}
+				if st.MinNextHop > 0 {
+					want = float64(st.MinNextHop)
+				}
+				if ps.BgpNativeMinNextHop.Percent != want {
+					t.Fatalf("step %q: %s statement %d threshold %v, want %v", st, d, i, ps.BgpNativeMinNextHop.Percent, want)
+				}
+			}
+		}
+		if after, _ := json.Marshal(p.Intent); !bytes.Equal(before, after) {
+			t.Fatalf("step %q edited the shared intent:\nbefore: %s\n after: %s", st, before, after)
 		}
 	}
 }

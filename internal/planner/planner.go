@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"centralium/internal/controller"
+	"centralium/internal/core"
 	"centralium/internal/snapshot"
 	"centralium/internal/topo"
 	"centralium/internal/traffic"
@@ -196,8 +197,12 @@ func newSearchFromState(state []byte, fp string, p Params) (*Search, error) {
 	if len(p.Intent) == 0 {
 		return nil, fmt.Errorf("planner: empty intent")
 	}
-	if err := p.Intent.Validate(); err != nil {
-		return nil, err
+	intent := make(map[topo.DeviceID]*core.Program, len(p.Intent))
+	for _, d := range sortedDevices(p.Intent) {
+		var err error
+		if intent[d], err = core.Compile(p.Intent[d]); err != nil {
+			return nil, fmt.Errorf("planner: intent for %s: %w", d, err)
+		}
 	}
 	if len(p.Watch) == 0 {
 		return nil, fmt.Errorf("planner: no watched devices (the funneling metric needs a hot layer)")
@@ -222,7 +227,7 @@ func newSearchFromState(state []byte, fp string, p Params) (*Search, error) {
 		tp:     tp,
 		memo:   make(map[string]memoEntry),
 	}
-	s.ev = &evaluator{p: &s.p}
+	s.ev = &evaluator{p: &s.p, intent: intent}
 	s.beam = []node{{state: state, fp: fp}}
 	return s, nil
 }

@@ -4,7 +4,7 @@
 // generates candidate schedules — wave orderings, batch sizes, RPA on/off
 // per wave, MinNextHop threshold overrides — and evaluates each candidate
 // by forking the snapshot and pushing the schedule through the real
-// rollout path (controller.Execute) on the fork, scoring the transient
+// rollout path (controller.ExecuteCtx) on the fork, scoring the transient
 // with the telemetry pathology detectors plus convergence time.
 //
 // The search is a seeded beam search with snapshot-fingerprint
@@ -18,12 +18,12 @@ package planner
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
 	"centralium/internal/controller"
-	"centralium/internal/core"
 	"centralium/internal/topo"
 )
 
@@ -168,45 +168,34 @@ func FromWaves(waves [][]topo.DeviceID) Schedule {
 	return out
 }
 
-// stepConfig derives the config actually pushed to one device by a step:
-// the intent's config with the step's knobs applied.
-func stepConfig(cfg *core.Config, st Step) *core.Config {
-	out := cfg.Clone()
-	if st.Bare {
-		out.PathSelection = nil
-		out.RouteAttribute = nil
-		out.RouteFilter = nil
-	}
-	if st.MinNextHop > 0 {
-		for i := range out.PathSelection {
-			if out.PathSelection[i].BgpNativeMinNextHop.Percent > 0 {
-				out.PathSelection[i].BgpNativeMinNextHop.Percent = float64(st.MinNextHop)
-			}
-		}
-	}
-	return out
-}
-
-// stepIntent restricts an intent to a step's devices with the step's
-// config transforms applied.
-func stepIntent(in controller.Intent, st Step) controller.Intent {
-	out := make(controller.Intent, len(st.Devices))
-	for _, d := range st.Devices {
-		if cfg, ok := in[d]; ok {
-			out[d] = stepConfig(cfg, st)
-		}
-	}
-	return out
-}
-
 // Intent restricts a full campaign intent to the step's devices with the
-// step's config transforms applied — the same projection the search's
-// evaluator pushes through the rollout path. Exported so the execution
-// guard (internal/guard) can derive degraded retry shapes (smaller
-// batches, MinNextHop overrides) that deploy exactly what the planner
+// step's knobs applied to a copy of each config (the intent's own is shared
+// and never edited, see core.Config) — the projection ExecuteSteps pushes
+// through the rollout path, for the search's evaluator and the execution
+// guard (internal/guard) alike, so the guard's degraded retry shapes
+// (smaller batches, MinNextHop overrides) deploy exactly what the planner
 // would have deployed.
 func (st Step) Intent(in controller.Intent) controller.Intent {
-	return stepIntent(in, st)
+	out := make(controller.Intent, len(st.Devices))
+	for _, d := range st.Devices {
+		if in[d] == nil {
+			continue
+		}
+		cfg := *in[d]
+		if st.Bare {
+			cfg.PathSelection, cfg.RouteAttribute, cfg.RouteFilter = nil, nil, nil
+		}
+		if st.MinNextHop > 0 {
+			cfg.PathSelection = slices.Clone(cfg.PathSelection)
+			for i := range cfg.PathSelection {
+				if cfg.PathSelection[i].BgpNativeMinNextHop.Percent > 0 {
+					cfg.PathSelection[i].BgpNativeMinNextHop.Percent = float64(st.MinNextHop)
+				}
+			}
+		}
+		out[d] = &cfg
+	}
+	return out
 }
 
 // sortedDevices returns an intent's devices sorted (stable candidate

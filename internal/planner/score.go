@@ -1,9 +1,10 @@
 package planner
 
 import (
+	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -150,17 +151,47 @@ func fingerprint(state []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// measure attaches the one transient probe to a fork, under the search's
-// workload. Per-fork measurement is deterministic; the planner's
-// parallelism lives one level up, across candidate forks.
-func (e *evaluator) measure(n *fabric.Network) *probe.Transient {
-	return probe.NewTransient(n, probe.Workload{
-		Demands:      e.p.Demands,
-		Watch:        e.p.Watch,
-		FairShare:    e.p.FairShare,
-		BlackholeEps: e.p.BlackholeEps,
-		SampleEvery:  e.p.SampleEvery,
-	})
+// ExecuteSteps pushes steps through the real rollout path
+// (controller.ExecuteCtx, one one-wave rollout per step) on n under the one
+// transient probe, and returns what the probe measured — on error, up to the
+// failure. The search's evaluator and the execution guard both run it, so a
+// live wave is judged by the measurement the planner scored it by. Per-fork
+// measurement is deterministic; the planner's parallelism lives one level
+// up, across candidate forks.
+func ExecuteSteps(ctx context.Context, n *fabric.Network, w probe.Workload, intent controller.Intent, originAltitude int, settlePerDevice bool, steps []Step) (probe.Metrics, error) {
+	pb := probe.NewTransient(n, w)
+	events := int64(0)
+	ctl := &controller.Controller{
+		Topo:   n.Topo,
+		Deploy: n.DeployRPA,
+		Settle: func() { events += n.Converge() },
+	}
+	var err error
+	for _, st := range steps {
+		if err = ctl.ExecuteCtx(ctx, controller.OrchestratedChange{
+			Name: "schedule step",
+			Rollout: controller.Rollout{
+				Intent:          st.Intent(intent),
+				OriginAltitude:  originAltitude,
+				Schedule:        [][]topo.DeviceID{st.Devices},
+				SettlePerDevice: settlePerDevice,
+			},
+		}); err != nil {
+			break
+		}
+	}
+	return pb.Finish(events), err
+}
+
+// workload is the search's probe workload.
+func (p *Params) workload() probe.Workload {
+	return probe.Workload{
+		Demands:      p.Demands,
+		Watch:        p.Watch,
+		FairShare:    p.FairShare,
+		BlackholeEps: p.BlackholeEps,
+		SampleEvery:  p.SampleEvery,
+	}
 }
 
 // outcome is the planner's subset of a finished measurement.
@@ -180,7 +211,8 @@ func outcome(label string, m probe.Metrics) StepOutcome {
 // evaluator owns the fork/instrument/execute machinery shared by the beam
 // search, the exhaustive baseline, and schedule scoring.
 type evaluator struct {
-	p *Params
+	p      *Params
+	intent map[topo.DeviceID]*core.Program // p.Intent compiled, for evalMigration's comparison
 }
 
 // decode parses an encoded search state.
@@ -201,40 +233,24 @@ func (e *evaluator) capture(n *fabric.Network) ([]byte, error) {
 	return snap.Encode()
 }
 
-// evalStep forks the parent state, pushes one wave through the real
-// rollout path (controller.Execute), and returns the measured transient
-// plus the child state. It only reads parent, so the pool evaluates every
-// candidate of a beam node against one decoded snapshot.
+// evalStep forks the parent state, pushes one wave through ExecuteSteps,
+// and returns the measured transient plus the child state. It only reads
+// parent, so the pool evaluates every candidate of a beam node against one
+// decoded snapshot.
 func (e *evaluator) evalStep(parent *snapshot.Snapshot, st Step) (StepOutcome, []byte, error) {
 	n, err := parent.Restore()
 	if err != nil {
 		return StepOutcome{}, nil, err
 	}
-	pb := e.measure(n)
-	events := int64(0)
-	ctl := &controller.Controller{
-		Topo:   n.Topo,
-		Deploy: func(d topo.DeviceID, cfg *core.Config) error { return n.DeployRPA(d, cfg) },
-		Settle: func() { events += n.Converge() },
-	}
-	err = ctl.Execute(controller.OrchestratedChange{
-		Name: "planner step",
-		Rollout: controller.Rollout{
-			Intent:          stepIntent(e.p.Intent, st),
-			OriginAltitude:  e.p.OriginAltitude,
-			Schedule:        [][]topo.DeviceID{st.Devices},
-			SettlePerDevice: e.p.SettlePerDevice,
-		},
-	})
+	m, err := ExecuteSteps(context.Background(), n, e.p.workload(), e.p.Intent, e.p.OriginAltitude, e.p.SettlePerDevice, []Step{st})
 	if err != nil {
 		return StepOutcome{}, nil, fmt.Errorf("planner: step %q: %w", st.String(), err)
 	}
-	out := outcome(st.String(), pb.Finish(events))
 	child, err := e.capture(n)
 	if err != nil {
 		return StepOutcome{}, nil, err
 	}
-	return out, child, nil
+	return outcome(st.String(), m), child, nil
 }
 
 // evalMigration forks the fully-deployed state and runs the terminal
@@ -255,14 +271,14 @@ func (e *evaluator) evalMigration(state []byte) (StepOutcome, error) {
 	if err != nil {
 		return StepOutcome{}, err
 	}
-	pb := e.measure(n)
+	pb := probe.NewTransient(n, e.p.workload())
 	stagger := e.p.DrainStaggerNs
 	if stagger <= 0 {
 		stagger = int64(20 * time.Millisecond)
 	}
 	var lagged []topo.DeviceID
 	for _, d := range sortedDevices(e.p.Intent) {
-		if !configEqual(n.Speaker(d).RPAConfig(), e.p.Intent[d]) {
+		if !bytes.Equal(n.Speaker(d).Program().JSON(), e.intent[d].JSON()) {
 			lagged = append(lagged, d)
 		}
 	}
@@ -293,11 +309,4 @@ func (e *evaluator) evalMigration(state []byte) (StepOutcome, error) {
 		return StepOutcome{}, deployErr
 	}
 	return outcome("migration", pb.Finish(events)), nil
-}
-
-// configEqual compares two RPA configs structurally.
-func configEqual(a, b *core.Config) bool {
-	da, errA := json.Marshal(a)
-	db, errB := json.Marshal(b)
-	return errA == nil && errB == nil && string(da) == string(db)
 }

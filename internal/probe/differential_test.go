@@ -11,6 +11,7 @@ package probe_test
 // under -race -count=3.
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -93,7 +94,7 @@ func reversed(s planner.Schedule) planner.Schedule {
 }
 
 // deployStep pushes one schedule step through the real rollout path, as
-// planner.evalStep and guard.executeWave do.
+// planner.ExecuteSteps does.
 func deployStep(t *testing.T, n *fabric.Network, p planner.Params, st planner.Step) int64 {
 	t.Helper()
 	events := int64(0)
@@ -102,7 +103,7 @@ func deployStep(t *testing.T, n *fabric.Network, p planner.Params, st planner.St
 		Deploy: func(d topo.DeviceID, cfg *core.Config) error { return n.DeployRPA(d, cfg) },
 		Settle: func() { events += n.Converge() },
 	}
-	err := ctl.Execute(controller.OrchestratedChange{
+	err := ctl.ExecuteCtx(context.Background(), controller.OrchestratedChange{
 		Name: "differential step",
 		Rollout: controller.Rollout{
 			Intent:          st.Intent(p.Intent),

@@ -91,12 +91,7 @@ func ExplainRoute(n *fabric.Network, dev topo.DeviceID, prefix netip.Prefix) str
 			i, c.NextHop, c.ASPathString(), c.Communities)
 	}
 
-	ev, err := core.NewEvaluator(sp.RPAConfig())
-	if err != nil {
-		fmt.Fprintf(&b, "  RPA config failed to compile: %v\n", err)
-		return b.String()
-	}
-	ex := ev.ExplainSelection(cands, sp.Baseline(prefix))
+	ex := sp.Program().NewEvaluator().ExplainSelection(cands, sp.Baseline(prefix))
 	if ex.Statement == "" {
 		b.WriteString("  no RPA statement matches this destination — native selection\n")
 	} else {

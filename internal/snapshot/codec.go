@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
-	"slices"
 	"sort"
 	"time"
 
@@ -174,8 +173,6 @@ func (r *reader) raw() []byte {
 	r.off += int(l)
 	return out
 }
-
-func (r *reader) bytes() []byte { return slices.Clone(r.raw()) }
 
 func (r *reader) str() string { return string(r.raw()) }
 
@@ -417,7 +414,11 @@ func encodeSpeaker(w *writer, s *bgp.SpeakerState) {
 			w.i64(int64(a.PathLen))
 		}
 	}
-	w.bytes(s.RPA)
+	var rpa []byte
+	if s.RPA != nil {
+		rpa = s.RPA.JSON()
+	}
+	w.bytes(rpa)
 	encodeCache(w, &s.Cache)
 	encodeFIB(w, &s.FIB)
 }
@@ -660,7 +661,9 @@ func transposeAdjIn(r *reader, s *bgp.SpeakerState, ribs [][]core.RouteAttrs) {
 	}
 }
 
-func decodeSpeaker(r *reader) bgp.SpeakerState {
+// decodeSpeaker compiles each distinct RPA rendering of a decode once:
+// programs holds them, and speakers carrying the same JSON share one.
+func decodeSpeaker(r *reader, programs map[string]*core.Program) bgp.SpeakerState {
 	var s bgp.SpeakerState
 	s.Cfg.ID = r.str()
 	s.Cfg.ASN = uint32(r.u64())
@@ -762,9 +765,14 @@ func decodeSpeaker(r *reader) bgp.SpeakerState {
 		}
 	}
 	transposeAdjIn(r, &s, ribs)
-	s.RPA = r.bytes()
-	if len(s.RPA) == 0 {
-		s.RPA = nil
+	if doc := r.raw(); len(doc) > 0 {
+		if s.RPA = programs[string(doc)]; s.RPA == nil {
+			var err error
+			if s.RPA, err = core.ParseProgram(doc); err != nil {
+				r.fail(fmt.Errorf("snapshot: %s: RPA config: %w", s.Cfg.ID, err))
+			}
+			programs[string(doc)] = s.RPA
+		}
 	}
 	s.Cache = decodeCache(r)
 	s.FIB = decodeFIB(r)
@@ -791,7 +799,7 @@ func decodeState(data []byte) (*fabric.NetState, map[string]string, error) {
 	for r.remaining() > 0 && r.err == nil {
 		tag := r.b[r.off]
 		r.off++
-		body := r.bytes()
+		body := r.raw() // a view: nothing decoded keeps bytes of the input
 		if r.err != nil {
 			break
 		}
@@ -845,11 +853,12 @@ func decodeState(data []byte) (*fabric.NetState, map[string]string, error) {
 		case tagNodes:
 			if n := s.count(); n > 0 {
 				st.Nodes = make([]fabric.NodeState, n)
+				programs := map[string]*core.Program{}
 				for i := range st.Nodes {
 					st.Nodes[i].Device = s.str()
 					st.Nodes[i].Up = s.bool()
 					st.Nodes[i].VNow = s.i64()
-					st.Nodes[i].Speaker = decodeSpeaker(s)
+					st.Nodes[i].Speaker = decodeSpeaker(s, programs)
 				}
 			}
 		case tagFIFO:

@@ -36,25 +36,7 @@ var divergences = []struct {
 		n.Converge()
 		return nil
 	}},
-	{"rpa-rollout", func(n *fabric.Network) error {
-		cfg := &core.Config{
-			Version: 1,
-			PathSelection: []core.PathSelectionStatement{{
-				Name:                     "protect-" + backboneCommunity,
-				Destination:              core.Destination{Community: backboneCommunity},
-				PathSets:                 []core.PathSet{},
-				BgpNativeMinNextHop:      core.MinNextHop{Percent: 75},
-				KeepFibWarmIfMnhViolated: true,
-			}},
-		}
-		for _, d := range n.Topo.ByLayer(topo.LayerSSW) {
-			if err := n.DeployRPA(d.ID, cfg); err != nil {
-				return err
-			}
-		}
-		n.Converge()
-		return nil
-	}},
+	{"rpa-rollout", func(n *fabric.Network) error { return rolloutProtect(n, 1) }},
 	{"peer-removal", func(n *fabric.Network) error {
 		n.SetDeviceUp(topo.FADUID(0, 1), false)
 		n.Converge()
@@ -75,23 +57,44 @@ var divergences = []struct {
 	}},
 }
 
+// rolloutProtect deploys one protective config, the same *core.Config, to
+// every SSW and converges.
+func rolloutProtect(n *fabric.Network, version int64) error {
+	cfg := &core.Config{
+		Version: version,
+		PathSelection: []core.PathSelectionStatement{{
+			Name:                     "protect-" + backboneCommunity,
+			Destination:              core.Destination{Community: backboneCommunity},
+			PathSets:                 []core.PathSet{},
+			BgpNativeMinNextHop:      core.MinNextHop{Percent: 75},
+			KeepFibWarmIfMnhViolated: true,
+		}},
+	}
+	for _, d := range n.Topo.ByLayer(topo.LayerSSW) {
+		if err := n.DeployRPA(d.ID, cfg); err != nil {
+			return err
+		}
+	}
+	n.Converge()
+	return nil
+}
+
 // divergeOn restores snap, runs one divergence on the fork, and returns the
-// fork's tap stream and final encoded state.
-func divergeOn(snap *Snapshot, run func(*fabric.Network) error) (lines []string, final []byte, err error) {
-	n, err := snap.Restore()
-	if err != nil {
-		return nil, nil, err
+// fork with its tap stream and final encoded state.
+func divergeOn(snap *Snapshot, run func(*fabric.Network) error) (n *fabric.Network, lines []string, final []byte, err error) {
+	if n, err = snap.Restore(); err != nil {
+		return nil, nil, nil, err
 	}
 	recordTap(n, &lines)
 	if err := run(n); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	end, err := Capture(n)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	final, err = end.Encode()
-	return lines, final, err
+	return n, lines, final, err
 }
 
 // TestSharedForksLeaveSnapshotUntouched runs ten seeds on a 36-device
@@ -119,6 +122,19 @@ func TestSharedForksLeaveSnapshotUntouched(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// An RPA-carrying base: every SSW runs one program, which the forks
+		// share with the snapshot and each other.
+		carrier, err := quiescent.Restore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rolloutProtect(carrier, 2); err != nil {
+			t.Fatal(err)
+		}
+		carrying, err := Capture(carrier)
+		if err != nil {
+			t.Fatal(err)
+		}
 		base.SetDrained(topo.SSWID(0, 1), true)
 		base.WithdrawAt(topo.EBID(1), defaultRoute)
 		base.Step(150)
@@ -130,7 +146,7 @@ func TestSharedForksLeaveSnapshotUntouched(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		for kind, snap := range map[string]*Snapshot{"quiescent": quiescent, "mid-convergence": mid} {
+		for kind, snap := range map[string]*Snapshot{"quiescent": quiescent, "mid-convergence": mid, "rpa-carrying": carrying} {
 			label := fmt.Sprintf("%d pods seed %d %s", fc.params.Pods, seed, kind)
 			before, err := snap.Encode()
 			if err != nil {
@@ -139,6 +155,7 @@ func TestSharedForksLeaveSnapshotUntouched(t *testing.T) {
 
 			// Sibling forks of the one shared snapshot, diverging at once.
 			type outcome struct {
+				fork  *fabric.Network
 				lines []string
 				final []byte
 				err   error
@@ -150,7 +167,7 @@ func TestSharedForksLeaveSnapshotUntouched(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					o := &shared[i]
-					o.lines, o.final, o.err = divergeOn(snap, d.run)
+					o.fork, o.lines, o.final, o.err = divergeOn(snap, d.run)
 				}()
 			}
 			wg.Wait()
@@ -172,7 +189,7 @@ func TestSharedForksLeaveSnapshotUntouched(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				lines, final, err := divergeOn(private, d.run)
+				_, lines, final, err := divergeOn(private, d.run)
 				if err != nil {
 					t.Fatalf("%s %s (private): %v", label, d.name, err)
 				}
@@ -190,36 +207,120 @@ func TestSharedForksLeaveSnapshotUntouched(t *testing.T) {
 				if !bytes.Equal(shared[i].final, final) {
 					t.Fatalf("%s %s: the shared fork's final state differs from the private one's", label, d.name)
 				}
+				// A fork runs the snapshot's own programs until it deploys.
+				carried := 0
+				for j := range snap.state.Nodes {
+					node := &snap.state.Nodes[j]
+					if node.Speaker.RPA == nil {
+						continue
+					}
+					carried++
+					got := shared[i].fork.Speaker(topo.DeviceID(node.Device)).Program()
+					if redeployed := d.name == "rpa-rollout"; (got == node.Speaker.RPA) == redeployed {
+						t.Fatalf("%s %s: %s shares the snapshot's program: %v, redeployed: %v", label, d.name, node.Device, !redeployed, redeployed)
+					}
+				}
+				if want := len(base.Topo.ByLayer(topo.LayerSSW)); snap == carrying && carried != want {
+					t.Fatalf("%s: %d speakers carry a program, want the %d SSWs", label, carried, want)
+				}
 			}
 		}
 	}
 }
 
-// TestRestoreAllocs bounds what one restore of the 116-device base
-// allocates. What is left is per-device scaffolding (FIB tables, sessions,
-// speakers, the topology clone) plus one prefixState slab per speaker; the
-// columns — most of the state — are adopted, not rebuilt.
-func TestRestoreAllocs(t *testing.T) {
-	snap, err := Capture(buildMediumFabric(42))
+// TestDecodeInternsPrograms: Decode compiles each distinct RPA rendering
+// once, however many speakers carry it, and hands the bytes back unchanged.
+func TestDecodeInternsPrograms(t *testing.T) {
+	n := buildMediumFabric(7)
+	if err := rolloutProtect(n, 3); err != nil { // one *core.Config on every SSW
+		t.Fatal(err)
+	}
+	other := &core.Config{Version: 4, RouteFilter: []core.RouteFilterStatement{{Name: "all", PeerSignature: "^rsw\\."}}}
+	if err := n.DeployRPA(topo.FSWID(0, 0), other); err != nil {
+		t.Fatal(err)
+	}
+	n.Converge()
+	snap, err := Capture(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const runs = 5
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	allocs := testing.AllocsPerRun(runs, func() {
-		if _, err := snap.Restore(); err != nil {
+	enc, err := snap.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	programs := map[*core.Program][]string{}
+	for i := range dec.state.Nodes {
+		if p := dec.state.Nodes[i].Speaker.RPA; p != nil {
+			programs[p] = append(programs[p], dec.state.Nodes[i].Device)
+		}
+	}
+	ssws := len(n.Topo.ByLayer(topo.LayerSSW))
+	if ssws < 4 || len(programs) != 2 {
+		t.Fatalf("decoded %d distinct programs for %d SSWs and one FSW, want 2: %v", len(programs), ssws, programs)
+	}
+	for p, devs := range programs {
+		if want := map[int64]int{3: ssws, 4: 1}[p.Config().Version]; len(devs) != want {
+			t.Errorf("version %d program is shared by %d speakers, want %d", p.Config().Version, len(devs), want)
+		}
+	}
+	if again, err := dec.Encode(); err != nil || !bytes.Equal(again, enc) {
+		t.Fatalf("Encode(Decode(x)) != x (err %v)", err)
+	}
+
+	// A rendering that does not compile is refused by Decode, not by a later
+	// restore.
+	bad := bytes.Replace(enc, []byte(`^rsw\\.`), []byte(`^rsw(((`), 1)
+	if _, err := Decode(bad); err == nil || !strings.Contains(err.Error(), "RPA config") {
+		t.Fatalf("Decode of a snapshot whose RPA regex does not compile: %v", err)
+	}
+}
+
+// TestRestoreAllocs bounds what one restore of the 116-device base
+// allocates, bare and with one RPA on every SSW. What is left is per-device
+// scaffolding (FIB tables, sessions, speakers, the topology clone) plus one
+// prefixState slab per speaker; the columns — most of the state — and the
+// compiled programs are adopted, not rebuilt: a program-carrying speaker costs
+// an evaluator and its cache (4 allocations measured; 19 on the tree that
+// unmarshalled and compiled the config per restored speaker).
+func TestRestoreAllocs(t *testing.T) {
+	bare := 0.0
+	for _, withRPA := range []bool{false, true} {
+		n := buildMediumFabric(42)
+		if withRPA {
+			if err := rolloutProtect(n, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap, err := Capture(n)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	runtime.ReadMemStats(&m1)
-	mb := float64(m1.TotalAlloc-m0.TotalAlloc) / (runs + 1) / 1e6 // AllocsPerRun warms up with one extra call
-	t.Logf("restore: %.0f allocations, %.2f MB", allocs, mb)
-	if allocs > 8000 {
-		t.Errorf("restore allocates %.0f times, ceiling 8000", allocs)
-	}
-	if mb > 6 {
-		t.Errorf("restore allocates %.2f MB, ceiling 6", mb)
+		const runs = 5
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		allocs := testing.AllocsPerRun(runs, func() {
+			if _, err := snap.Restore(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		runtime.ReadMemStats(&m1)
+		mb := float64(m1.TotalAlloc-m0.TotalAlloc) / (runs + 1) / 1e6 // AllocsPerRun warms up with one extra call
+		t.Logf("restore (RPA %v): %.0f allocations, %.2f MB", withRPA, allocs, mb)
+		if allocs > 8000 {
+			t.Errorf("restore (RPA %v) allocates %.0f times, ceiling 8000", withRPA, allocs)
+		}
+		if mb > 6 {
+			t.Errorf("restore (RPA %v) allocates %.2f MB, ceiling 6", withRPA, mb)
+		}
+		if !withRPA {
+			bare = allocs
+		} else if ssws := float64(len(n.Topo.ByLayer(topo.LayerSSW))); allocs > bare+8*ssws {
+			t.Errorf("restoring %.0f program-carrying speakers costs %.0f allocations more than restoring none, ceiling 8 each", ssws, allocs-bare)
+		}
 	}
 }
 

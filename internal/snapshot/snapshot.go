@@ -37,7 +37,8 @@ import (
 // network is not a deep copy of it: fabric.NewFromState copies what a
 // network edits in place (topology, queue, FIBs, match caches) and shares
 // the rest read-only with the snapshot and every sibling restore — AS paths
-// and community lists, immutable engine-wide, and each speaker's Adj-RIB-In
+// and community lists, immutable engine-wide, each speaker's compiled RPA
+// program (core.Program, replaced on deploy, never edited), and its Adj-RIB-In
 // and Adj-RIB-Out columns, which the speaker copies before its first write
 // to one. So forks taken concurrently from one shared snapshot are
 // independent networks, and diverging them leaves the snapshot's bytes
@@ -179,7 +180,9 @@ func (s *Snapshot) EncodeWithFingerprint() (enc []byte, fp string, err error) {
 }
 
 // Decode parses bytes produced by Encode. Corrupt or truncated input
-// yields an error, never a panic (the fuzz suite holds that line).
+// yields an error, never a panic (the fuzz suite holds that line); so does
+// an RPA config that does not parse or compile, which Decode compiles once
+// per distinct rendering (a restore adopts the programs, it compiles none).
 func Decode(data []byte) (*Snapshot, error) {
 	st, meta, err := decodeState(data)
 	if err != nil {
