@@ -7,7 +7,7 @@ package centralium
 //	go test -bench=. -benchmem .
 //
 // The experiment harnesses themselves print paper-style output through
-// cmd/benchtab; the benchmarks here measure the cost of regenerating each
+// `centralium tables`; the benchmarks here measure the cost of regenerating each
 // artifact and keep the harnesses exercised under -bench CI runs.
 
 import (
@@ -396,26 +396,18 @@ func BenchmarkConvergence(b *testing.B) {
 	}
 }
 
-// --- Checkpoint/restore: warm-started sweeps ---------------------------------
+// --- Checkpoint/restore: forked sweeps ----------------------------------------
 
-// BenchmarkWarmStartSweep prices the snapshot subsystem's payoff: the
-// what-if sweep builds one converged Figure 4 mesh per drained SSW when
-// cold, versus one build plus cheap checkpoint forks when warm. Output is
-// byte-identical either way (TestWarmStartMatchesCold enforces it).
+// BenchmarkWarmStartSweep prices the what-if sweep as it runs: one
+// converged Figure 4 mesh, captured once and forked per drained device.
+// What the forks save over one build per device is the cold/warm pair of
+// rows `centralium tables -exp sweep-whatif -json` prints, byte-identity
+// of the two included (TestWarmStartMatchesCold enforces it).
 func BenchmarkWarmStartSweep(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		warm bool
-	}{{"cold", false}, {"warm", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			prev := experiments.SetWarmStart(mode.warm)
-			defer experiments.SetWarmStart(prev)
-			for i := 0; i < b.N; i++ {
-				if experiments.SweepWhatIf(42) == "" {
-					b.Fatal("empty sweep")
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		if experiments.SweepWhatIf(42) == "" {
+			b.Fatal("empty sweep")
+		}
 	}
 }
 

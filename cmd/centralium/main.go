@@ -1,189 +1,161 @@
-// Command centralium stands up the full hybrid stack — emulated fabric,
-// replicated NSDB, sharded Switch Agents over RPC, and the controller's
-// application layer — then executes a coordinated RPA rollout with pre- and
-// post-deployment health checks and reports fleet consistency, exactly the
-// controller workflow of the paper's Section 5.
+// Command centralium is the operator front door to the emulated stack: one
+// binary, one subcommand per tool, one flag vocabulary (flags.go).
 //
-// Usage:
+//	centralium <stack|fabsim|migrate|plan|qualify|rpa|bmptail|tables> [flags]
+//	centralium help
 //
-//	centralium -app equalize -pods 2 -seed 42
-//	centralium -app protect  -min-next-hop 75
-//	centralium -app te
+// Every subcommand parses its own flag.FlagSet, writes results to stdout
+// and diagnostics to stderr, and returns an exit status — 0 done, 1 the
+// run failed or reached a failing verdict, 2 the invocation was wrong —
+// so the whole CLI runs in-process under test (main_test.go); main is the
+// only caller of os.Exit. The serving daemon stays its own binary,
+// cmd/centraliumd.
 package main
 
 import (
 	"errors"
 	"flag"
 	"fmt"
-	"net"
+	"io"
 	"os"
-
-	"centralium/internal/agent"
-	"centralium/internal/controller"
-	"centralium/internal/core"
-	"centralium/internal/fabric"
-	"centralium/internal/migrate"
-	"centralium/internal/nsdb"
-	"centralium/internal/te"
-	"centralium/internal/topo"
-	"centralium/internal/traffic"
+	"slices"
+	"sort"
+	"strings"
 )
 
-func main() {
-	var (
-		app      = flag.String("app", "equalize", "application to run: equalize | protect | te | filter")
-		pods     = flag.Int("pods", 2, "fabric pods")
-		seed     = flag.Int64("seed", 42, "emulation seed")
-		agents   = flag.Int("agents", 4, "switch agent tasks")
-		replicas = flag.Int("replicas", 2, "NSDB replicas")
-		minNH    = flag.Float64("min-next-hop", 75, "MinNextHop percent for -app protect")
-	)
-	flag.Parse()
+// runFunc does a subcommand's work once its flags are parsed. mode is the
+// positional sub-subcommand for the commands that have them, else "".
+type runFunc func(mode string, stdout, stderr io.Writer) error
 
-	if err := run(*app, *pods, *seed, *agents, *replicas, *minNH); err != nil {
-		fmt.Fprintf(os.Stderr, "centralium: %v\n", err)
-		os.Exit(1)
-	}
+// command is one subcommand. setup defines the command's flags on fs and
+// returns the function to run after fs.Parse; keeping definition apart
+// from running lets tests and `help` walk every FlagSet without running
+// anything.
+type command struct {
+	name    string
+	args    string   // synopsis after the name
+	summary string   // one line for `centralium help`
+	modes   []string // positional sub-subcommands, first argument
+	setup   func(fs *flag.FlagSet) runFunc
 }
 
-func run(app string, pods int, seed int64, agentCount, replicas int, minNH float64) error {
-	// --- substrate: emulated fabric with backbone default routes ---------
-	tp := topo.BuildFabric(topo.FabricParams{Pods: pods})
-	n := fabric.New(tp, fabric.Options{Seed: seed})
-	for _, eb := range tp.ByLayer(topo.LayerEB) {
-		n.OriginateAt(eb.ID, migrate.DefaultRoute, []string{migrate.BackboneCommunity}, 0)
-	}
-	n.Converge()
-	fmt.Printf("fabric: %d devices, %d links, converged\n", tp.NumDevices(), tp.NumLinks())
-
-	// --- storage layer: replicated NSDB ----------------------------------
-	db := nsdb.NewCluster(replicas)
-	fmt.Printf("nsdb: %d replicas, leader nsdb-%d\n", replicas, db.Leader().ID)
-
-	// --- I/O layer: sharded switch agents over RPC ------------------------
-	h := &agent.FabricHandler{Net: n, ConvergeOnDeploy: false}
-	var sas []*agent.Agent
-	for i := 0; i < agentCount; i++ {
-		cli, srv := net.Pipe()
-		go (&agent.Server{H: h}).Serve(srv)
-		sas = append(sas, &agent.Agent{
-			Name:   fmt.Sprintf("switch-agent-%d", i),
-			DB:     db,
-			Client: agent.NewClient(cli),
-		})
-		defer sas[i].Client.Close()
-	}
-	i := 0
-	for _, d := range tp.Devices() {
-		if d.Layer == topo.LayerEB {
-			continue
-		}
-		sa := sas[i%len(sas)]
-		sa.Devices = append(sa.Devices, string(d.ID))
-		i++
-	}
-	fmt.Printf("agents: %d tasks sharding %d switches\n", len(sas), i)
-
-	// --- application layer -------------------------------------------------
-	intent, err := buildIntent(app, tp, minNH)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("app %q: generated RPAs for %d switches (%d LOC total)\n",
-		app, len(intent), intent.TotalLOC())
-
-	// Deployment goes controller -> NSDB intent -> agents -> switches, with
-	// layer-ordered waves and converge-settling between them.
-	ctl := &controller.Controller{
-		Topo: tp,
-		DB:   db,
-		Deploy: func(dev topo.DeviceID, cfg *core.Config) error {
-			agent.SetIntendedRPA(db, string(dev), cfg)
-			for _, sa := range sas {
-				if _, err := sa.ReconcileOnce(); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		Settle: func() {
-			h.Lock()
-			n.Converge()
-			h.Unlock()
-		},
-	}
-
-	pr := &traffic.Propagator{Net: n}
-	demands := traffic.UniformDemands(tp.ByLayer(topo.LayerRSW), migrate.DefaultRoute, 100)
-	pre := controller.HealthCheck{Name: "congestion-free", Check: func() error {
-		h.Lock()
-		defer h.Unlock()
-		if u := pr.Run(demands).MaxUtilization(tp); u > 1 {
-			return fmt.Errorf("max link utilization %.2f", u)
-		}
-		return nil
-	}}
-	post := controller.HealthCheck{Name: "no-blackholes", Check: func() error {
-		h.Lock()
-		defer h.Unlock()
-		if bh := pr.Run(demands).BlackholedFraction(); bh > 0 {
-			return fmt.Errorf("%.1f%% of traffic black-holed", bh*100)
-		}
-		return nil
-	}}
-
-	err = ctl.Run(controller.Rollout{
-		Intent:         intent,
-		OriginAltitude: topo.LayerEB.Altitude(),
-		Pre:            []controller.HealthCheck{pre},
-		Post:           []controller.HealthCheck{post},
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("rollout: %d deployments, 0 stragglers, health checks passed\n", ctl.Deployments())
-
-	// Final fleet state.
-	h.Lock()
-	res := pr.Run(demands)
-	h.Unlock()
-	fmt.Printf("traffic: delivered %.1f%%, max link utilization %.3f\n",
-		res.DeliveredFraction()*100, res.MaxUtilization(tp))
-	return nil
+var commands = []command{
+	{name: "stack", args: "[-app equalize|protect|te|filter] [flags]", setup: stackCmd,
+		summary: "stand up fabric, NSDB, switch agents and controller; run one health-checked RPA rollout (§5)"},
+	{name: "fabsim", args: "[flags] | -chaos -scenario <name> | -snapshot <file> [-fork N] | -replay <file>", setup: fabsimCmd,
+		summary: "build and converge a fabric; seeded chaos runs; save, restore and fork snapshots"},
+	{name: "migrate", args: "-scenario <name> [-rpa] | -plan", setup: migrateCmd,
+		summary: "run one of the paper's migration scenarios (§3), native or RPA-protected"},
+	{name: "plan", args: "<plan|score|explain|scenarios> -scenario <name> [flags]", modes: []string{"plan", "score", "explain", "scenarios"}, setup: planCmd,
+		summary: "search deployment schedules, score or explain one, execute it under the guard"},
+	{name: "qualify", args: "-suite <name> | -all", setup: qualifyCmd,
+		summary: "pre-deployment qualification suites (§7.1); exit 1 on a violation"},
+	{name: "rpa", args: "<show|explain|fib> -scenario <name> [-device <id>] [-prefix <p>]", modes: []string{"show", "explain", "fib"}, setup: rpaCmd,
+		summary: "operator debugging (§7.2): active RPAs on a switch, why a route is governed, FIB dump"},
+	{name: "bmptail", args: "[-listen addr] [-count N] [-json] [-quiet]", setup: bmptailCmd,
+		summary: "fleet telemetry station: tail BMP-style streams, run the pathology detectors online"},
+	{name: "tables", args: "-list | -exp <id> | -all", setup: tablesCmd,
+		summary: "regenerate the paper's tables and figures on the emulated substrate"},
 }
 
-func buildIntent(app string, tp *topo.Topology, minNH float64) (controller.Intent, error) {
-	switch app {
-	case "equalize":
-		return controller.PathEqualizationIntent(tp,
-			[]topo.Layer{topo.LayerFSW, topo.LayerSSW, topo.LayerFADU}, migrate.BackboneCommunity), nil
-	case "protect":
-		var ssws []topo.DeviceID
-		for _, d := range tp.ByLayer(topo.LayerSSW) {
-			ssws = append(ssws, d.ID)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run dispatches one invocation (args without the program name).
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		help(stderr)
+		return 2
+	}
+	switch args[0] {
+	case "help", "-h", "-help", "--help":
+		help(stdout)
+		return 0
+	}
+	for i := range commands {
+		if commands[i].name == args[0] {
+			return commands[i].run(args[1:], stdout, stderr)
 		}
-		return controller.CapacityProtectionIntent(ssws, migrate.BackboneCommunity, minNH, true, 0), nil
-	case "te":
-		perDevice := make(map[topo.DeviceID][]te.Path)
-		for _, d := range tp.ByLayer(topo.LayerFAUU) {
-			var paths []te.Path
-			for _, nb := range tp.Neighbors(d.ID) {
-				if tp.Device(nb).Layer == topo.LayerEB {
-					paths = append(paths, te.Path{ID: string(nb), CapacityGbps: 400})
-				}
-			}
-			perDevice[d.ID] = paths
-		}
-		return controller.TrafficEngineeringIntent(
-			core.Destination{Community: migrate.BackboneCommunity}, perDevice, 0), nil
-	case "filter":
-		var fauus []topo.DeviceID
-		for _, d := range tp.ByLayer(topo.LayerFAUU) {
-			fauus = append(fauus, d.ID)
-		}
-		return controller.BoundaryFilterIntent(fauus, "^eb\\.",
-			[]core.PrefixRule{{Prefix: "0.0.0.0/0"}}), nil
+	}
+	fmt.Fprintf(stderr, "centralium: unknown subcommand %q\n\n", args[0])
+	help(stderr)
+	return 2
+}
+
+// flagSet builds the command's FlagSet and the function to run after it
+// is parsed.
+func (c *command) flagSet(stderr io.Writer) (*flag.FlagSet, runFunc) {
+	fs := flag.NewFlagSet("centralium "+c.name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: centralium %s %s\n%s\n\nflags:\n", c.name, c.args, c.summary)
+		fs.PrintDefaults()
+	}
+	return fs, c.setup(fs)
+}
+
+// run parses args (without the subcommand name) and runs the command.
+func (c *command) run(args []string, stdout, stderr io.Writer) int {
+	fs, do := c.flagSet(stderr)
+	mode := ""
+	if len(args) > 0 && slices.Contains(c.modes, args[0]) {
+		mode, args = args[0], args[1:]
+	}
+	err := fs.Parse(args)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		return 0
+	case err != nil:
+		return 2 // Parse printed the error and the usage
+	case len(c.modes) > 0 && mode == "":
+		err = usagef("want %s before the flags, got %q", strings.Join(c.modes, " | "), fs.Arg(0))
+	case fs.NArg() > 0:
+		err = usagef("unexpected argument %q", fs.Arg(0))
 	default:
-		return nil, errors.New("unknown app (want equalize | protect | te | filter)")
+		err = do(mode, stdout, stderr)
 	}
+	var ue usageError
+	switch {
+	case err == nil:
+		return 0
+	case errors.Is(err, errFailed):
+		return 1
+	case errors.As(err, &ue):
+		fmt.Fprintf(stderr, "centralium %s: %v\n", c.name, err)
+		fs.Usage()
+		return 2
+	}
+	fmt.Fprintf(stderr, "centralium %s: %v\n", c.name, err)
+	return 1
+}
+
+// help prints the CLI reference. README.md carries it verbatim and a test
+// holds the two equal. The shared-flag list is read off the FlagSets, so
+// it cannot drift from what the subcommands define.
+func help(w io.Writer) {
+	fmt.Fprint(w, "usage: centralium <subcommand> [flags]\n\nsubcommands:\n")
+	users := map[string][]string{}
+	usage := map[string]string{}
+	for i := range commands {
+		c := &commands[i]
+		fmt.Fprintf(w, "  %-8s %s\n           centralium %s %s\n", c.name, c.summary, c.name, c.args)
+		fs, _ := c.flagSet(io.Discard)
+		fs.VisitAll(func(f *flag.Flag) {
+			users[f.Name] = append(users[f.Name], c.name)
+			_, usage[f.Name] = flag.UnquoteUsage(f)
+		})
+	}
+	fmt.Fprint(w, "  help     print this reference\n\nflags that mean one thing on every subcommand that takes them:\n")
+	var shared []string
+	for name, subs := range users {
+		if len(subs) > 1 {
+			shared = append(shared, name)
+		}
+	}
+	sort.Strings(shared)
+	for _, name := range shared {
+		fmt.Fprintf(w, "  -%-9s %s (%s)\n", name, usage[name], strings.Join(users[name], ", "))
+	}
+	fmt.Fprint(w, "\n`centralium <subcommand> -h` lists every flag of one subcommand.\n"+
+		"exit status: 0 done, 1 the run failed or reached a failing verdict, 2 usage error.\n"+
+		"the serving daemon is a separate binary, centraliumd.\n")
 }

@@ -3,6 +3,7 @@ package controller
 import (
 	"fmt"
 	"regexp"
+	"sort"
 
 	"centralium/internal/core"
 	"centralium/internal/te"
@@ -15,12 +16,22 @@ import (
 // compiles a high-level operator intent into per-switch RPA configs
 // (controller function 2: per-switch RPA generation).
 
-// nextVersion tags generated configs; monotonic per process.
-var nextVersion int64
-
-func version() int64 {
-	nextVersion++
-	return nextVersion
+// generate builds one Intent: build is called for each target in order (nil
+// skips the device) and the configs are tagged 1..n in that order. The tag
+// is the only thing a generator numbers, and the numbering never outlives
+// the call, so an intent is a pure function of its arguments: generating it
+// twice, or from two goroutines at once, yields the same bytes.
+func generate(targets []topo.DeviceID, build func(d topo.DeviceID) *core.Config) Intent {
+	out := make(Intent, len(targets))
+	var version int64
+	for _, d := range targets {
+		if cfg := build(d); cfg != nil {
+			version++
+			cfg.Version = version
+			out[d] = cfg
+		}
+	}
+	return out
 }
 
 // App 1 — Path Equalization (Section 4.4.1, fixes the Figure 2 first-router
@@ -31,27 +42,28 @@ func version() int64 {
 // scoping the set to uplinks keeps valley paths re-advertised by same- or
 // lower-layer peers out of the selection.
 func PathEqualizationIntent(t *topo.Topology, layers []topo.Layer, destCommunity string) Intent {
-	out := make(Intent)
+	var targets []topo.DeviceID
 	for _, l := range layers {
 		for _, d := range t.ByLayer(l) {
-			ups := upwardNeighbors(t, d)
-			if len(ups) == 0 {
-				continue
-			}
-			out[d.ID] = &core.Config{
-				Version: version(),
-				PathSelection: []core.PathSelectionStatement{{
-					Name:        "equalize-" + destCommunity,
-					Destination: core.Destination{Community: destCommunity},
-					PathSets: []core.PathSet{{
-						Name:      "uplink-paths",
-						Signature: core.PathSignature{PeerRegex: DeviceRegex(ups...)},
-					}},
-				}},
-			}
+			targets = append(targets, d.ID)
 		}
 	}
-	return out
+	return generate(targets, func(d topo.DeviceID) *core.Config {
+		ups := upwardNeighbors(t, t.Device(d))
+		if len(ups) == 0 {
+			return nil
+		}
+		return &core.Config{
+			PathSelection: []core.PathSelectionStatement{{
+				Name:        "equalize-" + destCommunity,
+				Destination: core.Destination{Community: destCommunity},
+				PathSets: []core.PathSet{{
+					Name:      "uplink-paths",
+					Signature: core.PathSignature{PeerRegex: DeviceRegex(ups...)},
+				}},
+			}},
+		}
+	})
 }
 
 // upwardNeighbors returns a device's distinct neighbors at strictly higher
@@ -79,10 +91,8 @@ func upwardNeighbors(t *topo.Topology, d *topo.Device) []topo.DeviceID {
 // expectedNextHops pins the full-health baseline from the controller's
 // topology view; zero lets each switch use its observed high-water count.
 func CapacityProtectionIntent(targets []topo.DeviceID, destCommunity string, minPercent float64, keepWarm bool, expectedNextHops int) Intent {
-	out := make(Intent, len(targets))
-	for _, d := range targets {
-		out[d] = &core.Config{
-			Version: version(),
+	return generate(targets, func(topo.DeviceID) *core.Config {
+		return &core.Config{
 			PathSelection: []core.PathSelectionStatement{{
 				Name:                     "protect-" + destCommunity,
 				Destination:              core.Destination{Community: destCommunity},
@@ -92,30 +102,31 @@ func CapacityProtectionIntent(targets []topo.DeviceID, destCommunity string, min
 				ExpectedNextHops:         expectedNextHops,
 			}},
 		}
-	}
-	return out
+	})
 }
 
 // App 3 — Traffic Engineering (Section 6.4, Figure 13): prescribe WCMP
 // weights per device from the TE optimizer's path capacities.
 func TrafficEngineeringIntent(dest core.Destination, perDevice map[topo.DeviceID][]te.Path, expiresAt int64) Intent {
-	out := make(Intent, len(perDevice))
-	for dev, paths := range perDevice {
-		w := te.Weights(paths, 0)
-		st := te.BuildRouteAttributeRPA("te-weights", dest, paths, w, expiresAt)
-		out[dev] = &core.Config{Version: version(), RouteAttribute: []core.RouteAttributeStatement{st}}
+	// perDevice is a map: generate in sorted device order, not iteration order.
+	targets := make([]topo.DeviceID, 0, len(perDevice))
+	for dev := range perDevice {
+		targets = append(targets, dev)
 	}
-	return out
+	sort.Slice(targets, func(i, j int) bool { return targets[i] < targets[j] })
+	return generate(targets, func(dev topo.DeviceID) *core.Config {
+		paths := perDevice[dev]
+		st := te.BuildRouteAttributeRPA("te-weights", dest, paths, te.Weights(paths, 0), expiresAt)
+		return &core.Config{RouteAttribute: []core.RouteAttributeStatement{st}}
+	})
 }
 
 // App 4 — Static WCMP / NHG protection (fixes the Figure 5 transient
 // next-hop-group explosion): prescribe fixed equal weights a priori so
 // peer-advertised bandwidth churn never reaches the FIB.
 func StaticWCMPIntent(targets []topo.DeviceID, dest core.Destination) Intent {
-	out := make(Intent, len(targets))
-	for _, d := range targets {
-		out[d] = &core.Config{
-			Version: version(),
+	return generate(targets, func(topo.DeviceID) *core.Config {
+		return &core.Config{
 			RouteAttribute: []core.RouteAttributeStatement{{
 				Name:        "static-wcmp",
 				Destination: dest,
@@ -125,53 +136,44 @@ func StaticWCMPIntent(targets []topo.DeviceID, dest core.Destination) Intent {
 				}},
 			}},
 		}
-	}
-	return out
+	})
 }
 
 // App 5 — Boundary Route Filtering (Section 4.3): allow only the listed
 // prefixes (with mask bounds) from peers matching peerRegex, at the DC /
 // backbone boundary.
 func BoundaryFilterIntent(targets []topo.DeviceID, peerRegex string, rules []core.PrefixRule) Intent {
-	out := make(Intent, len(targets))
-	for _, d := range targets {
-		out[d] = &core.Config{
-			Version: version(),
+	return generate(targets, func(topo.DeviceID) *core.Config {
+		return &core.Config{
 			RouteFilter: []core.RouteFilterStatement{{
 				Name:          "boundary-allow",
 				PeerSignature: peerRegex,
 				Ingress:       &core.PrefixFilter{Rules: rules},
 			}},
 		}
-	}
-	return out
+	})
 }
 
 // App 6 — Egress Leak Prevention: the egress-direction twin of App 5,
 // keeping more-specific prefixes from leaking upward.
 func EgressFilterIntent(targets []topo.DeviceID, peerRegex string, rules []core.PrefixRule) Intent {
-	out := make(Intent, len(targets))
-	for _, d := range targets {
-		out[d] = &core.Config{
-			Version: version(),
+	return generate(targets, func(topo.DeviceID) *core.Config {
+		return &core.Config{
 			RouteFilter: []core.RouteFilterStatement{{
 				Name:          "egress-no-leak",
 				PeerSignature: peerRegex,
 				Egress:        &core.PrefixFilter{Rules: rules},
 			}},
 		}
-	}
-	return out
+	})
 }
 
 // App 7 — Maintenance Drain (Table 1 category e): steer traffic off the
 // named devices by giving routes through them weight zero on their peers.
 // drainedRegex matches the next-hop devices being drained.
 func DrainWeightIntent(peersOfDrained []topo.DeviceID, dest core.Destination, drainedRegex string) Intent {
-	out := make(Intent, len(peersOfDrained))
-	for _, d := range peersOfDrained {
-		out[d] = &core.Config{
-			Version: version(),
+	return generate(peersOfDrained, func(topo.DeviceID) *core.Config {
+		return &core.Config{
 			RouteAttribute: []core.RouteAttributeStatement{{
 				Name:        "drain",
 				Destination: dest,
@@ -181,18 +183,15 @@ func DrainWeightIntent(peersOfDrained []topo.DeviceID, dest core.Destination, dr
 				}},
 			}},
 		}
-	}
-	return out
+	})
 }
 
 // App 8 — Primary/Backup Routing (Table 1 category d: "conditional primary
 // and backup policies"): prefer paths via the primary next-hop set; fall
 // back to backup only when the primary set is empty.
 func PrimaryBackupIntent(targets []topo.DeviceID, dest core.Destination, primaryRegex, backupRegex string) Intent {
-	out := make(Intent, len(targets))
-	for _, d := range targets {
-		out[d] = &core.Config{
-			Version: version(),
+	return generate(targets, func(topo.DeviceID) *core.Config {
+		return &core.Config{
 			PathSelection: []core.PathSelectionStatement{{
 				Name:        "primary-backup",
 				Destination: dest,
@@ -202,8 +201,7 @@ func PrimaryBackupIntent(targets []topo.DeviceID, dest core.Destination, primary
 				},
 			}},
 		}
-	}
-	return out
+	})
 }
 
 // App 9 — Anycast Stability (Table 1 category c, "special policy to
@@ -211,10 +209,8 @@ func PrimaryBackupIntent(targets []topo.DeviceID, dest core.Destination, primary
 // keep forwarding to anycast origins only while enough distinct next hops
 // exist, keeping the FIB warm to ride through convergence.
 func AnycastStabilityIntent(targets []topo.DeviceID, anycastCommunity string, minNextHops int) Intent {
-	out := make(Intent, len(targets))
-	for _, d := range targets {
-		out[d] = &core.Config{
-			Version: version(),
+	return generate(targets, func(topo.DeviceID) *core.Config {
+		return &core.Config{
 			PathSelection: []core.PathSelectionStatement{{
 				Name:        "anycast-stability",
 				Destination: core.Destination{Community: anycastCommunity},
@@ -226,18 +222,15 @@ func AnycastStabilityIntent(targets []topo.DeviceID, anycastCommunity string, mi
 				KeepFibWarmIfMnhViolated: true,
 			}},
 		}
-	}
-	return out
+	})
 }
 
 // App 10 — Proximity Preference (Table 1 category d, "custom
 // proximity-based forwarding preferences"): prefer routes originated by the
 // local region's ASN, falling back to any origin.
 func ProximityIntent(targets []topo.DeviceID, dest core.Destination, localOriginASN uint32) Intent {
-	out := make(Intent, len(targets))
-	for _, d := range targets {
-		out[d] = &core.Config{
-			Version: version(),
+	return generate(targets, func(topo.DeviceID) *core.Config {
+		return &core.Config{
 			PathSelection: []core.PathSelectionStatement{{
 				Name:        "proximity",
 				Destination: dest,
@@ -247,18 +240,15 @@ func ProximityIntent(targets []topo.DeviceID, dest core.Destination, localOrigin
 				},
 			}},
 		}
-	}
-	return out
+	})
 }
 
 // App 11 — Service Isolation: refuse specific service prefixes from
 // matching peers in both directions (differential traffic distribution for
 // service-specific requirements).
 func ServiceIsolationIntent(targets []topo.DeviceID, peerRegex string, allowed []core.PrefixRule) Intent {
-	out := make(Intent, len(targets))
-	for _, d := range targets {
-		out[d] = &core.Config{
-			Version: version(),
+	return generate(targets, func(topo.DeviceID) *core.Config {
+		return &core.Config{
 			RouteFilter: []core.RouteFilterStatement{{
 				Name:          "service-isolation",
 				PeerSignature: peerRegex,
@@ -266,8 +256,7 @@ func ServiceIsolationIntent(targets []topo.DeviceID, peerRegex string, allowed [
 				Egress:        &core.PrefixFilter{Rules: allowed},
 			}},
 		}
-	}
-	return out
+	})
 }
 
 // App 12 — Origin Pinning: forward only to paths whose AS path ends at one
@@ -282,18 +271,15 @@ func OriginPinningIntent(targets []topo.DeviceID, dest core.Destination, originA
 		alternation += fmt.Sprintf("%d", asn)
 	}
 	sig := core.PathSignature{ASPathRegex: fmt.Sprintf("(%s)$", alternation)}
-	out := make(Intent, len(targets))
-	for _, d := range targets {
-		out[d] = &core.Config{
-			Version: version(),
+	return generate(targets, func(topo.DeviceID) *core.Config {
+		return &core.Config{
 			PathSelection: []core.PathSelectionStatement{{
 				Name:        "origin-pinning",
 				Destination: dest,
 				PathSets:    []core.PathSet{{Name: "pinned-origins", Signature: sig}},
 			}},
 		}
-	}
-	return out
+	})
 }
 
 // DeviceRegex builds an anchored alternation matching exactly the given

@@ -1,10 +1,11 @@
 package controller
 
 import (
+	"encoding/json"
 	"errors"
-	"fmt"
 	"net/netip"
 	"strings"
+	"sync"
 	"testing"
 
 	"centralium/internal/core"
@@ -124,7 +125,7 @@ func TestRunHealthChecks(t *testing.T) {
 	tp := topo.BuildFig10(topo.Fig10Params{})
 	n := fabric.New(tp, fabric.Options{Seed: 1})
 	c := fabricController(tp, n, nil)
-	intent := Intent{topo.FAID(0): &core.Config{Version: version()}}
+	intent := Intent{topo.FAID(0): &core.Config{Version: 1}}
 
 	failing := HealthCheck{Name: "congestion-free", Check: func() error { return errors.New("link hot") }}
 	err := c.Run(Rollout{Intent: intent, Pre: []HealthCheck{failing}})
@@ -267,12 +268,57 @@ func devIDs(devs []*topo.Device) []topo.DeviceID {
 	return out
 }
 
+// TestVersionMonotonic pins the version contract. It used to assert a
+// process-wide counter only ever grew; that counter made an intent's bytes
+// depend on how many configs the process had generated before (and raced
+// when two scenario bases were built at once), so it is gone: a generator
+// tags the configs of the one Intent it returns 1..n in generation order —
+// still monotonic, but within the intent — and generating the same intent
+// again, or from several goroutines at once, yields the same bytes.
 func TestVersionMonotonic(t *testing.T) {
-	a, b := version(), version()
-	if b <= a {
-		t.Fatalf("version not monotonic: %d then %d", a, b)
+	tp := topo.BuildFig10(topo.Fig10Params{FSWs: 2, SSWs: 2, FAs: 2})
+	layers := []topo.Layer{topo.LayerFSW, topo.LayerSSW, topo.LayerFA}
+	render := func() string {
+		data, err := json.Marshal(PathEqualizationIntent(tp, layers, "BACKBONE"))
+		if err != nil {
+			t.Error(err)
+		}
+		return string(data)
 	}
-	_ = fmt.Sprintf // keep fmt for other tests
+
+	intent := PathEqualizationIntent(tp, layers, "BACKBONE")
+	var want int64
+	for _, l := range layers {
+		for _, d := range tp.ByLayer(l) {
+			want++
+			if got := intent[d.ID].Version; got != want {
+				t.Fatalf("%s tagged version %d, want %d (1..n in generation order)", d.ID, got, want)
+			}
+		}
+	}
+
+	first := render()
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := render(); got != first {
+				t.Errorf("regenerated intent differs:\n%s\nvs\n%s", got, first)
+			}
+		}()
+	}
+	wg.Wait()
+
+	// A map-driven generator tags in sorted device order, not map order.
+	te1 := TrafficEngineeringIntent(core.Destination{Community: "D"}, map[topo.DeviceID][]te.Path{
+		"b": {{ID: "x", CapacityGbps: 100}}, "a": {{ID: "y", CapacityGbps: 100}}, "c": {{ID: "z", CapacityGbps: 100}},
+	}, 0)
+	for i, d := range te1.Devices() {
+		if te1[d].Version != int64(i+1) {
+			t.Fatalf("TE intent: %s tagged %d, want %d", d, te1[d].Version, i+1)
+		}
+	}
 }
 
 func TestSlowRollGate(t *testing.T) {
@@ -296,7 +342,7 @@ func TestSlowRollGate(t *testing.T) {
 	intent := Intent{}
 	for _, l := range []topo.Layer{topo.LayerFSW, topo.LayerSSW} {
 		for _, d := range tp.ByLayer(l) {
-			intent[d.ID] = &core.Config{Version: version()}
+			intent[d.ID] = &core.Config{Version: int64(len(intent) + 1)}
 		}
 	}
 	// Gate at 10%: one straggler among four devices (25%) must trip it.

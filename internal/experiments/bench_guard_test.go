@@ -127,11 +127,6 @@ func fig10CheckpointBytes(t *testing.T) float64 {
 		t.Fatal(err)
 	}
 	p.Beam, p.RandomCands = 3, 2
-	// Generated configs are versioned by a per-process counter, and the
-	// version travels in every state that deploys one.
-	for _, cfg := range p.Intent {
-		cfg.Version = 1
-	}
 	s, err := planner.NewSearch(snap, p)
 	if err != nil {
 		t.Fatal(err)

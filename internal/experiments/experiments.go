@@ -1,7 +1,7 @@
 // Package experiments contains one harness per table and figure of the
 // paper's Sections 3 and 6 (plus the Section 5.3 and 7.2 case studies):
 // each builds its workload, runs it on the emulated substrate, and formats
-// the same rows or series the paper reports. The cmd/benchtab binary and
+// the same rows or series the paper reports. `centralium tables` and
 // the repository's testing.B benchmarks both call into this package, and
 // EXPERIMENTS.md records paper-vs-measured for every entry.
 package experiments
@@ -64,7 +64,7 @@ type Row struct {
 }
 
 // Report is the machine-readable form of one experiment run, emitted by
-// `benchtab -json` (one JSON object per experiment).
+// `centralium tables -json` (one JSON object per experiment).
 type Report struct {
 	ID     string `json:"id"`
 	Title  string `json:"title"`

@@ -169,37 +169,8 @@ type Fig9Outcome struct {
 // does not.
 func Fig9(seed int64) string {
 	run := func(mode bgp.AdvertiseMode) Fig9Outcome {
-		tp := topo.BuildFig9(100)
-		tp.AddDevice(topo.Device{ID: "r0", Layer: topo.LayerGeneric, Pod: -1, Plane: -1, Grid: -1, Index: 0})
-		tp.AddLink("r0", topo.GenericID(1), 100)
-		n := fabric.New(tp, fabric.Options{Seed: seed, SpeakerConfig: func(d *topo.Device) bgp.Config {
-			cfg := bgp.Config{Multipath: true}
-			if d.ID == topo.GenericID(6) {
-				cfg.Advertise = mode
-			}
-			return cfg
-		}})
-		// R1 prepends toward R5 (a routing-policy artifact) so that R5's own
-		// path and the one R6 may advertise tie on AS-path length — the
-		// equal-length multipath condition of the figure.
-		n.SetPrependToward(topo.GenericID(1), topo.GenericID(5), 2)
-
-		prefixD := netip.MustParsePrefix("198.51.100.0/24")
-		n.OriginateAt("r0", prefixD, []string{"D"}, 0)
-		n.Converge()
-
-		rpa := &core.Config{PathSelection: []core.PathSelectionStatement{{
-			Name:        "balance-r2-r5",
-			Destination: core.Destination{Community: "D"},
-			PathSets: []core.PathSet{{
-				Name:      "via-r2-r5",
-				Signature: core.PathSignature{PeerRegex: controller.DeviceRegex(topo.GenericID(2), topo.GenericID(5))},
-			}},
-		}}}
-		if err := n.DeployRPA(topo.GenericID(6), rpa); err != nil {
-			panic(err)
-		}
-		n.Converge()
+		n := migrate.Fig9Net(seed, mode)
+		prefixD := migrate.Fig9Prefix
 
 		// Packet-level view: walk hashed flows from R3 and R4. With
 		// deterministic per-flow hashing, a flow that revisits a device
@@ -245,28 +216,21 @@ func Fig9(seed int64) string {
 // measuring transient funneling across the FA layer.
 func Fig10(seed int64) string {
 	run := func(sequenced bool) (peak, final float64) {
-		tp := topo.BuildFig10(topo.Fig10Params{FSWs: 2, SSWs: 2, FAs: 2})
-		n := fabric.New(tp, fabric.Options{Seed: seed})
-		n.OriginateAt(topo.EBID(0), migrate.DefaultRoute, []string{migrate.BackboneCommunity}, 0)
-		n.Converge()
-
-		intent := controller.PathEqualizationIntent(tp,
-			[]topo.Layer{topo.LayerFSW, topo.LayerSSW, topo.LayerFA}, migrate.BackboneCommunity)
-		fas := []topo.DeviceID{topo.FAID(0), topo.FAID(1)}
-		demands := traffic.UniformDemands(tp.ByLayer(topo.LayerFSW), migrate.DefaultRoute, 100)
-		sampler := probe.Attach(n, demands, 1, func(_ int64, r *traffic.Result) {
+		rig := migrate.Fig10Base(seed)
+		n, fas := rig.Net, rig.FAs
+		sampler := probe.Attach(n, rig.Demands, 1, func(_ int64, r *traffic.Result) {
 			if _, share := r.MaxDeviceShare(fas); share > peak {
 				peak = share
 			}
 		})
 
 		ctl := &controller.Controller{
-			Topo:   tp,
+			Topo:   n.Topo,
 			Deploy: func(d topo.DeviceID, cfg *core.Config) error { return n.DeployRPA(d, cfg) },
 			Settle: func() { n.Converge() },
 		}
 		rollout := controller.Rollout{
-			Intent:          intent,
+			Intent:          rig.Intent,
 			OriginAltitude:  topo.LayerEB.Altitude(),
 			SettlePerDevice: true, // devices pick RPAs up one at a time
 		}

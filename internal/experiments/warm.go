@@ -1,18 +1,18 @@
 package experiments
 
-// Warm-started sweeps: every sweep point re-converges a pristine fabric
-// before measuring its migration, and within one sweep many points share
-// that pre-migration base (the arms of a point always do; the MinNextHop
-// ablation shares one base across all four thresholds). With warm-start
-// enabled, each distinct base is built once, checkpointed, and forked per
-// measurement — cutting sweep wall-clock several-fold while producing
-// byte-identical tables, because a restored fork continues exactly like
-// the freshly built base it snapshots (see internal/snapshot).
+// Forked sweeps: every sweep point measures its migration on a pristine
+// converged fabric, and within one sweep many points share that
+// pre-migration base (the arms of a point always do; the MinNextHop
+// ablation shares one base across all four thresholds). Each distinct base
+// is built once, captured, and forked per measurement. A restored fork
+// continues exactly like the freshly built base it snapshots (see
+// internal/snapshot), so the tables are the ones a rebuild per measurement
+// prints; that rebuild survives only as sweepWhatIf's cold arm, the
+// reference the tests and the sweep-whatif timing rows compare against.
 
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"centralium/internal/chaos"
@@ -22,16 +22,6 @@ import (
 	"centralium/internal/topo"
 	"centralium/internal/traffic"
 )
-
-var warmStart atomic.Bool
-
-// SetWarmStart toggles warm-started sweeps process-wide (benchtab's -warm
-// flag) and returns the previous setting. Tables are byte-identical either
-// way; only wall-clock changes.
-func SetWarmStart(on bool) bool { return warmStart.Swap(on) }
-
-// WarmStart reports whether sweeps warm-start from checkpointed bases.
-func WarmStart() bool { return warmStart.Load() }
 
 // forkBase captures a freshly built base and forks it n ways. Any error
 // here is a bug (the base is quiescent by construction), so it panics like
@@ -48,61 +38,37 @@ func forkBase(base *fabric.Network, n int) []*fabric.Network {
 	return nets
 }
 
-// scenario2Batch measures every parameter set of one Scenario 2 sweep
-// point. All sets must share base-shaping fields (geometry, seed, vendor
-// knob); they may differ in migration-time fields (UseRPA, KeepFibWarm,
-// MinNextHopPercent). Cold: each set builds its own base. Warm: one base,
-// forked per set. Results are byte-identical across modes.
+// onForks measures every parameter set of one sweep point on its own fork
+// of the point's base. All sets must share the fields that shape the base
+// (geometry, seed, vendor knob); they may differ in migration-time fields
+// (UseRPA, KeepFibWarm, MinNextHopPercent). Entry i is, byte for byte, what
+// the scenario's runner returns for ps[i] after building a base of its own.
+func onForks[P, R any](base *fabric.Network, ps []P, run func(*fabric.Network, P) R) []R {
+	nets := forkBase(base, len(ps))
+	out := make([]R, len(ps))
+	for i, p := range ps {
+		out[i] = run(nets[i], p)
+	}
+	return out
+}
+
 func scenario2Batch(ps []migrate.Scenario2Params) []migrate.Scenario2Result {
-	out := make([]migrate.Scenario2Result, len(ps))
-	if !WarmStart() {
-		for i, p := range ps {
-			out[i] = migrate.RunScenario2(p)
-		}
-		return out
-	}
-	nets := forkBase(migrate.Scenario2Base(ps[0]), len(ps))
-	for i, p := range ps {
-		out[i] = migrate.RunScenario2On(nets[i], p)
-	}
-	return out
+	return onForks(migrate.Scenario2Base(ps[0]), ps, migrate.RunScenario2On)
 }
 
-// scenario3Batch is scenario2Batch for the Figure 5 NHG scenario.
 func scenario3Batch(ps []migrate.Scenario3Params) []migrate.Scenario3Result {
-	out := make([]migrate.Scenario3Result, len(ps))
-	if !WarmStart() {
-		for i, p := range ps {
-			out[i] = migrate.RunScenario3(p)
-		}
-		return out
-	}
-	nets := forkBase(migrate.Scenario3Base(ps[0]), len(ps))
-	for i, p := range ps {
-		out[i] = migrate.RunScenario3On(nets[i], p)
-	}
-	return out
+	return onForks(migrate.Scenario3Base(ps[0]), ps, migrate.RunScenario3On)
 }
 
-// chaosBatch runs both arms of one chaos scenario/seed point, warm-started
-// from one shared pre-migration base when enabled.
+// chaosBatch runs the given arms of one chaos scenario/seed point on forks
+// of one shared pre-migration base; entry i is chaos.Run of arm i.
 func chaosBatch(scenario string, seed int64, arms []chaos.Arm) ([]chaos.RunResult, error) {
-	out := make([]chaos.RunResult, len(arms))
-	if !WarmStart() {
-		for i, arm := range arms {
-			r, err := chaos.Run(chaos.RunParams{Scenario: scenario, Arm: arm, Seed: seed})
-			if err != nil {
-				return nil, err
-			}
-			out[i] = r
-		}
-		return out, nil
-	}
 	base, err := chaos.BaseNet(scenario, seed)
 	if err != nil {
 		return nil, err
 	}
 	nets := forkBase(base, len(arms))
+	out := make([]chaos.RunResult, len(arms))
 	for i, arm := range arms {
 		r, err := chaos.RunOn(nets[i], chaos.RunParams{Scenario: scenario, Arm: arm, Seed: seed})
 		if err != nil {
@@ -113,40 +79,21 @@ func chaosBatch(scenario string, seed int64, arms []chaos.Arm) ([]chaos.RunResul
 	return out, nil
 }
 
-// whatIfBranches hands out n independent copies of a converged base for
-// the what-if sweep: forks of one checkpoint when warm, the base itself
-// plus n-1 fresh rebuilds when cold.
-func whatIfBranches(base *fabric.Network, rebuild func() *fabric.Network, n int) []*fabric.Network {
-	if WarmStart() {
-		return forkBase(base, n)
-	}
-	nets := make([]*fabric.Network, n)
-	nets[0] = base
-	for i := 1; i < n; i++ {
-		nets[i] = rebuild()
-	}
-	return nets
-}
-
 func init() {
 	register("sweep-whatif", "Sweep: per-device what-if drain impact on the Figure 4 mesh (fork-based)", func(seed int64) (string, error) {
 		return SweepWhatIf(seed), nil
 	})
-	// The -json rows price the checkpoint subsystem: the same sweep cold
-	// (one converged base per branch) and warm (one base, forked per
-	// branch), with the byte-identity of the two outputs asserted inline.
+	// The -json rows price the checkpoint subsystem: the same sweep on
+	// the cold reference arm (one converged base per branch) and forked
+	// (one base, forked per branch), with the byte-identity of the two
+	// outputs asserted inline.
 	registerRows("sweep-whatif", func(seed int64) []Row {
-		prev := WarmStart()
-		defer SetWarmStart(prev)
-
-		SetWarmStart(false)
 		start := time.Now()
-		cold := SweepWhatIf(seed)
+		cold := sweepWhatIf(seed, true)
 		coldWall := time.Since(start)
 
-		SetWarmStart(true)
 		start = time.Now()
-		warm := SweepWhatIf(seed)
+		warm := sweepWhatIf(seed, false)
 		warmWall := time.Since(start)
 
 		identical := 0.0
@@ -171,9 +118,13 @@ func init() {
 // measured on its own copy of the converged base (the controller's
 // pre-deployment what-if gate runs exactly this fork-and-simulate pattern;
 // see controller.WhatIf). The per-branch work is one drain plus
-// reconvergence, so the shared base dominates the cost and warm-starting
-// pays off most here.
-func SweepWhatIf(seed int64) string {
+// reconvergence, so the shared base dominates the cost and forking pays
+// off most here.
+func SweepWhatIf(seed int64) string { return sweepWhatIf(seed, false) }
+
+// sweepWhatIf is the sweep on forks of one base or, with cold set, on the
+// reference arm: the base itself plus one fresh rebuild per further branch.
+func sweepWhatIf(seed int64, cold bool) string {
 	p := migrate.Scenario2Params{Seed: seed}
 	base := migrate.Scenario2Base(p)
 	var targets, fadus []topo.DeviceID
@@ -186,7 +137,15 @@ func SweepWhatIf(seed int64) string {
 	}
 	fair := 1 / float64(len(fadus))
 
-	nets := whatIfBranches(base, func() *fabric.Network { return migrate.Scenario2Base(p) }, len(targets))
+	var nets []*fabric.Network
+	if cold {
+		nets = append(nets, base)
+		for len(nets) < len(targets) {
+			nets = append(nets, migrate.Scenario2Base(p))
+		}
+	} else {
+		nets = forkBase(base, len(targets))
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s %10s %14s %14s\n", "drained", "events", "funnel/fair", "blackholed")
 	for i, dev := range targets {

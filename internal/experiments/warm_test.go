@@ -5,47 +5,52 @@ import (
 	"strings"
 	"testing"
 
+	"centralium/internal/chaos"
 	"centralium/internal/migrate"
 )
 
-// withWarmStart runs f with warm-starting forced to on, restoring the
-// previous setting afterwards.
-func withWarmStart(t *testing.T, on bool, f func()) {
-	t.Helper()
-	prev := SetWarmStart(on)
-	defer SetWarmStart(prev)
-	f()
-}
-
-// TestWarmStartMatchesCold is the warm-start correctness contract: every
-// sweep that can warm-start from a forked checkpoint produces the exact
-// bytes the cold path produces. The sweeps chosen cover all three batch
-// helpers (scenario2Batch via sweep-mnh, scenario3Batch via a trimmed
-// Figure 5 point, chaosBatch via the chaos table) plus the fork-per-branch
-// what-if sweep.
+// TestWarmStartMatchesCold is the forked sweeps' correctness contract:
+// every helper that measures on forks of one captured base produces what
+// the cold path — one freshly built base per measurement — produces.
+// Sweeps always fork now, so the cold side is called directly: the
+// scenario runners that build their own base (what the batch helpers'
+// cold branch used to call), and sweepWhatIf's reference arm.
 func TestWarmStartMatchesCold(t *testing.T) {
 	const seed = 7
-	sweeps := map[string]func() string{
-		"sweep-mnh":    func() string { return SweepMinNextHop(seed) },
-		"sweep-whatif": func() string { return SweepWhatIf(seed) },
-		"chaos": func() string {
-			out, err := ChaosSweep(seed)
+	t.Run("sweep-mnh", func(t *testing.T) {
+		var ps []migrate.Scenario2Params
+		for _, pct := range []float64{25, 50, 75, 100} {
+			ps = append(ps, migrate.Scenario2Params{Seed: seed, UseRPA: true, KeepFibWarm: true, MinNextHopPercent: pct})
+		}
+		for i, warm := range scenario2Batch(ps) {
+			if cold := migrate.RunScenario2(ps[i]); warm != cold {
+				t.Errorf("threshold %v: forked %+v, cold %+v", ps[i].MinNextHopPercent, warm, cold)
+			}
+		}
+	})
+	t.Run("sweep-whatif", func(t *testing.T) {
+		if cold, warm := sweepWhatIf(seed, true), SweepWhatIf(seed); cold != warm {
+			t.Errorf("forked sweep-whatif diverged from cold run\ncold:\n%s\nwarm:\n%s", cold, warm)
+		}
+	})
+	t.Run("chaos", func(t *testing.T) {
+		arms := []chaos.Arm{chaos.ArmNative, chaos.ArmRPA}
+		for _, sc := range chaos.Scenarios() {
+			warm, err := chaosBatch(sc, seed, arms)
 			if err != nil {
-				t.Fatalf("chaos sweep: %v", err)
+				t.Fatalf("chaos batch %s: %v", sc, err)
 			}
-			return out
-		},
-	}
-	for name, run := range sweeps {
-		t.Run(name, func(t *testing.T) {
-			var cold, warm string
-			withWarmStart(t, false, func() { cold = run() })
-			withWarmStart(t, true, func() { warm = run() })
-			if cold != warm {
-				t.Errorf("warm-started %s diverged from cold run\ncold:\n%s\nwarm:\n%s", name, cold, warm)
+			for i, arm := range arms {
+				cold, err := chaos.Run(chaos.RunParams{Scenario: sc, Arm: arm, Seed: seed})
+				if err != nil {
+					t.Fatalf("chaos run %s/%s: %v", sc, arm, err)
+				}
+				if fmt.Sprintf("%+v", warm[i]) != fmt.Sprintf("%+v", cold) {
+					t.Errorf("%s/%s: forked run diverged from cold run\ncold %+v\nwarm %+v", sc, arm, cold, warm[i])
+				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestWarmStartScenario3Batch covers the Figure 5 batch helper on a single
@@ -55,19 +60,10 @@ func TestWarmStartScenario3Batch(t *testing.T) {
 		{Seed: 5, Prefixes: 32},
 		{Seed: 5, Prefixes: 32, UseRPA: true},
 	}
-	var cold, warm []string
-	withWarmStart(t, false, func() {
-		for _, r := range scenario3Batch(ps) {
-			cold = append(cold, fmt.Sprintf("%+v", r))
+	for i, warm := range scenario3Batch(ps) {
+		if cold := migrate.RunScenario3(ps[i]); warm != cold {
+			t.Errorf("scenario3 set %d: forked %+v, cold %+v", i, warm, cold)
 		}
-	})
-	withWarmStart(t, true, func() {
-		for _, r := range scenario3Batch(ps) {
-			warm = append(warm, fmt.Sprintf("%+v", r))
-		}
-	})
-	if strings.Join(cold, "|") != strings.Join(warm, "|") {
-		t.Errorf("scenario3 batch diverged:\ncold %v\nwarm %v", cold, warm)
 	}
 }
 

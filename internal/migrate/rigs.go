@@ -13,6 +13,7 @@ import (
 	"net/netip"
 	"time"
 
+	"centralium/internal/bgp"
 	"centralium/internal/controller"
 	"centralium/internal/core"
 	"centralium/internal/fabric"
@@ -297,4 +298,73 @@ func RigOn(name string, n *fabric.Network) (*ChaosRig, error) {
 		return podDrainRigOn(n), nil
 	}
 	return nil, fmt.Errorf("migrate: unknown rig %q", name)
+}
+
+// Fig10Rig is the §5.3.2 deployment-sequencing scenario before any RPA is
+// deployed: the Figure 10 FSW/SSW/FA column converged on the backbone
+// default route, the equalization intent whose rollout order is the whole
+// hazard, and what to watch while it rolls out. The planner's fig10 setup,
+// the Figure 10 experiment and the equalization qualification suites all
+// start from this one base.
+type Fig10Rig struct {
+	Net     *fabric.Network
+	Intent  controller.Intent // path equalization over FSW, SSW and FA
+	Demands []traffic.Demand  // northbound, uniform from every FSW
+	FAs     []topo.DeviceID   // the layer a wrong order funnels onto
+}
+
+// Fig10Base builds and converges the Figure 10 base.
+func Fig10Base(seed int64) Fig10Rig {
+	tp := topo.BuildFig10(topo.Fig10Params{FSWs: 2, SSWs: 2, FAs: 2})
+	n := fabric.New(tp, fabric.Options{Seed: seed})
+	n.OriginateAt(topo.EBID(0), DefaultRoute, []string{BackboneCommunity}, 0)
+	n.Converge()
+	return Fig10Rig{
+		Net: n,
+		Intent: controller.PathEqualizationIntent(tp,
+			[]topo.Layer{topo.LayerFSW, topo.LayerSSW, topo.LayerFA}, BackboneCommunity),
+		Demands: traffic.UniformDemands(tp.ByLayer(topo.LayerFSW), DefaultRoute, 100),
+		FAs:     []topo.DeviceID{topo.FAID(0), topo.FAID(1)},
+	}
+}
+
+// Fig9Prefix is the destination D of Figure 9.
+var Fig9Prefix = netip.MustParsePrefix("198.51.100.0/24")
+
+// Fig9Net builds the §5.3.1 loop scenario, converged: the six routers of
+// Figure 9 with r0 originating D behind R1, R[1-5] on native multipath,
+// and R6 RPA-selecting the paths via R2 and R5 while advertising under the
+// given rule. The loop experiment and `centralium rpa -scenario fig9`
+// inspect the same network.
+func Fig9Net(seed int64, r6 bgp.AdvertiseMode) *fabric.Network {
+	tp := topo.BuildFig9(100)
+	tp.AddDevice(topo.Device{ID: "r0", Layer: topo.LayerGeneric, Pod: -1, Plane: -1, Grid: -1})
+	tp.AddLink("r0", topo.GenericID(1), 100)
+	n := fabric.New(tp, fabric.Options{Seed: seed, SpeakerConfig: func(d *topo.Device) bgp.Config {
+		cfg := bgp.Config{Multipath: true}
+		if d.ID == topo.GenericID(6) {
+			cfg.Advertise = r6
+		}
+		return cfg
+	}})
+	// R1 prepends toward R5 (a routing-policy artifact) so that R5's own
+	// path and the one R6 may advertise tie on AS-path length — the
+	// equal-length multipath condition of the figure.
+	n.SetPrependToward(topo.GenericID(1), topo.GenericID(5), 2)
+	n.OriginateAt("r0", Fig9Prefix, []string{"D"}, 0)
+	n.Converge()
+
+	rpa := &core.Config{PathSelection: []core.PathSelectionStatement{{
+		Name:        "balance-r2-r5",
+		Destination: core.Destination{Community: "D"},
+		PathSets: []core.PathSet{{
+			Name:      "via-r2-r5",
+			Signature: core.PathSignature{PeerRegex: controller.DeviceRegex(topo.GenericID(2), topo.GenericID(5))},
+		}},
+	}}}
+	if err := n.DeployRPA(topo.GenericID(6), rpa); err != nil {
+		panic("fig9: " + err.Error())
+	}
+	n.Converge()
+	return n
 }

@@ -4,7 +4,7 @@ package planner
 // or indented by builds older still) that carried the base, every beam
 // state and every memo child as its own base64 string. Nothing writes it
 // any more; ResumeSearch reads it into the version-2 manifest and state
-// table so WALs and planctl -checkpoint files from an older build resume
+// table so WALs and `plan -checkpoint` files from an older build resume
 // to the byte-identical winner.
 
 import (

@@ -596,7 +596,7 @@ func (s *Search) BaselineSchedule() Schedule {
 }
 
 // scoreScheduleLocked evaluates a full schedule through the shared memo,
-// serially. Used for the baseline, planctl score/explain, and Approver.
+// serially. Used for the baseline, `centralium plan score|explain`, and Approver.
 func (s *Search) scoreScheduleLocked(sched Schedule) (*Report, error) {
 	rep := &Report{Schedule: sched}
 	state, fp := s.base, s.baseFP

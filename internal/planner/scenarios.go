@@ -2,18 +2,15 @@ package planner
 
 // Named scenario setups: each builds a converged base fabric, captures
 // it, and returns the planning parameters for one of the repo's
-// migration scenarios. planctl and the E12 experiment plan the same
-// setups, so a CLI run reproduces an experiment's schedule exactly.
+// migration scenarios. `centralium plan` and the E12 experiment plan the
+// same setups, so a CLI run reproduces an experiment's schedule exactly.
 
 import (
 	"fmt"
 
-	"centralium/internal/controller"
-	"centralium/internal/fabric"
 	"centralium/internal/migrate"
 	"centralium/internal/snapshot"
 	"centralium/internal/topo"
-	"centralium/internal/traffic"
 )
 
 // ScenarioNames lists the named setups, in display order.
@@ -41,21 +38,17 @@ func ScenarioSetup(name string, seed int64) (*snapshot.Snapshot, Params, error) 
 // transient funneling. There is no drain body; the schedule itself is
 // the whole hazard.
 func fig10Setup(seed int64) (*snapshot.Snapshot, Params, error) {
-	tp := topo.BuildFig10(topo.Fig10Params{FSWs: 2, SSWs: 2, FAs: 2})
-	n := fabric.New(tp, fabric.Options{Seed: seed})
-	n.OriginateAt(topo.EBID(0), migrate.DefaultRoute, []string{migrate.BackboneCommunity}, 0)
-	n.Converge()
-	snap, err := snapshot.Capture(n)
+	rig := migrate.Fig10Base(seed)
+	snap, err := snapshot.Capture(rig.Net)
 	if err != nil {
 		return nil, Params{}, fmt.Errorf("planner: fig10 base: %w", err)
 	}
 	p := Params{
-		Seed: seed,
-		Intent: controller.PathEqualizationIntent(tp,
-			[]topo.Layer{topo.LayerFSW, topo.LayerSSW, topo.LayerFA}, migrate.BackboneCommunity),
+		Seed:           seed,
+		Intent:         rig.Intent,
 		OriginAltitude: topo.LayerEB.Altitude(),
-		Demands:        traffic.UniformDemands(tp.ByLayer(topo.LayerFSW), migrate.DefaultRoute, 100),
-		Watch:          []topo.DeviceID{topo.FAID(0), topo.FAID(1)},
+		Demands:        rig.Demands,
+		Watch:          rig.FAs,
 	}
 	return snap, p, nil
 }

@@ -77,8 +77,9 @@ type Schedule struct {
 	Steps []Step
 }
 
-// String renders the canonical text form — the golden-file and planctl
-// interchange format. Equal schedules render byte-identically.
+// String renders the canonical text form — the golden-file and
+// `centralium plan` interchange format. Equal schedules render
+// byte-identically.
 func (s Schedule) String() string {
 	parts := make([]string, len(s.Steps))
 	for i, st := range s.Steps {

@@ -116,7 +116,7 @@ type StepOutcome struct {
 }
 
 // Report is a full per-phase breakdown of one schedule's evaluation — the
-// planctl explain view.
+// `centralium plan explain` view.
 type Report struct {
 	Schedule Schedule
 	Phases   []StepOutcome

@@ -2,7 +2,7 @@
 // 7.2: "(1) show all active RPAs on a switch, and (2) highlight the active
 // RPA given a particular route". It renders per-switch RPA listings, RIB
 // explanations, and FIB dumps from a live emulated network, and backs the
-// rpactl command.
+// `centralium rpa` subcommand.
 package rpadebug
 
 import (

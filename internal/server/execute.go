@@ -137,8 +137,9 @@ type ExecuteResponse struct {
 }
 
 // execEntry is one resumable guarded execution: its guard checkpoint
-// between requests, a private object store when the daemon runs without
-// a durable one, and the final response bytes once terminal.
+// between requests, a private object store of last-good snapshots while a
+// daemon without a durable one drives it, and the final response bytes
+// once terminal — at which point checkpoint and objects are released.
 type execEntry struct {
 	mu         sync.Mutex
 	checkpoint []byte
@@ -233,8 +234,9 @@ func (s *Server) execute(ctx context.Context, ar *apiRequest) result {
 		}
 		resp.FinalFingerprint = fp
 		body := encodeBody(resp)
-		// A terminal execution answers from final, like a finished plan.
-		ee.final, ee.checkpoint = body, nil
+		// A terminal execution answers from final, like a finished plan;
+		// nothing resumes it, so every wave's last-good snapshot goes too.
+		ee.final, ee.checkpoint, ee.objects = body, nil, nil
 		if s.persist != nil {
 			if perr := s.persist.saveExecFinal(id, body); perr != nil {
 				s.persist.noteError()

@@ -151,6 +151,47 @@ func TestExecutePacedMatchesOneShot(t *testing.T) {
 	}
 }
 
+// TestExecuteTerminalReleasesObjects bounds what a storeless daemon holds
+// for a finished campaign: while paused the entry keeps the last-good
+// snapshots a resume needs, once terminal it keeps the final response
+// bytes and nothing else (it used to pin one encoded fabric per completed
+// wave until LRU eviction), and repeat posts still answer those bytes.
+func TestExecuteTerminalReleasesObjects(t *testing.T) {
+	srv, ts := confServer(t, 4)
+	stepBody := fmt.Sprintf(`{"scenario":"fig10","seed":%d,"max_waves":1}`, confSeed)
+	first := decodeExecute(t, postExecute(t, ts.Client(), ts.URL, stepBody))
+	if first.State != "paused" {
+		t.Fatalf("one paced wave ended the campaign (%s); cannot observe a live entry", first.State)
+	}
+	ee := srv.execs.get(first.ExecID)
+	held := func() (objects bool, checkpoint, final int) {
+		ee.mu.Lock()
+		defer ee.mu.Unlock()
+		return ee.objects != nil, len(ee.checkpoint), len(ee.final)
+	}
+	if objects, checkpoint, _ := held(); !objects || checkpoint == 0 {
+		t.Fatalf("paused execution holds objects=%v checkpoint=%dB; a resume needs both", objects, checkpoint)
+	}
+
+	var last respRec
+	for i := 0; i < 16; i++ {
+		last = postExecute(t, ts.Client(), ts.URL, stepBody)
+		if decodeExecute(t, last).State != "paused" {
+			break
+		}
+	}
+	if st := decodeExecute(t, last).State; st != "completed" {
+		t.Fatalf("campaign ended %q, want completed", st)
+	}
+	if objects, checkpoint, final := held(); objects || checkpoint != 0 || final == 0 {
+		t.Errorf("terminal execution holds objects=%v checkpoint=%dB final=%dB; want only the final bytes",
+			objects, checkpoint, final)
+	}
+	if again := postExecute(t, ts.Client(), ts.URL, stepBody); again.body != last.body {
+		t.Errorf("terminal replay diverged after release:\n%s\nvs\n%s", again.body, last.body)
+	}
+}
+
 // TestExecuteResumesAcrossDaemonRestart pauses a guarded campaign on a
 // durable daemon, kills the daemon, and reopens the data directory: the
 // recovered daemon must resume the campaign from its WAL checkpoint and

@@ -9,7 +9,7 @@ import (
 )
 
 // TestCollectorReplayFromBenchtabRows consumes the machine-readable rows
-// that `benchtab -json` emits and replays them through a collector: each
+// that `centralium tables -json` emits and replays them through a collector: each
 // experiment arm becomes a traffic sample, and the funneling detector must
 // reach the same verdict on the replayed rows as it does on the live
 // event stream — native arm pathological, MinNextHop RPA arm clean.
@@ -20,7 +20,7 @@ func TestCollectorReplayFromBenchtabRows(t *testing.T) {
 	}
 
 	// Round-trip through JSON, exactly as a replay pipeline reading
-	// benchtab -json output would.
+	// `tables -json` output would.
 	data, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)
