@@ -370,6 +370,19 @@ func TestSetRPACompilesOnce(t *testing.T) {
 	if s.RPAConfig() != cfg || s.Program().Config() != cfg {
 		t.Fatal("the speaker must keep the deployed config by reference")
 	}
+	// SetRPA is Compile plus SetProgram: a caller holding the program — a
+	// search deploying one intent to fork after fork — pays the evaluator and
+	// no compile (4 allocations measured).
+	prog, err := core.Compile(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shared := testing.AllocsPerRun(50, func() { s.SetProgram(prog) }); shared > 8 {
+		t.Fatalf("SetProgram allocated %.0f times, want at most 8: nothing is left to compile", shared)
+	}
+	if s.Program() != prog || !s.Dirty() {
+		t.Fatal("the speaker must run the very program it was handed, and know it changed")
+	}
 	fresh := newTestSpeaker("ssw", 300)
 	if fresh.Program() != noRPA {
 		t.Fatal("a new speaker must share the package's empty program")

@@ -187,6 +187,9 @@ func NewSpeakerFromState(st SpeakerState, now func() int64) (*Speaker, error) {
 		if n := len(pb.Cands); n > 0 && adoptable(order, n, func(j int) SessionID { return pb.Cands[j].Session }) {
 			b.cands, b.candsShared = pb.Cands[:n:n], true
 		} else {
+			if n > 0 {
+				s.dirty = true // rebuilt: no longer the state's own column
+			}
 			for j := range pb.Cands {
 				c := &pb.Cands[j]
 				if s.peers[c.Session] == nil {
@@ -198,6 +201,9 @@ func NewSpeakerFromState(st SpeakerState, now func() int64) (*Speaker, error) {
 		if n := len(pb.Advertised); n > 0 && adoptable(order, n, func(j int) SessionID { return pb.Advertised[j].Session }) {
 			b.advertised, b.advShared = pb.Advertised[:n:n], true
 		} else {
+			if n > 0 {
+				s.dirty = true
+			}
 			for _, a := range pb.Advertised {
 				if s.peers[a.Session] == nil {
 					return nil, fmt.Errorf("bgp %s: Adj-RIB-Out for unknown session %q", st.Cfg.ID, a.Session)

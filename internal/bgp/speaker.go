@@ -40,6 +40,11 @@ type Speaker struct {
 	stats   Stats
 	drained bool
 
+	// dirty records that something a checkpoint carries has been written
+	// since the speaker was restored or its owner last called MarkClean
+	// (see Touch). It is bookkeeping about the state, not part of it.
+	dirty bool
+
 	// now supplies the emulation clock for Route Attribute expiry.
 	now func() int64
 
@@ -96,6 +101,25 @@ func newSpeaker(cfg Config, now func() int64) *Speaker {
 // noRPA is the program of every speaker without a deployed RPA, compiled once
 // and shared like any other; the empty config has no statement to refuse.
 var noRPA, _ = core.Compile(&core.Config{})
+
+// Touch marks the speaker's checkpointed state as changed. Every method that
+// writes anything ExportState reads — configuration, peers, originated
+// prefixes, prefix state, the RPA program or its match cache, the FIB, the
+// counters — calls it before it writes; TestDirtyCoversEveryMutator
+// (internal/fabric) holds that line. The speaker's owner calls it for what it
+// writes beside or beneath the speaker: the fabric's per-node checkpoint
+// slots, a FIB written through FIB().
+func (s *Speaker) Touch() { s.dirty = true }
+
+// Dirty reports whether Touch has run since the speaker was restored from a
+// checkpoint (NewSpeakerFromState) or MarkClean was last called. While it is
+// false, ExportState would return what the speaker was restored from, or what
+// it returned just before MarkClean.
+func (s *Speaker) Dirty() bool { return s.dirty }
+
+// MarkClean is for the owner that just took ExportState's result as the
+// state it will compare against from now on.
+func (s *Speaker) MarkClean() { s.dirty = false }
 
 // ID returns the speaker's device name.
 func (s *Speaker) ID() string { return s.cfg.ID }
@@ -165,6 +189,7 @@ func (s *Speaker) AddPeer(sess SessionID, device string, asn uint32, linkGbps fl
 	if _, dup := s.peers[sess]; dup {
 		panic(fmt.Sprintf("bgp %s: duplicate session %q", s.cfg.ID, sess))
 	}
+	s.Touch()
 	s.peers[sess] = &peer{session: sess, device: device, asn: asn, linkGbps: linkGbps}
 	if s.tap != nil {
 		s.tap.Emit(telemetry.Event{
@@ -185,6 +210,7 @@ func (s *Speaker) RemovePeer(sess SessionID) {
 	if pr == nil {
 		return
 	}
+	s.Touch()
 	var affected []netip.Prefix
 	for p, st := range s.prefixes {
 		if st.dropCandidate(sess) {
@@ -217,6 +243,7 @@ func (s *Speaker) Peers() []SessionID {
 // maintenance mechanism of Section 3.4: prepending makes this speaker's
 // advertisements less favorable. All prefixes are re-advertised.
 func (s *Speaker) SetPeerPrepend(device string, n int) {
+	s.Touch()
 	for _, pr := range s.peers {
 		if pr.device == device {
 			pr.prepend = n
@@ -228,6 +255,7 @@ func (s *Speaker) SetPeerPrepend(device string, n int) {
 // SetAllPeersPrepend sets the export prepend toward every peer — the whole
 // device entering maintenance.
 func (s *Speaker) SetAllPeersPrepend(n int) {
+	s.Touch()
 	for _, pr := range s.peers {
 		pr.prepend = n
 	}
@@ -247,6 +275,7 @@ func (s *Speaker) SetDrained(d bool) {
 	if s.drained == d {
 		return
 	}
+	s.Touch()
 	s.drained = d
 	s.advEpoch++
 	s.recomputeAll()
@@ -268,10 +297,18 @@ func (s *Speaker) SetRPA(cfg *core.Config) error {
 			return fmt.Errorf("bgp %s: %w", s.cfg.ID, err)
 		}
 	}
+	s.SetProgram(prog)
+	return nil
+}
+
+// SetProgram is SetRPA for a caller that already holds the compiled form —
+// one core.Compile serves every speaker and every fork the program is
+// deployed to. The program is shared by reference, like a restored one.
+func (s *Speaker) SetProgram(prog *core.Program) {
+	s.Touch()
 	s.rpa = prog.NewEvaluator()
 	s.advEpoch++
 	s.recomputeAll()
-	return nil
 }
 
 // Originate injects a locally originated prefix (e.g. the backbone's
@@ -286,6 +323,7 @@ func (s *Speaker) Originate(p netip.Prefix, communities []string, origin core.Or
 // the prefix fall through to less-specific routes (or black-hole if there
 // are none — the Figure 14 SEV's "not production ready" FA).
 func (s *Speaker) OriginateEx(p netip.Prefix, communities []string, origin core.Origin, bandwidthGbps float64, installFIB bool) {
+	s.Touch()
 	s.originated[p] = originInfo{
 		communities:   append([]string(nil), communities...),
 		origin:        origin,
@@ -300,6 +338,7 @@ func (s *Speaker) WithdrawOrigin(p netip.Prefix) {
 	if _, ok := s.originated[p]; !ok {
 		return
 	}
+	s.Touch()
 	delete(s.originated, p)
 	s.recompute(p)
 }
@@ -315,6 +354,9 @@ func (s *Speaker) WithdrawOrigin(p netip.Prefix) {
 // decoder allocate per message), and taps and perturbers may likewise
 // retain what they are shown.
 func (s *Speaker) HandleUpdate(sess SessionID, u Update) {
+	// First thing: the fabric stamps its per-node delivery clock, which the
+	// checkpoint carries beside the speaker, immediately before every call.
+	s.Touch()
 	pr := s.peers[sess]
 	if pr == nil {
 		return // session raced down; drop silently like a closed TCP conn

@@ -46,14 +46,7 @@ func (in Intent) Devices() []topo.DeviceID {
 }
 
 // Validate checks every per-device config.
-func (in Intent) Validate() error {
-	for d, cfg := range in {
-		if err := cfg.Validate(); err != nil {
-			return fmt.Errorf("controller: intent for %s: %w", d, err)
-		}
-	}
-	return nil
-}
+func (in Intent) Validate() error { return Rollout{Intent: in}.validate() }
 
 // TotalLOC sums the generated RPA line counts (the Table 3 "RPA LOC"
 // metric).
@@ -111,6 +104,12 @@ func (c *Controller) Deployments() int { return c.deployments }
 type Rollout struct {
 	Intent Intent
 
+	// Compiled, when set, holds configs of Intent the caller has already
+	// compiled — a compile is the validation — keyed by device. The
+	// pre-flight skips a device whose program here is of the very config the
+	// intent pushes to it (Program.Config() is that pointer).
+	Compiled map[topo.DeviceID]*core.Program
+
 	// OriginAltitude is the altitude of the layer originating the affected
 	// routes (5 for backbone-originated prefixes). Deployment order is
 	// farthest-from-origin first; removal is closest-first (Section 5.3.2).
@@ -159,6 +158,20 @@ type Rollout struct {
 
 	// Pre and Post health checks (Section 5: controller functions 1 and 4).
 	Pre, Post []HealthCheck
+}
+
+// validate is the rollout's pre-flight: every config of the intent must
+// compile. One the caller compiled already (Compiled) has.
+func (r Rollout) validate() error {
+	for d, cfg := range r.Intent {
+		if prog := r.Compiled[d]; prog != nil && prog.Config() == cfg {
+			continue
+		}
+		if err := cfg.Validate(); err != nil {
+			return fmt.Errorf("controller: intent for %s: %w", d, err)
+		}
+	}
+	return nil
 }
 
 // Waves returns the deployment batches in order: devices grouped by layer,
@@ -228,7 +241,7 @@ func (c *Controller) RunCtx(ctx context.Context, r Rollout) error {
 	if c.Deploy == nil {
 		return fmt.Errorf("controller: no deployment backend")
 	}
-	if err := r.Intent.Validate(); err != nil {
+	if err := r.validate(); err != nil {
 		return err
 	}
 	if r.UnwindOnFailure && c.Fetch == nil {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"os"
 	"testing"
@@ -37,6 +38,12 @@ import (
 //     `plan-checkpoint-container` row). A checkpoint holds each distinct
 //     state once; a format that repeats one, or a state encoding that grows,
 //     moves this count.
+//   - Capture work, zero tolerance: the speakers the decommission scenario's
+//     baseline schedule dirties, summed over its steps (the `live-states`
+//     row) — what a capture against the parent state re-exports and
+//     re-encodes; everything else is copied. A mutator that starts touching
+//     speakers it does not change, or an engine change that spreads a step's
+//     updates wider, moves it.
 //
 // There is no wall-clock floor: with the memo off the oracle converges
 // medium within ~1.2x of the memo run — too close to hold on a shared CI
@@ -139,6 +146,48 @@ func fig10CheckpointBytes(t *testing.T) float64 {
 	return float64(sum)
 }
 
+// decommissionDirtySpeakers walks the decommission scenario's §5.3.2 baseline
+// the way the search's evaluator does — fork the parent state, push one step,
+// capture against the parent — and sums the speakers each step left dirty.
+func decommissionDirtySpeakers(t *testing.T) float64 {
+	t.Helper()
+	snap, p, err := planner.ScenarioSetup("decommission", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := planner.NewSearch(snap, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	programs, err := planner.CompileIntent(p.Intent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent, err := snap.Rendered()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirty := 0
+	for _, st := range s.BaselineSchedule().Steps {
+		n, err := parent.Restore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := planner.ExecuteSteps(context.Background(), n, p.Workload(), p.Intent, programs, p.OriginAltitude, true, []planner.Step{st}); err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range n.Topo.Devices() {
+			if n.Speaker(d.ID).Dirty() {
+				dirty++
+			}
+		}
+		if parent, err = snapshot.CaptureFrom(parent, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return float64(dirty)
+}
+
 func TestBenchGuard(t *testing.T) {
 	if os.Getenv("CENTRALIUM_BENCH_GUARD") != "1" {
 		t.Skip("set CENTRALIUM_BENCH_GUARD=1 to run the bench-regression guard")
@@ -162,6 +211,8 @@ func TestBenchGuard(t *testing.T) {
 	restoreAllocs := mediumRestoreAllocs(t, scales[1])
 	const checkpointRow = "fig10 beam=3 checkpoint bytes, summed over levels"
 	checkpoints := lastHistoryRow(t, history, "plan-checkpoint-container", checkpointRow)
+	const dirtyRow = "decommission baseline: dirty speakers re-exported, summed over steps"
+	dirtySpeakers := lastHistoryRow(t, history, "live-states", dirtyRow)
 
 	virtualMs := func(s ConvergenceStats) float64 { return float64(s.Virtual) / 1e6 }
 	// over is the allowed relative excess of got over want; a negative
@@ -182,6 +233,7 @@ func TestBenchGuard(t *testing.T) {
 		{"medium incremental allocs/event", float64(incr.Mallocs) / float64(incr.Events), allocsPerEventBudget, 0.15},
 		{"medium restore allocs", restoreAllocs, restore["allocs_after"], 0.15},
 		{checkpointRow, fig10CheckpointBytes(t), checkpoints["after"], exact},
+		{dirtyRow, decommissionDirtySpeakers(t), dirtySpeakers["after"], exact},
 	}
 	for _, row := range table {
 		switch {

@@ -122,6 +122,10 @@ type Node struct {
 	// bump drops the slot (the wire format and every fingerprint must not
 	// move before then).
 	vnow int64
+
+	// baseIdx is the node's index in the network's base state, -1 without
+	// one. A write to up or vnow goes with a Speaker.Touch (see ExportShared).
+	baseIdx int
 }
 
 // Up reports whether the device is administratively up.
@@ -153,6 +157,18 @@ type Network struct {
 	perturb Perturber
 	// taps is the fan-out every speaker emits into (see AddTap).
 	taps telemetry.MultiTap
+
+	// base is the state the network was restored from or last exported as,
+	// nil for one built by New and not yet exported: what ExportShared
+	// repeats the records of untouched nodes from. The three orders are what
+	// a state lists its nodes, sessions and FIFO entries in (exportOrder).
+	base      *NetState
+	order     []*Node
+	sessOrder []*session
+	fifoOrder []fifoSlot
+	// sessDirty records a session going up or down or a message being
+	// scheduled — everything a state's Sessions and FIFO hold — since base.
+	sessDirty bool
 }
 
 // New builds the emulation: one speaker per device, one session per link.
@@ -172,7 +188,7 @@ func New(t *topo.Topology, opts Options) *Network {
 		cfg := opts.SpeakerConfig(d)
 		cfg.ID = string(d.ID)
 		cfg.ASN = d.ASN
-		node := &Node{Device: d, up: true}
+		node := &Node{Device: d, up: true, baseIdx: -1}
 		node.Speaker = bgp.NewSpeaker(cfg, now)
 		if opts.FullRecompute {
 			node.Speaker.SetFullRecompute(true)
@@ -196,6 +212,7 @@ func (n *Network) establish(s *session) {
 	if s.up {
 		return
 	}
+	n.sessDirty = true
 	s.up = true
 	na, nb := s.ends[0], s.ends[1]
 	na.Speaker.AddPeer(s.id, string(s.b), nb.Device.ASN, s.gbps)
@@ -209,6 +226,7 @@ func (n *Network) teardown(s *session) {
 	if !s.up {
 		return
 	}
+	n.sessDirty = true
 	s.up = false
 	s.epoch++
 	s.ends[0].Speaker.RemovePeer(s.id)
@@ -257,6 +275,7 @@ func (n *Network) routeMsgs(dev topo.DeviceID, msgs []bgp.OutMsg) {
 			at = last + 1
 		}
 		s.fifo[to] = at
+		n.sessDirty = true
 		n.eng.push(at, event{sess: s, to: to, epoch: s.epoch, u: m.Update})
 	}
 }
@@ -268,7 +287,7 @@ func (n *Network) deliver(d *event) {
 	if !tn.up || !d.sess.up || d.sess.epoch != d.epoch {
 		return // device down, or session went down (or bounced) in flight
 	}
-	tn.vnow = n.eng.now
+	tn.vnow = n.eng.now // HandleUpdate's Touch covers the stamp
 	tn.Speaker.HandleUpdate(d.sess.id, d.u)
 	n.flushNode(tn)
 }
@@ -384,6 +403,13 @@ func (n *Network) DeployRPA(dev topo.DeviceID, cfg *core.Config) error {
 	return nil
 }
 
+// DeployProgram is DeployRPA for an already compiled config: the program is
+// shared by reference with every other speaker and fork it is deployed to.
+func (n *Network) DeployProgram(dev topo.DeviceID, prog *core.Program) {
+	n.nodes[dev].Speaker.SetProgram(prog)
+	n.flush(dev)
+}
+
 // SetDrained drains or undrains a device.
 func (n *Network) SetDrained(dev topo.DeviceID, drained bool) {
 	n.nodes[dev].Speaker.SetDrained(drained)
@@ -412,6 +438,7 @@ func (n *Network) SetDeviceUp(dev topo.DeviceID, up bool) {
 	if node.up == up {
 		return
 	}
+	node.Speaker.Touch()
 	node.up = up
 	ids := n.sessionsOf(dev)
 	for _, sid := range ids {
@@ -535,6 +562,7 @@ func (n *Network) RestartDevice(dev topo.DeviceID, downFor time.Duration, warmFI
 		}
 	}
 	if warmFIB {
+		node.Speaker.Touch()
 		tbl := node.Speaker.FIB()
 		for _, e := range snap {
 			tbl.Install(e.Prefix, e.Hops)

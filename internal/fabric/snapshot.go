@@ -17,7 +17,6 @@ package fabric
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -85,6 +84,18 @@ type NetState struct {
 	FIFO     []FIFOState    // sorted by key
 }
 
+// Shared says what an exported state repeats, unchanged, from the state its
+// network was restored from or last exported as.
+type Shared struct {
+	// Base is that state, sharing its frozen topology with the export; nil
+	// when the network had none or its topology has changed since, and then
+	// nothing is shared.
+	Base *NetState
+	// Nodes[i] is the index in Base.Nodes of the record the export's Nodes[i]
+	// repeats, or -1 for a node exported afresh.
+	Nodes []int
+}
+
 // ExportState captures the network for checkpointing. It fails if any
 // pending event is a control callback (see the package comment above): the
 // caller must checkpoint at a quiescent point or during a pure-delivery
@@ -92,20 +103,66 @@ type NetState struct {
 // UPDATE and route AS paths and communities are immutable everywhere (see
 // bgp.Speaker.HandleUpdate) and travel by reference.
 func (n *Network) ExportState() (*NetState, error) {
+	st, _, err := n.ExportShared()
+	return st, err
+}
+
+// ExportShared is ExportState, and reports what the state shares with the
+// network's base — the state it was restored from or last exported as. A node
+// whose speaker nothing has touched since (bgp.Speaker.Dirty) is not exported
+// again: the state repeats the base's record, which is immutable like the
+// rest of it. A topology equal to the base's is not cloned again: the state
+// points at the base's frozen one. Anything else — a network built by New, a
+// topology edited since — is the same walk with nothing to repeat. Either
+// way the result is what ExportFull yields, value for value, and it becomes
+// the network's base.
+func (n *Network) ExportShared() (*NetState, Shared, error) {
+	base := n.base
+	if base != nil && !n.Topo.Equal(base.Topo) {
+		base = nil
+	}
+	st, sh, err := n.export(base)
+	if err != nil {
+		return nil, Shared{}, err
+	}
+	n.base, n.sessDirty = st, false
+	for i, node := range n.order {
+		node.baseIdx = i
+		node.Speaker.MarkClean()
+	}
+	return st, sh, nil
+}
+
+// ExportFull exports every node afresh and clones the topology, whatever the
+// network's base, and leaves the base alone: what ExportShared does when it
+// has nothing to repeat, kept callable as the oracle it is tested against.
+func (n *Network) ExportFull() (*NetState, error) {
+	st, _, err := n.export(nil)
+	return st, err
+}
+
+// export builds the state, repeating from base (nil: nothing) the topology,
+// the records of untouched nodes and, when no session moved, the session
+// tables.
+func (n *Network) export(base *NetState) (*NetState, Shared, error) {
 	for _, k := range n.eng.queue {
 		if n.eng.slab[k.slot].fn != nil {
-			return nil, fmt.Errorf("fabric: pending control event at t=%v; checkpoints are only consistent when the queue holds pure message deliveries (quiescent points and convergence phases)", time.Duration(k.at))
+			return nil, Shared{}, fmt.Errorf("fabric: pending control event at t=%v; checkpoints are only consistent when the queue holds pure message deliveries (quiescent points and convergence phases)", time.Duration(k.at))
 		}
 	}
 	st := &NetState{
 		Seed:        n.opts.Seed,
 		BaseLatency: n.opts.BaseLatency,
 		Jitter:      n.opts.Jitter,
-		Topo:        n.Topo.Clone(),
 		Now:         n.eng.now,
 		Seq:         n.eng.seq,
 		Processed:   n.eng.processed,
 		RNGDraws:    n.eng.rng.Draws(),
+	}
+	if base != nil {
+		st.Topo = base.Topo
+	} else {
+		st.Topo = n.Topo.Clone()
 	}
 
 	if len(n.eng.queue) > 0 {
@@ -125,35 +182,77 @@ func (n *Network) ExportState() (*NetState, error) {
 		}
 	}
 
-	// FIFO entries are sorted by rendered key, which is not session order
-	// (a session ID may be a prefix of another).
-	for _, info := range n.SessionList() {
-		s := n.sessions[info.ID]
-		st.Sessions = append(st.Sessions, SessionState{ID: string(s.id), Up: s.up, Epoch: s.epoch})
-		for dir, at := range s.fifo {
-			if at != 0 {
-				st.FIFO = append(st.FIFO, FIFOState{Key: string(s.id) + ">" + string(s.endID(uint8(dir))), At: at})
+	n.exportOrder()
+	if base != nil && !n.sessDirty {
+		st.Sessions, st.FIFO = base.Sessions, base.FIFO
+	} else {
+		if len(n.sessOrder) > 0 { // none is nil, as a decoded state has it
+			st.Sessions = make([]SessionState, len(n.sessOrder))
+		}
+		for i, s := range n.sessOrder {
+			st.Sessions[i] = SessionState{ID: string(s.id), Up: s.up, Epoch: s.epoch}
+		}
+		for _, f := range n.fifoOrder {
+			if at := f.sess.fifo[f.dir]; at != 0 {
+				st.FIFO = append(st.FIFO, FIFOState{Key: f.key, At: at})
 			}
 		}
 	}
-	slices.SortFunc(st.FIFO, func(x, y FIFOState) int { return strings.Compare(x.Key, y.Key) })
-
-	devs := make([]topo.DeviceID, 0, len(n.nodes))
-	for id := range n.nodes {
-		devs = append(devs, id)
+	sh := Shared{Base: base}
+	if base != nil {
+		sh.Nodes = make([]int, len(n.order))
 	}
-	sort.Slice(devs, func(i, j int) bool { return devs[i] < devs[j] })
-	for _, id := range devs {
-		node := n.nodes[id]
+	if len(n.order) > 0 {
+		st.Nodes = make([]NodeState, len(n.order))
+	}
+	for i, node := range n.order {
+		if base != nil {
+			if node.baseIdx >= 0 && !node.Speaker.Dirty() {
+				sh.Nodes[i] = node.baseIdx
+				st.Nodes[i] = base.Nodes[node.baseIdx]
+				continue
+			}
+			sh.Nodes[i] = -1
+		}
 		sp, err := node.Speaker.ExportState()
 		if err != nil {
-			return nil, fmt.Errorf("fabric: %w", err)
+			return nil, Shared{}, fmt.Errorf("fabric: %w", err)
 		}
-		st.Nodes = append(st.Nodes, NodeState{
-			Device: string(id), Up: node.up, VNow: node.vnow, Speaker: sp,
-		})
+		st.Nodes[i] = NodeState{Device: string(node.Device.ID), Up: node.up, VNow: node.vnow, Speaker: sp}
 	}
-	return st, nil
+	return st, sh, nil
+}
+
+// fifoSlot is one (session, receiver) FIFO slot under its rendered key.
+type fifoSlot struct {
+	sess *session
+	dir  uint8
+	key  string // "<session>><receiver>"
+}
+
+// exportOrder builds, once, the orders a state lists things in: nodes by
+// device, sessions by ID, FIFO slots by rendered key — which is not session
+// order, a session ID may be a prefix of another. The device and session sets
+// never change after construction.
+func (n *Network) exportOrder() {
+	if n.order != nil {
+		return
+	}
+	n.order = make([]*Node, 0, len(n.nodes))
+	for _, node := range n.nodes {
+		n.order = append(n.order, node)
+	}
+	slices.SortFunc(n.order, func(x, y *Node) int { return strings.Compare(string(x.Device.ID), string(y.Device.ID)) })
+	n.sessOrder = make([]*session, 0, len(n.sessions))
+	n.fifoOrder = make([]fifoSlot, 0, 2*len(n.sessions))
+	for _, s := range n.sessions {
+		n.sessOrder = append(n.sessOrder, s)
+		for dir := uint8(0); dir < 2; dir++ {
+			n.fifoOrder = append(n.fifoOrder, fifoSlot{sess: s, dir: dir, key: string(s.id) + ">" + string(s.endID(dir))})
+		}
+	}
+	slices.SortFunc(n.sessOrder, func(x, y *session) int { return strings.Compare(string(x.id), string(y.id)) })
+	slices.SortFunc(n.fifoOrder, func(x, y fifoSlot) int { return strings.Compare(x.key, y.key) })
 }
 
 // RestoreOptions tunes a restore.
@@ -180,8 +279,10 @@ type RestoreOptions struct {
 // every sibling restore: AS paths and community lists, and each speaker's
 // Adj-RIB-In and Adj-RIB-Out columns, which the speaker copies before its
 // first write to one (bgp.NewSpeakerFromState). Nothing may write to st once
-// it has been restored from. Taps, hooks, and perturbers start detached;
-// callers re-attach their own wiring.
+// it has been restored from: the network also keeps st as its base, and its
+// next export repeats st's records for the nodes nothing touched
+// (ExportShared). Taps, hooks, and perturbers start detached; callers
+// re-attach their own wiring.
 func NewFromState(st *NetState, opts RestoreOptions) (*Network, error) {
 	t := opts.Topo
 	if t == nil {
@@ -204,16 +305,17 @@ func NewFromState(st *NetState, opts RestoreOptions) (*Network, error) {
 		},
 		nodes:    make(map[topo.DeviceID]*Node, len(st.Nodes)),
 		sessions: make(map[bgp.SessionID]*session, len(st.Sessions)),
+		base:     st,
 	}
 	n.eng.net = n
 
 	now := n.Now
-	for _, ns := range st.Nodes {
+	for i, ns := range st.Nodes {
 		d := t.Device(topo.DeviceID(ns.Device))
 		if d == nil {
 			return nil, fmt.Errorf("fabric: state names unknown device %q", ns.Device)
 		}
-		node := &Node{Device: d, up: ns.Up, vnow: ns.VNow}
+		node := &Node{Device: d, up: ns.Up, vnow: ns.VNow, baseIdx: i}
 		sp, err := bgp.NewSpeakerFromState(ns.Speaker, now)
 		if err != nil {
 			return nil, fmt.Errorf("fabric: restore %s: %w", ns.Device, err)

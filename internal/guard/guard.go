@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"centralium/internal/controller"
+	"centralium/internal/core"
 	"centralium/internal/fabric"
 	"centralium/internal/planner"
 	"centralium/internal/probe"
@@ -224,8 +225,11 @@ type Result struct {
 	// Net is the terminal fabric state: the completed campaign's fleet,
 	// or the rolled-back last-good fleet of an abort. Nil while paused.
 	Net *fabric.Network
-	// Snapshot is the terminal (or, paused, last-good) snapshot.
+	// Snapshot is the terminal (or, paused, last-good) snapshot, rendered
+	// (snapshot.CaptureFrom): its encoding and fingerprint are lookups.
 	Snapshot *snapshot.Snapshot
+	// FinalFP is the terminal state's fingerprint; empty while paused.
+	FinalFP string
 	// Checkpoint is the latest guard record; Resume accepts it.
 	Checkpoint []byte
 }
@@ -236,7 +240,13 @@ func Run(ctx context.Context, base *snapshot.Snapshot, c Campaign) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	return r.drive(ctx, base, 0, 0, false)
+	// The campaign walks rendered snapshots; base gets a view of its own and
+	// is left holding no bytes.
+	lastGood, err := base.Rendered()
+	if err != nil {
+		return nil, fmt.Errorf("guard: encode snapshot: %w", err)
+	}
+	return r.drive(ctx, lastGood, 0, 0, false)
 }
 
 // Resume continues a campaign from a journaled checkpoint: the campaign
@@ -282,8 +292,8 @@ func Resume(ctx context.Context, cpData []byte, c Campaign) (*Result, error) {
 		res := &Result{
 			Name: r.c.Name, Waves: len(r.waves),
 			Retries: r.retries, Rollbacks: r.rollbacks,
-			Quarantined: cp.Quarantined,
-			Log:         cp.Log, Net: net, Snapshot: snap, Checkpoint: r.lastCP,
+			Quarantined: cp.Quarantined, FinalFP: cp.FinalFP,
+			Log: cp.Log, Net: net, Snapshot: snap, Checkpoint: r.lastCP,
 		}
 		if cp.Aborted {
 			res.State = StateAborted
@@ -300,7 +310,8 @@ func Resume(ctx context.Context, cpData []byte, c Campaign) (*Result, error) {
 	return r.drive(ctx, snap, cp.Wave, cp.Attempt, cp.Started)
 }
 
-// fetchSnapshot loads and decodes a fingerprinted snapshot.
+// fetchSnapshot loads and decodes a fingerprinted snapshot. The stored
+// bytes, written canonical, become the decoded snapshot's rendering.
 func fetchSnapshot(objs ObjectStore, fp string) (*snapshot.Snapshot, error) {
 	data, ok, err := objs.Get(fp)
 	if err != nil {
@@ -309,7 +320,7 @@ func fetchSnapshot(objs ObjectStore, fp string) (*snapshot.Snapshot, error) {
 	if !ok {
 		return nil, fmt.Errorf("guard: snapshot %s missing from object store", short(fp))
 	}
-	snap, err := snapshot.Decode(data)
+	snap, err := snapshot.DecodeRendered(data)
 	if err != nil {
 		return nil, fmt.Errorf("guard: snapshot %s: %w", short(fp), err)
 	}
@@ -320,7 +331,8 @@ func fetchSnapshot(objs ObjectStore, fp string) (*snapshot.Snapshot, error) {
 type run struct {
 	c        *Campaign
 	waves    []planner.Step
-	workload probe.Workload // what the transient probe measures every attempt under
+	programs map[topo.DeviceID]*core.Program // c.Intent compiled: what every attempt's fork deploys
+	workload probe.Workload                  // what the transient probe measures every attempt under
 
 	log       strings.Builder
 	retries   int
@@ -335,7 +347,11 @@ func newRun(base *snapshot.Snapshot, c Campaign) (*run, error) {
 	if err := c.normalize(); err != nil {
 		return nil, err
 	}
-	r := &run{c: &c, workload: probe.Workload{
+	programs, err := planner.CompileIntent(c.Intent)
+	if err != nil {
+		return nil, err
+	}
+	r := &run{c: &c, programs: programs, workload: probe.Workload{
 		Demands:      c.Demands,
 		Watch:        c.Watch,
 		FairShare:    c.FairShare,
@@ -412,7 +428,9 @@ func (r *run) persist(enc []byte, fp string, wave, attempt int, started bool, te
 }
 
 // drive runs the supervisor loop from (startWave, startAttempt) with
-// lastGood as the authoritative pre-wave state; startedAlready means the
+// lastGood, a rendered snapshot, as the authoritative pre-wave state: each
+// wave's surviving fork is captured against it, so a state is rendered once,
+// at the cost of what its wave touched. startedAlready means the
 // start wave's log line was emitted before the checkpoint being resumed.
 func (r *run) drive(ctx context.Context, lastGood *snapshot.Snapshot, startWave, startAttempt int, startedAlready bool) (*Result, error) {
 	maxRetries := r.c.Retry.retries()
@@ -463,7 +481,7 @@ func (r *run) drive(ctx context.Context, lastGood *snapshot.Snapshot, startWave,
 			if r.c.Instrument != nil {
 				r.c.Instrument(work, w, attempt)
 			}
-			m, xerr := planner.ExecuteSteps(ctx, work, r.workload, r.c.Intent, r.c.OriginAltitude, r.c.SettlePerDevice, steps)
+			m, xerr := planner.ExecuteSteps(ctx, work, r.workload, r.c.Intent, r.programs, r.c.OriginAltitude, r.c.SettlePerDevice, steps)
 			if xerr != nil && isCtxErr(xerr) {
 				// Freeze at the wave boundary: the attempt's fork is
 				// abandoned, the checkpoint re-targets this attempt, and
@@ -504,7 +522,7 @@ func (r *run) drive(ctx context.Context, lastGood *snapshot.Snapshot, startWave,
 		if err := quiesce(net); err != nil {
 			return nil, err
 		}
-		snap, cerr := snapshot.Capture(net)
+		snap, cerr := snapshot.CaptureFrom(lastGood, net)
 		if cerr != nil {
 			return nil, fmt.Errorf("guard: capture after wave %d: %w", w, cerr)
 		}
@@ -525,7 +543,7 @@ func (r *run) drive(ctx context.Context, lastGood *snapshot.Snapshot, startWave,
 	return &Result{
 		State: StateCompleted, Name: r.c.Name,
 		Waves: len(r.waves), WavesDone: len(r.waves),
-		Retries: r.retries, Rollbacks: r.rollbacks,
+		Retries: r.retries, Rollbacks: r.rollbacks, FinalFP: fp,
 		Log: r.log.String(), Net: net, Snapshot: lastGood, Checkpoint: r.lastCP,
 	}, nil
 }
@@ -555,7 +573,7 @@ func (r *run) abort(lastGood *snapshot.Snapshot, enc []byte, fp string, wave, at
 		State: StateAborted, Name: r.c.Name,
 		Waves: len(r.waves), WavesDone: wave,
 		Retries: r.retries, Rollbacks: r.rollbacks,
-		Quarantined: q, Report: report,
+		Quarantined: q, Report: report, FinalFP: fp,
 		Log: r.log.String(), Net: term, Snapshot: lastGood, Checkpoint: r.lastCP,
 	}, nil
 }

@@ -424,6 +424,7 @@ func RunScenario3On(n *fabric.Network, p Scenario3Params) Scenario3Result {
 	}
 
 	du := n.Speaker(topo.DUID(0))
+	du.Touch() // the FIB counters are checkpointed state
 	du.FIB().ResetStats()
 
 	// EBs enter maintenance with stagger: preset export policy makes their

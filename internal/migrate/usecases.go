@@ -87,6 +87,7 @@ func RunAnycastScenario(seed int64, useRPA bool) AnycastResult {
 
 	leafFIB := n.Speaker("leaf").FIB()
 	res := AnycastResult{MinConcurrentPaths: len(leafFIB.Lookup(anycastVIP))}
+	n.Speaker("leaf").Touch() // the FIB counters are checkpointed state
 	leafFIB.ResetStats()
 	probe.Attach(n, nil, 1, func(int64, *traffic.Result) {
 		if cur := len(leafFIB.Lookup(anycastVIP)); cur > 0 && cur < res.MinConcurrentPaths {

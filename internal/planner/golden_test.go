@@ -10,6 +10,7 @@ import (
 
 	"centralium/internal/core"
 	"centralium/internal/snapshot"
+	"centralium/internal/topo"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the planner golden schedule files")
@@ -274,10 +275,29 @@ func goldenRunLeavesConfigsUnedited(t *testing.T, scenario string) {
 	if states == 0 || overridden == 0 {
 		t.Fatalf("vacuous: %d memoized states, %d speakers running a step's variant of their intent config", states, overridden)
 	}
+	// One compile per distinct config per search: a step without knobs
+	// deploys the search's own program, by pointer, to every fork — the
+	// captured child carries it — and a step with knobs compiles its copy.
+	dev := sortedDevices(p.Intent)[0]
+	for _, st := range []Step{{Devices: []topo.DeviceID{dev}}, {Devices: []topo.DeviceID{dev}, Bare: true}} {
+		me, err := s.ev.evalStep(s.root, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := me.snap.Restore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shared := n.Speaker(dev).Program() == s.ev.intent[dev]; shared == st.Bare {
+			t.Fatalf("step %q: %s runs the search's compiled program: %v", st, dev, shared)
+		}
+	}
 }
 
 // TestStepIntentCopiesOnWrite: a step's projection of the intent shares
-// what it does not change and never writes into the shared configs.
+// what it does not change — the whole config, by pointer, for a step without
+// knobs, which is what lets a fork deploy the search's compiled program — and
+// never writes into the shared configs.
 func TestStepIntentCopiesOnWrite(t *testing.T) {
 	_, p, err := ScenarioSetup("decommission", 1)
 	if err != nil {
@@ -288,8 +308,8 @@ func TestStepIntentCopiesOnWrite(t *testing.T) {
 	for _, st := range []Step{{Devices: devs}, {Devices: devs, Bare: true}, {Devices: devs, MinNextHop: 50}, {Devices: devs[:1], Bare: true, MinNextHop: 50}} {
 		for d, cfg := range st.Intent(p.Intent) {
 			orig := p.Intent[d]
-			if cfg == orig || cfg.Version != orig.Version {
-				t.Fatalf("step %q: %s must get a copy of its intent config at the same version", st, d)
+			if plain := !st.Bare && st.MinNextHop == 0; (cfg == orig) != plain || cfg.Version != orig.Version {
+				t.Fatalf("step %q: %s must get the intent's own config when the step changes nothing, a copy at the same version when it does", st, d)
 			}
 			if st.Bare != cfg.IsEmpty() {
 				t.Fatalf("step %q: %s bare %v, config empty %v", st, d, st.Bare, cfg.IsEmpty())

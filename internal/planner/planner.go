@@ -141,10 +141,14 @@ type Result struct {
 }
 
 // node is one beam entry: a schedule prefix, its accumulated transient
-// score, and the fabric state it reaches (encoded snapshot = fingerprint).
+// score, and the fabric state it reaches — the encoded snapshot and its
+// fingerprint, and the live snapshot those are the rendering of. snap is nil
+// on a node rebuilt from a checkpoint or from a memo entry of an earlier
+// level, until an expansion needs it (evaluator.live).
 type node struct {
 	sched Schedule
 	score Score
+	snap  *snapshot.Snapshot
 	state []byte
 	fp    string
 }
@@ -154,7 +158,9 @@ type node struct {
 type Search struct {
 	p  Params
 	ev *evaluator
-	// base is the search's root state; baseFP its fingerprint.
+	// root is the search's root state: a rendered view of the base snapshot,
+	// private to the search; base its encoding, baseFP its fingerprint.
+	root   *snapshot.Snapshot
 	base   []byte
 	baseFP string
 	// tp is the base's topology, for layer lookups only.
@@ -172,46 +178,71 @@ type Search struct {
 
 // memoEntry caches one evaluated expansion keyed by
 // (parent-state-fingerprint, step text): identical intermediate states
-// share scores no matter which schedule prefix reached them.
+// share scores no matter which schedule prefix reached them. snap is the
+// child state live, for the level that evaluated it only: Step clears it
+// once the next beam is chosen, and what is needed again later is decoded
+// from child.
 type memoEntry struct {
 	out   StepOutcome
+	snap  *snapshot.Snapshot
 	child []byte
 	fp    string
 }
 
 // NewSearch builds a search over the deployment schedules of p.Intent on
 // the captured fabric. The snapshot must hold a quiescent (converged)
-// network — which Capture already enforces.
+// network — which Capture already enforces. The search reads base through a
+// rendered view of its own (snapshot.Rendered): base itself is never written
+// and holds no bytes afterwards, so any number of searches may share one
+// cached base snapshot.
 func NewSearch(base *snapshot.Snapshot, p Params) (*Search, error) {
-	state, err := stateBytes(base)
+	root, err := base.Rendered()
 	if err != nil {
 		return nil, err
 	}
-	return newSearchFromState(state, fingerprint(state), p)
+	state, fp, err := canonical(root)
+	if err != nil {
+		return nil, err
+	}
+	return newSearch(root, state, fp, p)
 }
 
-// newSearchFromState is the raw-bytes constructor shared with checkpoint
-// resume; fp is state's fingerprint.
+// canonical returns a rendered snapshot's canonical encoding — never its
+// free-form metadata: a search state is a pure state identity — and the
+// fingerprint of those bytes. Both are lookups.
+func canonical(snap *snapshot.Snapshot) (state []byte, fp string, err error) {
+	if state, err = snap.EncodeCanonical(); err != nil {
+		return nil, "", err
+	}
+	fp, err = snap.Fingerprint()
+	return state, fp, err
+}
+
+// newSearchFromState is the raw-bytes constructor of checkpoint resume; fp
+// is state's fingerprint.
 func newSearchFromState(state []byte, fp string, p Params) (*Search, error) {
+	root, err := snapshot.DecodeRendered(state)
+	if err != nil {
+		return nil, fmt.Errorf("planner: base snapshot: %w", err)
+	}
+	return newSearch(root, state, fp, p)
+}
+
+// newSearch starts a search at root, a rendered snapshot whose encoding is
+// state and whose fingerprint is fp.
+func newSearch(root *snapshot.Snapshot, state []byte, fp string, p Params) (*Search, error) {
 	p.setDefaults()
 	if len(p.Intent) == 0 {
 		return nil, fmt.Errorf("planner: empty intent")
 	}
-	intent := make(map[topo.DeviceID]*core.Program, len(p.Intent))
-	for _, d := range sortedDevices(p.Intent) {
-		var err error
-		if intent[d], err = core.Compile(p.Intent[d]); err != nil {
-			return nil, fmt.Errorf("planner: intent for %s: %w", d, err)
-		}
+	intent, err := CompileIntent(p.Intent)
+	if err != nil {
+		return nil, err
 	}
 	if len(p.Watch) == 0 {
 		return nil, fmt.Errorf("planner: no watched devices (the funneling metric needs a hot layer)")
 	}
-	snap, err := snapshot.Decode(state)
-	if err != nil {
-		return nil, fmt.Errorf("planner: base snapshot: %w", err)
-	}
-	tp, err := snap.Topology()
+	tp, err := root.Topology()
 	if err != nil {
 		return nil, fmt.Errorf("planner: base snapshot: %w", err)
 	}
@@ -222,23 +253,29 @@ func newSearchFromState(state []byte, fp string, p Params) (*Search, error) {
 	}
 	s := &Search{
 		p:      p,
+		root:   root,
 		base:   state,
 		baseFP: fp,
 		tp:     tp,
 		memo:   make(map[string]memoEntry),
 	}
 	s.ev = &evaluator{p: &s.p, intent: intent}
-	s.beam = []node{{state: state, fp: fp}}
+	s.beam = []node{{snap: root, state: state, fp: fp}}
 	return s, nil
 }
 
-// stateBytes encodes a snapshot without its free-form metadata, so the
-// fingerprint is a pure state identity. EncodeCanonical never touches the
-// snapshot (an earlier version swapped Meta in place, which raced when
-// several searches shared one cached base snapshot — the centraliumd
-// serving path does exactly that).
-func stateBytes(base *snapshot.Snapshot) ([]byte, error) {
-	return base.EncodeCanonical()
+// CompileIntent compiles every config of an intent, once: the programs a
+// search or a guarded campaign then deploys to every fork by reference
+// (ExecuteSteps).
+func CompileIntent(in controller.Intent) (map[topo.DeviceID]*core.Program, error) {
+	out := make(map[topo.DeviceID]*core.Program, len(in))
+	for _, d := range sortedDevices(in) {
+		var err error
+		if out[d], err = core.Compile(in[d]); err != nil {
+			return nil, fmt.Errorf("planner: intent for %s: %w", d, err)
+		}
+	}
+	return out, nil
 }
 
 // Level returns the number of completed beam levels.
@@ -426,28 +463,27 @@ func (s *Search) Step() (bool, error) {
 		}
 	}
 
-	// Decode each expanding node once; its candidates fork the one decoded
-	// snapshot from the pool (the snapshot concurrency contract covers it).
-	parents := make([]*snapshot.Snapshot, len(s.beam))
+	// Every candidate of a node forks the node's one live snapshot from the
+	// pool (the snapshot concurrency contract covers it). A node the search
+	// expanded itself still has it; one that came out of a checkpoint is
+	// decoded here, once.
 	for _, ex := range uniq {
-		if parents[ex.nodeIdx] == nil {
-			snap, err := s.ev.decode(s.beam[ex.nodeIdx].state)
-			if err != nil {
-				return false, err
-			}
-			parents[ex.nodeIdx] = snap
+		nd := &s.beam[ex.nodeIdx]
+		var err error
+		if nd.snap, err = s.ev.live(nd.snap, nd.state); err != nil {
+			return false, err
 		}
 	}
 
 	// Evaluate unique expansions on the pool; results land in the memo.
 	if err := s.runPool(len(uniq), func(i int) error {
 		ex := uniq[i]
-		out, child, err := s.ev.evalStep(parents[ex.nodeIdx], ex.step)
+		me, err := s.ev.evalStep(s.beam[ex.nodeIdx].snap, ex.step)
 		if err != nil {
 			return err
 		}
 		s.mu.Lock()
-		s.memo[ex.key] = memoEntry{out: out, child: child, fp: fingerprint(child)}
+		s.memo[ex.key] = me
 		s.stats.StepsEvaluated++
 		s.mu.Unlock()
 		return nil
@@ -457,13 +493,7 @@ func (s *Search) Step() (bool, error) {
 
 	// Assemble children in task order (deterministic).
 	var children []node
-	type terminal struct {
-		sched Schedule
-		score Score
-		fp    string
-		state []byte
-	}
-	var terminals []terminal
+	var terminals []node // fully deployed: the migration body is still to run
 	for _, ex := range tasks {
 		s.mu.Lock()
 		me := s.memo[ex.key]
@@ -472,17 +502,18 @@ func (s *Search) Step() (bool, error) {
 		childSched := parent.sched.Clone()
 		childSched.Steps = append(childSched.Steps, ex.step.Clone())
 		childScore := parent.score.add(me.out, true)
+		child := node{sched: childSched, score: childScore, snap: me.snap, state: me.child, fp: me.fp}
 		if len(s.remaining(childSched)) == 0 {
-			terminals = append(terminals, terminal{sched: childSched, score: childScore, fp: me.fp, state: me.child})
+			terminals = append(terminals, child)
 		} else {
-			children = append(children, node{sched: childSched, score: childScore, state: me.child, fp: me.fp})
+			children = append(children, child)
 		}
 	}
 
 	// Terminal candidates run the migration body (memoized per final
 	// state fingerprint) before scoring.
 	migKeys := make(map[string]bool)
-	var migUniq []terminal
+	var migUniq []node
 	for _, t := range terminals {
 		key := t.fp + "|migration"
 		s.mu.Lock()
@@ -497,7 +528,11 @@ func (s *Search) Step() (bool, error) {
 	}
 	if err := s.runPool(len(migUniq), func(i int) error {
 		t := migUniq[i]
-		out, err := s.ev.evalMigration(t.state)
+		snap, err := s.ev.live(t.snap, t.state)
+		if err != nil {
+			return err
+		}
+		out, err := s.ev.evalMigration(snap)
 		if err != nil {
 			return err
 		}
@@ -537,6 +572,15 @@ func (s *Search) Step() (bool, error) {
 		}
 	}
 	s.beam = next
+	// The level's other states go back to being bytes: only the beam stays
+	// live between levels.
+	s.mu.Lock()
+	for _, ex := range uniq {
+		me := s.memo[ex.key]
+		me.snap = nil
+		s.memo[ex.key] = me
+	}
+	s.mu.Unlock()
 	s.level++
 	s.stats.Levels = s.level
 	if len(s.beam) == 0 {
@@ -599,45 +643,51 @@ func (s *Search) BaselineSchedule() Schedule {
 // serially. Used for the baseline, `centralium plan score|explain`, and Approver.
 func (s *Search) scoreScheduleLocked(sched Schedule) (*Report, error) {
 	rep := &Report{Schedule: sched}
-	state, fp := s.base, s.baseFP
+	// cur walks the schedule's states; it stays live across consecutive
+	// evaluated steps and is decoded again only after a memo hit.
+	cur := node{snap: s.root, state: s.base, fp: s.baseFP}
 	var score Score
 	for _, st := range sched.Steps {
-		key := fp + "|" + st.String()
+		key := cur.fp + "|" + st.String()
 		s.mu.Lock()
 		me, ok := s.memo[key]
 		s.mu.Unlock()
 		if !ok {
-			parent, err := s.ev.decode(state)
+			parent, err := s.ev.live(cur.snap, cur.state)
 			if err != nil {
 				return nil, err
 			}
-			out, child, err := s.ev.evalStep(parent, st)
-			if err != nil {
+			if me, err = s.ev.evalStep(parent, st); err != nil {
 				return nil, err
 			}
-			me = memoEntry{out: out, child: child, fp: fingerprint(child)}
+			cur.snap, me.snap = me.snap, nil
 			s.mu.Lock()
 			s.memo[key] = me
 			s.stats.StepsEvaluated++
 			s.mu.Unlock()
 		} else {
+			cur.snap = nil
 			s.mu.Lock()
 			s.stats.MemoHits++
 			s.mu.Unlock()
 		}
 		rep.Phases = append(rep.Phases, me.out)
 		score = score.add(me.out, true)
-		state, fp = me.child, me.fp
+		cur.state, cur.fp = me.child, me.fp
 	}
 	if rem := s.remaining(sched); len(rem) > 0 {
 		return nil, fmt.Errorf("planner: schedule leaves %d intent devices undeployed (first: %s)", len(rem), rem[0])
 	}
-	key := fp + "|migration"
+	key := cur.fp + "|migration"
 	s.mu.Lock()
 	me, ok := s.memo[key]
 	s.mu.Unlock()
 	if !ok {
-		out, err := s.ev.evalMigration(state)
+		snap, err := s.ev.live(cur.snap, cur.state)
+		if err != nil {
+			return nil, err
+		}
+		out, err := s.ev.evalMigration(snap)
 		if err != nil {
 			return nil, err
 		}

@@ -169,8 +169,9 @@ func FromWaves(waves [][]topo.DeviceID) Schedule {
 	return out
 }
 
-// Intent restricts a full campaign intent to the step's devices with the
-// step's knobs applied to a copy of each config (the intent's own is shared
+// Intent restricts a full campaign intent to the step's devices: the
+// intent's own configs, by pointer, for a plain step, and for one with knobs
+// a copy of each config with the knobs applied (the intent's own is shared
 // and never edited, see core.Config) — the projection ExecuteSteps pushes
 // through the rollout path, for the search's evaluator and the execution
 // guard (internal/guard) alike, so the guard's degraded retry shapes
@@ -180,6 +181,10 @@ func (st Step) Intent(in controller.Intent) controller.Intent {
 	out := make(controller.Intent, len(st.Devices))
 	for _, d := range st.Devices {
 		if in[d] == nil {
+			continue
+		}
+		if !st.Bare && st.MinNextHop <= 0 {
+			out[d] = in[d]
 			continue
 		}
 		cfg := *in[d]

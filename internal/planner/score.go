@@ -158,12 +158,23 @@ func fingerprint(state []byte) string {
 // live wave is judged by the measurement the planner scored it by. Per-fork
 // measurement is deterministic; the planner's parallelism lives one level
 // up, across candidate forks.
-func ExecuteSteps(ctx context.Context, n *fabric.Network, w probe.Workload, intent controller.Intent, originAltitude int, settlePerDevice bool, steps []Step) (probe.Metrics, error) {
+//
+// programs is the intent compiled (CompileIntent): a step that pushes the
+// intent's own config for a device deploys that program, and neither the
+// rollout's pre-flight nor the speaker compiles it again; a step that edits a
+// copy (Bare, MinNextHop) compiles its copy as any other caller would.
+func ExecuteSteps(ctx context.Context, n *fabric.Network, w probe.Workload, intent controller.Intent, programs map[topo.DeviceID]*core.Program, originAltitude int, settlePerDevice bool, steps []Step) (probe.Metrics, error) {
 	pb := probe.NewTransient(n, w)
 	events := int64(0)
 	ctl := &controller.Controller{
-		Topo:   n.Topo,
-		Deploy: n.DeployRPA,
+		Topo: n.Topo,
+		Deploy: func(d topo.DeviceID, cfg *core.Config) error {
+			if prog := programs[d]; prog != nil && prog.Config() == cfg {
+				n.DeployProgram(d, prog)
+				return nil
+			}
+			return n.DeployRPA(d, cfg)
+		},
 		Settle: func() { events += n.Converge() },
 	}
 	var err error
@@ -172,6 +183,7 @@ func ExecuteSteps(ctx context.Context, n *fabric.Network, w probe.Workload, inte
 			Name: "schedule step",
 			Rollout: controller.Rollout{
 				Intent:          st.Intent(intent),
+				Compiled:        programs,
 				OriginAltitude:  originAltitude,
 				Schedule:        [][]topo.DeviceID{st.Devices},
 				SettlePerDevice: settlePerDevice,
@@ -183,8 +195,10 @@ func ExecuteSteps(ctx context.Context, n *fabric.Network, w probe.Workload, inte
 	return pb.Finish(events), err
 }
 
-// workload is the search's probe workload.
-func (p *Params) workload() probe.Workload {
+// Workload is the probe workload a search with these parameters measures
+// every step under, defaults applied.
+func (p Params) Workload() probe.Workload {
+	p.setDefaults()
 	return probe.Workload{
 		Demands:      p.Demands,
 		Watch:        p.Watch,
@@ -212,45 +226,46 @@ func outcome(label string, m probe.Metrics) StepOutcome {
 // search, the exhaustive baseline, and schedule scoring.
 type evaluator struct {
 	p      *Params
-	intent map[topo.DeviceID]*core.Program // p.Intent compiled, for evalMigration's comparison
+	intent map[topo.DeviceID]*core.Program // p.Intent compiled: what every fork deploys
 }
 
-// decode parses an encoded search state.
-func (e *evaluator) decode(state []byte) (*snapshot.Snapshot, error) {
-	snap, err := snapshot.Decode(state)
+// live returns snap, or, when the search holds the state only as bytes (after
+// a resume, or a memo entry of an earlier level), decodes it: the bytes
+// become the decoded snapshot's rendering.
+func (e *evaluator) live(snap *snapshot.Snapshot, state []byte) (*snapshot.Snapshot, error) {
+	if snap != nil {
+		return snap, nil
+	}
+	snap, err := snapshot.DecodeRendered(state)
 	if err != nil {
 		return nil, fmt.Errorf("planner: decode state: %w", err)
 	}
 	return snap, nil
 }
 
-// capture re-encodes a quiescent fork as the next search state.
-func (e *evaluator) capture(n *fabric.Network) ([]byte, error) {
-	snap, err := snapshot.Capture(n)
-	if err != nil {
-		return nil, fmt.Errorf("planner: capture: %w", err)
-	}
-	return snap.Encode()
-}
-
 // evalStep forks the parent state, pushes one wave through ExecuteSteps,
-// and returns the measured transient plus the child state. It only reads
-// parent, so the pool evaluates every candidate of a beam node against one
-// decoded snapshot.
-func (e *evaluator) evalStep(parent *snapshot.Snapshot, st Step) (StepOutcome, []byte, error) {
+// and returns the measured transient with the child state, captured against
+// parent: live, and as the bytes and fingerprint the memo and the checkpoint
+// keep. It only reads parent, so the pool evaluates every candidate of a beam
+// node against one snapshot.
+func (e *evaluator) evalStep(parent *snapshot.Snapshot, st Step) (memoEntry, error) {
 	n, err := parent.Restore()
 	if err != nil {
-		return StepOutcome{}, nil, err
+		return memoEntry{}, err
 	}
-	m, err := ExecuteSteps(context.Background(), n, e.p.workload(), e.p.Intent, e.p.OriginAltitude, e.p.SettlePerDevice, []Step{st})
+	m, err := ExecuteSteps(context.Background(), n, e.p.Workload(), e.p.Intent, e.intent, e.p.OriginAltitude, e.p.SettlePerDevice, []Step{st})
 	if err != nil {
-		return StepOutcome{}, nil, fmt.Errorf("planner: step %q: %w", st.String(), err)
+		return memoEntry{}, fmt.Errorf("planner: step %q: %w", st.String(), err)
 	}
-	child, err := e.capture(n)
+	child, err := snapshot.CaptureFrom(parent, n)
 	if err != nil {
-		return StepOutcome{}, nil, err
+		return memoEntry{}, fmt.Errorf("planner: capture: %w", err)
 	}
-	return outcome(st.String(), m), child, nil
+	state, fp, err := canonical(child)
+	if err != nil {
+		return memoEntry{}, err
+	}
+	return memoEntry{out: outcome(st.String(), m), snap: child, child: state, fp: fp}, nil
 }
 
 // evalMigration forks the fully-deployed state and runs the terminal
@@ -262,16 +277,12 @@ func (e *evaluator) evalStep(parent *snapshot.Snapshot, st Step) (StepOutcome, [
 // measuring the post-deployment hazard the schedule was supposed to
 // protect. The finalize set is derived from the restored state alone, so
 // memoizing by state fingerprint stays sound.
-func (e *evaluator) evalMigration(state []byte) (StepOutcome, error) {
-	snap, err := e.decode(state)
-	if err != nil {
-		return StepOutcome{}, err
-	}
+func (e *evaluator) evalMigration(snap *snapshot.Snapshot) (StepOutcome, error) {
 	n, err := snap.Restore()
 	if err != nil {
 		return StepOutcome{}, err
 	}
-	pb := probe.NewTransient(n, e.p.workload())
+	pb := probe.NewTransient(n, e.p.Workload())
 	stagger := e.p.DrainStaggerNs
 	if stagger <= 0 {
 		stagger = int64(20 * time.Millisecond)
@@ -286,14 +297,9 @@ func (e *evaluator) evalMigration(state []byte) (StepOutcome, error) {
 	// pushes are never fleet-atomic in practice — and in plain device
 	// order, not the §5.3.2 sequence: deferring protection buys an
 	// unsequenced rollout later, and this is where that bill arrives.
-	var deployErr error
 	for i, dev := range lagged {
 		d := dev
-		n.After(time.Duration(int64(i)*stagger), func() {
-			if err := n.DeployRPA(d, e.p.Intent[d]); err != nil && deployErr == nil {
-				deployErr = fmt.Errorf("planner: finalize %s: %w", d, err)
-			}
-		})
+		n.After(time.Duration(int64(i)*stagger), func() { n.DeployProgram(d, e.intent[d]) })
 	}
 	// The drain body starts once the catch-up window closes.
 	offset := int64(len(lagged)) * stagger
@@ -304,9 +310,6 @@ func (e *evaluator) evalMigration(state []byte) (StepOutcome, error) {
 	events := int64(0)
 	if len(lagged) > 0 || len(e.p.Drain) > 0 {
 		events = n.Converge()
-	}
-	if deployErr != nil {
-		return StepOutcome{}, deployErr
 	}
 	return outcome("migration", pb.Finish(events)), nil
 }

@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 )
@@ -22,6 +23,9 @@ func TestSharedSnapshotConcurrentSearches(t *testing.T) {
 	ref, err := NewSearch(snap, p)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if canon, err := snap.EncodeCanonical(); err != nil || !bytes.Equal(ref.base, canon) || ref.baseFP != fingerprint(canon) {
+		t.Fatalf("the search's root state must be the base's canonical encoding, metadata left out (err %v)", err)
 	}
 	baseline := ref.BaselineSchedule()
 	refRep, err := ScoreSchedule(snap, p, baseline)

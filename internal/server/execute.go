@@ -228,11 +228,7 @@ func (s *Server) execute(ctx context.Context, ar *apiRequest) result {
 		Log:         res.Log,
 	}
 	if res.State == guard.StateCompleted || res.State == guard.StateAborted {
-		fp, ferr := res.Snapshot.Fingerprint()
-		if ferr != nil {
-			return errorResult(http.StatusInternalServerError, "execute %s: fingerprint: %v", id, ferr)
-		}
-		resp.FinalFingerprint = fp
+		resp.FinalFingerprint = res.FinalFP
 		body := encodeBody(resp)
 		// A terminal execution answers from final, like a finished plan;
 		// nothing resumes it, so every wave's last-good snapshot goes too.

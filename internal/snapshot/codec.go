@@ -84,8 +84,9 @@ func (w *writer) prefix(p netip.Prefix) {
 
 // section appends one tagged section whose payload is produced by fill.
 // fill writes straight into w; the payload's uvarint length, known only
-// afterwards, is then slid in front of it with one copy.
-func (w *writer) section(tag byte, fill func(*writer)) {
+// afterwards, is then slid in front of it with one copy. It returns how far
+// the payload moved, for a caller that noted offsets while filling.
+func (w *writer) section(tag byte, fill func(*writer)) int {
 	w.buf = append(w.buf, tag)
 	start := len(w.buf)
 	fill(w)
@@ -94,6 +95,7 @@ func (w *writer) section(tag byte, fill func(*writer)) {
 	w.buf = append(w.buf, prefix[:n]...)
 	copy(w.buf[start+n:], w.buf[start:])
 	copy(w.buf[start:], prefix[:n])
+	return n
 }
 
 // ---------------------------------------------------------------------------
@@ -423,15 +425,40 @@ func encodeSpeaker(w *writer, s *bgp.SpeakerState) {
 	encodeFIB(w, &s.FIB)
 }
 
-// encodeState renders a NetState plus metadata into the wire format. The
-// topology travels as its JSON export, rendered per encode: at rest the
-// state holds only the parsed form restores clone.
-func encodeState(st *fabric.NetState, meta map[string]string) ([]byte, error) {
-	topoJSON, err := st.Topo.ExportJSON()
-	if err != nil {
-		return nil, fmt.Errorf("snapshot: export topology: %w", err)
+// layout locates, in one encoding, what a later encoding of a state derived
+// from it can copy instead of rendering again.
+type layout struct {
+	topo  [2]int // the topology section, tag and length included
+	nodes []int  // node i's record is bytes nodes[i]:nodes[i+1]
+}
+
+// testHook, when set by a test, is told of every "encode", "decode",
+// "topo-export" and "topo-import" this package performs. Production leaves
+// it nil.
+var testHook func(what string)
+
+func hook(what string) {
+	if testHook != nil {
+		testHook(what)
 	}
+}
+
+// encodeState renders a NetState plus metadata into the wire format and
+// reports where the reusable parts landed. The topology travels as its JSON
+// export: at rest the state holds only the parsed form restores clone.
+//
+// from, when non-nil, is the encoding (with its layout) of sh.Base, the state
+// st was exported against: st's topology, when it is the base's own, and
+// every node record st repeats from the base (fabric.Shared) are copied out
+// of it byte for byte, and only the rest is rendered. With nothing to copy
+// from this is the full encode; the result is the same bytes either way.
+func encodeState(st *fabric.NetState, meta map[string]string, from *rendering, sh fabric.Shared) ([]byte, layout, error) {
+	hook("encode")
+	var lay layout
 	var w writer
+	if from != nil {
+		w.buf = make([]byte, 0, len(from.canon)+len(from.canon)/8)
+	}
 	w.buf = append(w.buf, Magic[:]...)
 	w.u64(Version)
 
@@ -454,7 +481,18 @@ func encodeState(st *fabric.NetState, meta map[string]string) ([]byte, error) {
 		w.i64(int64(st.BaseLatency))
 		w.i64(int64(st.Jitter))
 	})
-	w.section(tagTopo, func(w *writer) { w.bytes(topoJSON) })
+	lay.topo[0] = len(w.buf)
+	if from != nil && st.Topo == sh.Base.Topo {
+		w.buf = append(w.buf, from.canon[from.topo[0]:from.topo[1]]...)
+	} else {
+		hook("topo-export")
+		topoJSON, err := st.Topo.ExportJSON()
+		if err != nil {
+			return nil, lay, fmt.Errorf("snapshot: export topology: %w", err)
+		}
+		w.section(tagTopo, func(w *writer) { w.bytes(topoJSON) })
+	}
+	lay.topo[1] = len(w.buf)
 	w.section(tagEngine, func(w *writer) {
 		w.i64(st.Now)
 		w.i64(st.Seq)
@@ -480,16 +518,27 @@ func encodeState(st *fabric.NetState, meta map[string]string) ([]byte, error) {
 			w.i64(int64(s.Epoch))
 		}
 	})
-	w.section(tagNodes, func(w *writer) {
+	lay.nodes = make([]int, len(st.Nodes)+1)
+	moved := w.section(tagNodes, func(w *writer) {
 		w.u64(uint64(len(st.Nodes)))
 		for i := range st.Nodes {
+			lay.nodes[i] = len(w.buf)
+			if from != nil && sh.Nodes[i] >= 0 {
+				j := sh.Nodes[i]
+				w.buf = append(w.buf, from.canon[from.nodes[j]:from.nodes[j+1]]...)
+				continue
+			}
 			n := &st.Nodes[i]
 			w.str(n.Device)
 			w.bool(n.Up)
 			w.i64(n.VNow)
 			encodeSpeaker(w, &n.Speaker)
 		}
+		lay.nodes[len(st.Nodes)] = len(w.buf)
 	})
+	for i := range lay.nodes {
+		lay.nodes[i] += moved
+	}
 	w.section(tagFIFO, func(w *writer) {
 		w.u64(uint64(len(st.FIFO)))
 		for _, f := range st.FIFO {
@@ -498,9 +547,9 @@ func encodeState(st *fabric.NetState, meta map[string]string) ([]byte, error) {
 		}
 	})
 	if w.err != nil {
-		return nil, w.err
+		return nil, lay, w.err
 	}
-	return w.buf, nil
+	return w.buf, lay, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -779,24 +828,35 @@ func decodeSpeaker(r *reader, programs map[string]*core.Program) bgp.SpeakerStat
 	return s
 }
 
+// canonicalOrder is the sections of a canonical encoding, in order.
+var canonicalOrder = []byte{tagOptions, tagTopo, tagEngine, tagSessions, tagNodes, tagFIFO}
+
 // decodeState parses wire-format bytes back into a NetState and metadata.
-func decodeState(data []byte) (*fabric.NetState, map[string]string, error) {
+// lay, when non-nil, receives the input's layout. canonical reports that the
+// input has the shape EncodeCanonical writes — exactly its sections in its
+// order, each read to its last byte, a cleared Batched slot — so that bytes
+// this package wrote that way can stand as the decoded state's rendering.
+func decodeState(data []byte, lay *layout) (_ *fabric.NetState, _ map[string]string, canonical bool, _ error) {
+	hook("decode")
 	r := &reader{b: data}
 	if r.remaining() < len(Magic) || string(r.b[:len(Magic)]) != string(Magic[:]) {
-		return nil, nil, errors.New("snapshot: bad magic (not a Centralium snapshot)")
+		return nil, nil, false, errors.New("snapshot: bad magic (not a Centralium snapshot)")
 	}
 	r.off = len(Magic)
 	if v := r.u64(); r.err == nil && v != Version {
-		return nil, nil, fmt.Errorf("snapshot: unsupported format version %d (have %d)", v, Version)
+		return nil, nil, false, fmt.Errorf("snapshot: unsupported format version %d (have %d)", v, Version)
 	}
 	if r.err != nil {
-		return nil, nil, r.err
+		return nil, nil, false, r.err
 	}
 
 	st := &fabric.NetState{}
 	meta := map[string]string{}
 	seen := map[byte]bool{}
+	var order []byte
+	canonical = true
 	for r.remaining() > 0 && r.err == nil {
+		sectionStart := r.off
 		tag := r.b[r.off]
 		r.off++
 		body := r.raw() // a view: nothing decoded keeps bytes of the input
@@ -804,10 +864,12 @@ func decodeState(data []byte) (*fabric.NetState, map[string]string, error) {
 			break
 		}
 		if seen[tag] {
-			return nil, nil, fmt.Errorf("snapshot: duplicate section %d", tag)
+			return nil, nil, false, fmt.Errorf("snapshot: duplicate section %d", tag)
 		}
 		seen[tag] = true
+		order = append(order, tag)
 		s := &reader{b: body}
+		bodyStart := r.off - len(body)
 		switch tag {
 		case tagMeta:
 			n := s.count()
@@ -821,7 +883,11 @@ func decodeState(data []byte) (*fabric.NetState, map[string]string, error) {
 			st.Jitter = time.Duration(s.i64())
 		case tagTopo:
 			if doc := s.raw(); s.err == nil {
+				hook("topo-import")
 				st.Topo, s.err = topo.ImportJSON(doc)
+			}
+			if lay != nil {
+				lay.topo = [2]int{sectionStart, r.off}
 			}
 		case tagEngine:
 			st.Now = s.i64()
@@ -851,15 +917,25 @@ func decodeState(data []byte) (*fabric.NetState, map[string]string, error) {
 				}
 			}
 		case tagNodes:
-			if n := s.count(); n > 0 {
+			n := s.count()
+			if n > 0 {
 				st.Nodes = make([]fabric.NodeState, n)
-				programs := map[string]*core.Program{}
-				for i := range st.Nodes {
-					st.Nodes[i].Device = s.str()
-					st.Nodes[i].Up = s.bool()
-					st.Nodes[i].VNow = s.i64()
-					st.Nodes[i].Speaker = decodeSpeaker(s, programs)
+			}
+			if lay != nil {
+				lay.nodes = make([]int, n+1)
+			}
+			programs := map[string]*core.Program{}
+			for i := range st.Nodes {
+				if lay != nil {
+					lay.nodes[i] = bodyStart + s.off
 				}
+				st.Nodes[i].Device = s.str()
+				st.Nodes[i].Up = s.bool()
+				st.Nodes[i].VNow = s.i64()
+				st.Nodes[i].Speaker = decodeSpeaker(s, programs)
+			}
+			if lay != nil {
+				lay.nodes[n] = bodyStart + s.off
 			}
 		case tagFIFO:
 			if n := s.count(); n > 0 {
@@ -873,16 +949,18 @@ func decodeState(data []byte) (*fabric.NetState, map[string]string, error) {
 			// Unknown section: skip (forward compatibility).
 		}
 		if s.err != nil {
-			return nil, nil, fmt.Errorf("snapshot: section %d: %w", tag, s.err)
+			return nil, nil, false, fmt.Errorf("snapshot: section %d: %w", tag, s.err)
 		}
+		canonical = canonical && s.remaining() == 0
 	}
 	if r.err != nil {
-		return nil, nil, r.err
+		return nil, nil, false, r.err
 	}
 	for _, required := range []byte{tagOptions, tagTopo, tagEngine, tagSessions, tagNodes} {
 		if !seen[required] {
-			return nil, nil, fmt.Errorf("snapshot: missing required section %d", required)
+			return nil, nil, false, fmt.Errorf("snapshot: missing required section %d", required)
 		}
 	}
-	return st, meta, nil
+	canonical = canonical && st.Batched == 0 && string(order) == string(canonicalOrder)
+	return st, meta, canonical, nil
 }

@@ -15,12 +15,23 @@
 // and the controller's WhatIf gate simulates a planned change on a fork
 // before touching the live fleet — the paper's pre-deployment health-check
 // loop (Section 5.3.2, Section 7.1) made executable.
+//
+// A search or a campaign that walks from state to state — the planner's beam,
+// the guard's waves — holds rendered snapshots (CaptureFrom, Rendered,
+// DecodeRendered): a state together with its canonical bytes and fingerprint.
+// Capturing a fork against the rendered snapshot it was restored from costs
+// what the fork's run touched: untouched nodes are neither exported nor
+// encoded again, their bytes are copied from the parent's, and so is the
+// topology's. The bytes are always those of a full capture and a full encode
+// (Capture, Encode), which stay as the parent-less case of the same code and
+// as the oracle the tests compare with.
 package snapshot
 
 import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"maps"
 	"os"
 
 	"centralium/internal/fabric"
@@ -30,10 +41,15 @@ import (
 // Snapshot is one captured fabric state plus free-form metadata (the chaos
 // harness stores replay parameters there; operators can stash provenance).
 //
-// Concurrency contract: the captured state is immutable. Once built by
-// Capture, Decode, or Load, a Snapshot is safe for concurrent use by any
-// number of goroutines — Restore, RestoreWith, Fork, Topology, Encode,
-// EncodeCanonical, Fingerprint, and Now never write to the state. A restored
+// Concurrency contract: the captured state is immutable, and so is a rendered
+// snapshot's rendering — both are complete before the constructor returns
+// and nothing is memoized afterwards. Once built by Capture, CaptureFrom,
+// Rendered, Decode, DecodeRendered, or Load, a Snapshot is safe for concurrent
+// use by any number of goroutines — Restore, RestoreWith, Fork, Topology,
+// Encode, EncodeCanonical, Fingerprint, Now, and serving as CaptureFrom's
+// parent never write to it. What a rendered snapshot hands out from Encode,
+// EncodeCanonical and EncodeWithFingerprint is its rendering itself, not a
+// copy: read-only to every caller (TestSharedEncodingIsReadOnly). A restored
 // network is not a deep copy of it: fabric.NewFromState copies what a
 // network edits in place (topology, queue, FIBs, match caches) and shares
 // the rest read-only with the snapshot and every sibling restore — AS paths
@@ -45,19 +61,37 @@ import (
 // untouched; it stays reachable for as long as a network restored from it.
 // The one mutable field is Meta: callers that modify it while other
 // goroutines encode the same snapshot must synchronize, or use
-// EncodeCanonical, which never reads Meta. TestConcurrentFork and
-// TestSharedForksLeaveSnapshotUntouched hold this contract under the race
-// detector.
+// EncodeCanonical, which never reads Meta. TestConcurrentFork,
+// TestSharedForksLeaveSnapshotUntouched and TestCaptureFromConcurrentSiblings
+// hold this contract under the race detector.
 type Snapshot struct {
 	Meta map[string]string
 
 	state *fabric.NetState
+
+	// enc is the state's canonical rendering, on a rendered snapshot (see
+	// CaptureFrom); nil on any other.
+	enc *rendering
+}
+
+// rendering is a state's canonical encoding, its fingerprint, and where in
+// the bytes the parts lie that a capture of a derived state can copy. The
+// bytes are handed out as they are, their capacity cut to their length so
+// that an append by a caller reallocates.
+type rendering struct {
+	canon []byte
+	fp    string
+	layout
+}
+
+func newRendering(canon []byte, lay layout) *rendering {
+	return &rendering{canon: canon[:len(canon):len(canon)], fp: fingerprintOf(canon), layout: lay}
 }
 
 // Capture checkpoints a network. It fails when the network is not at a
 // consistent cut — control callbacks pending on the event queue — which
 // confines checkpoints to quiescent points and pure-delivery convergence
-// phases (see fabric.Network.ExportState). The snapshot is fully detached:
+// phases (see fabric.Network.ExportShared). The snapshot is fully detached:
 // the live network can keep running without disturbing it.
 func Capture(n *fabric.Network) (*Snapshot, error) {
 	st, err := n.ExportState()
@@ -65,6 +99,81 @@ func Capture(n *fabric.Network) (*Snapshot, error) {
 		return nil, err
 	}
 	return &Snapshot{Meta: map[string]string{}, state: st}, nil
+}
+
+// CaptureFrom is Capture for a search or a campaign that walks from state to
+// state: the result is a rendered snapshot — it carries its canonical
+// encoding and fingerprint, so Encode, EncodeCanonical, Fingerprint and
+// EncodeWithFingerprint on it are lookups — and rendering it costs what n
+// changed. When parent is the rendered snapshot n was restored from (or last
+// captured as), the topology section and the record of every node n's run
+// left untouched are copied out of parent's bytes, and only the touched
+// nodes are exported and encoded. With any other parent, or nil, or a
+// topology edited since, everything is; the bytes are the same either way
+// (TestCaptureFromMatchesFullCapture).
+//
+// A rendering is some tens to hundreds of kilobytes that live as long as the
+// snapshot does, which is why only this function, Rendered and DecodeRendered
+// make one: it belongs to the search or campaign holding the snapshot and
+// goes when that does. Long-lived holders (a daemon's cache of bases) keep
+// plain snapshots and hand out Rendered views.
+func CaptureFrom(parent *Snapshot, n *fabric.Network) (*Snapshot, error) {
+	st, sh, err := n.ExportShared()
+	if err != nil {
+		return nil, err
+	}
+	var from *rendering
+	if parent != nil && parent.enc != nil && sh.Base != nil && sh.Base == parent.state {
+		from = parent.enc
+	}
+	canon, lay, err := encodeState(st, nil, from, sh)
+	if err != nil {
+		return nil, err
+	}
+	return &Snapshot{Meta: map[string]string{}, state: st, enc: newRendering(canon, lay)}, nil
+}
+
+// Rendered returns a rendered snapshot of the same state (see CaptureFrom): s
+// itself when it is one, otherwise a private view that shares s's immutable
+// state, copies its metadata, and owns the rendering — s is left as it was,
+// holding no bytes.
+func (s *Snapshot) Rendered() (*Snapshot, error) {
+	if s.enc != nil {
+		return s, nil
+	}
+	if s.state == nil {
+		return nil, fmt.Errorf("snapshot: empty snapshot")
+	}
+	st := *s.state
+	st.Batched = 0 // as EncodeCanonical
+	canon, lay, err := encodeState(&st, nil, nil, fabric.Shared{})
+	if err != nil {
+		return nil, err
+	}
+	meta := maps.Clone(s.Meta)
+	if meta == nil {
+		meta = map[string]string{}
+	}
+	return &Snapshot{Meta: meta, state: s.state, enc: newRendering(canon, lay)}, nil
+}
+
+// DecodeRendered is Decode for bytes EncodeCanonical wrote: the result is a
+// rendered snapshot whose rendering is data itself, kept by reference — the
+// caller must not write to it afterwards. Input that decodes but is not in
+// canonical shape (a metadata section, a Batched count from a build that had
+// one, sections out of order or with trailing bytes) is rendered afresh.
+func DecodeRendered(data []byte) (*Snapshot, error) {
+	var lay layout
+	st, meta, canonical, err := decodeState(data, &lay)
+	if err != nil {
+		return nil, err
+	}
+	s := &Snapshot{Meta: meta, state: st}
+	if !canonical {
+		return s.Rendered()
+	}
+	s.enc = newRendering(data, lay)
+	return s, nil
 }
 
 // Restore builds an independent network from the snapshot, on the
@@ -127,7 +236,11 @@ func (s *Snapshot) Encode() ([]byte, error) {
 	if s.state == nil {
 		return nil, fmt.Errorf("snapshot: empty snapshot")
 	}
-	return encodeState(s.state, s.Meta)
+	if s.enc != nil && len(s.Meta) == 0 && s.state.Batched == 0 {
+		return s.enc.canon, nil
+	}
+	data, _, err := encodeState(s.state, s.Meta, nil, fabric.Shared{})
+	return data, err
 }
 
 // EncodeCanonical renders the captured state alone, with no metadata
@@ -144,15 +257,22 @@ func (s *Snapshot) EncodeCanonical() ([]byte, error) {
 	if s.state == nil {
 		return nil, fmt.Errorf("snapshot: empty snapshot")
 	}
+	if s.enc != nil {
+		return s.enc.canon, nil
+	}
 	st := *s.state
 	st.Batched = 0
-	return encodeState(&st, nil)
+	data, _, err := encodeState(&st, nil, nil, fabric.Shared{})
+	return data, err
 }
 
 // Fingerprint hashes the canonical encoding: a compact state identity for
 // cache keys and response memoization (the campaign planner and the
 // centraliumd snapshot cache both key by it).
 func (s *Snapshot) Fingerprint() (string, error) {
+	if s.enc != nil {
+		return s.enc.fp, nil
+	}
 	data, err := s.EncodeCanonical()
 	if err != nil {
 		return "", err
@@ -172,7 +292,11 @@ func (s *Snapshot) EncodeWithFingerprint() (enc []byte, fp string, err error) {
 	if enc, err = s.EncodeCanonical(); err != nil {
 		return nil, "", err
 	}
-	fp = fingerprintOf(enc)
+	if s.enc != nil {
+		fp = s.enc.fp
+	} else {
+		fp = fingerprintOf(enc)
+	}
 	if len(s.Meta) > 0 || s.state.Batched != 0 {
 		enc, err = s.Encode()
 	}
@@ -184,7 +308,7 @@ func (s *Snapshot) EncodeWithFingerprint() (enc []byte, fp string, err error) {
 // an RPA config that does not parse or compile, which Decode compiles once
 // per distinct rendering (a restore adopts the programs, it compiles none).
 func Decode(data []byte) (*Snapshot, error) {
-	st, meta, err := decodeState(data)
+	st, meta, _, err := decodeState(data, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@ package topo
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -158,6 +159,25 @@ func (t *Topology) Clone() *Topology {
 		c.adj[id] = append([]int(nil), idx...)
 	}
 	return c
+}
+
+// Equal reports whether two topologies are indistinguishable: the same
+// devices field for field, the same links in the same order, and the same
+// ASN allocator position. Equal topologies export the same JSON, and a clone
+// of either stands in for the other. It allocates nothing.
+func (t *Topology) Equal(o *Topology) bool {
+	if t == o {
+		return true
+	}
+	if len(t.devices) != len(o.devices) || t.nextASN != o.nextASN {
+		return false
+	}
+	for id, d := range t.devices {
+		if od := o.devices[id]; od == nil || *od != *d {
+			return false
+		}
+	}
+	return slices.Equal(t.links, o.links)
 }
 
 // AddDevice inserts a device, assigning it the next free ASN. It panics on a
