@@ -353,13 +353,23 @@ func TestPlanCheckpointResume(t *testing.T) {
 		t.Errorf("rerun on the data dir did not resume:\n%s", again)
 	}
 
-	// A guarded execution journals too: the rerun replays its verdict.
-	guarded := []string{"plan", "score", "-scenario", "fig10", "-schedule", fig10TopDown, "-guard", "-data-dir", filepath.Join(dir, "guard")}
-	verdict, _ := mustRun(t, 0, guarded...)
-	replay, _ := mustRun(t, 0, guarded...)
-	if !strings.Contains(replay, "resuming guarded execution guard-fig10-seed42 from journaled checkpoint\n") ||
-		!strings.HasSuffix(replay, verdict[strings.Index(verdict, "guard: "):]) {
-		t.Errorf("guarded rerun did not replay the verdict\nfirst:\n%s\nrerun:\n%s", verdict, replay)
+	// A guarded execution journals too: the rerun replays its verdict — an
+	// aborted one its incident, rebuilt from the terminal record.
+	for _, tc := range []struct{ name, want string }{
+		{"clean", "guard: completed"},
+		{"aborted", "incident: wave 0 attempt 1, quarantined [fa.1]\n"},
+	} {
+		guarded := []string{"plan", "score", "-scenario", "fig10", "-schedule", fig10TopDown, "-guard", "-data-dir", filepath.Join(dir, "guard-"+tc.name)}
+		if tc.name == "aborted" {
+			guarded = append(guarded, "-envelope", "share=0.6", "-max-retries", "1")
+		}
+		verdict, _ := mustRun(t, 0, guarded...)
+		replay, _ := mustRun(t, 0, guarded...)
+		if !strings.Contains(verdict, tc.want) ||
+			!strings.Contains(replay, "resuming guarded execution guard-fig10-seed42 from journaled checkpoint\n") ||
+			!strings.HasSuffix(replay, verdict[strings.Index(verdict, "guard: "):]) {
+			t.Errorf("%s guarded rerun did not replay the verdict\nfirst:\n%s\nrerun:\n%s", tc.name, verdict, replay)
+		}
 	}
 }
 

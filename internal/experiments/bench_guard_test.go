@@ -159,7 +159,7 @@ func decommissionDirtySpeakers(t *testing.T) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	programs, err := planner.CompileIntent(p.Intent)
+	x, err := planner.NewExecutor(p.Intent, p.Workload(), p.OriginAltitude, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func decommissionDirtySpeakers(t *testing.T) float64 {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := planner.ExecuteSteps(context.Background(), n, p.Workload(), p.Intent, programs, p.OriginAltitude, true, []planner.Step{st}); err != nil {
+		if _, err := x.Execute(context.Background(), n, []planner.Step{st}); err != nil {
 			t.Fatal(err)
 		}
 		for _, d := range n.Topo.Devices() {

@@ -3,7 +3,6 @@ package guard
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
 
 	"centralium/internal/planner"
 )
@@ -19,41 +18,12 @@ type JournalFunc = planner.JournalFunc
 
 // ObjectStore persists the guard's last-good snapshots, keyed by
 // fingerprint — the interface internal/store's content-addressed
-// SnapStore satisfies. Put must be idempotent for a given key.
+// SnapStore satisfies. Put must be idempotent for a given key. A campaign
+// without one (nil) runs, pauses and continues in the process that holds
+// its Execution; only a resume from checkpoint bytes needs one.
 type ObjectStore interface {
 	Put(key string, data []byte) error
 	Get(key string) ([]byte, bool, error)
-}
-
-// MemObjects is an in-memory ObjectStore for storeless daemons and
-// tests: resumable within the process, gone with it.
-type MemObjects struct {
-	mu sync.Mutex
-	m  map[string][]byte
-}
-
-// NewMemObjects builds an empty in-memory object store.
-func NewMemObjects() *MemObjects { return &MemObjects{m: make(map[string][]byte)} }
-
-// Put implements ObjectStore.
-func (s *MemObjects) Put(key string, data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.m[key]; !ok {
-		s.m[key] = append([]byte(nil), data...)
-	}
-	return nil
-}
-
-// Get implements ObjectStore.
-func (s *MemObjects) Get(key string) ([]byte, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	data, ok := s.m[key]
-	if !ok {
-		return nil, false, nil
-	}
-	return append([]byte(nil), data...), true, nil
 }
 
 // Checkpoint is the guard record journaled before every wave and after
@@ -83,13 +53,14 @@ type Checkpoint struct {
 	Log string `json:"log"`
 
 	// Terminal state: Done marks a finished campaign, Aborted its
-	// outcome class, FinalFP the terminal snapshot, Report the codec'd
-	// incident report when aborted.
-	Done        bool     `json:"done,omitempty"`
-	Aborted     bool     `json:"aborted,omitempty"`
-	Quarantined []string `json:"quarantined,omitempty"`
-	FinalFP     string   `json:"final_fp,omitempty"`
-	Report      []byte   `json:"report,omitempty"`
+	// outcome class, FinalFP the terminal snapshot; an aborted campaign's
+	// Quarantined and Violations complete its incident report, whose other
+	// facts are the fields above (Checkpoint.incident).
+	Done        bool        `json:"done,omitempty"`
+	Aborted     bool        `json:"aborted,omitempty"`
+	Quarantined []string    `json:"quarantined,omitempty"`
+	FinalFP     string      `json:"final_fp,omitempty"`
+	Violations  []Violation `json:"violations,omitempty"`
 }
 
 // checkpointVersion guards the JSON schema.
@@ -118,6 +89,12 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	}
 	if cp.LastGood == "" && !cp.Done {
 		return nil, fmt.Errorf("guard: checkpoint has no last-good fingerprint")
+	}
+	// A campaign aborts on violations, so this encoding never writes an
+	// aborted record without them; one from before it (its incident report
+	// nested in a "report" field) decodes to exactly that.
+	if cp.Aborted && len(cp.Violations) == 0 {
+		return nil, fmt.Errorf("guard: aborted checkpoint carries no violations")
 	}
 	return cp, nil
 }

@@ -10,8 +10,9 @@
 // and the campaign aborts with a structured incident report. The guard
 // journals a checkpoint to a WAL-backed journal before every wave, so a
 // killed process resumes the execution to the byte-identical terminal
-// state. Everything is deterministic: same snapshot, same campaign, same
-// decision log.
+// state; a process that stays up keeps the Execution itself between calls,
+// as it keeps a planner.Search. Everything is deterministic: same snapshot,
+// same campaign, same decision log.
 package guard
 
 import (
@@ -23,7 +24,6 @@ import (
 	"time"
 
 	"centralium/internal/controller"
-	"centralium/internal/core"
 	"centralium/internal/fabric"
 	"centralium/internal/planner"
 	"centralium/internal/probe"
@@ -148,8 +148,8 @@ type Campaign struct {
 	Journal Journal
 	Objects ObjectStore
 
-	// MaxWaves, when positive, pauses the run after that many waves
-	// complete in this call — the server's pacing/freeze hook. The
+	// MaxWaves, when positive, pauses Run or Resume after that many waves
+	// complete in the call (Execution.Drive takes the bound per call). The
 	// returned Result carries the checkpoint to resume from.
 	MaxWaves int
 }
@@ -171,13 +171,13 @@ func (c *Campaign) normalize() error {
 	if c.Envelope == (Envelope{}) {
 		c.Envelope = DefaultEnvelope()
 	}
-	// Canonicalize the intent's version tags. Config.Version is a
-	// process-global generation counter with no behavioral role in the
-	// emulated fabric, but it is embedded in every deployed config and
-	// therefore in every state fingerprint. A guarded campaign must
-	// replay byte-identically in a different process (WAL resume after a
-	// daemon restart), so the guard re-tags deterministically: versions
-	// 1..n in sorted device order.
+	// Canonicalize the intent's version tags. Config.Version has no
+	// behavioral role in the emulated fabric, but it is embedded in every
+	// deployed config and therefore in every state fingerprint. An intent
+	// generator tags its configs 1..n in its own generation order, which is
+	// not sorted device order, so the guard re-tags deterministically —
+	// versions 1..n in sorted device order — and a campaign's states depend
+	// on what it deploys, not on how its intent was built.
 	canon := make(controller.Intent, len(c.Intent))
 	for i, d := range c.Intent.Devices() {
 		cfg := *c.Intent[d]
@@ -236,26 +236,71 @@ type Result struct {
 
 // Run executes the campaign from a quiescent base snapshot.
 func Run(ctx context.Context, base *snapshot.Snapshot, c Campaign) (*Result, error) {
-	r, err := newRun(base, c)
+	e, err := NewExecution(base, c)
 	if err != nil {
 		return nil, err
 	}
-	// The campaign walks rendered snapshots; base gets a view of its own and
-	// is left holding no bytes.
-	lastGood, err := base.Rendered()
-	if err != nil {
-		return nil, fmt.Errorf("guard: encode snapshot: %w", err)
-	}
-	return r.drive(ctx, lastGood, 0, 0, false)
+	return e.Drive(ctx, c.MaxWaves)
 }
 
-// Resume continues a campaign from a journaled checkpoint: the campaign
-// definition must match the original and c.Objects must hold the
-// checkpoint's snapshots. A terminal checkpoint rebuilds the terminal
-// Result without re-executing anything; a mid-campaign checkpoint drives
-// the execution onward to the byte-identical terminal state the
-// uninterrupted run would have reached.
+// Resume continues a campaign from a journaled checkpoint (ResumeExecution):
+// a terminal checkpoint rebuilds the terminal Result without re-executing
+// anything; a mid-campaign checkpoint drives the execution onward to the
+// byte-identical terminal state the uninterrupted run would have reached.
 func Resume(ctx context.Context, cpData []byte, c Campaign) (*Result, error) {
+	e, err := ResumeExecution(cpData, c)
+	if err != nil {
+		return nil, err
+	}
+	return e.Drive(ctx, c.MaxWaves)
+}
+
+// Execution is one guarded campaign in flight — the guard's planner.Search.
+// NewExecution starts one on a base snapshot, ResumeExecution rebuilds one
+// from a journaled checkpoint, and Drive advances it. Between Drive calls it
+// holds its last-good state rendered, its intent compiled and its waves
+// derived, so a caller that keeps it (the daemon, between paced posts)
+// continues without decoding, fetching or compiling anything; the checkpoint
+// bytes exist for a process that does not have it. After a Drive error the
+// execution is mid-wave: discard it and resume from the journal.
+type Execution struct {
+	c     *Campaign
+	waves []planner.Step
+	x     *planner.Executor // c's intent compiled, its workload and cadence: what every attempt runs
+
+	// lastGood is the authoritative pre-wave state, rendered; (wave, attempt,
+	// started) names the next attempt — what the latest checkpoint records.
+	lastGood *snapshot.Snapshot
+	wave     int
+	attempt  int
+	started  bool
+
+	log       strings.Builder
+	retries   int
+	rollbacks int
+	lastCP    []byte
+	// done is the terminal Result once there is one; Drive returns it again.
+	done *Result
+}
+
+// NewExecution starts the campaign on a quiescent base snapshot. The campaign
+// walks rendered snapshots; base gets a view of its own and is left holding
+// no bytes.
+func NewExecution(base *snapshot.Snapshot, c Campaign) (*Execution, error) {
+	e, err := newExecution(base, c)
+	if err != nil {
+		return nil, err
+	}
+	if e.lastGood, err = base.Rendered(); err != nil {
+		return nil, fmt.Errorf("guard: encode snapshot: %w", err)
+	}
+	return e, nil
+}
+
+// ResumeExecution rebuilds an execution from a journaled checkpoint: the
+// campaign definition must match the original and c.Objects must hold the
+// checkpoint's snapshot.
+func ResumeExecution(cpData []byte, c Campaign) (*Execution, error) {
 	cp, err := DecodeCheckpoint(cpData)
 	if err != nil {
 		return nil, err
@@ -271,47 +316,41 @@ func Resume(ctx context.Context, cpData []byte, c Campaign) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := newRun(snap, c)
+	e, err := newExecution(snap, c)
 	if err != nil {
 		return nil, err
 	}
-	if cp.Waves != len(r.waves) {
-		return nil, fmt.Errorf("guard: checkpoint has %d waves, campaign derives %d", cp.Waves, len(r.waves))
+	if cp.Waves != len(e.waves) {
+		return nil, fmt.Errorf("guard: checkpoint has %d waves, campaign derives %d", cp.Waves, len(e.waves))
 	}
-	if cp.Campaign != r.c.Name {
-		return nil, fmt.Errorf("guard: checkpoint is for campaign %q, not %q", cp.Campaign, r.c.Name)
+	if cp.Campaign != e.c.Name {
+		return nil, fmt.Errorf("guard: checkpoint is for campaign %q, not %q", cp.Campaign, e.c.Name)
 	}
-	r.log.WriteString(cp.Log)
-	r.retries, r.rollbacks = cp.Retries, cp.Rollbacks
-	r.lastCP = append([]byte(nil), cpData...)
+	e.lastGood = snap
+	e.wave, e.attempt, e.started = cp.Wave, cp.Attempt, cp.Started
+	e.log.WriteString(cp.Log)
+	e.retries, e.rollbacks = cp.Retries, cp.Rollbacks
+	e.lastCP = append([]byte(nil), cpData...)
 	if cp.Done {
-		net, rerr := r.restore(snap)
-		if rerr != nil {
-			return nil, rerr
-		}
-		res := &Result{
-			Name: r.c.Name, Waves: len(r.waves),
-			Retries: r.retries, Rollbacks: r.rollbacks,
-			Quarantined: cp.Quarantined, FinalFP: cp.FinalFP,
-			Log: cp.Log, Net: net, Snapshot: snap, Checkpoint: r.lastCP,
+		net, err := restore(snap)
+		if err != nil {
+			return nil, err
 		}
 		if cp.Aborted {
-			res.State = StateAborted
-			res.WavesDone = cp.Wave
-			if res.Report, err = DecodeIncidentReport(cp.Report); err != nil {
-				return nil, err
-			}
+			e.done = e.result(StateAborted, cp.Wave)
+			e.done.Quarantined, e.done.Report = cp.Quarantined, cp.incident(snap.Now())
 		} else {
-			res.State = StateCompleted
-			res.WavesDone = len(r.waves)
+			e.done = e.result(StateCompleted, len(e.waves))
 		}
-		return res, nil
+		e.done.Net, e.done.FinalFP = net, cp.FinalFP
 	}
-	return r.drive(ctx, snap, cp.Wave, cp.Attempt, cp.Started)
+	return e, nil
 }
 
 // fetchSnapshot loads and decodes a fingerprinted snapshot. The stored
-// bytes, written canonical, become the decoded snapshot's rendering.
+// bytes, written canonical, become the decoded snapshot's rendering, whose
+// fingerprint must be the key it was stored under: the object store checks
+// its framing, not what the caller filed where.
 func fetchSnapshot(objs ObjectStore, fp string) (*snapshot.Snapshot, error) {
 	data, ok, err := objs.Get(fp)
 	if err != nil {
@@ -324,59 +363,49 @@ func fetchSnapshot(objs ObjectStore, fp string) (*snapshot.Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("guard: snapshot %s: %w", short(fp), err)
 	}
+	if got, err := snap.Fingerprint(); err != nil || got != fp {
+		return nil, fmt.Errorf("guard: object %s holds snapshot %s", short(fp), short(got))
+	}
 	return snap, nil
 }
 
-// run is one guarded execution in flight.
-type run struct {
-	c        *Campaign
-	waves    []planner.Step
-	programs map[topo.DeviceID]*core.Program // c.Intent compiled: what every attempt's fork deploys
-	workload probe.Workload                  // what the transient probe measures every attempt under
-
-	log       strings.Builder
-	retries   int
-	rollbacks int
-	lastCP    []byte
-}
-
-// newRun normalizes the campaign and derives its waves. The base
-// snapshot supplies the topology; waves come from the explicit schedule
-// or the §5.3.2 layer order.
-func newRun(base *snapshot.Snapshot, c Campaign) (*run, error) {
+// newExecution normalizes the campaign, compiles its intent and derives its
+// waves. The base snapshot supplies the topology; waves come from the
+// explicit schedule or the §5.3.2 layer order.
+func newExecution(base *snapshot.Snapshot, c Campaign) (*Execution, error) {
 	if err := c.normalize(); err != nil {
 		return nil, err
 	}
-	programs, err := planner.CompileIntent(c.Intent)
-	if err != nil {
-		return nil, err
-	}
-	r := &run{c: &c, programs: programs, workload: probe.Workload{
+	x, err := planner.NewExecutor(c.Intent, probe.Workload{
 		Demands:      c.Demands,
 		Watch:        c.Watch,
 		FairShare:    c.FairShare,
 		BlackholeEps: c.BlackholeEps,
 		SampleEvery:  c.SampleEvery,
-	}}
+	}, c.OriginAltitude, c.SettlePerDevice)
+	if err != nil {
+		return nil, err
+	}
+	e := &Execution{c: &c, x: x}
 	if len(c.Schedule.Steps) > 0 {
-		r.waves = c.Schedule.Clone().Steps
+		e.waves = c.Schedule.Clone().Steps
 	} else {
 		tp, err := base.Topology()
 		if err != nil {
 			return nil, fmt.Errorf("guard: base topology: %w", err)
 		}
 		ctl := &controller.Controller{Topo: tp}
-		r.waves = planner.FromWaves(ctl.Waves(controller.Rollout{
+		e.waves = planner.FromWaves(ctl.Waves(controller.Rollout{
 			Intent: c.Intent, OriginAltitude: c.OriginAltitude,
 		})).Steps
 	}
-	if len(r.waves) == 0 {
+	if len(e.waves) == 0 {
 		return nil, fmt.Errorf("guard: campaign has no waves")
 	}
-	return r, nil
+	return e, nil
 }
 
-func (r *run) restore(snap *snapshot.Snapshot) (*fabric.Network, error) {
+func restore(snap *snapshot.Snapshot) (*fabric.Network, error) {
 	n, err := snap.Restore()
 	if err != nil {
 		return nil, fmt.Errorf("guard: restore: %w", err)
@@ -384,219 +413,202 @@ func (r *run) restore(snap *snapshot.Snapshot) (*fabric.Network, error) {
 	return n, nil
 }
 
-func (r *run) logf(format string, args ...any) {
-	fmt.Fprintf(&r.log, format+"\n", args...)
+func (e *Execution) logf(format string, args ...any) {
+	fmt.Fprintf(&e.log, format+"\n", args...)
 }
 
-func (r *run) transition(st State, wave, attempt int, detail string) {
-	if r.c.OnTransition != nil {
-		r.c.OnTransition(Transition{State: st, Wave: wave, Attempt: attempt, Detail: detail})
+func (e *Execution) transition(st State, wave, attempt int, detail string) {
+	if e.c.OnTransition != nil {
+		e.c.OnTransition(Transition{State: st, Wave: wave, Attempt: attempt, Detail: detail})
 	}
 }
 
-// persist journals the guard record (and puts the last-good snapshot's
-// encoding in the object store) for the given resume point; started marks
-// a checkpoint taken after the wave's start line was logged; term carries
-// the terminal fields.
-func (r *run) persist(enc []byte, fp string, wave, attempt int, started bool, term *Checkpoint) error {
-	if r.c.Objects != nil {
-		if err := r.c.Objects.Put(fp, enc); err != nil {
+// checkpoint is the guard record of the execution's resume point, with fp
+// the last-good state's fingerprint.
+func (e *Execution) checkpoint(fp string) *Checkpoint {
+	return &Checkpoint{
+		Version: checkpointVersion, Campaign: e.c.Name, Waves: len(e.waves),
+		Wave: e.wave, Attempt: e.attempt, Started: e.started,
+		Retries: e.retries, Rollbacks: e.rollbacks,
+		LastGood: fp, Log: e.log.String(),
+	}
+}
+
+// persist puts the last-good state's encoding in the object store under
+// cp.LastGood and journals cp.
+func (e *Execution) persist(enc []byte, cp *Checkpoint) error {
+	if e.c.Objects != nil {
+		if err := e.c.Objects.Put(cp.LastGood, enc); err != nil {
 			return fmt.Errorf("guard: object store: %w", err)
 		}
-	}
-	cp := &Checkpoint{
-		Version: checkpointVersion, Campaign: r.c.Name, Waves: len(r.waves),
-		Wave: wave, Attempt: attempt, Started: started,
-		Retries: r.retries, Rollbacks: r.rollbacks,
-		LastGood: fp, Log: r.log.String(),
-	}
-	if term != nil {
-		cp.Done, cp.Aborted = true, term.Aborted
-		cp.Quarantined, cp.FinalFP, cp.Report = term.Quarantined, term.FinalFP, term.Report
 	}
 	data, err := cp.Encode()
 	if err != nil {
 		return err
 	}
-	r.lastCP = data
-	if r.c.Journal != nil {
-		if err := r.c.Journal.SaveProgress(wave, data); err != nil {
+	e.lastCP = data
+	if e.c.Journal != nil {
+		if err := e.c.Journal.SaveProgress(cp.Wave, data); err != nil {
 			return fmt.Errorf("guard: journal: %w", err)
 		}
 	}
 	return nil
 }
 
-// drive runs the supervisor loop from (startWave, startAttempt) with
-// lastGood, a rendered snapshot, as the authoritative pre-wave state: each
-// wave's surviving fork is captured against it, so a state is rendered once,
-// at the cost of what its wave touched. startedAlready means the
-// start wave's log line was emitted before the checkpoint being resumed.
-func (r *run) drive(ctx context.Context, lastGood *snapshot.Snapshot, startWave, startAttempt int, startedAlready bool) (*Result, error) {
-	maxRetries := r.c.Retry.retries()
-	if r.log.Len() == 0 {
-		r.logf("guard %s: %d wave(s), envelope [%s], max retries %d",
-			r.c.Name, len(r.waves), r.c.Envelope, maxRetries)
+// result is the execution's outcome so far, in state st with wavesDone
+// waves behind it; terminal callers add what only they know.
+func (e *Execution) result(st State, wavesDone int) *Result {
+	return &Result{
+		State: st, Name: e.c.Name, Waves: len(e.waves), WavesDone: wavesDone,
+		Retries: e.retries, Rollbacks: e.rollbacks,
+		Log: e.log.String(), Snapshot: e.lastGood, Checkpoint: e.lastCP,
 	}
-	wavesThisCall := 0
+}
+
+// Drive runs the supervisor loop from the execution's resume point with
+// lastGood as the authoritative pre-wave state: each wave's surviving fork is
+// captured against it, so a state is rendered once, at the cost of what its
+// wave touched. It pauses after maxWaves completed waves when maxWaves is
+// positive, or when ctx expires mid-wave; the next Drive continues from
+// there. A terminal Result is final: every later Drive returns it.
+func (e *Execution) Drive(ctx context.Context, maxWaves int) (*Result, error) {
+	if e.done != nil {
+		return e.done, nil
+	}
+	maxRetries := e.c.Retry.retries()
+	if e.log.Len() == 0 {
+		e.logf("guard %s: %d wave(s), envelope [%s], max retries %d",
+			e.c.Name, len(e.waves), e.c.Envelope, maxRetries)
+	}
 	var net *fabric.Network
-	for w := startWave; w < len(r.waves); w++ {
-		step := r.waves[w]
-		enc, fp, err := lastGood.EncodeWithFingerprint()
+	for wavesThisCall := 0; e.wave < len(e.waves); wavesThisCall++ {
+		w, step := e.wave, e.waves[e.wave]
+		enc, fp, err := e.lastGood.EncodeWithFingerprint()
 		if err != nil {
 			return nil, fmt.Errorf("guard: encode snapshot: %w", err)
 		}
-		attempt0, startedHere := 0, false
-		if w == startWave {
-			attempt0, startedHere = startAttempt, startedAlready
-		}
-		if r.c.MaxWaves > 0 && wavesThisCall >= r.c.MaxWaves {
-			if err := r.persist(enc, fp, w, attempt0, startedHere, nil); err != nil {
-				return nil, err
-			}
-			r.transition(StatePaused, w, attempt0, "pacing")
-			return r.paused(lastGood, w), nil
-		}
-		if err := r.persist(enc, fp, w, attempt0, startedHere, nil); err != nil {
+		if err := e.persist(enc, e.checkpoint(fp)); err != nil {
 			return nil, err
 		}
-		if attempt0 == 0 && !startedHere {
-			r.logf("wave %d [%s]: start (last-good %s)", w, devList(step.Devices), short(fp))
+		if maxWaves > 0 && wavesThisCall >= maxWaves {
+			e.transition(StatePaused, w, e.attempt, "pacing")
+			return e.result(StatePaused, w), nil
 		}
-		for attempt := attempt0; ; attempt++ {
-			steps := degradedShape(step, attempt, r.c.Retry)
+		if e.attempt == 0 && !e.started {
+			e.logf("wave %d [%s]: start (last-good %s)", w, devList(step.Devices), short(fp))
+		}
+		e.started = true
+		for {
+			attempt := e.attempt
+			steps := degradedShape(step, attempt, e.c.Retry)
 			shape := planner.Schedule{Steps: steps}.String()
-			work, rerr := r.restore(lastGood)
-			if rerr != nil {
-				return nil, rerr
+			work, err := restore(e.lastGood)
+			if err != nil {
+				return nil, err
 			}
 			if attempt > 0 {
-				b := r.c.Retry.backoff(attempt)
-				r.transition(StateRetrying, w, attempt, shape)
-				r.logf("wave %d attempt %d: retry after %s backoff, shape %q", w, attempt, b, shape)
+				b := e.c.Retry.backoff(attempt)
+				e.transition(StateRetrying, w, attempt, shape)
+				e.logf("wave %d attempt %d: retry after %s backoff, shape %q", w, attempt, b, shape)
 				work.RunFor(b)
 			} else {
-				r.transition(StateRunning, w, attempt, shape)
+				e.transition(StateRunning, w, attempt, shape)
 			}
-			if r.c.Instrument != nil {
-				r.c.Instrument(work, w, attempt)
+			if e.c.Instrument != nil {
+				e.c.Instrument(work, w, attempt)
 			}
-			m, xerr := planner.ExecuteSteps(ctx, work, r.workload, r.c.Intent, r.programs, r.c.OriginAltitude, r.c.SettlePerDevice, steps)
+			m, xerr := e.x.Execute(ctx, work, steps)
 			if xerr != nil && isCtxErr(xerr) {
 				// Freeze at the wave boundary: the attempt's fork is
 				// abandoned, the checkpoint re-targets this attempt, and
 				// the resumed run replays it identically.
-				if err := r.persist(enc, fp, w, attempt, true, nil); err != nil {
+				if err := e.persist(enc, e.checkpoint(fp)); err != nil {
 					return nil, err
 				}
-				r.transition(StatePaused, w, attempt, "context")
-				return r.paused(lastGood, w), nil
+				e.transition(StatePaused, w, attempt, "context")
+				return e.result(StatePaused, w), nil
 			}
 			var viols []Violation
 			if xerr != nil {
 				viols = []Violation{{Check: "execute-error", Detail: xerr.Error()}}
 			} else {
-				r.logf("wave %d attempt %d: %s", w, attempt, m)
-				viols = r.c.Envelope.Violations(m)
+				e.logf("wave %d attempt %d: %s", w, attempt, m)
+				viols = e.c.Envelope.Violations(m)
 			}
 			if len(viols) == 0 {
-				r.logf("wave %d attempt %d: ok", w, attempt)
+				e.logf("wave %d attempt %d: ok", w, attempt)
 				net = work
 				break
 			}
 			for _, v := range viols {
-				r.logf("wave %d attempt %d: VIOLATION %s", w, attempt, v)
+				e.logf("wave %d attempt %d: VIOLATION %s", w, attempt, v)
 			}
-			r.rollbacks++
-			r.transition(StateRolledBack, w, attempt, short(fp))
-			r.logf("wave %d: pause; roll back to last-good %s", w, short(fp))
+			e.rollbacks++
+			e.transition(StateRolledBack, w, attempt, short(fp))
+			e.logf("wave %d: pause; roll back to last-good %s", w, short(fp))
 			if attempt >= maxRetries {
-				return r.abort(lastGood, enc, fp, w, attempt, step, viols, m)
+				return e.abort(enc, fp, step, viols)
 			}
-			r.retries++
-			if err := r.persist(enc, fp, w, attempt+1, true, nil); err != nil {
+			e.retries++
+			e.attempt++
+			if err := e.persist(enc, e.checkpoint(fp)); err != nil {
 				return nil, err
 			}
 		}
-		// Wave complete: the surviving fork becomes the campaign state.
-		if err := quiesce(net); err != nil {
-			return nil, err
+		// Wave complete: the surviving fork, drained of any events the wave
+		// left behind so the capture sits at a consistent cut, becomes the
+		// campaign state.
+		net.Converge()
+		snap, err := snapshot.CaptureFrom(e.lastGood, net)
+		if err != nil {
+			return nil, fmt.Errorf("guard: capture after wave %d: %w", w, err)
 		}
-		snap, cerr := snapshot.CaptureFrom(lastGood, net)
-		if cerr != nil {
-			return nil, fmt.Errorf("guard: capture after wave %d: %w", w, cerr)
-		}
-		lastGood = snap
-		wavesThisCall++
+		e.lastGood = snap
+		e.wave, e.attempt, e.started = w+1, 0, false
 	}
-	enc, fp, err := lastGood.EncodeWithFingerprint()
+	enc, fp, err := e.lastGood.EncodeWithFingerprint()
 	if err != nil {
 		return nil, fmt.Errorf("guard: encode snapshot: %w", err)
 	}
-	r.logf("guard %s: campaign complete: %d wave(s), %d retried attempt(s), %d rollback(s)",
-		r.c.Name, len(r.waves), r.retries, r.rollbacks)
-	term := &Checkpoint{FinalFP: fp}
-	if err := r.persist(enc, fp, len(r.waves), 0, false, term); err != nil {
+	e.logf("guard %s: campaign complete: %d wave(s), %d retried attempt(s), %d rollback(s)",
+		e.c.Name, len(e.waves), e.retries, e.rollbacks)
+	cp := e.checkpoint(fp)
+	cp.Done, cp.FinalFP = true, fp
+	if err := e.persist(enc, cp); err != nil {
 		return nil, err
 	}
-	r.transition(StateCompleted, len(r.waves), 0, short(fp))
-	return &Result{
-		State: StateCompleted, Name: r.c.Name,
-		Waves: len(r.waves), WavesDone: len(r.waves),
-		Retries: r.retries, Rollbacks: r.rollbacks, FinalFP: fp,
-		Log: r.log.String(), Net: net, Snapshot: lastGood, Checkpoint: r.lastCP,
-	}, nil
+	e.transition(StateCompleted, len(e.waves), 0, short(fp))
+	e.done = e.result(StateCompleted, len(e.waves))
+	e.done.Net, e.done.FinalFP = net, fp
+	return e.done, nil
 }
 
 // abort quarantines the offenders, restores the last-good fabric as the
 // terminal state, and seals the incident report.
-func (r *run) abort(lastGood *snapshot.Snapshot, enc []byte, fp string, wave, attempt int, step planner.Step, viols []Violation, m WaveMetrics) (*Result, error) {
+func (e *Execution) abort(enc []byte, fp string, step planner.Step, viols []Violation) (*Result, error) {
 	q := offenders(viols, step.Devices)
-	r.transition(StateQuarantined, wave, attempt, strings.Join(q, ","))
-	r.logf("wave %d: retry budget exhausted; quarantine [%s]; abort", wave, strings.Join(q, ","))
-	term, err := r.restore(lastGood)
+	e.transition(StateQuarantined, e.wave, e.attempt, strings.Join(q, ","))
+	e.logf("wave %d: retry budget exhausted; quarantine [%s]; abort", e.wave, strings.Join(q, ","))
+	term, err := restore(e.lastGood)
 	if err != nil {
 		return nil, err
 	}
-	report := &IncidentReport{
-		Campaign: r.c.Name, Wave: wave, Attempt: attempt,
-		TimeNs:   lastGood.Now(),
-		LastGood: fp, Quarantined: q, Violations: viols,
-		Log: r.log.String(),
-	}
-	tcp := &Checkpoint{Aborted: true, Quarantined: q, FinalFP: fp, Report: EncodeIncidentReport(report)}
-	if err := r.persist(enc, fp, wave, attempt, true, tcp); err != nil {
+	cp := e.checkpoint(fp)
+	cp.Done, cp.Aborted, cp.Quarantined, cp.FinalFP, cp.Violations = true, true, q, fp, viols
+	if err := e.persist(enc, cp); err != nil {
 		return nil, err
 	}
-	r.transition(StateAborted, wave, attempt, short(fp))
-	return &Result{
-		State: StateAborted, Name: r.c.Name,
-		Waves: len(r.waves), WavesDone: wave,
-		Retries: r.retries, Rollbacks: r.rollbacks,
-		Quarantined: q, Report: report, FinalFP: fp,
-		Log: r.log.String(), Net: term, Snapshot: lastGood, Checkpoint: r.lastCP,
-	}, nil
-}
-
-func (r *run) paused(lastGood *snapshot.Snapshot, wave int) *Result {
-	return &Result{
-		State: StatePaused, Name: r.c.Name,
-		Waves: len(r.waves), WavesDone: wave,
-		Retries: r.retries, Rollbacks: r.rollbacks,
-		Log: r.log.String(), Snapshot: lastGood, Checkpoint: r.lastCP,
-	}
-}
-
-// quiesce drains any events a wave left behind so the post-wave capture
-// sits at a consistent cut; a converged wave makes this a no-op.
-func quiesce(n *fabric.Network) error {
-	n.Converge()
-	return nil
+	e.transition(StateAborted, e.wave, e.attempt, short(fp))
+	e.done = e.result(StateAborted, e.wave)
+	e.done.Quarantined, e.done.Report = q, cp.incident(e.lastGood.Now())
+	e.done.Net, e.done.FinalFP = term, fp
+	return e.done, nil
 }
 
 // WaveMetrics is one wave attempt's measured transient — the guard's
 // evidence base. The guard judges a live wave by the same probe, and so the
-// same metrics, the planner scored it by.
+// same metrics, the planner scored it by (at the campaign's own settle
+// cadence; see planner.Executor).
 type WaveMetrics = probe.Metrics
 
 // degradedShape maps (wave, attempt, policy) to the attempt's step list:

@@ -1,16 +1,12 @@
 package guard
 
-import (
-	"encoding/binary"
-	"fmt"
-)
-
 // IncidentReport is the structured terminal record of an aborted
 // campaign: which wave could not be made safe, the evidence, who got
 // quarantined, and the fingerprint of the last-good state the fabric was
-// rolled back to. It travels in a versioned binary codec so incident
-// records survive outside the process that produced them (WAL payloads,
-// API responses, postmortem archives).
+// rolled back to. It is not stored as such: an aborted campaign's terminal
+// checkpoint records each of these facts once, and the report is built from
+// it (Checkpoint.incident) — by the run that aborts and by every resume of
+// that checkpoint alike. Its JSON is the /v1/execute response's incident.
 type IncidentReport struct {
 	// Campaign is the campaign name.
 	Campaign string `json:"campaign"`
@@ -30,173 +26,13 @@ type IncidentReport struct {
 	Log string `json:"log"`
 }
 
-// Codec framing: 4-byte magic, 1-byte version, then varint-framed fields.
-const (
-	reportMagic   = "CGI1"
-	reportVersion = 1
-
-	// maxReportString bounds any single string field; maxReportList
-	// bounds list lengths. Both exist so a corrupt length prefix cannot
-	// drive allocation.
-	maxReportString = 1 << 20
-	maxReportList   = 1 << 16
-)
-
-// EncodeIncidentReport renders the report in the versioned binary form.
-// Encoding is deterministic and canonical: equal reports produce equal
-// bytes, and decode(encode(r)) round-trips exactly.
-func EncodeIncidentReport(r *IncidentReport) []byte {
-	b := make([]byte, 0, 256+len(r.Log))
-	b = append(b, reportMagic...)
-	b = append(b, reportVersion)
-	b = appendString(b, r.Campaign)
-	b = binary.AppendUvarint(b, uint64(r.Wave))
-	b = binary.AppendUvarint(b, uint64(r.Attempt))
-	b = binary.AppendVarint(b, r.TimeNs)
-	b = appendString(b, r.LastGood)
-	b = binary.AppendUvarint(b, uint64(len(r.Quarantined)))
-	for _, q := range r.Quarantined {
-		b = appendString(b, q)
+// incident is the incident report of an aborted campaign's terminal
+// checkpoint; now is the virtual time of the last-good state it rolled back
+// to, which is the time of the abort decision.
+func (cp *Checkpoint) incident(now int64) *IncidentReport {
+	return &IncidentReport{
+		Campaign: cp.Campaign, Wave: cp.Wave, Attempt: cp.Attempt, TimeNs: now,
+		LastGood: cp.FinalFP, Quarantined: cp.Quarantined, Violations: cp.Violations,
+		Log: cp.Log,
 	}
-	b = binary.AppendUvarint(b, uint64(len(r.Violations)))
-	for _, v := range r.Violations {
-		b = appendString(b, v.Check)
-		b = binary.AppendUvarint(b, uint64(len(v.Devices)))
-		for _, d := range v.Devices {
-			b = appendString(b, d)
-		}
-		b = appendString(b, v.Detail)
-	}
-	b = appendString(b, r.Log)
-	return b
-}
-
-// DecodeIncidentReport parses the binary form. It never panics on
-// arbitrary input, consumes the whole buffer or fails, and every report
-// it returns re-encodes to the exact bytes it came from.
-func DecodeIncidentReport(data []byte) (*IncidentReport, error) {
-	d := &reportDecoder{buf: data}
-	if string(d.take(len(reportMagic))) != reportMagic {
-		return nil, fmt.Errorf("guard: incident report: bad magic")
-	}
-	if v := d.take(1); len(v) != 1 || v[0] != reportVersion {
-		return nil, fmt.Errorf("guard: incident report: unsupported version")
-	}
-	r := &IncidentReport{}
-	r.Campaign = d.str()
-	r.Wave = d.count(maxReportList)
-	r.Attempt = d.count(maxReportList)
-	r.TimeNs = d.varint()
-	r.LastGood = d.str()
-	if n := d.count(maxReportList); n > 0 {
-		r.Quarantined = make([]string, n)
-		for i := range r.Quarantined {
-			r.Quarantined[i] = d.str()
-		}
-	}
-	if n := d.count(maxReportList); n > 0 {
-		r.Violations = make([]Violation, n)
-		for i := range r.Violations {
-			r.Violations[i].Check = d.str()
-			if dn := d.count(maxReportList); dn > 0 {
-				r.Violations[i].Devices = make([]string, dn)
-				for j := range r.Violations[i].Devices {
-					r.Violations[i].Devices[j] = d.str()
-				}
-			}
-			r.Violations[i].Detail = d.str()
-		}
-	}
-	r.Log = d.str()
-	if d.err != nil {
-		return nil, fmt.Errorf("guard: incident report: %w", d.err)
-	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("guard: incident report: %d trailing byte(s)", len(d.buf))
-	}
-	return r, nil
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-// reportDecoder is a cursor with sticky errors: after the first failure
-// every read returns zero values, so decode logic stays linear.
-type reportDecoder struct {
-	buf []byte
-	err error
-}
-
-func (d *reportDecoder) fail(msg string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%s", msg)
-	}
-}
-
-func (d *reportDecoder) take(n int) []byte {
-	if d.err != nil || n < 0 || n > len(d.buf) {
-		d.fail("truncated")
-		return nil
-	}
-	out := d.buf[:n]
-	d.buf = d.buf[n:]
-	return out
-}
-
-func (d *reportDecoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf)
-	switch {
-	case n <= 0:
-		d.fail("bad uvarint")
-		return 0
-	case n > 1 && d.buf[n-1] == 0:
-		// A zero top byte means a padded, non-minimal encoding. The codec
-		// is canonical — every accepted input must re-encode to itself —
-		// so only minimal varints decode.
-		d.fail("non-minimal uvarint")
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *reportDecoder) varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.buf)
-	switch {
-	case n <= 0:
-		d.fail("bad varint")
-		return 0
-	case n > 1 && d.buf[n-1] == 0:
-		d.fail("non-minimal varint")
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-// count reads a list/field count with an upper bound.
-func (d *reportDecoder) count(limit int) int {
-	v := d.uvarint()
-	if d.err == nil && v > uint64(limit) {
-		d.fail("count out of range")
-		return 0
-	}
-	return int(v)
-}
-
-func (d *reportDecoder) str() string {
-	n := d.uvarint()
-	if d.err == nil && (n > maxReportString || n > uint64(len(d.buf))) {
-		d.fail("string length out of range")
-		return ""
-	}
-	return string(d.take(int(n)))
 }

@@ -1,7 +1,10 @@
 package guard
 
 import (
+	"bytes"
 	"context"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,12 +14,27 @@ import (
 	"centralium/internal/topo"
 )
 
-// pacedToTerminal drives a campaign one wave per call through
-// Run/Resume, simulating a process that dies and resumes at every wave
-// boundary, and returns the terminal result.
-func pacedToTerminal(t *testing.T, snap *snapshot.Snapshot, c Campaign) *Result {
+// memObjects is the tests' object store: a map, first write wins.
+type memObjects map[string][]byte
+
+func (m memObjects) Put(key string, data []byte) error {
+	if _, ok := m[key]; !ok {
+		m[key] = bytes.Clone(data)
+	}
+	return nil
+}
+
+func (m memObjects) Get(key string) ([]byte, bool, error) {
+	data, ok := m[key]
+	return data, ok, nil
+}
+
+// pacedToTerminal drives a campaign pace waves per call through
+// Run/Resume, simulating a process that dies and resumes at every pause,
+// and returns the terminal result.
+func pacedToTerminal(t *testing.T, snap *snapshot.Snapshot, c Campaign, pace int) *Result {
 	t.Helper()
-	c.MaxWaves = 1
+	c.MaxWaves = pace
 	res, err := Run(context.Background(), snap, c)
 	if err != nil {
 		t.Fatalf("paced run: %v", err)
@@ -82,7 +100,7 @@ func TestPacedResumeMatchesUninterrupted(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			snap, c := fig10Campaign(t, 11)
 			c.Instrument = tc.instrument
-			c.Objects = NewMemObjects()
+			c.Objects = memObjects{}
 			ref, err := Run(context.Background(), snap, c)
 			if err != nil {
 				t.Fatalf("uninterrupted run: %v", err)
@@ -90,7 +108,7 @@ func TestPacedResumeMatchesUninterrupted(t *testing.T) {
 			if ref.State != tc.want {
 				t.Fatalf("uninterrupted terminal = %s, want %s\nlog:\n%s", ref.State, tc.want, ref.Log)
 			}
-			res := pacedToTerminal(t, snap, c)
+			res := pacedToTerminal(t, snap, c, 1)
 			requireSameTerminal(t, ref, res)
 		})
 	}
@@ -162,8 +180,16 @@ func TestResumeAcrossStoreReopen(t *testing.T) {
 		t.Fatalf("terminal resume: %v", err)
 	}
 	requireSameTerminal(t, ref, res2)
-	if res2.Report == nil || len(res2.Quarantined) == 0 {
-		t.Fatalf("terminal resume lost the incident report")
+	// The aborted record stores each fact of the incident once; the report
+	// rebuilt from it is the one the uninterrupted run sealed.
+	for _, got := range []*Result{res, res2} {
+		if ref.Report == nil || !reflect.DeepEqual(got.Report, ref.Report) {
+			t.Fatalf("incident report diverged from the uninterrupted run's:\n got %+v\nwant %+v", got.Report, ref.Report)
+		}
+	}
+	if !reflect.DeepEqual(res2.Quarantined, ref.Quarantined) || res2.FinalFP != ref.FinalFP || res2.WavesDone != ref.WavesDone {
+		t.Fatalf("terminal resume: quarantine %v, final %s, %d waves done; want %v, %s, %d",
+			res2.Quarantined, short(res2.FinalFP), res2.WavesDone, ref.Quarantined, short(ref.FinalFP), ref.WavesDone)
 	}
 }
 
@@ -172,7 +198,7 @@ func TestResumeAcrossStoreReopen(t *testing.T) {
 // reaches the uninterrupted terminal state.
 func TestContextCancelPausesResumable(t *testing.T) {
 	snap, c := fig10Campaign(t, 17)
-	c.Objects = NewMemObjects()
+	c.Objects = memObjects{}
 	ref, err := Run(context.Background(), snap, c)
 	if err != nil {
 		t.Fatalf("uninterrupted run: %v", err)
@@ -192,4 +218,145 @@ func TestContextCancelPausesResumable(t *testing.T) {
 		t.Fatalf("resume: %v", err)
 	}
 	requireSameTerminal(t, ref, res)
+}
+
+// retryOnceInstrument restarts a spine during wave 1's first attempt only:
+// the guard rolls back once and the clean retry completes the campaign.
+func retryOnceInstrument(n *fabric.Network, wave, attempt int) {
+	if attempt == 0 {
+		stormInstrument(n, wave, attempt)
+	}
+}
+
+// withoutRepeats drops every checkpoint equal to the one before it: a
+// paused campaign journals its resume point, and the call that continues
+// it journals the same record again before the wave runs.
+func withoutRepeats(cps [][]byte) [][]byte {
+	var out [][]byte
+	for _, cp := range cps {
+		if len(out) == 0 || !bytes.Equal(out[len(out)-1], cp) {
+			out = append(out, cp)
+		}
+	}
+	return out
+}
+
+// TestLiveExecutionMatchesResume: at every pacing from one wave per call to
+// all of them, a chain of Drive calls on one live Execution (which keeps no
+// object store) and a chain of Resume calls that rebuild the execution from
+// each paused checkpoint both land on the uninterrupted run — decision log,
+// terminal fingerprint and record, incident report — and journal the same
+// checkpoints, byte for byte, that it journals, pause boundaries aside. A
+// resume of the terminal record rebuilds the same result without running
+// anything.
+func TestLiveExecutionMatchesResume(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name       string
+		instrument func(n *fabric.Network, wave, attempt int)
+		want       State
+	}{
+		{name: "clean", want: StateCompleted},
+		{name: "rolled-back", instrument: retryOnceInstrument, want: StateCompleted},
+		{name: "aborted", instrument: stormInstrument, want: StateAborted},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			snap, c := fig10Campaign(t, 19)
+			c.Instrument = tc.instrument
+			var journal [][]byte
+			c.Journal = JournalFunc(func(_ int, cp []byte) error {
+				journal = append(journal, bytes.Clone(cp))
+				return nil
+			})
+			ref, err := Run(ctx, snap, c)
+			if err != nil {
+				t.Fatalf("uninterrupted run: %v", err)
+			}
+			if ref.State != tc.want || (tc.instrument != nil) != (ref.Rollbacks > 0) {
+				t.Fatalf("uninterrupted run %s with %d rollbacks, want %s\nlog:\n%s", ref.State, ref.Rollbacks, tc.want, ref.Log)
+			}
+			want := journal
+
+			for pace := 1; pace <= ref.Waves; pace++ {
+				journal = nil
+				e, err := NewExecution(snap, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var live *Result
+				for calls := 0; live == nil || live.State == StatePaused; calls++ {
+					if calls > ref.Waves {
+						t.Fatalf("pace %d: live execution still paused after %d calls", pace, calls)
+					}
+					if live, err = e.Drive(ctx, pace); err != nil {
+						t.Fatalf("pace %d: drive: %v", pace, err)
+					}
+				}
+				if again, err := e.Drive(ctx, pace); err != nil || again != live {
+					t.Fatalf("pace %d: a finished execution drove again (err %v)", pace, err)
+				}
+				liveCPs := journal
+
+				journal = nil
+				stored := c
+				stored.Objects = memObjects{}
+				resumed := pacedToTerminal(t, snap, stored, pace)
+				resumedCPs := journal
+				stored.MaxWaves = 0
+				rebuilt, err := Resume(ctx, resumed.Checkpoint, stored)
+				if err != nil {
+					t.Fatalf("pace %d: terminal resume: %v", pace, err)
+				}
+
+				for _, got := range []*Result{live, resumed, rebuilt} {
+					requireSameTerminal(t, ref, got)
+					if got.FinalFP != ref.FinalFP || !bytes.Equal(got.Checkpoint, ref.Checkpoint) ||
+						!reflect.DeepEqual(got.Report, ref.Report) || !reflect.DeepEqual(got.Quarantined, ref.Quarantined) {
+						t.Fatalf("pace %d: terminal record diverged from the uninterrupted run's:\n got %s %+v\nwant %s %+v",
+							pace, got.Checkpoint, got.Report, ref.Checkpoint, ref.Report)
+					}
+				}
+				if !reflect.DeepEqual(liveCPs, resumedCPs) {
+					t.Fatalf("pace %d: the live chain journaled %d checkpoints, the resumed chain %d, or different ones", pace, len(liveCPs), len(resumedCPs))
+				}
+				if got := withoutRepeats(liveCPs); !reflect.DeepEqual(got, want) {
+					t.Fatalf("pace %d: %d distinct checkpoints journaled, the uninterrupted run journals %d, or different ones", pace, len(got), len(want))
+				}
+			}
+		})
+	}
+}
+
+// TestResumeRejectsMisfiledSnapshot: the object store frames what it is
+// given under whatever key it is given, so a well-formed snapshot filed
+// under another state's fingerprint reaches the guard intact — and must not
+// resume the campaign from the wrong state.
+func TestResumeRejectsMisfiledSnapshot(t *testing.T) {
+	snap, c := fig10Campaign(t, 5)
+	c.Objects = memObjects{}
+	c.MaxWaves = 1
+	res, err := Run(context.Background(), snap, c)
+	if err != nil || res.State != StatePaused {
+		t.Fatalf("paced run: %v, %+v", err, res)
+	}
+	cp, err := DecodeCheckpoint(res.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := snap.EncodeCanonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(t.TempDir(), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.Objects.Put(cp.LastGood, base); err != nil {
+		t.Fatalf("the store refused a misfiled snapshot: %v", err)
+	}
+	c.Objects = st.Objects
+	if _, err := Resume(context.Background(), res.Checkpoint, c); err == nil || !strings.Contains(err.Error(), "holds snapshot") {
+		t.Fatalf("resume from a misfiled last-good snapshot: err = %v, want a content-address refusal", err)
+	}
 }

@@ -188,10 +188,11 @@ func TestCheckpointCodec(t *testing.T) {
 	}
 
 	bad := []Checkpoint{
-		{Version: 99, Waves: 1, LastGood: "x"},                         // wrong version
-		{Version: checkpointVersion, Waves: 3, Wave: -1},               // negative wave
-		{Version: checkpointVersion, Waves: 3, Wave: 3, LastGood: "x"}, // wave past end, not done
-		{Version: checkpointVersion, Waves: 3, Wave: 1},                // no last-good, not done
+		{Version: 99, Waves: 1, LastGood: "x"},                                                   // wrong version
+		{Version: checkpointVersion, Waves: 3, Wave: -1},                                         // negative wave
+		{Version: checkpointVersion, Waves: 3, Wave: 3, LastGood: "x"},                           // wave past end, not done
+		{Version: checkpointVersion, Waves: 3, Wave: 1},                                          // no last-good, not done
+		{Version: checkpointVersion, Waves: 3, Wave: 1, Done: true, Aborted: true, FinalFP: "x"}, // aborted, no violations
 	}
 	for i := range bad {
 		data, err := bad[i].Encode()
@@ -205,6 +206,14 @@ func TestCheckpointCodec(t *testing.T) {
 	if _, err := DecodeCheckpoint([]byte("{")); err == nil {
 		t.Error("truncated JSON accepted")
 	}
+	// An aborted terminal record from before violations were stored in the
+	// checkpoint nested its incident report, log included, in a binary
+	// "report" field: it decodes to an abort without evidence and is refused.
+	old := `{"version":1,"campaign":"c","waves":3,"wave":1,"attempt":2,"retries":2,"rollbacks":3,"started":true,` +
+		`"last_good":"x","log":"line\n","done":true,"aborted":true,"quarantined":["fa.1"],"final_fp":"x","report":"Q0dJMQE="}`
+	if _, err := DecodeCheckpoint([]byte(old)); err == nil || !strings.Contains(err.Error(), "no violations") {
+		t.Errorf("pre-violations aborted checkpoint: err = %v, want a refusal", err)
+	}
 	// A terminal checkpoint may sit past the last wave and needs no
 	// last-good fingerprint.
 	term := &Checkpoint{Version: checkpointVersion, Waves: 3, Wave: 3, Done: true, FinalFP: "x"}
@@ -217,7 +226,7 @@ func TestCheckpointCodec(t *testing.T) {
 	}
 }
 
-func TestJournalFuncAndMemObjects(t *testing.T) {
+func TestJournalFunc(t *testing.T) {
 	var gotLevel int
 	var gotCP []byte
 	j := JournalFunc(func(level int, cp []byte) error {
@@ -229,23 +238,6 @@ func TestJournalFuncAndMemObjects(t *testing.T) {
 	}
 	if gotLevel != 2 || string(gotCP) != "cp" {
 		t.Errorf("journal saw level=%d cp=%q", gotLevel, gotCP)
-	}
-
-	objs := NewMemObjects()
-	if _, ok, err := objs.Get("missing"); ok || err != nil {
-		t.Errorf("Get(missing) = %v, %v", ok, err)
-	}
-	if err := objs.Put("k", []byte("first")); err != nil {
-		t.Fatal(err)
-	}
-	// Put is idempotent per key: the first write wins (keys are
-	// content-addressed fingerprints, so any second write is a replay).
-	if err := objs.Put("k", []byte("second")); err != nil {
-		t.Fatal(err)
-	}
-	data, ok, err := objs.Get("k")
-	if err != nil || !ok || string(data) != "first" {
-		t.Errorf("Get(k) = %q, %v, %v", data, ok, err)
 	}
 }
 
@@ -259,7 +251,7 @@ func TestRunRejectsEmptyIntent(t *testing.T) {
 
 func TestResumeErrors(t *testing.T) {
 	snap, c := fig10Campaign(t, 5)
-	c.Objects = NewMemObjects()
+	c.Objects = memObjects{}
 	c.MaxWaves = 1
 	res, err := Run(context.Background(), snap, c)
 	if err != nil {
@@ -283,7 +275,7 @@ func TestResumeErrors(t *testing.T) {
 	requireErr("nil object store", res.Checkpoint, noObjs, "needs an object store")
 
 	empty := c
-	empty.Objects = NewMemObjects()
+	empty.Objects = memObjects{}
 	requireErr("missing snapshot", res.Checkpoint, empty, "missing from object store")
 
 	renamed := c

@@ -229,7 +229,7 @@ func goldenRunLeavesConfigsUnedited(t *testing.T, scenario string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, prog := range s.ev.intent {
+	for _, prog := range s.ev.x.programs {
 		prog.JSON() // render now what the search would render at its first terminal phase
 	}
 	for done := false; !done; {
@@ -247,7 +247,7 @@ func goldenRunLeavesConfigsUnedited(t *testing.T, scenario string) {
 			t.Fatalf("%s: config edited after it was compiled:\n rendered: %s\n      now: %s", where, prog.JSON(), want)
 		}
 	}
-	for d, prog := range s.ev.intent {
+	for d, prog := range s.ev.x.programs {
 		unedited("intent for "+string(d), prog)
 	}
 	states, overridden := 0, 0
@@ -266,7 +266,7 @@ func goldenRunLeavesConfigsUnedited(t *testing.T, scenario string) {
 		for _, d := range sortedDevices(p.Intent) {
 			prog := n.Speaker(d).Program()
 			unedited(key+" "+string(d), prog)
-			if !bytes.Equal(prog.JSON(), s.ev.intent[d].JSON()) && prog.Config().Version != 0 {
+			if !bytes.Equal(prog.JSON(), s.ev.x.programs[d].JSON()) && prog.Config().Version != 0 {
 				overridden++
 			}
 		}
@@ -288,7 +288,7 @@ func goldenRunLeavesConfigsUnedited(t *testing.T, scenario string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if shared := n.Speaker(dev).Program() == s.ev.intent[dev]; shared == st.Bare {
+		if shared := n.Speaker(dev).Program() == s.ev.x.programs[dev]; shared == st.Bare {
 			t.Fatalf("step %q: %s runs the search's compiled program: %v", st, dev, shared)
 		}
 	}

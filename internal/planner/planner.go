@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"centralium/internal/controller"
-	"centralium/internal/core"
 	"centralium/internal/snapshot"
 	"centralium/internal/topo"
 	"centralium/internal/traffic"
@@ -235,7 +234,7 @@ func newSearch(root *snapshot.Snapshot, state []byte, fp string, p Params) (*Sea
 	if len(p.Intent) == 0 {
 		return nil, fmt.Errorf("planner: empty intent")
 	}
-	intent, err := CompileIntent(p.Intent)
+	x, err := NewExecutor(p.Intent, p.Workload(), p.OriginAltitude, p.SettlePerDevice)
 	if err != nil {
 		return nil, err
 	}
@@ -259,23 +258,9 @@ func newSearch(root *snapshot.Snapshot, state []byte, fp string, p Params) (*Sea
 		tp:     tp,
 		memo:   make(map[string]memoEntry),
 	}
-	s.ev = &evaluator{p: &s.p, intent: intent}
+	s.ev = &evaluator{p: &s.p, x: x}
 	s.beam = []node{{snap: root, state: state, fp: fp}}
 	return s, nil
-}
-
-// CompileIntent compiles every config of an intent, once: the programs a
-// search or a guarded campaign then deploys to every fork by reference
-// (ExecuteSteps).
-func CompileIntent(in controller.Intent) (map[topo.DeviceID]*core.Program, error) {
-	out := make(map[topo.DeviceID]*core.Program, len(in))
-	for _, d := range sortedDevices(in) {
-		var err error
-		if out[d], err = core.Compile(in[d]); err != nil {
-			return nil, fmt.Errorf("planner: intent for %s: %w", d, err)
-		}
-	}
-	return out, nil
 }
 
 // Level returns the number of completed beam levels.

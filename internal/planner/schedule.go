@@ -172,7 +172,7 @@ func FromWaves(waves [][]topo.DeviceID) Schedule {
 // Intent restricts a full campaign intent to the step's devices: the
 // intent's own configs, by pointer, for a plain step, and for one with knobs
 // a copy of each config with the knobs applied (the intent's own is shared
-// and never edited, see core.Config) — the projection ExecuteSteps pushes
+// and never edited, see core.Config) — the projection an Executor pushes
 // through the rollout path, for the search's evaluator and the execution
 // guard (internal/guard) alike, so the guard's degraded retry shapes
 // (smaller batches, MinNextHop overrides) deploy exactly what the planner

@@ -151,25 +151,58 @@ func fingerprint(state []byte) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// ExecuteSteps pushes steps through the real rollout path
-// (controller.ExecuteCtx, one one-wave rollout per step) on n under the one
-// transient probe, and returns what the probe measured — on error, up to the
-// failure. The search's evaluator and the execution guard both run it, so a
-// live wave is judged by the measurement the planner scored it by. Per-fork
-// measurement is deterministic; the planner's parallelism lives one level
-// up, across candidate forks.
+// Executor pushes schedule steps through the real rollout path
+// (controller.ExecuteCtx, one one-wave rollout per step) under the one
+// transient probe. A search or a guarded campaign builds one, once: it holds
+// the intent and its compiled programs, the workload the probe measures, the
+// origin altitude and the settle cadence. A step that pushes the intent's own
+// config for a device deploys that program, and neither the rollout's
+// pre-flight nor the speaker compiles it again; a step that edits a copy
+// (Bare, MinNextHop) compiles its copy as any other caller would.
 //
-// programs is the intent compiled (CompileIntent): a step that pushes the
-// intent's own config for a device deploys that program, and neither the
-// rollout's pre-flight nor the speaker compiles it again; a step that edits a
-// copy (Bare, MinNextHop) compiles its copy as any other caller would.
-func ExecuteSteps(ctx context.Context, n *fabric.Network, w probe.Workload, intent controller.Intent, programs map[topo.DeviceID]*core.Program, originAltitude int, settlePerDevice bool, steps []Step) (probe.Metrics, error) {
-	pb := probe.NewTransient(n, w)
+// The search's evaluator and the execution guard both run their steps through
+// an Executor, so a live wave is measured by the same probe the planner scored
+// it with — but not at the same cadence: Params.setDefaults makes a search
+// settle after every device, while guard.FromParams copies the scenario's
+// SettlePerDevice, which no planner scenario sets, so the daemon's campaigns
+// settle once per wave. Which cadence both should share is an open question
+// in ROADMAP; settling it either way moves guard or planner bytes.
+type Executor struct {
+	intent          controller.Intent
+	programs        map[topo.DeviceID]*core.Program
+	workload        probe.Workload
+	originAltitude  int
+	settlePerDevice bool
+}
+
+// NewExecutor compiles every config of intent, once, into an Executor.
+func NewExecutor(intent controller.Intent, w probe.Workload, originAltitude int, settlePerDevice bool) (*Executor, error) {
+	x := &Executor{
+		intent:          intent,
+		programs:        make(map[topo.DeviceID]*core.Program, len(intent)),
+		workload:        w,
+		originAltitude:  originAltitude,
+		settlePerDevice: settlePerDevice,
+	}
+	for _, d := range sortedDevices(intent) {
+		var err error
+		if x.programs[d], err = core.Compile(intent[d]); err != nil {
+			return nil, fmt.Errorf("planner: intent for %s: %w", d, err)
+		}
+	}
+	return x, nil
+}
+
+// Execute pushes steps on n and returns what the probe measured — on error,
+// up to the failure. Per-fork measurement is deterministic; the planner's
+// parallelism lives one level up, across candidate forks.
+func (x *Executor) Execute(ctx context.Context, n *fabric.Network, steps []Step) (probe.Metrics, error) {
+	pb := probe.NewTransient(n, x.workload)
 	events := int64(0)
 	ctl := &controller.Controller{
 		Topo: n.Topo,
 		Deploy: func(d topo.DeviceID, cfg *core.Config) error {
-			if prog := programs[d]; prog != nil && prog.Config() == cfg {
+			if prog := x.programs[d]; prog != nil && prog.Config() == cfg {
 				n.DeployProgram(d, prog)
 				return nil
 			}
@@ -182,11 +215,11 @@ func ExecuteSteps(ctx context.Context, n *fabric.Network, w probe.Workload, inte
 		if err = ctl.ExecuteCtx(ctx, controller.OrchestratedChange{
 			Name: "schedule step",
 			Rollout: controller.Rollout{
-				Intent:          st.Intent(intent),
-				Compiled:        programs,
-				OriginAltitude:  originAltitude,
+				Intent:          st.Intent(x.intent),
+				Compiled:        x.programs,
+				OriginAltitude:  x.originAltitude,
 				Schedule:        [][]topo.DeviceID{st.Devices},
-				SettlePerDevice: settlePerDevice,
+				SettlePerDevice: x.settlePerDevice,
 			},
 		}); err != nil {
 			break
@@ -225,8 +258,8 @@ func outcome(label string, m probe.Metrics) StepOutcome {
 // evaluator owns the fork/instrument/execute machinery shared by the beam
 // search, the exhaustive baseline, and schedule scoring.
 type evaluator struct {
-	p      *Params
-	intent map[topo.DeviceID]*core.Program // p.Intent compiled: what every fork deploys
+	p *Params
+	x *Executor // p's intent compiled, its workload and cadence: what every fork runs
 }
 
 // live returns snap, or, when the search holds the state only as bytes (after
@@ -243,7 +276,7 @@ func (e *evaluator) live(snap *snapshot.Snapshot, state []byte) (*snapshot.Snaps
 	return snap, nil
 }
 
-// evalStep forks the parent state, pushes one wave through ExecuteSteps,
+// evalStep forks the parent state, pushes one wave through the Executor,
 // and returns the measured transient with the child state, captured against
 // parent: live, and as the bytes and fingerprint the memo and the checkpoint
 // keep. It only reads parent, so the pool evaluates every candidate of a beam
@@ -253,7 +286,7 @@ func (e *evaluator) evalStep(parent *snapshot.Snapshot, st Step) (memoEntry, err
 	if err != nil {
 		return memoEntry{}, err
 	}
-	m, err := ExecuteSteps(context.Background(), n, e.p.Workload(), e.p.Intent, e.intent, e.p.OriginAltitude, e.p.SettlePerDevice, []Step{st})
+	m, err := e.x.Execute(context.Background(), n, []Step{st})
 	if err != nil {
 		return memoEntry{}, fmt.Errorf("planner: step %q: %w", st.String(), err)
 	}
@@ -282,14 +315,14 @@ func (e *evaluator) evalMigration(snap *snapshot.Snapshot) (StepOutcome, error) 
 	if err != nil {
 		return StepOutcome{}, err
 	}
-	pb := probe.NewTransient(n, e.p.Workload())
+	pb := probe.NewTransient(n, e.x.workload)
 	stagger := e.p.DrainStaggerNs
 	if stagger <= 0 {
 		stagger = int64(20 * time.Millisecond)
 	}
 	var lagged []topo.DeviceID
 	for _, d := range sortedDevices(e.p.Intent) {
-		if !bytes.Equal(n.Speaker(d).Program().JSON(), e.intent[d].JSON()) {
+		if !bytes.Equal(n.Speaker(d).Program().JSON(), e.x.programs[d].JSON()) {
 			lagged = append(lagged, d)
 		}
 	}
@@ -299,7 +332,7 @@ func (e *evaluator) evalMigration(snap *snapshot.Snapshot) (StepOutcome, error) 
 	// unsequenced rollout later, and this is where that bill arrives.
 	for i, dev := range lagged {
 		d := dev
-		n.After(time.Duration(int64(i)*stagger), func() { n.DeployProgram(d, e.intent[d]) })
+		n.After(time.Duration(int64(i)*stagger), func() { n.DeployProgram(d, e.x.programs[d]) })
 	}
 	// The drain body starts once the catch-up window closes.
 	offset := int64(len(lagged)) * stagger

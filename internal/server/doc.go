@@ -42,7 +42,10 @@
 // unjournaled level is dropped, as a crash would drop it). A journaled
 // checkpoint that does not resume is treated as absent and the plan
 // restarts from level 0: the final body is a pure function of (base,
-// params), so it is byte-identical either way.
+// params), so it is byte-identical either way. A POST /v1/execute campaign
+// is held the same way — the entry keeps the *guard.Execution, its guard
+// checkpoints live in the mirror, and one that does not resume restarts
+// the campaign from wave 0.
 //
 // # Admission, deadlines, drain
 //

@@ -3,8 +3,9 @@ package server
 // POST /v1/execute: guarded campaign execution as a service. The daemon
 // runs the scenario's migration campaign under the internal/guard
 // supervisor — telemetry-driven auto-pause, rollback to last-good,
-// bounded retry, quarantine-and-abort — and journals a guard checkpoint
-// through the durable state plane before every wave, so a daemon killed
+// bounded retry, quarantine-and-abort. Between paced posts the daemon keeps
+// the *guard.Execution itself, as it keeps a plan's search; with a store it
+// journals a guard checkpoint before every wave, so a daemon killed
 // mid-campaign resumes the execution from the WAL to the byte-identical
 // terminal state on the next post. Guard state transitions stream on
 // /v1/events as they happen.
@@ -15,8 +16,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"log"
 	"net/http"
-	"sync"
 
 	"centralium/internal/guard"
 	"centralium/internal/planner"
@@ -136,17 +137,6 @@ type ExecuteResponse struct {
 	Log string `json:"log"`
 }
 
-// execEntry is one resumable guarded execution: its guard checkpoint
-// between requests, a private object store of last-good snapshots while a
-// daemon without a durable one drives it, and the final response bytes
-// once terminal — at which point checkpoint and objects are released.
-type execEntry struct {
-	mu         sync.Mutex
-	checkpoint []byte
-	final      []byte
-	objects    *guard.MemObjects
-}
-
 func (s *Server) execute(ctx context.Context, ar *apiRequest) result {
 	req, err := DecodeExecuteRequest(ar.body)
 	if err != nil {
@@ -170,49 +160,60 @@ func (s *Server) execute(ctx context.Context, ar *apiRequest) result {
 		return result{status: http.StatusOK, body: ee.final}
 	}
 
-	c := guard.FromParams(entry.Params)
-	c.Name = "exec-" + id[:12]
-	c.Envelope = req.envelope()
-	c.Retry.MaxRetries = req.MaxRetries
-	c.MaxWaves = req.MaxWaves
-	if req.Schedule != "" {
-		sched, perr := planner.Parse(req.Schedule)
-		if perr != nil {
-			return errorResult(http.StatusBadRequest, "%v", perr)
+	exec := ee.live
+	if exec == nil {
+		c := guard.FromParams(entry.Params)
+		c.Name = "exec-" + id[:12]
+		c.Envelope = req.envelope()
+		c.Retry.MaxRetries = req.MaxRetries
+		if req.Schedule != "" {
+			sched, perr := planner.Parse(req.Schedule)
+			if perr != nil {
+				return errorResult(http.StatusBadRequest, "%v", perr)
+			}
+			if cerr := coversIntent(sched.Waves(), entry.Params); cerr != nil {
+				return errorResult(http.StatusBadRequest, "%v", cerr)
+			}
+			c.Schedule = sched
 		}
-		if cerr := coversIntent(sched.Waves(), entry.Params); cerr != nil {
-			return errorResult(http.StatusBadRequest, "%v", cerr)
+		label := fmt.Sprintf("execute %s/%d", req.Scenario, req.Seed)
+		c.OnTransition = func(tr guard.Transition) {
+			s.metrics.observeGuard(tr)
+			s.events.publish(StreamEvent{Source: label, Guard: &tr})
 		}
-		c.Schedule = sched
-	}
-	label := fmt.Sprintf("execute %s/%d", req.Scenario, req.Seed)
-	c.OnTransition = func(tr guard.Transition) {
-		s.metrics.observeGuard(tr)
-		s.events.publish(StreamEvent{Source: label, Guard: &tr})
-	}
-	// Checkpoints land in the entry under ee.mu (held for the whole
-	// drive) and, with a store, in the WAL — the resume point a killed
-	// daemon recovers.
-	c.Journal = guard.JournalFunc(func(level int, cp []byte) error {
-		ee.checkpoint = append([]byte(nil), cp...)
 		if s.persist != nil {
-			return s.persist.saveExecCheckpoint(id, cp)
+			// With a store, every checkpoint journals durably before the
+			// wave it precedes runs, and last-good states go to the object
+			// store: the resume point of a restarted daemon.
+			c.Journal = guard.JournalFunc(func(level int, cp []byte) error {
+				return s.persist.saveExecCheckpoint(id, cp)
+			})
+			c.Objects = s.persist.st.Objects
+			if cp := s.persist.checkpoint(s.persist.execs, id); cp != nil {
+				if exec, err = guard.ResumeExecution(cp, c); err != nil {
+					// An unresumable checkpoint is an absent one: the final body
+					// is a pure function of (base, campaign), so the execution
+					// restarts from wave 0 and its next checkpoint replaces the
+					// bad record.
+					log.Printf("server: execution %s: journaled checkpoint does not resume, restarting the campaign: %v", id, err)
+					s.unresumableExecs.Add(1)
+				}
+			}
 		}
-		return nil
-	})
-	if s.persist != nil {
-		c.Objects = s.persist.st.Objects
-	} else {
-		c.Objects = ee.objects
+		if exec == nil {
+			if exec, err = guard.NewExecution(entry.Snap, c); err != nil {
+				return errorResult(http.StatusInternalServerError, "start execution %s: %v", id, err)
+			}
+		}
 	}
+	ee.live = exec
 
-	var res *guard.Result
-	if ee.checkpoint != nil {
-		res, err = guard.Resume(ctx, ee.checkpoint, c)
-	} else {
-		res, err = guard.Run(ctx, entry.Snap, c)
-	}
+	res, err := exec.Drive(ctx, req.MaxWaves)
 	if err != nil {
+		// The execution may be mid-wave: drop it, so the next request
+		// resumes from the last journaled checkpoint as it would after a
+		// crash.
+		ee.live = nil
 		return errorResult(http.StatusInternalServerError, "execute %s: %v", id, err)
 	}
 	resp := &ExecuteResponse{
@@ -231,8 +232,8 @@ func (s *Server) execute(ctx context.Context, ar *apiRequest) result {
 		resp.FinalFingerprint = res.FinalFP
 		body := encodeBody(resp)
 		// A terminal execution answers from final, like a finished plan;
-		// nothing resumes it, so every wave's last-good snapshot goes too.
-		ee.final, ee.checkpoint, ee.objects = body, nil, nil
+		// its live execution is dead weight.
+		ee.final, ee.live = body, nil
 		if s.persist != nil {
 			if perr := s.persist.saveExecFinal(id, body); perr != nil {
 				s.persist.noteError()

@@ -152,10 +152,10 @@ func TestExecutePacedMatchesOneShot(t *testing.T) {
 }
 
 // TestExecuteTerminalReleasesObjects bounds what a storeless daemon holds
-// for a finished campaign: while paused the entry keeps the last-good
-// snapshots a resume needs, once terminal it keeps the final response
-// bytes and nothing else (it used to pin one encoded fabric per completed
-// wave until LRU eviction), and repeat posts still answer those bytes.
+// for a campaign: while paused the entry keeps the live execution and no
+// bytes, once terminal it keeps the final response bytes and nothing else
+// (it used to pin one encoded fabric per completed wave until LRU
+// eviction), and repeat posts still answer those bytes.
 func TestExecuteTerminalReleasesObjects(t *testing.T) {
 	srv, ts := confServer(t, 4)
 	stepBody := fmt.Sprintf(`{"scenario":"fig10","seed":%d,"max_waves":1}`, confSeed)
@@ -164,13 +164,13 @@ func TestExecuteTerminalReleasesObjects(t *testing.T) {
 		t.Fatalf("one paced wave ended the campaign (%s); cannot observe a live entry", first.State)
 	}
 	ee := srv.execs.get(first.ExecID)
-	held := func() (objects bool, checkpoint, final int) {
+	held := func() (live bool, final int) {
 		ee.mu.Lock()
 		defer ee.mu.Unlock()
-		return ee.objects != nil, len(ee.checkpoint), len(ee.final)
+		return ee.live != nil, len(ee.final)
 	}
-	if objects, checkpoint, _ := held(); !objects || checkpoint == 0 {
-		t.Fatalf("paused execution holds objects=%v checkpoint=%dB; a resume needs both", objects, checkpoint)
+	if live, final := held(); !live || final != 0 {
+		t.Fatalf("paused execution holds live=%v final=%dB; want the live execution only", live, final)
 	}
 
 	var last respRec
@@ -183,9 +183,8 @@ func TestExecuteTerminalReleasesObjects(t *testing.T) {
 	if st := decodeExecute(t, last).State; st != "completed" {
 		t.Fatalf("campaign ended %q, want completed", st)
 	}
-	if objects, checkpoint, final := held(); objects || checkpoint != 0 || final == 0 {
-		t.Errorf("terminal execution holds objects=%v checkpoint=%dB final=%dB; want only the final bytes",
-			objects, checkpoint, final)
+	if live, final := held(); live || final == 0 {
+		t.Errorf("terminal execution holds live=%v final=%dB; want only the final bytes", live, final)
 	}
 	if again := postExecute(t, ts.Client(), ts.URL, stepBody); again.body != last.body {
 		t.Errorf("terminal replay diverged after release:\n%s\nvs\n%s", again.body, last.body)
@@ -251,6 +250,49 @@ func TestExecuteResumesAcrossDaemonRestart(t *testing.T) {
 	again := postExecute(t, ts2.Client(), ts2.URL, body)
 	if again.body != want.body {
 		t.Errorf("recovered terminal replay diverged")
+	}
+}
+
+// TestUnresumableCheckpointRestartsExecution: a recovered daemon whose
+// mirror holds an execution's checkpoint that does not resume treats it as
+// absent — it logs and counts it and runs the campaign from wave 0 to the
+// uninterrupted run's final body, instead of answering 500 until the entry
+// ages out.
+func TestUnresumableCheckpointRestartsExecution(t *testing.T) {
+	_, ref := confServer(t, 2)
+	body := `{"scenario":"fig10","seed":1}`
+	want := postExecute(t, ref.Client(), ref.URL, body)
+	if decodeExecute(t, want).State != "completed" {
+		t.Fatalf("reference execute did not complete: %s", want.body)
+	}
+
+	dir := t.TempDir()
+	var resumes int
+	_, ts, stop := openDurable(t, dir, &resumes)
+	first := decodeExecute(t, postExecute(t, ts.Client(), ts.URL, `{"scenario":"fig10","seed":1,"max_waves":1}`))
+	stop()
+	if first.State != "paused" {
+		t.Fatalf("first leg state %q, want paused", first.State)
+	}
+	// The WAL frames whatever it is handed; only the guard can object.
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Journal(recExecCheckpoint, first.ExecID).SaveProgress(1, []byte(`{"version":1,"campaign":`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts, stop = openDurable(t, dir, &resumes)
+	defer stop()
+	if got := postExecute(t, ts.Client(), ts.URL, body); got.body != want.body {
+		t.Errorf("restarted execution diverged from the uninterrupted run:\n got %d: %s\nwant: %s", got.status, got.body, want.body)
+	}
+	if m := fetchMetrics(t, ts); m.UnresumableExecs != 1 {
+		t.Errorf("unresumable_execs = %d, want 1", m.UnresumableExecs)
 	}
 }
 

@@ -180,33 +180,33 @@ func coversIntent(waves [][]topo.DeviceID, p planner.Params) error {
 
 // --- POST /v1/plan ----------------------------------------------------------
 
-// planEntry is one resumable search: the live search between requests,
-// and the final response bytes once done (idempotent completion). The
-// search's serialized form lives in the persistor's mirror only, and is
-// read back only when there is no live search — after a restart, an LRU
-// eviction or a failed step.
-type planEntry struct {
-	mu     sync.Mutex
-	search *planner.Search
-	final  []byte
+// jobEntry is one resumable job — a plan search (J = planner.Search) or a
+// guarded execution (J = guard.Execution): the live job between requests,
+// then, once it is done, the final response bytes alone (idempotent
+// completion). The job's serialized form lives in the persistor's mirror
+// only, and is read back only when there is no live job — after a restart,
+// an LRU eviction or a failed request.
+type jobEntry[J any] struct {
+	mu    sync.Mutex
+	live  *J
+	final []byte
 }
 
-// entryStore holds the daemon's resumable jobs of one kind (planEntry or
-// execEntry) by ID, LRU-bounded.
-type entryStore[E any] struct {
-	mu       sync.Mutex
-	entries  map[string]*E
-	order    []string // least recently used first
-	max      int
-	newEntry func() *E
+// entryStore holds the daemon's resumable jobs of one kind by ID,
+// LRU-bounded.
+type entryStore[J any] struct {
+	mu      sync.Mutex
+	entries map[string]*jobEntry[J]
+	order   []string // least recently used first
+	max     int
 }
 
-func newEntryStore[E any](max int, newEntry func() *E) *entryStore[E] {
-	return &entryStore[E]{entries: make(map[string]*E), max: max, newEntry: newEntry}
+func newEntryStore[J any](max int) *entryStore[J] {
+	return &entryStore[J]{entries: make(map[string]*jobEntry[J]), max: max}
 }
 
 // get returns (creating if needed) the entry for an ID.
-func (es *entryStore[E]) get(id string) *E {
+func (es *entryStore[J]) get(id string) *jobEntry[J] {
 	es.mu.Lock()
 	defer es.mu.Unlock()
 	if e, ok := es.entries[id]; ok {
@@ -218,7 +218,7 @@ func (es *entryStore[E]) get(id string) *E {
 		}
 		return e
 	}
-	e := es.newEntry()
+	e := &jobEntry[J]{}
 	es.entries[id] = e
 	es.order = append(es.order, id)
 	for len(es.order) > es.max {
@@ -252,9 +252,9 @@ func (s *Server) plan(ctx context.Context, ar *apiRequest) result {
 		return result{status: http.StatusOK, body: pe.final}
 	}
 
-	search := pe.search
+	search := pe.live
 	if search == nil && s.persist != nil {
-		if cp := s.persist.planCheckpoint(id); cp != nil {
+		if cp := s.persist.checkpoint(s.persist.plans, id); cp != nil {
 			if s.testHookResume != nil {
 				s.testHookResume()
 			}
@@ -289,7 +289,7 @@ func (s *Server) plan(ctx context.Context, ar *apiRequest) result {
 			return errorResult(http.StatusInternalServerError, "start plan %s: %v", id, err)
 		}
 	}
-	pe.search = search
+	pe.live = search
 
 	// With a store, every completed level journals durably before the
 	// next one starts: a crash mid-request loses at most the level in
@@ -316,7 +316,7 @@ func (s *Server) plan(ctx context.Context, ar *apiRequest) result {
 		if err != nil {
 			// The search may be mid-level: drop it, so the next request
 			// resumes from the last journaled level as it would after a crash.
-			pe.search = nil
+			pe.live = nil
 			return errorResult(http.StatusInternalServerError, "plan %s: %v", id, err)
 		}
 	}
@@ -343,7 +343,7 @@ func (s *Server) plan(ctx context.Context, ar *apiRequest) result {
 		resp.FromBaseline = res.FromBaseline
 		body := encodeBody(resp)
 		// A finished plan answers from final; its search is dead weight.
-		pe.final, pe.search = body, nil
+		pe.final, pe.live = body, nil
 		if s.persist != nil {
 			if err := s.persist.savePlanFinal(id, body); err != nil {
 				s.persist.noteError()
@@ -428,7 +428,7 @@ func (s *Server) metricsHandler(ctx context.Context, ar *apiRequest) result {
 		snap.StoreEnabled = true
 		snap.StoreAppends, snap.StoreCompactions, snap.StoreErrors, snap.StoreSegments = s.persist.stats()
 		snap.StoreBytes, snap.StorePlanCheckpointBytes = s.persist.bytesAppended()
-		snap.UnresumablePlans = s.unresumablePlans.Load()
+		snap.UnresumablePlans, snap.UnresumableExecs = s.unresumablePlans.Load(), s.unresumableExecs.Load()
 		snap.RecoveredBases, snap.RecoveredPlans, snap.RecoveredExecs, snap.RecoveredMemos, snap.RecoveredTruncatedBytes =
 			s.recovered.Bases, s.recovered.Plans, s.recovered.Execs, s.recovered.Memos, s.recovered.TruncatedBytes
 	}

@@ -152,7 +152,7 @@ func TestStepErrorDropsLiveSearch(t *testing.T) {
 
 	pe := s.plans.get(first.PlanID)
 	pe.mu.Lock()
-	kept := pe.search != nil
+	kept := pe.live != nil
 	pe.mu.Unlock()
 	if kept {
 		t.Error("the search that ran an unjournaled level is still live")

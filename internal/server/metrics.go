@@ -219,8 +219,10 @@ type MetricsSnapshot struct {
 	RecoveredMemos          int `json:"recovered_memos"`
 	RecoveredTruncatedBytes int `json:"recovered_truncated_bytes"`
 	// UnresumablePlans counts journaled plan checkpoints that failed to
-	// resume and were restarted from level 0.
+	// resume and were restarted from level 0; UnresumableExecs the same for
+	// guard checkpoints, restarted from wave 0.
 	UnresumablePlans int64 `json:"unresumable_plans"`
+	UnresumableExecs int64 `json:"unresumable_execs"`
 
 	Draining bool `json:"draining"`
 }

@@ -30,9 +30,10 @@ package server
 // does not grow with the number of jobs ever served. A final record drops
 // the job's checkpoint: a finished job answers from its final bytes.
 //
-// The mirror is also the only in-memory copy of a plan's checkpoint: a
-// planEntry holds the live search, not its bytes, and the plan handler
-// asks the mirror (planCheckpoint) only when it has no live search.
+// The mirror is also the only in-memory copy of a plan's or an execution's
+// checkpoint: a jobEntry holds the live search or execution, not its bytes,
+// and the handlers ask the mirror (checkpoint) only when they have no live
+// job.
 
 import (
 	"crypto/sha256"
@@ -284,12 +285,13 @@ func (p *persistor) savePlanCheckpoint(id string, cp []byte) error {
 	return p.append(recPlanCheckpoint, id, cp)
 }
 
-// planCheckpoint returns the latest journaled checkpoint of a plan, nil
-// when it has none. The bytes are the mirror's: read-only to the caller.
-func (p *persistor) planCheckpoint(id string) []byte {
+// checkpoint returns the latest journaled checkpoint of a plan (m =
+// p.plans) or an execution (m = p.execs), nil when it has none. The bytes
+// are the mirror's: read-only to the caller.
+func (p *persistor) checkpoint(m map[string]*planMirror, id string) []byte {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if pm := p.plans[id]; pm != nil {
+	if pm := m[id]; pm != nil {
 		return pm.checkpoint
 	}
 	return nil
@@ -345,12 +347,12 @@ type recoveryStats struct {
 }
 
 // recover replays the WAL into the persistor's mirror, then hydrates the
-// server's serving-path state from it: finished plans answer from their
-// final bytes (an unfinished one resumes from the mirror's checkpoint when
-// its ID is next posted), memo bodies answer repeat requests, and base
-// snapshots come back warm from the object store — each verified against
-// its content address before use; a missing or corrupt object degrades to
-// a cold rebuild, never to wrong state.
+// server's serving-path state from it: finished plans and executions answer
+// from their final bytes (an unfinished one resumes from the mirror's
+// checkpoint when its ID is next posted), memo bodies answer repeat
+// requests, and base snapshots come back warm from the object store — each
+// verified against its content address before use; a missing or corrupt
+// object degrades to a cold rebuild, never to wrong state.
 func (p *persistor) recover(s *Server) (recoveryStats, error) {
 	var rs recoveryStats
 	err := p.st.Log.Replay(func(r store.Record) error {
@@ -385,28 +387,26 @@ func (p *persistor) recover(s *Server) (recoveryStats, error) {
 		rs.Bases++
 	}
 	// Oldest first: the LRU-bounded stores keep the most recently recorded.
-	for _, id := range byRecency(p.plans) {
-		pm := p.plans[id]
-		pe := s.plans.get(id)
-		pe.mu.Lock()
-		pe.final = pm.final
-		pe.mu.Unlock()
-		rs.Plans++
-	}
-	for _, id := range byRecency(p.execs) {
-		pm := p.execs[id]
-		ee := s.execs.get(id)
-		ee.mu.Lock()
-		ee.checkpoint = pm.checkpoint
-		ee.final = pm.final
-		ee.mu.Unlock()
-		rs.Execs++
-	}
+	rs.Plans = recoverFinals(p.plans, s.plans)
+	rs.Execs = recoverFinals(p.execs, s.execs)
 	for _, key := range p.memoOrder {
 		s.memo.put(key, p.memos[key])
 		rs.Memos++
 	}
 	return rs, nil
+}
+
+// recoverFinals hands each recovered job's final bytes, if it has them, to
+// its serving entry, oldest first; an unfinished job resumes from the
+// mirror's checkpoint when its ID is next posted. It returns the job count.
+func recoverFinals[J any](m map[string]*planMirror, es *entryStore[J]) int {
+	for _, id := range byRecency(m) {
+		e := es.get(id)
+		e.mu.Lock()
+		e.final = m[id].final
+		e.mu.Unlock()
+	}
+	return len(m)
 }
 
 // restoreEntry loads and verifies one base snapshot from the object

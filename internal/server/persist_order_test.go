@@ -102,7 +102,7 @@ func TestRecoveryKeepsMostRecentlyRecorded(t *testing.T) {
 				}
 				var execs, plans []string
 				for id, ee := range s.execs.entries {
-					if ee.checkpoint == nil && ee.final == nil {
+					if s.persist.checkpoint(s.persist.execs, id) == nil && ee.final == nil {
 						t.Errorf("cycle %d: execution %s recovered empty", cycle, id)
 					}
 					execs = append(execs, id)

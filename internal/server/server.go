@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"centralium/internal/guard"
+	"centralium/internal/planner"
 	"centralium/internal/store"
 )
 
@@ -85,8 +86,8 @@ type Server struct {
 	cfg     Config
 	cache   *snapCache
 	memo    *respMemo
-	plans   *entryStore[planEntry]
-	execs   *entryStore[execEntry]
+	plans   *entryStore[planner.Search]
+	execs   *entryStore[guard.Execution]
 	events  *broadcaster
 	metrics *serverMetrics
 
@@ -94,9 +95,10 @@ type Server struct {
 	// recovered is what boot-time recovery rebuilt, frozen after Open.
 	persist   *persistor
 	recovered recoveryStats
-	// unresumablePlans counts journaled plan checkpoints that failed to
-	// resume (the plan restarted from level 0).
+	// unresumablePlans and unresumableExecs count journaled checkpoints that
+	// failed to resume (the job restarted from its beginning).
 	unresumablePlans atomic.Int64
+	unresumableExecs atomic.Int64
 
 	sem      chan struct{}
 	queued   atomic.Int64
@@ -123,8 +125,8 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		cache:   newSnapCache(cfg.CacheSize),
 		memo:    newRespMemo(cfg.MemoSize),
-		plans:   newEntryStore(cfg.PlanStoreSize, func() *planEntry { return &planEntry{} }),
-		execs:   newEntryStore(cfg.PlanStoreSize, func() *execEntry { return &execEntry{objects: guard.NewMemObjects()} }),
+		plans:   newEntryStore[planner.Search](cfg.PlanStoreSize),
+		execs:   newEntryStore[guard.Execution](cfg.PlanStoreSize),
 		events:  newBroadcaster(cfg.EventBuffer),
 		metrics: newServerMetrics(),
 		sem:     make(chan struct{}, cfg.Workers),

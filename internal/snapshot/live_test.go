@@ -53,6 +53,21 @@ func (c *tally) take() map[string]int {
 	return out
 }
 
+// memObjects is a guard object store: a map, first write wins.
+type memObjects map[string][]byte
+
+func (m memObjects) Put(key string, data []byte) error {
+	if _, ok := m[key]; !ok {
+		m[key] = bytes.Clone(data)
+	}
+	return nil
+}
+
+func (m memObjects) Get(key string) ([]byte, bool, error) {
+	data, ok := m[key]
+	return data, ok, nil
+}
+
 // sameAsFull compares a capture's renderings with the oracle's for n.
 func sameAsFull(t *testing.T, label string, got *snapshot.Snapshot, n *fabric.Network) {
 	t.Helper()
@@ -147,7 +162,7 @@ func TestStepDecodesNothing(t *testing.T) {
 
 // TestCaptureFromMatchesFullCaptureOnScenarios walks the three planner
 // scenarios the way the search's evaluator does — fork the parent, push one
-// step through planner.ExecuteSteps, capture against the parent — along the
+// step through a planner.Executor, capture against the parent — along the
 // §5.3.2 baseline and along its reverse, and runs a guarded campaign whose
 // second wave is rolled back once. Every state on the way must be, byte for
 // byte, the full capture of the network it came from.
@@ -161,7 +176,7 @@ func TestCaptureFromMatchesFullCaptureOnScenarios(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		programs, err := planner.CompileIntent(p.Intent)
+		x, err := planner.NewExecutor(p.Intent, p.Workload(), p.OriginAltitude, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +195,7 @@ func TestCaptureFromMatchesFullCaptureOnScenarios(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := planner.ExecuteSteps(context.Background(), n, p.Workload(), p.Intent, programs, p.OriginAltitude, true, []planner.Step{st}); err != nil {
+				if _, err := x.Execute(context.Background(), n, []planner.Step{st}); err != nil {
 					t.Fatal(err)
 				}
 				child, err := snapshot.CaptureFrom(parent, n)
@@ -200,7 +215,7 @@ func TestCaptureFromMatchesFullCaptureOnScenarios(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := guard.FromParams(p)
-	objects := guard.NewMemObjects()
+	objects := memObjects{}
 	c.Objects = objects
 	var lastCP []byte
 	c.Journal = guard.JournalFunc(func(_ int, cp []byte) error { lastCP = bytes.Clone(cp); return nil })
@@ -240,9 +255,10 @@ func TestCaptureFromMatchesFullCaptureOnScenarios(t *testing.T) {
 }
 
 // TestExecuteEncodesEachStateOnce: a paced /v1/execute post renders the state
-// its wave produced exactly once, decodes the last-good state it resumes from
-// exactly once, and re-encodes nothing it already holds as bytes — not the
-// decoded last-good, not the final state for its fingerprint.
+// its wave produced exactly once and re-encodes nothing it already holds — not
+// the last-good state, not the final state for its fingerprint — and, the
+// daemon keeping the execution live between posts, decodes nothing: no
+// checkpoint and no last-good state is read back.
 func TestExecuteEncodesEachStateOnce(t *testing.T) {
 	srv := server.New(server.Config{Workers: 2})
 	ts := httptest.NewServer(srv.Handler())
@@ -278,8 +294,8 @@ func TestExecuteEncodesEachStateOnce(t *testing.T) {
 		if strings.Contains(body, `"state":"completed"`) && !strings.Contains(body, fmt.Sprintf(`"waves_done":%d`, posts)) {
 			want = 0 // the post that only seals a campaign whose waves are all done
 		}
-		if got["encode"] != want || got["decode"] != 1 || got["topo-export"] != 0 {
-			t.Errorf("paced post %d: %v, want %d encode(s), one decode, no topology export", posts, got, want)
+		if got["encode"] != want || got["decode"] != 0 || got["topo-export"] != 0 {
+			t.Errorf("paced post %d: %v, want %d encode(s), no decode, no topology export", posts, got, want)
 		}
 	}
 	if !strings.Contains(body, `"state":"completed"`) || !strings.Contains(body, `"final_fingerprint":"`) || posts < 3 {
