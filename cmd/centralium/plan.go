@@ -229,26 +229,22 @@ func plan(w io.Writer, snap *snapshot.Snapshot, p planner.Params, ckpt, resume s
 		fmt.Fprintf(w, "resuming %s from journaled level %d\n", key, s.Level())
 	}
 
-	sinks := planner.JournalFunc(func(level int, cp []byte) error {
-		if ckpt != "" {
-			if err := os.WriteFile(ckpt, cp, 0o644); err != nil {
-				return err
+	var sinks planner.Journal // nil when there is nothing to save: no checkpoint is encoded
+	if ckpt != "" || wal != nil {
+		sinks = planner.JournalFunc(func(level int, cp []byte) error {
+			if ckpt != "" {
+				if err := os.WriteFile(ckpt, cp, 0o644); err != nil {
+					return err
+				}
 			}
-		}
-		if wal != nil {
-			return wal.SaveProgress(level, cp)
-		}
-		return nil
-	})
-	for done := s.IsDone(); !done; {
-		if ckpt == "" && wal == nil {
-			done, err = s.Step() // nothing to save: no checkpoint is encoded
-		} else {
-			done, err = s.StepJournaled(sinks)
-		}
-		if err != nil {
-			return none, err
-		}
+			if wal != nil {
+				return wal.SaveProgress(level, cp)
+			}
+			return nil
+		})
+	}
+	if _, err := s.Drive(context.Background(), 0, sinks); err != nil {
+		return none, err
 	}
 	res, err := s.Result()
 	if err != nil {

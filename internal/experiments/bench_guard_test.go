@@ -140,7 +140,7 @@ func fig10CheckpointBytes(t *testing.T) float64 {
 	}
 	sum := 0
 	journal := planner.JournalFunc(func(_ int, cp []byte) error { sum += len(cp); return nil })
-	if _, err := planner.RunJournaled(s, journal); err != nil {
+	if _, err := s.Drive(context.Background(), 0, journal); err != nil {
 		t.Fatal(err)
 	}
 	return float64(sum)

@@ -83,7 +83,7 @@ func TestCheckpointHoldsEachStateOnce(t *testing.T) {
 func TestCheckpointIsPureFunctionOfState(t *testing.T) {
 	ref := steppedSearch(t, 0)
 	want := [][]byte{mustCheckpoint(t, ref)}
-	for !ref.IsDone() {
+	for !ref.done {
 		if _, err := ref.Step(); err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestCheckpointIsPureFunctionOfState(t *testing.T) {
 			if got := mustCheckpoint(t, s); !bytes.Equal(got, want[level]) {
 				t.Fatalf("resumed at level %d: checkpoint at level %d differs from the uninterrupted search's", from, level)
 			}
-			if s.IsDone() {
+			if s.done {
 				break
 			}
 			if _, err := s.Step(); err != nil {

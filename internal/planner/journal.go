@@ -8,7 +8,10 @@ package planner
 // run converges on the byte-identical winner (the Checkpoint/ResumeSearch
 // determinism, held per level instead of per explicit save).
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+)
 
 // Journal persists one search's between-level checkpoints. The latest
 // saved checkpoint wins on recovery. Implementations must not retain
@@ -47,21 +50,23 @@ func (s *Search) StepJournaled(j Journal) (done bool, err error) {
 	return done, nil
 }
 
-// RunJournaled drives a search to completion under a journal and
-// returns its result. Resume an interrupted run by rebuilding the
-// search with ResumeSearch on the journal's latest checkpoint and
-// calling RunJournaled again.
-func RunJournaled(s *Search, j Journal) (*Result, error) {
-	for {
-		if s.IsDone() {
-			return s.Result()
+// Drive advances the search up to maxLevels beam levels — every remaining
+// level when maxLevels is not positive — and reports whether it is done.
+// With a journal each level is a StepJournaled; without one, a Step, which
+// encodes no checkpoint. It stops between levels once ctx expires, and the
+// next Drive continues from there. After an error the search may be
+// mid-level: discard it and resume from the journal.
+func (s *Search) Drive(ctx context.Context, maxLevels int, j Journal) (done bool, err error) {
+	done = s.done
+	for levels := 0; !done && (maxLevels <= 0 || levels < maxLevels) && ctx.Err() == nil; levels++ {
+		if j != nil {
+			done, err = s.StepJournaled(j)
+		} else {
+			done, err = s.Step()
 		}
-		done, err := s.StepJournaled(j)
 		if err != nil {
-			return nil, err
-		}
-		if done {
-			return s.Result()
+			return false, err
 		}
 	}
+	return done, nil
 }

@@ -5,6 +5,7 @@ package planner
 // on the byte-identical winner of the uninterrupted run.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
@@ -21,7 +22,15 @@ func (m *memJournal) SaveProgress(level int, checkpoint []byte) error {
 	return nil
 }
 
-func TestRunJournaledMatchesPlain(t *testing.T) {
+// runJournaled drives s to completion under j and returns its result.
+func runJournaled(s *Search, j Journal) (*Result, error) {
+	if _, err := s.Drive(context.Background(), 0, j); err != nil {
+		return nil, err
+	}
+	return s.Result()
+}
+
+func TestDriveJournaledMatchesPlain(t *testing.T) {
 	snap, p, err := ScenarioSetup("fig10", 1)
 	if err != nil {
 		t.Fatalf("scenario: %v", err)
@@ -39,7 +48,7 @@ func TestRunJournaledMatchesPlain(t *testing.T) {
 		t.Fatalf("search: %v", err)
 	}
 	j := &memJournal{}
-	got, err := RunJournaled(s, j)
+	got, err := runJournaled(s, j)
 	if err != nil {
 		t.Fatalf("journaled run: %v", err)
 	}
@@ -73,7 +82,7 @@ func TestResumeFromEveryJournaledLevel(t *testing.T) {
 		t.Fatalf("search: %v", err)
 	}
 	j := &memJournal{}
-	want, err := RunJournaled(ref, j)
+	want, err := runJournaled(ref, j)
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
@@ -86,7 +95,7 @@ func TestResumeFromEveryJournaledLevel(t *testing.T) {
 			if err != nil {
 				t.Fatalf("resume: %v", err)
 			}
-			got, err := RunJournaled(s, &memJournal{})
+			got, err := runJournaled(s, &memJournal{})
 			if err != nil {
 				t.Fatalf("resumed run: %v", err)
 			}
@@ -119,5 +128,50 @@ func TestStepJournaledSurfacesJournalErrors(t *testing.T) {
 	boom := JournalFunc(func(int, []byte) error { return fmt.Errorf("disk full") })
 	if _, err := s.StepJournaled(boom); err == nil {
 		t.Fatalf("journal failure not surfaced")
+	}
+}
+
+// TestDrivePacing: Drive advances at most maxLevels levels, none once its
+// context has expired, and a search driven in paced legs ends where an
+// unpaced one does.
+func TestDrivePacing(t *testing.T) {
+	snap, p, err := ScenarioSetup("fig10", 1)
+	if err != nil {
+		t.Fatalf("scenario: %v", err)
+	}
+	p.Beam = 2
+	p.RandomCands = -1
+	want, err := Plan(snap, p)
+	if err != nil {
+		t.Fatalf("plan: %v", err)
+	}
+	s, err := NewSearch(snap, p)
+	if err != nil {
+		t.Fatalf("search: %v", err)
+	}
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	if done, err := s.Drive(expired, 0, nil); err != nil || done || s.Level() != 0 {
+		t.Fatalf("Drive under an expired context: done %v, level %d, err %v", done, s.Level(), err)
+	}
+	for legs := 1; ; legs++ {
+		done, err := s.Drive(context.Background(), 1, &memJournal{})
+		if err != nil {
+			t.Fatalf("leg %d: %v", legs, err)
+		}
+		if done {
+			break
+		}
+		if s.Level() != legs {
+			t.Fatalf("after %d one-level legs the search is at level %d", legs, s.Level())
+		}
+	}
+	got, err := s.Result()
+	if err != nil {
+		t.Fatalf("result: %v", err)
+	}
+	if got.Winner.String() != want.Winner.String() || got.Score != want.Score || got.Stats != want.Stats {
+		t.Fatalf("paced search diverged: %s (%v, %+v) vs %s (%v, %+v)",
+			got.Winner, got.Score, got.Stats, want.Winner, want.Score, want.Stats)
 	}
 }

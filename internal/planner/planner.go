@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -266,9 +267,6 @@ func newSearch(root *snapshot.Snapshot, state []byte, fp string, p Params) (*Sea
 // Level returns the number of completed beam levels.
 func (s *Search) Level() int { return s.level }
 
-// IsDone reports whether the search is exhausted (Result may be called).
-func (s *Search) IsDone() bool { return s.done }
-
 // SearchStats returns a copy of the search's work counters.
 func (s *Search) SearchStats() Stats { return s.stats }
 
@@ -278,15 +276,10 @@ func Plan(base *snapshot.Snapshot, p Params) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for {
-		done, err := s.Step()
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			return s.Result()
-		}
+	if _, err := s.Drive(context.Background(), 0, nil); err != nil {
+		return nil, err
 	}
+	return s.Result()
 }
 
 // remaining returns the intent devices a schedule has not yet deployed,
@@ -826,17 +819,10 @@ func Approver(base *snapshot.Snapshot, p Params) func(waves [][]topo.DeviceID) e
 	var initErr error
 	return func(waves [][]topo.DeviceID) error {
 		once.Do(func() {
-			s, initErr = NewSearch(base, p)
-			if initErr != nil {
+			if s, initErr = NewSearch(base, p); initErr != nil {
 				return
 			}
-			for {
-				var done bool
-				if done, initErr = s.Step(); initErr != nil || done {
-					break
-				}
-			}
-			if initErr != nil {
+			if _, initErr = s.Drive(context.Background(), 0, nil); initErr != nil {
 				return
 			}
 			var res *Result

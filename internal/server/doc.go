@@ -29,23 +29,22 @@
 // race detector. (fingerprint, request) pairs are memoized, which can
 // only ever save work, never change bytes.
 //
-// # Plan searches
+// # Jobs
 //
-// A POST /v1/plan search is resumable by plan ID and stays live between
-// requests: the daemon holds the *planner.Search itself, and a request
-// that stops early (max_levels, a deadline) leaves it where the next one
-// continues. Serialized checkpoints exist for recovery only. With a store,
-// every completed level appends one to the WAL before the next level
+// A POST /v1/plan search and a POST /v1/execute campaign are jobs, driven
+// by one code path (drive). A job is addressed by an ID that hashes
+// everything but pacing, and stays live between requests: the daemon holds
+// the *planner.Search or *guard.Execution itself, and a request that stops
+// early (max_levels / max_waves, a deadline) leaves it where the next one
+// continues. One request at a time advances a job; an entry in use is
+// never evicted. Serialized checkpoints exist for recovery only. With a
+// store, every level or wave journals one to the WAL before the next
 // starts, and the daemon's only in-memory copy is the persistor's mirror;
-// the handler resumes from it when it has no live search — after a
-// restart, an LRU eviction, or a step that failed (the search that ran an
-// unjournaled level is dropped, as a crash would drop it). A journaled
-// checkpoint that does not resume is treated as absent and the plan
-// restarts from level 0: the final body is a pure function of (base,
-// params), so it is byte-identical either way. A POST /v1/execute campaign
-// is held the same way — the entry keeps the *guard.Execution, its guard
-// checkpoints live in the mirror, and one that does not resume restarts
-// the campaign from wave 0.
+// drive resumes from it when it has no live job — after a restart, an
+// LRU eviction, or an advance that failed (the job is dropped, as a crash
+// would drop it). A journaled checkpoint that does not resume is treated as
+// absent and the job restarts: the final body is a pure function of the
+// job's identity, so it is byte-identical either way.
 //
 // # Admission, deadlines, drain
 //

@@ -3,12 +3,9 @@ package server
 // POST /v1/execute: guarded campaign execution as a service. The daemon
 // runs the scenario's migration campaign under the internal/guard
 // supervisor — telemetry-driven auto-pause, rollback to last-good,
-// bounded retry, quarantine-and-abort. Between paced posts the daemon keeps
-// the *guard.Execution itself, as it keeps a plan's search; with a store it
-// journals a guard checkpoint before every wave, so a daemon killed
-// mid-campaign resumes the execution from the WAL to the byte-identical
-// terminal state on the next post. Guard state transitions stream on
-// /v1/events as they happen.
+// bounded retry, quarantine-and-abort — as a job (jobs.go) whose checkpoint
+// journals before every wave. Guard state transitions stream on /v1/events
+// as they happen.
 
 import (
 	"context"
@@ -16,7 +13,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"log"
 	"net/http"
 
 	"centralium/internal/guard"
@@ -150,98 +146,57 @@ func (s *Server) execute(ctx context.Context, ar *apiRequest) result {
 		return errorResult(http.StatusInternalServerError, "build scenario base: %v", err)
 	}
 	id := req.execID(entry.Fingerprint)
-	ee := s.execs.get(id)
-
-	// One request at a time advances a given execution; concurrent posts
-	// for the same ID serialize here, each driving it further.
-	ee.mu.Lock()
-	defer ee.mu.Unlock()
-	if ee.final != nil {
-		return result{status: http.StatusOK, body: ee.final}
-	}
-
-	exec := ee.live
-	if exec == nil {
-		c := guard.FromParams(entry.Params)
-		c.Name = "exec-" + id[:12]
-		c.Envelope = req.envelope()
-		c.Retry.MaxRetries = req.MaxRetries
-		if req.Schedule != "" {
-			sched, perr := planner.Parse(req.Schedule)
-			if perr != nil {
-				return errorResult(http.StatusBadRequest, "%v", perr)
-			}
-			if cerr := coversIntent(sched.Waves(), entry.Params); cerr != nil {
-				return errorResult(http.StatusBadRequest, "%v", cerr)
-			}
-			c.Schedule = sched
+	c := guard.FromParams(entry.Params)
+	c.Name = "exec-" + id[:12]
+	c.Envelope = req.envelope()
+	c.Retry.MaxRetries = req.MaxRetries
+	if req.Schedule != "" {
+		sched, err := planner.Parse(req.Schedule)
+		if err != nil {
+			return errorResult(http.StatusBadRequest, "%v", err)
 		}
-		label := fmt.Sprintf("execute %s/%d", req.Scenario, req.Seed)
-		c.OnTransition = func(tr guard.Transition) {
-			s.metrics.observeGuard(tr)
-			s.events.publish(StreamEvent{Source: label, Guard: &tr})
+		if err := coversIntent(sched.Waves(), entry.Params); err != nil {
+			return errorResult(http.StatusBadRequest, "%v", err)
 		}
-		if s.persist != nil {
-			// With a store, every checkpoint journals durably before the
-			// wave it precedes runs, and last-good states go to the object
-			// store: the resume point of a restarted daemon.
-			c.Journal = guard.JournalFunc(func(level int, cp []byte) error {
-				return s.persist.saveExecCheckpoint(id, cp)
-			})
-			c.Objects = s.persist.st.Objects
-			if cp := s.persist.checkpoint(s.persist.execs, id); cp != nil {
-				if exec, err = guard.ResumeExecution(cp, c); err != nil {
-					// An unresumable checkpoint is an absent one: the final body
-					// is a pure function of (base, campaign), so the execution
-					// restarts from wave 0 and its next checkpoint replaces the
-					// bad record.
-					log.Printf("server: execution %s: journaled checkpoint does not resume, restarting the campaign: %v", id, err)
-					s.unresumableExecs.Add(1)
-				}
+		c.Schedule = sched
+	}
+	label := fmt.Sprintf("execute %s/%d", req.Scenario, req.Seed)
+	c.OnTransition = func(tr guard.Transition) {
+		s.metrics.observeGuard(tr)
+		s.events.publish(StreamEvent{Source: label, Guard: &tr})
+	}
+	if s.persist != nil {
+		// Last-good states go to the object store: a checkpoint names them.
+		c.Journal = s.persist.journal(execJob, id)
+		c.Objects = s.persist.st.Objects
+	}
+	return drive(s, s.execs, id, jobSteps[guard.Execution]{
+		start:  func() (*guard.Execution, error) { return guard.NewExecution(entry.Snap, c) },
+		resume: func(cp []byte) (*guard.Execution, error) { return guard.ResumeExecution(cp, c) },
+		advance: func(exec *guard.Execution) (result, bool, error) {
+			res, err := exec.Drive(ctx, req.MaxWaves)
+			if err != nil {
+				return result{}, false, err
 			}
-		}
-		if exec == nil {
-			if exec, err = guard.NewExecution(entry.Snap, c); err != nil {
-				return errorResult(http.StatusInternalServerError, "start execution %s: %v", id, err)
+			resp := &ExecuteResponse{
+				ExecID:      id,
+				Fingerprint: entry.Fingerprint,
+				State:       string(res.State),
+				Waves:       res.Waves,
+				WavesDone:   res.WavesDone,
+				Retries:     res.Retries,
+				Rollbacks:   res.Rollbacks,
+				Quarantined: res.Quarantined,
+				Incident:    res.Report,
+				Log:         res.Log,
 			}
-		}
-	}
-	ee.live = exec
-
-	res, err := exec.Drive(ctx, req.MaxWaves)
-	if err != nil {
-		// The execution may be mid-wave: drop it, so the next request
-		// resumes from the last journaled checkpoint as it would after a
-		// crash.
-		ee.live = nil
-		return errorResult(http.StatusInternalServerError, "execute %s: %v", id, err)
-	}
-	resp := &ExecuteResponse{
-		ExecID:      id,
-		Fingerprint: entry.Fingerprint,
-		State:       string(res.State),
-		Waves:       res.Waves,
-		WavesDone:   res.WavesDone,
-		Retries:     res.Retries,
-		Rollbacks:   res.Rollbacks,
-		Quarantined: res.Quarantined,
-		Incident:    res.Report,
-		Log:         res.Log,
-	}
-	if res.State == guard.StateCompleted || res.State == guard.StateAborted {
-		resp.FinalFingerprint = res.FinalFP
-		body := encodeBody(resp)
-		// A terminal execution answers from final, like a finished plan;
-		// its live execution is dead weight.
-		ee.final, ee.live = body, nil
-		if s.persist != nil {
-			if perr := s.persist.saveExecFinal(id, body); perr != nil {
-				s.persist.noteError()
+			final := res.State == guard.StateCompleted || res.State == guard.StateAborted
+			if final {
+				resp.FinalFingerprint = res.FinalFP
 			}
-		}
-		return result{status: http.StatusOK, body: body}
-	}
-	return jsonResult(http.StatusOK, resp)
+			return jsonResult(http.StatusOK, resp), final, nil
+		},
+	})
 }
 
 // Execute runs (or resumes) a guarded campaign execution.

@@ -9,12 +9,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log"
 	"net/http"
 	"net/netip"
 	"sort"
 	"strconv"
-	"sync"
 
 	"centralium/internal/fabric"
 	"centralium/internal/planner"
@@ -180,55 +178,6 @@ func coversIntent(waves [][]topo.DeviceID, p planner.Params) error {
 
 // --- POST /v1/plan ----------------------------------------------------------
 
-// jobEntry is one resumable job — a plan search (J = planner.Search) or a
-// guarded execution (J = guard.Execution): the live job between requests,
-// then, once it is done, the final response bytes alone (idempotent
-// completion). The job's serialized form lives in the persistor's mirror
-// only, and is read back only when there is no live job — after a restart,
-// an LRU eviction or a failed request.
-type jobEntry[J any] struct {
-	mu    sync.Mutex
-	live  *J
-	final []byte
-}
-
-// entryStore holds the daemon's resumable jobs of one kind by ID,
-// LRU-bounded.
-type entryStore[J any] struct {
-	mu      sync.Mutex
-	entries map[string]*jobEntry[J]
-	order   []string // least recently used first
-	max     int
-}
-
-func newEntryStore[J any](max int) *entryStore[J] {
-	return &entryStore[J]{entries: make(map[string]*jobEntry[J]), max: max}
-}
-
-// get returns (creating if needed) the entry for an ID.
-func (es *entryStore[J]) get(id string) *jobEntry[J] {
-	es.mu.Lock()
-	defer es.mu.Unlock()
-	if e, ok := es.entries[id]; ok {
-		for i, o := range es.order {
-			if o == id {
-				es.order = append(append(es.order[:i:i], es.order[i+1:]...), id)
-				break
-			}
-		}
-		return e
-	}
-	e := &jobEntry[J]{}
-	es.entries[id] = e
-	es.order = append(es.order, id)
-	for len(es.order) > es.max {
-		victim := es.order[0]
-		es.order = es.order[1:]
-		delete(es.entries, victim)
-	}
-	return e
-}
-
 func (s *Server) plan(ctx context.Context, ar *apiRequest) result {
 	req, err := DecodePlanRequest(ar.body)
 	if err != nil {
@@ -242,116 +191,64 @@ func (s *Server) plan(ctx context.Context, ar *apiRequest) result {
 		return errorResult(http.StatusInternalServerError, "build scenario base: %v", err)
 	}
 	id := req.planID(entry.Fingerprint)
-	pe := s.plans.get(id)
-
-	// One request at a time advances a given plan; concurrent posts for
-	// the same plan serialize here and each advance it further.
-	pe.mu.Lock()
-	defer pe.mu.Unlock()
-	if pe.final != nil {
-		return result{status: http.StatusOK, body: pe.final}
-	}
-
-	search := pe.live
-	if search == nil && s.persist != nil {
-		if cp := s.persist.checkpoint(s.persist.plans, id); cp != nil {
-			if s.testHookResume != nil {
-				s.testHookResume()
-			}
-			if search, err = planner.ResumeSearch(cp); err != nil {
-				// An unresumable checkpoint is an absent one: the final body is
-				// a pure function of (base, params), so the plan restarts from
-				// level 0 and the next journaled level replaces the bad record.
-				log.Printf("server: plan %s: journaled checkpoint does not resume, restarting the search: %v", id, err)
-				s.unresumablePlans.Add(1)
-			}
-		}
-	}
-	if search == nil {
-		p := entry.Params
-		if req.Beam > 0 {
-			p.Beam = req.Beam
-		}
-		if req.RandomCands != 0 {
-			p.RandomCands = req.RandomCands
-		}
-		if len(req.BatchSizes) > 0 {
-			p.BatchSizes = append([]int(nil), req.BatchSizes...)
-		}
-		if len(req.MinNextHops) > 0 {
-			p.MinNextHops = append([]int(nil), req.MinNextHops...)
-		}
-		if req.SearchBare {
-			p.SearchBare = true
-		}
-		search, err = planner.NewSearch(entry.Snap, p)
-		if err != nil {
-			return errorResult(http.StatusInternalServerError, "start plan %s: %v", id, err)
-		}
-	}
-	pe.live = search
-
-	// With a store, every completed level journals durably before the
-	// next one starts: a crash mid-request loses at most the level in
-	// flight, and a restarted daemon resumes this plan ID from the last
-	// journaled checkpoint.
-	step := search.Step
+	// With a store, every completed level journals durably before the next
+	// one starts: a crash mid-request loses at most the level in flight.
+	var journal planner.Journal
 	if s.persist != nil {
-		journal := planner.JournalFunc(func(level int, cp []byte) error {
-			return s.persist.savePlanCheckpoint(id, cp)
-		})
-		step = func() (bool, error) { return search.StepJournaled(journal) }
+		journal = s.persist.journal(planJob, id)
 	}
-	done := search.IsDone()
-	for levels := 0; !done; levels++ {
-		if req.MaxLevels > 0 && levels >= req.MaxLevels {
-			break
-		}
-		if ctx.Err() != nil {
-			// Deadline mid-search: the live search keeps its progress and the
-			// next request continues from here. The client already has its 504.
-			break
-		}
-		done, err = step()
-		if err != nil {
-			// The search may be mid-level: drop it, so the next request
-			// resumes from the last journaled level as it would after a crash.
-			pe.live = nil
-			return errorResult(http.StatusInternalServerError, "plan %s: %v", id, err)
-		}
-	}
-
-	resp := &PlanResponse{
-		PlanID:      id,
-		Fingerprint: entry.Fingerprint,
-		Done:        done,
-		Level:       search.Level(),
-		Stats:       search.SearchStats(),
-	}
-	if done {
-		res, err := search.Result()
-		if err != nil {
-			return errorResult(http.StatusInternalServerError, "finish plan %s: %v", id, err)
-		}
-		resp.Stats = search.SearchStats()
-		resp.Winner = res.Winner.String()
-		score := res.Score
-		resp.Score = &score
-		resp.Baseline = res.Baseline.String()
-		baseScore := res.BaselineScore
-		resp.BaselineScore = &baseScore
-		resp.FromBaseline = res.FromBaseline
-		body := encodeBody(resp)
-		// A finished plan answers from final; its search is dead weight.
-		pe.final, pe.live = body, nil
-		if s.persist != nil {
-			if err := s.persist.savePlanFinal(id, body); err != nil {
-				s.persist.noteError()
+	return drive(s, s.plans, id, jobSteps[planner.Search]{
+		start: func() (*planner.Search, error) {
+			p := entry.Params
+			if req.Beam > 0 {
+				p.Beam = req.Beam
 			}
-		}
-		return result{status: http.StatusOK, body: body}
-	}
-	return jsonResult(http.StatusOK, resp)
+			if req.RandomCands != 0 {
+				p.RandomCands = req.RandomCands
+			}
+			if len(req.BatchSizes) > 0 {
+				p.BatchSizes = append([]int(nil), req.BatchSizes...)
+			}
+			if len(req.MinNextHops) > 0 {
+				p.MinNextHops = append([]int(nil), req.MinNextHops...)
+			}
+			if req.SearchBare {
+				p.SearchBare = true
+			}
+			return planner.NewSearch(entry.Snap, p)
+		},
+		resume: planner.ResumeSearch,
+		advance: func(search *planner.Search) (result, bool, error) {
+			// A deadline stops the search between levels: it keeps its
+			// progress and the next request continues from there. The client
+			// already has its 504.
+			done, err := search.Drive(ctx, req.MaxLevels, journal)
+			if err != nil {
+				return result{}, false, err
+			}
+			resp := &PlanResponse{
+				PlanID:      id,
+				Fingerprint: entry.Fingerprint,
+				Done:        done,
+				Level:       search.Level(),
+				Stats:       search.SearchStats(),
+			}
+			if !done {
+				return jsonResult(http.StatusOK, resp), false, nil
+			}
+			res, err := search.Result()
+			if err != nil {
+				return errorResult(http.StatusInternalServerError, "finish plan %s: %v", id, err), false, nil
+			}
+			resp.Stats = search.SearchStats()
+			resp.Winner = res.Winner.String()
+			resp.Score = &res.Score
+			resp.Baseline = res.Baseline.String()
+			resp.BaselineScore = &res.BaselineScore
+			resp.FromBaseline = res.FromBaseline
+			return jsonResult(http.StatusOK, resp), true, nil
+		},
+	})
 }
 
 // --- GET /v1/explain --------------------------------------------------------
@@ -428,7 +325,7 @@ func (s *Server) metricsHandler(ctx context.Context, ar *apiRequest) result {
 		snap.StoreEnabled = true
 		snap.StoreAppends, snap.StoreCompactions, snap.StoreErrors, snap.StoreSegments = s.persist.stats()
 		snap.StoreBytes, snap.StorePlanCheckpointBytes = s.persist.bytesAppended()
-		snap.UnresumablePlans, snap.UnresumableExecs = s.unresumablePlans.Load(), s.unresumableExecs.Load()
+		snap.UnresumablePlans, snap.UnresumableExecs = s.plans.unresumable.Load(), s.execs.unresumable.Load()
 		snap.RecoveredBases, snap.RecoveredPlans, snap.RecoveredExecs, snap.RecoveredMemos, snap.RecoveredTruncatedBytes =
 			s.recovered.Bases, s.recovered.Plans, s.recovered.Execs, s.recovered.Memos, s.recovered.TruncatedBytes
 	}

@@ -1,0 +1,157 @@
+package server
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// TestOneJobDriver keeps one code path per daemon job. In non-test
+// internal/server the four job constructors are each named in one function,
+// which hands them to drive, and only drive writes a jobEntry's live or
+// final. And no non-test code outside internal/planner and bench/ names a
+// search's Step or StepJournaled in a function that loops: a search advances
+// through Search.Drive, so a second level loop is a second driver, with its
+// own pacing, deadline and journal rules to keep in step with the first.
+func TestOneJobDriver(t *testing.T) {
+	constructors := map[string]map[string]bool{
+		"centralium/internal/planner.NewSearch":     {},
+		"centralium/internal/planner.ResumeSearch":  {},
+		"centralium/internal/guard.NewExecution":    {},
+		"centralium/internal/guard.ResumeExecution": {},
+	}
+	callsDrive := map[string]bool{}
+	lintGo(t, ".", func(fset *token.FileSet, imports map[string]string, fn *ast.FuncDecl) {
+		name := funcName(fn)
+		ast.Inspect(fn, func(node ast.Node) bool {
+			switch n := node.(type) {
+			case *ast.SelectorExpr:
+				if id, ok := n.X.(*ast.Ident); ok && constructors[imports[id.Name]+"."+n.Sel.Name] != nil {
+					constructors[imports[id.Name]+"."+n.Sel.Name][name] = true
+				}
+			case *ast.CallExpr:
+				fun := n.Fun
+				if ix, ok := fun.(*ast.IndexExpr); ok {
+					fun = ix.X
+				}
+				if id, ok := fun.(*ast.Ident); ok && id.Name == "drive" {
+					callsDrive[name] = true
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok && (sel.Sel.Name == "live" || sel.Sel.Name == "final") && name != "drive" {
+						t.Errorf("%s: %s writes a job's %s — only drive does", fset.Position(sel.Pos()), name, sel.Sel.Name)
+					}
+				}
+			}
+			return true
+		})
+	})
+	for ctor, from := range constructors {
+		if len(from) != 1 {
+			t.Errorf("%s is named in %d functions %v, want one", ctor, len(from), from)
+		}
+		for f := range from {
+			if !callsDrive[f] {
+				t.Errorf("%s names %s but does not hand it to drive", f, ctor)
+			}
+		}
+	}
+
+	stepLoops := func(fset *token.FileSet, imports map[string]string, fn *ast.FuncDecl) {
+		var loop token.Pos
+		var step *ast.Ident
+		ast.Inspect(fn, func(node ast.Node) bool {
+			switch n := node.(type) {
+			case *ast.ForStmt, *ast.RangeStmt:
+				loop = n.Pos()
+			case *ast.SelectorExpr:
+				if id, ok := n.X.(*ast.Ident); ok && imports[id.Name] != "" {
+					return true // a package-qualified name, such as the type planner.Step
+				}
+				if n.Sel.Name == "Step" || n.Sel.Name == "StepJournaled" {
+					step = n.Sel
+				}
+			}
+			return true
+		})
+		if loop.IsValid() && step != nil {
+			t.Errorf("%s: %s loops (%s) over a search's %s — advance a search with Search.Drive",
+				fset.Position(step.Pos()), funcName(fn), fset.Position(loop), step.Name)
+		}
+	}
+	err := filepath.WalkDir("../..", func(path string, d os.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		rel, _ := filepath.Rel("../..", path)
+		if rel != "." && (strings.HasPrefix(d.Name(), ".") || rel == "bench" || rel == filepath.Join("internal", "planner")) {
+			return filepath.SkipDir
+		}
+		lintGo(t, path, stepLoops)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// lintGo parses dir's non-test Go files and calls f on every function
+// declaration, with the file's import names mapped to their paths.
+func lintGo(t *testing.T, dir string, f func(*token.FileSet, map[string]string, *ast.FuncDecl)) {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range paths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		fset := token.NewFileSet()
+		file, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatalf("parse %s: %v", path, err)
+		}
+		imports := map[string]string{}
+		for _, imp := range file.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			name := filepath.Base(p)
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = p
+		}
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				f(fset, imports, fn)
+			}
+		}
+	}
+}
+
+// funcName renders a function declaration's name, with its receiver type.
+func funcName(fn *ast.FuncDecl) string {
+	if fn.Recv == nil {
+		return fn.Name.Name
+	}
+	typ := fn.Recv.List[0].Type
+	if star, ok := typ.(*ast.StarExpr); ok {
+		typ = star.X
+	}
+	switch x := typ.(type) {
+	case *ast.IndexExpr:
+		typ = x.X
+	case *ast.IndexListExpr:
+		typ = x.X
+	}
+	if id, ok := typ.(*ast.Ident); ok {
+		return id.Name + "." + fn.Name.Name
+	}
+	return fn.Name.Name
+}

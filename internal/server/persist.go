@@ -22,18 +22,14 @@ package server
 // key wins on replay. The persistor keeps a live mirror of exactly that
 // latest-wins state, which makes checkpoint-style compaction safe and
 // lock-free with respect to the serving path: Rotate, re-append the
-// mirror, Sync, Compact — without ever taking a planEntry or memo lock.
-// The mirror holds the most recently recorded PlanStoreSize plans and
-// executions — what the LRU-bounded serving stores would keep of a replay —
-// and rewrites and recovers them in the order of their latest records, so
-// which of them survive a restart is deterministic and the compacted log
-// does not grow with the number of jobs ever served. A final record drops
-// the job's checkpoint: a finished job answers from its final bytes.
+// mirror, Sync, Compact — without ever taking a jobEntry or memo lock.
 //
-// The mirror is also the only in-memory copy of a plan's or an execution's
-// checkpoint: a jobEntry holds the live search or execution, not its bytes,
-// and the handlers ask the mirror (checkpoint) only when they have no live
-// job.
+// The mirror keeps plans and executions alike, by job kind: the most
+// recently recorded PlanStoreSize of each, rewritten in the order of their
+// latest records, so which survive a restart is deterministic and the
+// compacted log does not grow with the jobs ever served. A final record
+// drops the job's checkpoint. The mirror is the only in-memory copy of a
+// job's checkpoint; drive reads it only when it has no live job.
 
 import (
 	"crypto/sha256"
@@ -77,24 +73,26 @@ type baseRecord struct {
 	Params      planner.Params `json:"params"`
 }
 
-// planMirror is one plan's (or execution's) live durable state: a resume
-// checkpoint while it runs, the final response once it is done.
-type planMirror struct {
-	checkpoint []byte
-	final      []byte
-	// seq orders mirrors by their latest record (see persistor.seq).
-	seq int64
+// jobKind names a kind of resumable daemon job.
+type jobKind uint8
+
+const (
+	planJob jobKind = iota
+	execJob
+	jobKinds
+)
+
+// jobRecords are each job kind's WAL record types.
+var jobRecords = [jobKinds]struct{ checkpoint, final uint8 }{
+	planJob: {recPlanCheckpoint, recPlanFinal},
+	execJob: {recExecCheckpoint, recExecFinal},
 }
 
-// byRecency returns the mirror's keys ordered by latest record, oldest
-// first.
-func byRecency(m map[string]*planMirror) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return m[out[i]].seq < m[out[j]].seq })
-	return out
+// jobMirror is one job's live durable state: a resume checkpoint while it
+// runs, the final response once it is done.
+type jobMirror struct {
+	checkpoint []byte
+	final      []byte
 }
 
 // persistor owns the daemon's append path into the store. All methods
@@ -105,18 +103,12 @@ type persistor struct {
 	st *store.Store
 
 	// Live mirrors: the latest value per key, exactly what a compacted
-	// log must preserve. memoOrder bounds the memo mirror FIFO-style, and
-	// planMax the plan and execution mirrors by recency, so the rewritten
-	// log cannot outgrow the in-memory memo and serving stores.
-	bases     map[string][]byte
-	plans     map[string]*planMirror
-	execs     map[string]*planMirror
-	planMax   int
-	memos     map[string][]byte
-	memoOrder []string
-	memoMax   int
-	// seq counts records folded into the mirror (appended or replayed).
-	seq int64
+	// log must preserve. The memo mirror is bounded first in first out, and
+	// each kind's job mirror by latest record, as the memo and the serving
+	// stores are, so the rewritten log cannot outgrow them.
+	bases map[string][]byte
+	jobs  [jobKinds]*recency[*jobMirror]
+	memos *recency[[]byte]
 
 	// compactEvery triggers checkpoint-style compaction once the log
 	// holds more than this many segments.
@@ -129,15 +121,15 @@ type persistor struct {
 	bytes [recExecFinal + 1]int64
 }
 
-func newPersistor(st *store.Store, compactEvery, memoMax, planMax int) *persistor {
+func newPersistor(st *store.Store, compactEvery, memoMax, jobMax int) *persistor {
 	return &persistor{
-		st:           st,
-		bases:        make(map[string][]byte),
-		plans:        make(map[string]*planMirror),
-		execs:        make(map[string]*planMirror),
-		planMax:      planMax,
-		memos:        make(map[string][]byte),
-		memoMax:      memoMax,
+		st:    st,
+		bases: make(map[string][]byte),
+		jobs: [jobKinds]*recency[*jobMirror]{
+			planJob: newRecency[*jobMirror](jobMax, nil),
+			execJob: newRecency[*jobMirror](jobMax, nil),
+		},
+		memos:        newRecency[[]byte](memoMax, nil),
 		compactEvery: compactEvery,
 	}
 }
@@ -167,47 +159,31 @@ func (p *persistor) append(typ uint8, key string, value []byte) error {
 // wins. Unknown record types are forward compatibility, not corruption,
 // and are skipped.
 func (p *persistor) apply(typ uint8, key string, value []byte) {
-	p.seq++
 	v := append([]byte(nil), value...)
 	switch typ {
 	case recBase:
 		p.bases[key] = v
-	case recPlanCheckpoint:
-		p.touch(p.plans, key).checkpoint = v
-	case recPlanFinal:
-		pm := p.touch(p.plans, key)
-		pm.final, pm.checkpoint = v, nil
-	case recExecCheckpoint:
-		p.touch(p.execs, key).checkpoint = v
-	case recExecFinal:
-		pm := p.touch(p.execs, key)
-		pm.final, pm.checkpoint = v, nil
 	case recMemo:
-		if _, ok := p.memos[key]; !ok {
-			p.memoOrder = append(p.memoOrder, key)
-			for len(p.memoOrder) > p.memoMax {
-				delete(p.memos, p.memoOrder[0])
-				p.memoOrder = p.memoOrder[1:]
+		p.memos.put(key, v)
+	default:
+		for k, rec := range jobRecords {
+			if typ != rec.checkpoint && typ != rec.final {
+				continue
+			}
+			// The job becomes the most recently recorded of its kind; a new
+			// one past the bound evicts the least recently recorded.
+			m, ok := p.jobs[k].touch(key)
+			if !ok {
+				m = &jobMirror{}
+				p.jobs[k].put(key, m)
+			}
+			if typ == rec.final {
+				*m = jobMirror{final: v}
+			} else {
+				m.checkpoint = v
 			}
 		}
-		p.memos[key] = v
 	}
-}
-
-// touch returns (creating if needed) the mirror of key, stamped as the
-// most recently recorded; a new key past planMax evicts the least recently
-// recorded one.
-func (p *persistor) touch(m map[string]*planMirror, key string) *planMirror {
-	pm := m[key]
-	if pm == nil {
-		if len(m) >= p.planMax {
-			delete(m, byRecency(m)[0])
-		}
-		pm = &planMirror{}
-		m[key] = pm
-	}
-	pm.seq = p.seq
-	return pm
 }
 
 // compactLocked rewrites the live mirror into a fresh segment and drops
@@ -217,41 +193,33 @@ func (p *persistor) compactLocked() error {
 	if err != nil {
 		return err
 	}
+	rewrite := func(typ uint8, key string, value []byte) error {
+		_, err := p.st.Log.Append(typ, store.EncodeKV(key, value))
+		return err
+	}
 	for _, key := range sortedKeys(p.bases) {
-		if _, err := p.st.Log.Append(recBase, store.EncodeKV(key, p.bases[key])); err != nil {
+		if err := rewrite(recBase, key, p.bases[key]); err != nil {
 			return err
 		}
 	}
-	for _, key := range byRecency(p.plans) {
-		pm := p.plans[key]
-		if pm.checkpoint != nil {
-			if _, err := p.st.Log.Append(recPlanCheckpoint, store.EncodeKV(key, pm.checkpoint)); err != nil {
-				return err
+	for k, rec := range jobRecords {
+		err := p.jobs[k].each(func(key string, m *jobMirror) error {
+			if m.checkpoint != nil {
+				if err := rewrite(rec.checkpoint, key, m.checkpoint); err != nil {
+					return err
+				}
 			}
-		}
-		if pm.final != nil {
-			if _, err := p.st.Log.Append(recPlanFinal, store.EncodeKV(key, pm.final)); err != nil {
-				return err
+			if m.final != nil {
+				return rewrite(rec.final, key, m.final)
 			}
-		}
-	}
-	for _, key := range byRecency(p.execs) {
-		pm := p.execs[key]
-		if pm.checkpoint != nil {
-			if _, err := p.st.Log.Append(recExecCheckpoint, store.EncodeKV(key, pm.checkpoint)); err != nil {
-				return err
-			}
-		}
-		if pm.final != nil {
-			if _, err := p.st.Log.Append(recExecFinal, store.EncodeKV(key, pm.final)); err != nil {
-				return err
-			}
-		}
-	}
-	for _, key := range p.memoOrder {
-		if _, err := p.st.Log.Append(recMemo, store.EncodeKV(key, p.memos[key])); err != nil {
+			return nil
+		})
+		if err != nil {
 			return err
 		}
+	}
+	if err := p.memos.each(func(key string, body []byte) error { return rewrite(recMemo, key, body) }); err != nil {
+		return err
 	}
 	if err := p.st.Log.Sync(); err != nil {
 		return err
@@ -281,36 +249,30 @@ func (p *persistor) saveBase(e *cacheEntry) error {
 	return p.append(recBase, e.scenarioKey, rec)
 }
 
-func (p *persistor) savePlanCheckpoint(id string, cp []byte) error {
-	return p.append(recPlanCheckpoint, id, cp)
-}
-
-// checkpoint returns the latest journaled checkpoint of a plan (m =
-// p.plans) or an execution (m = p.execs), nil when it has none. The bytes
-// are the mirror's: read-only to the caller.
-func (p *persistor) checkpoint(m map[string]*planMirror, id string) []byte {
+// job returns the mirror's latest checkpoint and final of a job, nil when
+// it has none. The bytes are the mirror's: read-only to the caller.
+func (p *persistor) job(k jobKind, id string) (checkpoint, final []byte) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if pm := m[id]; pm != nil {
-		return pm.checkpoint
+	if m, ok := p.jobs[k].get(id); ok {
+		return m.checkpoint, m.final
 	}
-	return nil
+	return nil, nil
 }
 
-func (p *persistor) savePlanFinal(id string, body []byte) error {
-	return p.append(recPlanFinal, id, body)
+// journal appends a job's checkpoints.
+func (p *persistor) journal(k jobKind, id string) planner.Journal {
+	return planner.JournalFunc(func(_ int, cp []byte) error {
+		return p.append(jobRecords[k].checkpoint, id, cp)
+	})
+}
+
+func (p *persistor) saveFinal(k jobKind, id string, body []byte) error {
+	return p.append(jobRecords[k].final, id, body)
 }
 
 func (p *persistor) saveMemo(key string, body []byte) error {
 	return p.append(recMemo, key, body)
-}
-
-func (p *persistor) saveExecCheckpoint(id string, cp []byte) error {
-	return p.append(recExecCheckpoint, id, cp)
-}
-
-func (p *persistor) saveExecFinal(id string, body []byte) error {
-	return p.append(recExecFinal, id, body)
 }
 
 func (p *persistor) noteError() {
@@ -343,16 +305,15 @@ type recoveryStats struct {
 	Execs          int
 	Memos          int
 	TruncatedBytes int
-	SkippedBases   int
 }
 
 // recover replays the WAL into the persistor's mirror, then hydrates the
-// server's serving-path state from it: finished plans and executions answer
-// from their final bytes (an unfinished one resumes from the mirror's
-// checkpoint when its ID is next posted), memo bodies answer repeat
-// requests, and base snapshots come back warm from the object store — each
-// verified against its content address before use; a missing or corrupt
-// object degrades to a cold rebuild, never to wrong state.
+// server's serving-path state from it: memo bodies answer repeat requests,
+// and base snapshots come back warm from the object store — each verified
+// against its content address before use; a missing or corrupt object
+// degrades to a cold rebuild, never to wrong state. Jobs stay in the mirror:
+// drive answers a finished one from its final bytes, and resumes an
+// unfinished one from its checkpoint, when its ID is next posted.
 func (p *persistor) recover(s *Server) (recoveryStats, error) {
 	var rs recoveryStats
 	err := p.st.Log.Replay(func(r store.Record) error {
@@ -371,7 +332,6 @@ func (p *persistor) recover(s *Server) (recoveryStats, error) {
 	for _, key := range sortedKeys(p.bases) {
 		var rec baseRecord
 		if err := json.Unmarshal(p.bases[key], &rec); err != nil {
-			rs.SkippedBases++
 			delete(p.bases, key)
 			continue
 		}
@@ -379,34 +339,19 @@ func (p *persistor) recover(s *Server) (recoveryStats, error) {
 		if err != nil {
 			// Cold rebuild on demand; the WAL mapping is dropped so a
 			// later saveBase rewrites it.
-			rs.SkippedBases++
 			delete(p.bases, key)
 			continue
 		}
 		s.cache.add(entry)
 		rs.Bases++
 	}
-	// Oldest first: the LRU-bounded stores keep the most recently recorded.
-	rs.Plans = recoverFinals(p.plans, s.plans)
-	rs.Execs = recoverFinals(p.execs, s.execs)
-	for _, key := range p.memoOrder {
-		s.memo.put(key, p.memos[key])
-		rs.Memos++
-	}
+	rs.Plans, rs.Execs = p.jobs[planJob].len(), p.jobs[execJob].len()
+	p.memos.each(func(key string, body []byte) error {
+		s.memo.put(key, body)
+		return nil
+	})
+	rs.Memos = p.memos.len()
 	return rs, nil
-}
-
-// recoverFinals hands each recovered job's final bytes, if it has them, to
-// its serving entry, oldest first; an unfinished job resumes from the
-// mirror's checkpoint when its ID is next posted. It returns the job count.
-func recoverFinals[J any](m map[string]*planMirror, es *entryStore[J]) int {
-	for _, id := range byRecency(m) {
-		e := es.get(id)
-		e.mu.Lock()
-		e.final = m[id].final
-		e.mu.Unlock()
-	}
-	return len(m)
 }
 
 // restoreEntry loads and verifies one base snapshot from the object

@@ -100,16 +100,14 @@ func TestRecoveryKeepsMostRecentlyRecorded(t *testing.T) {
 				if err != nil {
 					t.Fatalf("cycle %d: open server: %v", cycle, err)
 				}
-				var execs, plans []string
-				for id, ee := range s.execs.entries {
-					if s.persist.checkpoint(s.persist.execs, id) == nil && ee.final == nil {
-						t.Errorf("cycle %d: execution %s recovered empty", cycle, id)
+				for _, k := range []jobKind{planJob, execJob} {
+					for _, id := range mirrorIDs(s.persist, k) {
+						if cp, final := s.persist.job(k, id); cp == nil && final == nil {
+							t.Errorf("cycle %d: job %s recovered empty", cycle, id)
+						}
 					}
-					execs = append(execs, id)
 				}
-				for id := range s.plans.entries {
-					plans = append(plans, id)
-				}
+				execs, plans := mirrorIDs(s.persist, execJob), mirrorIDs(s.persist, planJob)
 				sort.Strings(execs)
 				sort.Strings(plans)
 				if fmt.Sprint(execs) != fmt.Sprint(tc.wantExecs) {
@@ -124,6 +122,19 @@ func TestRecoveryKeepsMostRecentlyRecorded(t *testing.T) {
 			}
 		})
 	}
+}
+
+// mirrorIDs lists the IDs of the jobs of kind k in p's mirror, least
+// recently recorded first.
+func mirrorIDs(p *persistor, k jobKind) []string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var ids []string
+	p.jobs[k].each(func(id string, _ *jobMirror) error {
+		ids = append(ids, id)
+		return nil
+	})
+	return ids
 }
 
 // walRecordTypes reopens dir's store and counts its WAL records by type and
@@ -188,12 +199,12 @@ func TestFinishedPlanDropsMirrorCheckpoint(t *testing.T) {
 	}
 	ts.Close()
 
-	s.persist.mu.Lock()
-	for id, pm := range s.persist.plans {
-		if pm.final != nil && pm.checkpoint != nil {
-			t.Errorf("mirror holds a %d-byte checkpoint for finished plan %s", len(pm.checkpoint), id)
+	for _, id := range mirrorIDs(s.persist, planJob) {
+		if cp, final := s.persist.job(planJob, id); final != nil && cp != nil {
+			t.Errorf("mirror holds a %d-byte checkpoint for finished plan %s", len(cp), id)
 		}
 	}
+	s.persist.mu.Lock()
 	err = s.persist.compactLocked()
 	s.persist.mu.Unlock()
 	if err != nil {
@@ -241,8 +252,8 @@ func TestMirrorBoundedByPlanStoreSize(t *testing.T) {
 			wantPlans, wantExecs = append(wantPlans, plan), append(wantExecs, exec)
 		}
 	}
+	plans, execs := mirrorIDs(s.persist, planJob), mirrorIDs(s.persist, execJob)
 	s.persist.mu.Lock()
-	plans, execs := byRecency(s.persist.plans), byRecency(s.persist.execs)
 	err = s.persist.compactLocked()
 	s.persist.mu.Unlock()
 	if err != nil {

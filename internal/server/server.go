@@ -86,8 +86,8 @@ type Server struct {
 	cfg     Config
 	cache   *snapCache
 	memo    *respMemo
-	plans   *entryStore[planner.Search]
-	execs   *entryStore[guard.Execution]
+	plans   *jobStore[planner.Search]
+	execs   *jobStore[guard.Execution]
 	events  *broadcaster
 	metrics *serverMetrics
 
@@ -95,10 +95,6 @@ type Server struct {
 	// recovered is what boot-time recovery rebuilt, frozen after Open.
 	persist   *persistor
 	recovered recoveryStats
-	// unresumablePlans and unresumableExecs count journaled checkpoints that
-	// failed to resume (the job restarted from its beginning).
-	unresumablePlans atomic.Int64
-	unresumableExecs atomic.Int64
 
 	sem      chan struct{}
 	queued   atomic.Int64
@@ -113,8 +109,8 @@ type Server struct {
 	// evaluation takes longer than the request's deadline" on scenario
 	// bases small enough to qualify in under a millisecond.
 	testHookEvalDelay func(*WhatIfRequest)
-	// testHookResume, when set (tests only), runs before every
-	// planner.ResumeSearch the plan handler makes.
+	// testHookResume, when set (tests only), runs before every resume drive
+	// makes, under the job's entry lock.
 	testHookResume func()
 }
 
@@ -125,8 +121,8 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		cache:   newSnapCache(cfg.CacheSize),
 		memo:    newRespMemo(cfg.MemoSize),
-		plans:   newEntryStore[planner.Search](cfg.PlanStoreSize),
-		execs:   newEntryStore[guard.Execution](cfg.PlanStoreSize),
+		plans:   newJobStore[planner.Search](planJob, "plan", "plan", cfg.PlanStoreSize),
+		execs:   newJobStore[guard.Execution](execJob, "execution", "execute", cfg.PlanStoreSize),
 		events:  newBroadcaster(cfg.EventBuffer),
 		metrics: newServerMetrics(),
 		sem:     make(chan struct{}, cfg.Workers),

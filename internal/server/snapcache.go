@@ -47,23 +47,20 @@ type snapCache struct {
 	onBuild func(*cacheEntry)
 
 	mu sync.Mutex
-	// entries by state fingerprint; byScenario indexes "scenario|seed"
-	// → fingerprint; order is LRU, oldest first.
-	entries    map[string]*cacheEntry
+	// entries by state fingerprint, least recently used first; byScenario
+	// indexes "scenario|seed" → fingerprint.
+	entries    *recency[*cacheEntry]
 	byScenario map[string]string
-	order      []string
 	loading    map[string]*loadCall
-	max        int
 
 	hits, misses, evictions int64
 }
 
 func newSnapCache(max int) *snapCache {
 	return &snapCache{
-		entries:    make(map[string]*cacheEntry),
+		entries:    newRecency[*cacheEntry](max, nil),
 		byScenario: make(map[string]string),
 		loading:    make(map[string]*loadCall),
-		max:        max,
 	}
 }
 
@@ -73,9 +70,8 @@ func (c *snapCache) get(scenario string, seed int64) (*cacheEntry, error) {
 	key := fmt.Sprintf("%s|%d", scenario, seed)
 	c.mu.Lock()
 	if fp, ok := c.byScenario[key]; ok {
-		if e, ok := c.entries[fp]; ok {
+		if e, ok := c.entries.touch(fp); ok {
 			c.hits++
-			c.touch(fp)
 			c.mu.Unlock()
 			return e, nil
 		}
@@ -114,33 +110,13 @@ func (c *snapCache) add(e *cacheEntry) {
 
 // insert adds a built entry and evicts past capacity. Caller holds mu.
 func (c *snapCache) insert(e *cacheEntry) {
-	if _, ok := c.entries[e.Fingerprint]; ok {
-		// Two scenario keys can reach one state; keep the existing entry.
-		c.byScenario[e.scenarioKey] = e.Fingerprint
-		c.touch(e.Fingerprint)
-		return
-	}
-	c.entries[e.Fingerprint] = e
 	c.byScenario[e.scenarioKey] = e.Fingerprint
-	c.order = append(c.order, e.Fingerprint)
-	for len(c.order) > c.max {
-		victim := c.order[0]
-		c.order = c.order[1:]
-		if v, ok := c.entries[victim]; ok {
-			delete(c.entries, victim)
-			delete(c.byScenario, v.scenarioKey)
-			c.evictions++
-		}
+	if _, ok := c.entries.touch(e.Fingerprint); ok {
+		return // two scenario keys can reach one state; keep the existing entry
 	}
-}
-
-// touch moves a fingerprint to the LRU tail. Caller holds mu.
-func (c *snapCache) touch(fp string) {
-	for i, f := range c.order {
-		if f == fp {
-			c.order = append(append(c.order[:i:i], c.order[i+1:]...), fp)
-			return
-		}
+	for _, v := range c.entries.put(e.Fingerprint, e) {
+		delete(c.byScenario, v.scenarioKey)
+		c.evictions++
 	}
 }
 
@@ -148,7 +124,7 @@ func (c *snapCache) touch(fp string) {
 func (c *snapCache) stats() (hits, misses, evictions int64, size int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evictions, len(c.entries)
+	return c.hits, c.misses, c.evictions, c.entries.len()
 }
 
 // buildEntry runs the scenario setup and captures the entry's identity.
@@ -164,26 +140,24 @@ func buildEntry(scenario string, seed int64, key string) (*cacheEntry, error) {
 	return &cacheEntry{Fingerprint: fp, Snap: snap, Params: params, scenarioKey: key}, nil
 }
 
-// respMemo is the (fingerprint, request) → response-bytes memo, an LRU.
-// Memoization is transparent by construction: a stored body is the
-// byte-identical output of the deterministic computation it skips.
+// respMemo is the (fingerprint, request) → response-bytes memo, first in
+// first out. Memoization is transparent by construction: a stored body is
+// the byte-identical output of the deterministic computation it skips.
 type respMemo struct {
 	mu     sync.Mutex
-	bodies map[string][]byte
-	order  []string
-	max    int
+	bodies *recency[[]byte]
 	hits   int64
 	misses int64
 }
 
 func newRespMemo(max int) *respMemo {
-	return &respMemo{bodies: make(map[string][]byte), max: max}
+	return &respMemo{bodies: newRecency[[]byte](max, nil)}
 }
 
 func (m *respMemo) get(key string) ([]byte, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	body, ok := m.bodies[key]
+	body, ok := m.bodies.get(key)
 	if ok {
 		m.hits++
 	} else {
@@ -197,21 +171,15 @@ func (m *respMemo) get(key string) ([]byte, bool) {
 func (m *respMemo) put(key string, body []byte) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.bodies[key]; ok {
+	if _, ok := m.bodies.get(key); ok {
 		return false
 	}
-	m.bodies[key] = body
-	m.order = append(m.order, key)
-	for len(m.order) > m.max {
-		victim := m.order[0]
-		m.order = m.order[1:]
-		delete(m.bodies, victim)
-	}
+	m.bodies.put(key, body)
 	return true
 }
 
 func (m *respMemo) stats() (hits, misses int64, size int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.hits, m.misses, len(m.bodies)
+	return m.hits, m.misses, m.bodies.len()
 }
