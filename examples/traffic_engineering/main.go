@@ -61,7 +61,7 @@ func main() {
 	fmt.Println("\nper-uplink load at 700G demand:")
 	for i := 0; i < 4; i++ {
 		eb := topo.EBID(i)
-		load := res.DeviceLoad[eb]
+		load := res.Load(eb)
 		fmt.Printf("  %s  %5.1fG / %3.0fG  (util %.2f)\n",
 			eb, load, paths[i].CapacityGbps, load/paths[i].CapacityGbps)
 	}

@@ -552,11 +552,16 @@ func TestDualStackDefaults(t *testing.T) {
 			t.Errorf("%s missing v6 default", dev)
 		}
 	}
-	// LPM keeps the families separate.
-	if nh := n.NextHopWeightsAddr("leaf", netip.MustParseAddr("2001:db8::1")); len(nh) != 1 {
-		t.Errorf("v6 LPM = %v", nh)
-	}
-	if nh := n.NextHopWeightsAddr("leaf", netip.MustParseAddr("192.0.2.1")); len(nh) != 1 {
-		t.Errorf("v4 LPM = %v", nh)
+	// LPM keeps the families separate: each address matches its own
+	// family's default, one session toward mid.
+	for _, addr := range []string{"2001:db8::1", "192.0.2.1"} {
+		hops := n.Speaker("leaf").FIB().LookupLPM(netip.MustParseAddr(addr))
+		if len(hops) != 1 {
+			t.Errorf("%s: LPM = %v", addr, hops)
+			continue
+		}
+		if peer, ok := n.SessionPeer("leaf", bgp.SessionID(hops[0].ID)); !ok || peer != "mid" {
+			t.Errorf("%s: LPM hop %s resolves to %q, want mid", addr, hops[0].ID, peer)
+		}
 	}
 }

@@ -618,16 +618,7 @@ func (n *Network) SessionPeer(from topo.DeviceID, sess bgp.SessionID) (topo.Devi
 // into (neighbor device, weight) pairs, merging parallel sessions to the
 // same neighbor. A local delivery entry yields {dev, weight} itself.
 func (n *Network) NextHopWeights(dev topo.DeviceID, p netip.Prefix) map[topo.DeviceID]int {
-	return n.resolveHops(dev, n.nodes[dev].Speaker.FIB().Lookup(p))
-}
-
-// NextHopWeightsAddr is NextHopWeights with longest-prefix-match semantics
-// — the lookup a data-plane pipeline actually performs per packet.
-func (n *Network) NextHopWeightsAddr(dev topo.DeviceID, addr netip.Addr) map[topo.DeviceID]int {
-	return n.resolveHops(dev, n.nodes[dev].Speaker.FIB().LookupLPM(addr))
-}
-
-func (n *Network) resolveHops(dev topo.DeviceID, hops []fib.NextHop) map[topo.DeviceID]int {
+	hops := n.nodes[dev].Speaker.FIB().Lookup(p)
 	if hops == nil {
 		return nil
 	}

@@ -47,6 +47,10 @@ type Table struct {
 	writes      int                   // total prefix installs/updates
 	warmEntries map[netip.Prefix]bool // kept despite withdrawal (KeepFibWarm)
 
+	// gen counts forwarding changes: a prefix pointed at a different group
+	// or removed (see Gen).
+	gen uint64
+
 	observer func(WriteEvent) // optional write notification (telemetry tap)
 
 	// keyBuf and hopBuf are renderKey's scratch.
@@ -198,6 +202,7 @@ func (t *Table) Install(p netip.Prefix, hops []NextHop) {
 	}
 	g.refs++
 	t.entries[p] = g
+	t.gen++
 	t.notify(p, false, false)
 }
 
@@ -260,9 +265,18 @@ func (t *Table) Remove(p netip.Prefix) {
 	}
 	delete(t.entries, p)
 	delete(t.warmEntries, p)
+	t.gen++
 	t.release(g)
 	t.notify(p, true, false)
 }
+
+// Gen is the table's forwarding generation: it advances on every write that
+// changes what some prefix forwards to (an entry pointed at a different
+// next-hop group, or removed) and on nothing else — not on a no-op rewrite,
+// not on MarkWarm, not on a counter reset. Anything derived from the
+// table's lookups stays valid while Gen is unchanged. A table rebuilt by
+// NewFromState starts again from zero, so a cache keys on the *Table too.
+func (t *Table) Gen() uint64 { return t.gen }
 
 func (t *Table) release(g *group) {
 	g.refs--

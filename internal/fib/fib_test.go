@@ -201,3 +201,40 @@ func TestChurnCountsDistinctGroups(t *testing.T) {
 		t.Errorf("Writes = %d, want 20", st.Writes)
 	}
 }
+
+// TestGenTracksForwardingChanges: Gen is what a resolved-hop cache keys on,
+// so it must advance on every write that changes a lookup's answer and on
+// nothing else.
+func TestGenTracksForwardingChanges(t *testing.T) {
+	tb := New(0)
+	p, q := pfx("10.0.0.0/8"), pfx("10.1.0.0/16")
+	steps := []struct {
+		name    string
+		write   func()
+		changes bool
+	}{
+		{"install", func() { tb.Install(p, []NextHop{{"a", 1}, {"b", 1}}) }, true},
+		{"no-op rewrite", func() { tb.Install(p, []NextHop{{"a", 1}, {"b", 1}}) }, false},
+		{"no-op rewrite, scaled and unsorted", func() { tb.Install(p, []NextHop{{"b", 2}, {"a", 2}}) }, false},
+		{"mark warm", func() { tb.MarkWarm(p) }, false},
+		{"mark warm, absent prefix", func() { tb.MarkWarm(q) }, false},
+		{"touch", func() { tb.Touch(p) }, false},
+		{"reset stats", func() { tb.ResetStats() }, false},
+		{"reweight", func() { tb.Install(p, []NextHop{{"a", 3}, {"b", 1}}) }, true},
+		{"more specific", func() { tb.Install(q, []NextHop{{"a", 3}, {"b", 1}}) }, true},
+		{"remove", func() { tb.Remove(q) }, true},
+		{"remove absent", func() { tb.Remove(q) }, false},
+		{"empty install", func() { tb.Install(p, nil) }, true},
+		{"empty install, absent", func() { tb.Install(p, nil) }, false},
+	}
+	for _, st := range steps {
+		before := tb.Gen()
+		st.write()
+		if moved := tb.Gen() != before; moved != st.changes {
+			t.Errorf("%s: Gen moved = %v, want %v", st.name, moved, st.changes)
+		}
+	}
+	if got := NewFromState(tb.ExportState()).Gen(); got != 0 {
+		t.Errorf("restored Gen = %d, want 0", got)
+	}
+}

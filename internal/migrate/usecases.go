@@ -159,7 +159,7 @@ func RunEvolutionScenario(seed int64) EvolutionResult {
 	pr := &traffic.Propagator{Net: n}
 	measure := func() (oldShare, newShare float64) {
 		r := pr.Run([]traffic.Demand{{Source: "leaf", Prefix: svc, Volume: 100}})
-		return r.DeviceLoad["origin-old"] / 100, r.DeviceLoad["origin-new"] / 100
+		return r.Load("origin-old") / 100, r.Load("origin-new") / 100
 	}
 	res := EvolutionResult{}
 	res.ShareOldBefore, res.ShareNewBefore = measure()

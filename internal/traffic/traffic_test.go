@@ -44,11 +44,11 @@ func TestFluidSplitsECMP(t *testing.T) {
 		t.Fatalf("unexpected loss: %+v", res)
 	}
 	// Each mid carries half.
-	if math.Abs(res.DeviceLoad["m1"]-50) > 1e-6 || math.Abs(res.DeviceLoad["m2"]-50) > 1e-6 {
-		t.Fatalf("mid loads = %v / %v, want 50/50", res.DeviceLoad["m1"], res.DeviceLoad["m2"])
+	if math.Abs(res.Load("m1")-50) > 1e-6 || math.Abs(res.Load("m2")-50) > 1e-6 {
+		t.Fatalf("mid loads = %v / %v, want 50/50", res.Load("m1"), res.Load("m2"))
 	}
-	if math.Abs(res.LinkLoad[LinkKey{"leaf", "m1"}]-50) > 1e-6 {
-		t.Fatalf("link load = %v", res.LinkLoad)
+	if links := res.LinkLoad(); math.Abs(links[LinkKey{"leaf", "m1"}]-50) > 1e-6 {
+		t.Fatalf("link load = %v", links)
 	}
 	if res.DeliveredFraction() != 1 {
 		t.Fatalf("DeliveredFraction = %v", res.DeliveredFraction())
@@ -105,6 +105,14 @@ func TestMaxDeviceShareEdgeCases(t *testing.T) {
 	}
 	if r.DeliveredFraction() != 0 || r.BlackholedFraction() != 0 {
 		t.Fatal("fractions of zero traffic")
+	}
+	if r.Load("x") != 0 || len(r.LinkLoad()) != 0 {
+		t.Fatal("loads of an empty result")
+	}
+	// A demand from a device the network does not have reaches no FIB.
+	res := (&Propagator{Net: diamondNet(t)}).Run([]Demand{{Source: "nowhere", Prefix: defaultRoute, Volume: 5}})
+	if res.Blackholed != 5 || res.Load("nowhere") != 0 || res.Load("leaf") != 0 {
+		t.Fatalf("unknown source: %+v", res)
 	}
 }
 
@@ -178,8 +186,8 @@ func TestWeightedSplit(t *testing.T) {
 	})
 	pr := &Propagator{Net: n}
 	res := pr.Run([]Demand{{Source: "leaf", Prefix: defaultRoute, Volume: 100}})
-	if math.Abs(res.DeviceLoad["m1"]-75) > 1e-6 || math.Abs(res.DeviceLoad["m2"]-25) > 1e-6 {
-		t.Fatalf("loads = %v/%v, want 75/25", res.DeviceLoad["m1"], res.DeviceLoad["m2"])
+	if math.Abs(res.Load("m1")-75) > 1e-6 || math.Abs(res.Load("m2")-25) > 1e-6 {
+		t.Fatalf("loads = %v/%v, want 75/25", res.Load("m1"), res.Load("m2"))
 	}
 }
 
@@ -298,5 +306,39 @@ func TestWalkFlowMatchesFluidStatistically(t *testing.T) {
 	frac := float64(viaM1) / flows
 	if frac < 0.45 || frac > 0.55 {
 		t.Fatalf("m1 fraction = %v, want ~0.5", frac)
+	}
+}
+
+// TestLoopedIsDeterministic: a star whose hub splits 1:3:7:13 toward four
+// leaves that all point back circulates volume until MaxHops, and the
+// volume left in the frontier must be summed in one order. Summed in map
+// order, 300 runs gave two different bit patterns.
+func TestLoopedIsDeterministic(t *testing.T) {
+	tp := topo.New()
+	tp.AddDevice(topo.Device{ID: "hub"})
+	leaves := []topo.DeviceID{"l1", "l2", "l3", "l4"}
+	for _, l := range leaves {
+		tp.AddDevice(topo.Device{ID: l})
+		tp.AddLink("hub", l, 100)
+	}
+	n := fabric.New(tp, fabric.Options{Seed: 1})
+	n.Converge()
+	p := netip.MustParsePrefix("10.0.0.0/8")
+	var hubHops []fib.NextHop
+	for i, s := range n.Speaker("hub").Peers() {
+		hubHops = append(hubHops, fib.NextHop{ID: string(s), Weight: []int{1, 3, 7, 13}[i]})
+	}
+	n.Speaker("hub").FIB().Install(p, hubHops)
+	for _, l := range leaves {
+		back := n.Speaker(l).Peers()[0]
+		n.Speaker(l).FIB().Install(p, []fib.NextHop{{ID: string(back), Weight: 1}})
+	}
+	pr := &Propagator{Net: n, MaxHops: 33}
+	demands := []Demand{{Source: "hub", Prefix: p, Volume: 10}}
+	want := math.Float64bits(pr.Run(demands).Looped)
+	for i := 0; i < 300; i++ {
+		if got := math.Float64bits(pr.Run(demands).Looped); got != want {
+			t.Fatalf("run %d: Looped = %v, first run %v", i, math.Float64frombits(got), math.Float64frombits(want))
+		}
 	}
 }
