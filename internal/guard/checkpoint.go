@@ -17,14 +17,11 @@ type Journal = planner.Journal
 type JournalFunc = planner.JournalFunc
 
 // ObjectStore persists the guard's last-good snapshots, keyed by
-// fingerprint — the interface internal/store's content-addressed
-// SnapStore satisfies. Put must be idempotent for a given key. A campaign
+// fingerprint: the planner's object store interface, which
+// internal/store's content-addressed SnapStore satisfies. A campaign
 // without one (nil) runs, pauses and continues in the process that holds
 // its Execution; only a resume from checkpoint bytes needs one.
-type ObjectStore interface {
-	Put(key string, data []byte) error
-	Get(key string) ([]byte, bool, error)
-}
+type ObjectStore = planner.ObjectStore
 
 // Checkpoint is the guard record journaled before every wave and after
 // every rollback and terminal decision. It is self-contained: a resumed

@@ -32,7 +32,7 @@ func BenchmarkPlanner(b *testing.B) {
 	enc, p := benchSetup(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s, err := newSearchFromState(enc, fingerprint(enc), p)
+		s, err := newSearchFromState(enc, fingerprint(enc), p, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func BenchmarkExhaustive(b *testing.B) {
 	enc, p := benchSetup(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s, err := newSearchFromState(enc, fingerprint(enc), p)
+		s, err := newSearchFromState(enc, fingerprint(enc), p, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

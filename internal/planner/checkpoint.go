@@ -13,17 +13,28 @@ package planner
 // across any kill/resume pacing. That is what lets centraliumd's
 // crash-recovery conformance demand byte-identical final responses.
 //
-// The serialized form is one self-contained binary container:
+// The serialized form is one binary container:
 //
 //	magic | uvarint len | manifest JSON | uvarint n | n × (uvarint len | state)
 //
-// The manifest is the Checkpoint struct; the base, every beam node and
-// every memo child name their encoded snapshot by index into the state
-// table that follows, and the table holds each distinct state once, raw.
-// A beam node is some memo entry's child and levels share ancestors, so
-// most references repeat: the table is built from the fingerprints the
-// search already holds, and taking a checkpoint hashes nothing and costs
-// one copy per distinct live state.
+// The manifest is the Checkpoint struct. It names the base, every beam node
+// and every memo child by the fingerprint of its encoded state, which the
+// search already holds, so taking a checkpoint hashes nothing. One writer
+// lays the table after it out in one of two framings:
+//
+//   - inline: the table holds each distinct state the manifest names once,
+//     raw, in first-reference order (base, beam, memo by sorted key). A
+//     search without an object store writes it: a `plan -checkpoint` file,
+//     a store.Journal, a test. It is self-contained.
+//   - bare: the table is empty. A search with an object store Puts every
+//     state the manifest names there first, and the store keeps each
+//     fingerprint once, so a level journals its manifest and the states it
+//     made, not every state it still names.
+//
+// One reader resolves each fingerprint through the table, then through the
+// object store, and hashes every state it resolves: it never trusts a key.
+// Version-2 containers (states named by table index) and version-1 JSON
+// still resume (checkpoint_legacy.go).
 
 import (
 	"bytes"
@@ -34,20 +45,19 @@ import (
 	"sort"
 )
 
-// checkpointVersion guards the serialized layout. Version 1 was a bare
-// JSON object (see checkpoint_v1.go); ResumeSearch still reads it.
-const checkpointVersion = 2
+// checkpointVersion guards the manifest layout.
+const checkpointVersion = 3
 
 // checkpointMagic opens a container. No JSON document starts with it,
-// which is how ResumeSearch tells the two versions apart.
+// which is how ResumeSearch tells a container from version 1.
 const checkpointMagic = "CPLN"
 
 // nodeCheckpoint is one serialized beam entry.
 type nodeCheckpoint struct {
 	Schedule string `json:"schedule"`
 	Score    Score  `json:"score"`
-	// State indexes the node's encoded snapshot in the state table.
-	State int `json:"state"`
+	// State is the fingerprint of the node's encoded snapshot.
+	State string `json:"state"`
 }
 
 // candidateCheckpoint is one serialized completed candidate.
@@ -60,13 +70,10 @@ type candidateCheckpoint struct {
 type memoCheckpoint struct {
 	Key string      `json:"key"`
 	Out StepOutcome `json:"out"`
-	// Child indexes the expansion's resulting state in the state table
-	// (noState for migration-body entries, which cache only the outcome).
-	Child int `json:"child"`
+	// Child is the fingerprint of the expansion's resulting state; empty
+	// for migration-body entries, which cache only the outcome.
+	Child string `json:"child,omitempty"`
 }
-
-// noState is the state-table index of "no state".
-const noState = -1
 
 // Checkpoint is a serializable between-levels search state: the
 // container's manifest.
@@ -75,7 +82,7 @@ type Checkpoint struct {
 	Params    Params                `json:"params"`
 	Level     int                   `json:"level"`
 	Done      bool                  `json:"done"`
-	Base      int                   `json:"base"`
+	Base      string                `json:"base"`
 	Beam      []nodeCheckpoint      `json:"beam"`
 	Completed []candidateCheckpoint `json:"completed"`
 	Memo      []memoCheckpoint      `json:"memo,omitempty"`
@@ -83,21 +90,21 @@ type Checkpoint struct {
 }
 
 // Checkpoint freezes the search. Call it between Step calls only. The
-// bytes are a pure function of the search state: the table fills in
-// reference order (base, beam, memo by sorted key).
+// bytes are a pure function of the search state. A search with an object
+// store Puts every state the manifest names into it and returns the bare
+// framing; one without returns the inline framing.
 func (s *Search) Checkpoint() ([]byte, error) {
-	// The state table: distinct states in first-reference order, keyed by
-	// the fingerprints the search already computed.
-	index := make(map[string]int)
+	// The distinct states in first-reference order.
+	seen := make(map[string]bool)
+	var fps []string
 	var states [][]byte
-	ref := func(fp string, state []byte) int {
-		i, ok := index[fp]
-		if !ok {
-			i = len(states)
-			index[fp] = i
+	ref := func(fp string, state []byte) string {
+		if !seen[fp] {
+			seen[fp] = true
+			fps = append(fps, fp)
 			states = append(states, state)
 		}
-		return i
+		return fp
 	}
 	cp := Checkpoint{
 		Version: checkpointVersion,
@@ -130,30 +137,38 @@ func (s *Search) Checkpoint() ([]byte, error) {
 	sort.Strings(keys)
 	for _, k := range keys {
 		me := s.memo[k]
-		mc := memoCheckpoint{Key: k, Out: me.out, Child: noState}
+		mc := memoCheckpoint{Key: k, Out: me.out}
 		if me.child != nil {
 			mc.Child = ref(me.fp, me.child)
 		}
 		cp.Memo = append(cp.Memo, mc)
 	}
 	s.mu.Unlock()
+	if s.objs != nil {
+		for i, fp := range fps {
+			if err := s.objs.Put(fp, states[i]); err != nil {
+				return nil, fmt.Errorf("planner: object store: %w", err)
+			}
+		}
+		states = nil
+	}
 	return encodeContainer(cp, states)
 }
 
 // encodeContainer lays a manifest and its state table out as one container.
-func encodeContainer(cp Checkpoint, states [][]byte) ([]byte, error) {
-	manifest, err := json.Marshal(cp)
+func encodeContainer(manifest any, states [][]byte) ([]byte, error) {
+	m, err := json.Marshal(manifest)
 	if err != nil {
 		return nil, err
 	}
-	size := len(checkpointMagic) + len(manifest) + (len(states)+2)*binary.MaxVarintLen64
+	size := len(checkpointMagic) + len(m) + (len(states)+2)*binary.MaxVarintLen64
 	for _, st := range states {
 		size += len(st)
 	}
 	out := make([]byte, 0, size)
 	out = append(out, checkpointMagic...)
-	out = binary.AppendUvarint(out, uint64(len(manifest)))
-	out = append(out, manifest...)
+	out = binary.AppendUvarint(out, uint64(len(m)))
+	out = append(out, m...)
 	out = binary.AppendUvarint(out, uint64(len(states)))
 	for _, st := range states {
 		out = binary.AppendUvarint(out, uint64(len(st)))
@@ -164,9 +179,10 @@ func encodeContainer(cp Checkpoint, states [][]byte) ([]byte, error) {
 
 var errCheckpointTruncated = errors.New("planner: truncated checkpoint")
 
-// readContainer splits a version-2 container into its manifest and state
-// table. The states are views into data.
-func readContainer(data []byte) (Checkpoint, [][]byte, error) {
+// readContainer splits a container into its manifest, in the current
+// version's form, and its state table keyed by the fingerprint of each
+// state's bytes. The states are views into data.
+func readContainer(data []byte) (Checkpoint, map[string][]byte, error) {
 	var cp Checkpoint
 	rest := data[len(checkpointMagic):]
 	// chunk takes the next length-prefixed run, checking the length against
@@ -184,63 +200,93 @@ func readContainer(data []byte) (Checkpoint, [][]byte, error) {
 	if err != nil {
 		return cp, nil, err
 	}
-	if err := json.Unmarshal(manifest, &cp); err != nil {
-		return cp, nil, fmt.Errorf("planner: decode checkpoint manifest: %w", err)
-	}
-	if cp.Version != checkpointVersion {
-		return cp, nil, fmt.Errorf("planner: checkpoint version %d (want %d)", cp.Version, checkpointVersion)
-	}
 	count, n := binary.Uvarint(rest)
 	if n <= 0 || count > uint64(len(rest)-n) { // every entry costs at least its length byte
 		return cp, nil, errCheckpointTruncated
 	}
 	rest = rest[n:]
-	states := make([][]byte, count)
-	for i := range states {
-		if states[i], err = chunk(); err != nil {
+	fps := make([]string, count)
+	table := make(map[string][]byte, count)
+	for i := range fps {
+		st, err := chunk()
+		if err != nil {
 			return cp, nil, err
 		}
+		fps[i] = fingerprint(st)
+		table[fps[i]] = st
 	}
 	if len(rest) != 0 {
 		return cp, nil, fmt.Errorf("planner: %d trailing bytes after the checkpoint's state table", len(rest))
 	}
-	return cp, states, nil
+	// A version-2 manifest fails this decode on its integer state names, but
+	// not before its version is read.
+	err = json.Unmarshal(manifest, &cp)
+	switch {
+	case cp.Version == 2:
+		cp, err = readV2(manifest, fps)
+	case err == nil && cp.Version != checkpointVersion:
+		err = fmt.Errorf("planner: checkpoint version %d (want %d)", cp.Version, checkpointVersion)
+	}
+	if err != nil {
+		return cp, nil, fmt.Errorf("planner: decode checkpoint manifest: %w", err)
+	}
+	return cp, table, nil
 }
 
-// ResumeSearch rebuilds a search from a checkpoint. The resumed search
-// continues from the frozen level and converges on the same winner as
-// the uninterrupted run. The search keeps one private copy of data and
-// slices its states out of it; every distinct state's fingerprint is
-// recomputed from its bytes, never trusted from the input.
+// ResumeSearch rebuilds a search from a checkpoint that carries its states
+// (the inline framing, or an older version). The resumed search continues
+// from the frozen level, converges on the same winner as the uninterrupted
+// run, and checkpoints inline.
 func ResumeSearch(data []byte) (*Search, error) {
+	return ResumeSearchWith(data, nil)
+}
+
+// ResumeSearchWith is ResumeSearch for a search whose states live in objs:
+// a fingerprint the checkpoint's table lacks is read from objs, and the
+// resumed search checkpoints bare into it. The search keeps one private
+// copy of data and slices its table's states out of it; every state's
+// fingerprint is recomputed from its bytes, never trusted from the input.
+func ResumeSearchWith(data []byte, objs ObjectStore) (*Search, error) {
 	var (
-		cp     Checkpoint
-		states [][]byte
-		err    error
+		cp    Checkpoint
+		table map[string][]byte
+		err   error
 	)
 	if bytes.HasPrefix(data, []byte(checkpointMagic)) {
-		cp, states, err = readContainer(bytes.Clone(data))
+		cp, table, err = readContainer(bytes.Clone(data))
 	} else {
-		cp, states, err = readV1(data)
+		cp, table, err = readV1(data)
 	}
 	if err != nil {
 		return nil, err
 	}
-	fps := make([]string, len(states))
-	for i, st := range states {
-		fps[i] = fingerprint(st)
-	}
-	inTable := func(i int, what string) error {
-		if i < 0 || i >= len(states) {
-			return fmt.Errorf("planner: checkpoint %s names state %d of %d", what, i, len(states))
+	// state resolves the state the manifest names by fp.
+	state := func(fp, what string) ([]byte, error) {
+		if st, ok := table[fp]; ok {
+			return st, nil
 		}
-		return nil
+		if objs == nil {
+			return nil, fmt.Errorf("planner: checkpoint %s names state %s, which its table lacks (no object store)", what, short(fp))
+		}
+		st, ok, err := objs.Get(fp)
+		if err != nil {
+			return nil, fmt.Errorf("planner: object store: %w", err)
+		}
+		if !ok {
+			return nil, fmt.Errorf("planner: checkpoint %s names state %s, missing from the object store", what, short(fp))
+		}
+		if got := fingerprint(st); got != fp {
+			return nil, fmt.Errorf("planner: object %s holds state %s", short(fp), short(got))
+		}
+		table[fp] = st
+		return st, nil
 	}
 
-	if err := inTable(cp.Base, "base"); err != nil {
+	base, err := state(cp.Base, "base")
+	if err != nil {
 		return nil, err
 	}
-	s, err := newSearchFromState(states[cp.Base], fps[cp.Base], cp.Params)
+	s, err := newSearchFromState(base, cp.Base, cp.Params, objs)
 	if err != nil {
 		return nil, err
 	}
@@ -253,10 +299,11 @@ func ResumeSearch(data []byte) (*Search, error) {
 		if err != nil {
 			return nil, fmt.Errorf("planner: checkpoint beam: %w", err)
 		}
-		if err := inTable(nc.State, "beam node"); err != nil {
+		st, err := state(nc.State, "beam node")
+		if err != nil {
 			return nil, err
 		}
-		s.beam = append(s.beam, node{sched: sched, score: nc.Score, state: states[nc.State], fp: fps[nc.State]})
+		s.beam = append(s.beam, node{sched: sched, score: nc.Score, state: st, fp: nc.State})
 	}
 	for _, cc := range cp.Completed {
 		sched, err := Parse(cc.Schedule)
@@ -267,13 +314,21 @@ func ResumeSearch(data []byte) (*Search, error) {
 	}
 	for _, mc := range cp.Memo {
 		me := memoEntry{out: mc.Out}
-		if mc.Child != noState {
-			if err := inTable(mc.Child, "memo entry"); err != nil {
+		if mc.Child != "" {
+			if me.child, err = state(mc.Child, "memo entry"); err != nil {
 				return nil, err
 			}
-			me.child, me.fp = states[mc.Child], fps[mc.Child]
+			me.fp = mc.Child
 		}
 		s.memo[mc.Key] = me
 	}
 	return s, nil
+}
+
+// short abbreviates a fingerprint for messages.
+func short(fp string) string {
+	if len(fp) > 12 {
+		return fp[:12]
+	}
+	return fp
 }

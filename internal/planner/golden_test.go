@@ -2,6 +2,7 @@ package planner
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -197,6 +198,60 @@ func TestResumeAcceptsIndentedCheckpoint(t *testing.T) {
 		if res.Winner.String() != full.Winner.String() || res.Score != full.Score {
 			t.Fatalf("%s version-1 checkpoint changed the outcome:\n resumed: %s %s\n    full: %s %s",
 				name, res.Winner, res.Score, full.Winner, full.Score)
+		}
+	}
+}
+
+// TestResumeAcceptsV2Container: a version-2 container — states named by
+// table index, written by the test-only writer in export_test.go — resumes
+// to the search that wrote it (its checkpoint is today's, byte for byte) and
+// to the byte-identical winner, storeless and with an object store alike.
+func TestResumeAcceptsV2Container(t *testing.T) {
+	full := goldenPlan(t, 2)
+
+	snap, p, err := ScenarioSetup("fig10", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SearchBare = true
+	p.BatchSizes = []int{1, 2}
+	p.MinNextHops = []int{50}
+	p.Workers = 2
+	s, err := NewSearch(snap, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Step(); err != nil {
+		t.Fatal(err)
+	}
+	v2, err := s.checkpointV2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	current, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, objs := range []ObjectStore{nil, newMemObjects()} {
+		resumed, err := ResumeSearchWith(v2, objs)
+		if err != nil {
+			t.Fatalf("resume from a version-2 container (store %v): %v", objs != nil, err)
+		}
+		if objs == nil {
+			if again, err := resumed.Checkpoint(); err != nil || !bytes.Equal(again, current) {
+				t.Errorf("the search resumed from version 2 checkpoints differently from the one that wrote it (err %v)", err)
+			}
+		}
+		if _, err := resumed.Drive(context.Background(), 0, nil); err != nil {
+			t.Fatal(err)
+		}
+		res, err := resumed.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Winner.String() != full.Winner.String() || res.Score != full.Score {
+			t.Fatalf("version-2 container changed the outcome:\n resumed: %s %s\n    full: %s %s",
+				res.Winner, res.Score, full.Winner, full.Score)
 		}
 	}
 }

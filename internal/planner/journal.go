@@ -6,7 +6,11 @@ package planner
 // — so a search interrupted anywhere (deadline, crash, kill -9) resumes
 // from its last completed level instead of from scratch, and the resumed
 // run converges on the byte-identical winner (the Checkpoint/ResumeSearch
-// determinism, held per level instead of per explicit save).
+// determinism, held per level instead of per explicit save). A search
+// given an object store (NewSearchWith, ResumeSearchWith) journals the bare
+// framing: each level's checkpoint Puts the states it names into the store
+// before the journal sees the manifest, so a store that shares the
+// journal's log can make both durable together.
 
 import (
 	"context"
@@ -14,13 +18,25 @@ import (
 )
 
 // Journal persists one search's between-level checkpoints. The latest
-// saved checkpoint wins on recovery. Implementations must not retain
-// the checkpoint slice past the call.
+// saved checkpoint wins on recovery. The journal owns the checkpoint slice
+// after the call: the caller hands over a fresh one each time and never
+// writes it again, so a journal may keep it without a copy.
 type Journal interface {
 	// SaveProgress records the state after completing the given level.
 	// The checkpoint bytes are self-contained (ResumeSearch input); the
 	// level is advisory, for logging and metrics.
 	SaveProgress(level int, checkpoint []byte) error
+}
+
+// ObjectStore holds encoded fabric states by fingerprint: the states a
+// search's checkpoints name, or a guarded campaign's last-good snapshots.
+// internal/store's content-addressed SnapStore satisfies it, and so does
+// the daemon's per-plan state journal. Put must be idempotent for a key,
+// and may keep data without a copy: an encoding handed to it is never
+// written again. A reader never trusts a key: it hashes what Get returns.
+type ObjectStore interface {
+	Put(key string, data []byte) error
+	Get(key string) ([]byte, bool, error)
 }
 
 // JournalFunc adapts a function to the Journal interface.

@@ -174,6 +174,10 @@ type Search struct {
 
 	mu   sync.Mutex
 	memo map[string]memoEntry
+
+	// objs, when set, holds the states the search's checkpoints name, and
+	// those checkpoints are bare.
+	objs ObjectStore
 }
 
 // memoEntry caches one evaluated expansion keyed by
@@ -194,8 +198,15 @@ type memoEntry struct {
 // network — which Capture already enforces. The search reads base through a
 // rendered view of its own (snapshot.Rendered): base itself is never written
 // and holds no bytes afterwards, so any number of searches may share one
-// cached base snapshot.
+// cached base snapshot. The search checkpoints inline.
 func NewSearch(base *snapshot.Snapshot, p Params) (*Search, error) {
+	return NewSearchWith(base, p, nil)
+}
+
+// NewSearchWith is NewSearch for a search whose states live in objs: its
+// checkpoints Put the states they name there and carry only their
+// fingerprints. A nil objs is NewSearch.
+func NewSearchWith(base *snapshot.Snapshot, p Params, objs ObjectStore) (*Search, error) {
 	root, err := base.Rendered()
 	if err != nil {
 		return nil, err
@@ -204,7 +215,7 @@ func NewSearch(base *snapshot.Snapshot, p Params) (*Search, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newSearch(root, state, fp, p)
+	return newSearch(root, state, fp, p, objs)
 }
 
 // canonical returns a rendered snapshot's canonical encoding — never its
@@ -220,17 +231,17 @@ func canonical(snap *snapshot.Snapshot) (state []byte, fp string, err error) {
 
 // newSearchFromState is the raw-bytes constructor of checkpoint resume; fp
 // is state's fingerprint.
-func newSearchFromState(state []byte, fp string, p Params) (*Search, error) {
+func newSearchFromState(state []byte, fp string, p Params, objs ObjectStore) (*Search, error) {
 	root, err := snapshot.DecodeRendered(state)
 	if err != nil {
 		return nil, fmt.Errorf("planner: base snapshot: %w", err)
 	}
-	return newSearch(root, state, fp, p)
+	return newSearch(root, state, fp, p, objs)
 }
 
 // newSearch starts a search at root, a rendered snapshot whose encoding is
-// state and whose fingerprint is fp.
-func newSearch(root *snapshot.Snapshot, state []byte, fp string, p Params) (*Search, error) {
+// state and whose fingerprint is fp, its states kept in objs when set.
+func newSearch(root *snapshot.Snapshot, state []byte, fp string, p Params, objs ObjectStore) (*Search, error) {
 	p.setDefaults()
 	if len(p.Intent) == 0 {
 		return nil, fmt.Errorf("planner: empty intent")
@@ -258,6 +269,7 @@ func newSearch(root *snapshot.Snapshot, state []byte, fp string, p Params) (*Sea
 		baseFP: fp,
 		tp:     tp,
 		memo:   make(map[string]memoEntry),
+		objs:   objs,
 	}
 	s.ev = &evaluator{p: &s.p, x: x}
 	s.beam = []node{{snap: root, state: state, fp: fp}}

@@ -39,7 +39,9 @@
 // continues. One request at a time advances a job; an entry in use is
 // never evicted. Serialized checkpoints exist for recovery only. With a
 // store, every level or wave journals one to the WAL before the next
-// starts, and the daemon's only in-memory copy is the persistor's mirror;
+// starts — a plan's by reference, behind the states it names for the
+// first time, in one batch — and the daemon's only in-memory copy is the
+// persistor's mirror;
 // drive resumes from it when it has no live job — after a restart, an
 // LRU eviction, or an advance that failed (the job is dropped, as a crash
 // would drop it). A journaled checkpoint that does not resume is treated as

@@ -192,10 +192,13 @@ func (s *Server) plan(ctx context.Context, ar *apiRequest) result {
 	}
 	id := req.planID(entry.Fingerprint)
 	// With a store, every completed level journals durably before the next
-	// one starts: a crash mid-request loses at most the level in flight.
+	// one starts: a crash mid-request loses at most the level in flight. The
+	// search keeps its states in the plan's own WAL records, so a level
+	// journals its manifest and the states it made, in one fsync.
 	var journal planner.Journal
+	var objs planner.ObjectStore
 	if s.persist != nil {
-		journal = s.persist.journal(planJob, id)
+		journal, objs = s.persist.journal(planJob, id), s.persist.objects(planJob, id)
 	}
 	return drive(s, s.plans, id, jobSteps[planner.Search]{
 		start: func() (*planner.Search, error) {
@@ -215,9 +218,9 @@ func (s *Server) plan(ctx context.Context, ar *apiRequest) result {
 			if req.SearchBare {
 				p.SearchBare = true
 			}
-			return planner.NewSearch(entry.Snap, p)
+			return planner.NewSearchWith(entry.Snap, p, objs)
 		},
-		resume: planner.ResumeSearch,
+		resume: func(cp []byte) (*planner.Search, error) { return planner.ResumeSearchWith(cp, objs) },
 		advance: func(search *planner.Search) (result, bool, error) {
 			// A deadline stops the search between levels: it keeps its
 			// progress and the next request continues from there. The client
@@ -324,7 +327,8 @@ func (s *Server) metricsHandler(ctx context.Context, ar *apiRequest) result {
 	if s.persist != nil {
 		snap.StoreEnabled = true
 		snap.StoreAppends, snap.StoreCompactions, snap.StoreErrors, snap.StoreSegments = s.persist.stats()
-		snap.StoreBytes, snap.StorePlanCheckpointBytes = s.persist.bytesAppended()
+		snap.StoreBytes, snap.StorePlanCheckpointBytes, snap.StorePlanStateBytes = s.persist.bytesAppended()
+		snap.StoreLiveStates = s.persist.liveStates()
 		snap.UnresumablePlans, snap.UnresumableExecs = s.plans.unresumable.Load(), s.execs.unresumable.Load()
 		snap.RecoveredBases, snap.RecoveredPlans, snap.RecoveredExecs, snap.RecoveredMemos, snap.RecoveredTruncatedBytes =
 			s.recovered.Bases, s.recovered.Plans, s.recovered.Execs, s.recovered.Memos, s.recovered.TruncatedBytes

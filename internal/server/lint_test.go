@@ -14,16 +14,21 @@ import (
 // TestOneJobDriver keeps one code path per daemon job. In non-test
 // internal/server the four job constructors are each named in one function,
 // which hands them to drive, and only drive writes a jobEntry's live or
-// final. And no non-test code outside internal/planner and bench/ names a
+// final. A plan search there journals by reference: the storeless
+// constructors, whose searches checkpoint inline, are named nowhere. And no non-test code outside internal/planner and bench/ names a
 // search's Step or StepJournaled in a function that loops: a search advances
 // through Search.Drive, so a second level loop is a second driver, with its
 // own pacing, deadline and journal rules to keep in step with the first.
 func TestOneJobDriver(t *testing.T) {
 	constructors := map[string]map[string]bool{
-		"centralium/internal/planner.NewSearch":     {},
-		"centralium/internal/planner.ResumeSearch":  {},
-		"centralium/internal/guard.NewExecution":    {},
-		"centralium/internal/guard.ResumeExecution": {},
+		"centralium/internal/planner.NewSearchWith":    {},
+		"centralium/internal/planner.ResumeSearchWith": {},
+		"centralium/internal/guard.NewExecution":       {},
+		"centralium/internal/guard.ResumeExecution":    {},
+	}
+	inline := map[string]bool{
+		"centralium/internal/planner.NewSearch":    true,
+		"centralium/internal/planner.ResumeSearch": true,
 	}
 	callsDrive := map[string]bool{}
 	lintGo(t, ".", func(fset *token.FileSet, imports map[string]string, fn *ast.FuncDecl) {
@@ -31,8 +36,14 @@ func TestOneJobDriver(t *testing.T) {
 		ast.Inspect(fn, func(node ast.Node) bool {
 			switch n := node.(type) {
 			case *ast.SelectorExpr:
-				if id, ok := n.X.(*ast.Ident); ok && constructors[imports[id.Name]+"."+n.Sel.Name] != nil {
-					constructors[imports[id.Name]+"."+n.Sel.Name][name] = true
+				if id, ok := n.X.(*ast.Ident); ok {
+					ctor := imports[id.Name] + "." + n.Sel.Name
+					if constructors[ctor] != nil {
+						constructors[ctor][name] = true
+					}
+					if inline[ctor] {
+						t.Errorf("%s: %s names %s, whose search checkpoints inline", fset.Position(n.Pos()), name, ctor)
+					}
 				}
 			case *ast.CallExpr:
 				fun := n.Fun

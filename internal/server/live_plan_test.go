@@ -5,6 +5,11 @@ package server
 // job kinds share).
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
 	"net/http/httptest"
 	"testing"
 
@@ -65,9 +70,10 @@ func TestPlanKeepsSearchLive(t *testing.T) {
 	if len(live) < 3 {
 		t.Fatalf("plan finished in %d requests: too shallow to show anything", len(live))
 	}
-	if m.StorePlanCheckpointBytes <= 0 || m.StoreBytes <= m.StorePlanCheckpointBytes {
-		t.Errorf("store_bytes %d, store_plan_checkpoint_bytes %d: want both positive and bases, finals on top of the checkpoints",
-			m.StoreBytes, m.StorePlanCheckpointBytes)
+	if m.StorePlanCheckpointBytes <= 0 || m.StorePlanStateBytes <= 0 ||
+		m.StoreBytes <= m.StorePlanCheckpointBytes+m.StorePlanStateBytes {
+		t.Errorf("store_bytes %d, store_plan_checkpoint_bytes %d, store_plan_state_bytes %d: want all positive and bases, finals on top of the plan's records",
+			m.StoreBytes, m.StorePlanCheckpointBytes, m.StorePlanStateBytes)
 	}
 
 	var restartResumes int
@@ -105,19 +111,151 @@ func TestMetricsCountWALPayloadBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	var total, checkpoints int64
+	var total, checkpoints, states int64
 	err = st.Log.Replay(func(r store.Record) error {
 		total += int64(len(r.Data))
-		if r.Type == recPlanCheckpoint {
+		switch r.Type {
+		case recPlanCheckpoint:
 			checkpoints += int64(len(r.Data))
+		case recPlanState:
+			states += int64(len(r.Data))
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.StoreBytes != total || m.StorePlanCheckpointBytes != checkpoints {
-		t.Errorf("metrics report %d bytes (%d of plan checkpoints), the WAL holds %d (%d)",
-			m.StoreBytes, m.StorePlanCheckpointBytes, total, checkpoints)
+	if m.StoreBytes != total || m.StorePlanCheckpointBytes != checkpoints || m.StorePlanStateBytes != states {
+		t.Errorf("metrics report %d bytes (%d of plan checkpoints, %d of plan states), the WAL holds %d (%d, %d)",
+			m.StoreBytes, m.StorePlanCheckpointBytes, m.StorePlanStateBytes, total, checkpoints, states)
+	}
+	if m.StoreLiveStates != 0 {
+		t.Errorf("store_live_states %d after the only plan finished, want 0", m.StoreLiveStates)
+	}
+}
+
+// walRecords reopens dir's store and returns its WAL records, oldest first,
+// each with its key and value.
+func walRecords(t *testing.T, dir string) []walRecord {
+	t.Helper()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatalf("reopen store: %v", err)
+	}
+	defer st.Close()
+	var out []walRecord
+	err = st.Log.Replay(func(r store.Record) error {
+		key, value, err := store.DecodeKV(r.Data)
+		if err != nil {
+			return err
+		}
+		out = append(out, walRecord{r.Type, key, bytes.Clone(value)})
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	return out
+}
+
+type walRecord struct {
+	typ   uint8
+	key   string
+	value []byte
+}
+
+// planManifest is what these tests read of a plan checkpoint: the container
+// framing's manifest, the fingerprints it names, and the number of states
+// the container carries itself.
+func planManifest(t *testing.T, cp []byte) (named []string, carried uint64) {
+	t.Helper()
+	if string(cp[:4]) != "CPLN" {
+		t.Fatalf("plan checkpoint is not a container: %q", cp[:4])
+	}
+	l, n := binary.Uvarint(cp[4:])
+	manifest := cp[4+n : 4+n+int(l)]
+	carried, _ = binary.Uvarint(cp[4+n+int(l):])
+	var m struct {
+		Version int    `json:"version"`
+		Base    string `json:"base"`
+		Beam    []struct {
+			State string `json:"state"`
+		} `json:"beam"`
+		Memo []struct {
+			Child string `json:"child"`
+		} `json:"memo"`
+	}
+	if err := json.Unmarshal(manifest, &m); err != nil {
+		t.Fatalf("plan checkpoint manifest: %v", err)
+	}
+	if m.Version != 3 {
+		t.Fatalf("plan checkpoint manifest version %d, want 3", m.Version)
+	}
+	named = append(named, m.Base)
+	for _, b := range m.Beam {
+		named = append(named, b.State)
+	}
+	for _, c := range m.Memo {
+		if c.Child != "" {
+			named = append(named, c.Child)
+		}
+	}
+	return named, carried
+}
+
+// TestPlanStatesJournaledOnce: a plan paced one level a post journals each
+// distinct state once, as a state record of its own under the plan's ID that
+// hashes to the fingerprint it carries, ahead of the first checkpoint that
+// names it; and no checkpoint record carries state bytes.
+func TestPlanStatesJournaledOnce(t *testing.T) {
+	dir := t.TempDir()
+	var resumes int
+	_, ts, stop := openDurable(t, dir, &resumes)
+	levels := 0
+	for done := false; !done; levels++ {
+		done = decodePlan(t, postPlan(t, ts.Client(), ts.URL, recStepBody)).Done
+		if levels > 64 {
+			t.Fatal("plan still not done after 64 stepped requests")
+		}
+	}
+	m := fetchMetrics(t, ts)
+	stop()
+	if levels < 3 {
+		t.Fatalf("plan finished in %d levels: too shallow to show anything", levels)
+	}
+
+	journaled := make(map[string]bool)
+	var checkpoints, states int
+	for _, r := range walRecords(t, dir) {
+		switch r.typ {
+		case recPlanState:
+			states++
+			fp := string(r.value[:fpLen])
+			sum := sha256.Sum256(r.value[fpLen:])
+			if hex.EncodeToString(sum[:]) != fp {
+				t.Errorf("state record %s holds state %x", fp[:12], sum[:6])
+			}
+			if journaled[fp] {
+				t.Errorf("state %s journaled twice", fp[:12])
+			}
+			journaled[fp] = true
+		case recPlanCheckpoint:
+			checkpoints++
+			named, carried := planManifest(t, r.value)
+			if carried != 0 {
+				t.Errorf("checkpoint %d carries %d states", checkpoints, carried)
+			}
+			for _, fp := range named {
+				if !journaled[fp] {
+					t.Fatalf("checkpoint %d names state %s before any record holds it", checkpoints, fp[:12])
+				}
+			}
+		}
+	}
+	if checkpoints != levels || states <= levels {
+		t.Errorf("%d checkpoints and %d states over %d levels", checkpoints, states, levels)
+	}
+	if m.StoreAppends != int64(levels)+2 { // the base, each level, the final
+		t.Errorf("store_appends %d over %d levels: want one batch per level", m.StoreAppends, levels)
 	}
 }

@@ -201,16 +201,22 @@ type MetricsSnapshot struct {
 	GuardPaused      int64 `json:"guard_paused"`
 
 	// Durability counters (zero when the daemon runs without a store).
-	StoreEnabled     bool  `json:"store_enabled"`
+	StoreEnabled bool `json:"store_enabled"`
+	// StoreAppends counts batches: a plan level's new states and its
+	// checkpoint are one.
 	StoreAppends     int64 `json:"store_appends"`
 	StoreCompactions int64 `json:"store_compactions"`
 	StoreErrors      int64 `json:"store_errors"`
 	StoreSegments    int   `json:"store_segments"`
 	// StoreBytes is the payload bytes behind StoreAppends (frame headers
 	// and compaction rewrites excluded); StorePlanCheckpointBytes the plan
-	// checkpoints' share of it.
+	// checkpoints' share of it, manifests only, and StorePlanStateBytes the
+	// share of the plan states those name, each journaled once per plan.
+	// StoreLiveStates counts the plan states the job mirror holds.
 	StoreBytes               int64 `json:"store_bytes"`
 	StorePlanCheckpointBytes int64 `json:"store_plan_checkpoint_bytes"`
+	StorePlanStateBytes      int64 `json:"store_plan_state_bytes"`
+	StoreLiveStates          int   `json:"store_live_states"`
 	// Recovered* report what boot-time recovery rebuilt; truncated bytes
 	// count the corrupt WAL tail recovery discarded.
 	RecoveredBases          int `json:"recovered_bases"`

@@ -17,21 +17,34 @@ package server
 //	                  last-good snapshots live in the object store under
 //	                  their fingerprints
 //	recExecFinal      exec ID → terminal /v1/execute response bytes
+//	recPlanState      plan ID → a state the plan's checkpoints name: its
+//	                  fingerprint (64 hex bytes), then its encoding
 //
 // Every payload is an EncodeKV(key, value) pair; the latest record for a
-// key wins on replay. The persistor keeps a live mirror of exactly that
-// latest-wins state, which makes checkpoint-style compaction safe and
-// lock-free with respect to the serving path: Rotate, re-append the
-// mirror, Sync, Compact — without ever taking a jobEntry or memo lock.
+// key wins on replay, except that a plan's state records accumulate. The
+// persistor keeps a live mirror of exactly that state, which makes
+// checkpoint-style compaction safe and lock-free with respect to the
+// serving path: Rotate, re-append the mirror, Sync, Compact — without ever
+// taking a jobEntry or memo lock.
+//
+// A plan's search checkpoints by reference (planner container v3, bare
+// framing): each state it names goes into the plan's own state records once
+// per job, in the same batch — one write, one fsync — as the first
+// checkpoint that names it, ahead of that checkpoint. A crash inside the
+// batch leaves states no checkpoint names yet, which are harmless: the
+// previous checkpoint still resumes.
 //
 // The mirror keeps plans and executions alike, by job kind: the most
 // recently recorded PlanStoreSize of each, rewritten in the order of their
 // latest records, so which survive a restart is deterministic and the
 // compacted log does not grow with the jobs ever served. A final record
-// drops the job's checkpoint. The mirror is the only in-memory copy of a
-// job's checkpoint; drive reads it only when it has no live job.
+// drops the job's checkpoint and states. The mirror is the only in-memory
+// copy of a job's checkpoint; drive reads it only when it has no live job.
+// It keeps journaled bytes without copying them: a journal owns what it is
+// handed, and recovery copies what it replays out of the segment buffers.
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -63,7 +76,12 @@ const (
 	recMemo           uint8 = 4
 	recExecCheckpoint uint8 = 5
 	recExecFinal      uint8 = 6
+	recPlanState      uint8 = 7
 )
+
+// fpLen is the length of a state fingerprint, hex sha256, at the head of a
+// recPlanState value.
+const fpLen = 2 * sha256.Size
 
 // baseRecord is the recBase payload value: everything needed to rebuild
 // a warm cache entry without re-running scenario convergence, given the
@@ -82,17 +100,32 @@ const (
 	jobKinds
 )
 
-// jobRecords are each job kind's WAL record types.
-var jobRecords = [jobKinds]struct{ checkpoint, final uint8 }{
-	planJob: {recPlanCheckpoint, recPlanFinal},
-	execJob: {recExecCheckpoint, recExecFinal},
+// jobRecords are each job kind's WAL record types. An execution has no
+// state records: its last-good states go to the object store.
+var jobRecords = [jobKinds]struct{ checkpoint, final, state uint8 }{
+	planJob: {recPlanCheckpoint, recPlanFinal, recPlanState},
+	execJob: {recExecCheckpoint, recExecFinal, 0},
 }
 
-// jobMirror is one job's live durable state: a resume checkpoint while it
-// runs, the final response once it is done.
+// jobMirror is one job's live durable state: a resume checkpoint and the
+// states it names by fingerprint while it runs, the final response once it
+// is done.
 type jobMirror struct {
 	checkpoint []byte
+	states     map[string][]byte
 	final      []byte
+}
+
+// jobRef names one job.
+type jobRef struct {
+	kind jobKind
+	id   string
+}
+
+// stagedState is a state a job's search Put since its last journal.
+type stagedState struct {
+	fp   string
+	data []byte
 }
 
 // persistor owns the daemon's append path into the store. All methods
@@ -109,6 +142,9 @@ type persistor struct {
 	bases map[string][]byte
 	jobs  [jobKinds]*recency[*jobMirror]
 	memos *recency[[]byte]
+	// staged holds, per job, the states its search Put since its last
+	// journal; the journal writes those the mirror lacks.
+	staged map[jobRef][]stagedState
 
 	// compactEvery triggers checkpoint-style compaction once the log
 	// holds more than this many segments.
@@ -117,8 +153,8 @@ type persistor struct {
 	appends     int64
 	compactions int64
 	errors      int64
-	// bytes counts the payload bytes append wrote, by record type.
-	bytes [recExecFinal + 1]int64
+	// bytes counts the payload bytes appended, by record type.
+	bytes [recPlanState + 1]int64
 }
 
 func newPersistor(st *store.Store, compactEvery, memoMax, jobMax int) *persistor {
@@ -130,23 +166,42 @@ func newPersistor(st *store.Store, compactEvery, memoMax, jobMax int) *persistor
 			execJob: newRecency[*jobMirror](jobMax, nil),
 		},
 		memos:        newRecency[[]byte](memoMax, nil),
+		staged:       make(map[jobRef][]stagedState),
 		compactEvery: compactEvery,
 	}
 }
 
 // append writes one record, updates the mirror, and compacts when the
-// log has accumulated enough dead weight. Mirror updates happen under
-// p.mu only — never a serving-path lock.
+// log has accumulated enough dead weight.
 func (p *persistor) append(typ uint8, key string, value []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	payload := store.EncodeKV(key, value)
-	if _, err := p.st.Log.Append(typ, payload); err != nil {
+	return p.appendLocked([]store.Entry{entry(typ, key, value)})
+}
+
+// entry is one record of the persistor's: its type, its key and the parts
+// of its value.
+func entry(typ uint8, key string, value ...[]byte) store.Entry {
+	return store.Entry{Type: typ, Key: key, Value: value}
+}
+
+// appendLocked writes entries as one batch — one write, one fsync — folds
+// them into the mirror, and compacts when the log has accumulated enough
+// dead weight. A recPlanState entry's value is its fingerprint, then its
+// bytes. Mirror updates happen under p.mu only — never a serving-path lock.
+func (p *persistor) appendLocked(entries []store.Entry) error {
+	if _, err := p.st.Log.AppendBatch(entries); err != nil {
 		return err
 	}
 	p.appends++
-	p.bytes[typ] += int64(len(payload))
-	p.apply(typ, key, value)
+	for _, e := range entries {
+		p.bytes[e.Type] += int64(e.PayloadSize())
+		if e.Type == recPlanState {
+			p.applyState(planJob, e.Key, string(e.Value[0]), e.Value[1])
+		} else {
+			p.apply(e.Type, e.Key, e.Value[0])
+		}
+	}
 	if p.st.Log.SegmentCount() > p.compactEvery {
 		if err := p.compactLocked(); err != nil {
 			return fmt.Errorf("compact: %w", err)
@@ -155,35 +210,51 @@ func (p *persistor) append(typ uint8, key string, value []byte) error {
 	return nil
 }
 
-// apply folds one record into the live mirror: the latest record per key
-// wins. Unknown record types are forward compatibility, not corruption,
-// and are skipped.
+// mirror returns job id's mirror of kind k, making it the most recently
+// recorded of its kind; a new one past the bound evicts the least recently
+// recorded.
+func (p *persistor) mirror(k jobKind, id string) *jobMirror {
+	m, ok := p.jobs[k].touch(id)
+	if !ok {
+		m = &jobMirror{}
+		p.jobs[k].put(id, m)
+	}
+	return m
+}
+
+// apply folds one record into the live mirror, keeping value: the latest
+// record per key wins, and a state record adds its state to its job.
+// Unknown record types are forward compatibility, not corruption, and are
+// skipped.
 func (p *persistor) apply(typ uint8, key string, value []byte) {
-	v := append([]byte(nil), value...)
 	switch typ {
 	case recBase:
-		p.bases[key] = v
+		p.bases[key] = value
 	case recMemo:
-		p.memos.put(key, v)
+		p.memos.put(key, value)
 	default:
 		for k, rec := range jobRecords {
-			if typ != rec.checkpoint && typ != rec.final {
-				continue
-			}
-			// The job becomes the most recently recorded of its kind; a new
-			// one past the bound evicts the least recently recorded.
-			m, ok := p.jobs[k].touch(key)
-			if !ok {
-				m = &jobMirror{}
-				p.jobs[k].put(key, m)
-			}
-			if typ == rec.final {
-				*m = jobMirror{final: v}
-			} else {
-				m.checkpoint = v
+			switch {
+			case rec.state != 0 && typ == rec.state:
+				if len(value) >= fpLen {
+					p.applyState(jobKind(k), key, string(value[:fpLen]), value[fpLen:])
+				}
+			case typ == rec.final:
+				*p.mirror(jobKind(k), key) = jobMirror{final: value}
+			case typ == rec.checkpoint:
+				p.mirror(jobKind(k), key).checkpoint = value
 			}
 		}
 	}
+}
+
+// applyState adds one state to job id's mirror.
+func (p *persistor) applyState(k jobKind, id, fp string, data []byte) {
+	m := p.mirror(k, id)
+	if m.states == nil {
+		m.states = make(map[string][]byte)
+	}
+	m.states[fp] = data
 }
 
 // compactLocked rewrites the live mirror into a fresh segment and drops
@@ -193,32 +264,39 @@ func (p *persistor) compactLocked() error {
 	if err != nil {
 		return err
 	}
-	rewrite := func(typ uint8, key string, value []byte) error {
-		_, err := p.st.Log.Append(typ, store.EncodeKV(key, value))
+	rewrite := func(batch ...store.Entry) error {
+		if len(batch) == 0 {
+			return nil
+		}
+		_, err := p.st.Log.AppendBatch(batch)
 		return err
 	}
 	for _, key := range sortedKeys(p.bases) {
-		if err := rewrite(recBase, key, p.bases[key]); err != nil {
+		if err := rewrite(entry(recBase, key, p.bases[key])); err != nil {
 			return err
 		}
 	}
 	for k, rec := range jobRecords {
+		// A job is one batch: its states, then the checkpoint that names
+		// them, then its final.
 		err := p.jobs[k].each(func(key string, m *jobMirror) error {
+			var batch []store.Entry
+			for _, fp := range sortedKeys(m.states) {
+				batch = append(batch, entry(rec.state, key, []byte(fp), m.states[fp]))
+			}
 			if m.checkpoint != nil {
-				if err := rewrite(rec.checkpoint, key, m.checkpoint); err != nil {
-					return err
-				}
+				batch = append(batch, entry(rec.checkpoint, key, m.checkpoint))
 			}
 			if m.final != nil {
-				return rewrite(rec.final, key, m.final)
+				batch = append(batch, entry(rec.final, key, m.final))
 			}
-			return nil
+			return rewrite(batch...)
 		})
 		if err != nil {
 			return err
 		}
 	}
-	if err := p.memos.each(func(key string, body []byte) error { return rewrite(recMemo, key, body) }); err != nil {
+	if err := p.memos.each(func(key string, body []byte) error { return rewrite(entry(recMemo, key, body)) }); err != nil {
 		return err
 	}
 	if err := p.st.Log.Sync(); err != nil {
@@ -260,11 +338,69 @@ func (p *persistor) job(k jobKind, id string) (checkpoint, final []byte) {
 	return nil, nil
 }
 
-// journal appends a job's checkpoints.
+// journal appends a job's checkpoints, each in one batch behind the
+// states the job's search staged for it that the mirror does not hold yet.
 func (p *persistor) journal(k jobKind, id string) planner.Journal {
 	return planner.JournalFunc(func(_ int, cp []byte) error {
-		return p.append(jobRecords[k].checkpoint, id, cp)
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		ref := jobRef{k, id}
+		staged := p.staged[ref]
+		delete(p.staged, ref)
+		var held map[string][]byte
+		if m, ok := p.jobs[k].get(id); ok {
+			held = m.states
+		}
+		var batch []store.Entry
+		for _, st := range staged {
+			if _, ok := held[st.fp]; !ok {
+				batch = append(batch, entry(jobRecords[k].state, id, []byte(st.fp), st.data))
+			}
+		}
+		return p.appendLocked(append(batch, entry(jobRecords[k].checkpoint, id, cp)))
 	})
+}
+
+// objects is the object store of job id's search: Put stages a state for
+// the job's next journal, which writes it unless the job's mirror holds it
+// already, and Get reads the mirror — or, for a job evicted from it since,
+// the mirror as it stood when the store was made, so a post that resumes a
+// job while other jobs' records push it out still finds its states.
+// Neither copies a state: encodings are immutable. Only a kind with state
+// records has one.
+func (p *persistor) objects(k jobKind, id string) planner.ObjectStore {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	o := jobObjects{p: p, ref: jobRef{k, id}}
+	if m, ok := p.jobs[k].get(id); ok {
+		o.held = m.states
+	}
+	return o
+}
+
+type jobObjects struct {
+	p    *persistor
+	ref  jobRef
+	held map[string][]byte
+}
+
+func (o jobObjects) Put(fp string, data []byte) error {
+	o.p.mu.Lock()
+	defer o.p.mu.Unlock()
+	o.p.staged[o.ref] = append(o.p.staged[o.ref], stagedState{fp, data})
+	return nil
+}
+
+func (o jobObjects) Get(fp string) ([]byte, bool, error) {
+	o.p.mu.Lock()
+	defer o.p.mu.Unlock()
+	if m, ok := o.p.jobs[o.ref.kind].get(o.ref.id); ok {
+		if data, ok := m.states[fp]; ok {
+			return data, true, nil
+		}
+	}
+	data, ok := o.held[fp]
+	return data, ok, nil
 }
 
 func (p *persistor) saveFinal(k jobKind, id string, body []byte) error {
@@ -288,14 +424,28 @@ func (p *persistor) stats() (appends, compactions, errs int64, segments int) {
 }
 
 // bytesAppended reports the payload bytes behind stats' appends: in total,
-// and the plan checkpoints' share.
-func (p *persistor) bytesAppended() (total, planCheckpoints int64) {
+// the plan checkpoints' (manifests) and the plan states' shares.
+func (p *persistor) bytesAppended() (total, planCheckpoints, planStates int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, n := range p.bytes {
 		total += n
 	}
-	return total, p.bytes[recPlanCheckpoint]
+	return total, p.bytes[recPlanCheckpoint], p.bytes[recPlanState]
+}
+
+// liveStates counts the states the job mirrors hold.
+func (p *persistor) liveStates() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for k := range p.jobs {
+		p.jobs[k].each(func(_ string, m *jobMirror) error {
+			n += len(m.states)
+			return nil
+		})
+	}
+	return n
 }
 
 // recoveryStats counts what a boot-time recovery rebuilt.
@@ -321,7 +471,7 @@ func (p *persistor) recover(s *Server) (recoveryStats, error) {
 		if err != nil {
 			return fmt.Errorf("record %d: %w", r.Index, err)
 		}
-		p.apply(r.Type, key, value)
+		p.apply(r.Type, key, bytes.Clone(value)) // the mirror keeps it; the segment buffer goes
 		return nil
 	})
 	if err != nil {

@@ -165,11 +165,12 @@ func walRecordTypes(t *testing.T, dir string) map[uint8]map[string]int {
 }
 
 // TestFinishedPlanDropsMirrorCheckpoint: once a plan's final response is
-// recorded its resume checkpoint is dead weight — the mirror must not hold
-// it, a compaction must not rewrite it, and a daemon recovered from the
-// compacted log must still answer with the byte-identical final. (The mirror
-// used to keep the last ~865 KB checkpoint of every finished plan for the
-// life of the process and copy it into every compacted log.)
+// recorded its resume checkpoint and the states it names are dead weight —
+// the mirror must not hold them, a compaction must not rewrite them, and a
+// daemon recovered from the compacted log must still answer with the
+// byte-identical final. (The mirror used to keep the last ~865 KB
+// checkpoint of every finished plan for the life of the process and copy it
+// into every compacted log.)
 func TestFinishedPlanDropsMirrorCheckpoint(t *testing.T) {
 	wantFinal, wantWhatIf := referenceRun(t)
 	dir := t.TempDir()
@@ -204,6 +205,9 @@ func TestFinishedPlanDropsMirrorCheckpoint(t *testing.T) {
 			t.Errorf("mirror holds a %d-byte checkpoint for finished plan %s", len(cp), id)
 		}
 	}
+	if n := s.persist.liveStates(); n != 0 {
+		t.Errorf("mirror holds %d states after the only plan finished", n)
+	}
 	s.persist.mu.Lock()
 	err = s.persist.compactLocked()
 	s.persist.mu.Unlock()
@@ -221,6 +225,9 @@ func TestFinishedPlanDropsMirrorCheckpoint(t *testing.T) {
 	for id := range recs[recPlanFinal] {
 		if n := recs[recPlanCheckpoint][id]; n != 0 {
 			t.Errorf("compacted log holds %d checkpoint record(s) for finished plan %s", n, id)
+		}
+		if n := recs[recPlanState][id]; n != 0 {
+			t.Errorf("compacted log holds %d state record(s) for finished plan %s", n, id)
 		}
 	}
 	checkRecovered(t, dir, wantFinal, wantWhatIf)
@@ -269,5 +276,53 @@ func TestMirrorBoundedByPlanStoreSize(t *testing.T) {
 	if len(recs[recPlanFinal]) != size || len(recs[recExecFinal]) != size {
 		t.Errorf("compacted log holds %d plan and %d execution finals, want %d each",
 			len(recs[recPlanFinal]), len(recs[recExecFinal]), size)
+	}
+}
+
+// TestCompactionKeepsLivePlanResumable: a compaction rewrites an unfinished
+// plan as its states, then the one checkpoint that names them, and a daemon
+// recovered from that log resumes the plan — not restarts it — to the
+// byte-identical final.
+func TestCompactionKeepsLivePlanResumable(t *testing.T) {
+	wantFinal, _ := referenceRun(t)
+	dir := t.TempDir()
+	var resumes int
+	s, ts, stop := openDurable(t, dir, &resumes)
+	for i := 0; i < 2; i++ {
+		if decodePlan(t, postPlan(t, ts.Client(), ts.URL, recStepBody)).Done {
+			t.Fatal("plan finished before the compaction")
+		}
+	}
+	s.persist.mu.Lock()
+	err := s.persist.compactLocked()
+	s.persist.mu.Unlock()
+	if err != nil {
+		t.Fatalf("compact: %v", err)
+	}
+	stop()
+
+	var states, checkpoints int
+	for _, r := range walRecords(t, dir) {
+		switch r.typ {
+		case recPlanState:
+			if checkpoints > 0 {
+				t.Fatal("the compacted log holds a state record behind the plan's checkpoint")
+			}
+			states++
+		case recPlanCheckpoint:
+			checkpoints++
+		}
+	}
+	if states == 0 || checkpoints != 1 {
+		t.Fatalf("the compacted log holds %d states and %d checkpoints of the live plan, want some and 1", states, checkpoints)
+	}
+
+	_, ts, stop = openDurable(t, dir, &resumes)
+	defer stop()
+	if rec := postPlan(t, ts.Client(), ts.URL, recPlanBody); rec.body != wantFinal {
+		t.Fatalf("plan resumed from the compacted log diverged:\n got: %swant: %s", rec.body, wantFinal)
+	}
+	if m := fetchMetrics(t, ts); resumes != 1 || m.UnresumablePlans != 0 {
+		t.Errorf("%d resumes, %d unresumable: want the compacted checkpoint to resume once", resumes, m.UnresumablePlans)
 	}
 }

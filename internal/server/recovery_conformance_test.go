@@ -128,7 +128,9 @@ func cloneDir(t *testing.T, src string) string {
 }
 
 // checkRecovered opens a daemon on a (possibly damaged) data directory
-// and requires the byte-identical reference outputs.
+// and requires the byte-identical reference outputs, with every journaled
+// checkpoint that survived resuming: a crash never leaves one that names a
+// state the log lost.
 func checkRecovered(t *testing.T, dir, wantFinal, wantWhatIf string) {
 	t.Helper()
 	_, ts := durableServer(t, dir)
@@ -137,6 +139,9 @@ func checkRecovered(t *testing.T, dir, wantFinal, wantWhatIf string) {
 	}
 	if wi := postWhatIf(t, ts.Client(), ts.URL, recWhatIfBody); wi.body != wantWhatIf {
 		t.Fatalf("recovered whatif diverged from reference:\n got: %swant: %s", wi.body, wantWhatIf)
+	}
+	if n := fetchMetrics(t, ts).UnresumablePlans; n != 0 {
+		t.Fatalf("%d recovered plan checkpoint(s) did not resume", n)
 	}
 }
 
@@ -148,6 +153,19 @@ func TestRecoveryAtEveryRecordBoundary(t *testing.T) {
 	wantFinal, wantWhatIf := referenceRun(t)
 	history := t.TempDir()
 	serveHistory(t, history, wantFinal, wantWhatIf)
+	// A plan level is one batch, its new states ahead of its checkpoint, so
+	// the matrix also kills between a level's states and its checkpoint: the
+	// previous level must resume.
+	between := 0
+	recs := walRecords(t, history)
+	for i := 1; i < len(recs); i++ {
+		if recs[i-1].typ == recPlanState && recs[i].typ == recPlanCheckpoint {
+			between++
+		}
+	}
+	if between < 2 {
+		t.Fatalf("%d levels journal states ahead of their checkpoint: the history has no multi-record batches to cut", between)
+	}
 
 	segs := walSegments(t, history)
 	kills := 0
@@ -230,6 +248,48 @@ func TestRecoveryTornWriteTail(t *testing.T) {
 	}
 	if after.Size() > info.Size() {
 		t.Fatalf("torn bytes survived recovery: %d > %d", after.Size(), info.Size())
+	}
+}
+
+// TestRecoveryTornLevelBatch kills the daemon inside the write of a plan
+// level's batch: the newest segment ends halfway through one of the level's
+// records — a state, or the checkpoint behind them. Recovery truncates the
+// torn record, keeps the whole ones before it, and the plan resumes from the
+// previous level to the byte-identical final.
+func TestRecoveryTornLevelBatch(t *testing.T) {
+	wantFinal, wantWhatIf := referenceRun(t)
+	history := t.TempDir()
+	serveHistory(t, history, wantFinal, wantWhatIf)
+
+	segs := walSegments(t, history)
+	newest := segs[len(segs)-1]
+	boundaries, err := store.RecordBoundaries(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := walRecords(t, history)
+	recs = recs[len(recs)-(len(boundaries)-1):] // the newest segment's records
+	// The last level batch: its checkpoint and the state records ahead of it.
+	last := -1
+	for i := range recs {
+		if recs[i].typ == recPlanCheckpoint && i > 0 && recs[i-1].typ == recPlanState {
+			last = i
+		}
+	}
+	if last < 0 {
+		t.Fatal("the newest segment holds no level batch with states")
+	}
+	first := last
+	for first > 0 && recs[first-1].typ == recPlanState {
+		first--
+	}
+	for i := first; i <= last; i++ {
+		dir := cloneDir(t, history)
+		cut := boundaries[i] + (boundaries[i+1]-boundaries[i])/2
+		if err := os.Truncate(walSegments(t, dir)[len(segs)-1], cut); err != nil {
+			t.Fatal(err)
+		}
+		checkRecovered(t, dir, wantFinal, wantWhatIf)
 	}
 }
 

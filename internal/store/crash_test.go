@@ -370,3 +370,121 @@ func TestCompactionSurvivesRecovery(t *testing.T) {
 		t.Fatalf("compacted state diverged: %+v", got[0])
 	}
 }
+
+// TestCrashTornBatchEveryOffset: a batch is one write of several frames, and
+// a crash can land anywhere in it. The image cut at every byte offset
+// inside a batch recovers to the records wholly before the cut — a prefix
+// of the batch, as separate appends would leave — and stays appendable.
+func TestCrashTornBatchEveryOffset(t *testing.T) {
+	batch := []Entry{
+		{Type: 7, Key: "plan-a", Value: [][]byte{[]byte("fp-1:"), bytes.Repeat([]byte{0x5a}, 90)}},
+		{Type: 7, Key: "plan-a", Value: [][]byte{[]byte("fp-2:"), {}, []byte("second state")}},
+		{Type: 7, Key: "plan-a", Value: nil},
+		{Type: 2, Key: "plan-a", Value: [][]byte{[]byte("manifest")}},
+	}
+	recs := []Record{{Index: 0, Type: 1, Data: []byte("before")}}
+	for _, e := range batch {
+		recs = append(recs, Record{Index: uint64(len(recs)), Type: e.Type, Data: EncodeKV(e.Key, bytes.Join(e.Value, nil))})
+	}
+	recs = append(recs, Record{Index: uint64(len(recs)), Type: 3, Data: []byte("after")})
+
+	dir := t.TempDir()
+	l, err := OpenLog(dir, Options{Sync: SyncAlways, SegmentBytes: 1 << 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(recs[0].Type, recs[0].Data); err != nil {
+		t.Fatal(err)
+	}
+	if idx, err := l.AppendBatch(batch); err != nil || idx != 1 {
+		t.Fatalf("batch landed at %d (err %v), want 1", idx, err)
+	}
+	last := recs[len(recs)-1]
+	if idx, err := l.Append(last.Type, last.Data); err != nil || idx != last.Index {
+		t.Fatalf("append after the batch landed at %d (err %v), want %d", idx, err, last.Index)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segBytes, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("wal-%016x.seg", 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	boundaries := []int{segHeaderSize}
+	for off := segHeaderSize; off < len(segBytes); {
+		_, _, n, err := parseFrame(segBytes[off:])
+		if err != nil {
+			t.Fatalf("reference frame scan: %v", err)
+		}
+		off += n
+		boundaries = append(boundaries, off)
+	}
+	if len(boundaries) != len(recs)+1 {
+		t.Fatalf("reference holds %d frames, want %d", len(boundaries)-1, len(recs))
+	}
+	_, got := recoverAll(t, plantImage(t, segBytes))
+	checkPrefix(t, got, recs, len(recs))
+
+	for cut := boundaries[1] + 1; cut < boundaries[1+len(batch)]; cut++ {
+		whole := 0
+		for whole+1 < len(boundaries) && boundaries[whole+1] <= cut {
+			whole++
+		}
+		dir := plantImage(t, segBytes[:cut])
+		l, got := recoverAll(t, dir)
+		checkPrefix(t, got, recs, whole)
+		if l.TruncatedBytes() != cut-boundaries[whole] {
+			t.Fatalf("cut at %d: recovery reported %d truncated bytes, want %d", cut, l.TruncatedBytes(), cut-boundaries[whole])
+		}
+		if cut == boundaries[2]+1 {
+			checkAppendable(t, l, dir, recs[:whole])
+			continue
+		}
+		l.Close()
+	}
+}
+
+// TestBatchNeverStraddlesSegments: a batch that does not fit the active
+// segment rotates first, and one larger than a segment gets one of its own.
+func TestBatchNeverStraddlesSegments(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenLog(dir, Options{Sync: SyncNever, SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	entry := func(n int) Entry { return Entry{Type: 7, Key: "k", Value: [][]byte{bytes.Repeat([]byte{1}, n)}} }
+	for _, sizes := range [][]int{{100}, {100, 100}, {300, 300}, {10}} {
+		var b []Entry
+		for _, n := range sizes {
+			b = append(b, entry(n))
+		}
+		if _, err := l.AppendBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := l.AppendBatch([]Entry{entry(MaxRecordBytes)}); err == nil {
+		t.Fatal("a record past MaxRecordBytes was accepted")
+	}
+	segs, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var perSeg []int
+	for _, s := range segs {
+		data, err := os.ReadFile(s.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, _, err := scanFrames(data[segHeaderSize:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		perSeg = append(perSeg, int(n))
+	}
+	// {100} fits; {100, 100} does not fit behind it; {300, 300} exceeds a
+	// segment and gets its own; {10} follows it into a fresh one.
+	if fmt.Sprint(perSeg) != "[1 2 2 1]" {
+		t.Fatalf("records per segment %v, want [1 2 2 1]: a batch straddled a segment boundary", perSeg)
+	}
+}

@@ -3,11 +3,15 @@
 // object store for encoded fabric snapshots.
 //
 // The WAL holds small, frequently-updated control-plane state — plan-search
-// checkpoints, memoized responses, scenario-base registrations — as typed
-// records whose latest instance wins on replay. The object store holds the
-// large immutable blobs those records point at (canonical snapshot
-// encodings, keyed by their snapshot.Fingerprint), written atomically via
-// tmp-file + rename so a crash never leaves a half object under a live key.
+// checkpoints and the plan states they name, memoized responses,
+// scenario-base registrations — as typed records whose latest instance wins
+// on replay. AppendBatch writes several records with one write and one
+// fsync, so a plan level's new states and its checkpoint are durable
+// together; a crash inside a batch leaves a prefix of it, as separate
+// appends would. The object store holds the large immutable blobs records
+// point at (canonical snapshot encodings, keyed by their
+// snapshot.Fingerprint), written atomically via tmp-file + rename so a
+// crash never leaves a half object under a live key.
 //
 // Durability is fsync-policied (SyncAlways, SyncInterval, SyncNever) and
 // recovery is crash-safe by construction: on Open every record's CRC32C is
@@ -16,8 +20,8 @@
 // before the tail (bit rot in supposedly-durable data) is a hard error
 // instead of a quiet skip. The crash-recovery conformance suite in this
 // package cuts a reference log at every record boundary, at every byte
-// inside the tail record, and under injected bit flips, and requires
-// recovery to yield exactly the durable prefix every time.
+// inside the tail record or a batch, and under injected bit flips, and
+// requires recovery to yield exactly the durable prefix every time.
 //
 // Compaction is checkpoint-style: callers rotate to a fresh segment,
 // re-append their live state, and Compact away every whole segment that

@@ -46,14 +46,48 @@ func frameCRC(typ uint8, payload []byte) uint32 {
 	return crc32.Update(crc, castagnoli, payload)
 }
 
-// appendFrame renders one record frame onto dst.
+// Entry is one record of an AppendBatch: its type, and a payload in the
+// (key, value) convention of EncodeKV whose value is the parts back to back.
+type Entry struct {
+	Type  uint8
+	Key   string
+	Value [][]byte
+}
+
+// PayloadSize is the length of the entry's rendered payload.
+func (e Entry) PayloadSize() int {
+	n := 2 + min(len(e.Key), 0xffff)
+	for _, v := range e.Value {
+		n += len(v)
+	}
+	return n
+}
+
+// appendFrame renders one record frame of a raw payload onto dst.
 func appendFrame(dst []byte, typ uint8, payload []byte) []byte {
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], frameCRC(typ, payload))
-	hdr[8] = typ
-	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+	return sealFrame(append(openFrame(dst, typ), payload...), len(dst))
+}
+
+// appendEntryFrame renders an entry's record frame onto dst. Each payload
+// byte is copied once, into dst.
+func appendEntryFrame(dst []byte, e Entry) []byte {
+	return sealFrame(appendKV(openFrame(dst, e.Type), e.Key, e.Value...), len(dst))
+}
+
+// openFrame reserves a frame header on dst with its type byte set; the
+// payload is appended after it, and sealFrame fills in the rest.
+func openFrame(dst []byte, typ uint8) []byte {
+	dst = append(dst, make([]byte, frameHeaderSize-1)...)
+	return append(dst, typ)
+}
+
+// sealFrame fills in the length and the CRC of the frame rendered at
+// dst[start:]: the CRC covers the type byte and the payload, which lie back
+// to back.
+func sealFrame(dst []byte, start int) []byte {
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-frameHeaderSize))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(dst[start+8:], castagnoli))
+	return dst
 }
 
 // parseFrame decodes the frame at the start of buf. It returns the
@@ -83,15 +117,23 @@ func parseFrame(buf []byte) (typ uint8, payload []byte, n int, err error) {
 
 // EncodeKV renders the (key, value) payload convention layered on WAL
 // records by the server and the plan journal: a 16-bit key length, the
-// key, then the value.
+// key, then the value. Log.AppendBatch renders it straight into the frame.
 func EncodeKV(key string, value []byte) []byte {
+	return appendKV(make([]byte, 0, 2+len(key)+len(value)), key, value)
+}
+
+// appendKV renders a (key, value) payload onto dst, the value's parts back
+// to back. A key past 16 bits of length is cut to fit.
+func appendKV(dst []byte, key string, value ...[]byte) []byte {
 	if len(key) > 0xffff {
 		key = key[:0xffff]
 	}
-	out := make([]byte, 0, 2+len(key)+len(value))
-	out = append(out, byte(len(key)), byte(len(key)>>8))
-	out = append(out, key...)
-	return append(out, value...)
+	dst = append(dst, byte(len(key)), byte(len(key)>>8))
+	dst = append(dst, key...)
+	for _, v := range value {
+		dst = append(dst, v...)
+	}
+	return dst
 }
 
 // DecodeKV splits a payload written by EncodeKV. The value aliases the

@@ -65,7 +65,7 @@ func (s *Store) Journal(typ uint8, key string) *Journal {
 // SaveProgress appends one checkpoint record. The level is advisory;
 // the checkpoint bytes carry the full state.
 func (j *Journal) SaveProgress(level int, checkpoint []byte) error {
-	_, err := j.log.Append(j.typ, EncodeKV(j.key, checkpoint))
+	_, err := j.log.AppendBatch([]Entry{{Type: j.typ, Key: j.key, Value: [][]byte{checkpoint}}})
 	return err
 }
 

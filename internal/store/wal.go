@@ -305,25 +305,53 @@ func (l *Log) Append(typ uint8, data []byte) (uint64, error) {
 	if len(data) > MaxRecordBytes {
 		return 0, fmt.Errorf("store: record payload %d exceeds %d bytes", len(data), MaxRecordBytes)
 	}
+	return l.write(appendFrame(nil, typ, data), 1)
+}
+
+// AppendBatch writes entries as consecutive records and returns the global
+// index of the first: one write(2) and, under SyncAlways, one fsync. A
+// batch never straddles segments: one that does not fit the active segment
+// rotates first, and one larger than SegmentBytes gets a segment of its
+// own. A crash mid-batch leaves a prefix of its records, as it would of
+// separate appends. The frames are rendered into a buffer of the call's
+// own; the log keeps none.
+func (l *Log) AppendBatch(entries []Entry) (uint64, error) {
+	size := 0
+	for _, e := range entries {
+		n := e.PayloadSize()
+		if n > MaxRecordBytes {
+			return 0, fmt.Errorf("store: record payload %d exceeds %d bytes", n, MaxRecordBytes)
+		}
+		size += frameHeaderSize + n
+	}
+	buf := make([]byte, 0, size)
+	for _, e := range entries {
+		buf = appendEntryFrame(buf, e)
+	}
+	return l.write(buf, len(entries))
+}
+
+// write appends n rendered frames to the active segment, rotating first
+// when they do not fit it, and returns the first one's index.
+func (l *Log) write(frames []byte, n int) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.activeF == nil {
 		return 0, fmt.Errorf("store: log closed")
 	}
-	frame := appendFrame(nil, typ, data)
-	if l.size+int64(len(frame)) > l.opts.SegmentBytes && l.active.count > 0 {
+	if l.size+int64(len(frames)) > l.opts.SegmentBytes && l.active.count > 0 {
 		if err := l.createSegment(l.next, l.activeF); err != nil {
 			return 0, err
 		}
 	}
-	if _, err := l.activeF.Write(frame); err != nil {
+	if _, err := l.activeF.Write(frames); err != nil {
 		return 0, fmt.Errorf("store: append: %w", err)
 	}
 	idx := l.next
-	l.next++
-	l.active.count++
-	l.size += int64(len(frame))
-	l.unsynced++
+	l.next += uint64(n)
+	l.active.count += uint64(n)
+	l.size += int64(len(frames))
+	l.unsynced += n
 	switch l.opts.Sync {
 	case SyncAlways:
 		if err := l.activeF.Sync(); err != nil {
