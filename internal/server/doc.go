@@ -40,13 +40,13 @@
 // never evicted. Serialized checkpoints exist for recovery only. With a
 // store, every level or wave journals one to the WAL before the next
 // starts — a plan's by reference, behind the states it names for the
-// first time, in one batch — and the daemon's only in-memory copy is the
-// persistor's mirror;
-// drive resumes from it when it has no live job — after a restart, an
-// LRU eviction, or an advance that failed (the job is dropped, as a crash
-// would drop it). A journaled checkpoint that does not resume is treated as
-// absent and the job restarts: the final body is a pure function of the
-// job's identity, so it is byte-identical either way.
+// first time, in one batch — into the job's record on its entry, the
+// daemon's only in-memory copy, as the cache and the memo are of theirs;
+// drive resumes from it when it has no live job — after a restart, or an
+// advance that failed (the job is dropped, as a crash would drop it). A
+// journaled checkpoint that does not resume is treated as absent and the
+// job restarts: the final body is a pure function of the job's identity,
+// so it is byte-identical either way, as it is for an evicted job.
 //
 // # Admission, deadlines, drain
 //

@@ -167,13 +167,15 @@ func (s *Server) execute(ctx context.Context, ar *apiRequest) result {
 	}
 	if s.persist != nil {
 		// Last-good states go to the object store: a checkpoint names them.
-		c.Journal = s.persist.journal(execJob, id)
 		c.Objects = s.persist.st.Objects
 	}
+	journaled := func(rec *jobRecord) guard.Campaign { c.Journal = s.persist.journal(execJob, id, rec); return c }
 	return drive(s, s.execs, id, jobSteps[guard.Execution]{
-		start:  func() (*guard.Execution, error) { return guard.NewExecution(entry.Snap, c) },
-		resume: func(cp []byte) (*guard.Execution, error) { return guard.ResumeExecution(cp, c) },
-		advance: func(exec *guard.Execution) (result, bool, error) {
+		start: func(rec *jobRecord) (*guard.Execution, error) { return guard.NewExecution(entry.Snap, journaled(rec)) },
+		resume: func(rec *jobRecord) (*guard.Execution, error) {
+			return guard.ResumeExecution(rec.checkpoint, journaled(rec))
+		},
+		advance: func(exec *guard.Execution, _ *jobRecord) (result, bool, error) {
 			res, err := exec.Drive(ctx, req.MaxWaves)
 			if err != nil {
 				return result{}, false, err

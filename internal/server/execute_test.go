@@ -168,7 +168,7 @@ func TestExecuteTerminalReleasesObjects(t *testing.T) {
 	held := func() (live bool, final int) {
 		ee.mu.Lock()
 		defer ee.mu.Unlock()
-		return ee.live != nil, len(ee.final)
+		return ee.live != nil, len(ee.rec.final)
 	}
 	if live, final := held(); !live || final != 0 {
 		t.Fatalf("paused execution holds live=%v final=%dB; want the live execution only", live, final)

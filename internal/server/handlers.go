@@ -195,13 +195,8 @@ func (s *Server) plan(ctx context.Context, ar *apiRequest) result {
 	// one starts: a crash mid-request loses at most the level in flight. The
 	// search keeps its states in the plan's own WAL records, so a level
 	// journals its manifest and the states it made, in one fsync.
-	var journal planner.Journal
-	var objs planner.ObjectStore
-	if s.persist != nil {
-		journal, objs = s.persist.journal(planJob, id), s.persist.objects(planJob, id)
-	}
 	return drive(s, s.plans, id, jobSteps[planner.Search]{
-		start: func() (*planner.Search, error) {
+		start: func(rec *jobRecord) (*planner.Search, error) {
 			p := entry.Params
 			if req.Beam > 0 {
 				p.Beam = req.Beam
@@ -218,14 +213,16 @@ func (s *Server) plan(ctx context.Context, ar *apiRequest) result {
 			if req.SearchBare {
 				p.SearchBare = true
 			}
-			return planner.NewSearchWith(entry.Snap, p, objs)
+			return planner.NewSearchWith(entry.Snap, p, s.persist.objects(rec))
 		},
-		resume: func(cp []byte) (*planner.Search, error) { return planner.ResumeSearchWith(cp, objs) },
-		advance: func(search *planner.Search) (result, bool, error) {
+		resume: func(rec *jobRecord) (*planner.Search, error) {
+			return planner.ResumeSearchWith(rec.checkpoint, s.persist.objects(rec))
+		},
+		advance: func(search *planner.Search, rec *jobRecord) (result, bool, error) {
 			// A deadline stops the search between levels: it keeps its
 			// progress and the next request continues from there. The client
 			// already has its 504.
-			done, err := search.Drive(ctx, req.MaxLevels, journal)
+			done, err := search.Drive(ctx, req.MaxLevels, s.persist.journal(planJob, id, rec))
 			if err != nil {
 				return result{}, false, err
 			}

@@ -13,17 +13,19 @@ import (
 	"sync/atomic"
 )
 
-// jobEntry is one job: the live job between requests, then, once it is
-// done, the final response bytes alone (idempotent completion).
+// jobEntry is one job: the live job between requests, and its durable
+// record — once it is done, the final response bytes alone (idempotent
+// completion).
 type jobEntry[J any] struct {
 	// pins counts the requests holding the entry, under the store's mu: an
 	// entry in use is never evicted, so a second post for its ID waits for
 	// mu instead of driving the job alongside the first.
 	pins int
 
-	mu    sync.Mutex
-	live  *J
-	final []byte
+	mu   sync.Mutex
+	live *J
+	// rec is written under mu and, with a store, the persistor's mu too.
+	rec jobRecord
 }
 
 // jobStore holds the daemon's jobs of one kind by ID, LRU-bounded, and what
@@ -66,55 +68,72 @@ func (js *jobStore[J]) release(e *jobEntry[J]) {
 	js.mu.Unlock()
 }
 
-// jobSteps are how one request starts, resumes and advances its job.
+func (js *jobStore[J]) records() (ids []string, recs []*jobRecord) {
+	js.mu.Lock()
+	ids, entries := js.entries.list()
+	js.mu.Unlock()
+	for _, e := range entries {
+		recs = append(recs, &e.rec)
+	}
+	return ids, recs
+}
+
+func (js *jobStore[J]) update(id string, f func(*jobRecord)) {
+	e := js.get(id)
+	defer js.release(e)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	f(&e.rec)
+}
+
+// jobSteps are how one request starts, resumes and advances its job, each
+// handed the job's record: the journal and object store close over it.
 type jobSteps[J any] struct {
-	start  func() (*J, error)
-	resume func(checkpoint []byte) (*J, error)
+	start func(*jobRecord) (*J, error)
+	// resume rebuilds the job from the record's checkpoint.
+	resume func(*jobRecord) (*J, error)
 	// advance drives the job as far as the request asks and renders the
 	// response; final reports a terminal job. After an error the job may be
 	// mid-step.
-	advance func(*J) (res result, final bool, err error)
+	advance func(*J, *jobRecord) (res result, final bool, err error)
 }
 
 // drive serves one post for job id. One request at a time advances a given
 // job: concurrent posts for one ID serialize on its entry, each driving it
 // further. A finished job answers from its final bytes. Otherwise the post
-// continues the live job, else resumes it from the mirror's checkpoint —
-// after a restart, an eviction or a failed post — else starts it.
+// continues the live job, else resumes it from its journaled checkpoint —
+// after a restart or a failed post — else starts it.
 func drive[J any](s *Server, js *jobStore[J], id string, steps jobSteps[J]) result {
 	e := js.get(id)
 	defer js.release(e)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.final == nil && e.live == nil && s.persist != nil {
-		var cp []byte
-		cp, e.final = s.persist.job(js.kind, id)
-		if cp != nil && e.final == nil {
-			if s.testHookResume != nil {
-				s.testHookResume()
-			}
-			if live, err := steps.resume(cp); err == nil {
-				e.live = live
-			} else {
-				// An unresumable checkpoint is an absent one: the final body is
-				// a pure function of the job's identity, so the job restarts
-				// and its next checkpoint replaces the bad record.
-				log.Printf("server: %s %s: journaled checkpoint does not resume, restarting it: %v", js.noun, id, err)
-				js.unresumable.Add(1)
-			}
+	rec := &e.rec
+	if rec.final != nil {
+		return result{status: http.StatusOK, body: rec.final}
+	}
+	if e.live == nil && rec.checkpoint != nil {
+		if s.testHookResume != nil {
+			s.testHookResume()
+		}
+		if live, err := steps.resume(rec); err == nil {
+			e.live = live
+		} else {
+			// An unresumable checkpoint is an absent one: the final body is
+			// a pure function of the job's identity, so the job restarts
+			// and its next checkpoint replaces the bad record.
+			log.Printf("server: %s %s: journaled checkpoint does not resume, restarting it: %v", js.noun, id, err)
+			js.unresumable.Add(1)
 		}
 	}
-	if e.final != nil {
-		return result{status: http.StatusOK, body: e.final}
-	}
 	if e.live == nil {
-		live, err := steps.start()
+		live, err := steps.start(rec)
 		if err != nil {
 			return errorResult(http.StatusInternalServerError, "start %s %s: %v", js.noun, id, err)
 		}
 		e.live = live
 	}
-	res, final, err := steps.advance(e.live)
+	res, final, err := steps.advance(e.live, rec)
 	if err != nil {
 		// Drop the job, so the next post resumes from the last journaled
 		// checkpoint as it would after a crash.
@@ -122,12 +141,13 @@ func drive[J any](s *Server, js *jobStore[J], id string, steps jobSteps[J]) resu
 		return errorResult(http.StatusInternalServerError, "%s %s: %v", js.verb, id, err)
 	}
 	if final {
-		// A finished job answers from final; its live job is dead weight.
-		e.final, e.live = res.body, nil
-		if s.persist != nil {
-			if err := s.persist.saveFinal(js.kind, id, res.body); err != nil {
-				s.persist.noteError()
-			}
+		// A finished job answers from final; its live job, checkpoint and
+		// states are dead weight. A final the log refuses is not kept: the
+		// next post resumes the job from its last checkpoint to the same one.
+		e.live = nil
+		retire := func() { rec.final, rec.checkpoint, rec.states, rec.staged = res.body, nil, nil, nil }
+		if err := s.persist.commit(retire, entry(jobRecords[js.kind].final, id, res.body)); err != nil {
+			s.persist.noteError()
 		}
 	}
 	return res

@@ -13,9 +13,10 @@ import (
 
 // TestOneJobDriver keeps one code path per daemon job. In non-test
 // internal/server the four job constructors are each named in one function,
-// which hands them to drive, and only drive writes a jobEntry's live or
-// final. A plan search there journals by reference: the storeless
-// constructors, whose searches checkpoint inline, are named nowhere. And no non-test code outside internal/planner and bench/ names a
+// which hands them to drive, and a job's live or final is written only by
+// drive and by recovery. A plan search there journals by reference: the
+// storeless constructors, whose searches checkpoint inline, are named
+// nowhere. And no non-test code outside internal/planner and bench/ names a
 // search's Step or StepJournaled in a function that loops: a search advances
 // through Search.Drive, so a second level loop is a second driver, with its
 // own pacing, deadline and journal rules to keep in step with the first.
@@ -31,6 +32,7 @@ func TestOneJobDriver(t *testing.T) {
 		"centralium/internal/planner.ResumeSearch": true,
 	}
 	callsDrive := map[string]bool{}
+	writers := map[string]bool{"drive": true, "persistor.recover": true}
 	lintGo(t, ".", func(fset *token.FileSet, imports map[string]string, fn *ast.FuncDecl) {
 		name := funcName(fn)
 		ast.Inspect(fn, func(node ast.Node) bool {
@@ -55,8 +57,8 @@ func TestOneJobDriver(t *testing.T) {
 				}
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {
-					if sel, ok := lhs.(*ast.SelectorExpr); ok && (sel.Sel.Name == "live" || sel.Sel.Name == "final") && name != "drive" {
-						t.Errorf("%s: %s writes a job's %s — only drive does", fset.Position(sel.Pos()), name, sel.Sel.Name)
+					if sel, ok := lhs.(*ast.SelectorExpr); ok && (sel.Sel.Name == "live" || sel.Sel.Name == "final") && !writers[name] {
+						t.Errorf("%s: %s writes a job's %s — only drive and recovery do", fset.Position(sel.Pos()), name, sel.Sel.Name)
 					}
 				}
 			}
@@ -109,6 +111,50 @@ func TestOneJobDriver(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOneHomePerDaemonState keeps the serving tables the only in-memory home
+// of what the daemon persists: the persistor declares no field of map or
+// *recency type, so it cannot keep a second copy of a table, with a bound
+// and an eviction order of its own.
+func TestOneHomePerDaemonState(t *testing.T) {
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "persist.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	ast.Inspect(file, func(node ast.Node) bool {
+		spec, ok := node.(*ast.TypeSpec)
+		if !ok || spec.Name.Name != "persistor" {
+			return true
+		}
+		found = true
+		for _, f := range spec.Type.(*ast.StructType).Fields.List {
+			typ := f.Type
+			if arr, ok := typ.(*ast.ArrayType); ok {
+				typ = arr.Elt
+			}
+			_, isMap := typ.(*ast.MapType)
+			isRecency := false
+			if star, ok := typ.(*ast.StarExpr); ok {
+				x := star.X
+				if ix, ok := x.(*ast.IndexExpr); ok {
+					x = ix.X
+				}
+				id, ok := x.(*ast.Ident)
+				isRecency = ok && id.Name == "recency"
+			}
+			if isMap || isRecency {
+				t.Errorf("%s: the persistor declares %v, a second home for daemon state: keep it in the serving tables",
+					fset.Position(f.Pos()), f.Names)
+			}
+		}
+		return false
+	})
+	if !found {
+		t.Fatal("persist.go declares no persistor type")
 	}
 }
 

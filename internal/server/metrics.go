@@ -212,13 +212,14 @@ type MetricsSnapshot struct {
 	// and compaction rewrites excluded); StorePlanCheckpointBytes the plan
 	// checkpoints' share of it, manifests only, and StorePlanStateBytes the
 	// share of the plan states those name, each journaled once per plan.
-	// StoreLiveStates counts the plan states the job mirror holds.
+	// StoreLiveStates counts the states held by plan job entries.
 	StoreBytes               int64 `json:"store_bytes"`
 	StorePlanCheckpointBytes int64 `json:"store_plan_checkpoint_bytes"`
 	StorePlanStateBytes      int64 `json:"store_plan_state_bytes"`
 	StoreLiveStates          int   `json:"store_live_states"`
-	// Recovered* report what boot-time recovery rebuilt; truncated bytes
-	// count the corrupt WAL tail recovery discarded.
+	// Recovered* report what the tables hold after boot-time recovery: the
+	// bases it restored, the plans, executions and memo bodies it replayed
+	// into them; truncated bytes count the corrupt WAL tail it discarded.
 	RecoveredBases          int `json:"recovered_bases"`
 	RecoveredPlans          int `json:"recovered_plans"`
 	RecoveredExecs          int `json:"recovered_execs"`

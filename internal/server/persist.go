@@ -21,27 +21,33 @@ package server
 //	                  fingerprint (64 hex bytes), then its encoding
 //
 // Every payload is an EncodeKV(key, value) pair; the latest record for a
-// key wins on replay, except that a plan's state records accumulate. The
-// persistor keeps a live mirror of exactly that state, which makes
-// checkpoint-style compaction safe and lock-free with respect to the
-// serving path: Rotate, re-append the mirror, Sync, Compact — without ever
-// taking a jobEntry or memo lock.
+// key wins on replay, except that a plan's state records accumulate.
+//
+// The serving tables — the snapshot cache, the response memo, and the job
+// stores, whose entries hold a jobRecord each — are the only in-memory home
+// of that state, so each table's one bound (CacheSize, MemoSize,
+// PlanStoreSize) bounds the compacted log too. Compaction rewrites them:
+// Rotate, re-append each table's members in its recency order, Sync,
+// Compact. Recovery replays the WAL straight back into them, in log order:
+// the jobs that survive are the most recently recorded, the same ones on
+// every boot, and of the bases only the newest CacheSize are restored. A
+// job evicted from its table is forgotten: posted again, it re-runs.
+//
+// Locks: code that writes a jobRecord holds its entry's lock and p.mu, so
+// drive reads a record under the entry lock and compaction under p.mu.
+// Compaction takes each table's own lock only to list its members and
+// never takes an entry lock; no code calls into the persistor while it
+// holds a table lock.
 //
 // A plan's search checkpoints by reference (planner container v3, bare
 // framing): each state it names goes into the plan's own state records once
 // per job, in the same batch — one write, one fsync — as the first
 // checkpoint that names it, ahead of that checkpoint. A crash inside the
 // batch leaves states no checkpoint names yet, which are harmless: the
-// previous checkpoint still resumes.
-//
-// The mirror keeps plans and executions alike, by job kind: the most
-// recently recorded PlanStoreSize of each, rewritten in the order of their
-// latest records, so which survive a restart is deterministic and the
-// compacted log does not grow with the jobs ever served. A final record
-// drops the job's checkpoint and states. The mirror is the only in-memory
-// copy of a job's checkpoint; drive reads it only when it has no live job.
-// It keeps journaled bytes without copying them: a journal owns what it is
-// handed, and recovery copies what it replays out of the segment buffers.
+// previous checkpoint still resumes. A final record drops the job's
+// checkpoint and states. Records keep journaled bytes without copying
+// them: a journal owns what it is handed, and recovery copies what it
+// replays out of the segment buffers.
 
 import (
 	"bytes"
@@ -56,17 +62,6 @@ import (
 	"centralium/internal/snapshot"
 	"centralium/internal/store"
 )
-
-// sortedKeys returns a map's keys in sorted order — compaction and
-// recovery iterate deterministically so rewritten logs are reproducible.
-func sortedKeys(m map[string][]byte) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // WAL record types of the daemon's durable state.
 const (
@@ -107,19 +102,15 @@ var jobRecords = [jobKinds]struct{ checkpoint, final, state uint8 }{
 	execJob: {recExecCheckpoint, recExecFinal, 0},
 }
 
-// jobMirror is one job's live durable state: a resume checkpoint and the
-// states it names by fingerprint while it runs, the final response once it
-// is done.
-type jobMirror struct {
+// jobRecord is one job's durable state, held by its jobEntry: while it
+// runs, its latest checkpoint, the states its checkpoints name by
+// fingerprint and the states its search staged since its last journal;
+// once it is done, its final response bytes alone.
+type jobRecord struct {
 	checkpoint []byte
 	states     map[string][]byte
+	staged     []stagedState
 	final      []byte
-}
-
-// jobRef names one job.
-type jobRef struct {
-	kind jobKind
-	id   string
 }
 
 // stagedState is a state a job's search Put since its last journal.
@@ -128,23 +119,25 @@ type stagedState struct {
 	data []byte
 }
 
+// jobTable is a job store as the persistor sees it, whatever its job type.
+type jobTable interface {
+	// records lists the jobs and their records, least recently used first.
+	records() (ids []string, recs []*jobRecord)
+	// update runs f on job id's record under the job's lock, making the job
+	// the most recently used of its table.
+	update(id string, f func(*jobRecord))
+}
+
 // persistor owns the daemon's append path into the store. All methods
-// are safe for concurrent use; callers never hold serving-path locks
-// while the persistor compacts (the mirror is the compaction source).
+// are safe for concurrent use.
 type persistor struct {
 	mu sync.Mutex
 	st *store.Store
 
-	// Live mirrors: the latest value per key, exactly what a compacted
-	// log must preserve. The memo mirror is bounded first in first out, and
-	// each kind's job mirror by latest record, as the memo and the serving
-	// stores are, so the rewritten log cannot outgrow them.
-	bases map[string][]byte
-	jobs  [jobKinds]*recency[*jobMirror]
-	memos *recency[[]byte]
-	// staged holds, per job, the states its search Put since its last
-	// journal; the journal writes those the mirror lacks.
-	staged map[jobRef][]stagedState
+	// The serving tables, which compaction rewrites and recovery refills.
+	cache *snapCache
+	memo  *respMemo
+	jobs  [jobKinds]jobTable
 
 	// compactEvery triggers checkpoint-style compaction once the log
 	// holds more than this many segments.
@@ -157,50 +150,38 @@ type persistor struct {
 	bytes [recPlanState + 1]int64
 }
 
-func newPersistor(st *store.Store, compactEvery, memoMax, jobMax int) *persistor {
-	return &persistor{
-		st:    st,
-		bases: make(map[string][]byte),
-		jobs: [jobKinds]*recency[*jobMirror]{
-			planJob: newRecency[*jobMirror](jobMax, nil),
-			execJob: newRecency[*jobMirror](jobMax, nil),
-		},
-		memos:        newRecency[[]byte](memoMax, nil),
-		staged:       make(map[jobRef][]stagedState),
-		compactEvery: compactEvery,
-	}
-}
-
-// append writes one record, updates the mirror, and compacts when the
-// log has accumulated enough dead weight.
-func (p *persistor) append(typ uint8, key string, value []byte) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.appendLocked([]store.Entry{entry(typ, key, value)})
-}
-
 // entry is one record of the persistor's: its type, its key and the parts
 // of its value.
 func entry(typ uint8, key string, value ...[]byte) store.Entry {
 	return store.Entry{Type: typ, Key: key, Value: value}
 }
 
-// appendLocked writes entries as one batch — one write, one fsync — folds
-// them into the mirror, and compacts when the log has accumulated enough
-// dead weight. A recPlanState entry's value is its fingerprint, then its
-// bytes. Mirror updates happen under p.mu only — never a serving-path lock.
-func (p *persistor) appendLocked(entries []store.Entry) error {
+// commit writes entries as one batch — one write, one fsync — and, once
+// they are durable, runs apply (when set), which folds them into a job's
+// record; then compacts when the log has accumulated enough dead weight, so
+// a compaction rewrites what the batch recorded. Without a store it only
+// applies.
+func (p *persistor) commit(apply func(), entries ...store.Entry) error {
+	if p == nil {
+		apply()
+		return nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.commitLocked(apply, entries...)
+}
+
+// commitLocked is commit with p.mu held.
+func (p *persistor) commitLocked(apply func(), entries ...store.Entry) error {
 	if _, err := p.st.Log.AppendBatch(entries); err != nil {
 		return err
 	}
 	p.appends++
 	for _, e := range entries {
 		p.bytes[e.Type] += int64(e.PayloadSize())
-		if e.Type == recPlanState {
-			p.applyState(planJob, e.Key, string(e.Value[0]), e.Value[1])
-		} else {
-			p.apply(e.Type, e.Key, e.Value[0])
-		}
+	}
+	if apply != nil {
+		apply()
 	}
 	if p.st.Log.SegmentCount() > p.compactEvery {
 		if err := p.compactLocked(); err != nil {
@@ -210,54 +191,7 @@ func (p *persistor) appendLocked(entries []store.Entry) error {
 	return nil
 }
 
-// mirror returns job id's mirror of kind k, making it the most recently
-// recorded of its kind; a new one past the bound evicts the least recently
-// recorded.
-func (p *persistor) mirror(k jobKind, id string) *jobMirror {
-	m, ok := p.jobs[k].touch(id)
-	if !ok {
-		m = &jobMirror{}
-		p.jobs[k].put(id, m)
-	}
-	return m
-}
-
-// apply folds one record into the live mirror, keeping value: the latest
-// record per key wins, and a state record adds its state to its job.
-// Unknown record types are forward compatibility, not corruption, and are
-// skipped.
-func (p *persistor) apply(typ uint8, key string, value []byte) {
-	switch typ {
-	case recBase:
-		p.bases[key] = value
-	case recMemo:
-		p.memos.put(key, value)
-	default:
-		for k, rec := range jobRecords {
-			switch {
-			case rec.state != 0 && typ == rec.state:
-				if len(value) >= fpLen {
-					p.applyState(jobKind(k), key, string(value[:fpLen]), value[fpLen:])
-				}
-			case typ == rec.final:
-				*p.mirror(jobKind(k), key) = jobMirror{final: value}
-			case typ == rec.checkpoint:
-				p.mirror(jobKind(k), key).checkpoint = value
-			}
-		}
-	}
-}
-
-// applyState adds one state to job id's mirror.
-func (p *persistor) applyState(k jobKind, id, fp string, data []byte) {
-	m := p.mirror(k, id)
-	if m.states == nil {
-		m.states = make(map[string][]byte)
-	}
-	m.states[fp] = data
-}
-
-// compactLocked rewrites the live mirror into a fresh segment and drops
+// compactLocked rewrites the serving tables into a fresh segment and drops
 // everything older. Caller holds p.mu.
 func (p *persistor) compactLocked() error {
 	base, err := p.st.Log.Rotate()
@@ -271,33 +205,45 @@ func (p *persistor) compactLocked() error {
 		_, err := p.st.Log.AppendBatch(batch)
 		return err
 	}
-	for _, key := range sortedKeys(p.bases) {
-		if err := rewrite(entry(recBase, key, p.bases[key])); err != nil {
-			return err
-		}
-	}
-	for k, rec := range jobRecords {
-		// A job is one batch: its states, then the checkpoint that names
-		// them, then its final.
-		err := p.jobs[k].each(func(key string, m *jobMirror) error {
-			var batch []store.Entry
-			for _, fp := range sortedKeys(m.states) {
-				batch = append(batch, entry(rec.state, key, []byte(fp), m.states[fp]))
-			}
-			if m.checkpoint != nil {
-				batch = append(batch, entry(rec.checkpoint, key, m.checkpoint))
-			}
-			if m.final != nil {
-				batch = append(batch, entry(rec.final, key, m.final))
-			}
-			return rewrite(batch...)
-		})
+	for _, e := range p.cache.list() {
+		rec, err := json.Marshal(&baseRecord{Fingerprint: e.Fingerprint, Params: e.Params})
 		if err != nil {
 			return err
 		}
+		if err := rewrite(entry(recBase, e.scenarioKey, rec)); err != nil {
+			return err
+		}
 	}
-	if err := p.memos.each(func(key string, body []byte) error { return rewrite(entry(recMemo, key, body)) }); err != nil {
-		return err
+	for k, kind := range jobRecords {
+		// A job is one batch: its states, then the checkpoint that names
+		// them, then its final.
+		ids, recs := p.jobs[k].records()
+		for i, r := range recs {
+			var batch []store.Entry
+			fps := make([]string, 0, len(r.states))
+			for fp := range r.states {
+				fps = append(fps, fp)
+			}
+			sort.Strings(fps)
+			for _, fp := range fps {
+				batch = append(batch, entry(kind.state, ids[i], []byte(fp), r.states[fp]))
+			}
+			if r.checkpoint != nil {
+				batch = append(batch, entry(kind.checkpoint, ids[i], r.checkpoint))
+			}
+			if r.final != nil {
+				batch = append(batch, entry(kind.final, ids[i], r.final))
+			}
+			if err := rewrite(batch...); err != nil {
+				return err
+			}
+		}
+	}
+	keys, bodies := p.memo.list()
+	for i, key := range keys {
+		if err := rewrite(entry(recMemo, key, bodies[i])); err != nil {
+			return err
+		}
 	}
 	if err := p.st.Log.Sync(); err != nil {
 		return err
@@ -324,91 +270,72 @@ func (p *persistor) saveBase(e *cacheEntry) error {
 	if err != nil {
 		return err
 	}
-	return p.append(recBase, e.scenarioKey, rec)
+	return p.commit(nil, entry(recBase, e.scenarioKey, rec))
 }
 
-// job returns the mirror's latest checkpoint and final of a job, nil when
-// it has none. The bytes are the mirror's: read-only to the caller.
-func (p *persistor) job(k jobKind, id string) (checkpoint, final []byte) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if m, ok := p.jobs[k].get(id); ok {
-		return m.checkpoint, m.final
+// journal appends job id's checkpoints into rec, each in one batch behind
+// the states the job's search staged for it that rec does not hold yet; nil
+// without a store.
+func (p *persistor) journal(k jobKind, id string, rec *jobRecord) planner.Journal {
+	if p == nil {
+		return nil
 	}
-	return nil, nil
-}
-
-// journal appends a job's checkpoints, each in one batch behind the
-// states the job's search staged for it that the mirror does not hold yet.
-func (p *persistor) journal(k jobKind, id string) planner.Journal {
 	return planner.JournalFunc(func(_ int, cp []byte) error {
 		p.mu.Lock()
 		defer p.mu.Unlock()
-		ref := jobRef{k, id}
-		staged := p.staged[ref]
-		delete(p.staged, ref)
-		var held map[string][]byte
-		if m, ok := p.jobs[k].get(id); ok {
-			held = m.states
-		}
+		staged := rec.staged
+		rec.staged = nil
 		var batch []store.Entry
 		for _, st := range staged {
-			if _, ok := held[st.fp]; !ok {
+			if _, ok := rec.states[st.fp]; !ok {
 				batch = append(batch, entry(jobRecords[k].state, id, []byte(st.fp), st.data))
 			}
 		}
-		return p.appendLocked(append(batch, entry(jobRecords[k].checkpoint, id, cp)))
+		return p.commitLocked(func() {
+			if rec.states == nil && len(staged) > 0 {
+				rec.states = make(map[string][]byte)
+			}
+			for _, st := range staged {
+				rec.states[st.fp] = st.data
+			}
+			rec.checkpoint = cp
+		}, append(batch, entry(jobRecords[k].checkpoint, id, cp))...)
 	})
 }
 
-// objects is the object store of job id's search: Put stages a state for
-// the job's next journal, which writes it unless the job's mirror holds it
-// already, and Get reads the mirror — or, for a job evicted from it since,
-// the mirror as it stood when the store was made, so a post that resumes a
-// job while other jobs' records push it out still finds its states.
-// Neither copies a state: encodings are immutable. Only a kind with state
-// records has one.
-func (p *persistor) objects(k jobKind, id string) planner.ObjectStore {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	o := jobObjects{p: p, ref: jobRef{k, id}}
-	if m, ok := p.jobs[k].get(id); ok {
-		o.held = m.states
+// objects is the object store of a search over rec; nil without a store,
+// and the search then checkpoints inline.
+func (p *persistor) objects(rec *jobRecord) planner.ObjectStore {
+	if p == nil {
+		return nil
 	}
-	return o
+	return jobObjects{p, rec}
 }
 
+// jobObjects is the object store of a plan's search over its record: Put
+// stages a state for the job's next journal, which writes it unless the
+// record holds it already, and Get reads the record's states — under the
+// entry lock, which the search's caller holds. Neither copies a state:
+// encodings are immutable.
 type jobObjects struct {
-	p    *persistor
-	ref  jobRef
-	held map[string][]byte
+	p   *persistor
+	rec *jobRecord
 }
 
 func (o jobObjects) Put(fp string, data []byte) error {
 	o.p.mu.Lock()
 	defer o.p.mu.Unlock()
-	o.p.staged[o.ref] = append(o.p.staged[o.ref], stagedState{fp, data})
+	o.rec.staged = append(o.rec.staged, stagedState{fp, data})
 	return nil
 }
 
 func (o jobObjects) Get(fp string) ([]byte, bool, error) {
-	o.p.mu.Lock()
-	defer o.p.mu.Unlock()
-	if m, ok := o.p.jobs[o.ref.kind].get(o.ref.id); ok {
-		if data, ok := m.states[fp]; ok {
-			return data, true, nil
-		}
-	}
-	data, ok := o.held[fp]
+	data, ok := o.rec.states[fp]
 	return data, ok, nil
 }
 
-func (p *persistor) saveFinal(k jobKind, id string, body []byte) error {
-	return p.append(jobRecords[k].final, id, body)
-}
-
 func (p *persistor) saveMemo(key string, body []byte) error {
-	return p.append(recMemo, key, body)
+	return p.commit(nil, entry(recMemo, key, body))
 }
 
 func (p *persistor) noteError() {
@@ -434,16 +361,14 @@ func (p *persistor) bytesAppended() (total, planCheckpoints, planStates int64) {
 	return total, p.bytes[recPlanCheckpoint], p.bytes[recPlanState]
 }
 
-// liveStates counts the states the job mirrors hold.
+// liveStates counts the states the plan jobs' records hold.
 func (p *persistor) liveStates() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	_, recs := p.jobs[planJob].records()
 	n := 0
-	for k := range p.jobs {
-		p.jobs[k].each(func(_ string, m *jobMirror) error {
-			n += len(m.states)
-			return nil
-		})
+	for _, r := range recs {
+		n += len(r.states)
 	}
 	return n
 }
@@ -457,21 +382,54 @@ type recoveryStats struct {
 	TruncatedBytes int
 }
 
-// recover replays the WAL into the persistor's mirror, then hydrates the
-// server's serving-path state from it: memo bodies answer repeat requests,
-// and base snapshots come back warm from the object store — each verified
-// against its content address before use; a missing or corrupt object
-// degrades to a cold rebuild, never to wrong state. Jobs stay in the mirror:
-// drive answers a finished one from its final bytes, and resumes an
-// unfinished one from its checkpoint, when its ID is next posted.
-func (p *persistor) recover(s *Server) (recoveryStats, error) {
+// recover replays the WAL into the serving tables. Memo bodies answer
+// repeat requests; each job's record takes its records, and drive answers a
+// finished job from its final and resumes an unfinished one from its
+// checkpoint when its ID is next posted. Of the bases, the newest
+// cacheSize come back warm from the object store — each verified against
+// its content address before use; a missing or corrupt object degrades to
+// a cold rebuild, never to wrong state.
+func (p *persistor) recover(cacheSize int) (recoveryStats, error) {
 	var rs recoveryStats
+	// The latest base record per scenario key, in log order, the newest
+	// cacheSize only.
+	bases := newRecency[[]byte](cacheSize, nil)
 	err := p.st.Log.Replay(func(r store.Record) error {
 		key, value, err := store.DecodeKV(r.Data)
 		if err != nil {
 			return fmt.Errorf("record %d: %w", r.Index, err)
 		}
-		p.apply(r.Type, key, bytes.Clone(value)) // the mirror keeps it; the segment buffer goes
+		value = bytes.Clone(value) // the tables keep it; the segment buffer goes
+		switch r.Type {
+		case recBase:
+			bases.touch(key)
+			bases.put(key, value)
+		case recMemo:
+			p.memo.put(key, value)
+		}
+		// Unknown record types are forward compatibility, not corruption,
+		// and are skipped.
+		for k, kind := range jobRecords {
+			isState := kind.state != 0 && r.Type == kind.state && len(value) >= fpLen
+			if r.Type != kind.final && r.Type != kind.checkpoint && !isState {
+				continue
+			}
+			p.jobs[k].update(key, func(j *jobRecord) {
+				p.mu.Lock()
+				defer p.mu.Unlock()
+				switch {
+				case r.Type == kind.final:
+					j.final, j.checkpoint, j.states, j.staged = value, nil, nil, nil
+				case r.Type == kind.checkpoint:
+					j.checkpoint = value
+				default:
+					if j.states == nil {
+						j.states = make(map[string][]byte)
+					}
+					j.states[string(value[:fpLen])] = value[fpLen:]
+				}
+			})
+		}
 		return nil
 	})
 	if err != nil {
@@ -479,28 +437,23 @@ func (p *persistor) recover(s *Server) (recoveryStats, error) {
 	}
 	rs.TruncatedBytes = p.st.Log.TruncatedBytes()
 
-	for _, key := range sortedKeys(p.bases) {
+	keys, recs := bases.list()
+	for i, key := range keys {
+		// A base that does not restore rebuilds cold on demand, and its
+		// build records it again.
 		var rec baseRecord
-		if err := json.Unmarshal(p.bases[key], &rec); err != nil {
-			delete(p.bases, key)
+		if json.Unmarshal(recs[i], &rec) != nil {
 			continue
 		}
-		entry, err := restoreEntry(p.st, key, rec)
-		if err != nil {
-			// Cold rebuild on demand; the WAL mapping is dropped so a
-			// later saveBase rewrites it.
-			delete(p.bases, key)
-			continue
+		if entry, err := restoreEntry(p.st, key, rec); err == nil {
+			p.cache.add(entry)
+			rs.Bases++
 		}
-		s.cache.add(entry)
-		rs.Bases++
 	}
-	rs.Plans, rs.Execs = p.jobs[planJob].len(), p.jobs[execJob].len()
-	p.memos.each(func(key string, body []byte) error {
-		s.memo.put(key, body)
-		return nil
-	})
-	rs.Memos = p.memos.len()
+	plans, _ := p.jobs[planJob].records()
+	execs, _ := p.jobs[execJob].records()
+	rs.Plans, rs.Execs = len(plans), len(execs)
+	_, _, rs.Memos = p.memo.stats()
 	return rs, nil
 }
 

@@ -2,19 +2,22 @@ package server
 
 import (
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"centralium/internal/store"
 )
 
 // TestRecoveryKeepsMostRecentlyRecorded pins which plans and executions
-// survive a restart when more were recorded than the LRU-bounded serving
-// stores hold: the most recently recorded PlanStoreSize of each, the same
-// ones on every boot. (Recovery used to feed the stores in Go map order, so
-// the survivors were random and a finished campaign could re-run from wave
-// 0 after a restart.)
+// survive a restart when more were recorded than the LRU-bounded job tables
+// hold: the most recently recorded PlanStoreSize of each, the same ones on
+// every boot. (Recovery used to feed the stores in Go map order, so the
+// survivors were random and a finished campaign could re-run from wave 0
+// after a restart.)
 func TestRecoveryKeepsMostRecentlyRecorded(t *testing.T) {
 	type rec struct {
 		typ uint8
@@ -74,17 +77,9 @@ func TestRecoveryKeepsMostRecentlyRecorded(t *testing.T) {
 			}
 			s := New(cfg(st))
 			for i, r := range tc.records {
-				body := []byte(fmt.Sprintf("%s record %d", r.id, i))
-				if err := s.persist.append(r.typ, r.id, body); err != nil {
-					t.Fatalf("append %d: %v", i, err)
-				}
+				record(t, s, r.typ, r.id, []byte(fmt.Sprintf("%s record %d", r.id, i)))
 				if i+1 == tc.compactAfter {
-					s.persist.mu.Lock()
-					err := s.persist.compactLocked()
-					s.persist.mu.Unlock()
-					if err != nil {
-						t.Fatalf("compact: %v", err)
-					}
+					compact(t, s)
 				}
 			}
 			if err := st.Close(); err != nil {
@@ -101,13 +96,14 @@ func TestRecoveryKeepsMostRecentlyRecorded(t *testing.T) {
 					t.Fatalf("cycle %d: open server: %v", cycle, err)
 				}
 				for _, k := range []jobKind{planJob, execJob} {
-					for _, id := range mirrorIDs(s.persist, k) {
-						if cp, final := s.persist.job(k, id); cp == nil && final == nil {
-							t.Errorf("cycle %d: job %s recovered empty", cycle, id)
+					ids, recs := s.persist.jobs[k].records()
+					for i, r := range recs {
+						if r.checkpoint == nil && r.final == nil {
+							t.Errorf("cycle %d: job %s recovered empty", cycle, ids[i])
 						}
 					}
 				}
-				execs, plans := mirrorIDs(s.persist, execJob), mirrorIDs(s.persist, planJob)
+				execs, plans := tableIDs(s, execJob), tableIDs(s, planJob)
 				sort.Strings(execs)
 				sort.Strings(plans)
 				if fmt.Sprint(execs) != fmt.Sprint(tc.wantExecs) {
@@ -124,16 +120,44 @@ func TestRecoveryKeepsMostRecentlyRecorded(t *testing.T) {
 	}
 }
 
-// mirrorIDs lists the IDs of the jobs of kind k in p's mirror, least
-// recently recorded first.
-func mirrorIDs(p *persistor, k jobKind) []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var ids []string
-	p.jobs[k].each(func(id string, _ *jobMirror) error {
-		ids = append(ids, id)
-		return nil
-	})
+// record writes one job record through the job's table, as the journal and
+// drive do: the job becomes the most recently used of its kind, and the log
+// and its record take the value.
+func record(t *testing.T, s *Server, typ uint8, id string, body []byte) {
+	t.Helper()
+	for k, kind := range jobRecords {
+		if typ != kind.checkpoint && typ != kind.final {
+			continue
+		}
+		var err error
+		s.persist.jobs[k].update(id, func(r *jobRecord) {
+			if typ == kind.checkpoint {
+				err = s.persist.journal(jobKind(k), id, r).SaveProgress(0, body)
+				return
+			}
+			err = s.persist.commit(func() { r.final, r.checkpoint, r.states = body, nil, nil }, entry(typ, id, body))
+		})
+		if err != nil {
+			t.Fatalf("record %s: %v", id, err)
+		}
+	}
+}
+
+// compact compacts s's log.
+func compact(t *testing.T, s *Server) {
+	t.Helper()
+	s.persist.mu.Lock()
+	err := s.persist.compactLocked()
+	s.persist.mu.Unlock()
+	if err != nil {
+		t.Fatalf("compact: %v", err)
+	}
+}
+
+// tableIDs lists the IDs in s's job table of kind k, least recently used
+// first.
+func tableIDs(s *Server, k jobKind) []string {
+	ids, _ := s.persist.jobs[k].records()
 	return ids
 }
 
@@ -164,14 +188,14 @@ func walRecordTypes(t *testing.T, dir string) map[uint8]map[string]int {
 	return counts
 }
 
-// TestFinishedPlanDropsMirrorCheckpoint: once a plan's final response is
+// TestFinishedPlanDropsCheckpoint: once a plan's final response is
 // recorded its resume checkpoint and the states it names are dead weight —
-// the mirror must not hold them, a compaction must not rewrite them, and a
-// daemon recovered from the compacted log must still answer with the
-// byte-identical final. (The mirror used to keep the last ~865 KB
+// the plan's record must not hold them, a compaction must not rewrite them,
+// and a daemon recovered from the compacted log must still answer with the
+// byte-identical final. (The daemon used to keep the last ~865 KB
 // checkpoint of every finished plan for the life of the process and copy it
 // into every compacted log.)
-func TestFinishedPlanDropsMirrorCheckpoint(t *testing.T) {
+func TestFinishedPlanDropsCheckpoint(t *testing.T) {
 	wantFinal, wantWhatIf := referenceRun(t)
 	dir := t.TempDir()
 	st, err := store.Open(dir, store.Options{})
@@ -200,43 +224,39 @@ func TestFinishedPlanDropsMirrorCheckpoint(t *testing.T) {
 	}
 	ts.Close()
 
-	for _, id := range mirrorIDs(s.persist, planJob) {
-		if cp, final := s.persist.job(planJob, id); final != nil && cp != nil {
-			t.Errorf("mirror holds a %d-byte checkpoint for finished plan %s", len(cp), id)
+	ids, recs := s.persist.jobs[planJob].records()
+	for i, r := range recs {
+		if r.final == nil || r.checkpoint != nil {
+			t.Errorf("finished plan %s holds a %d-byte final and a %d-byte checkpoint", ids[i], len(r.final), len(r.checkpoint))
 		}
 	}
 	if n := s.persist.liveStates(); n != 0 {
-		t.Errorf("mirror holds %d states after the only plan finished", n)
+		t.Errorf("the plan table holds %d states after the only plan finished", n)
 	}
-	s.persist.mu.Lock()
-	err = s.persist.compactLocked()
-	s.persist.mu.Unlock()
-	if err != nil {
-		t.Fatalf("compact: %v", err)
-	}
+	compact(t, s)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	recs := walRecordTypes(t, dir)
-	if len(recs[recPlanFinal]) != 1 {
-		t.Fatalf("compacted log holds %d plan finals, want 1", len(recs[recPlanFinal]))
+	recs2 := walRecordTypes(t, dir)
+	if len(recs2[recPlanFinal]) != 1 {
+		t.Fatalf("compacted log holds %d plan finals, want 1", len(recs2[recPlanFinal]))
 	}
-	for id := range recs[recPlanFinal] {
-		if n := recs[recPlanCheckpoint][id]; n != 0 {
+	for id := range recs2[recPlanFinal] {
+		if n := recs2[recPlanCheckpoint][id]; n != 0 {
 			t.Errorf("compacted log holds %d checkpoint record(s) for finished plan %s", n, id)
 		}
-		if n := recs[recPlanState][id]; n != 0 {
+		if n := recs2[recPlanState][id]; n != 0 {
 			t.Errorf("compacted log holds %d state record(s) for finished plan %s", n, id)
 		}
 	}
 	checkRecovered(t, dir, wantFinal, wantWhatIf)
 }
 
-// TestMirrorBoundedByPlanStoreSize: the mirror — and so every compacted log
-// — holds the most recently recorded PlanStoreSize plans and executions, not
-// every one the daemon ever served.
-func TestMirrorBoundedByPlanStoreSize(t *testing.T) {
+// TestJobTablesBoundTheLog: the job tables — and so every compacted log —
+// hold the most recently used PlanStoreSize plans and executions, not every
+// one the daemon ever served.
+func TestJobTablesBoundTheLog(t *testing.T) {
 	const size = 4
 	dir := t.TempDir()
 	st, err := store.Open(dir, store.Options{})
@@ -251,23 +271,16 @@ func TestMirrorBoundedByPlanStoreSize(t *testing.T) {
 			typ uint8
 			id  string
 		}{{recPlanCheckpoint, plan}, {recExecCheckpoint, exec}, {recPlanFinal, plan}, {recExecFinal, exec}} {
-			if err := s.persist.append(r.typ, r.id, []byte(r.id+" body")); err != nil {
-				t.Fatalf("append: %v", err)
-			}
+			record(t, s, r.typ, r.id, []byte(r.id+" body"))
 		}
 		if i >= 10 {
 			wantPlans, wantExecs = append(wantPlans, plan), append(wantExecs, exec)
 		}
 	}
-	plans, execs := mirrorIDs(s.persist, planJob), mirrorIDs(s.persist, execJob)
-	s.persist.mu.Lock()
-	err = s.persist.compactLocked()
-	s.persist.mu.Unlock()
-	if err != nil {
-		t.Fatalf("compact: %v", err)
-	}
+	plans, execs := tableIDs(s, planJob), tableIDs(s, execJob)
+	compact(t, s)
 	if fmt.Sprint(plans) != fmt.Sprint(wantPlans) || fmt.Sprint(execs) != fmt.Sprint(wantExecs) {
-		t.Errorf("mirror holds plans %v, executions %v; want %v, %v", plans, execs, wantPlans, wantExecs)
+		t.Errorf("tables hold plans %v, executions %v; want %v, %v", plans, execs, wantPlans, wantExecs)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -276,6 +289,110 @@ func TestMirrorBoundedByPlanStoreSize(t *testing.T) {
 	if len(recs[recPlanFinal]) != size || len(recs[recExecFinal]) != size {
 		t.Errorf("compacted log holds %d plan and %d execution finals, want %d each",
 			len(recs[recPlanFinal]), len(recs[recExecFinal]), size)
+	}
+}
+
+// TestRecoveryRestoresOnlyCachedBases: a restart fetches, hashes and decodes
+// only the bases the snapshot cache keeps — the newest CacheSize recorded —
+// and a compacted log records only those.
+func TestRecoveryRestoresOnlyCachedBases(t *testing.T) {
+	const seeds, size = 12, 2
+	dir := t.TempDir()
+	cfg := Config{Workers: 2, CacheSize: size}
+	_, ts, stop := openDurableWith(t, dir, cfg, nil)
+	for seed := 1; seed <= seeds; seed++ {
+		if rec := postWhatIf(t, ts.Client(), ts.URL, fmt.Sprintf(`{"scenario":"fig10","seed":%d}`, seed)); rec.status != http.StatusOK {
+			t.Fatalf("seed %d: status %d: %s", seed, rec.status, rec.body)
+		}
+	}
+	stop()
+
+	s, ts, stop := openDurableWith(t, dir, cfg, nil)
+	if m := fetchMetrics(t, ts); m.RecoveredBases != size || m.SnapshotCacheSize != size {
+		t.Errorf("recovered_bases %d, snapshot_cache_size %d after %d seeds; want %d each",
+			m.RecoveredBases, m.SnapshotCacheSize, seeds, size)
+	}
+	compact(t, s)
+	stop()
+	if n := len(walRecordTypes(t, dir)[recBase]); n != size {
+		t.Errorf("compacted log holds %d base records, want %d", n, size)
+	}
+}
+
+// TestCompactionUnderConcurrentJobs: with a compaction every few appends,
+// one post's append rewrites the records of jobs that other posts are
+// advancing at the same time, and the bases and memo bodies that what-ifs
+// are adding. Every job still finishes on the final of an uninterrupted run,
+// after a restart and again after a second one.
+func TestCompactionUnderConcurrentJobs(t *testing.T) {
+	type job struct {
+		post        func(*testing.T, *http.Client, string, string) respRec
+		paced, full string
+	}
+	var jobs []job
+	unpace := strings.NewReplacer(`,"max_levels":1`, "", `,"max_waves":1`, "")
+	for _, k := range jobKindCases() {
+		for _, paced := range []string{k.paced, k.others[0], k.others[1]} {
+			jobs = append(jobs, job{k.post, paced, unpace.Replace(paced)})
+		}
+	}
+	_, ref := confServer(t, 2)
+	want := make([]string, len(jobs))
+	for i, j := range jobs {
+		want[i] = j.post(t, ref.Client(), ref.URL, j.full).body
+	}
+
+	dir := t.TempDir()
+	open := func() (*httptest.Server, func()) {
+		st, err := store.Open(dir, store.Options{SegmentBytes: 1 << 15})
+		if err != nil {
+			t.Fatalf("open store: %v", err)
+		}
+		s, err := Open(Config{Workers: 4, Store: st, CompactSegments: 2})
+		if err != nil {
+			t.Fatalf("open server: %v", err)
+		}
+		ts := httptest.NewServer(s.Handler())
+		return ts, func() {
+			ts.Close()
+			if err := st.Close(); err != nil {
+				t.Errorf("close store: %v", err)
+			}
+		}
+	}
+	ts, stop := open()
+	var wg sync.WaitGroup
+	for _, j := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				if rec := j.post(t, ts.Client(), ts.URL, j.paced); rec.status != http.StatusOK {
+					t.Errorf("paced post %d: status %d: %s", i, rec.status, rec.body)
+				}
+			}
+		}()
+	}
+	for seed := 1; seed <= 3; seed++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			postWhatIf(t, ts.Client(), ts.URL, fmt.Sprintf(`{"scenario":"fig10","seed":%d}`, seed))
+		}()
+	}
+	wg.Wait()
+	if m := fetchMetrics(t, ts); m.StoreCompactions == 0 {
+		t.Fatalf("no compaction ran alongside the posts (%d appends)", m.StoreAppends)
+	}
+	stop()
+	for restart := 1; restart <= 2; restart++ {
+		ts, stop := open()
+		for i, j := range jobs {
+			if rec := j.post(t, ts.Client(), ts.URL, j.full); rec.body != want[i] {
+				t.Errorf("restart %d: job %s diverged:\n got: %s\nwant: %s", restart, j.paced, rec.body, want[i])
+			}
+		}
+		stop()
 	}
 }
 
@@ -293,12 +410,7 @@ func TestCompactionKeepsLivePlanResumable(t *testing.T) {
 			t.Fatal("plan finished before the compaction")
 		}
 	}
-	s.persist.mu.Lock()
-	err := s.persist.compactLocked()
-	s.persist.mu.Unlock()
-	if err != nil {
-		t.Fatalf("compact: %v", err)
-	}
+	compact(t, s)
 	stop()
 
 	var states, checkpoints int

@@ -66,14 +66,12 @@ func (r *recency[V]) put(key string, v V) (evicted []V) {
 	return evicted
 }
 
-// each calls f on every key, oldest first, until f returns an error.
-func (r *recency[V]) each(f func(key string, v V) error) error {
+// list returns the keys and their values, oldest first.
+func (r *recency[V]) list() (keys []string, vals []V) {
 	for n := r.root.next; n != &r.root; n = n.next {
-		if err := f(n.key, n.val); err != nil {
-			return err
-		}
+		keys, vals = append(keys, n.key), append(vals, n.val)
 	}
-	return nil
+	return keys, vals
 }
 
 func (r *recency[V]) unlink(n *recNode[V]) {

@@ -11,12 +11,12 @@ import (
 func TestRecency(t *testing.T) {
 	r := newRecency(3, func(v int) bool { return v >= 10 })
 	order := func() string {
-		var keys []string
-		r.each(func(k string, v int) error {
-			keys = append(keys, fmt.Sprintf("%s=%d", k, v))
-			return nil
-		})
-		return fmt.Sprint(keys)
+		var pairs []string
+		keys, vals := r.list()
+		for i, k := range keys {
+			pairs = append(pairs, fmt.Sprintf("%s=%d", k, vals[i]))
+		}
+		return fmt.Sprint(pairs)
 	}
 	for i, k := range []string{"a", "b", "c"} {
 		if evicted := r.put(k, i); evicted != nil {

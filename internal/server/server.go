@@ -129,7 +129,8 @@ func New(cfg Config) *Server {
 		mux:     http.NewServeMux(),
 	}
 	if cfg.Store != nil {
-		s.persist = newPersistor(cfg.Store, cfg.CompactSegments, cfg.MemoSize, cfg.PlanStoreSize)
+		s.persist = &persistor{st: cfg.Store, cache: s.cache, memo: s.memo, compactEvery: cfg.CompactSegments,
+			jobs: [jobKinds]jobTable{planJob: s.plans, execJob: s.execs}}
 		// Bases and memos are caches of deterministic computations: a
 		// persistence failure degrades durability (cold rebuild after a
 		// restart), never correctness, so it counts instead of failing
@@ -159,7 +160,7 @@ func New(cfg Config) *Server {
 func Open(cfg Config) (*Server, error) {
 	s := New(cfg)
 	if s.persist != nil {
-		rs, err := s.persist.recover(s)
+		rs, err := s.persist.recover(s.cfg.CacheSize)
 		if err != nil {
 			return nil, fmt.Errorf("server: recover durable state: %w", err)
 		}

@@ -120,6 +120,14 @@ func (c *snapCache) insert(e *cacheEntry) {
 	}
 }
 
+// list returns the cached entries, least recently used first.
+func (c *snapCache) list() []*cacheEntry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, entries := c.entries.list()
+	return entries
+}
+
 // stats snapshots the counters.
 func (c *snapCache) stats() (hits, misses, evictions int64, size int) {
 	c.mu.Lock()
@@ -176,6 +184,13 @@ func (m *respMemo) put(key string, body []byte) bool {
 	}
 	m.bodies.put(key, body)
 	return true
+}
+
+// list returns the memoized keys and bodies, oldest first.
+func (m *respMemo) list() (keys []string, bodies [][]byte) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.bodies.list()
 }
 
 func (m *respMemo) stats() (hits, misses int64, size int) {
