@@ -141,7 +141,7 @@ func TestCLITable(t *testing.T) {
 		{name: "plan/score-guard", args: []string{"plan", "score", "-scenario", "fig10", "-schedule", fig10TopDown,
 			"-guard", "-envelope", "share=0.6", "-max-retries", "1"}, out: []string{
 			"guard guard-fig10-seed42: 3 wave(s), envelope [share<=0.600], max retries 1\n",
-			"wave 0 attempt 0: VIOLATION share [fa.1]: peak share 0.750 > limit 0.600\n",
+			"wave 0 attempt 0: VIOLATION share [fa.1]: peak share 1.000 > limit 0.600\n",
 			"wave 0: retry budget exhausted; quarantine [fa.1]; abort\n",
 			"guard: aborted (0/3 waves, 1 retried attempt(s), 2 rollback(s))\n",
 			"incident: wave 0 attempt 1, quarantined [fa.1]\n",

@@ -16,9 +16,6 @@ import (
 type Monitor struct {
 	cfg CheckConfig
 	inj *Injector // nil means nothing is ever in grace
-	// SampleEvery rate-limits propagation: check every Nth engine event
-	// (only when routing state is dirty). 0 or 1 = every event.
-	SampleEvery int
 
 	violations []Violation
 	// transitions logs violation onsets and clears (not every dirty
@@ -36,7 +33,7 @@ func NewMonitor(cfg CheckConfig, inj *Injector) *Monitor {
 // Attach wires the monitor into the network through the probe's sampler.
 // Call before the activity to observe.
 func (m *Monitor) Attach() {
-	probe.Attach(m.cfg.Net, m.cfg.Demands, m.SampleEvery, m.Sample)
+	probe.Attach(m.cfg.Net, m.cfg.Demands, m.Sample)
 }
 
 // Violations returns every continuous observation, in virtual-time order.

@@ -48,9 +48,6 @@ type RunParams struct {
 	Faults int
 	// Grace is the post-fault reconvergence allowance (default 150ms).
 	Grace time.Duration
-	// SampleEvery rate-limits the continuous data-plane checks (default
-	// 1: every dirty event).
-	SampleEvery int
 
 	// CheckpointDir, when set, auto-drops a snapshot of the last clean
 	// pre-migration quiescent point whenever the run ends unhealthy
@@ -165,7 +162,6 @@ func runOnRig(rig *migrate.ChaosRig, p RunParams) (RunResult, error) {
 
 	cfg := CheckConfig{Net: n, Demands: rig.Demands, Prefixes: rig.Prefixes, Protected: rig.Protected}
 	mon := NewMonitor(cfg, inj)
-	mon.SampleEvery = p.SampleEvery
 	mon.Attach()
 
 	inj.Arm()
@@ -212,7 +208,6 @@ func runOnRig(rig *migrate.ChaosRig, p RunParams) (RunResult, error) {
 		checkpoint.Meta[metaSeed] = strconv.FormatInt(p.Seed, 10)
 		checkpoint.Meta[metaFaults] = strconv.Itoa(p.Faults)
 		checkpoint.Meta[metaGrace] = p.Grace.String()
-		checkpoint.Meta[metaSampleEvery] = strconv.Itoa(p.SampleEvery)
 		path := filepath.Join(p.CheckpointDir,
 			fmt.Sprintf("chaos-%s-%s-seed%d.csnp", rig.Name, p.Arm, p.Seed))
 		if err := checkpoint.Save(path); err != nil {
@@ -226,12 +221,11 @@ func runOnRig(rig *migrate.ChaosRig, p RunParams) (RunResult, error) {
 // Snapshot metadata keys carrying the run parameters of an auto-dropped
 // chaos checkpoint.
 const (
-	metaScenario    = "chaos.scenario"
-	metaArm         = "chaos.arm"
-	metaSeed        = "chaos.seed"
-	metaFaults      = "chaos.faults"
-	metaGrace       = "chaos.grace"
-	metaSampleEvery = "chaos.sample-every"
+	metaScenario = "chaos.scenario"
+	metaArm      = "chaos.arm"
+	metaSeed     = "chaos.seed"
+	metaFaults   = "chaos.faults"
+	metaGrace    = "chaos.grace"
 )
 
 // Replay loads an auto-dropped chaos checkpoint and re-runs the failing
@@ -260,9 +254,6 @@ func Replay(path string) (RunResult, error) {
 	}
 	if p.Grace, err = time.ParseDuration(snap.Meta[metaGrace]); err != nil {
 		return RunResult{}, fmt.Errorf("chaos: checkpoint metadata %s: %w", metaGrace, err)
-	}
-	if p.SampleEvery, err = strconv.Atoi(snap.Meta[metaSampleEvery]); err != nil {
-		return RunResult{}, fmt.Errorf("chaos: checkpoint metadata %s: %w", metaSampleEvery, err)
 	}
 	n, err := snap.Restore()
 	if err != nil {

@@ -188,7 +188,7 @@ func decommissionDirtySpeakers(t *testing.T) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := planner.NewExecutor(p.Intent, p.Workload(), p.OriginAltitude, true)
+	x, err := planner.NewExecutor(p.Intent, p.Workload(), p.OriginAltitude)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -218,7 +218,7 @@ func Fig10(seed int64) string {
 	run := func(sequenced bool) (peak, final float64) {
 		rig := migrate.Fig10Base(seed)
 		n, fas := rig.Net, rig.FAs
-		sampler := probe.Attach(n, rig.Demands, 1, func(_ int64, r *traffic.Result) {
+		sampler := probe.Attach(n, rig.Demands, func(_ int64, r *traffic.Result) {
 			if _, share := r.MaxDeviceShare(fas); share > peak {
 				peak = share
 			}

@@ -60,8 +60,11 @@ type Checkpoint struct {
 	Violations  []Violation `json:"violations,omitempty"`
 }
 
-// checkpointVersion guards the JSON schema.
-const checkpointVersion = 1
+// checkpointVersion guards the JSON schema and the measurement cadence its
+// decision log was written under: version 1 records came from campaigns
+// that settled once per wave, so a resume would finish as a mix of two
+// cadences and is refused.
+const checkpointVersion = 2
 
 // Encode renders the checkpoint.
 func (cp *Checkpoint) Encode() ([]byte, error) {
@@ -87,9 +90,8 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if cp.LastGood == "" && !cp.Done {
 		return nil, fmt.Errorf("guard: checkpoint has no last-good fingerprint")
 	}
-	// A campaign aborts on violations, so this encoding never writes an
-	// aborted record without them; one from before it (its incident report
-	// nested in a "report" field) decodes to exactly that.
+	// A campaign aborts on violations, so an aborted record always carries
+	// the evidence its incident report is rebuilt from.
 	if cp.Aborted && len(cp.Violations) == 0 {
 		return nil, fmt.Errorf("guard: aborted checkpoint carries no violations")
 	}

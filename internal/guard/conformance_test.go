@@ -101,7 +101,7 @@ func TestChaosGuardConformance(t *testing.T) {
 				// loops, no black holes, sane weights.
 				if sweep := chaos.CheckQuiescent(chaos.CheckConfig{
 					Net:      res.Net,
-					Demands:  c.Demands,
+					Demands:  c.Workload.Demands,
 					Prefixes: []netip.Prefix{migrate.DefaultRoute},
 				}); len(sweep) > 0 {
 					t.Fatalf("seed %d plan %s: terminal sweep dirty: %v\nlog:\n%s", seed, plan.name, sweep, res.Log)

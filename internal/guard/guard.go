@@ -29,7 +29,6 @@ import (
 	"centralium/internal/probe"
 	"centralium/internal/snapshot"
 	"centralium/internal/topo"
-	"centralium/internal/traffic"
 )
 
 // State is a guarded campaign's state-machine node.
@@ -124,15 +123,9 @@ type Campaign struct {
 	// Retry bounds the remediation loop.
 	Retry RetryPolicy
 
-	// Workload the probe measures the envelope against, mirroring
-	// planner.Params.
-	Demands      []traffic.Demand
-	Watch        []topo.DeviceID
-	FairShare    float64
-	BlackholeEps float64
-	SampleEvery  int
-	// SettlePerDevice settles after every device rather than every wave.
-	SettlePerDevice bool
+	// Workload is what the probe measures the envelope against: the
+	// planner's, defaults applied (planner.Params.Workload).
+	Workload probe.Workload
 
 	// Instrument, when set, runs on the quiescent fork immediately
 	// before each wave attempt executes — the chaos conformance suite's
@@ -152,6 +145,10 @@ type Campaign struct {
 	// complete in the call (Execution.Drive takes the bound per call). The
 	// returned Result carries the checkpoint to resume from.
 	MaxWaves int
+
+	// testHookMetrics, when set (tests only), observes every attempt's
+	// measured transient.
+	testHookMetrics func(wave, attempt int, m WaveMetrics)
 }
 
 // normalize applies defaults in place.
@@ -161,12 +158,6 @@ func (c *Campaign) normalize() error {
 	}
 	if c.Name == "" {
 		c.Name = "campaign"
-	}
-	if c.BlackholeEps <= 0 {
-		c.BlackholeEps = 0.001
-	}
-	if c.FairShare <= 0 && len(c.Watch) > 0 {
-		c.FairShare = 1 / float64(len(c.Watch))
 	}
 	if c.Envelope == (Envelope{}) {
 		c.Envelope = DefaultEnvelope()
@@ -191,16 +182,7 @@ func (c *Campaign) normalize() error {
 // FromParams builds a campaign from a planner scenario's parameters, so
 // `planner.ScenarioSetup` output guards directly.
 func FromParams(p planner.Params) Campaign {
-	return Campaign{
-		Intent:          p.Intent,
-		OriginAltitude:  p.OriginAltitude,
-		Demands:         p.Demands,
-		Watch:           p.Watch,
-		FairShare:       p.FairShare,
-		BlackholeEps:    p.BlackholeEps,
-		SampleEvery:     p.SampleEvery,
-		SettlePerDevice: p.SettlePerDevice,
-	}
+	return Campaign{Intent: p.Intent, OriginAltitude: p.OriginAltitude, Workload: p.Workload()}
 }
 
 // Result is a guarded execution's outcome.
@@ -266,7 +248,7 @@ func Resume(ctx context.Context, cpData []byte, c Campaign) (*Result, error) {
 type Execution struct {
 	c     *Campaign
 	waves []planner.Step
-	x     *planner.Executor // c's intent compiled, its workload and cadence: what every attempt runs
+	x     *planner.Executor // c's intent compiled and its workload: what every attempt runs
 
 	// lastGood is the authoritative pre-wave state, rendered; (wave, attempt,
 	// started) names the next attempt — what the latest checkpoint records.
@@ -376,13 +358,7 @@ func newExecution(base *snapshot.Snapshot, c Campaign) (*Execution, error) {
 	if err := c.normalize(); err != nil {
 		return nil, err
 	}
-	x, err := planner.NewExecutor(c.Intent, probe.Workload{
-		Demands:      c.Demands,
-		Watch:        c.Watch,
-		FairShare:    c.FairShare,
-		BlackholeEps: c.BlackholeEps,
-		SampleEvery:  c.SampleEvery,
-	}, c.OriginAltitude, c.SettlePerDevice)
+	x, err := planner.NewExecutor(c.Intent, c.Workload, c.OriginAltitude)
 	if err != nil {
 		return nil, err
 	}
@@ -518,6 +494,9 @@ func (e *Execution) Drive(ctx context.Context, maxWaves int) (*Result, error) {
 				e.c.Instrument(work, w, attempt)
 			}
 			m, xerr := e.x.Execute(ctx, work, steps)
+			if xerr == nil && e.c.testHookMetrics != nil {
+				e.c.testHookMetrics(w, attempt, m)
+			}
 			if xerr != nil && isCtxErr(xerr) {
 				// Freeze at the wave boundary: the attempt's fork is
 				// abandoned, the checkpoint re-targets this attempt, and
@@ -606,9 +585,10 @@ func (e *Execution) abort(enc []byte, fp string, step planner.Step, viols []Viol
 }
 
 // WaveMetrics is one wave attempt's measured transient — the guard's
-// evidence base. The guard judges a live wave by the same probe, and so the
-// same metrics, the planner scored it by (at the campaign's own settle
-// cadence; see planner.Executor).
+// evidence base. The guard runs a wave through the planner's Executor, so
+// it settles and samples exactly as the search that scored the wave did: a
+// clean attempt 0 measures what the planner predicted for that step
+// (TestPlanMatchesExecute).
 type WaveMetrics = probe.Metrics
 
 // degradedShape maps (wave, attempt, policy) to the attempt's step list:

@@ -206,13 +206,19 @@ func TestCheckpointCodec(t *testing.T) {
 	if _, err := DecodeCheckpoint([]byte("{")); err == nil {
 		t.Error("truncated JSON accepted")
 	}
-	// An aborted terminal record from before violations were stored in the
-	// checkpoint nested its incident report, log included, in a binary
-	// "report" field: it decodes to an abort without evidence and is refused.
-	old := `{"version":1,"campaign":"c","waves":3,"wave":1,"attempt":2,"retries":2,"rollbacks":3,"started":true,` +
-		`"last_good":"x","log":"line\n","done":true,"aborted":true,"quarantined":["fa.1"],"final_fp":"x","report":"Q0dJMQE="}`
-	if _, err := DecodeCheckpoint([]byte(old)); err == nil || !strings.Contains(err.Error(), "no violations") {
-		t.Errorf("pre-violations aborted checkpoint: err = %v, want a refusal", err)
+	// Version-1 records were written by campaigns that settled once per
+	// wave: a paused one, and an aborted one from before violations were
+	// stored in the checkpoint (its incident report nested in a binary
+	// "report" field). Both are refused, so a resume restarts the campaign.
+	for name, old := range map[string]string{
+		"paused v1": `{"version":1,"campaign":"c","waves":3,"wave":1,"attempt":0,"retries":0,"rollbacks":0,` +
+			`"last_good":"x","log":"line\n"}`,
+		"pre-violations aborted v1": `{"version":1,"campaign":"c","waves":3,"wave":1,"attempt":2,"retries":2,"rollbacks":3,"started":true,` +
+			`"last_good":"x","log":"line\n","done":true,"aborted":true,"quarantined":["fa.1"],"final_fp":"x","report":"Q0dJMQE="}`,
+	} {
+		if _, err := DecodeCheckpoint([]byte(old)); err == nil || !strings.Contains(err.Error(), "version 1 unsupported") {
+			t.Errorf("%s checkpoint: err = %v, want a version refusal", name, err)
+		}
 	}
 	// A terminal checkpoint may sit past the last wave and needs no
 	// last-good fingerprint.

@@ -147,20 +147,20 @@ func TestScenariosAtLargerScale(t *testing.T) {
 	}
 	// Scenario 1 at 8x8x8 with 8 new nodes.
 	s1 := migrate.RunScenario1(migrate.Scenario1Params{
-		Seed: 2, SSWs: 8, FAv1s: 8, Edges: 8, FAv2s: 8, SampleEvery: 4,
+		Seed: 2, SSWs: 8, FAv1s: 8, Edges: 8, FAv2s: 8,
 	})
 	if s1.PeakShare < 0.95 {
 		t.Errorf("scenario1 native peak = %v at scale", s1.PeakShare)
 	}
 	s1r := migrate.RunScenario1(migrate.Scenario1Params{
-		Seed: 2, SSWs: 8, FAv1s: 8, Edges: 8, FAv2s: 8, UseRPA: true, SampleEvery: 4,
+		Seed: 2, SSWs: 8, FAv1s: 8, Edges: 8, FAv2s: 8, UseRPA: true,
 	})
 	if s1r.PeakShare > 3*s1r.FairShare {
 		t.Errorf("scenario1 RPA peak = %v (fair %v) at scale", s1r.PeakShare, s1r.FairShare)
 	}
 	// Scenario 2 at 4 planes x 8 grids.
 	s2 := migrate.RunScenario2(migrate.Scenario2Params{
-		Seed: 2, Planes: 4, Grids: 8, PerGroup: 4, SampleEvery: 8,
+		Seed: 2, Planes: 4, Grids: 8, PerGroup: 4,
 	})
 	if s2.PeakFADUShare < 3*s2.FairShare {
 		t.Errorf("scenario2 native funnel = %v (fair %v) at scale", s2.PeakFADUShare, s2.FairShare)

@@ -32,8 +32,6 @@ type Scenario1Params struct {
 	SSWs, FAv1s, Edges, FAv2s int
 	Seed                      int64
 	UseRPA                    bool
-	// SampleEvery thins transient sampling to every N-th event (default 1).
-	SampleEvery int
 }
 
 // Scenario1Result reports funneling during the expansion.
@@ -108,7 +106,7 @@ func RunScenario1(p Scenario1Params) Scenario1Result {
 	demands := traffic.UniformDemands(exp.ByLayer(topo.LayerSSW), DefaultRoute, 100)
 
 	res := Scenario1Result{}
-	sampler := probe.Attach(n, demands, p.SampleEvery, func(_ int64, r *traffic.Result) {
+	sampler := probe.Attach(n, demands, func(_ int64, r *traffic.Result) {
 		if _, share := r.MaxDeviceShare(aggDevices); share > res.PeakShare {
 			res.PeakShare = share
 		}
@@ -152,7 +150,6 @@ type Scenario2Params struct {
 	UseVendorKnob bool
 	// MinNextHopPercent for the protection RPA (default 75, §4.4.2).
 	MinNextHopPercent float64
-	SampleEvery       int
 	// Tap, when set, attaches to every speaker in the fabric and also
 	// receives traffic-sample events (the hottest FADU's share against
 	// fair share, plus black-holed fraction) at each sampling point.
@@ -258,7 +255,7 @@ func RunScenario2On(n *fabric.Network, p Scenario2Params) Scenario2Result {
 	if p.Tap != nil {
 		n.AddTap(p.Tap)
 	}
-	probe.Attach(n, demands, p.SampleEvery, func(now int64, r *traffic.Result) {
+	probe.Attach(n, demands, func(now int64, r *traffic.Result) {
 		dev, share := r.MaxDeviceShare(fadus)
 		if share > res.PeakFADUShare {
 			res.PeakFADUShare = share

@@ -89,7 +89,7 @@ func RunAnycastScenario(seed int64, useRPA bool) AnycastResult {
 	res := AnycastResult{MinConcurrentPaths: len(leafFIB.Lookup(anycastVIP))}
 	n.Speaker("leaf").Touch() // the FIB counters are checkpointed state
 	leafFIB.ResetStats()
-	probe.Attach(n, nil, 1, func(int64, *traffic.Result) {
+	probe.Attach(n, nil, func(int64, *traffic.Result) {
 		if cur := len(leafFIB.Lookup(anycastVIP)); cur > 0 && cur < res.MinConcurrentPaths {
 			res.MinConcurrentPaths = cur
 		}

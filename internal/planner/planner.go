@@ -59,18 +59,13 @@ type Params struct {
 	// SearchBare adds the unprotected-wave candidate family.
 	SearchBare bool `json:"search_bare,omitempty"`
 
-	// SettlePerDevice settles after every device rather than every wave
-	// (the realistic cadence; default true via setDefaults).
-	SettlePerDevice bool `json:"settle_per_device"`
-	// SampleEvery thins the per-event transient sampling (0 gets 1).
-	SampleEvery int `json:"sample_every"`
+	// SettlePerDevice is ignored: every step settles after each device
+	// (Executor). It stays declared for callers that still read it.
+	SettlePerDevice bool `json:"-"`
 
 	// Workers sizes the candidate-evaluation pool (0 gets 1). Worker
 	// count never changes results, only wall-clock.
 	Workers int `json:"workers"`
-
-	// settleDefaulted records that setDefaults chose SettlePerDevice.
-	settleDefaulted bool
 }
 
 func (p *Params) setDefaults() {
@@ -87,9 +82,6 @@ func (p *Params) setDefaults() {
 	if len(p.BatchSizes) == 0 {
 		p.BatchSizes = []int{1}
 	}
-	if p.SampleEvery <= 0 {
-		p.SampleEvery = 1
-	}
 	if p.BlackholeEps <= 0 {
 		p.BlackholeEps = 0.001
 	}
@@ -98,10 +90,6 @@ func (p *Params) setDefaults() {
 	}
 	if p.Workers <= 0 {
 		p.Workers = 1
-	}
-	if !p.SettlePerDevice && !p.settleDefaulted {
-		p.SettlePerDevice = true
-		p.settleDefaulted = true
 	}
 }
 
@@ -246,7 +234,7 @@ func newSearch(root *snapshot.Snapshot, state []byte, fp string, p Params, objs 
 	if len(p.Intent) == 0 {
 		return nil, fmt.Errorf("planner: empty intent")
 	}
-	x, err := NewExecutor(p.Intent, p.Workload(), p.OriginAltitude, p.SettlePerDevice)
+	x, err := NewExecutor(p.Intent, p.Workload(), p.OriginAltitude)
 	if err != nil {
 		return nil, err
 	}

@@ -154,35 +154,31 @@ func fingerprint(state []byte) string {
 // Executor pushes schedule steps through the real rollout path
 // (controller.ExecuteCtx, one one-wave rollout per step) under the one
 // transient probe. A search or a guarded campaign builds one, once: it holds
-// the intent and its compiled programs, the workload the probe measures, the
-// origin altitude and the settle cadence. A step that pushes the intent's own
-// config for a device deploys that program, and neither the rollout's
-// pre-flight nor the speaker compiles it again; a step that edits a copy
-// (Bare, MinNextHop) compiles its copy as any other caller would.
+// the intent and its compiled programs, the workload the probe measures and
+// the origin altitude. A step that pushes the intent's own config for a
+// device deploys that program, and neither the rollout's pre-flight nor the
+// speaker compiles it again; a step that edits a copy (Bare, MinNextHop)
+// compiles its copy as any other caller would.
 //
-// The search's evaluator and the execution guard both run their steps through
-// an Executor, so a live wave is measured by the same probe the planner scored
-// it with — but not at the same cadence: Params.setDefaults makes a search
-// settle after every device, while guard.FromParams copies the scenario's
-// SettlePerDevice, which no planner scenario sets, so the daemon's campaigns
-// settle once per wave. Which cadence both should share is an open question
-// in ROADMAP; settling it either way moves guard or planner bytes.
+// There is one measurement cadence: every device settles before the next
+// one is pushed, and the probe samples every change of forwarding state.
+// The search's evaluator and the execution guard both run their steps
+// through an Executor, so a clean guarded wave measures exactly what the
+// planner scored for the same step (guard's TestPlanMatchesExecute).
 type Executor struct {
-	intent          controller.Intent
-	programs        map[topo.DeviceID]*core.Program
-	workload        probe.Workload
-	originAltitude  int
-	settlePerDevice bool
+	intent         controller.Intent
+	programs       map[topo.DeviceID]*core.Program
+	workload       probe.Workload
+	originAltitude int
 }
 
 // NewExecutor compiles every config of intent, once, into an Executor.
-func NewExecutor(intent controller.Intent, w probe.Workload, originAltitude int, settlePerDevice bool) (*Executor, error) {
+func NewExecutor(intent controller.Intent, w probe.Workload, originAltitude int) (*Executor, error) {
 	x := &Executor{
-		intent:          intent,
-		programs:        make(map[topo.DeviceID]*core.Program, len(intent)),
-		workload:        w,
-		originAltitude:  originAltitude,
-		settlePerDevice: settlePerDevice,
+		intent:         intent,
+		programs:       make(map[topo.DeviceID]*core.Program, len(intent)),
+		workload:       w,
+		originAltitude: originAltitude,
 	}
 	for _, d := range sortedDevices(intent) {
 		var err error
@@ -219,7 +215,7 @@ func (x *Executor) Execute(ctx context.Context, n *fabric.Network, steps []Step)
 				Compiled:        x.programs,
 				OriginAltitude:  x.originAltitude,
 				Schedule:        [][]topo.DeviceID{st.Devices},
-				SettlePerDevice: x.settlePerDevice,
+				SettlePerDevice: true,
 			},
 		}); err != nil {
 			break
@@ -237,7 +233,6 @@ func (p Params) Workload() probe.Workload {
 		Watch:        p.Watch,
 		FairShare:    p.FairShare,
 		BlackholeEps: p.BlackholeEps,
-		SampleEvery:  p.SampleEvery,
 	}
 }
 
@@ -259,7 +254,7 @@ func outcome(label string, m probe.Metrics) StepOutcome {
 // search, the exhaustive baseline, and schedule scoring.
 type evaluator struct {
 	p *Params
-	x *Executor // p's intent compiled, its workload and cadence: what every fork runs
+	x *Executor // p's intent compiled and its workload: what every fork runs
 }
 
 // live returns snap, or, when the search holds the state only as bytes (after

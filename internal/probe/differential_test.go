@@ -40,8 +40,8 @@ type tally struct{ events, samples, hazards int64 }
 
 // count attaches a second gated sampler with no workload: same policy, same
 // tap stream, so it samples exactly when the sampler under test does.
-func (c *tally) count(n *fabric.Network, every int) {
-	probe.Attach(n, nil, every, func(int64, *traffic.Result) { c.samples++ })
+func (c *tally) count(n *fabric.Network) {
+	probe.Attach(n, nil, func(int64, *traffic.Result) { c.samples++ })
 }
 
 func (c *tally) engaged(t *testing.T) {
@@ -64,13 +64,12 @@ func restore(t *testing.T, snap *snapshot.Snapshot) *fabric.Network {
 	return n
 }
 
-func workloadOf(p planner.Params, every int) probe.Workload {
+func workloadOf(p planner.Params) probe.Workload {
 	return probe.Workload{
 		Demands:      p.Demands,
 		Watch:        p.Watch,
 		FairShare:    1 / float64(len(p.Watch)),
 		BlackholeEps: 0.001,
-		SampleEvery:  every,
 	}
 }
 
@@ -137,7 +136,7 @@ func phase(t *testing.T, c *tally, name string, snap *snapshot.Snapshot, w probe
 	t.Helper()
 	gn, on := restore(t, snap), restore(t, snap)
 	gated := probe.NewTransient(gn, w)
-	c.count(gn, w.SampleEvery)
+	c.count(gn)
 	oracle := probe.NewTransientEveryEvent(on, w)
 	gm := gated.Finish(body(gn))
 	om := oracle.Finish(body(on))
@@ -159,9 +158,9 @@ func phase(t *testing.T, c *tally, name string, snap *snapshot.Snapshot, w probe
 // campaign chains a schedule's steps and the terminal drain through phase.
 // arm, when set, disturbs the fork of step 1 before it runs (the guard
 // conformance suite's injection point).
-func campaign(t *testing.T, c *tally, name string, snap *snapshot.Snapshot, p planner.Params, every int, sched planner.Schedule, arm func(n *fabric.Network)) {
+func campaign(t *testing.T, c *tally, name string, snap *snapshot.Snapshot, p planner.Params, sched planner.Schedule, arm func(n *fabric.Network)) {
 	t.Helper()
-	w := workloadOf(p, every)
+	w := workloadOf(p)
 	state := snap
 	for i, st := range sched.Steps {
 		i, st := i, st
@@ -196,49 +195,17 @@ func transientDifferential(t *testing.T) {
 			}
 			name := fmt.Sprintf("%s/%d", scenario, seed)
 			sched := baseline(t, snap, p)
-			campaign(t, &c, name+" clean", snap, p, 1, sched, nil)
-			campaign(t, &c, name+" reversed", snap, p, 1, reversed(sched), nil)
-			phase(t, &c, name+" unprotected drain", snap, workloadOf(p, 1), func(n *fabric.Network) int64 { return drain(n, p) })
+			campaign(t, &c, name+" clean", snap, p, sched, nil)
+			campaign(t, &c, name+" reversed", snap, p, reversed(sched), nil)
+			phase(t, &c, name+" unprotected drain", snap, workloadOf(p), func(n *fabric.Network) int64 { return drain(n, p) })
 
 			plan := chaos.NewPlan(restore(t, snap), seed, chaos.PlanOptions{Count: 3, Span: 10 * time.Millisecond})
-			campaign(t, &c, name+" chaos", snap, p, 1, sched, func(n *fabric.Network) {
+			campaign(t, &c, name+" chaos", snap, p, sched, func(n *fabric.Network) {
 				chaos.NewInjector(n, plan, 0).Arm()
 			})
 		}
 	}
 	c.engaged(t)
-}
-
-// TestSamplerThinning is the SampleEvery row: under every-N thinning the
-// gated sampler still lands only on N-multiples of the event count, and the
-// measured transient still equals the oracle's.
-func TestSamplerThinning(t *testing.T) {
-	snap, p, err := planner.ScenarioSetup("decommission", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := baseline(t, snap, p)
-	for _, every := range []int{1, 4, 8} {
-		var c tally
-		name := fmt.Sprintf("every=%d", every)
-		campaign(t, &c, name, snap, p, every, sched, nil)
-		phase(t, &c, name+" unprotected drain", snap, workloadOf(p, every), func(n *fabric.Network) int64 { return drain(n, p) })
-		c.engaged(t)
-
-		n := restore(t, snap)
-		events, sampled := 0, 0
-		n.OnEvent(func(int64) { events++ })
-		probe.Attach(n, p.Demands, every, func(int64, *traffic.Result) {
-			sampled++
-			if events%every != 0 {
-				t.Errorf("every=%d: sampled at event %d", every, events)
-			}
-		})
-		drain(n, p)
-		if sampled == 0 {
-			t.Errorf("every=%d: no samples over %d events", every, events)
-		}
-	}
 }
 
 // transientViolations is qualify.Run's transient bookkeeping, re-enacted
@@ -248,7 +215,7 @@ func transientViolations(t *testing.T, spec qualify.Spec) ([]qualify.Violation, 
 	n := spec.Net
 	var out []qualify.Violation
 	seen := map[string]bool{}
-	probe.AttachEveryEvent(n, spec.Workload, spec.SampleEvery, func(_ int64, res *traffic.Result) {
+	probe.AttachEveryEvent(n, spec.Workload, func(_ int64, res *traffic.Result) {
 		for _, inv := range spec.Invariants {
 			if !inv.Transient || seen[inv.Name] {
 				continue
@@ -275,7 +242,7 @@ func transientViolations(t *testing.T, spec qualify.Spec) ([]qualify.Violation, 
 }
 
 // qualifyDifferential runs the served what-if mixes — derived, reversed
-// and all-at-once schedules, thinned sampling, a strict funnel bound —
+// and all-at-once schedules under a strict funnel bound —
 // through the real qualify.Run and through the oracle re-enactment.
 func qualifyDifferential(t *testing.T) {
 	var c tally
@@ -289,12 +256,10 @@ func qualifyDifferential(t *testing.T) {
 			mixes := []struct {
 				name  string
 				waves [][]topo.DeviceID
-				every int
 			}{
-				{"derived", nil, 1},
-				{"reversed", reversed(sched).Waves(), 1},
-				{"all-at-once", [][]topo.DeviceID{sched.Devices()}, 1},
-				{"thinned", reversed(sched).Waves(), 3},
+				{"derived", nil},
+				{"reversed", reversed(sched).Waves()},
+				{"all-at-once", [][]topo.DeviceID{sched.Devices()}},
 			}
 			for _, mix := range mixes {
 				spec := qualify.Spec{
@@ -304,10 +269,9 @@ func qualifyDifferential(t *testing.T) {
 					Workload:       p.Demands,
 					Invariants:     []qualify.Invariant{qualify.NoBlackholes(), qualify.NoLoops(), qualify.FunnelBound(p.Watch, 0.55)},
 					Schedule:       mix.waves,
-					SampleEvery:    mix.every,
 				}
 				spec.Net = restore(t, snap)
-				c.count(spec.Net, mix.every)
+				c.count(spec.Net)
 				rep, err := qualify.Run(spec)
 				if err != nil {
 					t.Fatal(err)
@@ -376,13 +340,13 @@ func chaosDifferential(t *testing.T) {
 				gn := restore(t, snap)
 				got, events := chaosTransitions(t, gn, scenario, arm, seed, func(_ *migrate.ChaosRig, mon *chaos.Monitor) {
 					mon.Attach()
-					c.count(gn, 1)
+					c.count(gn)
 				})
 				c.events += events
 				c.hazards += int64(len(got))
 				on := restore(t, snap)
 				want, _ := chaosTransitions(t, on, scenario, arm, seed, func(rig *migrate.ChaosRig, mon *chaos.Monitor) {
-					probe.AttachEveryEvent(on, rig.Demands, 1, mon.Sample)
+					probe.AttachEveryEvent(on, rig.Demands, mon.Sample)
 				})
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("%s/%s/%d: transition logs diverge\ngated:  %q\noracle: %q", scenario, arm, seed, got, want)

@@ -7,23 +7,14 @@ import (
 )
 
 // The retired sampling policy, kept as the differential oracle: propagate
-// the workload after every N-th engine event whether or not anything
-// changed. It is what the seven hand-rolled samplers did before the probe
-// replaced them; nothing outside the tests may use it.
+// the workload after every engine event whether or not anything changed.
+// It is what the seven hand-rolled samplers did before the probe replaced
+// them; nothing outside the tests may use it.
 
 // AttachEveryEvent is Attach under the every-event policy.
-func AttachEveryEvent(n *fabric.Network, demands []traffic.Demand, every int, fn func(now int64, res *traffic.Result)) *Sampler {
-	if every <= 0 {
-		every = 1
-	}
+func AttachEveryEvent(n *fabric.Network, demands []traffic.Demand, fn func(now int64, res *traffic.Result)) *Sampler {
 	s := &Sampler{pr: traffic.Propagator{Net: n}, demands: demands}
-	events := 0
-	n.OnEvent(func(now int64) {
-		events++
-		if events%every == 0 {
-			fn(now, s.Measure())
-		}
-	})
+	n.OnEvent(func(now int64) { fn(now, s.Measure()) })
 	return s
 }
 
@@ -31,6 +22,6 @@ func AttachEveryEvent(n *fabric.Network, demands []traffic.Demand, every int, fn
 func NewTransientEveryEvent(n *fabric.Network, w Workload) *Transient {
 	t := &Transient{w: w, net: n, detectors: telemetry.StandardDetectors(), startNow: n.Now(), lastNow: n.Now()}
 	n.AddTap(t)
-	t.sampler = AttachEveryEvent(n, w.Demands, w.SampleEvery, t.sample)
+	t.sampler = AttachEveryEvent(n, w.Demands, t.sample)
 	return t
 }

@@ -18,32 +18,26 @@ import (
 )
 
 // Sampler re-propagates a workload between engine events and hands each
-// result to a callback. The policy is change-driven: on every N-th event it
+// result to a callback. The policy is change-driven: after an event it
 // samples only if a tap event that can move forwarding state (FIB write,
 // best-path change, session up/down) arrived since the last sample.
 // Between such events the previous sample still describes the fleet, so a
 // consumer that is a function of forwarding state sees exactly the verdicts
 // an every-event sampler would give it, at the instants they change. A
-// sampler starts dirty: the first N-th event always samples, whatever
-// happened before it was attached.
+// sampler starts dirty: the first event always samples, whatever happened
+// before it was attached.
 type Sampler struct {
 	pr      traffic.Propagator
 	demands []traffic.Demand
-	every   int
 	fn      func(now int64, res *traffic.Result)
-	events  int
 	dirty   bool
 }
 
 // Attach wires a sampler into n — one more tap for dirtiness, one more
-// after-event hook for sampling — and returns it. every thins sampling to
-// each N-th engine event (<= 0 gets 1). fn runs on the engine's goroutine
-// with the virtual time of the event just processed.
-func Attach(n *fabric.Network, demands []traffic.Demand, every int, fn func(now int64, res *traffic.Result)) *Sampler {
-	if every <= 0 {
-		every = 1
-	}
-	s := &Sampler{pr: traffic.Propagator{Net: n}, demands: demands, every: every, fn: fn, dirty: true}
+// after-event hook for sampling — and returns it. fn runs on the engine's
+// goroutine with the virtual time of the event just processed.
+func Attach(n *fabric.Network, demands []traffic.Demand, fn func(now int64, res *traffic.Result)) *Sampler {
+	s := &Sampler{pr: traffic.Propagator{Net: n}, demands: demands, fn: fn, dirty: true}
 	n.AddTap(s)
 	n.OnEvent(s.afterEvent)
 	return s
@@ -58,8 +52,7 @@ func (s *Sampler) Emit(ev telemetry.Event) {
 }
 
 func (s *Sampler) afterEvent(now int64) {
-	s.events++
-	if !s.dirty || s.events%s.every != 0 {
+	if !s.dirty {
 		return
 	}
 	s.dirty = false
@@ -71,15 +64,13 @@ func (s *Sampler) afterEvent(now int64) {
 func (s *Sampler) Measure() *traffic.Result { return s.pr.Run(s.demands) }
 
 // Workload is what a Transient measures against: the demands, the devices
-// watched for funnelling with their fair-share reference, the black-holed
-// fraction above which the black-hole window runs, and the sampling
-// thinning.
+// watched for funnelling with their fair-share reference, and the
+// black-holed fraction above which the black-hole window runs.
 type Workload struct {
 	Demands      []traffic.Demand
 	Watch        []topo.DeviceID
 	FairShare    float64
 	BlackholeEps float64
-	SampleEvery  int
 }
 
 // Metrics is one measured transient — the planner's scoring input and the
@@ -146,7 +137,7 @@ func NewTransient(n *fabric.Network, w Workload) *Transient {
 	t := &Transient{w: w, net: n, detectors: telemetry.StandardDetectors(), startNow: n.Now()}
 	t.lastNow = t.startNow
 	n.AddTap(t)
-	t.sampler = Attach(n, w.Demands, w.SampleEvery, t.sample)
+	t.sampler = Attach(n, w.Demands, t.sample)
 	return t
 }
 

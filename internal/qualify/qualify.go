@@ -78,8 +78,8 @@ type Spec struct {
 	// planner-proposed schedules through this.
 	Schedule [][]topo.DeviceID
 
-	// SampleEvery thins transient sampling to every N-th emulation event
-	// (default 1).
+	// SampleEvery is ignored: the probe samples every change of
+	// forwarding state. It stays declared for callers that still set it.
 	SampleEvery int
 
 	// OnReport, when set, observes the finished report. Gate's HealthCheck
@@ -159,7 +159,7 @@ func Run(spec Spec) (*Report, error) {
 			}
 		}
 	}
-	sampler := probe.Attach(n, spec.Workload, spec.SampleEvery, func(_ int64, res *traffic.Result) {
+	sampler := probe.Attach(n, spec.Workload, func(_ int64, res *traffic.Result) {
 		evaluate(true, res)
 	})
 

@@ -22,10 +22,9 @@ import (
 // Limits on request contents, enforced by Validate. They bound work per
 // request, not expressiveness: every repo scenario fits comfortably.
 const (
-	maxScheduleLen     = 8192    // canonical schedule text bytes
-	maxScheduleDevices = 512     // devices across all waves
-	maxSampleEvery     = 1000000 // transient sampling thinning
-	maxTimeoutMs       = 600000  // 10 minutes
+	maxScheduleLen     = 8192   // canonical schedule text bytes
+	maxScheduleDevices = 512    // devices across all waves
+	maxTimeoutMs       = 600000 // 10 minutes
 	maxBeam            = 64
 	maxRandomCands     = 64
 	maxListLen         = 16   // batch_sizes / min_next_hops entries
@@ -51,8 +50,10 @@ type WhatIfRequest struct {
 	// MaxLinkUtilization, when positive, adds the post-change
 	// utilization invariant.
 	MaxLinkUtilization float64 `json:"max_link_utilization,omitempty"`
-	// SampleEvery thins transient invariant sampling (0 → 1).
-	SampleEvery int `json:"sample_every,omitempty"`
+	// SampleEvery is ignored and not on the wire (a body naming
+	// sample_every is an unknown field): the probe samples every change
+	// of forwarding state. It stays declared for callers that still read it.
+	SampleEvery int `json:"-"`
 	// NoMemo bypasses the response memo (the result is still computed
 	// and byte-identical; memoization can never change bytes).
 	NoMemo bool `json:"no_memo,omitempty"`
@@ -76,12 +77,6 @@ func DecodeWhatIfRequest(data []byte) (*WhatIfRequest, error) {
 func (r *WhatIfRequest) Validate() error {
 	if err := checkScenario(r.Scenario); err != nil {
 		return err
-	}
-	if r.SampleEvery < 0 || r.SampleEvery > maxSampleEvery {
-		return fmt.Errorf("sample_every %d out of range [0, %d]", r.SampleEvery, maxSampleEvery)
-	}
-	if r.SampleEvery == 0 {
-		r.SampleEvery = 1
 	}
 	if r.MaxFunnelShare < 0 || r.MaxFunnelShare > 1 {
 		return fmt.Errorf("max_funnel_share %v out of range [0, 1]", r.MaxFunnelShare)

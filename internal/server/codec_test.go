@@ -16,8 +16,11 @@ func TestDecodeWhatIfRequestStrictness(t *testing.T) {
 		wantErr string // substring; "" means decode must succeed
 	}{
 		{"minimal", `{"scenario":"fig10","seed":7}`, ""},
-		{"all fields", `{"scenario":"fig10","seed":7,"schedule":"fa.0","max_funnel_share":0.5,"max_link_utilization":0.8,"sample_every":2,"no_memo":true,"timeout_ms":100}`, ""},
+		{"all fields", `{"scenario":"fig10","seed":7,"schedule":"fa.0","max_funnel_share":0.5,"max_link_utilization":0.8,"no_memo":true,"timeout_ms":100}`, ""},
 		{"unknown field", `{"scenario":"fig10","seed":7,"bogus":1}`, "unknown field"},
+		{"sample every", `{"scenario":"fig10","seed":7,"sample_every":2}`, "unknown field"},
+		{"sample every negative", `{"scenario":"fig10","seed":7,"sample_every":-1}`, "unknown field"},
+		{"sample every huge", `{"scenario":"fig10","seed":7,"sample_every":1000001}`, "unknown field"},
 		{"trailing garbage", `{"scenario":"fig10","seed":7} x`, "trailing content"},
 		{"second value", `{"scenario":"fig10","seed":7}{"seed":8}`, "trailing content"},
 		{"not an object", `[1,2]`, "cannot unmarshal"},
@@ -58,8 +61,6 @@ func TestWhatIfRequestValidate(t *testing.T) {
 		{"funnel share over 1", WhatIfRequest{Scenario: "fig10", MaxFunnelShare: 1.5}, "max_funnel_share"},
 		{"funnel share negative", WhatIfRequest{Scenario: "fig10", MaxFunnelShare: -0.1}, "max_funnel_share"},
 		{"link utilization negative", WhatIfRequest{Scenario: "fig10", MaxLinkUtilization: -1}, "max_link_utilization"},
-		{"sample every negative", WhatIfRequest{Scenario: "fig10", SampleEvery: -1}, "sample_every"},
-		{"sample every huge", WhatIfRequest{Scenario: "fig10", SampleEvery: maxSampleEvery + 1}, "sample_every"},
 		{"timeout negative", WhatIfRequest{Scenario: "fig10", TimeoutMs: -1}, "timeout_ms"},
 		{"timeout huge", WhatIfRequest{Scenario: "fig10", TimeoutMs: maxTimeoutMs + 1}, "timeout_ms"},
 		{"schedule too long", WhatIfRequest{Scenario: "fig10", Schedule: strings.Repeat("x", maxScheduleLen+1)}, "longer than"},
@@ -93,9 +94,6 @@ func TestWhatIfValidateCanonicalizes(t *testing.T) {
 	if a.Schedule != b.Schedule {
 		t.Errorf("schedules did not canonicalize together: %q vs %q", a.Schedule, b.Schedule)
 	}
-	if a.SampleEvery != 1 {
-		t.Errorf("sample_every default not pinned: %d", a.SampleEvery)
-	}
 	if a.memoKey("fp") != b.memoKey("fp") {
 		t.Errorf("equivalent requests got distinct memo keys")
 	}
@@ -113,7 +111,6 @@ func TestWhatIfMemoKeySensitivity(t *testing.T) {
 		{Scenario: "fig10", Seed: 8},
 		{Scenario: "fig10", Seed: 7, Schedule: "fa.0,fa.1"},
 		{Scenario: "fig10", Seed: 7, MaxFunnelShare: 0.5},
-		{Scenario: "fig10", Seed: 7, SampleEvery: 2},
 	}
 	for i := range variants {
 		if err := variants[i].Validate(); err != nil {

@@ -82,7 +82,6 @@ func conformanceRequests(t *testing.T) []wireReq {
 		{"explicit-baseline", mk(`,"schedule":` + quote(baseline))},
 		{"all-at-once", mk(`,"schedule":` + quote(allAtOnce))},
 		{"reversed", mk(`,"schedule":` + quote(reversed))},
-		{"sample-thinned", mk(`,"sample_every":3`)},
 		{"funnel-bound", mk(`,"max_funnel_share":0.95`)},
 		{"funnel-strict-reversed", mk(`,"schedule":` + quote(reversed) + `,"max_funnel_share":0.55`)},
 		{"link-utilization", mk(`,"max_link_utilization":50`)},
@@ -90,6 +89,7 @@ func conformanceRequests(t *testing.T) []wireReq {
 		{"repeat-explicit-baseline", mk(`,"schedule":` + quote(baseline))},
 		{"bad-scenario", fmt.Sprintf(`{"scenario":"nope","seed":%d}`, confSeed)},
 		{"bad-unknown-field", mk(`,"bogus":1`)},
+		{"bad-sample-every", mk(`,"sample_every":3`)},
 		{"bad-step-option", mk(`,"schedule":` + quote(allAtOnce+"!bare"))},
 		{"bad-partial-schedule", mk(`,"schedule":` + quote(firstDevice(allAtOnce)))},
 		{"deadline-expiry", mk(`,"no_memo":true,"timeout_ms":1`)},
@@ -180,6 +180,7 @@ func TestConformanceConcurrentVsSerial(t *testing.T) {
 	expectStatus := map[string]int{
 		"bad-scenario":         http.StatusBadRequest,
 		"bad-unknown-field":    http.StatusBadRequest,
+		"bad-sample-every":     http.StatusBadRequest,
 		"bad-step-option":      http.StatusBadRequest,
 		"bad-partial-schedule": http.StatusBadRequest,
 		"deadline-expiry":      http.StatusGatewayTimeout,

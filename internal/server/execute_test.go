@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"centralium/internal/guard"
 	"centralium/internal/store"
 )
 
@@ -251,6 +252,62 @@ func TestExecuteResumesAcrossDaemonRestart(t *testing.T) {
 	again := postExecute(t, ts2.Client(), ts2.URL, body)
 	if again.body != want.body {
 		t.Errorf("recovered terminal replay diverged")
+	}
+}
+
+// TestExecuteRestartsVersion1Checkpoint boots a data dir whose WAL holds a
+// paused version-1 guard checkpoint, the record a campaign that settled once
+// per wave journaled. The daemon refuses to resume it, counts it unresumable,
+// and the re-post restarts the campaign from wave 0 to the byte-identical
+// final of an uninterrupted run: it never finishes as a mix of two
+// measurement cadences.
+func TestExecuteRestartsVersion1Checkpoint(t *testing.T) {
+	_, ref := confServer(t, 2)
+	body := `{"scenario":"fig10","seed":1}`
+	want := postExecute(t, ref.Client(), ref.URL, body)
+	if decodeExecute(t, want).State != "completed" {
+		t.Fatalf("reference execute did not complete: %s", want.body)
+	}
+
+	dir := t.TempDir()
+	var resumes int
+	_, ts, stop := openDurable(t, dir, &resumes)
+	paused := decodeExecute(t, postExecute(t, ts.Client(), ts.URL, `{"scenario":"fig10","seed":1,"max_waves":1}`))
+	stop()
+	if paused.State != "paused" {
+		t.Fatalf("first leg state %q, want paused", paused.State)
+	}
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := st.Journal(recExecCheckpoint, paused.ExecID)
+	data, ok, err := journal.Latest()
+	if err != nil || !ok {
+		t.Fatalf("no journaled checkpoint for %s (err %v)", paused.ExecID, err)
+	}
+	cp, err := guard.DecodeCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp.Version = 1
+	if data, err = cp.Encode(); err != nil {
+		t.Fatal(err)
+	}
+	if err := journal.SaveProgress(cp.Wave, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts, stop = openDurable(t, dir, &resumes)
+	defer stop()
+	if got := postExecute(t, ts.Client(), ts.URL, body); got.body != want.body {
+		t.Errorf("restarted campaign diverged from uninterrupted:\n got: %s\nwant: %s", got.body, want.body)
+	}
+	if m := fetchMetrics(t, ts); m.UnresumableExecs != 1 || resumes != 1 {
+		t.Errorf("unresumable_execs = %d after %d resume(s), want 1 and 1", m.UnresumableExecs, resumes)
 	}
 }
 

@@ -120,7 +120,6 @@ func whatIfSpec(req *WhatIfRequest, entry *cacheEntry, net *fabric.Network, labe
 		Workload:       entry.Params.Demands,
 		Invariants:     invariants,
 		Schedule:       req.Waves(),
-		SampleEvery:    req.SampleEvery,
 	}
 }
 

@@ -259,7 +259,7 @@ func TestAdmissionSheds429(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			body := fmt.Sprintf(`{"scenario":"fig10","seed":%d,"no_memo":true,"sample_every":%d}`, confSeed, i+1)
+			body := fmt.Sprintf(`{"scenario":"fig10","seed":%d,"no_memo":true}`, confSeed)
 			resp, err := ts.Client().Post(ts.URL+"/v1/whatif", "application/json", strings.NewReader(body))
 			if err != nil {
 				t.Errorf("post: %v", err)

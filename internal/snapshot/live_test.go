@@ -176,7 +176,7 @@ func TestCaptureFromMatchesFullCaptureOnScenarios(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		x, err := planner.NewExecutor(p.Intent, p.Workload(), p.OriginAltitude, true)
+		x, err := planner.NewExecutor(p.Intent, p.Workload(), p.OriginAltitude)
 		if err != nil {
 			t.Fatal(err)
 		}
