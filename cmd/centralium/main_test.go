@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/parser"
 	"go/token"
 	"io"
@@ -20,6 +21,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -451,8 +453,10 @@ func TestReadmeCarriesHelp(t *testing.T) {
 
 // TestOneFrontDoor keeps the operator CLI one binary with one vocabulary:
 // cmd/ holds exactly centralium and centraliumd; inside cmd/centralium
-// only func main calls os.Exit; and a flag name that two subcommands
-// define has one type, one default and one usage string.
+// only func main calls os.Exit; a flag name that two subcommands define
+// has one type, one default and one usage string; and a flag name that
+// centraliumd defines too has the same type and default there, read from
+// its source.
 func TestOneFrontDoor(t *testing.T) {
 	dirs, err := os.ReadDir("..")
 	if err != nil {
@@ -506,7 +510,11 @@ func TestOneFrontDoor(t *testing.T) {
 		c := &commands[i]
 		fs, _ := c.flagSet(io.Discard)
 		fs.VisitAll(func(f *flag.Flag) {
-			d := def{fmt.Sprintf("%T", f.Value), f.DefValue, f.Usage, c.name}
+			typ := fmt.Sprintf("%T", f.Value)
+			if g, ok := f.Value.(flag.Getter); ok {
+				typ = fmt.Sprintf("%T", g.Get())
+			}
+			d := def{typ, f.DefValue, f.Usage, c.name}
 			prev, ok := seen[f.Name]
 			if !ok {
 				seen[f.Name] = d
@@ -518,4 +526,125 @@ func TestOneFrontDoor(t *testing.T) {
 			}
 		})
 	}
+
+	daemon := daemonFlags(t, fset)
+	if len(daemon) == 0 {
+		t.Fatal("read no flag definitions from cmd/centraliumd")
+	}
+	for name, d := range daemon {
+		if prev, ok := seen[name]; ok && (prev.typ != d.typ || prev.deflt != d.deflt) {
+			t.Errorf("-%s means two things:\n  centralium %s: %s, default %q\n  centraliumd: %s, default %q\nuse one type and default, or another name",
+				name, prev.sub, prev.typ, prev.deflt, d.typ, d.deflt)
+		}
+	}
+}
+
+// flagVarTypes maps a flag.FlagSet method that defines a typed flag to the
+// type flag.Getter returns for it.
+var flagVarTypes = map[string]string{
+	"Bool": "bool", "Int": "int", "Int64": "int64", "Uint": "uint", "Uint64": "uint64",
+	"String": "string", "Float64": "float64", "Duration": "time.Duration",
+}
+
+// daemonFlags reads the flags cmd/centraliumd defines — fs.<Type>Var(&v,
+// name, default, usage) or fs.<Type>(name, default, usage) calls — into
+// their types and defaults, rendered as flag.Flag.DefValue renders them.
+func daemonFlags(t *testing.T, fset *token.FileSet) map[string]struct{ typ, deflt string } {
+	t.Helper()
+	pkgs, err := parser.ParseDir(fset, filepath.Join("..", "centraliumd"), func(fi os.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]struct{ typ, deflt string }{}
+	for _, file := range pkgs["main"].Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if recv, ok := sel.X.(*ast.Ident); !ok || recv.Name != "fs" {
+				return true
+			}
+			method, args := sel.Sel.Name, call.Args
+			if m, ok := strings.CutSuffix(method, "Var"); ok && len(args) > 0 {
+				method, args = m, args[1:]
+			}
+			typ, ok := flagVarTypes[method]
+			if !ok || len(args) != 3 {
+				return true
+			}
+			lit, ok := args[0].(*ast.BasicLit)
+			if !ok || lit.Kind != token.STRING {
+				t.Errorf("%s: a flag named by something other than a string literal", fset.Position(call.Pos()))
+				return true
+			}
+			name, _ := strconv.Unquote(lit.Value)
+			deflt, ok := defValue(typ, constValue(args[1]))
+			if !ok {
+				t.Errorf("%s: cannot read the default of -%s; write it as a constant expression", fset.Position(call.Pos()), name)
+			}
+			out[name] = struct{ typ, deflt string }{typ, deflt}
+			return true
+		})
+	}
+	return out
+}
+
+// constValue evaluates a constant expression over literals and time's
+// units; anything else is unknown.
+func constValue(e ast.Expr) constant.Value {
+	units := map[string]time.Duration{
+		"Nanosecond": time.Nanosecond, "Microsecond": time.Microsecond, "Millisecond": time.Millisecond,
+		"Second": time.Second, "Minute": time.Minute, "Hour": time.Hour,
+	}
+	switch e := e.(type) {
+	case *ast.BasicLit:
+		return constant.MakeFromLiteral(e.Value, e.Kind, 0)
+	case *ast.Ident:
+		if e.Name == "true" || e.Name == "false" {
+			return constant.MakeBool(e.Name == "true")
+		}
+	case *ast.SelectorExpr:
+		if pkg, ok := e.X.(*ast.Ident); ok && pkg.Name == "time" {
+			if u, ok := units[e.Sel.Name]; ok {
+				return constant.MakeInt64(int64(u))
+			}
+		}
+	case *ast.ParenExpr:
+		return constValue(e.X)
+	case *ast.UnaryExpr:
+		if x := constValue(e.X); x.Kind() != constant.Unknown {
+			return constant.UnaryOp(e.Op, x, 0)
+		}
+	case *ast.BinaryExpr:
+		x, y := constValue(e.X), constValue(e.Y)
+		if x.Kind() != constant.Unknown && y.Kind() != constant.Unknown {
+			return constant.BinaryOp(x, e.Op, y)
+		}
+	}
+	return constant.MakeUnknown()
+}
+
+// defValue renders a constant default of a flag of type typ as
+// flag.Flag.DefValue does.
+func defValue(typ string, v constant.Value) (string, bool) {
+	switch {
+	case typ == "string" && v.Kind() == constant.String:
+		return constant.StringVal(v), true
+	case typ == "bool" && v.Kind() == constant.Bool:
+		return strconv.FormatBool(constant.BoolVal(v)), true
+	case typ == "time.Duration" && v.Kind() == constant.Int:
+		ns, exact := constant.Int64Val(v)
+		return time.Duration(ns).String(), exact
+	case typ == "float64" && (v.Kind() == constant.Int || v.Kind() == constant.Float):
+		f, _ := constant.Float64Val(v)
+		return strconv.FormatFloat(f, 'g', -1, 64), true
+	case v.Kind() == constant.Int:
+		return v.ExactString(), true
+	}
+	return "", false
 }

@@ -41,10 +41,9 @@ func planCmd(fs *flag.FlagSet) runFunc {
 		batches  = intList{1, 2}
 		mnh      intList
 		bare     = fs.Bool("bare", false, "also search unprotected (bare) waves")
-		workers  = fs.Int("workers", 0, "evaluation pool width (0: 1); never changes results")
 		sched    = fs.String("schedule", "", "schedule text to evaluate (score/explain)")
 		ckpt     = fs.String("checkpoint", "", "write a resumable search checkpoint (binary container, for -resume) to this `file` after every level")
-		resume   = fs.String("resume", "", "resume the search from this checkpoint `file` (JSON checkpoints from older builds still resume)")
+		resume   = fs.String("resume", "", "resume the search from this checkpoint `file` (a version-3 container; older checkpoints are refused)")
 		dataDir  = fs.String("data-dir", "", "durable store directory: journal search and guard progress to its WAL and auto-resume an interrupted run")
 		guardX   = fs.Bool("guard", false, "execute the resulting schedule under the guard supervisor")
 		envSpec  = fs.String("envelope", "", "guard safety envelope, e.g. \"share=0.6,session-downs=0\" (empty: guard default)")
@@ -80,7 +79,7 @@ func planCmd(fs *flag.FlagSet) runFunc {
 		}
 		// The scenario supplies intent, workload and drains; the flags
 		// shape the search.
-		p.Beam, p.RandomCands, p.SearchBare, p.Workers = *beam, *random, *bare, *workers
+		p.Beam, p.RandomCands, p.SearchBare = *beam, *random, *bare
 		if len(batches) > 0 {
 			p.BatchSizes = batches
 		}

@@ -33,8 +33,8 @@ package planner
 //
 // One reader resolves each fingerprint through the table, then through the
 // object store, and hashes every state it resolves: it never trusts a key.
-// Version-2 containers (states named by table index) and version-1 JSON
-// still resume (checkpoint_legacy.go).
+// It refuses every other version, and any input without the magic, with
+// ErrCheckpointVersion.
 
 import (
 	"bytes"
@@ -48,9 +48,13 @@ import (
 // checkpointVersion guards the manifest layout.
 const checkpointVersion = 3
 
-// checkpointMagic opens a container. No JSON document starts with it,
-// which is how ResumeSearch tells a container from version 1.
+// checkpointMagic opens a container.
 const checkpointMagic = "CPLN"
+
+// ErrCheckpointVersion is the error a resume returns for a checkpoint that
+// is not a version-3 container: another version, or no container magic at
+// all (the version-1 JSON of older builds).
+var ErrCheckpointVersion = errors.New("planner: unsupported checkpoint")
 
 // nodeCheckpoint is one serialized beam entry.
 type nodeCheckpoint struct {
@@ -127,9 +131,6 @@ func (s *Search) Checkpoint() ([]byte, error) {
 			Score:    c.Score,
 		})
 	}
-	// Step never runs concurrently with Checkpoint (both are
-	// between-levels operations), but the lock keeps the read honest anyway.
-	s.mu.Lock()
 	keys := make([]string, 0, len(s.memo))
 	for k := range s.memo {
 		keys = append(keys, k)
@@ -143,7 +144,6 @@ func (s *Search) Checkpoint() ([]byte, error) {
 		}
 		cp.Memo = append(cp.Memo, mc)
 	}
-	s.mu.Unlock()
 	if s.objs != nil {
 		for i, fp := range fps {
 			if err := s.objs.Put(fp, states[i]); err != nil {
@@ -205,27 +205,24 @@ func readContainer(data []byte) (Checkpoint, map[string][]byte, error) {
 		return cp, nil, errCheckpointTruncated
 	}
 	rest = rest[n:]
-	fps := make([]string, count)
 	table := make(map[string][]byte, count)
-	for i := range fps {
+	for range count {
 		st, err := chunk()
 		if err != nil {
 			return cp, nil, err
 		}
-		fps[i] = fingerprint(st)
-		table[fps[i]] = st
+		table[fingerprint(st)] = st
 	}
 	if len(rest) != 0 {
 		return cp, nil, fmt.Errorf("planner: %d trailing bytes after the checkpoint's state table", len(rest))
 	}
-	// A version-2 manifest fails this decode on its integer state names, but
-	// not before its version is read.
+	// Unmarshal decodes what it can past a field of the wrong type, so a
+	// manifest of another version is refused by its version even where its
+	// fields do not fit this one's.
 	err = json.Unmarshal(manifest, &cp)
-	switch {
-	case cp.Version == 2:
-		cp, err = readV2(manifest, fps)
-	case err == nil && cp.Version != checkpointVersion:
-		err = fmt.Errorf("planner: checkpoint version %d (want %d)", cp.Version, checkpointVersion)
+	var typeErr *json.UnmarshalTypeError
+	if cp.Version != checkpointVersion && (err == nil || errors.As(err, &typeErr)) {
+		return cp, nil, fmt.Errorf("%w: version %d (want %d)", ErrCheckpointVersion, cp.Version, checkpointVersion)
 	}
 	if err != nil {
 		return cp, nil, fmt.Errorf("planner: decode checkpoint manifest: %w", err)
@@ -234,9 +231,9 @@ func readContainer(data []byte) (Checkpoint, map[string][]byte, error) {
 }
 
 // ResumeSearch rebuilds a search from a checkpoint that carries its states
-// (the inline framing, or an older version). The resumed search continues
-// from the frozen level, converges on the same winner as the uninterrupted
-// run, and checkpoints inline.
+// (the inline framing). The resumed search continues from the frozen level,
+// converges on the same winner as the uninterrupted run, and checkpoints
+// inline.
 func ResumeSearch(data []byte) (*Search, error) {
 	return ResumeSearchWith(data, nil)
 }
@@ -247,16 +244,10 @@ func ResumeSearch(data []byte) (*Search, error) {
 // copy of data and slices its table's states out of it; every state's
 // fingerprint is recomputed from its bytes, never trusted from the input.
 func ResumeSearchWith(data []byte, objs ObjectStore) (*Search, error) {
-	var (
-		cp    Checkpoint
-		table map[string][]byte
-		err   error
-	)
-	if bytes.HasPrefix(data, []byte(checkpointMagic)) {
-		cp, table, err = readContainer(bytes.Clone(data))
-	} else {
-		cp, table, err = readV1(data)
+	if !bytes.HasPrefix(data, []byte(checkpointMagic)) {
+		return nil, fmt.Errorf("%w: no container magic", ErrCheckpointVersion)
 	}
+	cp, table, err := readContainer(bytes.Clone(data))
 	if err != nil {
 		return nil, err
 	}

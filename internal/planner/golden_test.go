@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -16,8 +17,8 @@ import (
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite the planner golden schedule files")
 
-// goldenPlan runs the pinned fig10 search the golden file captures.
-func goldenPlan(t *testing.T, workers int) *Result {
+// goldenParams is the pinned fig10 search the golden file captures.
+func goldenParams(t *testing.T) (*snapshot.Snapshot, Params) {
 	t.Helper()
 	snap, p, err := ScenarioSetup("fig10", 1)
 	if err != nil {
@@ -26,8 +27,13 @@ func goldenPlan(t *testing.T, workers int) *Result {
 	p.SearchBare = true
 	p.BatchSizes = []int{1, 2}
 	p.MinNextHops = []int{50}
-	p.Workers = workers
-	res, err := Plan(snap, p)
+	return snap, p
+}
+
+// goldenPlan runs the golden search at the current GOMAXPROCS.
+func goldenPlan(t *testing.T) *Result {
+	t.Helper()
+	res, err := Plan(goldenParams(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,11 +41,12 @@ func goldenPlan(t *testing.T, workers int) *Result {
 }
 
 // TestGoldenSchedule pins the winning schedule byte-for-byte: the same
-// seed must produce this exact schedule at any worker width. The golden
-// file is the determinism contract's artifact — a change here means the
-// search semantics changed, which must be deliberate (-update-golden).
+// seed must produce this exact schedule at any pool width (run it under
+// -cpu 1,2,4). The golden file is the determinism contract's artifact — a
+// change here means the search semantics changed, which must be deliberate
+// (-update-golden).
 func TestGoldenSchedule(t *testing.T) {
-	res := goldenPlan(t, 1)
+	res := goldenPlan(t)
 	got := res.Winner.String() + "\n"
 
 	path := filepath.Join("testdata", "fig10_seed1.golden")
@@ -61,23 +68,27 @@ func TestGoldenSchedule(t *testing.T) {
 }
 
 // TestWorkerWidthIndependence is the determinism contract across the
-// evaluation pool: serial (1 worker) and parallel (4 workers) searches
-// must produce byte-identical winners, scores, and search statistics.
+// evaluation pool, whose width is GOMAXPROCS: the inline pool (1) and
+// parallel ones (2, 4) must produce byte-identical winners, scores, and
+// search statistics.
 func TestWorkerWidthIndependence(t *testing.T) {
-	serial := goldenPlan(t, 1)
-	parallel := goldenPlan(t, 4)
-
-	if serial.Winner.String() != parallel.Winner.String() {
-		t.Fatalf("worker width changed the winner:\n  1: %s\n  4: %s", serial.Winner, parallel.Winner)
-	}
-	if serial.Score != parallel.Score {
-		t.Fatalf("worker width changed the score:\n  1: %s\n  4: %s", serial.Score, parallel.Score)
-	}
-	if serial.Stats != parallel.Stats {
-		t.Fatalf("worker width changed the search stats:\n  1: %+v\n  4: %+v", serial.Stats, parallel.Stats)
-	}
-	if serial.Baseline.String() != parallel.Baseline.String() || serial.BaselineScore != parallel.BaselineScore {
-		t.Fatal("worker width changed the baseline evaluation")
+	atWidth(t, 1)
+	serial := goldenPlan(t)
+	for _, width := range []int{2, 4} {
+		atWidth(t, width)
+		parallel := goldenPlan(t)
+		if serial.Winner.String() != parallel.Winner.String() {
+			t.Fatalf("pool width changed the winner:\n  1: %s\n  %d: %s", serial.Winner, width, parallel.Winner)
+		}
+		if serial.Score != parallel.Score {
+			t.Fatalf("pool width changed the score:\n  1: %s\n  %d: %s", serial.Score, width, parallel.Score)
+		}
+		if serial.Stats != parallel.Stats {
+			t.Fatalf("pool width changed the search stats:\n  1: %+v\n  %d: %+v", serial.Stats, width, parallel.Stats)
+		}
+		if serial.Baseline.String() != parallel.Baseline.String() || serial.BaselineScore != parallel.BaselineScore {
+			t.Fatalf("pool width %d changed the baseline evaluation", width)
+		}
 	}
 }
 
@@ -85,16 +96,9 @@ func TestWorkerWidthIndependence(t *testing.T) {
 // level boundary, resumes from the serialized checkpoint, and requires
 // the byte-identical winner the uninterrupted run produces.
 func TestCheckpointResumeIdentity(t *testing.T) {
-	full := goldenPlan(t, 2)
-
-	snap, p, err := ScenarioSetup("fig10", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.SearchBare = true
-	p.BatchSizes = []int{1, 2}
-	p.MinNextHops = []int{50}
-	p.Workers = 2
+	atWidth(t, 2)
+	full := goldenPlan(t)
+	snap, p := goldenParams(t)
 
 	for interrupt := 1; ; interrupt++ {
 		s, err := NewSearch(snap, p)
@@ -141,23 +145,15 @@ func TestCheckpointResumeIdentity(t *testing.T) {
 	}
 }
 
-// TestResumeAcceptsIndentedCheckpoint: checkpoints are a binary container
-// now, but one written by an older build — version-1 JSON, compact or
-// indented with two spaces (json.MarshalIndent, which is json.Indent over
-// the same bytes) — still resumes to the byte-identical winner, so
-// checkpoint files and WALs from those builds stay usable. The version-1
-// bytes come from the test-only writer in export_test.go.
-func TestResumeAcceptsIndentedCheckpoint(t *testing.T) {
-	full := goldenPlan(t, 2)
-
-	snap, p, err := ScenarioSetup("fig10", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.SearchBare = true
-	p.BatchSizes = []int{1, 2}
-	p.MinNextHops = []int{50}
-	p.Workers = 2
+// TestResumeRefusesLegacyCheckpoints: the readers of older checkpoints are
+// gone. A version-2 container and a version-1 JSON object, compact or
+// indented, are refused with ErrCheckpointVersion, which the daemon answers
+// by restarting the plan. A version-3 manifest that still carries the
+// retired "workers" field resumes to the golden winner: JSON decoding
+// ignores the field.
+func TestResumeRefusesLegacyCheckpoints(t *testing.T) {
+	full := goldenPlan(t)
+	snap, p := goldenParams(t)
 	s, err := NewSearch(snap, p)
 	if err != nil {
 		t.Fatal(err)
@@ -165,95 +161,68 @@ func TestResumeAcceptsIndentedCheckpoint(t *testing.T) {
 	if _, err := s.Step(); err != nil {
 		t.Fatal(err)
 	}
-	compact, err := s.checkpointV1()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var indented bytes.Buffer
-	if err := json.Indent(&indented, compact, "", "  "); err != nil {
-		t.Fatal(err)
-	}
-	current, err := s.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
+	current := mustCheckpoint(t, s)
+	cp, table := mustRead(t, current)
 
-	for name, v1 := range map[string][]byte{"compact": compact, "indented": indented.Bytes()} {
-		resumed, err := ResumeSearch(v1)
-		if err != nil {
-			t.Fatalf("resume from a %s version-1 checkpoint: %v", name, err)
-		}
-		if again, err := resumed.Checkpoint(); err != nil || !bytes.Equal(again, current) {
-			t.Errorf("%s: the search resumed from version 1 checkpoints differently from the one that wrote it (err %v)", name, err)
-		}
-		for done := false; !done; {
-			if done, err = resumed.Step(); err != nil {
-				t.Fatal(err)
+	v2, err := encodeContainer(map[string]any{"version": 2, "base": 0, "beam": []any{}}, tableStates(table))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"version-2 container":  v2,
+		"version-1 JSON":       []byte(`{"version":1,"params":{},"level":1,"base":"AAAA","beam":[]}`),
+		"indented JSON":        []byte("{\n  \"version\": 1\n}"),
+		"version-4 container":  mustEncode(t, map[string]any{"version": 4}),
+		"unversioned manifest": mustEncode(t, map[string]any{"level": 1}),
+	} {
+		for _, objs := range []ObjectStore{nil, newMemObjects()} {
+			if _, err := ResumeSearchWith(data, objs); !errors.Is(err, ErrCheckpointVersion) {
+				t.Errorf("%s (store %v): resume error %v, want ErrCheckpointVersion", name, objs != nil, err)
 			}
 		}
-		res, err := resumed.Result()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Winner.String() != full.Winner.String() || res.Score != full.Score {
-			t.Fatalf("%s version-1 checkpoint changed the outcome:\n resumed: %s %s\n    full: %s %s",
-				name, res.Winner, res.Score, full.Winner, full.Score)
-		}
+	}
+
+	// The parent's manifests carried the pool width.
+	manifest, err := json.Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withWorkers := bytes.Replace(manifest, []byte(`"params":{`), []byte(`"params":{"workers":2,`), 1)
+	if bytes.Equal(withWorkers, manifest) {
+		t.Fatal("fixture: no params object in the manifest")
+	}
+	old, err := encodeContainer(json.RawMessage(withWorkers), tableStates(table))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := ResumeSearch(old)
+	if err != nil {
+		t.Fatalf("a version-3 manifest carrying workers does not resume: %v", err)
+	}
+	if again := mustCheckpoint(t, resumed); !bytes.Equal(again, current) {
+		t.Error("the search resumed from a manifest carrying workers checkpoints differently from the one that wrote it")
+	}
+	if _, err := resumed.Drive(context.Background(), 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	res, err := resumed.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Winner.String() != full.Winner.String() || res.Score != full.Score || res.Stats != full.Stats {
+		t.Fatalf("a manifest carrying workers changed the outcome:\n resumed: %s %s %+v\n    full: %s %s %+v",
+			res.Winner, res.Score, res.Stats, full.Winner, full.Score, full.Stats)
 	}
 }
 
-// TestResumeAcceptsV2Container: a version-2 container — states named by
-// table index, written by the test-only writer in export_test.go — resumes
-// to the search that wrote it (its checkpoint is today's, byte for byte) and
-// to the byte-identical winner, storeless and with an object store alike.
-func TestResumeAcceptsV2Container(t *testing.T) {
-	full := goldenPlan(t, 2)
-
-	snap, p, err := ScenarioSetup("fig10", 1)
+// mustEncode lays out a container holding manifest and no states.
+func mustEncode(t *testing.T, manifest any) []byte {
+	t.Helper()
+	data, err := encodeContainer(manifest, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.SearchBare = true
-	p.BatchSizes = []int{1, 2}
-	p.MinNextHops = []int{50}
-	p.Workers = 2
-	s, err := NewSearch(snap, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Step(); err != nil {
-		t.Fatal(err)
-	}
-	v2, err := s.checkpointV2()
-	if err != nil {
-		t.Fatal(err)
-	}
-	current, err := s.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, objs := range []ObjectStore{nil, newMemObjects()} {
-		resumed, err := ResumeSearchWith(v2, objs)
-		if err != nil {
-			t.Fatalf("resume from a version-2 container (store %v): %v", objs != nil, err)
-		}
-		if objs == nil {
-			if again, err := resumed.Checkpoint(); err != nil || !bytes.Equal(again, current) {
-				t.Errorf("the search resumed from version 2 checkpoints differently from the one that wrote it (err %v)", err)
-			}
-		}
-		if _, err := resumed.Drive(context.Background(), 0, nil); err != nil {
-			t.Fatal(err)
-		}
-		res, err := resumed.Result()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Winner.String() != full.Winner.String() || res.Score != full.Score {
-			t.Fatalf("version-2 container changed the outcome:\n resumed: %s %s\n    full: %s %s",
-				res.Winner, res.Score, full.Winner, full.Score)
-		}
-	}
+	return data
 }
 
 // TestGoldenRunLeavesConfigsUnedited is the immutability rule of core.Config
@@ -279,7 +248,7 @@ func goldenRunLeavesConfigsUnedited(t *testing.T, scenario string) {
 	p.SearchBare = true
 	p.BatchSizes = []int{1, 2}
 	p.MinNextHops = []int{50}
-	p.Workers = 4
+	atWidth(t, 4)
 	s, err := NewSearch(snap, p)
 	if err != nil {
 		t.Fatal(err)

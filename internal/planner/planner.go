@@ -3,6 +3,7 @@ package planner
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -17,7 +18,7 @@ import (
 // search including its parameters.
 type Params struct {
 	// Seed drives candidate generation. Same seed, same snapshot, same
-	// winning schedule — byte for byte, at any worker count.
+	// winning schedule — byte for byte, at any pool width.
 	Seed int64 `json:"seed"`
 
 	// Intent is the migration's per-device RPA assignment (from
@@ -62,10 +63,6 @@ type Params struct {
 	// SettlePerDevice is ignored: every step settles after each device
 	// (Executor). It stays declared for callers that still read it.
 	SettlePerDevice bool `json:"-"`
-
-	// Workers sizes the candidate-evaluation pool (0 gets 1). Worker
-	// count never changes results, only wall-clock.
-	Workers int `json:"workers"`
 }
 
 func (p *Params) setDefaults() {
@@ -87,9 +84,6 @@ func (p *Params) setDefaults() {
 	}
 	if p.FairShare <= 0 && len(p.Watch) > 0 {
 		p.FairShare = 1 / float64(len(p.Watch))
-	}
-	if p.Workers <= 0 {
-		p.Workers = 1
 	}
 }
 
@@ -142,7 +136,9 @@ type node struct {
 }
 
 // Search is a resumable beam search. Step() advances one level;
-// Checkpoint() serializes the whole search between levels.
+// Checkpoint() serializes the whole search between levels. One goroutine
+// drives a Search at a time; Step fans its evaluations out over a pool of
+// its own and folds their results back in on the calling goroutine.
 type Search struct {
 	p  Params
 	ev *evaluator
@@ -159,9 +155,7 @@ type Search struct {
 	level     int
 	done      bool
 	stats     Stats
-
-	mu   sync.Mutex
-	memo map[string]memoEntry
+	memo      map[string]memoEntry
 
 	// objs, when set, holds the states the search's checkpoints name, and
 	// those checkpoints are bare.
@@ -410,8 +404,9 @@ type expansion struct {
 }
 
 // Step advances the search one beam level: expand every node, evaluate
-// unique expansions across the worker pool, finalize terminal candidates,
-// and select the next beam. Returns done=true once the beam is empty.
+// unique expansions across the evaluation pool, finalize terminal
+// candidates, and select the next beam. Returns done=true once the beam is
+// empty.
 func (s *Search) Step() (bool, error) {
 	if s.done {
 		return true, nil
@@ -429,10 +424,7 @@ func (s *Search) Step() (bool, error) {
 		for _, st := range s.candidates(i, nd) {
 			key := nd.fp + "|" + st.String()
 			tasks = append(tasks, expansion{nodeIdx: i, step: st, key: key})
-			s.mu.Lock()
-			_, inMemo := s.memo[key]
-			s.mu.Unlock()
-			if inMemo || seen[key] {
+			if _, inMemo := s.memo[key]; inMemo || seen[key] {
 				s.stats.MemoHits++
 				continue
 			}
@@ -453,29 +445,26 @@ func (s *Search) Step() (bool, error) {
 		}
 	}
 
-	// Evaluate unique expansions on the pool; results land in the memo.
-	if err := s.runPool(len(uniq), func(i int) error {
+	// Evaluate unique expansions on the pool, each into its task's slot,
+	// then fold the slots into the memo in task order.
+	evaluated := make([]memoEntry, len(uniq))
+	if err := runPool(len(uniq), func(i int) (err error) {
 		ex := uniq[i]
-		me, err := s.ev.evalStep(s.beam[ex.nodeIdx].snap, ex.step)
-		if err != nil {
-			return err
-		}
-		s.mu.Lock()
-		s.memo[ex.key] = me
-		s.stats.StepsEvaluated++
-		s.mu.Unlock()
-		return nil
+		evaluated[i], err = s.ev.evalStep(s.beam[ex.nodeIdx].snap, ex.step)
+		return err
 	}); err != nil {
 		return false, err
+	}
+	for i, ex := range uniq {
+		s.memo[ex.key] = evaluated[i]
+		s.stats.StepsEvaluated++
 	}
 
 	// Assemble children in task order (deterministic).
 	var children []node
 	var terminals []node // fully deployed: the migration body is still to run
 	for _, ex := range tasks {
-		s.mu.Lock()
 		me := s.memo[ex.key]
-		s.mu.Unlock()
 		parent := s.beam[ex.nodeIdx]
 		childSched := parent.sched.Clone()
 		childSched.Steps = append(childSched.Steps, ex.step.Clone())
@@ -494,38 +483,31 @@ func (s *Search) Step() (bool, error) {
 	var migUniq []node
 	for _, t := range terminals {
 		key := t.fp + "|migration"
-		s.mu.Lock()
-		_, inMemo := s.memo[key]
-		s.mu.Unlock()
-		if inMemo || migKeys[key] {
+		if _, inMemo := s.memo[key]; inMemo || migKeys[key] {
 			s.stats.MemoHits++
 			continue
 		}
 		migKeys[key] = true
 		migUniq = append(migUniq, t)
 	}
-	if err := s.runPool(len(migUniq), func(i int) error {
+	migrated := make([]StepOutcome, len(migUniq))
+	if err := runPool(len(migUniq), func(i int) error {
 		t := migUniq[i]
 		snap, err := s.ev.live(t.snap, t.state)
 		if err != nil {
 			return err
 		}
-		out, err := s.ev.evalMigration(snap)
-		if err != nil {
-			return err
-		}
-		s.mu.Lock()
-		s.memo[t.fp+"|migration"] = memoEntry{out: out}
-		s.stats.StepsEvaluated++
-		s.mu.Unlock()
-		return nil
+		migrated[i], err = s.ev.evalMigration(snap)
+		return err
 	}); err != nil {
 		return false, err
 	}
+	for i, t := range migUniq {
+		s.memo[t.fp+"|migration"] = memoEntry{out: migrated[i]}
+		s.stats.StepsEvaluated++
+	}
 	for _, t := range terminals {
-		s.mu.Lock()
 		me := s.memo[t.fp+"|migration"]
-		s.mu.Unlock()
 		s.completed = append(s.completed, Candidate{Schedule: t.sched, Score: t.score.add(me.out, false)})
 	}
 
@@ -552,13 +534,11 @@ func (s *Search) Step() (bool, error) {
 	s.beam = next
 	// The level's other states go back to being bytes: only the beam stays
 	// live between levels.
-	s.mu.Lock()
 	for _, ex := range uniq {
 		me := s.memo[ex.key]
 		me.snap = nil
 		s.memo[ex.key] = me
 	}
-	s.mu.Unlock()
 	s.level++
 	s.stats.Levels = s.level
 	if len(s.beam) == 0 {
@@ -567,18 +547,13 @@ func (s *Search) Step() (bool, error) {
 	return s.done, nil
 }
 
-// runPool executes n tasks across the configured worker pool. The first
-// error (by task index) wins; results must be stored keyed by content
-// (the memo), never by completion order.
-func (s *Search) runPool(n int, fn func(i int) error) error {
-	if n == 0 {
-		return nil
-	}
-	workers := s.p.Workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
+// runPool runs fn(0..n-1) on min(GOMAXPROCS, n) goroutines, inline when that
+// is one. fn writes only its own task's slot; the caller folds the slots in
+// task order, so the width changes wall-clock and never a result. The first
+// error by task index wins.
+func runPool(n int, fn func(i int) error) error {
+	width := min(runtime.GOMAXPROCS(0), n)
+	if width <= 1 {
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {
 				return err
@@ -589,7 +564,7 @@ func (s *Search) runPool(n int, fn func(i int) error) error {
 	errs := make([]error, n)
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < width; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -617,9 +592,9 @@ func (s *Search) BaselineSchedule() Schedule {
 	return FromWaves(s.wavesByDistance(sortedDevices(s.p.Intent)))
 }
 
-// scoreScheduleLocked evaluates a full schedule through the shared memo,
+// scoreSchedule evaluates a full schedule through the shared memo,
 // serially. Used for the baseline, `centralium plan score|explain`, and Approver.
-func (s *Search) scoreScheduleLocked(sched Schedule) (*Report, error) {
+func (s *Search) scoreSchedule(sched Schedule) (*Report, error) {
 	rep := &Report{Schedule: sched}
 	// cur walks the schedule's states; it stays live across consecutive
 	// evaluated steps and is decoded again only after a memo hit.
@@ -627,9 +602,7 @@ func (s *Search) scoreScheduleLocked(sched Schedule) (*Report, error) {
 	var score Score
 	for _, st := range sched.Steps {
 		key := cur.fp + "|" + st.String()
-		s.mu.Lock()
 		me, ok := s.memo[key]
-		s.mu.Unlock()
 		if !ok {
 			parent, err := s.ev.live(cur.snap, cur.state)
 			if err != nil {
@@ -639,15 +612,11 @@ func (s *Search) scoreScheduleLocked(sched Schedule) (*Report, error) {
 				return nil, err
 			}
 			cur.snap, me.snap = me.snap, nil
-			s.mu.Lock()
 			s.memo[key] = me
 			s.stats.StepsEvaluated++
-			s.mu.Unlock()
 		} else {
 			cur.snap = nil
-			s.mu.Lock()
 			s.stats.MemoHits++
-			s.mu.Unlock()
 		}
 		rep.Phases = append(rep.Phases, me.out)
 		score = score.add(me.out, true)
@@ -657,9 +626,7 @@ func (s *Search) scoreScheduleLocked(sched Schedule) (*Report, error) {
 		return nil, fmt.Errorf("planner: schedule leaves %d intent devices undeployed (first: %s)", len(rem), rem[0])
 	}
 	key := cur.fp + "|migration"
-	s.mu.Lock()
 	me, ok := s.memo[key]
-	s.mu.Unlock()
 	if !ok {
 		snap, err := s.ev.live(cur.snap, cur.state)
 		if err != nil {
@@ -670,10 +637,8 @@ func (s *Search) scoreScheduleLocked(sched Schedule) (*Report, error) {
 			return nil, err
 		}
 		me = memoEntry{out: out}
-		s.mu.Lock()
 		s.memo[key] = me
 		s.stats.StepsEvaluated++
-		s.mu.Unlock()
 	}
 	rep.Phases = append(rep.Phases, me.out)
 	rep.Total = score.add(me.out, false)
@@ -687,7 +652,7 @@ func ScoreSchedule(base *snapshot.Snapshot, p Params, sched Schedule) (*Report, 
 	if err != nil {
 		return nil, err
 	}
-	return s.scoreScheduleLocked(sched)
+	return s.scoreSchedule(sched)
 }
 
 // Result finalizes the search: the best completed candidate wins unless
@@ -698,7 +663,7 @@ func (s *Search) Result() (*Result, error) {
 	if !s.done {
 		return nil, fmt.Errorf("planner: search not finished (call Step until done)")
 	}
-	baseRep, err := s.scoreScheduleLocked(s.BaselineSchedule())
+	baseRep, err := s.scoreSchedule(s.BaselineSchedule())
 	if err != nil {
 		return nil, fmt.Errorf("planner: baseline: %w", err)
 	}
@@ -767,7 +732,7 @@ func exhaustiveOn(s *Search) (*Result, int, error) {
 			for _, d := range prefix {
 				sched.Steps = append(sched.Steps, Step{Devices: []topo.DeviceID{d}})
 			}
-			rep, err := s.scoreScheduleLocked(sched)
+			rep, err := s.scoreSchedule(sched)
 			if err != nil {
 				return err
 			}
@@ -790,7 +755,7 @@ func exhaustiveOn(s *Search) (*Result, int, error) {
 	if err := recurse(nil, devs); err != nil {
 		return nil, count, err
 	}
-	baseRep, err := s.scoreScheduleLocked(s.BaselineSchedule())
+	baseRep, err := s.scoreSchedule(s.BaselineSchedule())
 	if err != nil {
 		return nil, count, err
 	}
@@ -812,38 +777,49 @@ func exhaustiveOn(s *Search) (*Result, int, error) {
 // qualify.Gate demand a planner-approved schedule in front of a live
 // push.
 func Approver(base *snapshot.Snapshot, p Params) func(waves [][]topo.DeviceID) error {
-	var once sync.Once
-	var s *Search
-	var refSched Schedule
-	var refScore Score
-	var initErr error
+	var (
+		mu       sync.Mutex
+		s        *Search
+		refSched Schedule
+		refScore Score
+		initErr  error
+	)
+	reference := func() error {
+		var err error
+		if s, err = NewSearch(base, p); err != nil {
+			return err
+		}
+		if _, err = s.Drive(context.Background(), 0, nil); err != nil {
+			return err
+		}
+		res, err := s.Result()
+		if err != nil {
+			return err
+		}
+		refSched = FromWaves(res.Winner.Waves())
+		rep, err := s.scoreSchedule(refSched)
+		if err != nil {
+			return err
+		}
+		refScore = rep.Total
+		if dominated(refScore, res.BaselineScore) {
+			refSched, refScore = res.Baseline, res.BaselineScore
+		}
+		return nil
+	}
 	return func(waves [][]topo.DeviceID) error {
-		once.Do(func() {
-			if s, initErr = NewSearch(base, p); initErr != nil {
-				return
-			}
-			if _, initErr = s.Drive(context.Background(), 0, nil); initErr != nil {
-				return
-			}
-			var res *Result
-			if res, initErr = s.Result(); initErr != nil {
-				return
-			}
-			refSched = FromWaves(res.Winner.Waves())
-			var rep *Report
-			if rep, initErr = s.scoreScheduleLocked(refSched); initErr != nil {
-				return
-			}
-			refScore = rep.Total
-			if dominated(refScore, res.BaselineScore) {
-				refSched, refScore = res.Baseline, res.BaselineScore
-			}
-		})
+		// One call at a time: every call scores through the one search's
+		// memo, which is not safe for concurrent use.
+		mu.Lock()
+		defer mu.Unlock()
+		if s == nil && initErr == nil {
+			initErr = reference()
+		}
 		if initErr != nil {
 			return fmt.Errorf("planner: approver: %w", initErr)
 		}
 		proposed := FromWaves(waves)
-		rep, err := s.scoreScheduleLocked(proposed)
+		rep, err := s.scoreSchedule(proposed)
 		if err != nil {
 			return fmt.Errorf("planner: approver: score proposed schedule: %w", err)
 		}

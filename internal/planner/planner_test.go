@@ -2,12 +2,13 @@ package planner
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"centralium/internal/topo"
 )
 
-func fig10Plan(t *testing.T, seed int64, workers int) *Result {
+func fig10Plan(t *testing.T, seed int64) *Result {
 	t.Helper()
 	snap, p, err := ScenarioSetup("fig10", seed)
 	if err != nil {
@@ -15,7 +16,6 @@ func fig10Plan(t *testing.T, seed int64, workers int) *Result {
 	}
 	p.SearchBare = true
 	p.BatchSizes = []int{1, 2}
-	p.Workers = workers
 	res, err := Plan(snap, p)
 	if err != nil {
 		t.Fatal(err)
@@ -53,8 +53,9 @@ func TestParseRoundTrip(t *testing.T) {
 // convergence time by more than 10%. The dominance guard makes this hold
 // by construction; this test proves the guard is wired in.
 func TestPlanNeverLosesToBaseline(t *testing.T) {
+	atWidth(t, 2)
 	for seed := int64(1); seed <= 3; seed++ {
-		res := fig10Plan(t, seed, 2)
+		res := fig10Plan(t, seed)
 		if res.Score.BlackholeNs > res.BaselineScore.BlackholeNs {
 			t.Errorf("seed %d: winner blackhole %d > baseline %d", seed, res.Score.BlackholeNs, res.BaselineScore.BlackholeNs)
 		}
@@ -215,6 +216,60 @@ func TestApprover(t *testing.T) {
 	}
 }
 
+// TestApproverConcurrentCalls: one Approver closure called from two
+// goroutines at once gives every call the verdict a lone approver gives.
+// Every call scores through one search's memo, so under -race this holds
+// the closure to serialising its own calls, first call included.
+func TestApproverConcurrentCalls(t *testing.T) {
+	snap, p, err := ScenarioSetup("fig10", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SearchBare = true
+	p.BatchSizes = []int{1, 2}
+	s, err := NewSearch(snap, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bottomUp := s.BaselineSchedule().Waves()
+	var topDown [][]topo.DeviceID
+	for i := len(bottomUp) - 1; i >= 0; i-- {
+		topDown = append(topDown, bottomUp[i])
+	}
+	proposals := [][][]topo.DeviceID{bottomUp, topDown}
+	want := make([]error, len(proposals))
+	for i, waves := range proposals {
+		want[i] = Approver(snap, p)(waves)
+	}
+	if want[1] == nil {
+		t.Fatal("fixture: the top-down order is approved; the test cannot tell verdicts apart")
+	}
+
+	approve := Approver(snap, p)
+	got := make([][]error, 2)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range proposals {
+				// The goroutines walk the proposals in opposite orders.
+				waves := proposals[(g+i)%len(proposals)]
+				got[g] = append(got[g], approve(waves))
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		for i, err := range got[g] {
+			lone := want[(g+i)%len(proposals)]
+			if (err == nil) != (lone == nil) || (err != nil && err.Error() != lone.Error()) {
+				t.Errorf("goroutine %d, call %d: verdict %v, a lone approver's %v", g, i, err, lone)
+			}
+		}
+	}
+}
+
 // TestScenarioSetups builds every named setup and validates it against
 // the search constructor.
 func TestScenarioSetups(t *testing.T) {
@@ -267,7 +322,8 @@ func TestRigScenarioPlans(t *testing.T) {
 // prefixes exist by construction — the same wave reached via different
 // orders).
 func TestMemoDedup(t *testing.T) {
-	res := fig10Plan(t, 1, 1)
+	atWidth(t, 1)
+	res := fig10Plan(t, 1)
 	if res.Stats.MemoHits == 0 {
 		t.Fatalf("no memo hits in %+v — fingerprint memoization inert", res.Stats)
 	}

@@ -15,6 +15,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -264,6 +265,48 @@ func TestConformanceSerialWidthInvariance(t *testing.T) {
 		for i, r := range reqs {
 			if got[i].status != ref[i].status || got[i].body != ref[i].body {
 				t.Errorf("width %d, %s: serial response differs from width-4 serial", width, r.name)
+			}
+		}
+	}
+}
+
+// TestConformancePlanWidthInvariance: a plan search sizes its evaluation
+// pool from GOMAXPROCS, and the width never shows up in response bytes —
+// every scenario's final /v1/plan body, search stats included, is the same
+// at GOMAXPROCS 1 (the inline pool) and 4, paced or in one post.
+func TestConformancePlanWidthInvariance(t *testing.T) {
+	var bodies []string
+	for _, name := range planner.ScenarioNames() {
+		bodies = append(bodies, fmt.Sprintf(`{"scenario":%q,"seed":%d}`, name, confSeed))
+	}
+	bodies = append(bodies, fmt.Sprintf(`{"scenario":"fig10","seed":%d,"search_bare":true,"batch_sizes":[1,2],"min_next_hops":[50]}`, confSeed))
+	run := func(width int, paced bool) []string {
+		prev := runtime.GOMAXPROCS(width)
+		defer runtime.GOMAXPROCS(prev)
+		_, ts := confServer(t, 2)
+		var out []string
+		for _, body := range bodies {
+			if paced {
+				step := strings.TrimSuffix(body, "}") + `,"max_levels":1}`
+				postPlan(t, ts.Client(), ts.URL, step)
+			}
+			rec := postPlan(t, ts.Client(), ts.URL, body)
+			if rec.status != http.StatusOK || !decodePlan(t, rec).Done {
+				t.Fatalf("GOMAXPROCS %d: %s: status %d, not done: %s", width, body, rec.status, rec.body)
+			}
+			out = append(out, rec.body)
+		}
+		return out
+	}
+	ref := run(1, false)
+	for _, c := range []struct {
+		width int
+		paced bool
+	}{{4, false}, {4, true}, {1, true}} {
+		for i, got := range run(c.width, c.paced) {
+			if got != ref[i] {
+				t.Errorf("GOMAXPROCS %d (paced %v), %s: final body differs from GOMAXPROCS 1's\n got: %s\nwant: %s",
+					c.width, c.paced, bodies[i], got, ref[i])
 			}
 		}
 	}

@@ -134,6 +134,52 @@ func TestMetricsCountWALPayloadBytes(t *testing.T) {
 	}
 }
 
+// TestPlanRestartsVersion2Checkpoint boots a data dir whose WAL journals a
+// plan checkpoint of a version the planner refuses (ErrCheckpointVersion).
+// The daemon counts it unresumable and the re-post restarts the plan from
+// level 0 to the byte-identical final body of an uninterrupted run.
+func TestPlanRestartsVersion2Checkpoint(t *testing.T) {
+	_, ref := confServer(t, 2)
+	want := postPlan(t, ref.Client(), ref.URL, recPlanBody)
+	if !decodePlan(t, want).Done {
+		t.Fatalf("reference plan did not finish: %s", want.body)
+	}
+
+	dir := t.TempDir()
+	var resumes int
+	_, ts, stop := openDurable(t, dir, &resumes)
+	paced := decodePlan(t, postPlan(t, ts.Client(), ts.URL, recStepBody))
+	stop()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := st.Journal(recPlanCheckpoint, paced.PlanID)
+	data, ok, err := journal.Latest()
+	if err != nil || !ok {
+		t.Fatalf("no journaled checkpoint for %s (err %v)", paced.PlanID, err)
+	}
+	v2 := bytes.Replace(data, []byte(`{"version":3,`), []byte(`{"version":2,`), 1)
+	if bytes.Equal(v2, data) {
+		t.Fatal("fixture: the journaled manifest does not open with its version")
+	}
+	if err := journal.SaveProgress(paced.Level, v2); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts, stop = openDurable(t, dir, &resumes)
+	defer stop()
+	if got := postPlan(t, ts.Client(), ts.URL, recPlanBody); got.body != want.body {
+		t.Errorf("restarted plan diverged from uninterrupted:\n got: %s\nwant: %s", got.body, want.body)
+	}
+	if m := fetchMetrics(t, ts); m.UnresumablePlans != 1 || resumes != 1 {
+		t.Errorf("unresumable_plans = %d after %d resume(s), want 1 and 1", m.UnresumablePlans, resumes)
+	}
+}
+
 // walRecords reopens dir's store and returns its WAL records, oldest first,
 // each with its key and value.
 func walRecords(t *testing.T, dir string) []walRecord {

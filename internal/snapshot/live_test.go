@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -101,12 +102,14 @@ func sameAsFull(t *testing.T, label string, got *snapshot.Snapshot, n *fabric.Ne
 // entry's bytes, and is decoded, once, if it is expanded — fig10's small
 // intent has such nodes, the two larger scenarios have none.
 func TestStepDecodesNothing(t *testing.T) {
+	prev := runtime.GOMAXPROCS(2) // an evaluation pool two wide
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	for _, name := range scenarios {
 		snap, p, err := planner.ScenarioSetup(name, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.Beam, p.Workers = 3, 2
+		p.Beam = 3
 		seen := watch(t)
 		s, err := planner.NewSearch(snap, p)
 		if err != nil {
