@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -51,7 +52,7 @@ func TestHandleUpdateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := NewSpeakerFromState(st, nil)
+	restored, err := NewSpeakerFromState(&st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +102,11 @@ func TestPrefixStateSize(t *testing.T) {
 	}
 }
 
-// TestRestoredColumnsCopyOnFirstWrite: a restored speaker reads its columns
-// out of the checkpoint's memory until it writes one, and the write copies
-// that column only — the other prefixes keep sharing, and the checkpoint
-// reads as it did.
+// TestRestoredColumnsCopyOnFirstWrite: a restored speaker keeps its
+// checkpoint and builds nothing out of it until it is first used; then it
+// reads its columns out of the checkpoint's memory until it writes one, and
+// the write copies that column only — the other prefixes keep sharing, and
+// the checkpoint reads as it did.
 func TestRestoredColumnsCopyOnFirstWrite(t *testing.T) {
 	p := netip.MustParsePrefix("10.0.0.0/8")
 	q := netip.MustParsePrefix("10.1.0.0/16")
@@ -119,9 +121,18 @@ func TestRestoredColumnsCopyOnFirstWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	pristine := fmt.Sprintf("%+v", st)
-	s, err := NewSpeakerFromState(st, nil)
+	s, err := NewSpeakerFromState(&st, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if s.pending != &st || s.prefixes != nil || s.peers != nil || s.rpa != nil {
+		t.Fatal("restore built the speaker's maps instead of keeping its checkpoint")
+	}
+	if s.Program() != noRPA || s.Dirty() || len(s.FIB().Lookup(p)) != 2 || s.pending == nil {
+		t.Fatal("reading the program, the dirty bit or the FIB built the speaker, or answered wrong")
+	}
+	if got := s.Peers(); s.pending != nil || len(got) != 3 {
+		t.Fatalf("Peers() = %v without building the speaker from its checkpoint", got)
 	}
 	column := func(pfx netip.Prefix) *PrefixBookState {
 		for i := range st.Prefixes {
@@ -172,10 +183,11 @@ func TestRestoredAdvEntriesUpgradeLazily(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := NewSpeakerFromState(before, nil)
+	s, err := NewSpeakerFromState(&before, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.load()
 	st := s.prefixes[p]
 	if len(st.advertised) != 2 {
 		t.Fatalf("restored Adj-RIB-Out has %d entries, want 2 (split horizon toward s0)", len(st.advertised))
@@ -227,6 +239,7 @@ func TestRestoredAdvEntriesUpgradeLazily(t *testing.T) {
 // session order would gather.
 func checkColumns(t *testing.T, s *Speaker, model map[SessionID]map[netip.Prefix]Update, step string) {
 	t.Helper()
+	s.load() // the columns are what a restored speaker builds on first use
 	sessions := make([]SessionID, 0, len(model))
 	for sess := range model {
 		sessions = append(sessions, sess)
@@ -345,7 +358,10 @@ func TestColumnInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		restored, err := NewSpeakerFromState(st, nil)
+		if !inPeerOrder(&st) { // ExportState marks it so without looking
+			t.Fatalf("seed %d: ExportState wrote a record out of peer order", seed)
+		}
+		restored, err := NewSpeakerFromState(&st, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,7 +400,7 @@ func TestRestoreSortsUnsortedAdjIn(t *testing.T) {
 		},
 	}
 	pristine := fmt.Sprintf("%+v", st)
-	s, err := NewSpeakerFromState(st, nil)
+	s, err := NewSpeakerFromState(&st, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,8 +429,62 @@ func TestRestoreSortsUnsortedAdjIn(t *testing.T) {
 		"Adj-RIB-In":  {Prefix: p, Cands: []Candidate{cand("ghost", p, 1, 0)}},
 		"Adj-RIB-Out": {Prefix: p, Advertised: []AdvState{{Session: "ghost", PathKey: "k"}}},
 	} {
-		if _, err := NewSpeakerFromState(SpeakerState{Cfg: st.Cfg, Peers: st.Peers, Prefixes: []PrefixBookState{pb}}, nil); err == nil {
+		if _, err := NewSpeakerFromState(&SpeakerState{Cfg: st.Cfg, Peers: st.Peers, Prefixes: []PrefixBookState{pb}}, nil); err == nil {
 			t.Errorf("%s for an unknown session restored without error", name)
 		}
+	}
+}
+
+// TestCheckRecordsPeerOrder: ExportState's records carry the verdict that
+// their columns are in peer order, and Check records it for a record built
+// any other way, so a restore of either walks no column — it costs the
+// speaker and its FIB table and nothing else. A record built by hand is
+// checked at restore. Check refuses what NewSpeakerFromState refuses: the
+// same prefix records under a peer list that lacks a session they name.
+func TestCheckRecordsPeerOrder(t *testing.T) {
+	p := netip.MustParsePrefix("10.0.0.0/8")
+	orig := layoutSpeaker(3)
+	orig.HandleUpdate("s0", Update{Prefix: p, ASPath: []uint32{100, 60}})
+	orig.HandleUpdate("s1", Update{Prefix: p, ASPath: []uint32{101, 60}})
+	orig.TakeOutbox()
+	st, err := orig.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.ordered {
+		t.Fatal("ExportState's record is not marked in peer order")
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if s, err := NewSpeakerFromState(&st, nil); err != nil || s.pending == nil {
+			t.Fatalf("restore: pending %v, err %v", s != nil && s.pending != nil, err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("restoring a checked record allocates %.0f times, want the speaker and its FIB table", allocs)
+	}
+
+	byHand := SpeakerState{Cfg: st.Cfg, Peers: st.Peers, Prefixes: st.Prefixes, FIB: st.FIB}
+	if s, err := NewSpeakerFromState(&byHand, nil); err != nil || s.pending == nil {
+		t.Fatalf("a record in peer order built by hand: pending %v, err %v", s != nil && s.pending != nil, err)
+	}
+	if err := byHand.Check(); err != nil || !byHand.ordered {
+		t.Fatalf("Check of a record in peer order: err %v, ordered %v", err, byHand.ordered)
+	}
+
+	reversed := SpeakerState{Cfg: st.Cfg, Peers: slices.Clone(st.Peers), Prefixes: st.Prefixes}
+	slices.Reverse(reversed.Peers)
+	if s, err := NewSpeakerFromState(&reversed, nil); err != nil || s.pending != nil {
+		t.Fatalf("a record with its peers reversed: pending %v, err %v, want built at once", s != nil && s.pending != nil, err)
+	}
+	if err := reversed.Check(); err != nil || reversed.ordered {
+		t.Fatalf("Check of a record with its peers reversed: err %v, ordered %v", err, reversed.ordered)
+	}
+
+	other := SpeakerState{Cfg: st.Cfg, Peers: st.Peers[1:], Prefixes: st.Prefixes} // s0 carries routes in both columns
+	if _, err := NewSpeakerFromState(&other, nil); err == nil || !strings.Contains(err.Error(), "unknown session") {
+		t.Fatalf("the prefix records under a peer list without s0: %v, want an unknown session", err)
+	}
+	if err := other.Check(); err == nil || !strings.Contains(err.Error(), "unknown session") || other.ordered {
+		t.Fatalf("Check of the prefix records under a peer list without s0: %v, ordered %v", err, other.ordered)
 	}
 }

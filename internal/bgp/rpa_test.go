@@ -394,7 +394,7 @@ func TestSetRPACompilesOnce(t *testing.T) {
 	if err != nil || st.RPA != nil {
 		t.Fatalf("an empty config at version 0 exports no program (err %v)", err)
 	}
-	if restored, err := NewSpeakerFromState(st, nil); err != nil || restored.Program() != noRPA {
+	if restored, err := NewSpeakerFromState(&st, nil); err != nil || restored.Program() != noRPA {
 		t.Fatalf("a state without a program restores onto the shared empty one (err %v)", err)
 	}
 }

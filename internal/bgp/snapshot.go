@@ -7,13 +7,15 @@ package bgp
 // the activity counters. NewSpeakerFromState rebuilds an equivalent speaker
 // by direct state injection: unlike AddPeer/Originate/SetRPA it runs no
 // decision process and emits nothing, so restoring is side-effect free and a
-// restored speaker continues byte-identically to the captured one. It adopts
-// the columns by reference: a SpeakerState handed to it must never be
-// written again, and the speaker copies a column before its first write.
+// restored speaker continues byte-identically to the captured one. It keeps
+// the state and builds from it on first use, adopting the columns by
+// reference: a SpeakerState handed to it must never be written again, and
+// the speaker copies a column before its first write.
 
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 
 	"centralium/internal/core"
 	"centralium/internal/fib"
@@ -66,6 +68,12 @@ type SpeakerState struct {
 	RPA   *core.Program
 	Cache core.CacheState
 	FIB   fib.TableState
+
+	// ordered records that the columns can be adopted in place (see
+	// inPeerOrder): ExportState writes them so, and Check found them so. It
+	// travels with the value, so a record repeated into a later checkpoint
+	// keeps it.
+	ordered bool
 }
 
 // ExportState captures the speaker for checkpointing. It fails if the
@@ -76,17 +84,24 @@ type SpeakerState struct {
 // speaker each), route AS paths and communities are immutable everywhere
 // (see HandleUpdate) and travel by reference.
 func (s *Speaker) ExportState() (SpeakerState, error) {
+	s.load()
 	if len(s.outbox) > 0 {
 		return SpeakerState{}, fmt.Errorf("bgp %s: %d undelivered outbox messages; checkpoint only between events", s.cfg.ID, len(s.outbox))
 	}
-	st := SpeakerState{Cfg: s.cfg, Drained: s.drained, Stats: s.stats}
+	// In peer order by construction: the peers are the sorted session order,
+	// every column is kept sorted by session (see seek) and names only peers
+	// (RemovePeer drops a session's entries).
+	st := SpeakerState{Cfg: s.cfg, Drained: s.drained, Stats: s.stats, ordered: true}
 
-	for _, sess := range s.sessionOrder() {
-		pr := s.peers[sess]
-		st.Peers = append(st.Peers, PeerState{
-			Session: sess, Device: pr.device, ASN: pr.asn,
-			LinkGbps: pr.linkGbps, Prepend: pr.prepend,
-		})
+	if order := s.sessionOrder(); len(order) > 0 { // none is nil, as a decoded state has it
+		st.Peers = make([]PeerState, len(order))
+		for i, sess := range order {
+			pr := s.peers[sess]
+			st.Peers[i] = PeerState{
+				Session: sess, Device: pr.device, ASN: pr.asn,
+				LinkGbps: pr.linkGbps, Prepend: pr.prepend,
+			}
+		}
 	}
 
 	origins := make([]netip.Prefix, 0, len(s.originated))
@@ -147,26 +162,140 @@ func (s *Speaker) ExportState() (SpeakerState, error) {
 // function plays the same role as in NewSpeaker. The speaker starts with
 // no tap attached; the owner re-attaches telemetry after restore.
 //
-// Well-formed columns (sessions strictly ascending, every one a peer) are
-// adopted by reference behind one prefixState slab; anything else is rejected
-// (unknown session) or rebuilt sorted, last write winning, in owned memory.
-func NewSpeakerFromState(st SpeakerState, now func() int64) (*Speaker, error) {
+// The speaker keeps st and builds its peer, originated and prefix maps and
+// its RPA evaluator out of it on its first Touch or first read of them
+// (load), so a restored speaker nothing runs on costs its struct and its FIB
+// table (fib.NewFromState, itself lazy). Well-formed columns (sessions
+// strictly ascending, every one a peer) are then adopted by reference behind
+// one prefixState slab. A record ExportState wrote or Check passed is known
+// to be well formed and is not read here; any other is checked (inPeerOrder).
+// A record whose peers are not strictly ascending or whose columns are not
+// subsequences of them is built at once: a duplicate peer or a column naming
+// an unknown session is an error, and any other column is rebuilt sorted,
+// last write winning, in owned memory. Either way nothing may write to st
+// afterwards.
+func NewSpeakerFromState(st *SpeakerState, now func() int64) (*Speaker, error) {
+	tbl, err := fib.NewFromState(&st.FIB)
+	if err != nil {
+		return nil, fmt.Errorf("bgp %s: %w", st.Cfg.ID, err)
+	}
 	s := newSpeaker(st.Cfg, now)
-	s.drained = st.Drained
-	s.stats = st.Stats
+	s.drained, s.stats, s.fibTbl = st.Drained, st.Stats, tbl
+	if st.ordered || inPeerOrder(st) {
+		s.pending = st
+		return s, nil
+	}
+	if err := checkSessions(st); err != nil {
+		return nil, err
+	}
+	// A rebuilt column is no longer the state's own: the record must not be
+	// repeated for this speaker (see Dirty).
+	s.dirty = s.build(st, false)
+	return s, nil
+}
 
+// Check refuses a record NewSpeakerFromState would refuse, its FIB's
+// included, and records whether its columns can be adopted in place, so that
+// no restore of it walks them again. A decoder calls it on each record it
+// makes, before anyone else sees the record; ExportState's records are in
+// peer order by construction.
+func (st *SpeakerState) Check() error {
+	if err := st.FIB.Check(); err != nil {
+		return fmt.Errorf("bgp %s: %w", st.Cfg.ID, err)
+	}
+	if st.ordered = inPeerOrder(st); !st.ordered {
+		return checkSessions(st)
+	}
+	return nil
+}
+
+// inPeerOrder reports whether load can adopt every column of st in place:
+// the peers are strictly ascending, so they are their own session order, and
+// each column's sessions are a subsequence of them.
+func inPeerOrder(st *SpeakerState) bool {
+	for i := 1; i < len(st.Peers); i++ {
+		if st.Peers[i-1].Session >= st.Peers[i].Session {
+			return false
+		}
+	}
+	if len(st.Prefixes) == 0 {
+		return true
+	}
+	order := make([]SessionID, len(st.Peers))
+	for i := range st.Peers {
+		order[i] = st.Peers[i].Session
+	}
+	for i := range st.Prefixes {
+		pb := &st.Prefixes[i]
+		if !inOrder(order, pb.Cands, candKey) || !inOrder(order, pb.Advertised, advKey) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkSessions rejects what load could not build from: a session listed
+// twice among the peers, or a column entry for a session that is no peer.
+func checkSessions(st *SpeakerState) error {
+	known := make(map[SessionID]bool, len(st.Peers))
+	for _, p := range st.Peers {
+		if known[p.Session] {
+			return fmt.Errorf("bgp %s: duplicate peer session %q in state", st.Cfg.ID, p.Session)
+		}
+		known[p.Session] = true
+	}
+	for i := range st.Prefixes {
+		pb := &st.Prefixes[i]
+		for _, c := range pb.Cands {
+			if !known[c.Session] {
+				return fmt.Errorf("bgp %s: Adj-RIB-In for unknown session %q", st.Cfg.ID, c.Session)
+			}
+		}
+		for _, a := range pb.Advertised {
+			if !known[a.Session] {
+				return fmt.Errorf("bgp %s: Adj-RIB-Out for unknown session %q", st.Cfg.ID, a.Session)
+			}
+		}
+	}
+	return nil
+}
+
+// load builds the speaker's maps, session order and RPA evaluator out of the
+// checkpoint it was restored from, if it has not yet, and drops the record.
+// Every method that reads what it builds calls it first, or is only reached
+// through one that has (TestDirtyCoversEveryMutator holds both lines). It
+// reads nothing of the speaker but the record, so building late builds what
+// restoring would have, and it cannot fail: NewSpeakerFromState kept only a
+// record in peer order.
+func (s *Speaker) load() {
+	if st := s.pending; st != nil {
+		s.pending = nil
+		s.build(st, true)
+	}
+}
+
+// build makes the speaker's maps, session order and RPA evaluator out of st.
+// With adopt (st passed inPeerOrder) every column is adopted by reference;
+// otherwise each one that is not a subsequence of the sorted sessions is
+// rebuilt sorted, last write winning, and build reports whether it rebuilt
+// any. The caller has checked that every session st names is a peer.
+func (s *Speaker) build(st *SpeakerState, adopt bool) (rebuilt bool) {
 	s.peers = make(map[SessionID]*peer, len(st.Peers))
 	peers := make([]peer, len(st.Peers))
+	order := make([]SessionID, len(st.Peers))
 	for i, p := range st.Peers {
-		if _, dup := s.peers[p.Session]; dup {
-			return nil, fmt.Errorf("bgp %s: duplicate peer session %q in state", st.Cfg.ID, p.Session)
-		}
 		peers[i] = peer{
 			session: p.Session, device: p.Device, asn: p.ASN,
 			linkGbps: p.LinkGbps, prepend: p.Prepend,
 		}
 		s.peers[p.Session] = &peers[i]
+		order[i] = p.Session
 	}
+	if !adopt {
+		slices.Sort(order)
+	}
+	s.sessOrder = order
+
 	s.originated = make(map[netip.Prefix]originInfo, len(st.Originated))
 	for _, o := range st.Originated {
 		s.originated[o.Prefix] = originInfo{
@@ -177,37 +306,25 @@ func NewSpeakerFromState(st SpeakerState, now func() int64) (*Speaker, error) {
 		}
 	}
 
-	order := s.sessionOrder()
 	s.prefixes = make(map[netip.Prefix]*prefixState, len(st.Prefixes))
 	slab := make([]prefixState, len(st.Prefixes))
 	for i := range st.Prefixes {
 		pb := &st.Prefixes[i]
 		b := &slab[i]
 		b.baseline, b.last, b.hasLast = pb.Baseline, pb.Last, pb.HasLast
-		if n := len(pb.Cands); n > 0 && adoptable(order, n, func(j int) SessionID { return pb.Cands[j].Session }) {
+		if n := len(pb.Cands); n > 0 && (adopt || inOrder(order, pb.Cands, candKey)) {
 			b.cands, b.candsShared = pb.Cands[:n:n], true
 		} else {
-			if n > 0 {
-				s.dirty = true // rebuilt: no longer the state's own column
-			}
+			rebuilt = rebuilt || n > 0
 			for j := range pb.Cands {
-				c := &pb.Cands[j]
-				if s.peers[c.Session] == nil {
-					return nil, fmt.Errorf("bgp %s: Adj-RIB-In for unknown session %q", st.Cfg.ID, c.Session)
-				}
-				b.setCandidate(c.Session, c.Attrs)
+				b.setCandidate(pb.Cands[j].Session, pb.Cands[j].Attrs)
 			}
 		}
-		if n := len(pb.Advertised); n > 0 && adoptable(order, n, func(j int) SessionID { return pb.Advertised[j].Session }) {
+		if n := len(pb.Advertised); n > 0 && (adopt || inOrder(order, pb.Advertised, advKey)) {
 			b.advertised, b.advShared = pb.Advertised[:n:n], true
 		} else {
-			if n > 0 {
-				s.dirty = true
-			}
+			rebuilt = rebuilt || n > 0
 			for _, a := range pb.Advertised {
-				if s.peers[a.Session] == nil {
-					return nil, fmt.Errorf("bgp %s: Adj-RIB-Out for unknown session %q", st.Cfg.ID, a.Session)
-				}
 				j, found := b.findAdv(a.Session)
 				b.advertised = putEntry(b.advertised, &b.advShared, j, found, a)
 			}
@@ -221,23 +338,23 @@ func NewSpeakerFromState(st SpeakerState, now func() int64) (*Speaker, error) {
 	}
 	s.rpa = prog.NewEvaluator()
 	s.rpa.Cache().RestoreState(st.Cache)
-	s.fibTbl = fib.NewFromState(st.FIB)
-	return s, nil
+	return rebuilt
 }
 
-// adoptable reports whether a column of n entries, whose j-th session is
-// at(j), may be used in place: its sessions must be a subsequence of order
-// (the speaker's sessions, ascending), i.e. strictly ascending and all
-// known. A checkpoint's session IDs usually are the peer list's own strings,
-// so most comparisons end at the pointer.
-func adoptable(order []SessionID, n int, at func(int) SessionID) bool {
+// inOrder reports whether the sessions of col are a subsequence of order
+// (ascending): strictly ascending, and every one in order. A checkpoint's
+// session IDs usually are the peer list's own strings, so most comparisons
+// end at the pointer.
+func inOrder[T any](order []SessionID, col []T, key func(*T) SessionID) bool {
 	j := 0
-	for _, sess := range order {
-		if at(j) == sess {
-			if j++; j == n {
-				return true
-			}
+	for i := range col {
+		for j < len(order) && order[j] != key(&col[i]) {
+			j++
 		}
+		if j == len(order) {
+			return false
+		}
+		j++
 	}
-	return false
+	return true
 }

@@ -23,10 +23,12 @@ const LocalNextHop = "local"
 // telemetry tap (set via SetTap). What speakers do share is immutable: the
 // AS-path and community slices of an Update travel by reference from the
 // sender's advertisement through the event queue into the receiver's
-// Adj-RIB-In, and nobody writes through them (see HandleUpdate). A speaker
-// may be driven from any goroutine as long as no two goroutines touch the
-// same speaker concurrently; the fabric drives all of a network's speakers
-// from its one event loop.
+// Adj-RIB-In, and nobody writes through them (see HandleUpdate); and a
+// speaker restored from a checkpoint reads its record, which sibling forks
+// of the same checkpoint read too, until it has built its own state out of
+// it (see NewSpeakerFromState). A speaker may be driven from any goroutine
+// as long as no two goroutines touch the same speaker concurrently; the
+// fabric drives all of a network's speakers from its one event loop.
 type Speaker struct {
 	cfg   Config
 	peers map[SessionID]*peer
@@ -39,6 +41,10 @@ type Speaker struct {
 	outbox  []OutMsg
 	stats   Stats
 	drained bool
+
+	// pending is the checkpoint a restored speaker has not built its peers,
+	// originated, prefixes, rpa and sessOrder from yet; nil once load has.
+	pending *SpeakerState
 
 	// dirty records that something a checkpoint carries has been written
 	// since the speaker was restored or its owner last called MarkClean
@@ -87,7 +93,8 @@ func NewSpeaker(cfg Config, now func() int64) *Speaker {
 }
 
 // newSpeaker applies the configuration defaults; the caller fills in the
-// maps, the RPA evaluator and the FIB (empty ones, or a checkpoint's).
+// maps, the RPA evaluator and the FIB (empty ones, or a checkpoint's to
+// build them from).
 func newSpeaker(cfg Config, now func() int64) *Speaker {
 	if cfg.LocalPref == 0 {
 		cfg.LocalPref = 100
@@ -108,8 +115,12 @@ var noRPA, _ = core.Compile(&core.Config{})
 // counters — calls it before it writes; TestDirtyCoversEveryMutator
 // (internal/fabric) holds that line. The speaker's owner calls it for what it
 // writes beside or beneath the speaker: the fabric's per-node checkpoint
-// slots, a FIB written through FIB().
-func (s *Speaker) Touch() { s.dirty = true }
+// slots, a FIB written through FIB(). A restored speaker builds what it
+// reads and writes from its checkpoint here (load), if it has not yet.
+func (s *Speaker) Touch() {
+	s.load()
+	s.dirty = true
+}
 
 // Dirty reports whether Touch has run since the speaker was restored from a
 // checkpoint (NewSpeakerFromState) or MarkClean was last called. While it is
@@ -134,11 +145,20 @@ func (s *Speaker) FIB() *fib.Table { return s.fibTbl }
 func (s *Speaker) Stats() Stats { return s.stats }
 
 // RPAConfig returns the currently deployed RPA configuration, read-only.
-func (s *Speaker) RPAConfig() *core.Config { return s.rpa.Program().Config() }
+func (s *Speaker) RPAConfig() *core.Config { return s.Program().Config() }
 
 // Program returns the deployed configuration's compiled form: the pointer
-// SetRPA compiled or NewSpeakerFromState adopted.
-func (s *Speaker) Program() *core.Program { return s.rpa.Program() }
+// SetRPA compiled or NewSpeakerFromState adopted. A restored speaker answers
+// from its checkpoint without building its evaluator.
+func (s *Speaker) Program() *core.Program {
+	if st := s.pending; st != nil {
+		if st.RPA != nil {
+			return st.RPA
+		}
+		return noRPA
+	}
+	return s.rpa.Program()
+}
 
 // SetTap attaches (or, with nil, detaches) a telemetry tap. The tap sees
 // session lifecycle, Adj-RIB-In activity, best-path changes, FIB/NHG
@@ -186,6 +206,7 @@ func (s *Speaker) RecycleOutbox(buf []OutMsg) {
 // AddPeer registers a session to a neighboring device. Existing
 // advertisements are replayed onto the new session.
 func (s *Speaker) AddPeer(sess SessionID, device string, asn uint32, linkGbps float64) {
+	s.load()
 	if _, dup := s.peers[sess]; dup {
 		panic(fmt.Sprintf("bgp %s: duplicate session %q", s.cfg.ID, sess))
 	}
@@ -206,6 +227,7 @@ func (s *Speaker) AddPeer(sess SessionID, device string, asn uint32, linkGbps fl
 // RemovePeer tears down a session: its routes leave the RIB and affected
 // prefixes are recomputed.
 func (s *Speaker) RemovePeer(sess SessionID) {
+	s.load()
 	pr := s.peers[sess]
 	if pr == nil {
 		return
@@ -235,6 +257,7 @@ func (s *Speaker) RemovePeer(sess SessionID) {
 
 // Peers returns the registered session IDs, sorted.
 func (s *Speaker) Peers() []SessionID {
+	s.load()
 	return slices.Clone(s.sessionOrder())
 }
 
@@ -335,6 +358,7 @@ func (s *Speaker) OriginateEx(p netip.Prefix, communities []string, origin core.
 
 // WithdrawOrigin removes a locally originated prefix.
 func (s *Speaker) WithdrawOrigin(p netip.Prefix) {
+	s.load()
 	if _, ok := s.originated[p]; !ok {
 		return
 	}
@@ -432,6 +456,7 @@ func (s *Speaker) emitAdjIn(sess SessionID, pr *peer, u *Update) {
 // deterministic order the decision process sees them. Used by the debug
 // tooling (Section 7.2) to explain selection.
 func (s *Speaker) Candidates(p netip.Prefix) []core.RouteAttrs {
+	s.load()
 	cands := s.gather(p)
 	out := make([]core.RouteAttrs, len(cands))
 	for i := range cands {
@@ -444,6 +469,7 @@ func (s *Speaker) Candidates(p netip.Prefix) []core.RouteAttrs {
 // denominator for percentage MinNextHop thresholds when the statement does
 // not pin ExpectedNextHops).
 func (s *Speaker) Baseline(p netip.Prefix) int {
+	s.load()
 	if st := s.prefixes[p]; st != nil {
 		return st.baseline
 	}
@@ -497,6 +523,7 @@ func comparePrefixes(a, b netip.Prefix) int {
 // Decision returns the recorded outcome of the last decision-process run
 // for a prefix; ok is false when the prefix has never been computed.
 func (s *Speaker) Decision(p netip.Prefix) (DecisionInfo, bool) {
+	s.load()
 	if st := s.prefixes[p]; st != nil && st.hasLast {
 		return st.last, true
 	}
@@ -506,6 +533,7 @@ func (s *Speaker) Decision(p netip.Prefix) (DecisionInfo, bool) {
 // AdjRIBOut returns what this speaker currently advertises for a prefix,
 // per session. The map is a copy; nil when nothing is advertised.
 func (s *Speaker) AdjRIBOut(p netip.Prefix) map[SessionID]AdvertisedRoute {
+	s.load()
 	st := s.prefixes[p]
 	if st == nil || len(st.advertised) == 0 {
 		return nil

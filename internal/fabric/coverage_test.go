@@ -217,10 +217,7 @@ func TestScheduleClampsToPast(t *testing.T) {
 		t.Fatal("past-scheduled callback never fired")
 	}
 	e := n.eng
-	var s *session
-	for _, s = range n.sessions {
-		break
-	}
+	s := &n.sess[0]
 	e.push(e.now-100, event{sess: s, epoch: s.epoch - 1})
 	n.Converge() // stale session epoch: delivered event is discarded quietly
 	if n.Now() < 10*int64(time.Millisecond) {

@@ -33,6 +33,11 @@ import (
 // holds the owners to their half of the contract: outside internal/bgp, a
 // function that writes a FIB it obtained through Speaker.FIB() calls
 // Speaker.Touch.
+//
+// A restored speaker builds its maps out of its checkpoint record only when
+// first used (load), so the walk also holds the laziness: read-only methods
+// may call load, which is checked by lazyLoadLint instead, for the speaker
+// and for the FIB table alike.
 func TestDirtyCoversEveryMutator(t *testing.T) {
 	readOnly := map[string]bool{
 		// Accessors.
@@ -46,6 +51,10 @@ func TestDirtyCoversEveryMutator(t *testing.T) {
 		"sessionOrder": true, "gather": true, "knownPrefixes": true, "peerCapacity": true,
 		"distinctDevicesOf": true, "emitAdjIn": true, "emitRPAHit": true,
 	}
+	// The load helper and what it calls: they write the captured maps, but
+	// only out of the record the speaker was restored from, so ExportState
+	// reads the same before and after (lazyLoadLint holds that line).
+	loadHelpers := map[string]bool{"load": true, "build": true}
 	// Speaker fields a checkpoint carries; the rest is wiring, scratch and memo.
 	captured := map[string]bool{
 		"cfg": true, "peers": true, "originated": true, "prefixes": true,
@@ -123,7 +132,7 @@ func TestDirtyCoversEveryMutator(t *testing.T) {
 	// is such a helper itself.
 	helper := map[string]bool{}
 	for name := range methods {
-		helper[name] = !ast.IsExported(name) && !readOnly[name] && len(callers[name]) > 0
+		helper[name] = !ast.IsExported(name) && !readOnly[name] && !loadHelpers[name] && len(callers[name]) > 0
 	}
 	for shrank := true; shrank; {
 		shrank = false
@@ -148,10 +157,12 @@ func TestDirtyCoversEveryMutator(t *testing.T) {
 		fn := methods[name]
 		pos := fset.Position(fn.Pos())
 		switch {
+		case loadHelpers[name]:
+			// lazyLoadLint.
 		case readOnly[name]:
 			recv := fn.Recv.List[0].Names[0].Name
 			for _, c := range calls[name] {
-				if !readOnly[c] {
+				if !readOnly[c] && !loadHelpers[c] {
 					t.Errorf("%s: %s is listed read-only but calls %s, which is not", pos, name, c)
 				}
 			}
@@ -223,6 +234,41 @@ func TestDirtyCoversEveryMutator(t *testing.T) {
 	if !calledBy("SetRPA", "SetProgram") || !reaches["SetRPA"] || !helper["recomputeOne"] || !helper["advertise"] {
 		t.Error("the walk no longer sees SetRPA reach Touch through SetProgram, or the decision process as a helper of touching methods")
 	}
+
+	lazyLoadLint(t, fset, methods, lazyLint{
+		lazy:    map[string]bool{"peers": true, "originated": true, "prefixes": true, "rpa": true, "sessOrder": true},
+		loaders: map[string]bool{"load": true, "Touch": true},
+		helpers: loadHelpers,
+		record:  map[string]bool{"load": true, "build": true, "pending": true},
+		serves:  map[string]bool{"Program": true},
+	})
+	fibMethods := map[string]*ast.FuncDecl{}
+	fibPaths, err := filepath.Glob("../fib/*.go")
+	if err != nil || len(fibPaths) == 0 {
+		t.Fatalf("no internal/fib sources (err %v)", err)
+	}
+	for _, path := range fibPaths {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatalf("parse %s: %v", path, err)
+		}
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv != nil && recvType(fn.Recv.List[0].Type) == "*Table" {
+				fibMethods[fn.Name.Name] = fn
+			}
+		}
+	}
+	lazyLoadLint(t, fset, fibMethods, lazyLint{
+		lazy:    map[string]bool{"entries": true, "groups": true, "warmEntries": true},
+		loaders: map[string]bool{"load": true},
+		helpers: map[string]bool{"load": true},
+		// renderKey only writes its own scratch.
+		record: map[string]bool{"pending": true, "renderKey": true},
+		serves: map[string]bool{"Lookup": true, "LookupLPM": true, "IsWarm": true},
+	})
 
 	// The owners: whoever writes a FIB obtained through Speaker.FIB().
 	for _, root := range []string{"..", "../../cmd"} {
@@ -297,6 +343,152 @@ func speakerField(e ast.Expr, recv string) string {
 			e = x.X
 		default:
 			return ""
+		}
+	}
+}
+
+// lazyLint names, for one type restored lazily from a checkpoint record, the
+// fields built out of the record, the methods that build them, and the
+// methods allowed to answer from the record instead.
+type lazyLint struct {
+	lazy    map[string]bool // fields built from the record on first use
+	loaders map[string]bool // calling one of these builds them
+	helpers map[string]bool // the load helper and what it calls
+	// record is what the load helpers may name of the receiver besides the
+	// lazy fields they write: the pending record they read, each other.
+	record map[string]bool
+	// serves are the methods that answer from the pending record while there
+	// is one, and so read the lazy fields only after testing it.
+	serves map[string]bool
+}
+
+// lazyLoadLint: every method that names a lazily built field either calls a
+// loader (or a method that does) before it first names one, tests the pending
+// record first (only the methods listed as serving from it), or is an
+// unexported method reached only through calls made after such a loader call.
+// And the load helpers name nothing of the receiver but the lazy fields they
+// write, the record they read them from, and each other: building late
+// builds what restoring would have.
+func lazyLoadLint(t *testing.T, fset *token.FileSet, methods map[string]*ast.FuncDecl, l lazyLint) {
+	t.Helper()
+	// first[m] is the position of m's first naming of a lazy field (NoPos:
+	// none), pending[m] of its first naming of the record; calls[m] lists m's
+	// calls on the receiver with their positions.
+	type call struct {
+		name string
+		pos  token.Pos
+	}
+	first, pending := map[string]token.Pos{}, map[string]token.Pos{}
+	calls := map[string][]call{}
+	for name, fn := range methods {
+		if len(fn.Recv.List[0].Names) == 0 {
+			continue
+		}
+		recv := fn.Recv.List[0].Names[0].Name
+		ast.Inspect(fn.Body, func(node ast.Node) bool {
+			sel, ok := node.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			id, ok := sel.X.(*ast.Ident)
+			if !ok || id.Name != recv {
+				return true
+			}
+			field := sel.Sel.Name
+			if l.helpers[name] && !l.lazy[field] && !l.record[field] {
+				t.Errorf("%s: load helper %s names %s.%s: it may build only from the pending record", fset.Position(sel.Pos()), name, recv, field)
+			}
+			switch {
+			case l.lazy[field]:
+				if !first[name].IsValid() || sel.Pos() < first[name] {
+					first[name] = sel.Pos()
+				}
+			case field == "pending":
+				if !pending[name].IsValid() || sel.Pos() < pending[name] {
+					pending[name] = sel.Pos()
+				}
+			case methods[field] != nil:
+				calls[name] = append(calls[name], call{field, sel.Pos()})
+			}
+			return true
+		})
+	}
+	// loadsAt[m]: the position of m's first call to a loader or to a method
+	// that loads before it names a lazy field; m is in it only if it is such
+	// a method itself. The set only grows, so the walk ends.
+	loadsAt := map[string]token.Pos{}
+	for grew := true; grew; {
+		grew = false
+		for name := range methods {
+			if _, ok := loadsAt[name]; ok {
+				continue
+			}
+			var at token.Pos
+			for _, c := range calls[name] {
+				if _, ok := loadsAt[c.name]; (l.loaders[c.name] || ok) && (!at.IsValid() || c.pos < at) {
+					at = c.pos
+				}
+			}
+			if at.IsValid() && (!first[name].IsValid() || at < first[name]) {
+				loadsAt[name], grew = at, true
+			}
+		}
+	}
+	loadedBefore := func(m string, pos token.Pos) bool {
+		at, ok := loadsAt[m]
+		return ok && at < pos
+	}
+	// reached: unexported methods whose every call comes after the caller
+	// loaded, or from another such method.
+	reached := map[string]bool{}
+	for name := range methods {
+		reached[name] = !ast.IsExported(name) && !l.helpers[name]
+	}
+	for shrank := true; shrank; {
+		shrank = false
+		for name, ok := range reached {
+			if !ok {
+				continue
+			}
+			called := false
+			for caller, cs := range calls {
+				for _, c := range cs {
+					if c.name != name {
+						continue
+					}
+					called = true
+					if !loadedBefore(caller, c.pos) && !reached[caller] {
+						reached[name], shrank = false, true
+					}
+				}
+			}
+			if !called {
+				reached[name], shrank = false, true
+			}
+		}
+	}
+	for name, fn := range methods {
+		f := first[name]
+		switch {
+		case !f.IsValid() || l.helpers[name] || l.loaders[name]:
+		case l.serves[name]:
+			if p := pending[name]; !p.IsValid() || p > f {
+				t.Errorf("%s: %s is listed as serving from the pending record but names a lazy field before testing it", fset.Position(f), name)
+			}
+		case loadedBefore(name, f):
+		case reached[name]:
+		default:
+			t.Errorf("%s: %s names a lazily built field without loading it first, and is not reached only through methods that have (%s)", fset.Position(f), name, fset.Position(fn.Pos()))
+		}
+	}
+	for name := range l.serves {
+		if methods[name] == nil {
+			t.Errorf("lazy lint lists %s as serving from the pending record, and it does not exist", name)
+		}
+	}
+	for name := range l.helpers {
+		if methods[name] == nil {
+			t.Errorf("lazy lint lists %s as a load helper, and it does not exist", name)
 		}
 	}
 }

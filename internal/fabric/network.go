@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"fmt"
 	"net/netip"
 	"sort"
 	"time"
@@ -83,14 +82,19 @@ type session struct {
 	fifo [2]int64
 }
 
-// newSession builds the (down) session of link li, resolving its end nodes.
-func (n *Network) newSession(li int, l topo.Link) *session {
-	return &session{
-		id:   sessionIDFor(li, l),
-		a:    l.A,
-		b:    l.B,
-		ends: [2]*Node{n.nodes[l.A], n.nodes[l.B]},
-		gbps: l.CapacityGbps,
+// buildSessions fills the session slab, one (down) session per link of the
+// frame's topology, named and wired to its end nodes by the frame.
+func (n *Network) buildSessions(links []topo.Link) {
+	n.sess = make([]session, len(links))
+	for li, l := range links {
+		e := n.frame.ends[li]
+		n.sess[li] = session{
+			id:   n.frame.ids[li],
+			a:    l.A,
+			b:    l.B,
+			ends: [2]*Node{&n.nodes[e[0]], &n.nodes[e[1]]},
+			gbps: l.CapacityGbps,
+		}
 	}
 }
 
@@ -149,10 +153,13 @@ type Perturber func(sess bgp.SessionID, from, to topo.DeviceID, u bgp.Update) Pe
 type Network struct {
 	Topo *topo.Topology
 
-	opts     Options
-	eng      *engine
-	nodes    map[topo.DeviceID]*Node
-	sessions map[bgp.SessionID]*session
+	opts Options
+	eng  *engine
+	// nodes holds one node per device in ID order, sess one session per
+	// topology link by link index; frame says where each one sits.
+	nodes []Node
+	sess  []session
+	frame *frame
 	// perturb, when set, is consulted for every outgoing message.
 	perturb Perturber
 	// taps is the fan-out every speaker emits into (see AddTap).
@@ -160,12 +167,8 @@ type Network struct {
 
 	// base is the state the network was restored from or last exported as,
 	// nil for one built by New and not yet exported: what ExportShared
-	// repeats the records of untouched nodes from. The three orders are what
-	// a state lists its nodes, sessions and FIFO entries in (exportOrder).
-	base      *NetState
-	order     []*Node
-	sessOrder []*session
-	fifoOrder []fifoSlot
+	// repeats the records of untouched nodes from.
+	base *NetState
 	// sessDirty records a session going up or down or a message being
 	// scheduled — everything a state's Sessions and FIFO hold — since base.
 	sessDirty bool
@@ -176,35 +179,47 @@ type Network struct {
 func New(t *topo.Topology, opts Options) *Network {
 	opts.setDefaults()
 	n := &Network{
-		Topo:     t,
-		opts:     opts,
-		eng:      newEngine(opts.Seed),
-		nodes:    make(map[topo.DeviceID]*Node),
-		sessions: make(map[bgp.SessionID]*session),
+		Topo:  t,
+		opts:  opts,
+		eng:   newEngine(opts.Seed),
+		frame: newFrame(t, nil),
 	}
 	n.eng.net = n
 	now := n.Now // every speaker reads the one engine clock
-	for _, d := range t.Devices() {
+	n.nodes = make([]Node, len(n.frame.devs))
+	for i, id := range n.frame.devs {
+		d := t.Device(id)
 		cfg := opts.SpeakerConfig(d)
 		cfg.ID = string(d.ID)
 		cfg.ASN = d.ASN
-		node := &Node{Device: d, up: true, baseIdx: -1}
+		node := &n.nodes[i]
+		*node = Node{Device: d, up: true, baseIdx: -1}
 		node.Speaker = bgp.NewSpeaker(cfg, now)
 		if opts.FullRecompute {
 			node.Speaker.SetFullRecompute(true)
 		}
-		n.nodes[d.ID] = node
 	}
-	for li, l := range t.Links() {
-		s := n.newSession(li, l)
-		n.sessions[s.id] = s
-		n.establish(s)
+	n.buildSessions(t.Links())
+	for li := range n.sess {
+		n.establish(&n.sess[li])
 	}
 	return n
 }
 
-func sessionIDFor(li int, l topo.Link) bgp.SessionID {
-	return bgp.SessionID(fmt.Sprintf("s%04d:%s--%s", li, l.A, l.B))
+// node returns the node of a device, nil if there is none.
+func (n *Network) node(id topo.DeviceID) *Node {
+	if i := n.frame.dev(id); i >= 0 {
+		return &n.nodes[i]
+	}
+	return nil
+}
+
+// session returns the session of an ID, nil if there is none.
+func (n *Network) session(id bgp.SessionID) *session {
+	if li := n.frame.link(id); li >= 0 {
+		return &n.sess[li]
+	}
+	return nil
 }
 
 // establish brings a session up on both speakers.
@@ -237,7 +252,7 @@ func (n *Network) teardown(s *session) {
 
 // flush drains one speaker's outbox, scheduling deliveries with base
 // latency plus seeded jitter, preserving per-session FIFO order.
-func (n *Network) flush(dev topo.DeviceID) { n.flushNode(n.nodes[dev]) }
+func (n *Network) flush(dev topo.DeviceID) { n.flushNode(n.node(dev)) }
 
 func (n *Network) flushNode(node *Node) {
 	msgs := node.Speaker.TakeOutbox()
@@ -250,7 +265,7 @@ func (n *Network) flushNode(node *Node) {
 func (n *Network) routeMsgs(dev topo.DeviceID, msgs []bgp.OutMsg) {
 	for i := range msgs {
 		m := &msgs[i]
-		s := n.sessions[m.Session]
+		s := n.session(m.Session)
 		if s == nil || !s.up {
 			continue
 		}
@@ -293,10 +308,10 @@ func (n *Network) deliver(d *event) {
 }
 
 // Node returns the node for a device (nil if unknown).
-func (n *Network) Node(id topo.DeviceID) *Node { return n.nodes[id] }
+func (n *Network) Node(id topo.DeviceID) *Node { return n.node(id) }
 
 // Speaker returns the BGP speaker of a device.
-func (n *Network) Speaker(id topo.DeviceID) *bgp.Speaker { return n.nodes[id].Speaker }
+func (n *Network) Speaker(id topo.DeviceID) *bgp.Speaker { return n.node(id).Speaker }
 
 // Now returns the virtual clock in nanoseconds.
 func (n *Network) Now() int64 { return n.eng.now }
@@ -315,16 +330,16 @@ func (n *Network) OnEvent(h func(now int64)) { n.eng.hooks = append(n.eng.hooks,
 // taps (the one-nil-check hot path); restored forks start with none.
 func (n *Network) AddTap(t telemetry.Tap) {
 	n.taps = append(n.taps, t)
-	for _, node := range n.nodes {
-		node.Speaker.SetTap(n.taps)
+	for i := range n.nodes {
+		n.nodes[i].Speaker.SetTap(n.taps)
 	}
 }
 
 // FullRecompute reports whether the fleet runs the full-recompute oracle
 // (true only when every speaker does).
 func (n *Network) FullRecompute() bool {
-	for _, node := range n.nodes {
-		if !node.Speaker.FullRecompute() {
+	for i := range n.nodes {
+		if !n.nodes[i].Speaker.FullRecompute() {
 			return false
 		}
 	}
@@ -336,8 +351,8 @@ func (n *Network) FullRecompute() bool {
 // byte-identical, so flipping mid-run only changes wall-clock (the
 // differential suite flips mid-scenario to prove it).
 func (n *Network) SetFullRecompute(on bool) {
-	for _, node := range n.nodes {
-		node.Speaker.SetFullRecompute(on)
+	for i := range n.nodes {
+		n.nodes[i].Speaker.SetFullRecompute(on)
 	}
 }
 
@@ -345,8 +360,8 @@ func (n *Network) SetFullRecompute(on bool) {
 // oracle); the struct's other two counters are inert, see its declaration.
 func (n *Network) IncrementalStats() bgp.IncrementalStats {
 	var agg bgp.IncrementalStats
-	for _, node := range n.nodes {
-		agg.AdvertiseMemoHits += node.Speaker.IncrementalStats().AdvertiseMemoHits
+	for i := range n.nodes {
+		agg.AdvertiseMemoHits += n.nodes[i].Speaker.IncrementalStats().AdvertiseMemoHits
 	}
 	return agg
 }
@@ -375,7 +390,7 @@ func (n *Network) After(d time.Duration, fn func()) { n.eng.after(ns(d), fn) }
 
 // OriginateAt injects a locally originated prefix at a device, now.
 func (n *Network) OriginateAt(dev topo.DeviceID, p netip.Prefix, communities []string, bwGbps float64) {
-	n.nodes[dev].Speaker.Originate(p, communities, core.OriginIGP, bwGbps)
+	n.node(dev).Speaker.Originate(p, communities, core.OriginIGP, bwGbps)
 	n.flush(dev)
 }
 
@@ -383,20 +398,20 @@ func (n *Network) OriginateAt(dev topo.DeviceID, p netip.Prefix, communities []s
 // device: the prefix is advertised to peers but no local delivery entry is
 // installed (see bgp.Speaker.OriginateEx).
 func (n *Network) OriginateAggregateAt(dev topo.DeviceID, p netip.Prefix, communities []string, bwGbps float64) {
-	n.nodes[dev].Speaker.OriginateEx(p, communities, core.OriginIGP, bwGbps, false)
+	n.node(dev).Speaker.OriginateEx(p, communities, core.OriginIGP, bwGbps, false)
 	n.flush(dev)
 }
 
 // WithdrawAt retracts a locally originated prefix.
 func (n *Network) WithdrawAt(dev topo.DeviceID, p netip.Prefix) {
-	n.nodes[dev].Speaker.WithdrawOrigin(p)
+	n.node(dev).Speaker.WithdrawOrigin(p)
 	n.flush(dev)
 }
 
 // DeployRPA installs an RPA config on a device, now. Returns the speaker's
 // validation error, if any.
 func (n *Network) DeployRPA(dev topo.DeviceID, cfg *core.Config) error {
-	if err := n.nodes[dev].Speaker.SetRPA(cfg); err != nil {
+	if err := n.node(dev).Speaker.SetRPA(cfg); err != nil {
 		return err
 	}
 	n.flush(dev)
@@ -406,27 +421,27 @@ func (n *Network) DeployRPA(dev topo.DeviceID, cfg *core.Config) error {
 // DeployProgram is DeployRPA for an already compiled config: the program is
 // shared by reference with every other speaker and fork it is deployed to.
 func (n *Network) DeployProgram(dev topo.DeviceID, prog *core.Program) {
-	n.nodes[dev].Speaker.SetProgram(prog)
+	n.node(dev).Speaker.SetProgram(prog)
 	n.flush(dev)
 }
 
 // SetDrained drains or undrains a device.
 func (n *Network) SetDrained(dev topo.DeviceID, drained bool) {
-	n.nodes[dev].Speaker.SetDrained(drained)
+	n.node(dev).Speaker.SetDrained(drained)
 	n.flush(dev)
 }
 
 // SetPrependAll applies an export prepend on all of a device's sessions
 // (maintenance policy).
 func (n *Network) SetPrependAll(dev topo.DeviceID, count int) {
-	n.nodes[dev].Speaker.SetAllPeersPrepend(count)
+	n.node(dev).Speaker.SetAllPeersPrepend(count)
 	n.flush(dev)
 }
 
 // SetPrependToward applies an export prepend on dev's sessions toward one
 // neighbor only (a per-peer export policy).
 func (n *Network) SetPrependToward(dev, neighbor topo.DeviceID, count int) {
-	n.nodes[dev].Speaker.SetPeerPrepend(string(neighbor), count)
+	n.node(dev).Speaker.SetPeerPrepend(string(neighbor), count)
 	n.flush(dev)
 }
 
@@ -434,7 +449,7 @@ func (n *Network) SetPrependToward(dev, neighbor topo.DeviceID, count int) {
 // sessions, up re-establishes them. Used for incremental deployment
 // (Figure 2's FAv2 activation) and decommissioning.
 func (n *Network) SetDeviceUp(dev topo.DeviceID, up bool) {
-	node := n.nodes[dev]
+	node := n.node(dev)
 	if node.up == up {
 		return
 	}
@@ -442,13 +457,13 @@ func (n *Network) SetDeviceUp(dev topo.DeviceID, up bool) {
 	node.up = up
 	ids := n.sessionsOf(dev)
 	for _, sid := range ids {
-		s := n.sessions[sid]
+		s := n.session(sid)
 		other := s.a
 		if other == dev {
 			other = s.b
 		}
 		if up {
-			if n.nodes[other].up {
+			if n.node(other).up {
 				n.establish(s)
 			}
 		} else {
@@ -463,12 +478,12 @@ func (n *Network) SetDeviceUp(dev topo.DeviceID, up bool) {
 func (n *Network) SetLinkUp(a, b topo.DeviceID, up bool) {
 	ids := n.sessionsOf(a)
 	for _, sid := range ids {
-		s := n.sessions[sid]
+		s := n.session(sid)
 		if !(s.a == a && s.b == b) && !(s.a == b && s.b == a) {
 			continue
 		}
 		if up {
-			if n.nodes[s.a].up && n.nodes[s.b].up {
+			if n.node(s.a).up && n.node(s.b).up {
 				n.establish(s)
 			}
 		} else {
@@ -494,8 +509,9 @@ type SessionInfo struct {
 // SessionList returns every session sorted by ID — the fault planner's
 // sampling universe.
 func (n *Network) SessionList() []SessionInfo {
-	out := make([]SessionInfo, 0, len(n.sessions))
-	for _, s := range n.sessions {
+	out := make([]SessionInfo, 0, len(n.sess))
+	for i := range n.sess {
+		s := &n.sess[i]
 		out = append(out, SessionInfo{ID: s.id, A: s.a, B: s.b, Up: s.up})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
@@ -506,12 +522,12 @@ func (n *Network) SessionList() []SessionInfo {
 // SetLinkUp, which acts on every parallel session of a link). Restoring is
 // a no-op unless both endpoints are up. Returns false for unknown IDs.
 func (n *Network) SetSessionUp(id bgp.SessionID, up bool) bool {
-	s := n.sessions[id]
+	s := n.session(id)
 	if s == nil {
 		return false
 	}
 	if up {
-		if n.nodes[s.a].up && n.nodes[s.b].up {
+		if n.node(s.a).up && n.node(s.b).up {
 			n.establish(s)
 		}
 	} else {
@@ -526,8 +542,8 @@ func (n *Network) SetSessionUp(id bgp.SessionID, up bool) bool {
 // fleet.
 func (n *Network) LiveSessions(dev topo.DeviceID) int {
 	count := 0
-	for _, s := range n.sessions {
-		if (s.a == dev || s.b == dev) && s.up {
+	for i := range n.sess {
+		if s := &n.sess[i]; (s.a == dev || s.b == dev) && s.up {
 			count++
 		}
 	}
@@ -544,7 +560,7 @@ func (n *Network) LiveSessions(dev topo.DeviceID) int {
 // flight at the crash die with their session epoch; none leak into the
 // restarted sessions.
 func (n *Network) RestartDevice(dev topo.DeviceID, downFor time.Duration, warmFIB bool) {
-	node := n.nodes[dev]
+	node := n.node(dev)
 	if node == nil || !node.up {
 		return
 	}
@@ -555,7 +571,7 @@ func (n *Network) RestartDevice(dev topo.DeviceID, downFor time.Duration, warmFI
 	ids := n.sessionsOf(dev)
 	var torn []bgp.SessionID
 	for _, sid := range ids {
-		s := n.sessions[sid]
+		s := n.session(sid)
 		if s.up {
 			n.teardown(s)
 			torn = append(torn, sid)
@@ -574,12 +590,12 @@ func (n *Network) RestartDevice(dev topo.DeviceID, downFor time.Duration, warmFI
 			return // powered off while restarting
 		}
 		for _, sid := range torn {
-			s := n.sessions[sid]
+			s := n.session(sid)
 			other := s.a
 			if other == dev {
 				other = s.b
 			}
-			if n.nodes[other].up {
+			if n.node(other).up {
 				n.establish(s)
 			}
 		}
@@ -589,9 +605,9 @@ func (n *Network) RestartDevice(dev topo.DeviceID, downFor time.Duration, warmFI
 // sessionsOf returns the session IDs incident to a device, sorted.
 func (n *Network) sessionsOf(dev topo.DeviceID) []bgp.SessionID {
 	var out []bgp.SessionID
-	for id, s := range n.sessions {
-		if s.a == dev || s.b == dev {
-			out = append(out, id)
+	for i := range n.sess {
+		if s := &n.sess[i]; s.a == dev || s.b == dev {
+			out = append(out, s.id)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -601,7 +617,7 @@ func (n *Network) sessionsOf(dev topo.DeviceID) []bgp.SessionID {
 // SessionPeer resolves a session ID to the device on the far side from
 // `from`. It reports false for unknown sessions.
 func (n *Network) SessionPeer(from topo.DeviceID, sess bgp.SessionID) (topo.DeviceID, bool) {
-	s := n.sessions[sess]
+	s := n.session(sess)
 	if s == nil {
 		return "", false
 	}
@@ -618,7 +634,7 @@ func (n *Network) SessionPeer(from topo.DeviceID, sess bgp.SessionID) (topo.Devi
 // into (neighbor device, weight) pairs, merging parallel sessions to the
 // same neighbor. A local delivery entry yields {dev, weight} itself.
 func (n *Network) NextHopWeights(dev topo.DeviceID, p netip.Prefix) map[topo.DeviceID]int {
-	hops := n.nodes[dev].Speaker.FIB().Lookup(p)
+	hops := n.node(dev).Speaker.FIB().Lookup(p)
 	if hops == nil {
 		return nil
 	}
@@ -638,11 +654,10 @@ func (n *Network) NextHopWeights(dev topo.DeviceID, p netip.Prefix) map[topo.Dev
 // UpDevices returns the IDs of administratively-up devices, sorted.
 func (n *Network) UpDevices() []topo.DeviceID {
 	var out []topo.DeviceID
-	for id, node := range n.nodes {
-		if node.up {
-			out = append(out, id)
+	for i := range n.nodes {
+		if node := &n.nodes[i]; node.up {
+			out = append(out, node.Device.ID)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

@@ -15,9 +15,9 @@ package fabric
 //     caller re-attaches them after restore (they carry no protocol state).
 
 import (
+	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"time"
 
 	"centralium/internal/bgp"
@@ -82,6 +82,47 @@ type NetState struct {
 	Sessions []SessionState // sorted by ID
 	Nodes    []NodeState    // sorted by device
 	FIFO     []FIFOState    // sorted by key
+
+	// frame is Topo's frame (see frame): the exporting network's, which its
+	// later exports and its forks' share, or the one Check derived. A state
+	// built any other way has none, and each restore derives one.
+	frame *frame
+}
+
+// ErrDuplicateDevice reports a NetState whose Nodes list one device twice: no
+// network exports one, and restoring it would let the last record win.
+var ErrDuplicateDevice = errors.New("fabric: device listed twice in state")
+
+// Check refuses a state NewFromState would refuse for what it repeats — a
+// device (ErrDuplicateDevice), a peer session or a FIB prefix — or for a
+// speaker record naming a session it has no peer for, and readies it for
+// cheap restores: it records which speaker records and FIB tables can be
+// adopted in place (bgp.SpeakerState.Check) and derives Topo's frame out of
+// the strings the state holds. A decoder calls it on each state it makes,
+// before anyone else sees the state; an exported state needs none.
+func (st *NetState) Check() error {
+	sorted := true
+	for i := 1; i < len(st.Nodes) && sorted; i++ {
+		sorted = st.Nodes[i-1].Device < st.Nodes[i].Device
+	}
+	if !sorted {
+		seen := make(map[string]bool, len(st.Nodes))
+		for i := range st.Nodes {
+			if seen[st.Nodes[i].Device] {
+				return fmt.Errorf("%w: %q", ErrDuplicateDevice, st.Nodes[i].Device)
+			}
+			seen[st.Nodes[i].Device] = true
+		}
+	}
+	for i := range st.Nodes {
+		if err := st.Nodes[i].Speaker.Check(); err != nil {
+			return fmt.Errorf("fabric: %s: %w", st.Nodes[i].Device, err)
+		}
+	}
+	if st.Topo != nil {
+		st.frame = newFrame(st.Topo, st)
+	}
+	return nil
 }
 
 // Shared says what an exported state repeats, unchanged, from the state its
@@ -126,9 +167,9 @@ func (n *Network) ExportShared() (*NetState, Shared, error) {
 		return nil, Shared{}, err
 	}
 	n.base, n.sessDirty = st, false
-	for i, node := range n.order {
-		node.baseIdx = i
-		node.Speaker.MarkClean()
+	for i := range n.nodes {
+		n.nodes[i].baseIdx = i
+		n.nodes[i].Speaker.MarkClean()
 	}
 	return st, sh, nil
 }
@@ -182,30 +223,28 @@ func (n *Network) export(base *NetState) (*NetState, Shared, error) {
 		}
 	}
 
-	n.exportOrder()
+	f := n.frame
 	if base != nil && !n.sessDirty {
 		st.Sessions, st.FIFO = base.Sessions, base.FIFO
 	} else {
-		if len(n.sessOrder) > 0 { // none is nil, as a decoded state has it
-			st.Sessions = make([]SessionState, len(n.sessOrder))
+		if len(f.sessOrder) > 0 { // none is nil, as a decoded state has it
+			st.Sessions = make([]SessionState, len(f.sessOrder))
 		}
-		for i, s := range n.sessOrder {
+		for i, li := range f.sessOrder {
+			s := &n.sess[li]
 			st.Sessions[i] = SessionState{ID: string(s.id), Up: s.up, Epoch: s.epoch}
 		}
-		for _, f := range n.fifoOrder {
-			if at := f.sess.fifo[f.dir]; at != 0 {
-				st.FIFO = append(st.FIFO, FIFOState{Key: f.key, At: at})
-			}
-		}
+		st.FIFO = n.exportFIFO()
 	}
 	sh := Shared{Base: base}
 	if base != nil {
-		sh.Nodes = make([]int, len(n.order))
+		sh.Nodes = make([]int, len(n.nodes))
 	}
-	if len(n.order) > 0 {
-		st.Nodes = make([]NodeState, len(n.order))
+	if len(n.nodes) > 0 {
+		st.Nodes = make([]NodeState, len(n.nodes))
 	}
-	for i, node := range n.order {
+	for i := range n.nodes {
+		node := &n.nodes[i]
 		if base != nil {
 			if node.baseIdx >= 0 && !node.Speaker.Dirty() {
 				sh.Nodes[i] = node.baseIdx
@@ -220,39 +259,50 @@ func (n *Network) export(base *NetState) (*NetState, Shared, error) {
 		}
 		st.Nodes[i] = NodeState{Device: string(node.Device.ID), Up: node.up, VNow: node.vnow, Speaker: sp}
 	}
+	if base != nil || f.fits(st.Topo) {
+		st.frame = f // a restore from st takes the frame, not derives it
+	}
 	return st, sh, nil
 }
 
-// fifoSlot is one (session, receiver) FIFO slot under its rendered key.
-type fifoSlot struct {
-	sess *session
-	dir  uint8
-	key  string // "<session>><receiver>"
-}
-
-// exportOrder builds, once, the orders a state lists things in: nodes by
-// device, sessions by ID, FIFO slots by rendered key — which is not session
-// order, a session ID may be a prefix of another. The device and session sets
-// never change after construction.
-func (n *Network) exportOrder() {
-	if n.order != nil {
-		return
-	}
-	n.order = make([]*Node, 0, len(n.nodes))
-	for _, node := range n.nodes {
-		n.order = append(n.order, node)
-	}
-	slices.SortFunc(n.order, func(x, y *Node) int { return strings.Compare(string(x.Device.ID), string(y.Device.ID)) })
-	n.sessOrder = make([]*session, 0, len(n.sessions))
-	n.fifoOrder = make([]fifoSlot, 0, 2*len(n.sessions))
-	for _, s := range n.sessions {
-		n.sessOrder = append(n.sessOrder, s)
-		for dir := uint8(0); dir < 2; dir++ {
-			n.fifoOrder = append(n.fifoOrder, fifoSlot{sess: s, dir: dir, key: string(s.id) + ">" + string(s.endID(dir))})
+// exportFIFO lists the nonzero FIFO slots in key order (see frame). A key
+// is the network's base's string where the base lists that slot, which it
+// does in the same order, and rendered otherwise.
+func (n *Network) exportFIFO() []FIFOState {
+	live := 0
+	for li := range n.sess {
+		for _, at := range n.sess[li].fifo {
+			if at != 0 {
+				live++
+			}
 		}
 	}
-	slices.SortFunc(n.sessOrder, func(x, y *session) int { return strings.Compare(string(x.id), string(y.id)) })
-	slices.SortFunc(n.fifoOrder, func(x, y fifoSlot) int { return strings.Compare(x.key, y.key) })
+	if live == 0 {
+		return nil
+	}
+	var have []FIFOState
+	if n.base != nil {
+		have = n.base.FIFO
+	}
+	out := make([]FIFOState, 0, live)
+	j := 0
+	for _, li := range n.frame.sessOrder {
+		s := &n.sess[li]
+		for _, dir := range n.frame.dirs(li) {
+			to, key := s.endID(dir), ""
+			if j < len(have) && isFIFOKey(have[j].Key, s.id, to) {
+				key = have[j].Key
+				j++
+			}
+			if at := s.fifo[dir]; at != 0 {
+				if key == "" {
+					key = string(s.id) + ">" + string(to)
+				}
+				out = append(out, FIFOState{Key: key, At: at})
+			}
+		}
+	}
+	return out
 }
 
 // RestoreOptions tunes a restore.
@@ -273,20 +323,40 @@ type RestoreOptions struct {
 
 // NewFromState rebuilds a Network from a checkpoint. Each call yields an
 // independent network, which is what makes cheap what-if forking possible:
-// decode once, restore N times, diverge each branch freely. What a network
-// edits in place it gets a copy of (topology, queue, FIBs, match caches);
-// what the engine treats as immutable it shares read-only with the state and
-// every sibling restore: AS paths and community lists, and each speaker's
-// Adj-RIB-In and Adj-RIB-Out columns, which the speaker copies before its
-// first write to one (bgp.NewSpeakerFromState). Nothing may write to st once
-// it has been restored from: the network also keeps st as its base, and its
-// next export repeats st's records for the nodes nothing touched
-// (ExportShared). Taps, hooks, and perturbers start detached; callers
-// re-attach their own wiring.
+// decode once, restore N times, diverge each branch freely.
+//
+// A restore builds only what the fork will touch. It copies what a network
+// edits in place and every fork needs: the topology, the event queue, the
+// session and FIFO tables. It shares, read-only, with the state and every
+// sibling restore what the engine treats as immutable: AS paths and
+// community lists, each speaker's compiled RPA program, and the frame — the
+// session IDs and the node and session orders — which the state carries
+// (its exporter's, or the one Check derived out of the strings the state
+// holds; a state with none gets one derived here). It defers the rest to
+// first use: each speaker keeps its record and builds its maps and RPA
+// evaluator on its first Touch or map read, adopting its Adj-RIB-In and
+// Adj-RIB-Out columns by reference and copying one before its first write to
+// it (bgp.NewSpeakerFromState); each FIB answers lookups out of its record
+// until its first write (fib.NewFromState). A record the state does not mark
+// as fit for that (see Check) is checked here, and one that fails those
+// cheap checks is built at once, as every record used to be.
+//
+// Nothing may write to st once it has been restored from: the network also
+// keeps st as its base, and its next export repeats st's records for the
+// nodes nothing touched (ExportShared). Taps, hooks, and perturbers start
+// detached; callers re-attach their own wiring. A state that lists a device
+// twice is ErrDuplicateDevice.
 func NewFromState(st *NetState, opts RestoreOptions) (*Network, error) {
 	t := opts.Topo
 	if t == nil {
 		t = st.Topo.Clone()
+	}
+	f := st.frame
+	if f == nil {
+		f = newFrame(st.Topo, st)
+	}
+	if opts.Topo != nil && !f.fits(t) {
+		f = newFrame(t, st)
 	}
 	n := &Network{
 		Topo: t,
@@ -303,55 +373,60 @@ func NewFromState(st *NetState, opts RestoreOptions) (*Network, error) {
 			rng:       newSeededRNG(st.Seed, st.RNGDraws),
 			processed: st.Processed,
 		},
-		nodes:    make(map[topo.DeviceID]*Node, len(st.Nodes)),
-		sessions: make(map[bgp.SessionID]*session, len(st.Sessions)),
-		base:     st,
+		nodes: make([]Node, len(f.devs)),
+		frame: f,
+		base:  st,
 	}
 	n.eng.net = n
 
 	now := n.Now
-	for i, ns := range st.Nodes {
-		d := t.Device(topo.DeviceID(ns.Device))
-		if d == nil {
-			return nil, fmt.Errorf("fabric: state names unknown device %q", ns.Device)
+	for i := range st.Nodes {
+		ns := &st.Nodes[i]
+		k := int32(i)
+		if i >= len(f.devs) || string(f.devs[i]) != ns.Device {
+			if k = f.dev(topo.DeviceID(ns.Device)); k < 0 {
+				return nil, fmt.Errorf("fabric: state names unknown device %q", ns.Device)
+			}
 		}
-		node := &Node{Device: d, up: ns.Up, vnow: ns.VNow, baseIdx: i}
-		sp, err := bgp.NewSpeakerFromState(ns.Speaker, now)
+		node := &n.nodes[k]
+		if node.Speaker != nil {
+			return nil, fmt.Errorf("%w: %q", ErrDuplicateDevice, ns.Device)
+		}
+		sp, err := bgp.NewSpeakerFromState(&ns.Speaker, now)
 		if err != nil {
 			return nil, fmt.Errorf("fabric: restore %s: %w", ns.Device, err)
 		}
 		if opts.FullRecompute {
 			sp.SetFullRecompute(true)
 		}
-		node.Speaker = sp
-		n.nodes[d.ID] = node
+		*node = Node{Device: t.Device(f.devs[k]), Speaker: sp, up: ns.Up, vnow: ns.VNow, baseIdx: i}
 	}
-	if len(n.nodes) != t.NumDevices() {
-		return nil, fmt.Errorf("fabric: state has %d devices, topology has %d", len(n.nodes), t.NumDevices())
+	if len(st.Nodes) != len(f.devs) {
+		return nil, fmt.Errorf("fabric: state has %d devices, topology has %d", len(st.Nodes), len(f.devs))
 	}
 
-	for li, l := range t.Links() {
-		s := n.newSession(li, l)
-		n.sessions[s.id] = s
+	links := t.Links()
+	n.buildSessions(links)
+	if len(st.Sessions) != len(links) {
+		return nil, fmt.Errorf("fabric: state has %d sessions, topology has %d links", len(st.Sessions), len(links))
 	}
-	if len(st.Sessions) != len(n.sessions) {
-		return nil, fmt.Errorf("fabric: state has %d sessions, topology has %d links", len(st.Sessions), len(n.sessions))
-	}
-	for _, ss := range st.Sessions {
-		s := n.sessions[bgp.SessionID(ss.ID)]
-		if s == nil {
+	for i, ss := range st.Sessions {
+		var s *session
+		if li := f.sessOrder[i]; string(f.ids[li]) == ss.ID {
+			s = &n.sess[li]
+		} else if s = n.session(bgp.SessionID(ss.ID)); s == nil {
 			return nil, fmt.Errorf("fabric: state names unknown session %q", ss.ID)
 		}
 		s.up = ss.Up
 		s.epoch = ss.Epoch
 	}
 
-	for _, f := range st.FIFO {
-		s, dir := n.parseFIFOKey(f.Key)
+	for _, fe := range st.FIFO {
+		s, dir := n.parseFIFOKey(fe.Key)
 		if s == nil {
-			return nil, fmt.Errorf("fabric: FIFO entry %q names no session end", f.Key)
+			return nil, fmt.Errorf("fabric: FIFO entry %q names no session end", fe.Key)
 		}
-		s.fifo[dir] = f.At
+		s.fifo[dir] = fe.At
 	}
 
 	// A queue sorted by (At, Seq) is a valid heap. Well-formed state arrives
@@ -360,7 +435,7 @@ func NewFromState(st *NetState, opts RestoreOptions) (*Network, error) {
 	n.eng.slab = make([]event, len(st.Queue))
 	for i := range st.Queue {
 		q := &st.Queue[i]
-		s := n.sessions[bgp.SessionID(q.Session)]
+		s := n.session(bgp.SessionID(q.Session))
 		if s == nil {
 			return nil, fmt.Errorf("fabric: queued delivery on unknown session %q", q.Session)
 		}
@@ -384,7 +459,7 @@ func (n *Network) parseFIFOKey(key string) (*session, uint8) {
 		if key[i] != '>' {
 			continue
 		}
-		s := n.sessions[bgp.SessionID(key[:i])]
+		s := n.session(bgp.SessionID(key[:i]))
 		if s == nil {
 			continue
 		}

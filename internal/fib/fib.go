@@ -7,9 +7,10 @@
 package fib
 
 import (
+	"errors"
+	"fmt"
 	"net/netip"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -34,12 +35,20 @@ type group struct {
 }
 
 // Table is the FIB of one switch. The zero value is not usable; construct
-// with New. Not safe for concurrent use (a switch's FIB writer is a single
-// pipeline).
+// with New or NewFromState. Not safe for concurrent use (a switch's FIB
+// writer is a single pipeline).
 type Table struct {
 	limit   int
 	entries map[netip.Prefix]*group
 	groups  map[string]*group
+
+	// pending is the checkpoint a table restored by NewFromState reads from
+	// until load builds the maps out of it: entries in canonical order with
+	// hop sets in normal form, warm flags sorted and each an entry's (see
+	// NewFromState). While it is set the maps are nil; Lookup,
+	// LookupLPM and IsWarm answer from it, every other method that needs the
+	// maps calls load first. The record is shared and never written.
+	pending *TableState
 
 	peakGroups  int
 	overflows   int
@@ -171,6 +180,7 @@ func gcd(a, b int) int {
 // The decision process does that on most runs, so the live group is compared
 // element-wise first and the key is rendered only when that cannot tell.
 func (t *Table) Install(p netip.Prefix, hops []NextHop) {
+	t.load()
 	t.writes++
 	delete(t.warmEntries, p)
 	if len(hops) == 0 {
@@ -240,6 +250,7 @@ func normalizeHops(hops []NextHop) []NextHop {
 // only because bench/rigs.go (frozen outside a benchmark PR) times it as
 // fib.touch_ns; it goes with that rig.
 func (t *Table) Touch(p netip.Prefix) {
+	t.load()
 	t.writes++
 	delete(t.warmEntries, p)
 }
@@ -248,6 +259,7 @@ func (t *Table) Touch(p netip.Prefix) {
 // withdrawn from peers but forwarding state is retained
 // (KeepFibWarmIfMnhViolated). A later Install or Remove clears the flag.
 func (t *Table) MarkWarm(p netip.Prefix) {
+	t.load()
 	if _, ok := t.entries[p]; ok {
 		t.warmEntries[p] = true
 		t.notify(p, false, true)
@@ -255,10 +267,17 @@ func (t *Table) MarkWarm(p netip.Prefix) {
 }
 
 // IsWarm reports whether the prefix entry is retained only as warm state.
-func (t *Table) IsWarm(p netip.Prefix) bool { return t.warmEntries[p] }
+func (t *Table) IsWarm(p netip.Prefix) bool {
+	if st := t.pending; st != nil {
+		_, ok := slices.BinarySearchFunc(st.Warm, p, compareText)
+		return ok
+	}
+	return t.warmEntries[p]
+}
 
 // Remove deletes the prefix's entry and releases its NHG reference.
 func (t *Table) Remove(p netip.Prefix) {
+	t.load()
 	g := t.entries[p]
 	if g == nil {
 		return
@@ -289,6 +308,7 @@ func (t *Table) release(g *group) {
 // "" when the prefix is not installed. Two snapshots of the same prefix
 // compare equal exactly when the installed best-path set is unchanged.
 func (t *Table) EntryKey(p netip.Prefix) string {
+	t.load()
 	if g := t.entries[p]; g != nil {
 		return g.key
 	}
@@ -298,6 +318,12 @@ func (t *Table) EntryKey(p netip.Prefix) string {
 // Lookup returns the next-hop set for the prefix (exact match), or nil.
 // Callers must not modify the returned slice.
 func (t *Table) Lookup(p netip.Prefix) []NextHop {
+	if st := t.pending; st != nil {
+		if i, ok := slices.BinarySearchFunc(st.Entries, p, compareEntry); ok {
+			return st.Entries[i].Hops
+		}
+		return nil
+	}
 	if g := t.entries[p]; g != nil {
 		return g.hops
 	}
@@ -306,6 +332,16 @@ func (t *Table) Lookup(p netip.Prefix) []NextHop {
 
 // LookupLPM returns the longest-prefix-match entry for the address, or nil.
 func (t *Table) LookupLPM(addr netip.Addr) []NextHop {
+	if st := t.pending; st != nil {
+		var best []NextHop
+		bestBits := -1
+		for _, e := range st.Entries {
+			if e.Prefix.Bits() > bestBits && e.Prefix.Contains(addr) {
+				best, bestBits = e.Hops, e.Prefix.Bits()
+			}
+		}
+		return best
+	}
 	var best *group
 	bestBits := -1
 	for p, g := range t.entries {
@@ -319,16 +355,53 @@ func (t *Table) LookupLPM(addr netip.Addr) []NextHop {
 	return best.hops
 }
 
-// Prefixes returns all installed prefixes, sorted, for deterministic
-// inspection.
+// Prefixes returns all installed prefixes in canonical order — as their
+// String renderings sort (see compareText) — for deterministic inspection.
 func (t *Table) Prefixes() []netip.Prefix {
+	t.load()
 	out := make([]netip.Prefix, 0, len(t.entries))
 	for p := range t.entries {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	slices.SortFunc(out, compareText)
 	return out
 }
+
+// compareText orders prefixes as strings.Compare orders their String
+// renderings, which is the order a table lists its entries in, in a
+// checkpoint and so in every fingerprint. It renders nothing for two IPv4
+// prefixes: the text compares octet by octet and then by length, each number
+// as its decimal digits sort (a separator sorts before any digit, so a number
+// sorts before every longer one it begins), which is decRank's order.
+func compareText(a, b netip.Prefix) int {
+	x, y := a.Addr(), b.Addr()
+	if !x.Is4() || !y.Is4() || !a.IsValid() || !b.IsValid() {
+		return strings.Compare(a.String(), b.String())
+	}
+	xa, ya := x.As4(), y.As4()
+	for i := range xa {
+		if c := int(decRank[xa[i]]) - int(decRank[ya[i]]); c != 0 {
+			return c
+		}
+	}
+	return int(decRank[a.Bits()]) - int(decRank[b.Bits()])
+}
+
+func compareEntry(e Entry, p netip.Prefix) int { return compareText(e.Prefix, p) }
+
+// decRank[v] is the position of v's decimal rendering among those of 0–255
+// in string order: "0" < "1" < "10" < "100" < ... < "99".
+var decRank = func() (rank [256]uint8) {
+	var vs [256]int
+	for v := range vs {
+		vs[v] = v
+	}
+	slices.SortFunc(vs[:], func(a, b int) int { return strings.Compare(strconv.Itoa(a), strconv.Itoa(b)) })
+	for r, v := range vs {
+		rank[v] = uint8(r)
+	}
+	return rank
+}()
 
 // Entry is one row of a table snapshot: a prefix and its (normalized)
 // next-hop set.
@@ -337,14 +410,16 @@ type Entry struct {
 	Hops   []NextHop
 }
 
-// Snapshot returns a copy of every installed entry, sorted by prefix. The
-// chaos harness uses it to emulate a control-plane restart with a warm
-// ASIC: forwarding state survives while the routing process reboots.
+// Snapshot returns every installed entry in canonical order (see Prefixes).
+// The hop sets are the table's own, which nothing ever writes: read-only to
+// the caller, as Lookup's are. The chaos harness uses it to emulate a
+// control-plane restart with a warm ASIC: forwarding state survives while the
+// routing process reboots.
 func (t *Table) Snapshot() []Entry {
-	out := make([]Entry, 0, len(t.entries))
-	for _, p := range t.Prefixes() {
-		g := t.entries[p]
-		out = append(out, Entry{Prefix: p, Hops: append([]NextHop(nil), g.hops...)})
+	ps := t.Prefixes()
+	out := make([]Entry, len(ps))
+	for i, p := range ps {
+		out[i] = Entry{Prefix: p, Hops: t.entries[p].hops}
 	}
 	return out
 }
@@ -362,6 +437,7 @@ type Stats struct {
 
 // Stats returns a snapshot of the counters.
 func (t *Table) Stats() Stats {
+	t.load()
 	return Stats{
 		Entries:    len(t.entries),
 		Groups:     len(t.groups),
@@ -376,6 +452,7 @@ func (t *Table) Stats() Stats {
 // ResetStats clears peak/churn/overflow counters (not the entries), so an
 // experiment can measure a specific convergence window.
 func (t *Table) ResetStats() {
+	t.load()
 	t.peakGroups = len(t.groups)
 	t.overflows = 0
 	t.groupChurn = 0
@@ -388,17 +465,26 @@ func (t *Table) ResetStats() {
 // write/churn side effects Install would record.
 type TableState struct {
 	Limit   int
-	Entries []Entry        // sorted by prefix
-	Warm    []netip.Prefix // sorted; subset of Entries' prefixes
+	Entries []Entry        // in canonical order (see Prefixes)
+	Warm    []netip.Prefix // in canonical order; subset of Entries' prefixes
 
 	PeakGroups int
 	Overflows  int
 	GroupChurn int
 	Writes     int
+
+	// canonical records that the state is in the shape NewFromState adopts
+	// in place: ExportState writes it so, and Check found it so. It travels
+	// with the value, so a state repeated into a later checkpoint keeps it.
+	canonical bool
 }
 
-// ExportState captures the table for checkpointing. The result shares no
-// memory with the table.
+// ErrDuplicatePrefix reports a TableState that lists one prefix twice: no
+// table exports one, and restoring it would count the prefix's group twice.
+var ErrDuplicatePrefix = errors.New("fib: prefix listed twice in state")
+
+// ExportState captures the table for checkpointing. The result shares only
+// hop sets with the table, which nobody writes (see Snapshot).
 func (t *Table) ExportState() TableState {
 	st := TableState{
 		Limit:      t.limit,
@@ -407,10 +493,11 @@ func (t *Table) ExportState() TableState {
 		Overflows:  t.overflows,
 		GroupChurn: t.groupChurn,
 		Writes:     t.writes,
+		canonical:  true,
 	}
-	for _, p := range t.Prefixes() {
-		if t.warmEntries[p] {
-			st.Warm = append(st.Warm, p)
+	for _, e := range st.Entries {
+		if t.warmEntries[e.Prefix] {
+			st.Warm = append(st.Warm, e.Prefix)
 		}
 	}
 	return st
@@ -423,9 +510,92 @@ func (t *Table) ExportState() TableState {
 // every one ExportState wrote is — is shared with the state, not copied: a
 // group's hops are never written. The observer starts nil; the owner
 // re-attaches telemetry after restore.
-func NewFromState(st TableState) *Table {
-	t := New(st.Limit)
+//
+// A state in canonical shape (entries in canonical order, hop sets in normal
+// form, warm flags sorted and each an entry's) is adopted by reference and
+// the maps are built on the table's first write, or first read that Lookup,
+// LookupLPM and IsWarm cannot answer from the state: a restored table nobody
+// writes costs one allocation. A state ExportState wrote or Check passed is
+// known to be in that shape and is not read here; any other is checked, and
+// built at once unless it is canonical. Nothing may write to st afterwards. A
+// prefix listed twice is ErrDuplicatePrefix.
+func NewFromState(st *TableState) (*Table, error) {
+	t := &Table{limit: st.Limit, pending: st}
+	if t.limit <= 0 {
+		t.limit = DefaultGroupLimit
+	}
+	t.peakGroups = st.PeakGroups
+	t.overflows = st.Overflows
+	t.groupChurn = st.GroupChurn
+	t.writes = st.Writes
+	if !st.canonical {
+		canonical, err := checkState(st)
+		if err != nil {
+			return nil, err
+		}
+		if !canonical {
+			t.load()
+		}
+	}
+	return t, nil
+}
+
+// Check refuses a state NewFromState would refuse and records whether it is
+// in canonical shape, so that no restore of it reads its entries again. A
+// decoder calls it on each state it makes, before anyone else sees the
+// state; ExportState's states are canonical by construction.
+func (st *TableState) Check() error {
+	canonical, err := checkState(st)
+	st.canonical = canonical
+	return err
+}
+
+// checkState reports whether st is in the shape a table can read from in
+// place (see NewFromState), and rejects a state load could not rebuild
+// faithfully.
+func checkState(st *TableState) (canonical bool, err error) {
+	canonical = true
+	for i, e := range st.Entries {
+		if i > 0 && compareText(st.Entries[i-1].Prefix, e.Prefix) >= 0 ||
+			!slices.IsSortedFunc(e.Hops, compareHopID) || weightGCD(e.Hops) != 1 {
+			canonical = false
+			break
+		}
+	}
+	if !canonical {
+		seen := make(map[netip.Prefix]bool, len(st.Entries))
+		for _, e := range st.Entries {
+			if seen[e.Prefix] {
+				return false, fmt.Errorf("%w: %v", ErrDuplicatePrefix, e.Prefix)
+			}
+			seen[e.Prefix] = true
+		}
+		return false, nil
+	}
+	for i, p := range st.Warm {
+		if i > 0 && compareText(st.Warm[i-1], p) >= 0 {
+			return false, nil
+		}
+		if _, ok := slices.BinarySearchFunc(st.Entries, p, compareEntry); !ok {
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
+// load builds the maps out of the pending checkpoint, if there is one, and
+// drops it: the one place a restored table's groups are made, and it reads
+// nothing but the record. Hop sets not in normal form are normalized into a
+// copy; warm flags on prefixes with no entry are ignored.
+func (t *Table) load() {
+	st := t.pending
+	if st == nil {
+		return
+	}
+	t.pending = nil
 	t.entries = make(map[netip.Prefix]*group, len(st.Entries))
+	t.groups = make(map[string]*group)
+	t.warmEntries = make(map[netip.Prefix]bool)
 	for _, e := range st.Entries {
 		key := t.renderKey(e.Hops)
 		g := t.groups[string(key)]
@@ -445,9 +615,4 @@ func NewFromState(st TableState) *Table {
 			t.warmEntries[p] = true
 		}
 	}
-	t.peakGroups = st.PeakGroups
-	t.overflows = st.Overflows
-	t.groupChurn = st.GroupChurn
-	t.writes = st.Writes
-	return t
 }

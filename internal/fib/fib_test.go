@@ -1,8 +1,11 @@
 package fib
 
 import (
+	"errors"
 	"fmt"
 	"net/netip"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -152,13 +155,181 @@ func TestLookupLPM(t *testing.T) {
 	}
 }
 
+// TestPrefixesSorted pins the table's order: prefixes sort as their String
+// renderings do, which is what a checkpoint lists a FIB in and so what every
+// fingerprint hashes. The pairs after the first are ones on which that order
+// and bgp's numeric one (address, then length) disagree, so a faster
+// comparator that drifted toward the numeric order fails here rather than
+// moving every fingerprint.
 func TestPrefixesSorted(t *testing.T) {
-	tb := New(0)
-	tb.Install(pfx("10.2.0.0/16"), []NextHop{{"a", 1}})
-	tb.Install(pfx("10.1.0.0/16"), []NextHop{{"a", 1}})
-	ps := tb.Prefixes()
-	if len(ps) != 2 || ps[0].String() > ps[1].String() {
-		t.Fatalf("Prefixes = %v", ps)
+	for _, pair := range [][2]string{
+		{"10.1.0.0/16", "10.2.0.0/16"},
+		{"10.10.0.0/16", "10.2.0.0/16"},
+		{"10.0.0.0/16", "10.0.0.0/8"},
+		{"1.2.3.0/24", "10.0.0.0/8"},
+		{"10.0.0.0/8", "9.0.0.0/8"},
+		{"100.0.0.0/8", "99.0.0.0/8"},
+		{"0.0.0.0/0", "0.0.0.0/32"},
+		{"10.0.0.0/8", "::/0"},
+	} {
+		tb := New(0)
+		tb.Install(pfx(pair[1]), []NextHop{{"a", 1}})
+		tb.Install(pfx(pair[0]), []NextHop{{"a", 1}})
+		ps := tb.Prefixes()
+		if len(ps) != 2 || ps[0] != pfx(pair[0]) || ps[1] != pfx(pair[1]) {
+			t.Errorf("Prefixes = %v, want [%s %s]", ps, pair[0], pair[1])
+		}
+		if got := compareText(pfx(pair[0]), pfx(pair[1])); got >= 0 {
+			t.Errorf("compareText(%s, %s) = %d, want < 0", pair[0], pair[1], got)
+		}
+	}
+	// Exhaustively over octet and length values: the comparator agrees with
+	// the rendered text wherever it skips rendering.
+	for a := 0; a < 256; a++ {
+		for b := 0; b < 256; b++ {
+			x := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(a), 0, 0}), a%33)
+			y := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(b), 0, 0}), b%33)
+			if got, want := sign(compareText(x, y)), sign(strings.Compare(x.String(), y.String())); got != want {
+				t.Fatalf("compareText(%v, %v) = %d, text order says %d", x, y, got, want)
+			}
+		}
+	}
+}
+
+func sign(c int) int {
+	switch {
+	case c < 0:
+		return -1
+	case c > 0:
+		return 1
+	}
+	return 0
+}
+
+func mustRestore(t *testing.T, st TableState) *Table {
+	t.Helper()
+	tbl, err := NewFromState(&st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
+// TestRestoreRejectsDuplicatePrefix: a state that lists a prefix twice is
+// refused by name. Restoring it used to count the prefix's group twice, so
+// removing the prefix left a live group behind.
+func TestRestoreRejectsDuplicatePrefix(t *testing.T) {
+	p := pfx("10.0.0.0/8")
+	hops := []NextHop{{"a", 1}}
+	for _, entries := range [][]Entry{
+		{{Prefix: p, Hops: hops}, {Prefix: p, Hops: hops}},
+		{{Prefix: p, Hops: hops}, {Prefix: pfx("10.1.0.0/16"), Hops: hops}, {Prefix: p, Hops: hops}},
+	} {
+		if _, err := NewFromState(&TableState{Entries: entries}); !errors.Is(err, ErrDuplicatePrefix) {
+			t.Errorf("%d entries, %v repeated: err = %v, want ErrDuplicatePrefix", len(entries), p, err)
+		}
+	}
+}
+
+// TestCheckRecordsCanonicalShape: ExportState's states carry the verdict
+// that they are in canonical shape, and Check records it for a state built
+// any other way, so a restore adopts them without reading their entries; the
+// verdict travels with a copy of the state. A state built by hand is checked
+// at restore: the same entries under a warm flag for a prefix they lack are
+// not canonical, and are built at once, which ignores the flag, as it always
+// did. Check refuses what NewFromState refuses.
+func TestCheckRecordsCanonicalShape(t *testing.T) {
+	src := New(0)
+	src.Install(pfx("10.0.0.0/8"), []NextHop{{"a", 1}})
+	src.Install(pfx("10.1.0.0/16"), []NextHop{{"b", 1}})
+	st := src.ExportState()
+	if !st.canonical {
+		t.Fatal("ExportState's state is not marked canonical")
+	}
+	copied := st
+	if tbl := mustRestore(t, copied); !copied.canonical || tbl.pending == nil {
+		t.Fatal("a copy of an exported state lost its verdict or was built at restore")
+	}
+
+	byHand := TableState{Entries: st.Entries}
+	if err := byHand.Check(); err != nil || !byHand.canonical {
+		t.Fatalf("Check of a canonical state: err %v, canonical %v", err, byHand.canonical)
+	}
+	stray := TableState{Entries: st.Entries, Warm: []netip.Prefix{pfx("10.2.0.0/16")}}
+	tbl := mustRestore(t, stray)
+	if tbl.pending != nil || tbl.IsWarm(pfx("10.2.0.0/16")) {
+		t.Error("a warm flag for a prefix with no entry was adopted in place")
+	}
+	if err := stray.Check(); err != nil || stray.canonical {
+		t.Errorf("Check of a stray warm flag: err %v, canonical %v", err, stray.canonical)
+	}
+	dup := TableState{Entries: []Entry{st.Entries[0], st.Entries[0]}}
+	if err := dup.Check(); !errors.Is(err, ErrDuplicatePrefix) || dup.canonical {
+		t.Errorf("Check of a repeated prefix: err %v, canonical %v", err, dup.canonical)
+	}
+}
+
+// TestLazyRestoreMatchesEager: a table restored from a state in ExportState's
+// shape answers Lookup, LookupLPM and IsWarm out of the state, and every
+// answer, counter and export equals that of the same table built eagerly —
+// before its first write and after it.
+func TestLazyRestoreMatchesEager(t *testing.T) {
+	src := New(16)
+	for i, s := range []string{"0.0.0.0/0", "10.0.0.0/8", "10.2.0.0/16", "10.10.0.0/16", "10.2.3.0/24"} {
+		src.Install(pfx(s), []NextHop{{"a", 1 + i%2}, {"b", 1}})
+	}
+	src.MarkWarm(pfx("10.2.0.0/16"))
+	st := src.ExportState()
+	lazy := mustRestore(t, st)
+	if lazy.pending == nil {
+		t.Fatal("a state ExportState wrote was not adopted in place")
+	}
+	eager := mustRestore(t, st)
+	eager.load()
+	probe := func(when string) {
+		t.Helper()
+		for _, s := range []string{"0.0.0.0/0", "10.0.0.0/8", "10.2.0.0/16", "10.10.0.0/16", "10.2.3.0/24", "10.3.0.0/16"} {
+			p := pfx(s)
+			if a, b := lazy.Lookup(p), eager.Lookup(p); !slices.Equal(a, b) {
+				t.Errorf("%s: Lookup(%v) = %v, eager %v", when, p, a, b)
+			}
+			if a, b := lazy.LookupLPM(p.Addr()), eager.LookupLPM(p.Addr()); !slices.Equal(a, b) {
+				t.Errorf("%s: LookupLPM(%v) = %v, eager %v", when, p.Addr(), a, b)
+			}
+			if a, b := lazy.IsWarm(p), eager.IsWarm(p); a != b {
+				t.Errorf("%s: IsWarm(%v) = %v, eager %v", when, p, a, b)
+			}
+		}
+	}
+	probe("before any write")
+	if lazy.pending == nil {
+		t.Fatal("a read built the maps")
+	}
+	if a, b := fmt.Sprintf("%+v", lazy.ExportState()), fmt.Sprintf("%+v", eager.ExportState()); a != b {
+		t.Fatalf("exports differ:\n lazy  %s\n eager %s", a, b)
+	}
+	for _, tb := range []*Table{lazy, eager} {
+		tb.Remove(pfx("10.10.0.0/16"))
+		tb.Install(pfx("10.3.0.0/16"), []NextHop{{"c", 1}})
+	}
+	probe("after writes")
+	if a, b := lazy.Stats(), eager.Stats(); a != b {
+		t.Errorf("stats differ: lazy %+v, eager %+v", a, b)
+	}
+	if a, b := fmt.Sprintf("%+v", lazy.ExportState()), fmt.Sprintf("%+v", eager.ExportState()); a != b {
+		t.Errorf("exports differ after writes:\n lazy  %s\n eager %s", a, b)
+	}
+
+	// Out of canonical order, or with a hop set to normalize, a state built
+	// by hand (a copy of an exported one would carry its verdict) is built at
+	// once.
+	swapped := TableState{Limit: st.Limit, Entries: []Entry{st.Entries[1], st.Entries[0]}}
+	if tb := mustRestore(t, swapped); tb.pending != nil {
+		t.Error("a state out of canonical order was adopted in place")
+	}
+	raw := TableState{Limit: st.Limit, Entries: []Entry{{Prefix: pfx("10.0.0.0/8"), Hops: []NextHop{{"b", 2}, {"a", 2}}}}}
+	if tb := mustRestore(t, raw); tb.pending != nil || !slices.Equal(tb.Lookup(pfx("10.0.0.0/8")), []NextHop{{"a", 1}, {"b", 1}}) {
+		t.Error("a hop set out of normal form was adopted in place")
 	}
 }
 
@@ -234,7 +405,7 @@ func TestGenTracksForwardingChanges(t *testing.T) {
 			t.Errorf("%s: Gen moved = %v, want %v", st.name, moved, st.changes)
 		}
 	}
-	if got := NewFromState(tb.ExportState()).Gen(); got != 0 {
+	if got := mustRestore(t, tb.ExportState()).Gen(); got != 0 {
 		t.Errorf("restored Gen = %d, want 0", got)
 	}
 }

@@ -151,7 +151,7 @@ func TestTouchRestoreRoundTrip(t *testing.T) {
 	tbl.Install(fibP2, hopsAC)
 	tbl.Touch(fibP2)
 	st := tbl.ExportState()
-	back := NewFromState(st)
+	back := mustRestore(t, st)
 	if !reflect.DeepEqual(back.ExportState(), st) {
 		t.Fatalf("round trip changed state:\n  before: %+v\n  after:  %+v", st, back.ExportState())
 	}
@@ -172,7 +172,7 @@ func TestNewFromStateSharesOnlyNormalHops(t *testing.T) {
 	normal := []NextHop{{ID: "a", Weight: 1}, {ID: "b", Weight: 3}}
 	raw := []NextHop{{ID: "b", Weight: 2}, {ID: "a", Weight: 2}}
 	st := TableState{Entries: []Entry{{Prefix: p, Hops: normal}, {Prefix: q, Hops: raw}}}
-	tbl := NewFromState(st)
+	tbl := mustRestore(t, st)
 	if got := tbl.Lookup(p); &got[0] != &normal[0] {
 		t.Error("a hop set in normal form was copied")
 	}
@@ -183,7 +183,7 @@ func TestNewFromStateSharesOnlyNormalHops(t *testing.T) {
 	if raw[0] != (NextHop{ID: "b", Weight: 2}) || raw[1] != (NextHop{ID: "a", Weight: 2}) {
 		t.Errorf("restore normalized the state's hop set in place: %v", raw)
 	}
-	if tbl.EntryKey(q) != NewFromState(tbl.ExportState()).EntryKey(q) {
+	if tbl.EntryKey(q) != mustRestore(t, tbl.ExportState()).EntryKey(q) {
 		t.Error("group key changed across a second round trip")
 	}
 }

@@ -138,6 +138,11 @@ func TestInstallNoOpRewriteDifferential(t *testing.T) {
 		if !reflect.DeepEqual(fastEv, keyedEv) {
 			t.Fatalf("step %d (%s): observer streams diverged", step, op)
 		}
+		if st := fastTbl.ExportState(); !st.canonical {
+			t.Fatalf("step %d (%s): export not marked canonical", step, op)
+		} else if canonical, err := checkState(&st); !canonical || err != nil {
+			t.Fatalf("step %d (%s): ExportState wrote a state out of canonical shape (%v)", step, op, err)
+		}
 	}
 	if fastHits < 100 {
 		t.Fatalf("only %d of 1000 steps took the element-wise path; the differential is vacuous", fastHits)

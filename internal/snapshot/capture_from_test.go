@@ -549,6 +549,11 @@ func TestCaptureFromSkipsRebuiltRecord(t *testing.T) {
 	if scrambled == "" {
 		t.Fatal("fixture has no Adj-RIB-Out column of two entries")
 	}
+	// Decode checked the records as they were; the edited one is checked
+	// again, as a decoder would check it.
+	if err := tampered.state.Check(); err != nil {
+		t.Fatal(err)
+	}
 	parent, err := tampered.Rendered()
 	if err != nil {
 		t.Fatal(err)

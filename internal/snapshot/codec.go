@@ -961,6 +961,12 @@ func decodeState(data []byte, lay *layout) (_ *fabric.NetState, _ map[string]str
 			return nil, nil, false, fmt.Errorf("snapshot: missing required section %d", required)
 		}
 	}
+	// What a restore would refuse (a device, a peer or a FIB prefix listed
+	// twice, a route on no peer's session) is refused here, so no restore of
+	// a decoded state is; and each record's verdict is kept for its restores.
+	if err := st.Check(); err != nil {
+		return nil, nil, false, fmt.Errorf("snapshot: %w", err)
+	}
 	canonical = canonical && st.Batched == 0 && string(order) == string(canonicalOrder)
 	return st, meta, canonical, nil
 }

@@ -16,6 +16,7 @@ import (
 
 	"centralium/internal/fabric"
 	"centralium/internal/topo"
+	"centralium/internal/traffic"
 )
 
 // convergedBase builds a small converged fabric and captures it.
@@ -193,5 +194,78 @@ func TestEncodeCanonicalIgnoresMeta(t *testing.T) {
 	}
 	if !bytes.Equal(decCanon, canon) {
 		t.Error("decoded snapshot's canonical encoding differs")
+	}
+}
+
+// TestSiblingForksBuildAndRead: a restored network builds each speaker's maps
+// out of its record in the shared state on first use, and answers FIB lookups
+// out of the record until the first write. So one fork that builds its
+// speakers — every one read, and a drain run through the fabric — and a
+// sibling fork of the same state that only reads never-touched FIBs through
+// traffic.Propagator meet in the state's memory, and must meet there only to
+// read: the race detector checks it, the reader's answers must equal those
+// of built tables, and the state's bytes must stay what they were.
+func TestSiblingForksBuildAndRead(t *testing.T) {
+	snap, err := Capture(buildFabric(corpusFabric, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := snap.EncodeCanonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var demands []traffic.Demand
+	tp, _ := snap.Topology()
+	for _, rsw := range tp.ByLayer(topo.LayerRSW) {
+		demands = append(demands, traffic.Demand{Source: rsw.ID, Prefix: defaultRoute, Volume: 1})
+	}
+	ref, err := snap.Restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range tp.Devices() {
+		ref.Speaker(d.ID).FIB().Stats() // builds the table: the reference reads built FIBs
+	}
+	want := (&traffic.Propagator{Net: ref}).Run(demands)
+
+	builder, err := snap.Restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reader, err := snap.Restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for _, d := range tp.Devices() {
+			if len(builder.Speaker(d.ID).Peers()) == 0 {
+				t.Errorf("%s restored with no peers", d.ID)
+			}
+		}
+		builder.SetDrained(topo.SSWID(0, 0), true)
+		builder.Converge()
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			got := (&traffic.Propagator{Net: reader}).Run(demands)
+			if got.Delivered != want.Delivered || got.Blackholed != want.Blackholed || got.Looped != want.Looped {
+				t.Errorf("run %d on the reading fork: delivered %v blackholed %v looped %v, want %v %v %v",
+					i, got.Delivered, got.Blackholed, got.Looped, want.Delivered, want.Blackholed, want.Looped)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	for _, d := range tp.Devices() {
+		if reader.Speaker(d.ID).Dirty() {
+			t.Fatalf("reading %s's FIB touched its speaker", d.ID)
+		}
+	}
+	if after, err := snap.EncodeCanonical(); err != nil || !bytes.Equal(before, after) {
+		t.Fatalf("building one fork's speakers while a sibling read its FIBs changed the state (err %v)", err)
 	}
 }

@@ -16,6 +16,16 @@
 // before touching the live fleet — the paper's pre-deployment health-check
 // loop (Section 5.3.2, Section 7.1) made executable.
 //
+// A restore builds only what its fork touches (fabric.NewFromState): it
+// shares with the snapshot, read-only, the speakers' records — each speaker
+// builds its maps, RIB column views and RPA evaluator from its record on
+// first use, and each FIB answers lookups from its record until its first
+// write — the compiled RPA programs, and the topology's session naming and
+// orders; it copies the topology, the event queue and the session table.
+// Decode checks each state once (fabric.NetState.Check): it refuses what a
+// restore would have to refuse — by name a device or a FIB prefix listed
+// twice — and records on the state what its restores need not check again.
+//
 // A search or a campaign that walks from state to state — the planner's beam,
 // the guard's waves — holds rendered snapshots (CaptureFrom, Rendered,
 // DecodeRendered): a state together with its canonical bytes and fingerprint.
@@ -51,19 +61,22 @@ import (
 // EncodeCanonical and EncodeWithFingerprint is its rendering itself, not a
 // copy: read-only to every caller (TestSharedEncodingIsReadOnly). A restored
 // network is not a deep copy of it: fabric.NewFromState copies what a
-// network edits in place (topology, queue, FIBs, match caches) and shares
-// the rest read-only with the snapshot and every sibling restore — AS paths
-// and community lists, immutable engine-wide, each speaker's compiled RPA
-// program (core.Program, replaced on deploy, never edited), and its Adj-RIB-In
-// and Adj-RIB-Out columns, which the speaker copies before its first write
-// to one. So forks taken concurrently from one shared snapshot are
-// independent networks, and diverging them leaves the snapshot's bytes
-// untouched; it stays reachable for as long as a network restored from it.
+// network edits in place (topology, queue, session table) and shares the
+// rest read-only with the snapshot and every sibling restore — AS paths and
+// community lists, immutable engine-wide, each speaker's compiled RPA
+// program (core.Program, replaced on deploy, never edited), each speaker's
+// record, which it reads to build its own maps, FIB and match cache on first
+// use, and its Adj-RIB-In and Adj-RIB-Out columns, which the speaker copies
+// before its first write to one. So forks taken concurrently from one shared
+// snapshot are independent networks, and diverging them leaves the
+// snapshot's bytes untouched; it stays reachable for as long as a network
+// restored from it.
 // The one mutable field is Meta: callers that modify it while other
 // goroutines encode the same snapshot must synchronize, or use
 // EncodeCanonical, which never reads Meta. TestConcurrentFork,
-// TestSharedForksLeaveSnapshotUntouched and TestCaptureFromConcurrentSiblings
-// hold this contract under the race detector.
+// TestSharedForksLeaveSnapshotUntouched, TestCaptureFromConcurrentSiblings
+// and TestSiblingForksBuildAndRead hold this contract under the race
+// detector.
 type Snapshot struct {
 	Meta map[string]string
 
