@@ -11,11 +11,11 @@
 // With -data-dir the daemon is durable: plan search progress journals to
 // a write-ahead log after every completed level, guarded executions
 // (POST /v1/execute) checkpoint to it before every wave with their
-// last-good snapshots in the object store, memoized responses and base
-// snapshots persist alongside, and a restarted daemon recovers
-// everything on boot — an in-flight POST /v1/plan resumes by plan ID
-// from its last journaled level, and a campaign killed mid-execution
+// last-good snapshots in the object store, and a restarted daemon
+// recovers its jobs on boot — an in-flight POST /v1/plan resumes by plan
+// ID from its last journaled level, and a campaign killed mid-execution
 // resumes from its WAL checkpoint to the byte-identical terminal state.
+// Scenario bases and memoized responses are rebuilt on demand.
 //
 // SIGINT/SIGTERM drains: in-flight requests finish, new ones get 503,
 // then the listener closes.
@@ -133,9 +133,9 @@ func main() {
 		log.Fatalf("centraliumd: %v", err)
 	}
 	if st != nil {
-		bases, plans, execs, memos, truncated := srv.Recovered()
-		log.Printf("centraliumd recovered from %s: %d bases, %d plans, %d executions, %d memos (%d corrupt tail bytes truncated)",
-			o.dataDir, bases, plans, execs, memos, truncated)
+		plans, execs, truncated := srv.Recovered()
+		log.Printf("centraliumd recovered from %s: %d plans, %d executions (%d corrupt tail bytes truncated)",
+			o.dataDir, plans, execs, truncated)
 	}
 	httpSrv := &http.Server{Addr: o.addr, Handler: srv.Handler()}
 

@@ -122,7 +122,7 @@ func TestBuildRecoversOnBoot(t *testing.T) {
 		t.Fatalf("rebuild on data dir: %v", err)
 	}
 	defer st2.Close()
-	if _, plans, _, _, _ := srv2.Recovered(); plans != 1 {
+	if plans, _, _ := srv2.Recovered(); plans != 1 {
 		t.Fatalf("recovered %d plans, want 1", plans)
 	}
 	ts2 := httptest.NewServer(srv2.Handler())

@@ -41,12 +41,19 @@
 // store, every level or wave journals one to the WAL before the next
 // starts — a plan's by reference, behind the states it names for the
 // first time, in one batch — into the job's record on its entry, the
-// daemon's only in-memory copy, as the cache and the memo are of theirs;
-// drive resumes from it when it has no live job — after a restart, or an
-// advance that failed (the job is dropped, as a crash would drop it). A
-// journaled checkpoint that does not resume is treated as absent and the
-// job restarts: the final body is a pure function of the job's identity,
-// so it is byte-identical either way, as it is for an evicted job.
+// daemon's only in-memory copy; drive resumes from it when it has no live
+// job — after a restart, or an advance that failed (the job is dropped, as
+// a crash would drop it). A journaled checkpoint that does not resume is
+// treated as absent and the job restarts: the final body is a pure
+// function of the job's identity, so it is byte-identical either way, as
+// it is for an evicted job.
+//
+// The WAL journals jobs and nothing else. Scenario bases and memoized
+// what-if bodies are caches of pure functions: a restarted daemon rebuilds
+// a base on the first request for it, to the same fingerprint, and
+// recomputes a what-if to the same bytes. No job journals its base either:
+// the job's ID hashes the base fingerprint and its post holds the cache
+// entry, so the job's object store answers the base from that entry.
 //
 // # Admission, deadlines, drain
 //

@@ -165,10 +165,7 @@ func (s *Server) execute(ctx context.Context, ar *apiRequest) result {
 		s.metrics.observeGuard(tr)
 		s.events.publish(StreamEvent{Source: label, Guard: &tr})
 	}
-	if s.persist != nil {
-		// Last-good states go to the object store: a checkpoint names them.
-		c.Objects = s.persist.st.Objects
-	}
+	c.Objects = s.persist.execObjects(entry)
 	journaled := func(rec *jobRecord) guard.Campaign { c.Journal = s.persist.journal(execJob, id, rec); return c }
 	return drive(s, s.execs, id, jobSteps[guard.Execution]{
 		start: func(rec *jobRecord) (*guard.Execution, error) { return guard.NewExecution(entry.Snap, journaled(rec)) },

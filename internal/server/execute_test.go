@@ -12,8 +12,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -252,6 +256,98 @@ func TestExecuteResumesAcrossDaemonRestart(t *testing.T) {
 	again := postExecute(t, ts2.Client(), ts2.URL, body)
 	if again.body != want.body {
 		t.Errorf("recovered terminal replay diverged")
+	}
+}
+
+// TestExecuteResumesRollbackFromBase: a violating fig10 campaign rolls back
+// at wave 0 to its base and pauses for a retry. A daemon killed there, with
+// the rollback's checkpoint the last record on disk, resumes the campaign on
+// restart from the base its post rebuilds — no object and no record holds
+// the base — with nothing unresumable, to the final of an uninterrupted run.
+// After plan and execute histories, the object store holds no file named by
+// a base fingerprint.
+func TestExecuteResumesRollbackFromBase(t *testing.T) {
+	_, _, reversed := fig10Schedules(t)
+	body := fmt.Sprintf(`{"scenario":"fig10","seed":%d,"schedule":%q,"envelope":"share=0.6"}`, confSeed, reversed)
+	_, ref := confServer(t, 2)
+	want := postExecute(t, ref.Client(), ref.URL, body)
+	if r := decodeExecute(t, want); r.State != "aborted" || r.WavesDone != 0 || r.Rollbacks < 2 {
+		t.Fatalf("reference campaign %s after %d waves and %d rollbacks, want aborted at wave 0 after retries",
+			r.State, r.WavesDone, r.Rollbacks)
+	}
+
+	history := t.TempDir()
+	var resumes int
+	_, ts, stop := openDurable(t, history, &resumes)
+	got := decodeExecute(t, postExecute(t, ts.Client(), ts.URL, body))
+	plan := decodePlan(t, postPlan(t, ts.Client(), ts.URL, recStepBody))
+	stop()
+	bases := []string{got.Fingerprint, plan.Fingerprint}
+	checkNoBaseObjects(t, history, bases)
+
+	// The kill: the log ends with the checkpoint the first rollback journaled.
+	recs := walRecords(t, history)
+	segs := walSegments(t, history)
+	boundaries, err := store.RecordBoundaries(segs[len(segs)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := len(recs) - (len(boundaries) - 1) // the newest segment's first record
+	cut := -1
+	for i := first; i < len(recs) && cut < 0; i++ {
+		if recs[i].typ != recExecCheckpoint {
+			continue
+		}
+		cp, err := guard.DecodeCheckpoint(recs[i].value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cp.Wave == 0 && cp.Attempt == 1 {
+			if cp.LastGood != got.Fingerprint || cp.Done {
+				t.Fatalf("the rollback's checkpoint names last-good %s (done %v), want the base %s", cp.LastGood, cp.Done, got.Fingerprint)
+			}
+			cut = i
+		}
+	}
+	if cut < 0 {
+		t.Fatal("the newest segment holds no checkpoint of a wave-0 rollback")
+	}
+	dir := cloneDir(t, history)
+	if err := os.Truncate(walSegments(t, dir)[len(segs)-1], boundaries[cut-first+1]); err != nil {
+		t.Fatal(err)
+	}
+
+	resumes = 0
+	s, ts, stop := openDurable(t, dir, &resumes)
+	defer stop()
+	if _, execs, _ := s.Recovered(); execs != 1 {
+		t.Fatalf("recovered %d executions, want 1", execs)
+	}
+	if again := postExecute(t, ts.Client(), ts.URL, body); again.body != want.body {
+		t.Errorf("campaign resumed from its rollback diverged from uninterrupted:\n got: %s\nwant: %s", again.body, want.body)
+	}
+	if m := fetchMetrics(t, ts); resumes != 1 || m.UnresumableExecs != 0 || m.SnapshotCacheMisses != 1 {
+		t.Errorf("%d resumes, unresumable_execs %d, %d snapshot-cache misses: want 1, 0 and 1 (the base rebuilt cold)",
+			resumes, m.UnresumableExecs, m.SnapshotCacheMisses)
+	}
+	checkNoBaseObjects(t, dir, bases)
+}
+
+// checkNoBaseObjects fails when dir's object store holds a file named by one
+// of the base fingerprints.
+func checkNoBaseObjects(t *testing.T, dir string, bases []string) {
+	t.Helper()
+	err := filepath.WalkDir(filepath.Join(dir, "objects"), func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if slices.Contains(bases, d.Name()) {
+			t.Errorf("the object store holds base %s", path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -65,11 +65,7 @@ func (s *Server) whatif(ctx context.Context, ar *apiRequest) result {
 	}
 	res := s.runWhatIf(req, entry)
 	if res.status == http.StatusOK && !req.NoMemo {
-		if s.memo.put(key, res.body) && s.persist != nil {
-			if err := s.persist.saveMemo(key, res.body); err != nil {
-				s.persist.noteError()
-			}
-		}
+		s.memo.put(key, res.body)
 	}
 	return res
 }
@@ -212,10 +208,10 @@ func (s *Server) plan(ctx context.Context, ar *apiRequest) result {
 			if req.SearchBare {
 				p.SearchBare = true
 			}
-			return planner.NewSearchWith(entry.Snap, p, s.persist.objects(rec))
+			return planner.NewSearchWith(entry.Snap, p, s.persist.objects(entry, rec))
 		},
 		resume: func(rec *jobRecord) (*planner.Search, error) {
-			return planner.ResumeSearchWith(rec.checkpoint, s.persist.objects(rec))
+			return planner.ResumeSearchWith(rec.checkpoint, s.persist.objects(entry, rec))
 		},
 		advance: func(search *planner.Search, rec *jobRecord) (result, bool, error) {
 			// A deadline stops the search between levels: it keeps its
@@ -326,8 +322,8 @@ func (s *Server) metricsHandler(ctx context.Context, ar *apiRequest) result {
 		snap.StoreBytes, snap.StorePlanCheckpointBytes, snap.StorePlanStateBytes = s.persist.bytesAppended()
 		snap.StoreLiveStates = s.persist.liveStates()
 		snap.UnresumablePlans, snap.UnresumableExecs = s.plans.unresumable.Load(), s.execs.unresumable.Load()
-		snap.RecoveredBases, snap.RecoveredPlans, snap.RecoveredExecs, snap.RecoveredMemos, snap.RecoveredTruncatedBytes =
-			s.recovered.Bases, s.recovered.Plans, s.recovered.Execs, s.recovered.Memos, s.recovered.TruncatedBytes
+		snap.RecoveredPlans, snap.RecoveredExecs, snap.RecoveredTruncatedBytes =
+			s.recovered.Plans, s.recovered.Execs, s.recovered.TruncatedBytes
 	}
 	return jsonResult(http.StatusOK, snap)
 }

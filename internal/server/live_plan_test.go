@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"centralium/internal/planner"
 	"centralium/internal/store"
 )
 
@@ -72,7 +73,7 @@ func TestPlanKeepsSearchLive(t *testing.T) {
 	}
 	if m.StorePlanCheckpointBytes <= 0 || m.StorePlanStateBytes <= 0 ||
 		m.StoreBytes <= m.StorePlanCheckpointBytes+m.StorePlanStateBytes {
-		t.Errorf("store_bytes %d, store_plan_checkpoint_bytes %d, store_plan_state_bytes %d: want all positive and bases, finals on top of the plan's records",
+		t.Errorf("store_bytes %d, store_plan_checkpoint_bytes %d, store_plan_state_bytes %d: want all positive and the final on top of the plan's records",
 			m.StoreBytes, m.StorePlanCheckpointBytes, m.StorePlanStateBytes)
 	}
 
@@ -180,6 +181,93 @@ func TestPlanRestartsVersion2Checkpoint(t *testing.T) {
 	}
 }
 
+// TestLegacyBaseAndMemoRecordsRecover boots a data dir in the shape an
+// earlier daemon wrote: a scenario-base record (type 1) with the base in the
+// object store, a memoized what-if (type 4), and a live plan whose states
+// include the base. Those record types are retired: recovery skips them, the
+// plan resumes to the byte-identical final, the what-if is recomputed to the
+// bytes it was memoized with, and the first compaction leaves no record of
+// type 1 or 4.
+func TestLegacyBaseAndMemoRecordsRecover(t *testing.T) {
+	const legacyBase, legacyMemo uint8 = 1, 4
+	wantFinal, wantWhatIf := referenceRun(t)
+
+	src := t.TempDir()
+	var resumes int
+	_, ts, stop := openDurable(t, src, &resumes)
+	paced := decodePlan(t, postPlan(t, ts.Client(), ts.URL, recStepBody))
+	stop()
+	if paced.Done {
+		t.Fatal("one level finished the plan: nothing to resume")
+	}
+	snap, params, err := planner.ScenarioSetup("fig10", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := snap.EncodeCanonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseRec, err := json.Marshal(struct {
+		Fingerprint string         `json:"fingerprint"`
+		Params      planner.Params `json:"params"`
+	}{paced.Fingerprint, params})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wi, err := DecodeWhatIfRequest([]byte(recWhatIfBody))
+	if err != nil || wi.Validate() != nil {
+		t.Fatalf("what-if body: %v", err)
+	}
+
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Objects.Put(paced.Fingerprint, base); err != nil {
+		t.Fatal(err)
+	}
+	level := []store.Entry{entry(recPlanState, paced.PlanID, []byte(paced.Fingerprint), base)}
+	for _, r := range walRecords(t, src) {
+		level = append(level, entry(r.typ, r.key, r.value))
+	}
+	for _, batch := range [][]store.Entry{
+		{entry(legacyBase, "fig10|1", baseRec)},
+		{entry(legacyMemo, wi.memoKey(paced.Fingerprint), []byte(wantWhatIf))},
+		level,
+	} {
+		if _, err := st.Log.AppendBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts, stop := openDurable(t, dir, &resumes)
+	if plans, execs, _ := s.Recovered(); plans != 1 || execs != 0 {
+		t.Fatalf("recovered (plans, execs) = (%d, %d), want (1, 0)", plans, execs)
+	}
+	compact(t, s)
+	if rec := postPlan(t, ts.Client(), ts.URL, recPlanBody); rec.body != wantFinal {
+		t.Errorf("legacy plan diverged from uninterrupted:\n got: %s\nwant: %s", rec.body, wantFinal)
+	}
+	if got := postWhatIf(t, ts.Client(), ts.URL, recWhatIfBody); got.body != wantWhatIf {
+		t.Errorf("legacy what-if diverged:\n got: %s\nwant: %s", got.body, wantWhatIf)
+	}
+	m := fetchMetrics(t, ts)
+	stop()
+	if resumes != 1 || m.UnresumablePlans != 0 || m.MemoHits != 0 {
+		t.Errorf("%d resumes, unresumable_plans %d, memo_hits %d: want the plan resumed once and the what-if recomputed",
+			resumes, m.UnresumablePlans, m.MemoHits)
+	}
+	types := walRecordTypes(t, dir)
+	if len(types[legacyBase]) != 0 || len(types[legacyMemo]) != 0 {
+		t.Errorf("the compacted log holds %d base and %d memo records, want none", len(types[legacyBase]), len(types[legacyMemo]))
+	}
+}
+
 // walRecords reopens dir's store and returns its WAL records, oldest first,
 // each with its key and value.
 func walRecords(t *testing.T, dir string) []walRecord {
@@ -252,14 +340,19 @@ func planManifest(t *testing.T, cp []byte) (named []string, carried uint64) {
 // TestPlanStatesJournaledOnce: a plan paced one level a post journals each
 // distinct state once, as a state record of its own under the plan's ID that
 // hashes to the fingerprint it carries, ahead of the first checkpoint that
-// names it; and no checkpoint record carries state bytes.
+// names it; and no checkpoint record carries state bytes. The base is the
+// exception: no record carries it, because the plan's post resolves it from
+// the snapshot cache (TestPlanKeepsSearchLive resumes such a plan after
+// every restart).
 func TestPlanStatesJournaledOnce(t *testing.T) {
 	dir := t.TempDir()
 	var resumes int
 	_, ts, stop := openDurable(t, dir, &resumes)
 	levels := 0
+	var base string
 	for done := false; !done; levels++ {
-		done = decodePlan(t, postPlan(t, ts.Client(), ts.URL, recStepBody)).Done
+		resp := decodePlan(t, postPlan(t, ts.Client(), ts.URL, recStepBody))
+		done, base = resp.Done, resp.Fingerprint
 		if levels > 64 {
 			t.Fatal("plan still not done after 64 stepped requests")
 		}
@@ -270,7 +363,7 @@ func TestPlanStatesJournaledOnce(t *testing.T) {
 		t.Fatalf("plan finished in %d levels: too shallow to show anything", levels)
 	}
 
-	journaled := make(map[string]bool)
+	journaled := map[string]bool{base: true}
 	var checkpoints, states int
 	for _, r := range walRecords(t, dir) {
 		switch r.typ {
@@ -281,7 +374,9 @@ func TestPlanStatesJournaledOnce(t *testing.T) {
 			if hex.EncodeToString(sum[:]) != fp {
 				t.Errorf("state record %s holds state %x", fp[:12], sum[:6])
 			}
-			if journaled[fp] {
+			if fp == base {
+				t.Errorf("a state record carries the base %s", fp[:12])
+			} else if journaled[fp] {
 				t.Errorf("state %s journaled twice", fp[:12])
 			}
 			journaled[fp] = true
@@ -290,6 +385,9 @@ func TestPlanStatesJournaledOnce(t *testing.T) {
 			named, carried := planManifest(t, r.value)
 			if carried != 0 {
 				t.Errorf("checkpoint %d carries %d states", checkpoints, carried)
+			}
+			if named[0] != base {
+				t.Errorf("checkpoint %d names base %s, want %s", checkpoints, named[0][:12], base[:12])
 			}
 			for _, fp := range named {
 				if !journaled[fp] {
@@ -301,7 +399,7 @@ func TestPlanStatesJournaledOnce(t *testing.T) {
 	if checkpoints != levels || states <= levels {
 		t.Errorf("%d checkpoints and %d states over %d levels", checkpoints, states, levels)
 	}
-	if m.StoreAppends != int64(levels)+2 { // the base, each level, the final
+	if m.StoreAppends != int64(levels)+1 { // each level, the final
 		t.Errorf("store_appends %d over %d levels: want one batch per level", m.StoreAppends, levels)
 	}
 }

@@ -217,13 +217,11 @@ type MetricsSnapshot struct {
 	StorePlanCheckpointBytes int64 `json:"store_plan_checkpoint_bytes"`
 	StorePlanStateBytes      int64 `json:"store_plan_state_bytes"`
 	StoreLiveStates          int   `json:"store_live_states"`
-	// Recovered* report what the tables hold after boot-time recovery: the
-	// bases it restored, the plans, executions and memo bodies it replayed
-	// into them; truncated bytes count the corrupt WAL tail it discarded.
-	RecoveredBases          int `json:"recovered_bases"`
+	// Recovered* report what the job tables hold after boot-time recovery:
+	// the plans and executions it replayed into them; truncated bytes count
+	// the corrupt WAL tail it discarded.
 	RecoveredPlans          int `json:"recovered_plans"`
 	RecoveredExecs          int `json:"recovered_execs"`
-	RecoveredMemos          int `json:"recovered_memos"`
 	RecoveredTruncatedBytes int `json:"recovered_truncated_bytes"`
 	// UnresumablePlans counts journaled plan checkpoints that failed to
 	// resume and were restarted from level 0; UnresumableExecs the same for

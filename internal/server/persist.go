@@ -1,18 +1,17 @@
 package server
 
 // The durable state plane. When a Config carries a *store.Store the
-// daemon journals its resumable state through the store's WAL and keeps
-// base snapshots in the content-addressed object store, so a restarted
-// centraliumd resumes in-flight plan searches by plan ID and serves
-// memoized responses byte-identically.
+// daemon journals its jobs through the store's WAL, so a restarted
+// centraliumd resumes in-flight plan searches and guarded executions by
+// ID and answers finished ones from their final bytes. Nothing else is
+// durable: scenario bases and memoized what-if bodies are pure functions
+// of their keys, and a restarted daemon rebuilds them on demand to the
+// same bytes.
 //
 // What persists, by WAL record type:
 //
-//	recBase           scenario key → {fingerprint, params}; the snapshot
-//	                  bytes live in the object store under the fingerprint
 //	recPlanCheckpoint plan ID → between-levels search checkpoint
 //	recPlanFinal      plan ID → final response bytes
-//	recMemo           memo key → memoized response bytes
 //	recExecCheckpoint exec ID → guard checkpoint (pre-wave / post-rollback);
 //	                  last-good snapshots live in the object store under
 //	                  their fingerprints
@@ -23,15 +22,18 @@ package server
 // Every payload is an EncodeKV(key, value) pair; the latest record for a
 // key wins on replay, except that a plan's state records accumulate.
 //
-// The serving tables — the snapshot cache, the response memo, and the job
-// stores, whose entries hold a jobRecord each — are the only in-memory home
-// of that state, so each table's one bound (CacheSize, MemoSize,
-// PlanStoreSize) bounds the compacted log too. Compaction rewrites them:
-// Rotate, re-append each table's members in its recency order, Sync,
-// Compact. Recovery replays the WAL straight back into them, in log order:
-// the jobs that survive are the most recently recorded, the same ones on
-// every boot, and of the bases only the newest CacheSize are restored. A
-// job evicted from its table is forgotten: posted again, it re-runs.
+// A job never journals its base. Its ID hashes the base fingerprint, and
+// every post resolves the base through the snapshot cache before it touches
+// the job, so a job's object store (baseFirst) answers the base from the
+// cache entry the post holds and ignores a Put of it.
+//
+// The job tables, whose entries hold a jobRecord each, are the only
+// in-memory home of that state, so their bound (PlanStoreSize) bounds the
+// compacted log too. Compaction rewrites them: Rotate, re-append each
+// table's members in its recency order, Sync, Compact. Recovery replays
+// the WAL straight back into them, in log order: the jobs that survive are
+// the most recently recorded, the same ones on every boot. A job evicted
+// from its table is forgotten: posted again, it re-runs.
 //
 // Locks: code that writes a jobRecord holds its entry's lock and p.mu, so
 // drive reads a record under the entry lock and compaction under p.mu.
@@ -52,23 +54,20 @@ package server
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
 
 	"centralium/internal/planner"
-	"centralium/internal/snapshot"
 	"centralium/internal/store"
 )
 
-// WAL record types of the daemon's durable state.
+// WAL record types of the daemon's durable state. Types 1 and 4 are
+// retired and never reused: they journaled scenario bases and memoized
+// what-if bodies, and recovery skips them like any unknown type.
 const (
-	recBase           uint8 = 1
 	recPlanCheckpoint uint8 = 2
 	recPlanFinal      uint8 = 3
-	recMemo           uint8 = 4
 	recExecCheckpoint uint8 = 5
 	recExecFinal      uint8 = 6
 	recPlanState      uint8 = 7
@@ -77,14 +76,6 @@ const (
 // fpLen is the length of a state fingerprint, hex sha256, at the head of a
 // recPlanState value.
 const fpLen = 2 * sha256.Size
-
-// baseRecord is the recBase payload value: everything needed to rebuild
-// a warm cache entry without re-running scenario convergence, given the
-// snapshot bytes from the object store.
-type baseRecord struct {
-	Fingerprint string         `json:"fingerprint"`
-	Params      planner.Params `json:"params"`
-}
 
 // jobKind names a kind of resumable daemon job.
 type jobKind uint8
@@ -134,10 +125,8 @@ type persistor struct {
 	mu sync.Mutex
 	st *store.Store
 
-	// The serving tables, which compaction rewrites and recovery refills.
-	cache *snapCache
-	memo  *respMemo
-	jobs  [jobKinds]jobTable
+	// The job tables, which compaction rewrites and recovery refills.
+	jobs [jobKinds]jobTable
 
 	// compactEvery triggers checkpoint-style compaction once the log
 	// holds more than this many segments.
@@ -191,7 +180,7 @@ func (p *persistor) commitLocked(apply func(), entries ...store.Entry) error {
 	return nil
 }
 
-// compactLocked rewrites the serving tables into a fresh segment and drops
+// compactLocked rewrites the job tables into a fresh segment and drops
 // everything older. Caller holds p.mu.
 func (p *persistor) compactLocked() error {
 	base, err := p.st.Log.Rotate()
@@ -204,15 +193,6 @@ func (p *persistor) compactLocked() error {
 		}
 		_, err := p.st.Log.AppendBatch(batch)
 		return err
-	}
-	for _, e := range p.cache.list() {
-		rec, err := json.Marshal(&baseRecord{Fingerprint: e.Fingerprint, Params: e.Params})
-		if err != nil {
-			return err
-		}
-		if err := rewrite(entry(recBase, e.scenarioKey, rec)); err != nil {
-			return err
-		}
 	}
 	for k, kind := range jobRecords {
 		// A job is one batch: its states, then the checkpoint that names
@@ -239,12 +219,6 @@ func (p *persistor) compactLocked() error {
 			}
 		}
 	}
-	keys, bodies := p.memo.list()
-	for i, key := range keys {
-		if err := rewrite(entry(recMemo, key, bodies[i])); err != nil {
-			return err
-		}
-	}
 	if err := p.st.Log.Sync(); err != nil {
 		return err
 	}
@@ -253,24 +227,6 @@ func (p *persistor) compactLocked() error {
 	}
 	p.compactions++
 	return nil
-}
-
-// saveBase persists a freshly built cache entry: the canonical snapshot
-// into the object store (content-addressed, idempotent) and the
-// scenario-key → identity mapping into the WAL.
-func (p *persistor) saveBase(e *cacheEntry) error {
-	data, err := e.Snap.EncodeCanonical()
-	if err != nil {
-		return err
-	}
-	if err := p.st.Objects.Put(e.Fingerprint, data); err != nil {
-		return err
-	}
-	rec, err := json.Marshal(&baseRecord{Fingerprint: e.Fingerprint, Params: e.Params})
-	if err != nil {
-		return err
-	}
-	return p.commit(nil, entry(recBase, e.scenarioKey, rec))
 }
 
 // journal appends job id's checkpoints into rec, each in one batch behind
@@ -303,13 +259,47 @@ func (p *persistor) journal(k jobKind, id string, rec *jobRecord) planner.Journa
 	})
 }
 
-// objects is the object store of a search over rec; nil without a store,
-// and the search then checkpoints inline.
-func (p *persistor) objects(rec *jobRecord) planner.ObjectStore {
+// objects is the object store of a plan's search over rec from base; nil
+// without a store, and the search then checkpoints inline.
+func (p *persistor) objects(base *cacheEntry, rec *jobRecord) planner.ObjectStore {
 	if p == nil {
 		return nil
 	}
-	return jobObjects{p, rec}
+	return baseFirst{base, jobObjects{p, rec}}
+}
+
+// execObjects is the object store of an execution from base: its last-good
+// states go to the store's object half. nil without a store.
+func (p *persistor) execObjects(base *cacheEntry) planner.ObjectStore {
+	if p == nil {
+		return nil
+	}
+	return baseFirst{base, p.st.Objects}
+}
+
+// baseFirst is a job's object store: the state under the base's fingerprint
+// is the base itself, read from the cache entry the post holds — a Get
+// encodes it, a Put is a no-op — and every other state goes to next. So no
+// job journals its base, and a restart needs none: the job's ID hashes the
+// base fingerprint, and its post rebuilds the base before it resumes.
+type baseFirst struct {
+	base *cacheEntry
+	next planner.ObjectStore
+}
+
+func (o baseFirst) Put(fp string, data []byte) error {
+	if fp == o.base.Fingerprint {
+		return nil
+	}
+	return o.next.Put(fp, data)
+}
+
+func (o baseFirst) Get(fp string) ([]byte, bool, error) {
+	if fp == o.base.Fingerprint {
+		data, err := o.base.Snap.EncodeCanonical()
+		return data, err == nil, err
+	}
+	return o.next.Get(fp)
 }
 
 // jobObjects is the object store of a plan's search over its record: Put
@@ -332,10 +322,6 @@ func (o jobObjects) Put(fp string, data []byte) error {
 func (o jobObjects) Get(fp string) ([]byte, bool, error) {
 	data, ok := o.rec.states[fp]
 	return data, ok, nil
-}
-
-func (p *persistor) saveMemo(key string, body []byte) error {
-	return p.commit(nil, entry(recMemo, key, body))
 }
 
 func (p *persistor) noteError() {
@@ -373,47 +359,30 @@ func (p *persistor) liveStates() int {
 	return n
 }
 
-// recoveryStats counts what a boot-time recovery rebuilt.
+// recoveryStats counts what a boot-time recovery replayed.
 type recoveryStats struct {
-	Bases          int
 	Plans          int
 	Execs          int
-	Memos          int
 	TruncatedBytes int
 }
 
-// recover replays the WAL into the serving tables. Memo bodies answer
-// repeat requests; each job's record takes its records, and drive answers a
-// finished job from its final and resumes an unfinished one from its
-// checkpoint when its ID is next posted. Of the bases, the newest
-// cacheSize come back warm from the object store — each verified against
-// its content address before use; a missing or corrupt object degrades to
-// a cold rebuild, never to wrong state.
-func (p *persistor) recover(cacheSize int) (recoveryStats, error) {
+// recover replays the WAL into the job tables: each job's record takes its
+// records, and drive answers a finished job from its final and resumes an
+// unfinished one from its checkpoint when its ID is next posted. Records of
+// other types — retired or unknown — are skipped.
+func (p *persistor) recover() (recoveryStats, error) {
 	var rs recoveryStats
-	// The latest base record per scenario key, in log order, the newest
-	// cacheSize only.
-	bases := newRecency[[]byte](cacheSize, nil)
 	err := p.st.Log.Replay(func(r store.Record) error {
 		key, value, err := store.DecodeKV(r.Data)
 		if err != nil {
 			return fmt.Errorf("record %d: %w", r.Index, err)
 		}
-		value = bytes.Clone(value) // the tables keep it; the segment buffer goes
-		switch r.Type {
-		case recBase:
-			bases.touch(key)
-			bases.put(key, value)
-		case recMemo:
-			p.memo.put(key, value)
-		}
-		// Unknown record types are forward compatibility, not corruption,
-		// and are skipped.
 		for k, kind := range jobRecords {
 			isState := kind.state != 0 && r.Type == kind.state && len(value) >= fpLen
 			if r.Type != kind.final && r.Type != kind.checkpoint && !isState {
 				continue
 			}
+			value = bytes.Clone(value) // the table keeps it; the segment buffer goes
 			p.jobs[k].update(key, func(j *jobRecord) {
 				p.mu.Lock()
 				defer p.mu.Unlock()
@@ -436,46 +405,8 @@ func (p *persistor) recover(cacheSize int) (recoveryStats, error) {
 		return rs, err
 	}
 	rs.TruncatedBytes = p.st.Log.TruncatedBytes()
-
-	keys, recs := bases.list()
-	for i, key := range keys {
-		// A base that does not restore rebuilds cold on demand, and its
-		// build records it again.
-		var rec baseRecord
-		if json.Unmarshal(recs[i], &rec) != nil {
-			continue
-		}
-		if entry, err := restoreEntry(p.st, key, rec); err == nil {
-			p.cache.add(entry)
-			rs.Bases++
-		}
-	}
 	plans, _ := p.jobs[planJob].records()
 	execs, _ := p.jobs[execJob].records()
 	rs.Plans, rs.Execs = len(plans), len(execs)
-	_, _, rs.Memos = p.memo.stats()
 	return rs, nil
-}
-
-// restoreEntry loads and verifies one base snapshot from the object
-// store and rebuilds its warm cache entry.
-func restoreEntry(st *store.Store, scenarioKey string, rec baseRecord) (*cacheEntry, error) {
-	data, ok, err := st.Objects.Get(rec.Fingerprint)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("base object %s missing", rec.Fingerprint)
-	}
-	// The fingerprint is the sha256 of the canonical encoding; recompute
-	// it so a wrong-but-well-framed object can never seed the cache.
-	sum := sha256.Sum256(data)
-	if hex.EncodeToString(sum[:]) != rec.Fingerprint {
-		return nil, fmt.Errorf("base object %s fails content verification", rec.Fingerprint)
-	}
-	snap, err := snapshot.Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	return &cacheEntry{Fingerprint: rec.Fingerprint, Snap: snap, Params: rec.Params, scenarioKey: scenarioKey}, nil
 }

@@ -292,38 +292,11 @@ func TestJobTablesBoundTheLog(t *testing.T) {
 	}
 }
 
-// TestRecoveryRestoresOnlyCachedBases: a restart fetches, hashes and decodes
-// only the bases the snapshot cache keeps — the newest CacheSize recorded —
-// and a compacted log records only those.
-func TestRecoveryRestoresOnlyCachedBases(t *testing.T) {
-	const seeds, size = 12, 2
-	dir := t.TempDir()
-	cfg := Config{Workers: 2, CacheSize: size}
-	_, ts, stop := openDurableWith(t, dir, cfg, nil)
-	for seed := 1; seed <= seeds; seed++ {
-		if rec := postWhatIf(t, ts.Client(), ts.URL, fmt.Sprintf(`{"scenario":"fig10","seed":%d}`, seed)); rec.status != http.StatusOK {
-			t.Fatalf("seed %d: status %d: %s", seed, rec.status, rec.body)
-		}
-	}
-	stop()
-
-	s, ts, stop := openDurableWith(t, dir, cfg, nil)
-	if m := fetchMetrics(t, ts); m.RecoveredBases != size || m.SnapshotCacheSize != size {
-		t.Errorf("recovered_bases %d, snapshot_cache_size %d after %d seeds; want %d each",
-			m.RecoveredBases, m.SnapshotCacheSize, seeds, size)
-	}
-	compact(t, s)
-	stop()
-	if n := len(walRecordTypes(t, dir)[recBase]); n != size {
-		t.Errorf("compacted log holds %d base records, want %d", n, size)
-	}
-}
-
 // TestCompactionUnderConcurrentJobs: with a compaction every few appends,
 // one post's append rewrites the records of jobs that other posts are
-// advancing at the same time, and the bases and memo bodies that what-ifs
-// are adding. Every job still finishes on the final of an uninterrupted run,
-// after a restart and again after a second one.
+// advancing at the same time, while what-ifs build bases and memoize bodies
+// that nothing journals. Every job still finishes on the final of an
+// uninterrupted run, after a restart and again after a second one.
 func TestCompactionUnderConcurrentJobs(t *testing.T) {
 	type job struct {
 		post        func(*testing.T, *http.Client, string, string) respRec

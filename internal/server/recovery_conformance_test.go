@@ -65,8 +65,8 @@ func referenceRun(t *testing.T) (planFinal, whatIf string) {
 
 // serveHistory drives a durable daemon through a real serving history on
 // dir — a memoized what-if, then a plan advanced one level per request
-// to completion — so the WAL accumulates one record per journaled level
-// plus the base, memo, and final records.
+// to completion — so the WAL accumulates one batch per journaled level
+// plus the final record; the what-if journals nothing.
 func serveHistory(t *testing.T, dir, wantFinal, wantWhatIf string) {
 	t.Helper()
 	_, ts := durableServer(t, dir)
@@ -380,7 +380,7 @@ func TestRestartResumesInFlightPlan(t *testing.T) {
 
 	// The restarted daemon: same data dir, fresh process state.
 	s2, ts2 := durableServer(t, dir)
-	if _, plans, _, _, _ := s2.Recovered(); plans != 1 {
+	if plans, _, _ := s2.Recovered(); plans != 1 {
 		t.Fatalf("recovered %d plans, want 1", plans)
 	}
 	next := decodePlan(t, postPlan(t, ts2.Client(), ts2.URL, recStepBody))
@@ -400,34 +400,39 @@ func TestRestartResumesInFlightPlan(t *testing.T) {
 	}
 }
 
-// TestWarmRestartServesFromRecoveredState reopens a finished history:
-// the final plan answer and the memoized what-if must come back
-// byte-identical without recomputation (the plan store holds the final
-// body, the memo holds the verdict, the cache holds the base).
+// TestWarmRestartServesFromRecoveredState reopens a finished history: the
+// final plan answer comes back byte-identical from the recovered final,
+// without a resume. Nothing else was durable: the plan's post rebuilds the
+// base cold (one snapshot-cache miss), and the what-if is recomputed to the
+// bytes it was memoized with before the restart.
 func TestWarmRestartServesFromRecoveredState(t *testing.T) {
 	wantFinal, wantWhatIf := referenceRun(t)
 	history := t.TempDir()
 	serveHistory(t, history, wantFinal, wantWhatIf)
 
-	s, ts := durableServer(t, history)
-	bases, plans, _, memos, _ := s.Recovered()
-	if bases != 1 || plans != 1 || memos != 1 {
-		t.Fatalf("recovered (bases, plans, memos) = (%d, %d, %d), want (1, 1, 1)", bases, plans, memos)
+	var resumes int
+	s, ts, stop := openDurable(t, history, &resumes)
+	defer stop()
+	if plans, execs, _ := s.Recovered(); plans != 1 || execs != 0 {
+		t.Fatalf("recovered (plans, execs) = (%d, %d), want (1, 0)", plans, execs)
 	}
 	if rec := postPlan(t, ts.Client(), ts.URL, recPlanBody); rec.body != wantFinal {
 		t.Fatalf("warm plan diverged:\n got: %swant: %s", rec.body, wantFinal)
+	}
+	if resumes != 0 {
+		t.Fatalf("a finished plan resumed %d times instead of answering from its final", resumes)
 	}
 	m0 := fetchMetrics(t, ts)
 	if wi := postWhatIf(t, ts.Client(), ts.URL, recWhatIfBody); wi.body != wantWhatIf {
 		t.Fatalf("warm whatif diverged:\n got: %swant: %s", wi.body, wantWhatIf)
 	}
 	m1 := fetchMetrics(t, ts)
-	if m1.MemoHits != m0.MemoHits+1 {
-		t.Fatalf("warm whatif was recomputed, not served from the recovered memo (hits %d -> %d)", m0.MemoHits, m1.MemoHits)
+	if m1.MemoHits != m0.MemoHits || m1.MemoMisses != m0.MemoMisses+1 {
+		t.Fatalf("whatif after a restart was served from a memo (hits %d -> %d, misses %d -> %d), want it recomputed",
+			m0.MemoHits, m1.MemoHits, m0.MemoMisses, m1.MemoMisses)
 	}
-	// The base came from the object store, not a scenario rebuild.
-	if m1.SnapshotCacheMisses != 0 {
-		t.Fatalf("warm restart rebuilt the base cold (%d misses)", m1.SnapshotCacheMisses)
+	if m1.SnapshotCacheMisses != 1 {
+		t.Fatalf("%d snapshot-cache misses after a restart, want 1: the base rebuilt once, cold", m1.SnapshotCacheMisses)
 	}
 }
 

@@ -42,9 +42,10 @@ type Config struct {
 	// EventBuffer is the per-subscriber /v1/events channel depth
 	// (default 256).
 	EventBuffer int
-	// Store, when set, is the daemon's durable state plane: plan search
-	// progress, final plan responses, memoized bodies, and base
-	// snapshots persist through it, and Open recovers them on boot.
+	// Store, when set, is the daemon's durable state plane: the progress
+	// and final responses of plans and executions persist through it, and
+	// Open recovers them on boot. Scenario bases and memoized what-if
+	// bodies do not: a restarted daemon rebuilds them on demand.
 	// The caller owns the store's lifecycle (close it after Drain).
 	Store *store.Store
 	// CompactSegments triggers checkpoint-style WAL compaction once the
@@ -92,7 +93,7 @@ type Server struct {
 	metrics *serverMetrics
 
 	// persist is the durable state plane (nil without a Config.Store);
-	// recovered is what boot-time recovery rebuilt, frozen after Open.
+	// recovered is what boot-time recovery replayed, frozen after Open.
 	persist   *persistor
 	recovered recoveryStats
 
@@ -129,18 +130,8 @@ func New(cfg Config) *Server {
 		mux:     http.NewServeMux(),
 	}
 	if cfg.Store != nil {
-		s.persist = &persistor{st: cfg.Store, cache: s.cache, memo: s.memo, compactEvery: cfg.CompactSegments,
+		s.persist = &persistor{st: cfg.Store, compactEvery: cfg.CompactSegments,
 			jobs: [jobKinds]jobTable{planJob: s.plans, execJob: s.execs}}
-		// Bases and memos are caches of deterministic computations: a
-		// persistence failure degrades durability (cold rebuild after a
-		// restart), never correctness, so it counts instead of failing
-		// the request. Plan state is different — its append errors
-		// surface through the plan handler.
-		s.cache.onBuild = func(e *cacheEntry) {
-			if err := s.persist.saveBase(e); err != nil {
-				s.persist.noteError()
-			}
-		}
 	}
 	s.mux.HandleFunc("/v1/whatif", s.pooled("whatif", http.MethodPost, s.whatif))
 	s.mux.HandleFunc("/v1/plan", s.pooled("plan", http.MethodPost, s.plan))
@@ -153,14 +144,15 @@ func New(cfg Config) *Server {
 }
 
 // Open builds a daemon and, when the configuration carries a store,
-// recovers its durable state: in-flight plan searches resume by plan ID,
-// memoized responses come back byte-identical, and base snapshots warm
-// the cache from the object store. This is the entry point for a
-// durable daemon; New alone persists but does not recover.
+// recovers its durable state: in-flight plans and executions resume by
+// ID, and finished ones answer with their recorded final bytes. It decodes
+// no snapshot: the first request for a (scenario, seed) rebuilds its base
+// cold, to the same fingerprint. This is the entry point for a durable
+// daemon; New alone persists but does not recover.
 func Open(cfg Config) (*Server, error) {
 	s := New(cfg)
 	if s.persist != nil {
-		rs, err := s.persist.recover(s.cfg.CacheSize)
+		rs, err := s.persist.recover()
 		if err != nil {
 			return nil, fmt.Errorf("server: recover durable state: %w", err)
 		}
@@ -169,11 +161,10 @@ func Open(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Recovered reports what boot-time recovery rebuilt (zero without a
+// Recovered reports what boot-time recovery replayed (zero without a
 // store or when built with New).
-func (s *Server) Recovered() (bases, plans, execs, memos, truncatedBytes int) {
-	return s.recovered.Bases, s.recovered.Plans, s.recovered.Execs,
-		s.recovered.Memos, s.recovered.TruncatedBytes
+func (s *Server) Recovered() (plans, execs, truncatedBytes int) {
+	return s.recovered.Plans, s.recovered.Execs, s.recovered.TruncatedBytes
 }
 
 // Handler returns the daemon's HTTP surface.

@@ -42,10 +42,6 @@ type loadCall struct {
 
 // snapCache is the LRU of warm bases.
 type snapCache struct {
-	// onBuild, when set, observes every cold-built entry exactly once
-	// (the durable state plane persists it). Called outside mu.
-	onBuild func(*cacheEntry)
-
 	mu sync.Mutex
 	// entries by state fingerprint, least recently used first; byScenario
 	// indexes "scenario|seed" → fingerprint.
@@ -95,17 +91,7 @@ func (c *snapCache) get(scenario string, seed int64) (*cacheEntry, error) {
 	}
 	c.mu.Unlock()
 	close(call.done)
-	if call.err == nil && c.onBuild != nil {
-		c.onBuild(call.entry)
-	}
 	return call.entry, call.err
-}
-
-// add warms the cache with an already-built entry (boot-time recovery).
-func (c *snapCache) add(e *cacheEntry) {
-	c.mu.Lock()
-	c.insert(e)
-	c.mu.Unlock()
 }
 
 // insert adds a built entry and evicts past capacity. Caller holds mu.
@@ -118,14 +104,6 @@ func (c *snapCache) insert(e *cacheEntry) {
 		delete(c.byScenario, v.scenarioKey)
 		c.evictions++
 	}
-}
-
-// list returns the cached entries, least recently used first.
-func (c *snapCache) list() []*cacheEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, entries := c.entries.list()
-	return entries
 }
 
 // stats snapshots the counters.
@@ -174,23 +152,13 @@ func (m *respMemo) get(key string) ([]byte, bool) {
 	return body, ok
 }
 
-// put stores a body, reporting whether it was newly inserted (false: an
-// identical computation already memoized it — persistence can skip it).
-func (m *respMemo) put(key string, body []byte) bool {
+// put stores a body unless an identical computation already memoized it.
+func (m *respMemo) put(key string, body []byte) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.bodies.get(key); ok {
-		return false
+	if _, ok := m.bodies.get(key); !ok {
+		m.bodies.put(key, body)
 	}
-	m.bodies.put(key, body)
-	return true
-}
-
-// list returns the memoized keys and bodies, oldest first.
-func (m *respMemo) list() (keys []string, bodies [][]byte) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.bodies.list()
 }
 
 func (m *respMemo) stats() (hits, misses int64, size int) {
