@@ -48,6 +48,27 @@ func (in Intent) Devices() []topo.DeviceID {
 // Validate checks every per-device config.
 func (in Intent) Validate() error { return Rollout{Intent: in}.validate() }
 
+// Compile compiles every config of the intent, once each, in sorted device
+// order — the one compile loop of a caller that shares an intent's programs
+// (Rollout.Compiled) across many rollouts. A config that does not compile is
+// left out of the programs; the first such error in device order comes back
+// beside the programs that did compile.
+func (in Intent) Compile() (map[topo.DeviceID]*core.Program, error) {
+	progs := make(map[topo.DeviceID]*core.Program, len(in))
+	var first error
+	for _, d := range in.Devices() {
+		prog, err := core.Compile(in[d])
+		if err != nil {
+			if first == nil {
+				first = fmt.Errorf("intent for %s: %w", d, err)
+			}
+			continue
+		}
+		progs[d] = prog
+	}
+	return progs, first
+}
+
 // TotalLOC sums the generated RPA line counts (the Table 3 "RPA LOC"
 // metric).
 func (in Intent) TotalLOC() int {
@@ -67,6 +88,26 @@ type HealthCheck struct {
 // DeployFunc pushes one device's config; the full stack routes this through
 // the Switch Agent, experiments bind it straight to the fabric.
 type DeployFunc func(device topo.DeviceID, cfg *core.Config) error
+
+// ProgramDeployer is a deployment backend with two paths: one for a config,
+// which compiles it, and one for an already compiled program.
+type ProgramDeployer interface {
+	DeployRPA(device topo.DeviceID, cfg *core.Config) error
+	DeployProgram(device topo.DeviceID, prog *core.Program)
+}
+
+// DeployCompiled is the DeployFunc over b that deploys a push of the config
+// compiled[d] was compiled from as that program (nothing compiles), and any
+// other push as a config. Pair it with the same map as Rollout.Compiled.
+func DeployCompiled(compiled map[topo.DeviceID]*core.Program, b ProgramDeployer) DeployFunc {
+	return func(d topo.DeviceID, cfg *core.Config) error {
+		if prog := compiledFor(compiled, d, cfg); prog != nil {
+			b.DeployProgram(d, prog)
+			return nil
+		}
+		return b.DeployRPA(d, cfg)
+	}
+}
 
 // Controller coordinates RPA rollouts across the fleet.
 type Controller struct {
@@ -160,11 +201,21 @@ type Rollout struct {
 	Pre, Post []HealthCheck
 }
 
+// compiledFor is the rule that lets a caller's compile stand for a
+// device's: compiled[d] counts only when it was compiled from cfg itself
+// (Program.Config() is that very pointer). Nil otherwise.
+func compiledFor(compiled map[topo.DeviceID]*core.Program, d topo.DeviceID, cfg *core.Config) *core.Program {
+	if prog := compiled[d]; prog != nil && prog.Config() == cfg {
+		return prog
+	}
+	return nil
+}
+
 // validate is the rollout's pre-flight: every config of the intent must
 // compile. One the caller compiled already (Compiled) has.
 func (r Rollout) validate() error {
 	for d, cfg := range r.Intent {
-		if prog := r.Compiled[d]; prog != nil && prog.Config() == cfg {
+		if compiledFor(r.Compiled, d, cfg) != nil {
 			continue
 		}
 		if err := cfg.Validate(); err != nil {

@@ -174,19 +174,11 @@ type Executor struct {
 
 // NewExecutor compiles every config of intent, once, into an Executor.
 func NewExecutor(intent controller.Intent, w probe.Workload, originAltitude int) (*Executor, error) {
-	x := &Executor{
-		intent:         intent,
-		programs:       make(map[topo.DeviceID]*core.Program, len(intent)),
-		workload:       w,
-		originAltitude: originAltitude,
+	programs, err := intent.Compile()
+	if err != nil {
+		return nil, fmt.Errorf("planner: %w", err)
 	}
-	for _, d := range sortedDevices(intent) {
-		var err error
-		if x.programs[d], err = core.Compile(intent[d]); err != nil {
-			return nil, fmt.Errorf("planner: intent for %s: %w", d, err)
-		}
-	}
-	return x, nil
+	return &Executor{intent: intent, programs: programs, workload: w, originAltitude: originAltitude}, nil
 }
 
 // Execute pushes steps on n and returns what the probe measured — on error,
@@ -196,14 +188,8 @@ func (x *Executor) Execute(ctx context.Context, n *fabric.Network, steps []Step)
 	pb := probe.NewTransient(n, x.workload)
 	events := int64(0)
 	ctl := &controller.Controller{
-		Topo: n.Topo,
-		Deploy: func(d topo.DeviceID, cfg *core.Config) error {
-			if prog := x.programs[d]; prog != nil && prog.Config() == cfg {
-				n.DeployProgram(d, prog)
-				return nil
-			}
-			return n.DeployRPA(d, cfg)
-		},
+		Topo:   n.Topo,
+		Deploy: controller.DeployCompiled(x.programs, n),
 		Settle: func() { events += n.Converge() },
 	}
 	var err error

@@ -54,6 +54,14 @@ type Spec struct {
 
 	// Intent is the RPA change under qualification.
 	Intent controller.Intent
+	// Compiled, when set, holds programs compiled from configs of Intent,
+	// keyed by device (controller.Rollout.Compiled). A device whose program
+	// was compiled from the very config Intent pushes to it is neither
+	// validated nor compiled again: that program is deployed, shared by
+	// reference. Any other device compiles as without it. centraliumd's
+	// snapshot cache compiles each base's intent once and every what-if on
+	// the base passes those programs here, read-only, from many goroutines.
+	Compiled map[topo.DeviceID]*core.Program
 	// OriginAltitude orders the rollout (Section 5.3.2).
 	OriginAltitude int
 	// Removal qualifies an RPA removal instead of a deployment.
@@ -165,11 +173,12 @@ func Run(spec Spec) (*Report, error) {
 
 	ctl := &controller.Controller{
 		Topo:   n.Topo,
-		Deploy: func(dev topo.DeviceID, cfg *core.Config) error { return n.DeployRPA(dev, cfg) },
+		Deploy: controller.DeployCompiled(spec.Compiled, n),
 		Settle: func() { rep.Events += n.Converge() },
 	}
 	err := ctl.Run(controller.Rollout{
 		Intent:          spec.Intent,
+		Compiled:        spec.Compiled,
 		OriginAltitude:  spec.OriginAltitude,
 		Removal:         spec.Removal,
 		SettlePerDevice: true,

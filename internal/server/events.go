@@ -7,11 +7,12 @@ package server
 // backpressure.
 
 import (
+	"sync"
+	"sync/atomic"
+
 	"centralium/internal/guard"
 	"centralium/internal/telemetry"
 )
-
-import "sync"
 
 // StreamEvent is one /v1/events item: a telemetry event plus the request
 // context that produced it, or — for guarded executions — a guard
@@ -28,13 +29,17 @@ type StreamEvent struct {
 }
 
 type broadcaster struct {
-	mu      sync.Mutex
-	subs    map[int]chan StreamEvent
-	next    int
-	closed  bool
-	buffer  int
-	dropped int64
-	sent    int64
+	mu   sync.Mutex
+	subs map[int]chan StreamEvent
+	// listening mirrors len(subs), written under mu, so publish can return
+	// without the lock when nobody listens — the common case for what-if
+	// forks, which tap every telemetry event.
+	listening atomic.Int64
+	next      int
+	closed    bool
+	buffer    int
+	dropped   int64
+	sent      int64
 }
 
 func newBroadcaster(buffer int) *broadcaster {
@@ -54,6 +59,7 @@ func (b *broadcaster) subscribe() (int, <-chan StreamEvent) {
 		return id, ch
 	}
 	b.subs[id] = ch
+	b.listening.Store(int64(len(b.subs)))
 	return id, ch
 }
 
@@ -62,6 +68,7 @@ func (b *broadcaster) unsubscribe(id int) {
 	defer b.mu.Unlock()
 	if ch, ok := b.subs[id]; ok {
 		delete(b.subs, id)
+		b.listening.Store(int64(len(b.subs)))
 		close(ch)
 	}
 }
@@ -69,6 +76,9 @@ func (b *broadcaster) unsubscribe(id int) {
 // publish fans the event out without ever blocking: a full subscriber
 // buffer drops the event for that subscriber only.
 func (b *broadcaster) publish(ev StreamEvent) {
+	if b.listening.Load() == 0 {
+		return
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
@@ -96,6 +106,7 @@ func (b *broadcaster) close() {
 		delete(b.subs, id)
 		close(ch)
 	}
+	b.listening.Store(0)
 }
 
 // tap adapts the broadcaster to a telemetry.Tap for one request fork.

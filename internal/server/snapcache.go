@@ -11,18 +11,24 @@ import (
 	"fmt"
 	"sync"
 
+	"centralium/internal/core"
 	"centralium/internal/fabric"
 	"centralium/internal/planner"
 	"centralium/internal/snapshot"
+	"centralium/internal/topo"
 )
 
-// cacheEntry is one warm base: the captured snapshot, its identity, and
-// the scenario's planning parameters. Everything here is read-only after
-// build.
+// cacheEntry is one warm base: the captured snapshot, its identity, the
+// scenario's planning parameters and its intent's compiled programs.
+// Everything here is read-only after build: every request on the base forks
+// the one snapshot, and every what-if deploys the one set of programs
+// (qualify.Spec.Compiled), so a warm what-if compiles nothing.
 type cacheEntry struct {
 	Fingerprint string
 	Snap        *snapshot.Snapshot
 	Params      planner.Params
+	// programs is Params.Intent compiled once, by device (see buildEntry).
+	programs    map[topo.DeviceID]*core.Program
 	scenarioKey string
 }
 
@@ -113,7 +119,10 @@ func (c *snapCache) stats() (hits, misses, evictions int64, size int) {
 	return c.hits, c.misses, c.evictions, c.entries.len()
 }
 
-// buildEntry runs the scenario setup and captures the entry's identity.
+// buildEntry runs the scenario setup, captures the entry's identity and
+// compiles the intent once for every what-if on the base. A config that does
+// not compile does not fail the build: it is left out of the programs, and
+// each what-if's rollout pre-flight reports it as a rollout violation.
 func buildEntry(scenario string, seed int64, key string) (*cacheEntry, error) {
 	snap, params, err := planner.ScenarioSetup(scenario, seed)
 	if err != nil {
@@ -123,7 +132,8 @@ func buildEntry(scenario string, seed int64, key string) (*cacheEntry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fingerprint %s: %w", key, err)
 	}
-	return &cacheEntry{Fingerprint: fp, Snap: snap, Params: params, scenarioKey: key}, nil
+	programs, _ := params.Intent.Compile() // the rollout reports what failed
+	return &cacheEntry{Fingerprint: fp, Snap: snap, Params: params, programs: programs, scenarioKey: key}, nil
 }
 
 // respMemo is the (fingerprint, request) → response-bytes memo, first in
