@@ -97,26 +97,6 @@ func (f *frame) link(id bgp.SessionID) int {
 	return li
 }
 
-// fits reports whether the frame describes t: the same devices and, link for
-// link, the same ends and so the same session IDs.
-func (f *frame) fits(t *topo.Topology) bool {
-	links := t.Links()
-	if t.NumDevices() != len(f.devs) || len(links) != len(f.ids) {
-		return false
-	}
-	for _, d := range f.devs {
-		if t.Device(d) == nil {
-			return false
-		}
-	}
-	for li, l := range links {
-		if f.devs[f.ends[li][0]] != l.A || f.devs[f.ends[li][1]] != l.B {
-			return false
-		}
-	}
-	return true
-}
-
 // appendSessionID renders link li's session ID, "s%04d:A--B".
 func appendSessionID(b []byte, li int, l topo.Link) []byte {
 	b = append(b, 's')

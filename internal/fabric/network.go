@@ -151,6 +151,8 @@ type Perturber func(sess bgp.SessionID, from, to topo.DeviceID, u bgp.Update) Pe
 
 // Network is the emulated fleet.
 type Network struct {
+	// Topo is the frozen topology the network stands on, shared by pointer
+	// with its states and every network restored from them.
 	Topo *topo.Topology
 
 	opts Options
@@ -175,9 +177,12 @@ type Network struct {
 }
 
 // New builds the emulation: one speaker per device, one session per link.
-// All devices start up and all sessions established.
+// All devices start up and all sessions established. It freezes t (see
+// topo.Topology.Freeze): the network, its states and every network restored
+// from them share it.
 func New(t *topo.Topology, opts Options) *Network {
 	opts.setDefaults()
+	t.Freeze()
 	n := &Network{
 		Topo:  t,
 		opts:  opts,

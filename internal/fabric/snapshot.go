@@ -66,7 +66,10 @@ type NetState struct {
 	Seed        int64
 	BaseLatency time.Duration
 	Jitter      time.Duration
-	Topo        *topo.Topology // frozen master: restores clone it, nothing mutates it
+	// Topo is frozen (topo.Topology.Freeze) and shared by pointer: the
+	// exporting network's own, which every network restored from the state
+	// adopts and hands on to its own exports.
+	Topo *topo.Topology
 
 	Now       int64
 	Seq       int64
@@ -128,9 +131,8 @@ func (st *NetState) Check() error {
 // Shared says what an exported state repeats, unchanged, from the state its
 // network was restored from or last exported as.
 type Shared struct {
-	// Base is that state, sharing its frozen topology with the export; nil
-	// when the network had none or its topology has changed since, and then
-	// nothing is shared.
+	// Base is that state; nil when the network had none, and then no record
+	// is shared.
 	Base *NetState
 	// Nodes[i] is the index in Base.Nodes of the record the export's Nodes[i]
 	// repeats, or -1 for a node exported afresh.
@@ -152,17 +154,11 @@ func (n *Network) ExportState() (*NetState, error) {
 // network's base — the state it was restored from or last exported as. A node
 // whose speaker nothing has touched since (bgp.Speaker.Dirty) is not exported
 // again: the state repeats the base's record, which is immutable like the
-// rest of it. A topology equal to the base's is not cloned again: the state
-// points at the base's frozen one. Anything else — a network built by New, a
-// topology edited since — is the same walk with nothing to repeat. Either
-// way the result is what ExportFull yields, value for value, and it becomes
-// the network's base.
+// rest of it. A network built by New and not yet exported has no base: the
+// same walk with nothing to repeat. Either way the result is what ExportFull
+// yields, value for value, and it becomes the network's base.
 func (n *Network) ExportShared() (*NetState, Shared, error) {
-	base := n.base
-	if base != nil && !n.Topo.Equal(base.Topo) {
-		base = nil
-	}
-	st, sh, err := n.export(base)
+	st, sh, err := n.export(n.base)
 	if err != nil {
 		return nil, Shared{}, err
 	}
@@ -174,17 +170,17 @@ func (n *Network) ExportShared() (*NetState, Shared, error) {
 	return st, sh, nil
 }
 
-// ExportFull exports every node afresh and clones the topology, whatever the
-// network's base, and leaves the base alone: what ExportShared does when it
-// has nothing to repeat, kept callable as the oracle it is tested against.
+// ExportFull exports every node afresh, whatever the network's base, and
+// leaves the base alone: what ExportShared does when it has nothing to
+// repeat, kept callable as the oracle it is tested against.
 func (n *Network) ExportFull() (*NetState, error) {
 	st, _, err := n.export(nil)
 	return st, err
 }
 
-// export builds the state, repeating from base (nil: nothing) the topology,
-// the records of untouched nodes and, when no session moved, the session
-// tables.
+// export builds the state on the network's frozen topology and frame,
+// repeating from base (nil: nothing) the records of untouched nodes and, when
+// no session moved, the session tables.
 func (n *Network) export(base *NetState) (*NetState, Shared, error) {
 	for _, k := range n.eng.queue {
 		if n.eng.slab[k.slot].fn != nil {
@@ -199,11 +195,8 @@ func (n *Network) export(base *NetState) (*NetState, Shared, error) {
 		Seq:         n.eng.seq,
 		Processed:   n.eng.processed,
 		RNGDraws:    n.eng.rng.Draws(),
-	}
-	if base != nil {
-		st.Topo = base.Topo
-	} else {
-		st.Topo = n.Topo.Clone()
+		Topo:        n.Topo,
+		frame:       n.frame, // a restore from st takes the frame, not derives it
 	}
 
 	if len(n.eng.queue) > 0 {
@@ -259,9 +252,6 @@ func (n *Network) export(base *NetState) (*NetState, Shared, error) {
 		}
 		st.Nodes[i] = NodeState{Device: string(node.Device.ID), Up: node.up, VNow: node.vnow, Speaker: sp}
 	}
-	if base != nil || f.fits(st.Topo) {
-		st.frame = f // a restore from st takes the frame, not derives it
-	}
 	return st, sh, nil
 }
 
@@ -313,11 +303,10 @@ type RestoreOptions struct {
 	// restore may freely pick either; false uses the process default.
 	FullRecompute bool
 
-	// Topo, when non-nil, is adopted as the restored network's topology
-	// instead of a clone of the state's master. The network takes ownership
-	// — callers forking one state many times pass a fresh Clone() per
-	// restore. It must describe the same topology the state was captured
-	// on; the device/session cross-checks below enforce the shape.
+	// Topo is ignored: a restore adopts the state's frozen topology. It
+	// stays declared only because bench/rigs.go and bench/w_whatif.go
+	// (frozen outside a benchmark PR) set it; it goes with their next
+	// change.
 	Topo *topo.Topology
 }
 
@@ -326,9 +315,9 @@ type RestoreOptions struct {
 // decode once, restore N times, diverge each branch freely.
 //
 // A restore builds only what the fork will touch. It copies what a network
-// edits in place and every fork needs: the topology, the event queue, the
-// session and FIFO tables. It shares, read-only, with the state and every
-// sibling restore what the engine treats as immutable: AS paths and
+// edits in place and every fork needs: the event queue, the session and FIFO
+// tables. It shares, read-only, with the state and every sibling restore
+// what the engine treats as immutable: the frozen topology, AS paths and
 // community lists, each speaker's compiled RPA program, and the frame — the
 // session IDs and the node and session orders — which the state carries
 // (its exporter's, or the one Check derived out of the strings the state
@@ -347,15 +336,9 @@ type RestoreOptions struct {
 // detached; callers re-attach their own wiring. A state that lists a device
 // twice is ErrDuplicateDevice.
 func NewFromState(st *NetState, opts RestoreOptions) (*Network, error) {
-	t := opts.Topo
-	if t == nil {
-		t = st.Topo.Clone()
-	}
+	t := st.Topo
 	f := st.frame
 	if f == nil {
-		f = newFrame(st.Topo, st)
-	}
-	if opts.Topo != nil && !f.fits(t) {
 		f = newFrame(t, st)
 	}
 	n := &Network{

@@ -11,7 +11,7 @@
 // fingerprint (snapshot.Fingerprint); a singleflight latch collapses
 // concurrent cold misses for the same base into one build. Every request
 // then forks its own private network from the cached snapshot
-// (snapshot.Restore: the fork clones the topology and shares the RIB
+// (snapshot.Restore: the fork shares the frozen topology, and the RIB
 // columns read-only until it writes one) — the concurrency contract
 // pinned by internal/snapshot's tests is exactly what makes one immutable
 // snapshot safely forkable from any number of request goroutines. A

@@ -33,8 +33,9 @@ type cacheEntry struct {
 }
 
 // fork materializes a private network from the entry — the per-request
-// isolation step. The snapshot is shared; the restore clones its topology
-// (networks mutate drain/cost state on theirs).
+// isolation step. The snapshot and its frozen topology are shared; the
+// restore copies what a network edits in place (drain and link state live in
+// its speakers and sessions).
 func (e *cacheEntry) fork() (*fabric.Network, error) {
 	return e.Snap.Restore()
 }

@@ -445,12 +445,12 @@ func hook(what string) {
 
 // encodeState renders a NetState plus metadata into the wire format and
 // reports where the reusable parts landed. The topology travels as its JSON
-// export: at rest the state holds only the parsed form restores clone.
+// export: at rest the state holds only the parsed, frozen form restores share.
 //
 // from, when non-nil, is the encoding (with its layout) of sh.Base, the state
-// st was exported against: st's topology, when it is the base's own, and
-// every node record st repeats from the base (fabric.Shared) are copied out
-// of it byte for byte, and only the rest is rendered. With nothing to copy
+// st was exported against: st's topology, which is the base's own, and every
+// node record st repeats from the base (fabric.Shared) are copied out of it
+// byte for byte, and only the rest is rendered. With nothing to copy
 // from this is the full encode; the result is the same bytes either way.
 func encodeState(st *fabric.NetState, meta map[string]string, from *rendering, sh fabric.Shared) ([]byte, layout, error) {
 	hook("encode")
@@ -482,7 +482,7 @@ func encodeState(st *fabric.NetState, meta map[string]string, from *rendering, s
 		w.i64(int64(st.Jitter))
 	})
 	lay.topo[0] = len(w.buf)
-	if from != nil && st.Topo == sh.Base.Topo {
+	if from != nil {
 		w.buf = append(w.buf, from.canon[from.topo[0]:from.topo[1]]...)
 	} else {
 		hook("topo-export")
@@ -884,7 +884,9 @@ func decodeState(data []byte, lay *layout) (_ *fabric.NetState, _ map[string]str
 		case tagTopo:
 			if doc := s.raw(); s.err == nil {
 				hook("topo-import")
-				st.Topo, s.err = topo.ImportJSON(doc)
+				if st.Topo, s.err = topo.ImportJSON(doc); s.err == nil {
+					st.Topo.Freeze() // before any restore shares it
+				}
 			}
 			if lay != nil {
 				lay.topo = [2]int{sectionStart, r.off}

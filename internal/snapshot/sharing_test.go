@@ -281,17 +281,100 @@ func TestDecodeInternsPrograms(t *testing.T) {
 	}
 }
 
+// TestForksShareTopology: a lineage has one topology. A restore adopts its
+// state's, Snapshot.Topology returns it, and a capture of a fork hands it on,
+// from a captured state and a decoded one alike. Eight forks of one decoded
+// state, restored, diverged and captured at once (under -race), all stand on
+// it, and each capture is still the full capture's bytes.
+func TestForksShareTopology(t *testing.T) {
+	n := buildFabric(corpusFabric, 5)
+	captured, err := Capture(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := captured.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := DecodeRendered(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if captured.state.Topo != n.Topo {
+		t.Fatal("a capture does not carry its network's topology")
+	}
+	for _, c := range []struct {
+		from string
+		snap *Snapshot
+	}{{"captured", captured}, {"decoded", decoded}} {
+		want := c.snap.state.Topo
+		if tp, err := c.snap.Topology(); err != nil || tp != want {
+			t.Fatalf("%s: Topology() is not the state's own (err %v)", c.from, err)
+		}
+		fork, err := c.snap.Restore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fork.Topo != want {
+			t.Fatalf("%s: the restore does not stand on the state's topology", c.from)
+		}
+		if err := divergences[0].run(fork); err != nil {
+			t.Fatal(err)
+		}
+		child, err := CaptureFrom(c.snap, fork)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if child.state.Topo != want {
+			t.Fatalf("%s: the capture of a fork does not carry its lineage's topology", c.from)
+		}
+	}
+
+	errs := make([]error, 8)
+	var wg sync.WaitGroup
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fork, err := decoded.Restore()
+			if err == nil {
+				err = divergences[i%len(divergences)].run(fork)
+			}
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			child, err := CaptureFrom(decoded, fork)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			if fork.Topo != decoded.state.Topo || child.state.Topo != decoded.state.Topo {
+				errs[i] = fmt.Errorf("the fork or its capture does not share the decoded topology")
+				return
+			}
+			errs[i] = diffFromFull(t, child, fork)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("fork %d (%s): %v", i, divergences[i%len(divergences)].name, err)
+		}
+	}
+}
+
 // TestRestoreAllocs bounds what one restore of the 116-device base
 // allocates, bare and with one RPA on every SSW, restored from the captured
 // state and from its decoding. A restore builds only what a fork touches:
 // what is left is per-device scaffolding — a speaker and a FIB table that
-// keep their checkpoint records, and the topology clone's device and
-// adjacency copies — plus the node and session slabs. The speakers' maps,
-// columns and RPA evaluators are built on first use, so a program-carrying
-// speaker costs nothing more to restore. Measured: 483 allocations and 0.18
-// MB, bare and with the RPA alike, captured and decoded alike (6,534 and 2.73
-// MB when every speaker and FIB was built at restore); the ceilings leave
-// about 25% headroom.
+// keep their checkpoint records — plus the node and session slabs; the
+// topology is the state's own, shared. The speakers' maps, columns and RPA
+// evaluators are built on first use, so a program-carrying speaker costs
+// nothing more to restore. Measured: 241 allocations and 0.13 MB, bare and
+// with the RPA alike, captured and decoded alike (483 and 0.18 MB when each
+// restore cloned the topology, 6,534 and 2.73 MB when every speaker and FIB
+// was built at restore); the allocation ceiling leaves about 30% headroom.
 //
 // A restore reads none of a record's columns or FIB entries, because the
 // state carries the verdict of the check that makes that safe (ExportState's
@@ -302,7 +385,7 @@ func TestDecodeInternsPrograms(t *testing.T) {
 //
 // Restoring a base and capturing it again with nothing run in between builds
 // no speaker at all: its cost per device, over the 36- and 116-device
-// fabrics, stays at the four scaffolding allocations, whatever the size.
+// fabrics, stays at the two scaffolding allocations, whatever the size.
 func TestRestoreAllocs(t *testing.T) {
 	bare := 0.0
 	for _, withRPA := range []bool{false, true} {
@@ -339,8 +422,8 @@ func TestRestoreAllocs(t *testing.T) {
 			runtime.ReadMemStats(&m1)
 			mb := float64(m1.TotalAlloc-m0.TotalAlloc) / (runs + 1) / 1e6 // AllocsPerRun warms up with one extra call
 			t.Logf("restore of the %s state (RPA %v): %.0f allocations, %.2f MB", c.from, withRPA, allocs, mb)
-			if allocs > 600 {
-				t.Errorf("restore of the %s state (RPA %v) allocates %.0f times, ceiling 600", c.from, withRPA, allocs)
+			if allocs > 320 {
+				t.Errorf("restore of the %s state (RPA %v) allocates %.0f times, ceiling 320", c.from, withRPA, allocs)
 			}
 			if mb > 0.25 {
 				t.Errorf("restore of the %s state (RPA %v) allocates %.2f MB, ceiling 0.25", c.from, withRPA, mb)
@@ -392,8 +475,8 @@ func TestRestoreAllocs(t *testing.T) {
 	medium, nMedium := untouched(mediumFabric)
 	perDevice := (medium - small) / (nMedium - nSmall)
 	t.Logf("restore and capture of an untouched fork: %.0f allocations at %.0f devices, %.0f at %.0f: %.2f per device", small, nSmall, medium, nMedium, perDevice)
-	if perDevice > 4.5 || small-4*nSmall > 64 {
-		t.Errorf("restoring and capturing an untouched fork costs %.2f allocations per device and %.0f besides, ceilings 4.5 and 64: a speaker or a FIB built its maps", perDevice, small-4*nSmall)
+	if perDevice > 2.5 || small-2*nSmall > 64 {
+		t.Errorf("restoring and capturing an untouched fork costs %.2f allocations per device and %.0f besides, ceilings 2.5 and 64: a speaker or a FIB built its maps, or the topology was copied", perDevice, small-2*nSmall)
 	}
 }
 

@@ -20,8 +20,8 @@
 // shares with the snapshot, read-only, the speakers' records — each speaker
 // builds its maps, RIB column views and RPA evaluator from its record on
 // first use, and each FIB answers lookups from its record until its first
-// write — the compiled RPA programs, and the topology's session naming and
-// orders; it copies the topology, the event queue and the session table.
+// write — the compiled RPA programs, the frozen topology and its session
+// naming and orders; it copies the event queue and the session table.
 // Decode checks each state once (fabric.NetState.Check): it refuses what a
 // restore would have to refuse — by name a device or a FIB prefix listed
 // twice — and records on the state what its restores need not check again.
@@ -61,16 +61,16 @@ import (
 // EncodeCanonical and EncodeWithFingerprint is its rendering itself, not a
 // copy: read-only to every caller (TestSharedEncodingIsReadOnly). A restored
 // network is not a deep copy of it: fabric.NewFromState copies what a
-// network edits in place (topology, queue, session table) and shares the
-// rest read-only with the snapshot and every sibling restore — AS paths and
-// community lists, immutable engine-wide, each speaker's compiled RPA
-// program (core.Program, replaced on deploy, never edited), each speaker's
-// record, which it reads to build its own maps, FIB and match cache on first
-// use, and its Adj-RIB-In and Adj-RIB-Out columns, which the speaker copies
-// before its first write to one. So forks taken concurrently from one shared
-// snapshot are independent networks, and diverging them leaves the
-// snapshot's bytes untouched; it stays reachable for as long as a network
-// restored from it.
+// network edits in place (queue, session table) and shares the rest
+// read-only with the snapshot and every sibling restore — the frozen
+// topology, AS paths and community lists, immutable engine-wide, each
+// speaker's compiled RPA program (core.Program, replaced on deploy, never
+// edited), each speaker's record, which it reads to build its own maps, FIB
+// and match cache on first use, and its Adj-RIB-In and Adj-RIB-Out columns,
+// which the speaker copies before its first write to one. So forks taken
+// concurrently from one shared snapshot are independent networks, and
+// diverging them leaves the snapshot's bytes untouched; it stays reachable
+// for as long as a network restored from it.
 // The one mutable field is Meta: callers that modify it while other
 // goroutines encode the same snapshot must synchronize, or use
 // EncodeCanonical, which never reads Meta. TestConcurrentFork,
@@ -121,9 +121,8 @@ func Capture(n *fabric.Network) (*Snapshot, error) {
 // changed. When parent is the rendered snapshot n was restored from (or last
 // captured as), the topology section and the record of every node n's run
 // left untouched are copied out of parent's bytes, and only the touched
-// nodes are exported and encoded. With any other parent, or nil, or a
-// topology edited since, everything is; the bytes are the same either way
-// (TestCaptureFromMatchesFullCapture).
+// nodes are exported and encoded. With any other parent, or nil, everything
+// is; the bytes are the same either way (TestCaptureFromMatchesFullCapture).
 //
 // A rendering is some tens to hundreds of kilobytes that live as long as the
 // snapshot does, which is why only this function, Rendered and DecodeRendered
@@ -196,9 +195,8 @@ func (s *Snapshot) Restore() (*fabric.Network, error) {
 	return s.RestoreWith(fabric.RestoreOptions{})
 }
 
-// RestoreWith is Restore with explicit options (decision-engine mode, an
-// adopted topology — byte-identical either way, so the choice is free at
-// restore time).
+// RestoreWith is Restore with explicit options (the decision-engine mode —
+// byte-identical either way, so the choice is free at restore time).
 func (s *Snapshot) RestoreWith(opts fabric.RestoreOptions) (*fabric.Network, error) {
 	if s.state == nil {
 		return nil, fmt.Errorf("snapshot: empty snapshot")
@@ -206,13 +204,14 @@ func (s *Snapshot) RestoreWith(opts fabric.RestoreOptions) (*fabric.Network, err
 	return fabric.NewFromState(s.state, opts)
 }
 
-// Topology returns a copy of the topology the snapshot was captured on, for
-// callers that need the graph without a running fabric.
+// Topology returns the topology the snapshot was captured on, for callers
+// that need the graph without a running fabric. It is the state's own,
+// frozen and shared with every restore: edit a Clone.
 func (s *Snapshot) Topology() (*topo.Topology, error) {
 	if s.state == nil {
 		return nil, fmt.Errorf("snapshot: empty snapshot")
 	}
-	return s.state.Topo.Clone(), nil
+	return s.state.Topo, nil
 }
 
 // Fork restores n independent what-if branches from one snapshot. Each

@@ -266,17 +266,6 @@ func (e *Expansion) ActivateFAv2(i int) DeviceID {
 	return id
 }
 
-// RemoveOldLayers deletes all FAv1 and Edge devices (the final migration
-// step of scenario 1).
-func (e *Expansion) RemoveOldLayers() {
-	for i := 0; i < e.Params.FAv1s; i++ {
-		e.RemoveDevice(FAv1ID(i))
-	}
-	for i := 0; i < e.Params.Edges; i++ {
-		e.RemoveDevice(EdgeID(i))
-	}
-}
-
 // MeshParams sizes the Figure 4 decommission scenario: Planes×N SSWs and
 // Grids×N FADUs where SSW-n of every plane connects only to FADU-n of every
 // grid.

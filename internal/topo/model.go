@@ -11,8 +11,8 @@ package topo
 
 import (
 	"fmt"
-	"slices"
 	"sort"
+	"sync/atomic"
 )
 
 // Layer identifies a horizontal switch layer. Order matters: it encodes
@@ -120,12 +120,20 @@ type Link struct {
 
 // Topology is an undirected multigraph of devices. The zero value is not
 // usable; construct with New.
+//
+// A topology is built, then frozen (Freeze) once a network stands on it:
+// from then on it is read-only, so every network restored or forked from that
+// network's states shares it by pointer. AddDevice and AddLink panic on a
+// frozen topology; to change one, edit a Clone.
 type Topology struct {
 	devices map[DeviceID]*Device
 	links   []Link
 	adj     map[DeviceID][]int // device -> indices into links
 
 	nextASN uint32
+	// frozen is atomic because several goroutines may build networks on one
+	// topology at once, each freezing it.
+	frozen atomic.Bool
 }
 
 // asnBase is the first ASN handed out. Private 4-byte range.
@@ -140,10 +148,20 @@ func New() *Topology {
 	}
 }
 
-// Clone returns an independent deep copy: mutating either topology (link
-// removals, decommissions) never touches the other. It is the cheap path
-// for fanning one imported topology out to many forked networks, where
-// re-parsing the JSON export per fork would dominate the restore cost.
+// Freeze makes the topology read-only: AddDevice and AddLink panic from now
+// on. fabric.New freezes the topology it is given, and a snapshot decoder the
+// one it imports, before anything shares it. Freezing twice is harmless.
+func (t *Topology) Freeze() { t.frozen.Store(true) }
+
+// mustEdit panics if the topology is frozen.
+func (t *Topology) mustEdit() {
+	if t.frozen.Load() {
+		panic("topo: topology is frozen (a network stands on it); edit a Clone")
+	}
+}
+
+// Clone returns an editable deep copy, frozen or not: the way to change a
+// topology a network stands on. Editing the copy never touches the original.
 func (t *Topology) Clone() *Topology {
 	c := &Topology{
 		devices: make(map[DeviceID]*Device, len(t.devices)),
@@ -161,29 +179,11 @@ func (t *Topology) Clone() *Topology {
 	return c
 }
 
-// Equal reports whether two topologies are indistinguishable: the same
-// devices field for field, the same links in the same order, and the same
-// ASN allocator position. Equal topologies export the same JSON, and a clone
-// of either stands in for the other. It allocates nothing.
-func (t *Topology) Equal(o *Topology) bool {
-	if t == o {
-		return true
-	}
-	if len(t.devices) != len(o.devices) || t.nextASN != o.nextASN {
-		return false
-	}
-	for id, d := range t.devices {
-		if od := o.devices[id]; od == nil || *od != *d {
-			return false
-		}
-	}
-	return slices.Equal(t.links, o.links)
-}
-
 // AddDevice inserts a device, assigning it the next free ASN. It panics on a
 // duplicate ID: topologies are built by code, so a duplicate is a programming
-// error, not an input error.
+// error, not an input error. It panics on a frozen topology too.
 func (t *Topology) AddDevice(d Device) *Device {
+	t.mustEdit()
 	if _, ok := t.devices[d.ID]; ok {
 		panic(fmt.Sprintf("topo: duplicate device %q", d.ID))
 	}
@@ -197,8 +197,10 @@ func (t *Topology) AddDevice(d Device) *Device {
 }
 
 // AddLink inserts an undirected link between two existing devices and
-// returns its index. It panics if either endpoint is unknown.
+// returns its index. It panics if either endpoint is unknown or the topology
+// is frozen.
 func (t *Topology) AddLink(a, b DeviceID, capacityGbps float64) int {
+	t.mustEdit()
 	if _, ok := t.devices[a]; !ok {
 		panic(fmt.Sprintf("topo: link endpoint %q not found", a))
 	}
@@ -287,49 +289,6 @@ func (t *Topology) Neighbors(id DeviceID) []DeviceID {
 
 // LinksOf returns the indices of links incident to id.
 func (t *Topology) LinksOf(id DeviceID) []int { return t.adj[id] }
-
-// RemoveLinks removes all links between a and b. It returns the number
-// removed. Device entries are untouched. Indices of remaining links change;
-// callers holding indices must re-resolve them.
-func (t *Topology) RemoveLinks(a, b DeviceID) int {
-	removed := 0
-	kept := t.links[:0]
-	for _, l := range t.links {
-		if (l.A == a && l.B == b) || (l.A == b && l.B == a) {
-			removed++
-			continue
-		}
-		kept = append(kept, l)
-	}
-	t.links = kept
-	t.reindex()
-	return removed
-}
-
-// RemoveDevice removes a device and all incident links.
-func (t *Topology) RemoveDevice(id DeviceID) {
-	if _, ok := t.devices[id]; !ok {
-		return
-	}
-	delete(t.devices, id)
-	kept := t.links[:0]
-	for _, l := range t.links {
-		if l.A == id || l.B == id {
-			continue
-		}
-		kept = append(kept, l)
-	}
-	t.links = kept
-	t.reindex()
-}
-
-func (t *Topology) reindex() {
-	t.adj = make(map[DeviceID][]int, len(t.devices))
-	for i, l := range t.links {
-		t.adj[l.A] = append(t.adj[l.A], i)
-		t.adj[l.B] = append(t.adj[l.B], i)
-	}
-}
 
 // Validate checks structural invariants: link endpoints exist, capacities
 // are positive, ASNs are unique. It returns the first problem found.

@@ -93,33 +93,6 @@ func TestNeighborsAndParallelLinks(t *testing.T) {
 	}
 }
 
-func TestRemoveLinksAndDevice(t *testing.T) {
-	tp := New()
-	tp.AddDevice(Device{ID: "a"})
-	tp.AddDevice(Device{ID: "b"})
-	tp.AddDevice(Device{ID: "c"})
-	tp.AddLink("a", "b", 100)
-	tp.AddLink("b", "a", 100)
-	tp.AddLink("a", "c", 100)
-	if got := tp.RemoveLinks("a", "b"); got != 2 {
-		t.Fatalf("RemoveLinks removed %d, want 2 (both orientations)", got)
-	}
-	if got := tp.NumLinks(); got != 1 {
-		t.Fatalf("NumLinks = %d, want 1", got)
-	}
-	tp.RemoveDevice("c")
-	if tp.Device("c") != nil {
-		t.Fatal("device c still present")
-	}
-	if got := tp.NumLinks(); got != 0 {
-		t.Fatalf("NumLinks after RemoveDevice = %d, want 0", got)
-	}
-	if got := len(tp.Neighbors("a")); got != 0 {
-		t.Fatalf("Neighbors(a) = %d, want 0", got)
-	}
-	tp.RemoveDevice("missing") // must be a no-op
-}
-
 func TestValidate(t *testing.T) {
 	tp := New()
 	tp.AddDevice(Device{ID: "a"})
@@ -274,13 +247,6 @@ func TestBuildExpansion(t *testing.T) {
 	}
 	if !found {
 		t.Error("SSW not wired to activated FAv2")
-	}
-	e.RemoveOldLayers()
-	if len(e.ByLayer(LayerFAv1)) != 0 || len(e.ByLayer(LayerEdge)) != 0 {
-		t.Error("old layers not removed")
-	}
-	if err := e.Validate(); err != nil {
-		t.Fatalf("Validate after removal: %v", err)
 	}
 }
 
