@@ -10,16 +10,17 @@ import (
 	"centralium/internal/telemetry"
 )
 
-// recompute runs the decision pipeline and, when a tap is attached,
-// reports installed best-path changes by comparing the prefix's canonical
-// FIB group key across the run. Disabled-tap cost is one nil compare.
-func (s *Speaker) recompute(p netip.Prefix) {
+// recompute runs the decision pipeline for p, whose bookkeeping is st (see
+// state), and, when a tap is attached, reports installed best-path changes by
+// comparing the prefix's canonical FIB group key across the run.
+// Disabled-tap cost is one nil compare.
+func (s *Speaker) recompute(p netip.Prefix, st *prefixState) {
 	if s.tap == nil {
-		s.recomputeOne(p)
+		s.recomputeOne(p, st)
 		return
 	}
 	before := s.fibTbl.EntryKey(p)
-	s.recomputeOne(p)
+	s.recomputeOne(p, st)
 	after := s.fibTbl.EntryKey(p)
 	if before != after {
 		s.tap.Emit(telemetry.Event{
@@ -35,9 +36,8 @@ func (s *Speaker) recompute(p netip.Prefix) {
 // recomputeOne runs the full Figure 6 pipeline for one prefix: gather
 // candidates, select paths (RPA or native), enforce min-next-hop, assign
 // weights (RPA or ECMP/WCMP), install the FIB, and advertise.
-func (s *Speaker) recomputeOne(p netip.Prefix) {
+func (s *Speaker) recomputeOne(p netip.Prefix, st *prefixState) {
 	s.stats.Recomputes++
-	st := s.state(p)
 	info := DecisionInfo{AdvertisedPathLen: -1, MaxSelectedPathLen: -1, WeightMode: "ecmp"}
 	defer func() {
 		info.Withdrawn = len(st.advertised) == 0
@@ -59,11 +59,11 @@ func (s *Speaker) recomputeOne(p netip.Prefix) {
 			Origin:            oi.origin,
 			LinkBandwidthGbps: oi.bandwidthGbps,
 		}
-		s.advertise(p, st, &localAttrs, SessionID(""), oi.bandwidthGbps)
+		s.advertise(p, st, &localAttrs, -1, oi.bandwidthGbps)
 		return
 	}
 
-	cands := s.gather(p)
+	cands := st.cands
 	if len(cands) == 0 {
 		s.fibTbl.Remove(p)
 		s.withdrawAll(p, st)
@@ -164,10 +164,10 @@ func (s *Speaker) recomputeOne(p netip.Prefix) {
 		advIdx = bestOf(cands, selected)
 	}
 	info.AdvertisedPathLen = len(cands[advIdx].Attrs.ASPath)
-	s.advertise(p, st, &cands[advIdx].Attrs, cands[advIdx].Session, aggBW)
+	s.advertise(p, st, &cands[advIdx].Attrs, cands[advIdx].Peer, aggBW)
 }
 
-// gather returns the prefix's candidates in deterministic (session) order:
+// gather returns the prefix's candidates in deterministic (rank) order:
 // its Adj-RIB-In column, in place. Callers must not modify or retain it.
 func (s *Speaker) gather(p netip.Prefix) []Candidate {
 	if st := s.prefixes[p]; st != nil {
@@ -206,29 +206,26 @@ func nativeSelect(dst []int, cands []Candidate, multipath bool) []int {
 	if len(cands) == 0 {
 		return nil
 	}
-	best := 0
+	// One pass: out holds the routes tied with out[0], the first of the most
+	// preferred seen so far.
+	out := append(dst[:0], 0)
 	for i := 1; i < len(cands); i++ {
-		if better(&cands[i].Attrs, &cands[best].Attrs) {
-			best = i
+		a, b := &cands[i].Attrs, &cands[out[0]].Attrs
+		if better(a, b) {
+			out = append(out[:0], i)
+		} else if !better(b, a) {
+			out = append(out, i)
 		}
 	}
 	if !multipath {
 		// Final tie-breaks: lowest peer device, then lowest session.
-		for i := range cands {
-			if i == best {
-				continue
-			}
-			if equalPreference(&cands[i].Attrs, &cands[best].Attrs) && tieBreakLess(&cands[i], &cands[best]) {
+		best := out[0]
+		for _, i := range out[1:] {
+			if tieBreakLess(&cands[i], &cands[best]) {
 				best = i
 			}
 		}
-		return append(dst[:0], best)
-	}
-	out := dst[:0]
-	for i := range cands {
-		if equalPreference(&cands[i].Attrs, &cands[best].Attrs) {
-			out = append(out, i)
-		}
+		return append(out[:0], best)
 	}
 	return out
 }
@@ -237,7 +234,7 @@ func tieBreakLess(a, b *Candidate) bool {
 	if a.Attrs.Peer != b.Attrs.Peer {
 		return a.Attrs.Peer < b.Attrs.Peer
 	}
-	return a.Session < b.Session
+	return a.Peer < b.Peer // ranks sort as the session IDs do
 }
 
 // bestOf returns the index (into cands) of the best route among selected,
@@ -310,7 +307,7 @@ func (s *Speaker) installFIB(p netip.Prefix, cands []Candidate, selected []int) 
 		for k, i := range selected {
 			bw := cands[i].Attrs.LinkBandwidthGbps
 			if bw <= 0 {
-				bw = s.peerCapacity(cands[i].Session)
+				bw = s.peerCapacity(cands[i].Peer)
 			}
 			w := int(bw)
 			if w < 1 {
@@ -330,10 +327,10 @@ func (s *Speaker) installFIB(p netip.Prefix, cands []Candidate, selected []int) 
 		if weights[k] <= 0 {
 			continue // weight 0 = drained path: selected but carries nothing
 		}
-		hops = append(hops, fib.NextHop{ID: string(cands[i].Session), Weight: weights[k]})
+		hops = append(hops, fib.NextHop{ID: string(s.peers[cands[i].Peer].session), Weight: weights[k]})
 		bw := cands[i].Attrs.LinkBandwidthGbps
 		if bw <= 0 {
-			bw = s.peerCapacity(cands[i].Session)
+			bw = s.peerCapacity(cands[i].Peer)
 		}
 		aggBW += bw
 	}
@@ -356,12 +353,7 @@ func (s *Speaker) emitRPAHit(p netip.Prefix, statement string) {
 	})
 }
 
-func (s *Speaker) peerCapacity(sess SessionID) float64 {
-	if pr := s.peers[sess]; pr != nil {
-		return pr.linkGbps
-	}
-	return 0
-}
+func (s *Speaker) peerCapacity(k int32) float64 { return s.peers[k].linkGbps }
 
 // advKeyOf renders the canonical PathKey of an advertisement. Duplicate
 // suppression compares advContent structurally; the string is only built
@@ -399,10 +391,10 @@ func uitoa(v uint32) string {
 // withdrawals to sessions that previously heard this prefix but are no
 // longer eligible.
 //
-// learnedFrom is the session the advertised route was learned on (empty for
-// locally originated routes); the split-horizon rule never re-advertises a
-// route to the device it came from.
-func (s *Speaker) advertise(p netip.Prefix, st *prefixState, route *core.RouteAttrs, learnedFrom SessionID, aggBW float64) {
+// from is the rank of the session the advertised route was learned on (-1
+// for locally originated routes); the split-horizon rule never
+// re-advertises a route to the device it came from.
+func (s *Speaker) advertise(p netip.Prefix, st *prefixState, route *core.RouteAttrs, from int32, aggBW float64) {
 	if s.drained {
 		s.withdrawAll(p, st)
 		return
@@ -415,33 +407,36 @@ func (s *Speaker) advertise(p netip.Prefix, st *prefixState, route *core.RouteAt
 	// communities, origin, and bandwidth compared here. Skip the loop —
 	// unless this speaker is the oracle, which always walks it: the one
 	// branch the mode decides.
-	if !s.fullRecompute && st.advOK && st.advEpoch == s.advEpoch && st.advFrom == learnedFrom &&
+	if !s.fullRecompute && st.advOK && st.advEpoch == s.advEpoch && st.advFrom == from &&
 		st.advBW == aggBW && st.advRoute.equal(route) {
 		s.incr.AdvertiseMemoHits++
 		return
 	}
-	fromDevice := ""
-	if pr := s.peers[learnedFrom]; pr != nil {
-		fromDevice = pr.device
+	fromDev := int32(-1)
+	if from >= 0 {
+		fromDev = s.peers[from].dev
 	}
 	bw := 0.0
 	if s.cfg.WCMP == WCMPDistributed {
 		bw = aggBW
 	}
 
-	// built holds this call's contents, one per distinct prepend.
+	// built holds this call's contents, one per distinct prepend. The peers
+	// and the column are both in rank order, so i walks the column beside
+	// the loop: before rank k it is where k's entry is or would go.
 	built := s.advScratch[:0]
-	for _, sess := range s.sessionOrder() {
-		pr := s.peers[sess]
-		eligible := true
-		if fromDevice != "" && pr.device == fromDevice {
-			eligible = false // split horizon toward the source device
-		}
-		if eligible && !s.rpa.AllowRoute(route, pr.device, core.Egress) {
-			eligible = false
-		}
-		if !eligible {
-			s.withdrawOne(p, st, sess)
+	i := 0
+	for k := range s.peers {
+		pr := &s.peers[k]
+		rank := int32(k)
+		found := i < len(st.advertised) && st.advertised[i].Peer == rank
+		// Split horizon toward the source device, then the egress policy.
+		if pr.dev == fromDev || !s.rpa.AllowRoute(route, pr.device, core.Egress) {
+			if found {
+				st.advertised = slices.Delete(owned(st.advertised, &st.advShared, 0), i, i+1)
+				st.advOK = false
+				s.sendWithdraw(p, rank)
+			}
 			continue
 		}
 
@@ -460,16 +455,16 @@ func (s *Speaker) advertise(p netip.Prefix, st *prefixState, route *core.RouteAt
 			if pathLen > len(c.inline) {
 				c.path = make([]uint32, 0, pathLen)
 			}
-			for i := 0; i <= pr.prepend; i++ {
+			for j := 0; j <= pr.prepend; j++ {
 				c.path = append(c.path, s.cfg.ASN)
 			}
 			c.path = append(c.path, route.ASPath...)
 			built = append(built, c)
 		}
 
-		i, found := st.findAdv(sess)
 		dup := found && st.advertised[i].matches(c, bw)
 		if dup && st.advertised[i].content != nil {
+			i++
 			continue // nothing changed on this session
 		}
 		if st.advertised == nil {
@@ -478,12 +473,13 @@ func (s *Speaker) advertise(p netip.Prefix, st *prefixState, route *core.RouteAt
 		}
 		// For a duplicate this only upgrades a checkpoint-restored entry to
 		// the content it matched.
-		st.advertised = putEntry(st.advertised, &st.advShared, i, found, AdvState{Session: sess, BW: bw, PathLen: pathLen, content: c})
+		st.advertised = putEntry(st.advertised, &st.advShared, i, found, AdvState{Peer: rank, BW: bw, PathLen: pathLen, content: c})
+		i++
 		if dup {
 			continue
 		}
 		s.stats.UpdatesSent++
-		s.outbox = append(s.outbox, OutMsg{Session: sess, Update: Update{
+		s.outbox = append(s.outbox, OutMsg{Session: pr.session, Update: Update{
 			Prefix:            p,
 			ASPath:            c.path,
 			Communities:       c.comms,
@@ -498,7 +494,7 @@ func (s *Speaker) advertise(p netip.Prefix, st *prefixState, route *core.RouteAt
 	// too, so the memo is current whenever a mode switch starts trusting it.
 	st.advOK = true
 	st.advEpoch = s.advEpoch
-	st.advFrom = learnedFrom
+	st.advFrom = from
 	st.advBW = aggBW
 	st.advRoute = advRoute{origin: route.Origin, path: route.ASPath, comms: route.Communities}
 }
@@ -510,7 +506,7 @@ func (s *Speaker) withdrawAll(p netip.Prefix, st *prefixState) {
 		return
 	}
 	for i := range st.advertised {
-		s.sendWithdraw(p, st.advertised[i].Session)
+		s.sendWithdraw(p, st.advertised[i].Peer)
 	}
 	st.advertised, st.advShared = nil, false
 	// The advertisement memo asserts the Adj-RIB-Out it recorded; any
@@ -518,18 +514,9 @@ func (s *Speaker) withdrawAll(p netip.Prefix, st *prefixState) {
 	st.advOK = false
 }
 
-func (s *Speaker) withdrawOne(p netip.Prefix, st *prefixState, sess SessionID) {
-	if st.dropAdv(sess) {
-		st.advOK = false
-		s.sendWithdraw(p, sess)
-	}
-}
-
-// sendWithdraw queues the withdrawal of p on sess, if the session still is.
-func (s *Speaker) sendWithdraw(p netip.Prefix, sess SessionID) {
-	if _, stillUp := s.peers[sess]; !stillUp {
-		return
-	}
+// sendWithdraw queues the withdrawal of p on rank k. Every rank a column
+// holds is a peer: RemovePeer drops a session's entries with it.
+func (s *Speaker) sendWithdraw(p netip.Prefix, k int32) {
 	s.stats.WithdrawalsSent++
-	s.outbox = append(s.outbox, OutMsg{Session: sess, Update: Update{Prefix: p, Withdraw: true}})
+	s.outbox = append(s.outbox, OutMsg{Session: s.peers[k].session, Update: Update{Prefix: p, Withdraw: true}})
 }

@@ -67,42 +67,63 @@ func (s *Speaker) FullRecompute() bool { return s.fullRecompute }
 // record current, the oracle just never trusts it.
 func (s *Speaker) SetFullRecompute(on bool) { s.fullRecompute = on }
 
-// sessionOrder returns the sessions sorted by ID. The slice is cached
-// (invalidated on session add/remove) because the sort sits on the
-// per-update hot path. Callers must not mutate the result.
-func (s *Speaker) sessionOrder() []SessionID {
-	if s.sessOrder == nil {
-		out := make([]SessionID, 0, len(s.peers))
-		for sess := range s.peers {
-			out = append(out, sess)
-		}
-		slices.Sort(out)
-		s.sessOrder = out
-	}
-	return s.sessOrder
-}
-
 // localHops is the next-hop set for locally originated prefixes.
 var localHops = []fib.NextHop{{ID: LocalNextHop, Weight: 1}}
 
 // distinctDevicesOf counts distinct next-hop devices among the indexed
-// candidates (all candidates when idx is nil).
+// candidates (all candidates when idx is nil). A candidate's next hop is its
+// session's device, so the count is of device ordinals.
 func (s *Speaker) distinctDevicesOf(cands []Candidate, idx []int) int {
-	if s.distinctScratch == nil {
-		s.distinctScratch = make(map[string]struct{}, 16)
+	gen, n := s.devs.next(len(s.peers)), 0
+	count := len(cands)
+	if idx != nil {
+		count = len(idx)
 	}
-	m := s.distinctScratch
-	clear(m)
-	if idx == nil {
-		for i := range cands {
-			m[cands[i].Attrs.NextHop] = struct{}{}
+	for j := 0; j < count; j++ {
+		i := j
+		if idx != nil {
+			i = idx[j]
 		}
-	} else {
-		for _, i := range idx {
-			m[cands[i].Attrs.NextHop] = struct{}{}
+		if d := s.peers[cands[i].Peer].dev; s.devs.seen[d] != gen {
+			s.devs.seen[d] = gen
+			n++
 		}
 	}
-	return len(m)
+	return n
+}
+
+// devStamps counts distinct device ordinals without a map: seen[d] == gen
+// marks ordinal d as met in the current pass.
+type devStamps struct {
+	seen []uint32
+	gen  uint32
+}
+
+// next starts a pass over ordinals below n.
+func (d *devStamps) next(n int) uint32 {
+	if len(d.seen) < n {
+		d.seen = make([]uint32, n)
+	}
+	if d.gen++; d.gen == 0 {
+		clear(d.seen)
+		d.gen = 1
+	}
+	return d.gen
+}
+
+// devOrdinal returns the ordinal of a session to device joining peers: that
+// of a session already to it, or else the next one. Ordinals stay dense, from
+// 0 to the number of distinct devices (see RemovePeer), so they are below
+// the peer count.
+func devOrdinal(peers []peer, device string) int32 {
+	next := int32(0)
+	for i := range peers {
+		if peers[i].device == device {
+			return peers[i].dev
+		}
+		next = max(next, peers[i].dev+1)
+	}
+	return next
 }
 
 // equal reports whether r is, to the advertise step, the route recorded.

@@ -33,7 +33,7 @@ func genCandidates(r *rand.Rand) []Candidate {
 			comms = []string{"D"}
 		}
 		cands = append(cands, Candidate{
-			Session: SessionID(fmt.Sprintf("s%d", i)),
+			Peer: int32(i),
 			Attrs: core.RouteAttrs{
 				Prefix:      netip.MustParsePrefix("0.0.0.0/0"),
 				ASPath:      path,
@@ -51,15 +51,15 @@ func genCandidates(r *rand.Rand) []Candidate {
 
 // sessionSet projects a selection to the set of chosen sessions, the
 // order- and index-independent identity of a selection.
-func sessionSet(cands []Candidate, idx []int) map[SessionID]bool {
-	out := make(map[SessionID]bool, len(idx))
+func sessionSet(cands []Candidate, idx []int) map[int32]bool {
+	out := make(map[int32]bool, len(idx))
 	for _, i := range idx {
-		out[cands[i].Session] = true
+		out[cands[i].Peer] = true
 	}
 	return out
 }
 
-func equalSessionSets(a, b map[SessionID]bool) bool {
+func equalSessionSets(a, b map[int32]bool) bool {
 	if len(a) != len(b) {
 		return false
 	}

@@ -13,6 +13,7 @@ package bgp
 // the speaker copies a column before its first write.
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
 	"slices"
@@ -21,7 +22,10 @@ import (
 	"centralium/internal/fib"
 )
 
-// PeerState is the serializable form of one session's peer record.
+// PeerState is the serializable form of one session's peer record. A
+// column entry names its session by rank, the session's position among the
+// state's peers sorted by session ID: its index in SpeakerState.Peers, which
+// ExportState writes sorted. The session string lives here only.
 type PeerState struct {
 	Session  SessionID
 	Device   string
@@ -46,8 +50,8 @@ type PrefixBookState struct {
 	Baseline   int
 	HasLast    bool
 	Last       DecisionInfo
-	Cands      []Candidate // Adj-RIB-In column, sorted by session
-	Advertised []AdvState  // Adj-RIB-Out column, sorted by session
+	Cands      []Candidate // Adj-RIB-In column, sorted by rank
+	Advertised []AdvState  // Adj-RIB-Out column, sorted by rank
 }
 
 // SpeakerState is the complete serializable state of one speaker. All
@@ -88,17 +92,17 @@ func (s *Speaker) ExportState() (SpeakerState, error) {
 	if len(s.outbox) > 0 {
 		return SpeakerState{}, fmt.Errorf("bgp %s: %d undelivered outbox messages; checkpoint only between events", s.cfg.ID, len(s.outbox))
 	}
-	// In peer order by construction: the peers are the sorted session order,
-	// every column is kept sorted by session (see seek) and names only peers
+	// In peer order by construction: the peers are sorted by session, every
+	// column is kept sorted by rank (see seek) and names only peers
 	// (RemovePeer drops a session's entries).
 	st := SpeakerState{Cfg: s.cfg, Drained: s.drained, Stats: s.stats, ordered: true}
 
-	if order := s.sessionOrder(); len(order) > 0 { // none is nil, as a decoded state has it
-		st.Peers = make([]PeerState, len(order))
-		for i, sess := range order {
-			pr := s.peers[sess]
+	if len(s.peers) > 0 { // none is nil, as a decoded state has it
+		st.Peers = make([]PeerState, len(s.peers))
+		for i := range s.peers {
+			pr := &s.peers[i]
 			st.Peers[i] = PeerState{
-				Session: sess, Device: pr.device, ASN: pr.asn,
+				Session: pr.session, Device: pr.device, ASN: pr.asn,
 				LinkGbps: pr.linkGbps, Prepend: pr.prepend,
 			}
 		}
@@ -144,7 +148,7 @@ func (s *Speaker) ExportState() (SpeakerState, error) {
 		if n := len(b.advertised); n > 0 {
 			for j := range b.advertised {
 				a := &b.advertised[j]
-				advs = append(advs, AdvState{Session: a.Session, PathKey: a.pathKey(), BW: a.BW, PathLen: a.PathLen})
+				advs = append(advs, AdvState{Peer: a.Peer, PathKey: a.pathKey(), BW: a.BW, PathLen: a.PathLen})
 			}
 			pb.Advertised = advs[len(advs)-n : len(advs) : len(advs)]
 		}
@@ -165,15 +169,15 @@ func (s *Speaker) ExportState() (SpeakerState, error) {
 // The speaker keeps st and builds its peer, originated and prefix maps and
 // its RPA evaluator out of it on its first Touch or first read of them
 // (load), so a restored speaker nothing runs on costs its struct and its FIB
-// table (fib.NewFromState, itself lazy). Well-formed columns (sessions
-// strictly ascending, every one a peer) are then adopted by reference behind
-// one prefixState slab. A record ExportState wrote or Check passed is known
-// to be well formed and is not read here; any other is checked (inPeerOrder).
-// A record whose peers are not strictly ascending or whose columns are not
-// subsequences of them is built at once: a duplicate peer or a column naming
-// an unknown session is an error, and any other column is rebuilt sorted,
-// last write winning, in owned memory. Either way nothing may write to st
-// afterwards.
+// table (fib.NewFromState, itself lazy). Well-formed columns (ranks strictly
+// ascending, every one below the peer count) are then adopted by reference
+// behind one prefixState slab. A record ExportState wrote or Check passed is
+// known to be well formed and is not read here; any other is checked
+// (inPeerOrder). A record whose peers are not strictly ascending or whose
+// columns are not well formed is built at once: a duplicate peer or a
+// column naming a rank with no peer is an error, the peers are sorted, and
+// any other column is rebuilt sorted, last write winning, in owned memory.
+// Either way nothing may write to st afterwards.
 func NewSpeakerFromState(st *SpeakerState, now func() int64) (*Speaker, error) {
 	tbl, err := fib.NewFromState(&st.FIB)
 	if err != nil {
@@ -210,24 +214,18 @@ func (st *SpeakerState) Check() error {
 }
 
 // inPeerOrder reports whether load can adopt every column of st in place:
-// the peers are strictly ascending, so they are their own session order, and
-// each column's sessions are a subsequence of them.
+// the peers are strictly ascending, so their indexes are their ranks, and
+// each column's ranks are strictly ascending and name a peer.
 func inPeerOrder(st *SpeakerState) bool {
 	for i := 1; i < len(st.Peers); i++ {
 		if st.Peers[i-1].Session >= st.Peers[i].Session {
 			return false
 		}
 	}
-	if len(st.Prefixes) == 0 {
-		return true
-	}
-	order := make([]SessionID, len(st.Peers))
-	for i := range st.Peers {
-		order[i] = st.Peers[i].Session
-	}
+	n := int32(len(st.Peers))
 	for i := range st.Prefixes {
 		pb := &st.Prefixes[i]
-		if !inOrder(order, pb.Cands, candKey) || !inOrder(order, pb.Advertised, advKey) {
+		if !inOrder(n, pb.Cands, candKey) || !inOrder(n, pb.Advertised, advKey) {
 			return false
 		}
 	}
@@ -235,7 +233,7 @@ func inPeerOrder(st *SpeakerState) bool {
 }
 
 // checkSessions rejects what load could not build from: a session listed
-// twice among the peers, or a column entry for a session that is no peer.
+// twice among the peers, or a column entry whose rank names no peer.
 func checkSessions(st *SpeakerState) error {
 	known := make(map[SessionID]bool, len(st.Peers))
 	for _, p := range st.Peers {
@@ -244,23 +242,24 @@ func checkSessions(st *SpeakerState) error {
 		}
 		known[p.Session] = true
 	}
+	n := int32(len(st.Peers))
 	for i := range st.Prefixes {
 		pb := &st.Prefixes[i]
 		for _, c := range pb.Cands {
-			if !known[c.Session] {
-				return fmt.Errorf("bgp %s: Adj-RIB-In for unknown session %q", st.Cfg.ID, c.Session)
+			if c.Peer < 0 || c.Peer >= n {
+				return fmt.Errorf("bgp %s: Adj-RIB-In for unknown session: rank %d of %d peers", st.Cfg.ID, c.Peer, n)
 			}
 		}
 		for _, a := range pb.Advertised {
-			if !known[a.Session] {
-				return fmt.Errorf("bgp %s: Adj-RIB-Out for unknown session %q", st.Cfg.ID, a.Session)
+			if a.Peer < 0 || a.Peer >= n {
+				return fmt.Errorf("bgp %s: Adj-RIB-Out for unknown session: rank %d of %d peers", st.Cfg.ID, a.Peer, n)
 			}
 		}
 	}
 	return nil
 }
 
-// load builds the speaker's maps, session order and RPA evaluator out of the
+// load builds the speaker's peers, maps and RPA evaluator out of the
 // checkpoint it was restored from, if it has not yet, and drops the record.
 // Every method that reads what it builds calls it first, or is only reached
 // through one that has (TestDirtyCoversEveryMutator holds both lines). It
@@ -274,27 +273,27 @@ func (s *Speaker) load() {
 	}
 }
 
-// build makes the speaker's maps, session order and RPA evaluator out of st.
-// With adopt (st passed inPeerOrder) every column is adopted by reference;
-// otherwise each one that is not a subsequence of the sorted sessions is
+// build makes the speaker's peers, maps and RPA evaluator out of st. With
+// adopt (st passed inPeerOrder) every column is adopted by reference;
+// otherwise the peers are sorted and each column that is not well formed is
 // rebuilt sorted, last write winning, and build reports whether it rebuilt
-// any. The caller has checked that every session st names is a peer.
+// any. The caller has checked that every rank st names is a peer.
 func (s *Speaker) build(st *SpeakerState, adopt bool) (rebuilt bool) {
-	s.peers = make(map[SessionID]*peer, len(st.Peers))
 	peers := make([]peer, len(st.Peers))
-	order := make([]SessionID, len(st.Peers))
 	for i, p := range st.Peers {
 		peers[i] = peer{
 			session: p.Session, device: p.Device, asn: p.ASN,
 			linkGbps: p.LinkGbps, prepend: p.Prepend,
 		}
-		s.peers[p.Session] = &peers[i]
-		order[i] = p.Session
 	}
 	if !adopt {
-		slices.Sort(order)
+		slices.SortFunc(peers, func(a, b peer) int { return cmp.Compare(a.session, b.session) })
 	}
-	s.sessOrder = order
+	for i := range peers {
+		peers[i].dev = devOrdinal(peers[:i], peers[i].device)
+	}
+	s.peers = peers
+	n := int32(len(peers))
 
 	s.originated = make(map[netip.Prefix]originInfo, len(st.Originated))
 	for _, o := range st.Originated {
@@ -312,20 +311,20 @@ func (s *Speaker) build(st *SpeakerState, adopt bool) (rebuilt bool) {
 		pb := &st.Prefixes[i]
 		b := &slab[i]
 		b.baseline, b.last, b.hasLast = pb.Baseline, pb.Last, pb.HasLast
-		if n := len(pb.Cands); n > 0 && (adopt || inOrder(order, pb.Cands, candKey)) {
-			b.cands, b.candsShared = pb.Cands[:n:n], true
+		if m := len(pb.Cands); m > 0 && (adopt || inOrder(n, pb.Cands, candKey)) {
+			b.cands, b.candsShared = pb.Cands[:m:m], true
 		} else {
-			rebuilt = rebuilt || n > 0
+			rebuilt = rebuilt || m > 0
 			for j := range pb.Cands {
-				b.setCandidate(pb.Cands[j].Session, pb.Cands[j].Attrs)
+				b.setCandidate(pb.Cands[j].Peer, pb.Cands[j].Attrs)
 			}
 		}
-		if n := len(pb.Advertised); n > 0 && (adopt || inOrder(order, pb.Advertised, advKey)) {
-			b.advertised, b.advShared = pb.Advertised[:n:n], true
+		if m := len(pb.Advertised); m > 0 && (adopt || inOrder(n, pb.Advertised, advKey)) {
+			b.advertised, b.advShared = pb.Advertised[:m:m], true
 		} else {
-			rebuilt = rebuilt || n > 0
+			rebuilt = rebuilt || m > 0
 			for _, a := range pb.Advertised {
-				j, found := b.findAdv(a.Session)
+				j, found := b.findAdv(a.Peer)
 				b.advertised = putEntry(b.advertised, &b.advShared, j, found, a)
 			}
 		}
@@ -341,20 +340,16 @@ func (s *Speaker) build(st *SpeakerState, adopt bool) (rebuilt bool) {
 	return rebuilt
 }
 
-// inOrder reports whether the sessions of col are a subsequence of order
-// (ascending): strictly ascending, and every one in order. A checkpoint's
-// session IDs usually are the peer list's own strings, so most comparisons
-// end at the pointer.
-func inOrder[T any](order []SessionID, col []T, key func(*T) SessionID) bool {
-	j := 0
+// inOrder reports whether the ranks of col are strictly ascending and each
+// names one of n peers.
+func inOrder[T any](n int32, col []T, key func(*T) int32) bool {
+	prev := int32(-1)
 	for i := range col {
-		for j < len(order) && order[j] != key(&col[i]) {
-			j++
-		}
-		if j == len(order) {
+		k := key(&col[i])
+		if k <= prev || k >= n {
 			return false
 		}
-		j++
+		prev = k
 	}
 	return true
 }

@@ -30,8 +30,10 @@ const LocalNextHop = "local"
 // as long as no two goroutines touch the same speaker concurrently; the
 // fabric drives all of a network's speakers from its one event loop.
 type Speaker struct {
-	cfg   Config
-	peers map[SessionID]*peer
+	cfg Config
+	// peers is sorted by session ID: a session's index is its rank, which
+	// every column entry holds (see Candidate).
+	peers []peer
 
 	originated map[netip.Prefix]originInfo
 	prefixes   map[netip.Prefix]*prefixState
@@ -43,7 +45,7 @@ type Speaker struct {
 	drained bool
 
 	// pending is the checkpoint a restored speaker has not built its peers,
-	// originated, prefixes, rpa and sessOrder from yet; nil once load has.
+	// originated, prefixes and rpa from yet; nil once load has.
 	pending *SpeakerState
 
 	// dirty records that something a checkpoint carries has been written
@@ -65,26 +67,25 @@ type Speaker struct {
 	// that change advertise behavior globally (peer set, prepends, drain,
 	// RPA egress policy).
 	advEpoch uint64
-	// sessOrder caches the sorted session list; nil means rebuild.
-	sessOrder []SessionID
-	incr      IncrementalStats
+	incr     IncrementalStats
+
+	// devs numbers neighbour devices and counts them without a map.
+	devs devStamps
 
 	// Scratch buffers reused across decision runs (the speaker is
 	// single-threaded and the pipeline never retains them).
-	attrsScratch    []core.RouteAttrs
-	wattsScratch    []core.RouteAttrs
-	hopsScratch     []fib.NextHop
-	selScratch      []int
-	weightScratch   []int
-	advScratch      []*advContent
-	distinctScratch map[string]struct{}
+	attrsScratch  []core.RouteAttrs
+	wattsScratch  []core.RouteAttrs
+	hopsScratch   []fib.NextHop
+	selScratch    []int
+	weightScratch []int
+	advScratch    []*advContent
 }
 
 // NewSpeaker constructs a speaker. The clock function may be nil (treated
 // as a constant zero clock).
 func NewSpeaker(cfg Config, now func() int64) *Speaker {
 	s := newSpeaker(cfg, now)
-	s.peers = make(map[SessionID]*peer)
 	s.originated = make(map[netip.Prefix]originInfo)
 	s.prefixes = make(map[netip.Prefix]*prefixState)
 	s.rpa = noRPA.NewEvaluator()
@@ -204,14 +205,22 @@ func (s *Speaker) RecycleOutbox(buf []OutMsg) {
 }
 
 // AddPeer registers a session to a neighboring device. Existing
-// advertisements are replayed onto the new session.
+// advertisements are replayed onto the new session. A session that sorts
+// before existing ones renumbers the column entries of the ranks it moves.
 func (s *Speaker) AddPeer(sess SessionID, device string, asn uint32, linkGbps float64) {
 	s.load()
-	if _, dup := s.peers[sess]; dup {
+	k, dup := s.rank(sess)
+	if dup {
 		panic(fmt.Sprintf("bgp %s: duplicate session %q", s.cfg.ID, sess))
 	}
 	s.Touch()
-	s.peers[sess] = &peer{session: sess, device: device, asn: asn, linkGbps: linkGbps}
+	pr := peer{session: sess, device: device, dev: devOrdinal(s.peers, device), asn: asn, linkGbps: linkGbps}
+	s.peers = slices.Insert(s.peers, int(k), pr)
+	if int(k) < len(s.peers)-1 {
+		for _, st := range s.prefixes {
+			st.renumber(k, 1)
+		}
+	}
 	if s.tap != nil {
 		s.tap.Emit(telemetry.Event{
 			Kind: telemetry.KindSessionUp, Time: s.now(), Device: s.cfg.ID,
@@ -219,7 +228,6 @@ func (s *Speaker) AddPeer(sess SessionID, device string, asn uint32, linkGbps fl
 		})
 	}
 	s.advEpoch++
-	s.sessOrder = nil
 	// Replay current decisions to the new peer.
 	s.recomputeAll()
 }
@@ -228,22 +236,36 @@ func (s *Speaker) AddPeer(sess SessionID, device string, asn uint32, linkGbps fl
 // prefixes are recomputed.
 func (s *Speaker) RemovePeer(sess SessionID) {
 	s.load()
-	pr := s.peers[sess]
-	if pr == nil {
+	k, ok := s.rank(sess)
+	if !ok {
 		return
 	}
 	s.Touch()
+	pr := s.peers[k]
 	var affected []netip.Prefix
 	for p, st := range s.prefixes {
-		if st.dropCandidate(sess) {
+		if st.dropCandidate(k) {
 			affected = append(affected, p)
 		}
-		st.dropAdv(sess)
+		st.dropAdv(k)
+		st.renumber(k+1, -1)
 	}
 	sortPrefixes(affected)
-	delete(s.peers, sess)
+	s.peers = slices.Delete(s.peers, int(k), int(k)+1)
+	// Keep the device ordinals dense: when a device's last session goes, the
+	// device with the highest ordinal takes over its number.
+	if !slices.ContainsFunc(s.peers, func(p peer) bool { return p.dev == pr.dev }) {
+		top := int32(-1)
+		for i := range s.peers {
+			top = max(top, s.peers[i].dev)
+		}
+		for i := range s.peers {
+			if s.peers[i].dev == top && top > pr.dev {
+				s.peers[i].dev = pr.dev
+			}
+		}
+	}
 	s.advEpoch++
-	s.sessOrder = nil
 	if s.tap != nil {
 		s.tap.Emit(telemetry.Event{
 			Kind: telemetry.KindSessionDown, Time: s.now(), Device: s.cfg.ID,
@@ -251,14 +273,38 @@ func (s *Speaker) RemovePeer(sess SessionID) {
 		})
 	}
 	for _, p := range affected {
-		s.recompute(p)
+		s.recompute(p, s.state(p))
 	}
+}
+
+// rank returns the rank of sess, or the rank it would take, and whether it
+// is a peer.
+func (s *Speaker) rank(sess SessionID) (int32, bool) {
+	lo, hi := 0, len(s.peers)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.peers[mid].session < sess {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return int32(lo), lo < len(s.peers) && s.peers[lo].session == sess
 }
 
 // Peers returns the registered session IDs, sorted.
 func (s *Speaker) Peers() []SessionID {
 	s.load()
-	return slices.Clone(s.sessionOrder())
+	return s.sessionOrder()
+}
+
+// sessionOrder renders the peers' session IDs in rank order.
+func (s *Speaker) sessionOrder() []SessionID {
+	out := make([]SessionID, len(s.peers))
+	for i := range s.peers {
+		out[i] = s.peers[i].session
+	}
+	return out
 }
 
 // SetPeerPrepend sets the export AS-path prepend count toward a neighboring
@@ -267,9 +313,9 @@ func (s *Speaker) Peers() []SessionID {
 // advertisements less favorable. All prefixes are re-advertised.
 func (s *Speaker) SetPeerPrepend(device string, n int) {
 	s.Touch()
-	for _, pr := range s.peers {
-		if pr.device == device {
-			pr.prepend = n
+	for i := range s.peers {
+		if s.peers[i].device == device {
+			s.peers[i].prepend = n
 		}
 	}
 	s.reAdvertiseAll()
@@ -279,8 +325,8 @@ func (s *Speaker) SetPeerPrepend(device string, n int) {
 // device entering maintenance.
 func (s *Speaker) SetAllPeersPrepend(n int) {
 	s.Touch()
-	for _, pr := range s.peers {
-		pr.prepend = n
+	for i := range s.peers {
+		s.peers[i].prepend = n
 	}
 	s.reAdvertiseAll()
 }
@@ -353,7 +399,7 @@ func (s *Speaker) OriginateEx(p netip.Prefix, communities []string, origin core.
 		bandwidthGbps: bandwidthGbps,
 		installFIB:    installFIB,
 	}
-	s.recompute(p)
+	s.recompute(p, s.state(p))
 }
 
 // WithdrawOrigin removes a locally originated prefix.
@@ -364,7 +410,7 @@ func (s *Speaker) WithdrawOrigin(p netip.Prefix) {
 	}
 	s.Touch()
 	delete(s.originated, p)
-	s.recompute(p)
+	s.recompute(p, s.state(p))
 }
 
 // HandleUpdate processes one received UPDATE on a session: loop check,
@@ -381,15 +427,16 @@ func (s *Speaker) HandleUpdate(sess SessionID, u Update) {
 	// First thing: the fabric stamps its per-node delivery clock, which the
 	// checkpoint carries beside the speaker, immediately before every call.
 	s.Touch()
-	pr := s.peers[sess]
-	if pr == nil {
+	k, ok := s.rank(sess)
+	if !ok {
 		return // session raced down; drop silently like a closed TCP conn
 	}
+	pr := &s.peers[k]
 	s.stats.UpdatesReceived++
 	if u.Withdraw {
-		if st := s.prefixes[u.Prefix]; st != nil && st.dropCandidate(sess) {
-			s.emitAdjIn(sess, pr, &u)
-			s.recompute(u.Prefix)
+		if st := s.prefixes[u.Prefix]; st != nil && st.dropCandidate(k) {
+			s.emitAdjIn(pr, &u)
+			s.recompute(u.Prefix, st)
 		}
 		return
 	}
@@ -422,18 +469,23 @@ func (s *Speaker) HandleUpdate(sess SessionID, u Update) {
 	if !s.rpa.AllowRoute(&attrs, pr.device, core.Ingress) {
 		s.stats.FilterRejects++
 		// A denied route must also clear any previous RIB entry.
-		if st := s.prefixes[u.Prefix]; st != nil && st.dropCandidate(sess) {
-			s.recompute(u.Prefix)
+		if st := s.prefixes[u.Prefix]; st != nil && st.dropCandidate(k) {
+			s.recompute(u.Prefix, st)
 		}
 		return
 	}
-	s.state(u.Prefix).setCandidate(sess, attrs)
-	s.emitAdjIn(sess, pr, &u)
-	s.recompute(u.Prefix)
+	st := s.state(u.Prefix)
+	if st.cands == nil {
+		// Nearly every peer ends up in the column; size it once.
+		st.cands = make([]Candidate, 0, len(s.peers))
+	}
+	st.setCandidate(k, attrs)
+	s.emitAdjIn(pr, &u)
+	s.recompute(u.Prefix, st)
 }
 
 // emitAdjIn reports an accepted Adj-RIB-In write (install or withdrawal).
-func (s *Speaker) emitAdjIn(sess SessionID, pr *peer, u *Update) {
+func (s *Speaker) emitAdjIn(pr *peer, u *Update) {
 	if s.tap == nil {
 		return
 	}
@@ -441,7 +493,7 @@ func (s *Speaker) emitAdjIn(sess SessionID, pr *peer, u *Update) {
 		Kind:              telemetry.KindAdjRIBIn,
 		Time:              s.now(),
 		Device:            s.cfg.ID,
-		Session:           string(sess),
+		Session:           string(pr.session),
 		Peer:              pr.device,
 		PeerASN:           pr.asn,
 		Prefix:            u.Prefix,
@@ -499,7 +551,7 @@ func (s *Speaker) knownPrefixes() []netip.Prefix {
 // scheduling (and therefore jitter draws) between runs of the same seed.
 func (s *Speaker) recomputeAll() {
 	for _, p := range s.knownPrefixes() {
-		s.recompute(p)
+		s.recompute(p, s.state(p))
 	}
 }
 
@@ -541,7 +593,7 @@ func (s *Speaker) AdjRIBOut(p netip.Prefix) map[SessionID]AdvertisedRoute {
 	out := make(map[SessionID]AdvertisedRoute, len(st.advertised))
 	for i := range st.advertised {
 		a := &st.advertised[i]
-		out[a.Session] = AdvertisedRoute{PathLen: a.PathLen, PathKey: a.pathKey()}
+		out[s.peers[a.Peer].session] = AdvertisedRoute{PathLen: a.PathLen, PathKey: a.pathKey()}
 	}
 	return out
 }

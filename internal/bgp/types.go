@@ -3,6 +3,14 @@
 // hooks, and the RPA integration points of the paper's Figure 6. The
 // speaker is a deterministic state machine — it never talks to the network
 // itself; the fabric engine feeds it events and drains its outbox.
+//
+// Inside the speaker a session is its rank, its position among the
+// speaker's peers sorted by session ID: the Adj-RIB-In and Adj-RIB-Out
+// columns, the advertise loop and the decision read int32 ranks and device
+// ordinals. Ranks sort as the IDs do, so no order moves with them. Session
+// strings appear only at the edges: HandleUpdate resolves its argument once,
+// and Peers, AdjRIBOut, FIB next-hop IDs, OutMsg, telemetry and the
+// checkpoint codec render them from the peer record.
 package bgp
 
 import (
@@ -107,10 +115,16 @@ type Stats struct {
 	WeightOverrides int // decisions whose weights came from a Route Attribute RPA
 }
 
-// peer is the speaker-side state of one session.
+// peer is the speaker-side state of one session. A speaker keeps its peers
+// in a slice sorted by session ID, and inside the package a session is its
+// rank: its index there.
 type peer struct {
-	session  SessionID
-	device   string
+	session SessionID
+	device  string
+	// dev numbers the neighbour device within the speaker: parallel sessions
+	// to one device share it, so split horizon and the distinct-next-hop
+	// count compare ints. Ordinals index devStamps.seen.
+	dev      int32
 	asn      uint32
 	linkGbps float64
 	prepend  int // export AS-path prepend toward this peer (maintenance policy)
@@ -169,8 +183,10 @@ func sameContent(a, b *advContent) bool {
 // for a prefix, used to suppress duplicate updates. It is the engine's
 // column entry and the checkpoint's: at rest content is nil and PathKey
 // rendered; a live entry carries the content and renders the key on demand.
+// Peer is the session's rank, its index in the speaker's peers sorted by
+// session ID (SpeakerState.Peers as ExportState writes it).
 type AdvState struct {
-	Session SessionID
+	Peer    int32
 	PathKey string
 	BW      float64
 	// PathLen is the advertised AS-path length including this speaker's own
@@ -206,22 +222,24 @@ func (a *AdvState) matches(c *advContent, bw float64) bool {
 
 // Candidate pairs a RIB route with the session it arrived on: one entry of
 // a prefix's Adj-RIB-In column, in the engine and in a checkpoint alike.
+// Peer is the session's rank, as in AdvState; the route's Peer and NextHop
+// attributes name the neighbour device.
 type Candidate struct {
-	Attrs   core.RouteAttrs
-	Session SessionID
+	Attrs core.RouteAttrs
+	Peer  int32
 }
 
 // prefixState is per-prefix bookkeeping.
 type prefixState struct {
 	// cands is the prefix's column of the Adj-RIB-In: the routes received
-	// for it, one per session, sorted by session — exactly what the decision
+	// for it, one per session, sorted by rank — exactly what the decision
 	// process reads, so gather hands it out in place. It is the only
 	// Adj-RIB-In store; the per-session view (ExportState, RemovePeer) is
 	// derived from it.
 	cands []Candidate
 
 	// advertised is the prefix's column of the Adj-RIB-Out: the last
-	// advertisement per session, sorted by session.
+	// advertisement per session, sorted by rank.
 	advertised []AdvState
 
 	// candsShared and advShared mark a column adopted by reference from a
@@ -247,8 +265,8 @@ type prefixState struct {
 	// the same whether or not the speaker trusts it, and a restored speaker
 	// starts without one.
 	advOK    bool
+	advFrom  int32 // rank of the source session, -1 for a local origin
 	advEpoch uint64
-	advFrom  SessionID
 	advBW    float64
 	advRoute advRoute
 }
@@ -317,18 +335,19 @@ type OutMsg struct {
 	Update  Update
 }
 
-// The Adj-RIB-In and Adj-RIB-Out columns are both sorted by session; candKey
-// and advKey name an entry's session for the helpers they share.
-func candKey(c *Candidate) SessionID { return c.Session }
-func advKey(a *AdvState) SessionID   { return a.Session }
+// The Adj-RIB-In and Adj-RIB-Out columns are both sorted by rank; candKey
+// and advKey read an entry's rank for the helpers they share.
+func candKey(c *Candidate) int32 { return c.Peer }
+func advKey(a *AdvState) int32   { return a.Peer }
 
-// seek returns the column position of sess, or where it would be inserted.
-// It is kept small enough to inline, which turns key into a field read.
-func seek[T any](col []T, key func(*T) SessionID, sess SessionID) int {
+// seek returns the column position of rank k, or where it would be
+// inserted. It is kept small enough to inline, which turns key into a field
+// read, and it compares ints: no session string is read on the way.
+func seek[T any](col []T, key func(*T) int32, k int32) int {
 	lo, hi := 0, len(col)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if key(&col[mid]) < sess {
+		if key(&col[mid]) < k {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -358,23 +377,23 @@ func putEntry[T any](col []T, shared *bool, i int, found bool, e T) []T {
 	return slices.Insert(owned(col, shared, 1), i, e)
 }
 
-// findCandidate returns the column position of sess's route and whether
+// findCandidate returns the column position of rank k's route and whether
 // there is one.
-func (st *prefixState) findCandidate(sess SessionID) (int, bool) {
-	i := seek(st.cands, candKey, sess)
-	return i, i < len(st.cands) && st.cands[i].Session == sess
+func (st *prefixState) findCandidate(k int32) (int, bool) {
+	i := seek(st.cands, candKey, k)
+	return i, i < len(st.cands) && st.cands[i].Peer == k
 }
 
-// setCandidate writes the route received on sess into the column.
-func (st *prefixState) setCandidate(sess SessionID, attrs core.RouteAttrs) {
-	i, found := st.findCandidate(sess)
-	st.cands = putEntry(st.cands, &st.candsShared, i, found, Candidate{Attrs: attrs, Session: sess})
+// setCandidate writes the route received on rank k into the column.
+func (st *prefixState) setCandidate(k int32, attrs core.RouteAttrs) {
+	i, found := st.findCandidate(k)
+	st.cands = putEntry(st.cands, &st.candsShared, i, found, Candidate{Attrs: attrs, Peer: k})
 }
 
-// dropCandidate removes sess's route from the column and reports whether
+// dropCandidate removes rank k's route from the column and reports whether
 // there was one.
-func (st *prefixState) dropCandidate(sess SessionID) bool {
-	i, found := st.findCandidate(sess)
+func (st *prefixState) dropCandidate(k int32) bool {
+	i, found := st.findCandidate(k)
 	if found {
 		st.cands = slices.Delete(owned(st.cands, &st.candsShared, 0), i, i+1)
 	}
@@ -382,15 +401,34 @@ func (st *prefixState) dropCandidate(sess SessionID) bool {
 }
 
 // findAdv and dropAdv are the same over the Adj-RIB-Out column.
-func (st *prefixState) findAdv(sess SessionID) (int, bool) {
-	i := seek(st.advertised, advKey, sess)
-	return i, i < len(st.advertised) && st.advertised[i].Session == sess
+func (st *prefixState) findAdv(k int32) (int, bool) {
+	i := seek(st.advertised, advKey, k)
+	return i, i < len(st.advertised) && st.advertised[i].Peer == k
 }
 
-func (st *prefixState) dropAdv(sess SessionID) bool {
-	i, found := st.findAdv(sess)
+func (st *prefixState) dropAdv(k int32) bool {
+	i, found := st.findAdv(k)
 	if found {
 		st.advertised = slices.Delete(owned(st.advertised, &st.advShared, 0), i, i+1)
 	}
 	return found
+}
+
+// renumber shifts every rank at or above k by delta: (k, +1) when a peer is
+// inserted at rank k, (k+1, -1) once the entries of a removed rank k are
+// dropped. The shift is monotone, so both columns stay sorted; a shared
+// column is copied before it is written.
+func (st *prefixState) renumber(k, delta int32) {
+	if n := len(st.cands); n > 0 && st.cands[n-1].Peer >= k {
+		st.cands = owned(st.cands, &st.candsShared, 0)
+		for i := seek(st.cands, candKey, k); i < n; i++ {
+			st.cands[i].Peer += delta
+		}
+	}
+	if n := len(st.advertised); n > 0 && st.advertised[n-1].Peer >= k {
+		st.advertised = owned(st.advertised, &st.advShared, 0)
+		for i := seek(st.advertised, advKey, k); i < n; i++ {
+			st.advertised[i].Peer += delta
+		}
+	}
 }

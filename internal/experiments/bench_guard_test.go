@@ -105,8 +105,10 @@ func lastHistoryRow(t *testing.T, path, id, label string) map[string]float64 {
 }
 
 // allocsPerEventBudget is the engine hot path's allocation budget at the
-// medium scale; the guard allows 15% over it.
-const allocsPerEventBudget = 2.0
+// medium scale; the guard allows 15% over it. It is the measured 0.71 rounded
+// up to 0.05, so the ceiling (0.86) sits below the 0.91 this measure read
+// while sessions were strings and the distinct-next-hop count filled a map.
+const allocsPerEventBudget = 0.75
 
 // mediumRestoreAllocs converges the scale point as RunConvergenceMode does,
 // captures it, and counts the allocations of one restore.

@@ -321,7 +321,7 @@ func encodeCache(w *writer, c *core.CacheState) {
 // record per peer, in peer order, holding that session's routes sorted by
 // prefix. The state keeps the routes per prefix (the engine's columns), so
 // the per-session view exists only here, while the encoder writes. Columns
-// list sessions in peer order, which the cursor k follows.
+// name sessions by rank, in peer order, which the cursor k follows.
 func encodeAdjIn(w *writer, s *bgp.SpeakerState) {
 	for len(w.ribs) < len(s.Peers) {
 		w.ribs = append(w.ribs, nil)
@@ -331,16 +331,14 @@ func encodeAdjIn(w *writer, s *bgp.SpeakerState) {
 		k := 0
 		for j := range s.Prefixes[i].Cands {
 			c := &s.Prefixes[i].Cands[j]
-			for k < len(s.Peers) && s.Peers[k].Session != c.Session {
-				k++
-			}
-			if k == len(s.Peers) {
+			if int(c.Peer) < k || int(c.Peer) >= len(s.Peers) {
 				// Neither a speaker nor the decoder builds such a column.
 				if w.err == nil {
-					w.err = fmt.Errorf("snapshot: %s: Adj-RIB-In column of %v is not in peer order at session %q", s.Cfg.ID, s.Prefixes[i].Prefix, c.Session)
+					w.err = fmt.Errorf("snapshot: %s: Adj-RIB-In column of %v is not in peer order at rank %d", s.Cfg.ID, s.Prefixes[i].Prefix, c.Peer)
 				}
 				return
 			}
+			k = int(c.Peer)
 			ribs[k] = append(ribs[k], &c.Attrs)
 		}
 	}
@@ -380,7 +378,11 @@ func encodeSpeaker(w *writer, s *bgp.SpeakerState) {
 	w.i64(int64(s.Stats.WeightOverrides))
 
 	w.u64(uint64(len(s.Peers)))
-	for _, p := range s.Peers {
+	for i, p := range s.Peers {
+		if i > 0 && p.Session <= s.Peers[i-1].Session && w.err == nil {
+			// Ranks index the sorted peers, so only that listing has a wire form.
+			w.err = fmt.Errorf("snapshot: %s: peers not in session order at %q", s.Cfg.ID, p.Session)
+		}
 		w.str(string(p.Session))
 		w.str(p.Device)
 		w.u64(uint64(p.ASN))
@@ -410,7 +412,13 @@ func encodeSpeaker(w *writer, s *bgp.SpeakerState) {
 		w.u64(uint64(len(pb.Advertised)))
 		for j := range pb.Advertised {
 			a := &pb.Advertised[j]
-			w.str(string(a.Session))
+			if a.Peer < 0 || int(a.Peer) >= len(s.Peers) {
+				if w.err == nil {
+					w.err = fmt.Errorf("snapshot: %s: Adj-RIB-Out of %v names rank %d of %d peers", s.Cfg.ID, pb.Prefix, a.Peer, len(s.Peers))
+				}
+				return
+			}
+			w.str(string(s.Peers[a.Peer].Session))
 			w.str(a.PathKey)
 			w.f64(a.BW)
 			w.i64(int64(a.PathLen))
@@ -705,7 +713,7 @@ func transposeAdjIn(r *reader, s *bgp.SpeakerState, ribs [][]core.RouteAttrs) {
 	for i, routes := range ribs {
 		for j := range routes {
 			pb := book[routes[j].Prefix]
-			pb.Cands = append(pb.Cands, bgp.Candidate{Attrs: routes[j], Session: s.Peers[i].Session})
+			pb.Cands = append(pb.Cands, bgp.Candidate{Attrs: routes[j], Peer: int32(i)})
 		}
 	}
 }
@@ -765,6 +773,13 @@ func decodeSpeaker(r *reader, programs map[string]*core.Program) bgp.SpeakerStat
 			}
 		}
 	}
+	// A column names a session by its rank among the peers, which every
+	// encoder lists sorted; the listing is then the rank order.
+	for i := 1; i < len(s.Peers) && r.err == nil; i++ {
+		if s.Peers[i-1].Session >= s.Peers[i].Session {
+			r.fail(fmt.Errorf("snapshot: %s: peers not in session order at %q", s.Cfg.ID, s.Peers[i].Session))
+		}
+	}
 	if n := r.count(); n > 0 {
 		s.Originated = make([]bgp.OriginatedState, n)
 		for i := range s.Originated {
@@ -795,16 +810,19 @@ func decodeSpeaker(r *reader, programs map[string]*core.Program) bgp.SpeakerStat
 				for j := range pb.Advertised {
 					a := &pb.Advertised[j]
 					// Entries follow peer order and mostly repeat one path
-					// key: keep the peer list's string, and one key.
+					// key: look for the session's rank from the last one's,
+					// and keep one key.
 					raw := r.raw()
+					if k == len(s.Peers) || string(s.Peers[k].Session) > string(raw) {
+						k = 0
+					}
 					for k < len(s.Peers) && string(s.Peers[k].Session) < string(raw) {
 						k++
 					}
-					if k < len(s.Peers) && string(s.Peers[k].Session) == string(raw) {
-						a.Session = s.Peers[k].Session
-					} else {
-						a.Session = bgp.SessionID(raw)
+					if k == len(s.Peers) || string(s.Peers[k].Session) != string(raw) {
+						r.fail(fmt.Errorf("snapshot: %s: Adj-RIB-Out for unknown session %q", s.Cfg.ID, raw))
 					}
+					a.Peer = int32(k)
 					key = r.strLike(key)
 					a.PathKey = key
 					a.BW = r.f64()
