@@ -47,9 +47,11 @@ type ConvergenceStats struct {
 	Events   int64
 	Virtual  time.Duration
 	Wall     time.Duration
-	// Mallocs counts heap allocations over the same window as Wall
-	// (originate + converge; fabric construction excluded).
-	Mallocs uint64
+	// Mallocs counts heap allocations and AllocBytes the bytes they took,
+	// over the same window as Wall (originate + converge; fabric
+	// construction excluded).
+	Mallocs    uint64
+	AllocBytes uint64
 
 	// FullRecompute records whether the run converged on the oracle
 	// (advertise memo off); AdvMemoHits is the fleet-summed count of
@@ -93,6 +95,7 @@ func RunConvergenceMode(sc ConvergenceScale, seed int64, fullRecompute bool) Con
 		Virtual:       time.Duration(n.Now()),
 		Wall:          wall,
 		Mallocs:       after.Mallocs - before.Mallocs,
+		AllocBytes:    after.TotalAlloc - before.TotalAlloc,
 		FullRecompute: n.FullRecompute(),
 		AdvMemoHits:   n.IncrementalStats().AdvertiseMemoHits,
 	}

@@ -218,7 +218,7 @@ func TestScheduleClampsToPast(t *testing.T) {
 	}
 	e := n.eng
 	s := &n.sess[0]
-	e.push(e.now-100, event{sess: s, epoch: s.epoch - 1})
+	e.push(e.now-100, &event{sess: 0, epoch: s.epoch - 1})
 	n.Converge() // stale session epoch: delivered event is discarded quietly
 	if n.Now() < 10*int64(time.Millisecond) {
 		t.Fatalf("clock moved backwards: %d", n.Now())

@@ -83,8 +83,9 @@ func TestMidConvergenceStateRoundTrip(t *testing.T) {
 	if a, b := fleetDigest(n), fleetDigest(r); a != b {
 		t.Errorf("fleet FIB diverged after continuation:\n%s", firstDiff(a, b))
 	}
-	if n.eng.slab != nil || n.eng.queue != nil || n.eng.free != nil {
-		t.Error("drained engine still holds its slab")
+	if e := n.eng; e.segs != nil || e.heap != nil || e.used != 0 || e.free != none || e.pending != 0 {
+		t.Errorf("drained engine still holds its queue: %d segments, %d heap keys, %d slots handed out, free list at %d, %d pending",
+			len(e.segs), len(e.heap), e.used, e.free, e.pending)
 	}
 }
 

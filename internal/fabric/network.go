@@ -75,11 +75,14 @@ type session struct {
 	// epoch it was sent under; if the session bounced while it was in
 	// flight the message dies with its TCP connection instead of being
 	// delivered into the new incarnation after resync.
-	epoch int
+	epoch int32
 	// fifo is the last scheduled delivery time toward each end (0: nothing
 	// sent that way yet), so messages on one session stay ordered, as over
 	// TCP.
 	fifo [2]int64
+	// tail is the engine slot of the last delivery queued in order toward
+	// each end (none: the direction has nothing queued; see engine).
+	tail [2]int32
 }
 
 // buildSessions fills the session slab, one (down) session per link of the
@@ -94,6 +97,7 @@ func (n *Network) buildSessions(links []topo.Link) {
 			b:    l.B,
 			ends: [2]*Node{&n.nodes[e[0]], &n.nodes[e[1]]},
 			gbps: l.CapacityGbps,
+			tail: [2]int32{none, none},
 		}
 	}
 }
@@ -270,10 +274,11 @@ func (n *Network) flushNode(node *Node) {
 func (n *Network) routeMsgs(dev topo.DeviceID, msgs []bgp.OutMsg) {
 	for i := range msgs {
 		m := &msgs[i]
-		s := n.session(m.Session)
-		if s == nil || !s.up {
+		li := n.frame.link(m.Session)
+		if li < 0 || !n.sess[li].up {
 			continue
 		}
+		s := &n.sess[li]
 		to := 1 - s.end(dev)
 		delay := int64(n.opts.BaseLatency)
 		if j := int64(n.opts.Jitter); j > 0 {
@@ -296,19 +301,20 @@ func (n *Network) routeMsgs(dev topo.DeviceID, msgs []bgp.OutMsg) {
 		}
 		s.fifo[to] = at
 		n.sessDirty = true
-		n.eng.push(at, event{sess: s, to: to, epoch: s.epoch, u: m.Update})
+		n.eng.push(at, &event{sess: int32(li), to: to, epoch: s.epoch, u: m.Update})
 	}
 }
 
 // deliver executes one delivery event: pre-checks against the current
 // session/device state, UPDATE handling, and an immediate flush.
 func (n *Network) deliver(d *event) {
-	tn := d.sess.ends[d.to]
-	if !tn.up || !d.sess.up || d.sess.epoch != d.epoch {
+	s := &n.sess[d.sess]
+	tn := s.ends[d.to]
+	if !tn.up || !s.up || s.epoch != d.epoch {
 		return // device down, or session went down (or bounced) in flight
 	}
 	tn.vnow = n.eng.now // HandleUpdate's Touch covers the stamp
-	tn.Speaker.HandleUpdate(d.sess.id, d.u)
+	tn.Speaker.HandleUpdate(s.id, d.u)
 	n.flushNode(tn)
 }
 

@@ -15,8 +15,10 @@ package fabric
 //     caller re-attaches them after restore (they carry no protocol state).
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -182,8 +184,8 @@ func (n *Network) ExportFull() (*NetState, error) {
 // repeating from base (nil: nothing) the records of untouched nodes and, when
 // no session moved, the session tables.
 func (n *Network) export(base *NetState) (*NetState, Shared, error) {
-	for _, k := range n.eng.queue {
-		if n.eng.slab[k.slot].fn != nil {
+	for _, k := range n.eng.heap {
+		if k.fn != nil {
 			return nil, Shared{}, fmt.Errorf("fabric: pending control event at t=%v; checkpoints are only consistent when the queue holds pure message deliveries (quiescent points and convergence phases)", time.Duration(k.at))
 		}
 	}
@@ -199,18 +201,18 @@ func (n *Network) export(base *NetState) (*NetState, Shared, error) {
 		frame:       n.frame, // a restore from st takes the frame, not derives it
 	}
 
-	if len(n.eng.queue) > 0 {
-		keys := slices.Clone(n.eng.queue)
-		slices.SortFunc(keys, compareKeys)
+	if n.eng.pending > 0 {
+		keys := n.eng.queued()
 		st.Queue = make([]DeliveryState, len(keys))
 		for i, k := range keys {
-			ev := &n.eng.slab[k.slot]
+			ev := n.eng.slot(k.slot)
+			s := &n.sess[ev.sess]
 			st.Queue[i] = DeliveryState{
 				At:      k.at,
 				Seq:     k.seq,
-				Session: string(ev.sess.id),
-				To:      string(ev.sess.endID(ev.to)),
-				Epoch:   ev.epoch,
+				Session: string(s.id),
+				To:      string(s.endID(ev.to)),
+				Epoch:   int(ev.epoch),
 				Update:  ev.u,
 			}
 		}
@@ -225,7 +227,7 @@ func (n *Network) export(base *NetState) (*NetState, Shared, error) {
 		}
 		for i, li := range f.sessOrder {
 			s := &n.sess[li]
-			st.Sessions[i] = SessionState{ID: string(s.id), Up: s.up, Epoch: s.epoch}
+			st.Sessions[i] = SessionState{ID: string(s.id), Up: s.up, Epoch: int(s.epoch)}
 		}
 		st.FIFO = n.exportFIFO()
 	}
@@ -355,6 +357,7 @@ func NewFromState(st *NetState, opts RestoreOptions) (*Network, error) {
 			seed:      st.Seed,
 			rng:       newSeededRNG(st.Seed, st.RNGDraws),
 			processed: st.Processed,
+			free:      none,
 		},
 		nodes: make([]Node, len(f.devs)),
 		frame: f,
@@ -400,8 +403,11 @@ func NewFromState(st *NetState, opts RestoreOptions) (*Network, error) {
 		} else if s = n.session(bgp.SessionID(ss.ID)); s == nil {
 			return nil, fmt.Errorf("fabric: state names unknown session %q", ss.ID)
 		}
+		if !fitsEpoch(ss.Epoch) {
+			return nil, fmt.Errorf("fabric: session %q epoch %d out of range", ss.ID, ss.Epoch)
+		}
 		s.up = ss.Up
-		s.epoch = ss.Epoch
+		s.epoch = int32(ss.Epoch)
 	}
 
 	for _, fe := range st.FIFO {
@@ -412,26 +418,43 @@ func NewFromState(st *NetState, opts RestoreOptions) (*Network, error) {
 		s.fifo[dir] = fe.At
 	}
 
-	// A queue sorted by (At, Seq) is a valid heap. Well-formed state arrives
-	// sorted; it is sorted again rather than trusted.
-	n.eng.queue = make([]qkey, len(st.Queue))
-	n.eng.slab = make([]event, len(st.Queue))
-	for i := range st.Queue {
-		q := &st.Queue[i]
-		s := n.session(bgp.SessionID(q.Session))
-		if s == nil {
+	// Well-formed state arrives sorted by (At, Seq), and then every delivery
+	// follows its direction's tail; it is sorted again rather than trusted.
+	queue := st.Queue
+	if !slices.IsSortedFunc(queue, compareDeliveries) {
+		queue = slices.Clone(queue)
+		slices.SortFunc(queue, compareDeliveries)
+	}
+	for i := range queue {
+		q := &queue[i]
+		li := f.link(bgp.SessionID(q.Session))
+		if li < 0 {
 			return nil, fmt.Errorf("fabric: queued delivery on unknown session %q", q.Session)
 		}
+		s := &n.sess[li]
 		to := topo.DeviceID(q.To)
 		if to != s.a && to != s.b {
 			return nil, fmt.Errorf("fabric: queued delivery on session %q to %q, which is not one of its ends", q.Session, q.To)
 		}
-		n.eng.queue[i] = qkey{at: q.At, seq: q.Seq, slot: int32(i)}
-		n.eng.slab[i] = event{sess: s, to: s.end(to), epoch: q.Epoch, u: q.Update}
+		if !fitsEpoch(q.Epoch) {
+			return nil, fmt.Errorf("fabric: queued delivery on session %q epoch %d out of range", q.Session, q.Epoch)
+		}
+		n.eng.enqueue(q.At, q.Seq, &event{sess: int32(li), to: s.end(to), epoch: int32(q.Epoch), u: q.Update})
 	}
-	slices.SortFunc(n.eng.queue, compareKeys)
 	return n, nil
 }
+
+// compareDeliveries is the (At, Seq) order of queued deliveries.
+func compareDeliveries(x, y DeliveryState) int {
+	if c := cmp.Compare(x.At, y.At); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.Seq, y.Seq)
+}
+
+// fitsEpoch reports whether a session epoch fits the engine's int32, as
+// every decoded one does.
+func fitsEpoch(e int) bool { return e >= math.MinInt32 && e <= math.MaxInt32 }
 
 // parseFIFOKey resolves a "<session>><receiver>" key to the session and
 // the direction index of the receiver; nil when the key names no session
@@ -463,5 +486,7 @@ func (n *Network) Step(maxEvents int64) (int64, bool) {
 	return n.eng.run(maxEvents)
 }
 
-// PendingEvents reports how many events are queued.
-func (n *Network) PendingEvents() int { return len(n.eng.queue) }
+// PendingEvents reports how many events are queued: every delivery and
+// control callback, whether the heap holds its key or it waits behind its
+// direction's head.
+func (n *Network) PendingEvents() int { return n.eng.pending }
