@@ -380,7 +380,7 @@ func BenchmarkConvergence(b *testing.B) {
 		}{{"incremental", false}, {"full", true}} {
 			b.Run(fmt.Sprintf("%s/%s", sc.Name, mode.name), func(b *testing.B) {
 				var events int64
-				var advMemo int
+				var advMemo, skipped int
 				for i := 0; i < b.N; i++ {
 					st := experiments.RunConvergenceMode(sc, 42, mode.full)
 					if st.Events == 0 {
@@ -388,9 +388,11 @@ func BenchmarkConvergence(b *testing.B) {
 					}
 					events = st.Events
 					advMemo = st.AdvMemoHits
+					skipped = st.Skipped
 				}
 				b.ReportMetric(float64(events), "events")
 				b.ReportMetric(float64(advMemo), "adv-memo")
+				b.ReportMetric(float64(skipped), "skipped")
 			})
 		}
 	}

@@ -70,13 +70,7 @@ func (s *Speaker) recomputeOne(p netip.Prefix, st *prefixState) {
 		return
 	}
 
-	// Track the high-water distinct-next-hop baseline for percentage
-	// thresholds ("75% of full health").
-	if len(cands) > st.baseline {
-		if n := s.distinctDevicesOf(cands, nil); n > st.baseline {
-			st.baseline = n
-		}
-	}
+	s.raiseBaseline(st)
 
 	// SelectPaths wants the routes contiguous; the first statement matching
 	// candidate 0 governs, so without one the copy is skipped and the native
@@ -165,6 +159,16 @@ func (s *Speaker) recomputeOne(p netip.Prefix, st *prefixState) {
 	}
 	info.AdvertisedPathLen = len(cands[advIdx].Attrs.ASPath)
 	s.advertise(p, st, &cands[advIdx].Attrs, cands[advIdx].Peer, aggBW)
+}
+
+// raiseBaseline tracks the high-water distinct-next-hop baseline for
+// percentage thresholds ("75% of full health").
+func (s *Speaker) raiseBaseline(st *prefixState) {
+	if len(st.cands) > st.baseline {
+		if n := s.distinctDevicesOf(st.cands, nil); n > st.baseline {
+			st.baseline = n
+		}
+	}
 }
 
 // gather returns the prefix's candidates in deterministic (rank) order:
@@ -406,9 +410,8 @@ func (s *Speaker) advertise(p netip.Prefix, st *prefixState, route *core.RouteAt
 	// the prefix and peer names, and messages carry only the AS path,
 	// communities, origin, and bandwidth compared here. Skip the loop —
 	// unless this speaker is the oracle, which always walks it: the one
-	// branch the mode decides.
-	if !s.fullRecompute && st.advOK && st.advEpoch == s.advEpoch && st.advFrom == from &&
-		st.advBW == aggBW && st.advRoute.equal(route) {
+	// branch the mode decides (see memoCurrent).
+	if s.memoCurrent(st) && st.advFrom == from && st.advBW == aggBW && st.advRoute.equal(route) {
 		s.incr.AdvertiseMemoHits++
 		return
 	}

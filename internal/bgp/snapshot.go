@@ -316,7 +316,9 @@ func (s *Speaker) build(st *SpeakerState, adopt bool) (rebuilt bool) {
 		} else {
 			rebuilt = rebuilt || m > 0
 			for j := range pb.Cands {
-				b.setCandidate(pb.Cands[j].Peer, pb.Cands[j].Attrs)
+				k := pb.Cands[j].Peer
+				i, found := b.findCandidate(k)
+				b.setCandidate(i, found, k, pb.Cands[j].Attrs)
 			}
 		}
 		if m := len(pb.Advertised); m > 0 && (adopt || inOrder(n, pb.Advertised, advKey)) {

@@ -244,7 +244,8 @@ func (s *Speaker) RemovePeer(sess SessionID) {
 	pr := s.peers[k]
 	var affected []netip.Prefix
 	for p, st := range s.prefixes {
-		if st.dropCandidate(k) {
+		if i, found := st.findCandidate(k); found {
+			st.dropCandidate(i)
 			affected = append(affected, p)
 		}
 		st.dropAdv(k)
@@ -434,9 +435,9 @@ func (s *Speaker) HandleUpdate(sess SessionID, u Update) {
 	pr := &s.peers[k]
 	s.stats.UpdatesReceived++
 	if u.Withdraw {
-		if st := s.prefixes[u.Prefix]; st != nil && st.dropCandidate(k) {
+		if st, skip := s.dropRoute(u.Prefix, k); st != nil {
 			s.emitAdjIn(pr, &u)
-			s.recompute(u.Prefix, st)
+			s.decide(u.Prefix, st, skip)
 		}
 		return
 	}
@@ -469,8 +470,8 @@ func (s *Speaker) HandleUpdate(sess SessionID, u Update) {
 	if !s.rpa.AllowRoute(&attrs, pr.device, core.Ingress) {
 		s.stats.FilterRejects++
 		// A denied route must also clear any previous RIB entry.
-		if st := s.prefixes[u.Prefix]; st != nil && st.dropCandidate(k) {
-			s.recompute(u.Prefix, st)
+		if st, skip := s.dropRoute(u.Prefix, k); st != nil {
+			s.decide(u.Prefix, st, skip)
 		}
 		return
 	}
@@ -479,9 +480,28 @@ func (s *Speaker) HandleUpdate(sess SessionID, u Update) {
 		// Nearly every peer ends up in the column; size it once.
 		st.cands = make([]Candidate, 0, len(s.peers))
 	}
-	st.setCandidate(k, attrs)
+	i, found := st.findCandidate(k)
+	skip := s.dominated(u.Prefix, st, k, i, found, &attrs)
+	st.setCandidate(i, found, k, attrs)
 	s.emitAdjIn(pr, &u)
-	s.recompute(u.Prefix, st)
+	s.decide(u.Prefix, st, skip)
+}
+
+// dropRoute removes rank k's route for p from the Adj-RIB-In and returns the
+// prefix's bookkeeping, nil when there was no such route, and whether the
+// removal was dominated (see dominated).
+func (s *Speaker) dropRoute(p netip.Prefix, k int32) (*prefixState, bool) {
+	st := s.prefixes[p]
+	if st == nil {
+		return nil, false
+	}
+	i, found := st.findCandidate(k)
+	if !found {
+		return nil, false
+	}
+	skip := s.dominated(p, st, k, i, true, nil)
+	st.dropCandidate(i)
+	return st, skip
 }
 
 // emitAdjIn reports an accepted Adj-RIB-In write (install or withdrawal).

@@ -384,20 +384,16 @@ func (st *prefixState) findCandidate(k int32) (int, bool) {
 	return i, i < len(st.cands) && st.cands[i].Peer == k
 }
 
-// setCandidate writes the route received on rank k into the column.
-func (st *prefixState) setCandidate(k int32, attrs core.RouteAttrs) {
-	i, found := st.findCandidate(k)
+// setCandidate writes the route received on rank k into the column, at the
+// position findCandidate returned for k.
+func (st *prefixState) setCandidate(i int, found bool, k int32, attrs core.RouteAttrs) {
 	st.cands = putEntry(st.cands, &st.candsShared, i, found, Candidate{Attrs: attrs, Peer: k})
 }
 
-// dropCandidate removes rank k's route from the column and reports whether
-// there was one.
-func (st *prefixState) dropCandidate(k int32) bool {
-	i, found := st.findCandidate(k)
-	if found {
-		st.cands = slices.Delete(owned(st.cands, &st.candsShared, 0), i, i+1)
-	}
-	return found
+// dropCandidate removes the route at column position i, where findCandidate
+// found one.
+func (st *prefixState) dropCandidate(i int) {
+	st.cands = slices.Delete(owned(st.cands, &st.candsShared, 0), i, i+1)
 }
 
 // findAdv and dropAdv are the same over the Adj-RIB-Out column.

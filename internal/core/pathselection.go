@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"net/netip"
+	"slices"
 )
 
 // MinNextHop is a minimum-capacity threshold on a set of next hops. It can
@@ -137,6 +139,15 @@ func (e *Evaluator) HasRouteAttribute(r *RouteAttrs) bool {
 		}
 	}
 	return false
+}
+
+// MayShape reports whether some PathSelection or RouteAttribute statement can
+// match a route for p: one with a zero or community destination, which can
+// match any route, or one that lists p. When it is false, selection, the
+// native constraint and the weights of p are native for every route, at any
+// clock. It reads only what Compile prepared, and allocates nothing.
+func (e *Evaluator) MayShape(p netip.Prefix) bool {
+	return e.prog.shapeAll || slices.Contains(e.prog.shapes, p)
 }
 
 // findStatement returns the first PathSelection statement whose destination

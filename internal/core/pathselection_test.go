@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	"net/netip"
 	"testing"
 )
 
@@ -262,5 +265,85 @@ func TestDestinationByPrefix(t *testing.T) {
 	}
 	if d := e.SelectPaths([]RouteAttrs{miss}, 1); !d.UsedNative {
 		t.Fatal("wrong prefix matched")
+	}
+}
+
+// TestMayShape holds MayShape to its contract over random programs: when it
+// says a prefix cannot be shaped, no Path Selection or Route Attribute
+// destination matches any route for that prefix, whatever communities the
+// route carries; when it says one can, some route for it is matched. It
+// never allocates, with or without statements.
+func TestMayShape(t *testing.T) {
+	pool := []string{
+		"10.1.0.0/16", "10.2.0.0/16", "10.1.0.1/16", "0.0.0.0/0", "::/0",
+		"2001:db8::/32", "::ffff:10.1.0.0/112",
+		// Strings no prefix renders as: Matches can never match them.
+		"010.1.0.0/16", "10.1.0.0/16 ", "2001:DB8::/32", "10.1.0.0", "bogus", "",
+	}
+	var prefixes []netip.Prefix
+	for _, s := range pool {
+		if p, err := netip.ParsePrefix(s); err == nil {
+			prefixes = append(prefixes, p, p.Masked())
+		}
+	}
+	prefixes = append(prefixes, netip.MustParsePrefix("10.3.0.0/24"), netip.MustParsePrefix("2001:db8::/48"))
+	comms := []string{"A", "B"}
+	r := rand.New(rand.NewSource(1))
+	dest := func() Destination {
+		var d Destination
+		switch r.Intn(4) {
+		case 0: // zero: every route
+		case 1:
+			d.Community = comms[r.Intn(len(comms))]
+		default:
+			for n := 1 + r.Intn(3); n > 0; n-- {
+				d.Prefixes = append(d.Prefixes, pool[r.Intn(len(pool))])
+			}
+			if r.Intn(4) == 0 {
+				d.Community = comms[r.Intn(len(comms))]
+			}
+		}
+		return d
+	}
+	for trial := 0; trial < 500; trial++ {
+		cfg := &Config{}
+		for i := r.Intn(3); i > 0; i-- {
+			cfg.PathSelection = append(cfg.PathSelection, PathSelectionStatement{Name: fmt.Sprint("ps", i), Destination: dest()})
+		}
+		for i := r.Intn(3); i > 0; i-- {
+			cfg.RouteAttribute = append(cfg.RouteAttribute, RouteAttributeStatement{Name: fmt.Sprint("ra", i), Destination: dest()})
+		}
+		if r.Intn(2) == 0 { // filters shape nothing
+			cfg.RouteFilter = []RouteFilterStatement{{Name: "rf", Ingress: &PrefixFilter{}}}
+		}
+		e := evaluator(t, cfg)
+		for _, p := range prefixes {
+			matched := false
+			for _, cs := range [][]string{nil, {"A"}, {"B"}, {"B", "A"}} {
+				route := RouteAttrs{Prefix: p, Communities: cs}
+				for i := range cfg.PathSelection {
+					matched = matched || cfg.PathSelection[i].Destination.Matches(&route)
+				}
+				for i := range cfg.RouteAttribute {
+					matched = matched || cfg.RouteAttribute[i].Destination.Matches(&route)
+				}
+			}
+			if got := e.MayShape(p); got != matched {
+				t.Fatalf("trial %d: MayShape(%v) = %v, want %v (whether a destination matches some route for it)\nconfig: %+v", trial, p, got, matched, cfg)
+			}
+		}
+	}
+
+	p := netip.MustParsePrefix("10.1.0.0/16")
+	for name, cfg := range map[string]*Config{
+		"no statements": {},
+		"listed":        {RouteAttribute: []RouteAttributeStatement{{Name: "ra", Destination: Destination{Prefixes: []string{"10.2.0.0/16", "10.1.0.0/16"}}}}},
+		"unlisted":      {PathSelection: []PathSelectionStatement{{Name: "ps", Destination: Destination{Prefixes: []string{"10.2.0.0/16"}}}}},
+		"community":     {PathSelection: []PathSelectionStatement{{Name: "ps", Destination: Destination{Community: "A"}}}},
+	} {
+		e := evaluator(t, cfg)
+		if n := testing.AllocsPerRun(100, func() { e.MayShape(p) }); n != 0 {
+			t.Errorf("%s: MayShape allocates %.0f times per call", name, n)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"net/netip"
 	"slices"
 	"sync"
 )
@@ -16,6 +17,12 @@ type Program struct {
 	pathSel  []*evalStatement
 	routeAtt []*evalAttrStatement
 	filters  []*evalFilterStatement
+
+	// shapeAll and shapes are where the PathSelection and RouteAttribute
+	// statements reach (see Evaluator.MayShape): every prefix, or the
+	// prefixes their destinations list.
+	shapeAll bool
+	shapes   []netip.Prefix
 
 	render sync.Once
 	json   []byte
@@ -61,6 +68,7 @@ func Compile(cfg *Config) (*Program, error) {
 			return nil, fmt.Errorf("core: statement %q: negative ExpectedNextHops", st.Name)
 		}
 		p.pathSel = append(p.pathSel, es)
+		p.addShape(&st.Destination)
 	}
 	for i := range cfg.RouteAttribute {
 		st := &cfg.RouteAttribute[i]
@@ -79,6 +87,7 @@ func Compile(cfg *Config) (*Program, error) {
 			es.sigs = append(es.sigs, cs)
 		}
 		p.routeAtt = append(p.routeAtt, es)
+		p.addShape(&st.Destination)
 	}
 	for i := range cfg.RouteFilter {
 		st := &cfg.RouteFilter[i]
@@ -92,6 +101,22 @@ func Compile(cfg *Config) (*Program, error) {
 		p.filters = append(p.filters, es)
 	}
 	return p, nil
+}
+
+// addShape records the prefixes a statement's destination can match. A zero
+// or community destination can match a route for any prefix. A listed prefix
+// is compared as text by Matches, so only a string that is some prefix's own
+// rendering can ever match, and it matches that prefix alone.
+func (p *Program) addShape(d *Destination) {
+	if d.Community != "" || len(d.Prefixes) == 0 {
+		p.shapeAll = true
+		return
+	}
+	for _, s := range d.Prefixes {
+		if q, err := netip.ParsePrefix(s); err == nil && q.String() == s {
+			p.shapes = append(p.shapes, q)
+		}
+	}
 }
 
 // ParseProgram compiles a config from its JSON rendering, for the snapshot

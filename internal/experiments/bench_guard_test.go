@@ -283,6 +283,12 @@ func TestBenchGuard(t *testing.T) {
 			t.Errorf("%s = %.3f, over the committed %.3f by more than %.0f%%", row.metric, row.got, row.want, row.over*100)
 		}
 	}
+	// A floor, not a committed figure: the dominated-change skip must keep
+	// standing in for at least half of the medium fabric's decision runs.
+	const skippedRow = "medium incremental skipped recomputes"
+	if floor := 0.5 * float64(incr.Events); float64(incr.Skipped) < floor {
+		t.Errorf("%s = %d, under the floor of half the %d events", skippedRow, incr.Skipped, incr.Events)
+	}
 	if big.AdvMemoHits == 0 {
 		t.Error("advertise memo never engaged at 1kdevice")
 	}

@@ -55,9 +55,12 @@ type ConvergenceStats struct {
 
 	// FullRecompute records whether the run converged on the oracle
 	// (advertise memo off); AdvMemoHits is the fleet-summed count of
-	// advertise calls the memo satisfied (zero on the oracle).
+	// advertise calls the memo satisfied, and Skipped that of received
+	// changes dominated by the advertised route, whose decision run was
+	// skipped (both zero on the oracle).
 	FullRecompute bool
 	AdvMemoHits   int
+	Skipped       int
 }
 
 // RunConvergenceMode builds the fabric at one scale point, originates the
@@ -65,7 +68,7 @@ type ConvergenceStats struct {
 // under an explicit mode (true forces the full-recompute oracle, false the
 // advertise memo), overriding the fleet default. Results (events, virtual
 // time, final routing state) are byte-identical across modes, so the mode
-// only moves Wall and the memo-hit count.
+// only moves Wall and the memo-hit and skip counts.
 func RunConvergenceMode(sc ConvergenceScale, seed int64, fullRecompute bool) ConvergenceStats {
 	tp := topo.BuildFabric(sc.Params)
 	n := fabric.New(tp, fabric.Options{Seed: seed})
@@ -87,6 +90,7 @@ func RunConvergenceMode(sc ConvergenceScale, seed int64, fullRecompute bool) Con
 	events := n.Converge()
 	wall := time.Since(start)
 	runtime.ReadMemStats(&after)
+	incr := n.IncrementalStats()
 	return ConvergenceStats{
 		Devices:       tp.NumDevices(),
 		Links:         tp.NumLinks(),
@@ -97,7 +101,8 @@ func RunConvergenceMode(sc ConvergenceScale, seed int64, fullRecompute bool) Con
 		Mallocs:       after.Mallocs - before.Mallocs,
 		AllocBytes:    after.TotalAlloc - before.TotalAlloc,
 		FullRecompute: n.FullRecompute(),
-		AdvMemoHits:   n.IncrementalStats().AdvertiseMemoHits,
+		AdvMemoHits:   incr.AdvertiseMemoHits,
+		Skipped:       incr.SkippedRecomputes,
 	}
 }
 

@@ -209,15 +209,18 @@ func TestOneProbeLint(t *testing.T) {
 
 // TestOneDecisionDriver keeps the full-recompute mode where it belongs. The
 // decision process has one driver (recomputeAll over recomputeOne); the mode
-// decides a single thing — whether advertise may trust its memo — so in
+// decides a single thing — whether the advertise memo may be trusted — so in
 // non-test internal/bgp the speaker's fullRecompute field may be named only
-// by advertise (once: the one mode-dependent branch), its accessors
-// SetFullRecompute and FullRecompute, and the constructor. A second engine
-// starts with an `if s.fullRecompute` somewhere else; this fails it before
-// the differential suites have two paths to keep byte-identical.
+// by memoCurrent (once: the one mode-dependent test), its accessors
+// SetFullRecompute and FullRecompute, and the constructor; and the two
+// places that trust the memo, advertise and the dominated-change skip
+// (dominated), must ask memoCurrent. A second engine starts with an
+// `if s.fullRecompute` somewhere else; this fails it before the differential
+// suites have two paths to keep byte-identical.
 func TestOneDecisionDriver(t *testing.T) {
-	allowed := map[string]bool{"advertise": true, "SetFullRecompute": true, "FullRecompute": true, "newSpeaker": true}
-	inAdvertise := 0
+	allowed := map[string]bool{"memoCurrent": true, "SetFullRecompute": true, "FullRecompute": true, "newSpeaker": true}
+	inMemoCurrent := 0
+	asks := map[string]bool{}
 	paths, err := filepath.Glob("../bgp/*.go")
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("no internal/bgp sources (err %v)", err)
@@ -244,22 +247,30 @@ func TestOneDecisionDriver(t *testing.T) {
 				case *ast.KeyValueExpr: // a Speaker literal's field key
 					name, _ = n.Key.(*ast.Ident)
 				}
+				if name != nil && name.Name == "memoCurrent" {
+					asks[fn.Name.Name] = true
+				}
 				if name == nil || name.Name != "fullRecompute" {
 					return true
 				}
 				switch {
 				case !allowed[fn.Name.Name]:
-					t.Errorf("%s: %s reads the full-recompute mode — only advertise may branch on it",
+					t.Errorf("%s: %s reads the full-recompute mode — only memoCurrent may test it",
 						fset.Position(name.Pos()), fn.Name.Name)
-				case fn.Name.Name == "advertise":
-					inAdvertise++
+				case fn.Name.Name == "memoCurrent":
+					inMemoCurrent++
 				}
 				return true
 			})
 		}
 	}
-	if inAdvertise != 1 {
-		t.Errorf("advertise names fullRecompute %d times, want exactly 1 (the one mode-dependent branch)", inAdvertise)
+	if inMemoCurrent != 1 {
+		t.Errorf("memoCurrent names fullRecompute %d times, want exactly 1 (the one mode-dependent test)", inMemoCurrent)
+	}
+	for _, fn := range []string{"advertise", "dominated"} {
+		if !asks[fn] {
+			t.Errorf("%s trusts the advertise memo without asking memoCurrent", fn)
+		}
 	}
 }
 

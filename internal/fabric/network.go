@@ -367,12 +367,15 @@ func (n *Network) SetFullRecompute(on bool) {
 	}
 }
 
-// IncrementalStats sums the fleet's advertise-memo hits (zero under the
-// oracle); the struct's other two counters are inert, see its declaration.
+// IncrementalStats sums the fleet's advertise-memo hits and skipped
+// decision runs (both zero under the oracle); FIBMemoHits is inert, see its
+// declaration.
 func (n *Network) IncrementalStats() bgp.IncrementalStats {
 	var agg bgp.IncrementalStats
 	for i := range n.nodes {
-		agg.AdvertiseMemoHits += n.nodes[i].Speaker.IncrementalStats().AdvertiseMemoHits
+		st := n.nodes[i].Speaker.IncrementalStats()
+		agg.AdvertiseMemoHits += st.AdvertiseMemoHits
+		agg.SkippedRecomputes += st.SkippedRecomputes
 	}
 	return agg
 }

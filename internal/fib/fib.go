@@ -245,10 +245,10 @@ func normalizeHops(hops []NextHop) []NextHop {
 }
 
 // Touch leaves the residue of a no-op rewrite without being shown the hops:
-// the write counter advances and any warm flag clears. Nothing in this module
-// calls it — Install recognises its own no-op rewrites. It stays declared
-// only because bench/rigs.go (frozen outside a benchmark PR) times it as
-// fib.touch_ns; it goes with that rig.
+// the write counter advances, any warm flag clears, and the observer hears
+// nothing. A speaker that skips the decision run for an update it proves
+// cannot move the prefix's entry calls it in place of the Install the run
+// would have made (see bgp's skipDecision).
 func (t *Table) Touch(p netip.Prefix) {
 	t.load()
 	t.writes++
