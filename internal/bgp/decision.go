@@ -3,7 +3,7 @@ package bgp
 import (
 	"net/netip"
 	"slices"
-	"strings"
+	"strconv"
 
 	"centralium/internal/core"
 	"centralium/internal/fib"
@@ -53,13 +53,8 @@ func (s *Speaker) recomputeOne(p netip.Prefix, st *prefixState) {
 		} else {
 			s.fibTbl.Remove(p)
 		}
-		localAttrs := core.RouteAttrs{
-			Prefix:            p,
-			Communities:       oi.communities,
-			Origin:            oi.origin,
-			LinkBandwidthGbps: oi.bandwidthGbps,
-		}
-		s.advertise(p, st, &localAttrs, -1, oi.bandwidthGbps)
+		local := Route{Communities: oi.communities, Origin: oi.origin, LinkBandwidthGbps: oi.bandwidthGbps}
+		s.advertise(p, st, &local, -1, oi.bandwidthGbps)
 		return
 	}
 
@@ -72,17 +67,25 @@ func (s *Speaker) recomputeOne(p netip.Prefix, st *prefixState) {
 
 	s.raiseBaseline(st)
 
-	// SelectPaths wants the routes contiguous; the first statement matching
-	// candidate 0 governs, so without one the copy is skipped and the native
-	// path taken directly.
+	// Only a statement that can shape p reads whole routes. The first
+	// statement matching route 0 governs selection and the native
+	// constraint, and SelectPaths wants the routes contiguous, so route 0 is
+	// rendered first and the rest only when a statement governs. When none
+	// can shape p, both are native (core.Evaluator.MayShape) and no route is
+	// rendered.
 	dec := core.SelectionDecision{UsedNative: true}
-	if s.rpa.HasPathSelection(&cands[0].Attrs) {
-		attrs := s.attrsScratch[:0]
-		for i := range cands {
-			attrs = append(attrs, cands[i].Attrs)
+	var first *core.RouteAttrs
+	if s.rpa.MayShape(p) {
+		attrs := append(s.attrsScratch[:0], s.routeAttrs(p, &cands[0]))
+		if s.rpa.HasPathSelection(&attrs[0]) {
+			attrs = slices.Grow(attrs, len(cands)-1)
+			for i := 1; i < len(cands); i++ {
+				attrs = append(attrs, s.routeAttrs(p, &cands[i]))
+			}
+			dec = s.rpa.SelectPaths(attrs, st.baseline)
 		}
 		s.attrsScratch = attrs
-		dec = s.rpa.SelectPaths(attrs, st.baseline)
+		first = &attrs[0]
 	}
 
 	var selected []int
@@ -95,13 +98,16 @@ func (s *Speaker) recomputeOne(p netip.Prefix, st *prefixState) {
 		s.stats.RPASelections++
 		s.emitRPAHit(p, dec.MatchedSet)
 	} else {
-		selected = nativeSelect(s.selScratch, cands, s.cfg.Multipath)
+		selected = nativeSelect(s.selScratch, cands, s.peers, s.cfg.Multipath)
 		s.selScratch = selected
 		s.stats.NativeDecisions++
 
 		// BgpNativeMinNextHop (RPA) and the vendor minimum-ECMP knob both
 		// constrain the native result.
-		nc := s.rpa.NativeConstraintFor(&cands[0].Attrs)
+		var nc core.NativeConstraint
+		if first != nil {
+			nc = s.rpa.NativeConstraintFor(first)
+		}
 		required := 0
 		keepWarm := false
 		if nc.Present {
@@ -153,9 +159,9 @@ func (s *Speaker) recomputeOne(p netip.Prefix, st *prefixState) {
 	// path (Section 5.3.1); native decisions advertise the best path.
 	var advIdx int
 	if viaRPA && s.cfg.Advertise == AdvertiseLeastFavorable {
-		advIdx = leastFavorable(cands, selected)
+		advIdx = leastFavorable(cands, s.peers, selected)
 	} else {
-		advIdx = bestOf(cands, selected)
+		advIdx = bestOf(cands, s.peers, selected)
 	}
 	info.AdvertisedPathLen = len(cands[advIdx].Attrs.ASPath)
 	s.advertise(p, st, &cands[advIdx].Attrs, cands[advIdx].Peer, aggBW)
@@ -181,12 +187,10 @@ func (s *Speaker) gather(p netip.Prefix) []Candidate {
 }
 
 // better reports whether a is strictly preferred over b by the native BGP
-// decision process up to (not including) the arbitrary tie-breaks:
-// higher LocalPref, then shorter AS path, then lower origin, then lower MED.
-func better(a, b *core.RouteAttrs) bool {
-	if a.LocalPref != b.LocalPref {
-		return a.LocalPref > b.LocalPref
-	}
+// decision process up to (not including) the arbitrary tie-breaks: shorter
+// AS path, then lower origin, then lower MED. LocalPref comes first in BGP,
+// but every route a speaker compares was received under its one LocalPref.
+func better(a, b *Route) bool {
 	if len(a.ASPath) != len(b.ASPath) {
 		return len(a.ASPath) < len(b.ASPath)
 	}
@@ -198,15 +202,16 @@ func better(a, b *core.RouteAttrs) bool {
 
 // equalPreference reports whether two routes tie on all compared attributes
 // (the multipath condition).
-func equalPreference(a, b *core.RouteAttrs) bool {
+func equalPreference(a, b *Route) bool {
 	return !better(a, b) && !better(b, a)
 }
 
 // nativeSelect runs native path selection: the maximal equally-preferred
 // set under the standard comparison; multipath keeps the whole set, single
 // path mode keeps the deterministic best. The result is written into dst
-// (the speaker's index scratch; nil allocates).
-func nativeSelect(dst []int, cands []Candidate, multipath bool) []int {
+// (the speaker's index scratch; nil allocates). peers are the speaker's, which
+// the ranks in cands index.
+func nativeSelect(dst []int, cands []Candidate, peers []peer, multipath bool) []int {
 	if len(cands) == 0 {
 		return nil
 	}
@@ -225,7 +230,7 @@ func nativeSelect(dst []int, cands []Candidate, multipath bool) []int {
 		// Final tie-breaks: lowest peer device, then lowest session.
 		best := out[0]
 		for _, i := range out[1:] {
-			if tieBreakLess(&cands[i], &cands[best]) {
+			if tieBreakLess(peers, &cands[i], &cands[best]) {
 				best = i
 			}
 		}
@@ -234,21 +239,24 @@ func nativeSelect(dst []int, cands []Candidate, multipath bool) []int {
 	return out
 }
 
-func tieBreakLess(a, b *Candidate) bool {
-	if a.Attrs.Peer != b.Attrs.Peer {
-		return a.Attrs.Peer < b.Attrs.Peer
+// tieBreakLess orders tied routes by their peer device's name, then by
+// session. Parallel sessions share a device ordinal, and distinct ordinals
+// are distinct names.
+func tieBreakLess(peers []peer, a, b *Candidate) bool {
+	if pa, pb := &peers[a.Peer], &peers[b.Peer]; pa.dev != pb.dev {
+		return pa.device < pb.device
 	}
 	return a.Peer < b.Peer // ranks sort as the session IDs do
 }
 
 // bestOf returns the index (into cands) of the best route among selected,
 // with deterministic tie-breaks.
-func bestOf(cands []Candidate, selected []int) int {
+func bestOf(cands []Candidate, peers []peer, selected []int) int {
 	best := selected[0]
 	for _, i := range selected[1:] {
 		if better(&cands[i].Attrs, &cands[best].Attrs) {
 			best = i
-		} else if equalPreference(&cands[i].Attrs, &cands[best].Attrs) && tieBreakLess(&cands[i], &cands[best]) {
+		} else if equalPreference(&cands[i].Attrs, &cands[best].Attrs) && tieBreakLess(peers, &cands[i], &cands[best]) {
 			best = i
 		}
 	}
@@ -258,7 +266,7 @@ func bestOf(cands []Candidate, selected []int) int {
 // leastFavorable returns the index of the selected route with the least
 // favorable attributes — longest AS path first (Section 5.3.1), then the
 // inverse of the standard tie-breaks, deterministically.
-func leastFavorable(cands []Candidate, selected []int) int {
+func leastFavorable(cands []Candidate, peers []peer, selected []int) int {
 	worst := selected[0]
 	for _, i := range selected[1:] {
 		a, w := &cands[i].Attrs, &cands[worst].Attrs
@@ -269,7 +277,7 @@ func leastFavorable(cands []Candidate, selected []int) int {
 			}
 		case better(w, a):
 			worst = i
-		case equalPreference(a, w) && !tieBreakLess(&cands[i], &cands[worst]):
+		case equalPreference(a, w) && !tieBreakLess(peers, &cands[i], &cands[worst]):
 			worst = i
 		}
 	}
@@ -290,16 +298,20 @@ func (s *Speaker) installFIB(p netip.Prefix, cands []Candidate, selected []int) 
 	clear(weights)
 
 	// AssignWeights wants the selected routes contiguous; the first
-	// statement whose destination matches route 0 governs, so without a
-	// candidate statement the copy is skipped.
+	// statement whose destination matches route 0 governs. Only a statement
+	// that can shape p can match, so without one nothing is rendered, and
+	// the other routes only when one matches route 0.
 	var wd core.WeightDecision
-	if s.rpa.HasRouteAttribute(&cands[selected[0]].Attrs) {
-		attrs := s.wattsScratch[:0]
-		for _, i := range selected {
-			attrs = append(attrs, cands[i].Attrs)
+	if s.rpa.MayShape(p) {
+		attrs := append(s.wattsScratch[:0], s.routeAttrs(p, &cands[selected[0]]))
+		if s.rpa.HasRouteAttribute(&attrs[0]) {
+			attrs = slices.Grow(attrs, len(selected)-1)
+			for _, i := range selected[1:] {
+				attrs = append(attrs, s.routeAttrs(p, &cands[i]))
+			}
+			wd = s.rpa.AssignWeights(attrs, s.now())
 		}
 		s.wattsScratch = attrs
-		wd = s.rpa.AssignWeights(attrs, s.now())
 	}
 	if wd.Applied {
 		mode = "rpa"
@@ -359,36 +371,33 @@ func (s *Speaker) emitRPAHit(p netip.Prefix, statement string) {
 
 func (s *Speaker) peerCapacity(k int32) float64 { return s.peers[k].linkGbps }
 
-// advKeyOf renders the canonical PathKey of an advertisement. Duplicate
-// suppression compares advContent structurally; the string is only built
-// for checkpoints, AdjRIBOut, and entries restored from a checkpoint.
+// advKeyOf renders the canonical PathKey of an advertisement: " asn" per
+// AS-path hop, "|", the communities sorted and comma-joined, "|", the origin.
+// Duplicate suppression compares advContent structurally; the string is only
+// built for checkpoints, AdjRIBOut, and entries restored from a checkpoint.
+// It is rendered on the stack and allocated once, as the string; only an
+// unsorted community list costs a sorted copy.
 func advKeyOf(path []uint32, comms []string, origin core.Origin) string {
-	var b strings.Builder
+	var stack [128]byte
+	b := stack[:0]
 	for _, asn := range path {
-		b.WriteString(" ")
-		b.WriteString(uitoa(asn))
+		b = append(b, ' ')
+		b = strconv.AppendUint(b, uint64(asn), 10)
 	}
-	b.WriteString("|")
-	sorted := slices.Clone(comms)
-	slices.Sort(sorted)
-	b.WriteString(strings.Join(sorted, ","))
-	b.WriteString("|")
-	b.WriteString(origin.String())
-	return b.String()
-}
-
-func uitoa(v uint32) string {
-	if v == 0 {
-		return "0"
+	b = append(b, '|')
+	if !slices.IsSorted(comms) {
+		comms = slices.Clone(comms)
+		slices.Sort(comms)
 	}
-	var buf [10]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
+	for i, c := range comms {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, c...)
 	}
-	return string(buf[i:])
+	b = append(b, '|')
+	b = append(b, origin.String()...)
+	return string(b)
 }
 
 // advertise sends the chosen route to every eligible session, and
@@ -398,7 +407,7 @@ func uitoa(v uint32) string {
 // from is the rank of the session the advertised route was learned on (-1
 // for locally originated routes); the split-horizon rule never
 // re-advertises a route to the device it came from.
-func (s *Speaker) advertise(p netip.Prefix, st *prefixState, route *core.RouteAttrs, from int32, aggBW float64) {
+func (s *Speaker) advertise(p netip.Prefix, st *prefixState, route *Route, from int32, aggBW float64) {
 	if s.drained {
 		s.withdrawAll(p, st)
 		return
@@ -423,6 +432,12 @@ func (s *Speaker) advertise(p netip.Prefix, st *prefixState, route *core.RouteAt
 	if s.cfg.WCMP == WCMPDistributed {
 		bw = aggBW
 	}
+	// An egress Route Filter reads the prefix and the peer's name only (see
+	// advRoute.equal), so it is shown the route as sent, rendered once.
+	egress := core.RouteAttrs{
+		Prefix: p, ASPath: route.ASPath, Communities: route.Communities,
+		MED: route.MED, Origin: route.Origin, LinkBandwidthGbps: route.LinkBandwidthGbps,
+	}
 
 	// built holds this call's contents, one per distinct prepend. The peers
 	// and the column are both in rank order, so i walks the column beside
@@ -434,7 +449,7 @@ func (s *Speaker) advertise(p netip.Prefix, st *prefixState, route *core.RouteAt
 		rank := int32(k)
 		found := i < len(st.advertised) && st.advertised[i].Peer == rank
 		// Split horizon toward the source device, then the egress policy.
-		if pr.dev == fromDev || !s.rpa.AllowRoute(route, pr.device, core.Egress) {
+		if pr.dev == fromDev || !s.rpa.AllowRoute(&egress, pr.device, core.Egress) {
 			if found {
 				st.advertised = slices.Delete(owned(st.advertised, &st.advShared, 0), i, i+1)
 				st.advOK = false
@@ -444,16 +459,21 @@ func (s *Speaker) advertise(p netip.Prefix, st *prefixState, route *core.RouteAt
 		}
 
 		pathLen := 1 + pr.prepend + len(route.ASPath)
-		var c *advContent
-		for _, b := range built {
-			if len(b.path) == pathLen {
-				c = b
+		b := -1
+		for j := range built {
+			if len(built[j].c.path) == pathLen {
+				b = j
 				break
 			}
 		}
-		if c == nil {
-			// Prepend own ASN (1 + maintenance prepend) onto the path.
-			c = &advContent{comms: route.Communities, origin: route.Origin}
+		if b < 0 {
+			// Prepend own ASN (1 + maintenance prepend) onto the path, into
+			// the content the last call left unstored, if there is one.
+			c := s.spare
+			if s.spare = nil; c == nil {
+				c = new(advContent)
+			}
+			*c = advContent{comms: route.Communities, origin: route.Origin}
 			c.path = c.inline[:0]
 			if pathLen > len(c.inline) {
 				c.path = make([]uint32, 0, pathLen)
@@ -462,8 +482,10 @@ func (s *Speaker) advertise(p netip.Prefix, st *prefixState, route *core.RouteAt
 				c.path = append(c.path, s.cfg.ASN)
 			}
 			c.path = append(c.path, route.ASPath...)
-			built = append(built, c)
+			b = len(built)
+			built = append(built, builtContent{c: c})
 		}
+		c := built[b].c
 
 		dup := found && st.advertised[i].matches(c, bw)
 		if dup && st.advertised[i].content != nil {
@@ -477,6 +499,7 @@ func (s *Speaker) advertise(p netip.Prefix, st *prefixState, route *core.RouteAt
 		// For a duplicate this only upgrades a checkpoint-restored entry to
 		// the content it matched.
 		st.advertised = putEntry(st.advertised, &st.advShared, i, found, AdvState{Peer: rank, BW: bw, PathLen: pathLen, content: c})
+		built[b].stored = true
 		i++
 		if dup {
 			continue
@@ -489,6 +512,14 @@ func (s *Speaker) advertise(p netip.Prefix, st *prefixState, route *core.RouteAt
 			Origin:            c.origin,
 			LinkBandwidthGbps: bw,
 		}})
+	}
+	// A content no entry stored reached no message either: nothing points at
+	// it, so the next call builds into it.
+	for j := range built {
+		if !built[j].stored {
+			s.spare = built[j].c
+			break
+		}
 	}
 	clear(built)
 	s.advScratch = built[:0]

@@ -28,7 +28,6 @@ import (
 	"os"
 	"slices"
 
-	"centralium/internal/core"
 	"centralium/internal/fib"
 )
 
@@ -110,7 +109,7 @@ func (s *Speaker) memoCurrent(st *prefixState) bool {
 //     replaces. Neither then belongs to the top tier, so the selected routes,
 //     their weights, the FIB entry, the advertised route and the recorded
 //     DecisionInfo all come out as they are.
-func (s *Speaker) dominated(p netip.Prefix, st *prefixState, k int32, i int, found bool, nu *core.RouteAttrs) bool {
+func (s *Speaker) dominated(p netip.Prefix, st *prefixState, k int32, i int, found bool, nu *Route) bool {
 	if !s.memoCurrent(st) || st.advFrom < 0 || st.advFrom == k || st.last.ViaRPA || st.last.MnhRequired != 0 {
 		return false
 	}
@@ -210,6 +209,6 @@ func devOrdinal(peers []peer, device string) int32 {
 // Egress RouteFilters read only prefix and peer name, so equality here plus
 // an unchanged advertisement epoch proves a repeat advertise call is
 // suppressed on every session.
-func (a *advRoute) equal(r *core.RouteAttrs) bool {
+func (a *advRoute) equal(r *Route) bool {
 	return a.origin == r.Origin && slices.Equal(a.path, r.ASPath) && slices.Equal(a.comms, r.Communities)
 }

@@ -103,6 +103,121 @@ func TestPrefixStateSize(t *testing.T) {
 	}
 }
 
+// TestCandidateSize pins one Adj-RIB-In entry, the unit the engine holds per
+// received route and per fork: the peer's route and the session's rank. It
+// was 144 bytes while it was a whole core.RouteAttrs, repeating the column's
+// prefix, the speaker's LocalPref and the session's device twice.
+func TestCandidateSize(t *testing.T) {
+	if got := unsafe.Sizeof(Candidate{}); got > 72 {
+		t.Errorf("unsafe.Sizeof(Candidate{}) = %d, want <= 72", got)
+	}
+}
+
+// advKeyOfStrings is the PathKey rendering advKeyOf replaced, kept as its
+// reference: a string per ASN, a builder, and a sorted copy of the
+// communities joined.
+func advKeyOfStrings(path []uint32, comms []string, origin core.Origin) string {
+	var b strings.Builder
+	for _, asn := range path {
+		b.WriteString(" ")
+		b.WriteString(fmt.Sprint(asn))
+	}
+	b.WriteString("|")
+	sorted := slices.Clone(comms)
+	slices.Sort(sorted)
+	b.WriteString(strings.Join(sorted, ","))
+	b.WriteString("|")
+	b.WriteString(origin.String())
+	return b.String()
+}
+
+// TestAdvKeyOfMatchesStrings: advKeyOf renders the key the string-built
+// rendering did, over seeded AS paths (empty, long, ASN 0 and 2^32-1) and
+// community lists (none, sorted, unsorted, repeated), leaves the caller's
+// communities in their order, and allocates only the key when they are
+// sorted.
+func TestAdvKeyOfMatchesStrings(t *testing.T) {
+	r := rand.New(rand.NewSource(431))
+	pool := []string{"BACKBONE_DEFAULT_ROUTE", "D", "NO_EXPORT", "65000:1", "a", ""}
+	for trial := 0; trial < 2000; trial++ {
+		path := make([]uint32, r.Intn(40))
+		for i := range path {
+			switch r.Intn(4) {
+			case 0:
+				path[i] = 0
+			case 1:
+				path[i] = 1<<32 - 1
+			default:
+				path[i] = r.Uint32() >> uint(r.Intn(32))
+			}
+		}
+		var comms []string
+		for i := r.Intn(5); i > 0; i-- {
+			comms = append(comms, pool[r.Intn(len(pool))])
+		}
+		if r.Intn(2) == 0 {
+			slices.Sort(comms)
+		}
+		given := slices.Clone(comms)
+		origin := core.Origin(r.Intn(3))
+		if got, want := advKeyOf(path, comms, origin), advKeyOfStrings(path, comms, origin); got != want {
+			t.Fatalf("trial %d: advKeyOf(%v, %q, %v) = %q, want %q", trial, path, comms, origin, got, want)
+		}
+		if !slices.Equal(comms, given) {
+			t.Fatalf("trial %d: advKeyOf reordered the caller's communities to %q", trial, comms)
+		}
+	}
+	path, comms := []uint32{300, 100, 60}, []string{"A", "B"}
+	if allocs := testing.AllocsPerRun(100, func() { _ = advKeyOf(path, comms, core.OriginIGP) }); allocs != 1 {
+		t.Errorf("advKeyOf with sorted communities: %.1f allocs, want 1", allocs)
+	}
+}
+
+// TestAdvertiseReusesUnstoredContent: an advertise call that stores nothing
+// (every session already carries the content) leaves what it built as the
+// speaker's spare, so a repeat allocates nothing, and the spare is never a
+// content an Adj-RIB-Out entry or a queued message holds.
+func TestAdvertiseReusesUnstoredContent(t *testing.T) {
+	p := netip.MustParsePrefix("10.0.0.0/8")
+	s := layoutSpeaker(4)
+	s.SetFullRecompute(true) // the oracle walks every session on every call
+	s.HandleUpdate("s0", Update{Prefix: p, ASPath: []uint32{100, 60}})
+	s.HandleUpdate("s1", Update{Prefix: p, ASPath: []uint32{101, 60}})
+	s.TakeOutbox()
+	st := s.prefixes[p]
+	route := st.cands[0].Attrs
+	if allocs := testing.AllocsPerRun(100, func() { s.advertise(p, st, &route, 0, 0) }); allocs != 0 {
+		t.Errorf("advertise that sends nothing: %.1f allocs, want 0", allocs)
+	}
+	if s.spare == nil || len(s.outbox) != 0 {
+		t.Fatalf("spare %p, %d queued messages after advertise calls that sent nothing", s.spare, len(s.outbox))
+	}
+
+	r := rand.New(rand.NewSource(432))
+	for step := 0; step < 400; step++ {
+		sess := SessionID(fmt.Sprintf("s%d", r.Intn(4)))
+		u := Update{Prefix: p, ASPath: []uint32{uint32(100 + sess[1] - '0'), 60}}
+		if r.Intn(3) == 0 {
+			u.ASPath = append(u.ASPath, 61)
+		}
+		s.HandleUpdate(sess, u)
+		if r.Intn(5) == 0 {
+			s.SetPeerPrepend(fmt.Sprintf("p%d", r.Intn(4)), r.Intn(3))
+		}
+		for i := range st.advertised {
+			if st.advertised[i].content == s.spare && s.spare != nil {
+				t.Fatalf("step %d: the spare content is stored on rank %d", step, st.advertised[i].Peer)
+			}
+		}
+		for _, m := range s.outbox {
+			if s.spare != nil && len(m.Update.ASPath) > 0 && &m.Update.ASPath[0] == &s.spare.inline[0] {
+				t.Fatalf("step %d: a queued message carries the spare content's path", step)
+			}
+		}
+		s.TakeOutbox()
+	}
+}
+
 // TestRestoredColumnsCopyOnFirstWrite: a restored speaker keeps its
 // checkpoint and builds nothing out of it until it is first used; then it
 // reads its columns out of the checkpoint's memory until it writes one, and
@@ -385,8 +500,8 @@ func TestColumnInvariants(t *testing.T) {
 func TestRestoreSortsUnsortedAdjIn(t *testing.T) {
 	p := netip.MustParsePrefix("10.0.0.0/8")
 	q := netip.MustParsePrefix("10.1.0.0/16")
-	cand := func(peer int32, p netip.Prefix, asn uint32, med uint32) Candidate {
-		return Candidate{Peer: peer, Attrs: core.RouteAttrs{Prefix: p, ASPath: []uint32{asn, 60}, LocalPref: 100, MED: med}}
+	cand := func(peer int32, asn uint32, med uint32) Candidate {
+		return Candidate{Peer: peer, Attrs: Route{ASPath: []uint32{asn, 60}, MED: med}}
 	}
 	st := SpeakerState{
 		Cfg: Config{ID: "du", ASN: 300, Multipath: true},
@@ -395,9 +510,9 @@ func TestRestoreSortsUnsortedAdjIn(t *testing.T) {
 		},
 		Prefixes: []PrefixBookState{
 			{Prefix: p,
-				Cands:      []Candidate{cand(2, p, 102, 0), cand(0, p, 100, 0), cand(1, p, 101, 0), cand(0, p, 100, 7)},
+				Cands:      []Candidate{cand(2, 102, 0), cand(0, 100, 0), cand(1, 101, 0), cand(0, 100, 7)},
 				Advertised: []AdvState{{Peer: 1, PathKey: "k1"}, {Peer: 0, PathKey: "k0"}, {Peer: 1, PathKey: "k1b"}}},
-			{Prefix: q, Cands: []Candidate{cand(0, q, 100, 0), cand(2, q, 102, 0)}},
+			{Prefix: q, Cands: []Candidate{cand(0, 100, 0), cand(2, 102, 0)}},
 		},
 	}
 	pristine := fmt.Sprintf("%+v", st)
@@ -427,7 +542,7 @@ func TestRestoreSortsUnsortedAdjIn(t *testing.T) {
 	}
 
 	for name, pb := range map[string]PrefixBookState{
-		"Adj-RIB-In":  {Prefix: p, Cands: []Candidate{cand(3, p, 1, 0)}},
+		"Adj-RIB-In":  {Prefix: p, Cands: []Candidate{cand(3, 1, 0)}},
 		"Adj-RIB-Out": {Prefix: p, Advertised: []AdvState{{Peer: 3, PathKey: "k"}}},
 	} {
 		if _, err := NewSpeakerFromState(&SpeakerState{Cfg: st.Cfg, Peers: st.Peers, Prefixes: []PrefixBookState{pb}}, nil); err == nil {

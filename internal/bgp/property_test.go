@@ -18,11 +18,15 @@ const propTrials = 300
 
 // genCandidates builds 1..8 candidate routes for one prefix with randomized
 // preference attributes, drawn so ties are common (the interesting regime
-// for multipath and tie-break rules).
-func genCandidates(r *rand.Rand) []Candidate {
+// for multipath and tie-break rules), and the peers whose ranks they carry.
+// A route's next hop is its session's device, and sessions share devices.
+func genCandidates(r *rand.Rand) ([]Candidate, []peer) {
 	n := 1 + r.Intn(8)
 	cands := make([]Candidate, 0, n)
+	peers := make([]peer, 0, n)
 	for i := 0; i < n; i++ {
+		device := fmt.Sprintf("dev.%d", r.Intn(4)) // collisions on purpose
+		peers = append(peers, peer{session: SessionID(fmt.Sprintf("s%d", i)), device: device, dev: devOrdinal(peers, device)})
 		pathLen := 1 + r.Intn(3)
 		path := make([]uint32, pathLen)
 		for j := range path {
@@ -34,19 +38,15 @@ func genCandidates(r *rand.Rand) []Candidate {
 		}
 		cands = append(cands, Candidate{
 			Peer: int32(i),
-			Attrs: core.RouteAttrs{
-				Prefix:      netip.MustParsePrefix("0.0.0.0/0"),
+			Attrs: Route{
 				ASPath:      path,
 				Communities: comms,
-				LocalPref:   uint32(100 * (1 + r.Intn(2))),
 				MED:         uint32(r.Intn(3)),
 				Origin:      core.Origin(r.Intn(3)),
-				NextHop:     fmt.Sprintf("dev.%d", r.Intn(4)), // collisions on purpose
-				Peer:        fmt.Sprintf("dev.%d", i),
 			},
 		})
 	}
-	return cands
+	return cands, peers
 }
 
 // sessionSet projects a selection to the set of chosen sessions, the
@@ -81,14 +81,14 @@ func equalSessionSets(a, b map[int32]bool) bool {
 func TestPropertyNativeSelectPermutationInvariance(t *testing.T) {
 	r := rand.New(rand.NewSource(401))
 	for trial := 0; trial < propTrials; trial++ {
-		cands := genCandidates(r)
+		cands, peers := genCandidates(r)
 		perm := make([]Candidate, len(cands))
 		for i, j := range r.Perm(len(cands)) {
 			perm[i] = cands[j]
 		}
 		for _, multipath := range []bool{true, false} {
-			a := sessionSet(cands, nativeSelect(nil, cands, multipath))
-			b := sessionSet(perm, nativeSelect(nil, perm, multipath))
+			a := sessionSet(cands, nativeSelect(nil, cands, peers, multipath))
+			b := sessionSet(perm, nativeSelect(nil, perm, peers, multipath))
 			if !equalSessionSets(a, b) {
 				t.Fatalf("trial %d multipath=%v: selection depends on candidate order:\n  %v\n  vs %v\n  cands: %+v",
 					trial, multipath, a, b, cands)
@@ -115,10 +115,11 @@ func TestPropertySelectPathsPermutationInvariance(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(402))
 	for trial := 0; trial < propTrials; trial++ {
-		cands := genCandidates(r)
+		cands, peers := genCandidates(r)
+		s := &Speaker{cfg: Config{LocalPref: 100}, peers: peers}
 		attrs := make([]core.RouteAttrs, len(cands))
 		for i := range cands {
-			attrs[i] = cands[i].Attrs
+			attrs[i] = s.routeAttrs(netip.MustParsePrefix("0.0.0.0/0"), &cands[i])
 		}
 		dec := ev.SelectPaths(attrs, 4)
 		order := r.Perm(len(cands))
@@ -150,13 +151,13 @@ func TestPropertySelectPathsPermutationInvariance(t *testing.T) {
 func TestPropertyLeastFavorableRule(t *testing.T) {
 	r := rand.New(rand.NewSource(403))
 	for trial := 0; trial < propTrials; trial++ {
-		cands := genCandidates(r)
-		selected := nativeSelect(nil, cands, true)
+		cands, peers := genCandidates(r)
+		selected := nativeSelect(nil, cands, peers, true)
 		if len(selected) == 0 {
 			continue
 		}
-		worst := leastFavorable(cands, selected)
-		best := bestOf(cands, selected)
+		worst := leastFavorable(cands, peers, selected)
+		best := bestOf(cands, peers, selected)
 		maxLen := 0
 		inSelection := false
 		for _, i := range selected {

@@ -79,7 +79,10 @@ type Speaker struct {
 	hopsScratch   []fib.NextHop
 	selScratch    []int
 	weightScratch []int
-	advScratch    []*advContent
+	advScratch    []builtContent
+	// spare is a content the last advertise call built and no session
+	// stored, so nothing points at it: the next call builds into it.
+	spare *advContent
 }
 
 // NewSpeaker constructs a speaker. The clock function may be nil (treated
@@ -97,9 +100,7 @@ func NewSpeaker(cfg Config, now func() int64) *Speaker {
 // maps, the RPA evaluator and the FIB (empty ones, or a checkpoint's to
 // build them from).
 func newSpeaker(cfg Config, now func() int64) *Speaker {
-	if cfg.LocalPref == 0 {
-		cfg.LocalPref = 100
-	}
+	cfg.LocalPref = cfg.EffectiveLocalPref()
 	if now == nil {
 		now = func() int64 { return 0 }
 	}
@@ -453,20 +454,23 @@ func (s *Speaker) HandleUpdate(sess SessionID, u Update) {
 		s.stats.FirstASRejects++
 		return
 	}
-	attrs := core.RouteAttrs{
-		Prefix:            u.Prefix,
-		ASPath:            u.ASPath,
-		LocalPref:         s.cfg.LocalPref,
-		MED:               u.MED,
-		Origin:            u.Origin,
-		NextHop:           pr.device,
-		Peer:              pr.device,
-		LinkBandwidthGbps: u.LinkBandwidthGbps,
-	}
+	route := Route{ASPath: u.ASPath, MED: u.MED, Origin: u.Origin, LinkBandwidthGbps: u.LinkBandwidthGbps}
 	if len(u.Communities) > 0 { // an empty list is stored as nil, as a decoded checkpoint holds it
-		attrs.Communities = u.Communities
+		route.Communities = u.Communities
 	}
 	// Ingress Route Filter RPA (Figure 6: after sanity and ingress policy).
+	// The filter is shown the whole route; the column keeps the peer's part.
+	attrs := core.RouteAttrs{
+		Prefix:            u.Prefix,
+		ASPath:            route.ASPath,
+		Communities:       route.Communities,
+		LocalPref:         s.cfg.LocalPref,
+		MED:               route.MED,
+		Origin:            route.Origin,
+		NextHop:           pr.device,
+		Peer:              pr.device,
+		LinkBandwidthGbps: route.LinkBandwidthGbps,
+	}
 	if !s.rpa.AllowRoute(&attrs, pr.device, core.Ingress) {
 		s.stats.FilterRejects++
 		// A denied route must also clear any previous RIB entry.
@@ -481,8 +485,8 @@ func (s *Speaker) HandleUpdate(sess SessionID, u Update) {
 		st.cands = make([]Candidate, 0, len(s.peers))
 	}
 	i, found := st.findCandidate(k)
-	skip := s.dominated(u.Prefix, st, k, i, found, &attrs)
-	st.setCandidate(i, found, k, attrs)
+	skip := s.dominated(u.Prefix, st, k, i, found, &route)
+	st.setCandidate(i, found, k, route)
 	s.emitAdjIn(pr, &u)
 	s.decide(u.Prefix, st, skip)
 }
@@ -524,7 +528,7 @@ func (s *Speaker) emitAdjIn(pr *peer, u *Update) {
 	})
 }
 
-// Candidates returns copies of the RIB routes for a prefix, in the same
+// Candidates returns the RIB routes for a prefix, rendered whole, in the same
 // deterministic order the decision process sees them. Used by the debug
 // tooling (Section 7.2) to explain selection.
 func (s *Speaker) Candidates(p netip.Prefix) []core.RouteAttrs {
@@ -532,9 +536,28 @@ func (s *Speaker) Candidates(p netip.Prefix) []core.RouteAttrs {
 	cands := s.gather(p)
 	out := make([]core.RouteAttrs, len(cands))
 	for i := range cands {
-		out[i] = cands[i].Attrs
+		out[i] = s.routeAttrs(p, &cands[i])
 	}
 	return out
+}
+
+// routeAttrs renders the whole route c holds in p's column: the peer's route,
+// the column's prefix, the speaker's LocalPref, and its session's device as
+// next hop and peer. Only what reads a whole route asks for it: an RPA
+// statement that can shape p, and the debug tooling.
+func (s *Speaker) routeAttrs(p netip.Prefix, c *Candidate) core.RouteAttrs {
+	dev := s.peers[c.Peer].device
+	return core.RouteAttrs{
+		Prefix:            p,
+		ASPath:            c.Attrs.ASPath,
+		Communities:       c.Attrs.Communities,
+		LocalPref:         s.cfg.LocalPref,
+		MED:               c.Attrs.MED,
+		Origin:            c.Attrs.Origin,
+		NextHop:           dev,
+		Peer:              dev,
+		LinkBandwidthGbps: c.Attrs.LinkBandwidthGbps,
+	}
 }
 
 // Baseline returns the prefix's observed full-health next-hop count (the

@@ -96,8 +96,19 @@ type Config struct {
 	// never keeps the FIB warm.
 	VendorMinECMP int
 
-	// LocalPref assigned to received routes (default 100).
+	// LocalPref assigned to received routes (default 100). Every route a
+	// speaker holds was received under it, so the Adj-RIB-In does not store
+	// it (see Route).
 	LocalPref uint32
+}
+
+// EffectiveLocalPref is the LocalPref a speaker built from c assigns every
+// route it receives: c.LocalPref, or 100 when that is zero.
+func (c *Config) EffectiveLocalPref() uint32 {
+	if c.LocalPref == 0 {
+		return 100
+	}
+	return c.LocalPref
 }
 
 // Stats counts speaker activity for experiments and debugging.
@@ -155,6 +166,13 @@ type advContent struct {
 	key string
 	// inline backs path when it fits, so a content is one allocation.
 	inline [8]uint32
+}
+
+// builtContent is one content an advertise call built, and whether an
+// Adj-RIB-Out entry stored it (only a stored content reaches an OutMsg).
+type builtContent struct {
+	c      *advContent
+	stored bool
 }
 
 // pathKey renders (once) the canonical advertisement identity.
@@ -220,12 +238,25 @@ func (a *AdvState) matches(c *advContent, bw float64) bool {
 	return a.PathKey == c.pathKey()
 }
 
-// Candidate pairs a RIB route with the session it arrived on: one entry of
-// a prefix's Adj-RIB-In column, in the engine and in a checkpoint alike.
-// Peer is the session's rank, as in AdvState; the route's Peer and NextHop
-// attributes name the neighbour device.
+// Route is what a peer sends for a prefix and nothing more. The rest of a
+// core.RouteAttrs is implied by where the route is kept: the prefix by its
+// column, the LocalPref by the speaker's Config, the next hop and the peer by
+// the session's device. Speaker.routeAttrs renders the whole route from
+// those where an RPA statement can read it, and the checkpoint codec renders
+// the same fields on the wire.
+type Route struct {
+	ASPath            []uint32
+	Communities       []string
+	LinkBandwidthGbps float64
+	MED               uint32
+	Origin            core.Origin
+}
+
+// Candidate pairs a received route with the session it arrived on: one entry
+// of a prefix's Adj-RIB-In column, in the engine and in a checkpoint alike.
+// Peer is the session's rank, as in AdvState.
 type Candidate struct {
-	Attrs core.RouteAttrs
+	Attrs Route
 	Peer  int32
 }
 
@@ -386,8 +417,8 @@ func (st *prefixState) findCandidate(k int32) (int, bool) {
 
 // setCandidate writes the route received on rank k into the column, at the
 // position findCandidate returned for k.
-func (st *prefixState) setCandidate(i int, found bool, k int32, attrs core.RouteAttrs) {
-	st.cands = putEntry(st.cands, &st.candsShared, i, found, Candidate{Attrs: attrs, Peer: k})
+func (st *prefixState) setCandidate(i int, found bool, k int32, r Route) {
+	st.cands = putEntry(st.cands, &st.candsShared, i, found, Candidate{Attrs: r, Peer: k})
 }
 
 // dropCandidate removes the route at column position i, where findCandidate

@@ -105,17 +105,16 @@ func lastHistoryRow(t *testing.T, path, id, label string) map[string]float64 {
 }
 
 // allocsPerEventBudget is the engine hot path's allocation budget at the
-// medium scale; the guard allows 15% over it. It is the measured 0.71 rounded
-// up to 0.05, so the ceiling (0.86) sits below the 0.91 this measure read
-// while sessions were strings and the distinct-next-hop count filled a map.
-const allocsPerEventBudget = 0.75
+// medium scale; the guard allows 15% over it. It is the measured 0.599
+// rounded up to 0.05, so the ceiling (0.69) sits below the 0.715 this measure
+// read while every advertise call allocated its content, stored or not.
+const allocsPerEventBudget = 0.60
 
 // bytesPerEventBudget is the bytes the engine hot path allocates per event
-// at the medium scale; the guard allows 15% over it. It is the measured 237.8
-// rounded up to 10, so the ceiling (276) sits below the 375 this measure
-// read while every queued event had a slot in one slab that grew by
-// doubling and copying.
-const bytesPerEventBudget = 240
+// at the medium scale; the guard allows 15% over it. It is the measured 187.4
+// rounded up to 10, so the ceiling (218.5) sits below the 237.8 this measure
+// read while an Adj-RIB-In entry was a whole core.RouteAttrs of 144 bytes.
+const bytesPerEventBudget = 190
 
 // mediumRestoreAllocs converges the scale point as RunConvergenceMode does,
 // captures it, and counts the allocations of one restore.

@@ -49,7 +49,7 @@ func TestDirtyCoversEveryMutator(t *testing.T) {
 		"SetTap": true, "TakeOutbox": true, "RecycleOutbox": true, "SetFullRecompute": true, "MarkClean": true,
 		// Helpers of the above and of the decision process that only read.
 		"sessionOrder": true, "gather": true, "knownPrefixes": true, "peerCapacity": true,
-		"distinctDevicesOf": true, "emitAdjIn": true, "emitRPAHit": true,
+		"distinctDevicesOf": true, "emitAdjIn": true, "emitRPAHit": true, "routeAttrs": true,
 	}
 	// The load helper and what it calls: they write the captured maps, but
 	// only out of the record the speaker was restored from, so ExportState

@@ -46,6 +46,12 @@ const (
 // ErrTruncated reports input that ended mid-structure.
 var ErrTruncated = errors.New("snapshot: truncated input")
 
+// ErrAdjInRoute reports an Adj-RIB-In route whose LocalPref is not its
+// speaker's, or whose next hop or peer is not its session's device. A speaker
+// keeps only what the peer sent and renders those three from its config and
+// the peer record, so such a route has no in-memory form.
+var ErrAdjInRoute = errors.New("snapshot: Adj-RIB-In route disagrees with its speaker or session")
+
 // ---------------------------------------------------------------------------
 // Writer
 // ---------------------------------------------------------------------------
@@ -53,7 +59,7 @@ var ErrTruncated = errors.New("snapshot: truncated input")
 type writer struct {
 	buf []byte
 	// ribs is encodeAdjIn's scratch: the per-session view of one speaker.
-	ribs [][]*core.RouteAttrs
+	ribs [][]adjInRef
 	// err is the first state the format cannot carry; encodeState returns it.
 	err error
 }
@@ -249,8 +255,12 @@ func encodeUpdate(w *writer, u *bgp.Update) {
 	w.f64(u.LinkBandwidthGbps)
 }
 
-func encodeAttrs(w *writer, a *core.RouteAttrs) {
-	w.prefix(a.Prefix)
+// encodeAttrs writes one Adj-RIB-In route as the format has always carried
+// it, a whole core.RouteAttrs: the peer's route a from the column, and what
+// the speaker renders for it, the column's prefix p, the speaker's LocalPref
+// and the session's device as next hop and peer.
+func encodeAttrs(w *writer, p netip.Prefix, a *bgp.Route, localPref uint32, device string) {
+	w.prefix(p)
 	w.u64(uint64(len(a.ASPath)))
 	for _, asn := range a.ASPath {
 		w.u64(uint64(asn))
@@ -259,11 +269,11 @@ func encodeAttrs(w *writer, a *core.RouteAttrs) {
 	for _, c := range a.Communities {
 		w.str(c)
 	}
-	w.u64(uint64(a.LocalPref))
+	w.u64(uint64(localPref))
 	w.u64(uint64(a.MED))
 	w.u64(uint64(a.Origin))
-	w.str(a.NextHop)
-	w.str(a.Peer)
+	w.str(device)
+	w.str(device)
 	w.f64(a.LinkBandwidthGbps)
 }
 
@@ -317,6 +327,10 @@ func encodeCache(w *writer, c *core.CacheState) {
 	}
 }
 
+// adjInRef locates one route of a SpeakerState: column entry col of prefix
+// record prefix.
+type adjInRef struct{ prefix, col int32 }
+
 // encodeAdjIn writes the Adj-RIB-In as the format has always carried it: one
 // record per peer, in peer order, holding that session's routes sorted by
 // prefix. The state keeps the routes per prefix (the engine's columns), so
@@ -339,17 +353,18 @@ func encodeAdjIn(w *writer, s *bgp.SpeakerState) {
 				return
 			}
 			k = int(c.Peer)
-			ribs[k] = append(ribs[k], &c.Attrs)
+			ribs[k] = append(ribs[k], adjInRef{int32(i), int32(j)})
 		}
 	}
+	lp := s.Cfg.EffectiveLocalPref()
 	w.u64(uint64(len(s.Peers)))
 	for k := range ribs {
 		w.str(string(s.Peers[k].Session))
 		w.u64(uint64(len(ribs[k])))
-		for _, a := range ribs[k] {
-			encodeAttrs(w, a)
+		for _, ref := range ribs[k] {
+			pb := &s.Prefixes[ref.prefix]
+			encodeAttrs(w, pb.Prefix, &pb.Cands[ref.col].Attrs, lp, s.Peers[k].Device)
 		}
-		clear(ribs[k])
 		ribs[k] = ribs[k][:0]
 	}
 }
@@ -586,28 +601,41 @@ func decodeUpdate(r *reader) bgp.Update {
 	return u
 }
 
-// decodeAttrs reads one route learned from device (its NextHop and Peer).
-func decodeAttrs(r *reader, device string) core.RouteAttrs {
-	var a core.RouteAttrs
-	a.Prefix = r.prefix()
+// adjInRoute is one Adj-RIB-In route as the decoder reads it, per session,
+// before transposeAdjIn files it under its prefix.
+type adjInRoute struct {
+	prefix netip.Prefix
+	route  bgp.Route
+}
+
+// decodeAttrs reads one route of a speaker whose routes carry LocalPref
+// localPref, learned on a session to device. The fields a speaker renders
+// rather than stores (see encodeAttrs) are checked against what it would
+// render, here where they are read, so no device name is copied out of the
+// input; one that differs is ErrAdjInRoute.
+func decodeAttrs(r *reader, localPref uint32, device string) adjInRoute {
+	var a adjInRoute
+	a.prefix = r.prefix()
 	if n := r.count(); n > 0 {
-		a.ASPath = make([]uint32, n)
-		for i := range a.ASPath {
-			a.ASPath[i] = uint32(r.u64())
+		a.route.ASPath = make([]uint32, n)
+		for i := range a.route.ASPath {
+			a.route.ASPath[i] = uint32(r.u64())
 		}
 	}
 	if n := r.count(); n > 0 {
-		a.Communities = make([]string, n)
-		for i := range a.Communities {
-			a.Communities[i] = r.str()
+		a.route.Communities = make([]string, n)
+		for i := range a.route.Communities {
+			a.route.Communities[i] = r.str()
 		}
 	}
-	a.LocalPref = uint32(r.u64())
-	a.MED = uint32(r.u64())
-	a.Origin = core.Origin(r.u64())
-	a.NextHop = r.strLike(device)
-	a.Peer = r.strLike(device)
-	a.LinkBandwidthGbps = r.f64()
+	lp := r.u64()
+	a.route.MED = uint32(r.u64())
+	a.route.Origin = core.Origin(r.u64())
+	nextHop, peer := r.raw(), r.raw()
+	a.route.LinkBandwidthGbps = r.f64()
+	if r.err == nil && (lp != uint64(localPref) || string(nextHop) != device || string(peer) != device) {
+		r.fail(fmt.Errorf("%w: route for %v from %s has LocalPref %d (speaker %d), next hop %q, peer %q", ErrAdjInRoute, a.prefix, device, lp, localPref, nextHop, peer))
+	}
 	return a
 }
 
@@ -680,7 +708,7 @@ func decodeCache(r *reader) core.CacheState {
 // one allocation. A column lists sessions in record order, so sorted input
 // yields sorted columns. Every column hangs off a prefix record: a route
 // without one is an error.
-func transposeAdjIn(r *reader, s *bgp.SpeakerState, ribs [][]core.RouteAttrs) {
+func transposeAdjIn(r *reader, s *bgp.SpeakerState, ribs [][]adjInRoute) {
 	total := 0
 	for _, routes := range ribs {
 		total += len(routes)
@@ -696,9 +724,9 @@ func transposeAdjIn(r *reader, s *bgp.SpeakerState, ribs [][]core.RouteAttrs) {
 	backing := make([]bgp.Candidate, total)
 	for _, routes := range ribs {
 		for j := range routes {
-			pb := book[routes[j].Prefix]
+			pb := book[routes[j].prefix]
 			if pb == nil {
-				r.fail(fmt.Errorf("snapshot: %s: Adj-RIB-In route for %v, which has no prefix record", s.Cfg.ID, routes[j].Prefix))
+				r.fail(fmt.Errorf("snapshot: %s: Adj-RIB-In route for %v, which has no prefix record", s.Cfg.ID, routes[j].prefix))
 				return
 			}
 			pb.Cands = backing[:len(pb.Cands)+1]
@@ -712,8 +740,8 @@ func transposeAdjIn(r *reader, s *bgp.SpeakerState, ribs [][]core.RouteAttrs) {
 	}
 	for i, routes := range ribs {
 		for j := range routes {
-			pb := book[routes[j].Prefix]
-			pb.Cands = append(pb.Cands, bgp.Candidate{Attrs: routes[j], Peer: int32(i)})
+			pb := book[routes[j].prefix]
+			pb.Cands = append(pb.Cands, bgp.Candidate{Attrs: routes[j].route, Peer: int32(i)})
 		}
 	}
 }
@@ -756,19 +784,20 @@ func decodeSpeaker(r *reader, programs map[string]*core.Program) bgp.SpeakerStat
 	}
 	// The Adj-RIB-In arrives per session and is kept per prefix: the routes
 	// wait in ribs until the prefix records have been read.
-	var ribs [][]core.RouteAttrs
+	var ribs [][]adjInRoute
 	if n := r.count(); n != len(s.Peers) {
 		r.fail(fmt.Errorf("snapshot: %s has %d peers but %d Adj-RIB-In records", s.Cfg.ID, len(s.Peers), n))
 	} else if n > 0 {
-		ribs = make([][]core.RouteAttrs, n)
+		ribs = make([][]adjInRoute, n)
+		lp := s.Cfg.EffectiveLocalPref()
 		for i := range ribs {
 			if sess := r.str(); r.err == nil && sess != string(s.Peers[i].Session) {
 				r.fail(fmt.Errorf("snapshot: %s: Adj-RIB-In record %d is for session %q, peer %d is %q", s.Cfg.ID, i, sess, i, s.Peers[i].Session))
 			}
 			if m := r.count(); m > 0 {
-				ribs[i] = make([]core.RouteAttrs, m)
+				ribs[i] = make([]adjInRoute, m)
 				for j := range ribs[i] {
-					ribs[i][j] = decodeAttrs(r, s.Peers[i].Device)
+					ribs[i][j] = decodeAttrs(r, lp, s.Peers[i].Device)
 				}
 			}
 		}

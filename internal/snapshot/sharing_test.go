@@ -484,8 +484,9 @@ func TestRestoreAllocs(t *testing.T) {
 // session and the decoder files it per prefix, which only works for the
 // shape every encoder has written — one record per peer, in peer order,
 // every route under a prefix that has a record. Anything else is rejected
-// at Decode. The test corrupts a session ID and a prefix, occurrence by
-// occurrence; whatever still decodes must round-trip.
+// at Decode, and so is a route whose LocalPref, next hop or peer is not what
+// its speaker renders (ErrAdjInRoute). The test corrupts a session ID and a
+// prefix, occurrence by occurrence; whatever still decodes must round-trip.
 func TestDecodeRejectsMalformedAdjIn(t *testing.T) {
 	n := buildPodScenario(3)
 	n.Converge()
@@ -535,6 +536,53 @@ func TestDecodeRejectsMalformedAdjIn(t *testing.T) {
 		}
 		if !seen {
 			t.Errorf("no corruption of %q was rejected with %q", c.needle, c.wantErr)
+		}
+	}
+
+	// A route travels whole, but a speaker keeps only what the peer sent and
+	// renders its LocalPref from its config and its next hop and peer from
+	// the session's device: a route whose three differ has no in-memory form
+	// and is refused by name. Each route learned from one device is corrupted
+	// in turn, one field at a time.
+	var device string
+	var localPref uint32
+	for _, nd := range snap.state.Nodes {
+		if nd.Device == string(topo.FSWID(0, 0)) {
+			device = nd.Speaker.Peers[0].Device
+			localPref = nd.Speaker.Cfg.EffectiveLocalPref()
+		}
+	}
+	// A route's tail: LocalPref, MED and origin (one varint byte each here),
+	// then the next hop and the peer, then the link bandwidth.
+	pair := append(lenPrefixed(device), lenPrefixed(device)...)
+	for _, c := range []struct {
+		field string
+		at    func(pairStart int) int // the byte to corrupt
+	}{
+		{"LocalPref", func(i int) int { return i - 3 }},
+		{"NextHop", func(i int) int { return i + len(device) }},
+		{"Peer", func(i int) int { return len(pair) + i - 1 }},
+	} {
+		routes := 0
+		for off := 0; ; {
+			i := bytes.Index(valid[off:], pair)
+			if i < 0 {
+				break
+			}
+			i += off
+			off = i + len(pair)
+			if uint32(valid[i-3]) != localPref {
+				t.Fatalf("byte before the route's MED and origin is %d, not its LocalPref", valid[i-3])
+			}
+			routes++
+			bad := bytes.Clone(valid)
+			bad[c.at(i)]++
+			if _, err := Decode(bad); !errors.Is(err, ErrAdjInRoute) {
+				t.Errorf("%s of route %d corrupted: Decode error %v, want %v", c.field, routes, err, ErrAdjInRoute)
+			}
+		}
+		if routes == 0 {
+			t.Fatalf("no route learned from %s in the encoding", device)
 		}
 	}
 }
