@@ -50,13 +50,19 @@ func (in Intent) Validate() error { return Rollout{Intent: in}.validate() }
 
 // Compile compiles every config of the intent, once each, in sorted device
 // order — the one compile loop of a caller that shares an intent's programs
-// (Rollout.Compiled) across many rollouts. A config that does not compile is
-// left out of the programs; the first such error in device order comes back
-// beside the programs that did compile.
-func (in Intent) Compile() (map[topo.DeviceID]*core.Program, error) {
+// (Rollout.Compiled) across many rollouts. A config for which have holds a
+// program compiled from that very *core.Config (as Rollout.Compiled) takes
+// that program and compiles nothing; have may be nil. A config that does not
+// compile is left out of the programs; the first such error in device order
+// comes back beside the programs that did compile.
+func (in Intent) Compile(have map[topo.DeviceID]*core.Program) (map[topo.DeviceID]*core.Program, error) {
 	progs := make(map[topo.DeviceID]*core.Program, len(in))
 	var first error
 	for _, d := range in.Devices() {
+		if prog := compiledFor(have, d, in[d]); prog != nil {
+			progs[d] = prog
+			continue
+		}
 		prog, err := core.Compile(in[d])
 		if err != nil {
 			if first == nil {

@@ -196,7 +196,7 @@ func decommissionDirtySpeakers(t *testing.T) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := planner.NewExecutor(p.Intent, p.Workload(), p.OriginAltitude)
+	x, err := planner.NewExecutor(p.Intent, nil, p.Workload(), p.OriginAltitude)
 	if err != nil {
 		t.Fatal(err)
 	}

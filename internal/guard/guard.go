@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"centralium/internal/controller"
+	"centralium/internal/core"
 	"centralium/internal/fabric"
 	"centralium/internal/planner"
 	"centralium/internal/probe"
@@ -113,6 +114,12 @@ type Campaign struct {
 	// anchors the §5.3.2 wave derivation when Schedule is nil.
 	Intent         controller.Intent
 	OriginAltitude int
+	// Compiled, when set, holds programs compiled from configs of
+	// CanonicalIntent(Intent), keyed by device (controller.Rollout.Compiled):
+	// the campaign deploys them by reference and compiles only the rest.
+	// centraliumd's snapshot cache compiles each base's canonical intent once
+	// and every campaign on the base shares those programs, read-only.
+	Compiled map[topo.DeviceID]*core.Program
 	// Schedule, when non-nil, is the explicit wave plan (each step is
 	// one wave); nil derives the §5.3.2 layer order.
 	Schedule planner.Schedule
@@ -162,27 +169,38 @@ func (c *Campaign) normalize() error {
 	if c.Envelope == (Envelope{}) {
 		c.Envelope = DefaultEnvelope()
 	}
-	// Canonicalize the intent's version tags. Config.Version has no
-	// behavioral role in the emulated fabric, but it is embedded in every
-	// deployed config and therefore in every state fingerprint. An intent
-	// generator tags its configs 1..n in its own generation order, which is
-	// not sorted device order, so the guard re-tags deterministically —
-	// versions 1..n in sorted device order — and a campaign's states depend
-	// on what it deploys, not on how its intent was built.
-	canon := make(controller.Intent, len(c.Intent))
-	for i, d := range c.Intent.Devices() {
-		cfg := *c.Intent[d]
-		cfg.Version = int64(i + 1)
-		canon[d] = &cfg
-	}
-	c.Intent = canon
+	c.Intent = CanonicalIntent(c.Intent)
 	return nil
+}
+
+// CanonicalIntent is the intent a campaign deploys: in's configs with their
+// version tags rewritten to 1..n in sorted device order. Config.Version has
+// no behavioral role in the emulated fabric, but it is embedded in every
+// deployed config and therefore in every state fingerprint. An intent
+// generator tags its configs 1..n in its own generation order, which is not
+// sorted device order, so the guard re-tags deterministically, and a
+// campaign's states depend on what it deploys, not on how its intent was
+// built. A config already carrying its tag is kept as it is — the same
+// *core.Config — so a canonical intent is its own canonical form and
+// programs compiled from it (Campaign.Compiled) stay valid.
+func CanonicalIntent(in controller.Intent) controller.Intent {
+	canon := make(controller.Intent, len(in))
+	for i, d := range in.Devices() {
+		cfg := in[d]
+		if v := int64(i + 1); cfg.Version != v {
+			tagged := *cfg
+			tagged.Version = v
+			cfg = &tagged
+		}
+		canon[d] = cfg
+	}
+	return canon
 }
 
 // FromParams builds a campaign from a planner scenario's parameters, so
 // `planner.ScenarioSetup` output guards directly.
 func FromParams(p planner.Params) Campaign {
-	return Campaign{Intent: p.Intent, OriginAltitude: p.OriginAltitude, Workload: p.Workload()}
+	return Campaign{Intent: p.Intent, Compiled: p.Compiled, OriginAltitude: p.OriginAltitude, Workload: p.Workload()}
 }
 
 // Result is a guarded execution's outcome.
@@ -266,8 +284,9 @@ type Execution struct {
 }
 
 // NewExecution starts the campaign on a quiescent base snapshot. The campaign
-// walks rendered snapshots; base gets a view of its own and is left holding
-// no bytes.
+// walks rendered snapshots, starting from a view of base (snapshot.Rendered):
+// campaigns and searches running on one base at once share its rendering,
+// and base keeps none once the last of them lets go of it.
 func NewExecution(base *snapshot.Snapshot, c Campaign) (*Execution, error) {
 	e, err := newExecution(base, c)
 	if err != nil {
@@ -358,7 +377,7 @@ func newExecution(base *snapshot.Snapshot, c Campaign) (*Execution, error) {
 	if err := c.normalize(); err != nil {
 		return nil, err
 	}
-	x, err := planner.NewExecutor(c.Intent, c.Workload, c.OriginAltitude)
+	x, err := planner.NewExecutor(c.Intent, c.Compiled, c.Workload, c.OriginAltitude)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"centralium/internal/core"
 	"centralium/internal/planner"
 )
 
@@ -300,5 +301,48 @@ func TestResumeErrors(t *testing.T) {
 	}
 	if final.State != StateCompleted {
 		t.Fatalf("resumed terminal = %s\nlog:\n%s", final.State, final.Log)
+	}
+}
+
+// TestCampaignDeploysSharedPrograms: a campaign handed programs compiled from
+// its canonical intent (Campaign.Compiled) deploys exactly those, by
+// reference, and compiles none of them again; an intent with a config that
+// does not compile still fails NewExecution with the error it fails with
+// when nothing is handed in.
+func TestCampaignDeploysSharedPrograms(t *testing.T) {
+	snap, p, err := planner.ScenarioSetup("fig10", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := FromParams(p)
+	c.Intent = CanonicalIntent(c.Intent)
+	for d, cfg := range CanonicalIntent(c.Intent) {
+		if cfg != c.Intent[d] {
+			t.Fatalf("%s: a canonical intent's config was copied again: programs compiled from it would not match", d)
+		}
+	}
+	if c.Compiled, err = c.Intent.Compile(nil); err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(context.Background(), snap, c)
+	if err != nil || res.State != StateCompleted {
+		t.Fatalf("campaign: %v, %+v", err, res)
+	}
+	for d, prog := range c.Compiled {
+		if res.Net.Speaker(d).Program() != prog {
+			t.Errorf("%s: runs a program other than the one the campaign was handed", d)
+		}
+	}
+
+	bad := FromParams(p)
+	bad.Intent = CanonicalIntent(bad.Intent)
+	missing := bad.Intent.Devices()[1]
+	bad.Intent[missing] = &core.Config{Version: 2, PathSelection: []core.PathSelectionStatement{{Name: ""}}}
+	_, want := NewExecution(snap, bad)
+	if bad.Compiled, err = bad.Intent.Compile(nil); err == nil || len(bad.Compiled) != len(bad.Intent)-1 {
+		t.Fatalf("compile of an intent with one invalid config: %d programs, err %v", len(bad.Compiled), err)
+	}
+	if _, got := NewExecution(snap, bad); want == nil || got == nil || got.Error() != want.Error() {
+		t.Fatalf("NewExecution with shared programs: err %v, want %v", got, want)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"centralium/internal/controller"
+	"centralium/internal/core"
 	"centralium/internal/snapshot"
 	"centralium/internal/topo"
 	"centralium/internal/traffic"
@@ -63,6 +64,14 @@ type Params struct {
 	// SettlePerDevice is ignored: every step settles after each device
 	// (Executor). It stays declared for callers that still read it.
 	SettlePerDevice bool `json:"-"`
+
+	// Compiled, when set, holds programs compiled from configs of Intent,
+	// keyed by device (controller.Rollout.Compiled): the search's Executor
+	// takes them and compiles only the rest. It is a cache, not a parameter,
+	// and no checkpoint carries it: a resumed search compiles its intent.
+	// centraliumd's snapshot cache compiles each base's intent once and every
+	// search on the base shares those programs, read-only.
+	Compiled map[topo.DeviceID]*core.Program `json:"-"`
 }
 
 func (p *Params) setDefaults() {
@@ -178,9 +187,10 @@ type memoEntry struct {
 // NewSearch builds a search over the deployment schedules of p.Intent on
 // the captured fabric. The snapshot must hold a quiescent (converged)
 // network — which Capture already enforces. The search reads base through a
-// rendered view of its own (snapshot.Rendered): base itself is never written
-// and holds no bytes afterwards, so any number of searches may share one
-// cached base snapshot. The search checkpoints inline.
+// rendered view (snapshot.Rendered), which it shares with every search and
+// campaign on base holding one at the time; base's state is never written
+// and base keeps no bytes once the last view is gone, so any number of
+// searches may share one cached base snapshot. The search checkpoints inline.
 func NewSearch(base *snapshot.Snapshot, p Params) (*Search, error) {
 	return NewSearchWith(base, p, nil)
 }
@@ -228,7 +238,7 @@ func newSearch(root *snapshot.Snapshot, state []byte, fp string, p Params, objs 
 	if len(p.Intent) == 0 {
 		return nil, fmt.Errorf("planner: empty intent")
 	}
-	x, err := NewExecutor(p.Intent, p.Workload(), p.OriginAltitude)
+	x, err := NewExecutor(p.Intent, p.Compiled, p.Workload(), p.OriginAltitude)
 	if err != nil {
 		return nil, err
 	}

@@ -328,3 +328,32 @@ func TestMemoDedup(t *testing.T) {
 		t.Fatalf("no memo hits in %+v — fingerprint memoization inert", res.Stats)
 	}
 }
+
+// TestSearchTakesCompiledPrograms: a search whose Params carry their intent's
+// programs (Params.Compiled) runs its steps on exactly those and compiles
+// none of them again; without them it compiles its own.
+func TestSearchTakesCompiledPrograms(t *testing.T) {
+	snap, p, err := ScenarioSetup("pod-drain", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Compiled, err = p.Intent.Compile(nil); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewSearch(snap, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, err := NewSearch(snap, Params{Intent: p.Intent, OriginAltitude: p.OriginAltitude, Demands: p.Demands, Watch: p.Watch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d, prog := range p.Compiled {
+		if s.ev.x.programs[d] != prog {
+			t.Errorf("%s: the search compiled a program it was handed", d)
+		}
+		if own.ev.x.programs[d] == prog {
+			t.Errorf("%s: a search handed no programs shares one", d)
+		}
+	}
+}

@@ -172,9 +172,12 @@ type Executor struct {
 	originAltitude int
 }
 
-// NewExecutor compiles every config of intent, once, into an Executor.
-func NewExecutor(intent controller.Intent, w probe.Workload, originAltitude int) (*Executor, error) {
-	programs, err := intent.Compile()
+// NewExecutor compiles every config of intent, once, into an Executor. A
+// config for which compiled holds a program compiled from that very
+// *core.Config is not compiled again (controller.Intent.Compile); compiled
+// may be nil.
+func NewExecutor(intent controller.Intent, compiled map[topo.DeviceID]*core.Program, w probe.Workload, originAltitude int) (*Executor, error) {
+	programs, err := intent.Compile(compiled)
 	if err != nil {
 		return nil, fmt.Errorf("planner: %w", err)
 	}

@@ -96,7 +96,7 @@ func runSpec(t *testing.T, spec Spec) *Report {
 func TestRunCompiledMatchesCompiling(t *testing.T) {
 	for _, scenario := range planner.ScenarioNames() {
 		b := loadCompiledBase(t, scenario)
-		progs, err := b.p.Intent.Compile()
+		progs, err := b.p.Intent.Compile(nil)
 		if err != nil {
 			t.Fatalf("%s: %v", scenario, err)
 		}
@@ -127,7 +127,7 @@ func TestRunCompiledMatchesCompiling(t *testing.T) {
 // intent's programs, fails the rollout with today's violation text.
 func TestRunCompiledFallsBack(t *testing.T) {
 	b := loadCompiledBase(t, "fig10")
-	progs, err := b.p.Intent.Compile()
+	progs, err := b.p.Intent.Compile(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestRunCompiledFallsBack(t *testing.T) {
 		bad[d] = cfg
 	}
 	bad[missing] = &core.Config{PathSelection: []core.PathSelectionStatement{{Name: ""}}}
-	badProgs, err := bad.Compile()
+	badProgs, err := bad.Compile(nil)
 	if err == nil {
 		t.Fatal("invalid config compiled")
 	}

@@ -146,7 +146,7 @@ func (s *Server) execute(ctx context.Context, ar *apiRequest) result {
 		return errorResult(http.StatusInternalServerError, "build scenario base: %v", err)
 	}
 	id := req.execID(entry.Fingerprint)
-	c := guard.FromParams(entry.Params)
+	c := entry.campaign
 	c.Name = "exec-" + id[:12]
 	c.Envelope = req.envelope()
 	c.Retry.MaxRetries = req.MaxRetries

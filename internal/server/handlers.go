@@ -112,7 +112,7 @@ func whatIfSpec(req *WhatIfRequest, entry *cacheEntry, net *fabric.Network, labe
 		Name:           label,
 		Net:            net,
 		Intent:         entry.Params.Intent,
-		Compiled:       entry.programs,
+		Compiled:       entry.Params.Compiled,
 		OriginAltitude: entry.Params.OriginAltitude,
 		Workload:       entry.Params.Demands,
 		Invariants:     invariants,

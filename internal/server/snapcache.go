@@ -11,24 +11,27 @@ import (
 	"fmt"
 	"sync"
 
-	"centralium/internal/core"
 	"centralium/internal/fabric"
+	"centralium/internal/guard"
 	"centralium/internal/planner"
 	"centralium/internal/snapshot"
-	"centralium/internal/topo"
 )
 
 // cacheEntry is one warm base: the captured snapshot, its identity, the
-// scenario's planning parameters and its intent's compiled programs.
-// Everything here is read-only after build: every request on the base forks
-// the one snapshot, and every what-if deploys the one set of programs
-// (qualify.Spec.Compiled), so a warm what-if compiles nothing.
+// scenario's planning parameters with its intent's compiled programs, and the
+// guarded campaign it starts. Everything here is read-only after build: every
+// request on the base forks the one snapshot, and every what-if, search and
+// campaign deploys the one set of programs for its intent
+// (qualify.Spec.Compiled, planner.Params.Compiled, guard.Campaign.Compiled),
+// so a warm request compiles nothing.
 type cacheEntry struct {
 	Fingerprint string
 	Snap        *snapshot.Snapshot
-	Params      planner.Params
-	// programs is Params.Intent compiled once, by device (see buildEntry).
-	programs    map[topo.DeviceID]*core.Program
+	// Params carries Params.Intent compiled once, in Params.Compiled.
+	Params planner.Params
+	// campaign is what every /v1/execute on the base starts from: the
+	// scenario's canonical intent (guard.CanonicalIntent), compiled once.
+	campaign    guard.Campaign
 	scenarioKey string
 }
 
@@ -121,9 +124,12 @@ func (c *snapCache) stats() (hits, misses, evictions int64, size int) {
 }
 
 // buildEntry runs the scenario setup, captures the entry's identity and
-// compiles the intent once for every what-if on the base. A config that does
-// not compile does not fail the build: it is left out of the programs, and
-// each what-if's rollout pre-flight reports it as a rollout violation.
+// compiles the intent once for every request on the base, and its canonical
+// form for every campaign (only the configs whose version tag it rewrote
+// compile again). A config that does not compile does not fail the build: it
+// is left out of the programs, so what deploys it compiles it again and fails
+// as without the entry — a what-if's rollout pre-flight reports a rollout
+// violation, a search or campaign fails to start with the compile error.
 func buildEntry(scenario string, seed int64, key string) (*cacheEntry, error) {
 	snap, params, err := planner.ScenarioSetup(scenario, seed)
 	if err != nil {
@@ -133,8 +139,11 @@ func buildEntry(scenario string, seed int64, key string) (*cacheEntry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fingerprint %s: %w", key, err)
 	}
-	programs, _ := params.Intent.Compile() // the rollout reports what failed
-	return &cacheEntry{Fingerprint: fp, Snap: snap, Params: params, programs: programs, scenarioKey: key}, nil
+	params.Compiled, _ = params.Intent.Compile(nil)
+	c := guard.FromParams(params)
+	c.Intent = guard.CanonicalIntent(c.Intent)
+	c.Compiled, _ = c.Intent.Compile(params.Compiled)
+	return &cacheEntry{Fingerprint: fp, Snap: snap, Params: params, campaign: c, scenarioKey: key}, nil
 }
 
 // respMemo is the (fingerprint, request) → response-bytes memo, first in

@@ -7,8 +7,12 @@ import (
 	"sync"
 	"testing"
 
+	"centralium/internal/controller"
+	"centralium/internal/core"
+	"centralium/internal/guard"
 	"centralium/internal/planner"
 	"centralium/internal/telemetry"
+	"centralium/internal/topo"
 )
 
 // whatIfAllocCeiling bounds the allocations of one warm no-memo what-if per
@@ -69,6 +73,40 @@ func TestWhatIfAllocs(t *testing.T) {
 		t.Logf("%s: %.0f allocations per what-if", scenario, got)
 		if ceiling := whatIfAllocCeiling[scenario]; got > ceiling {
 			t.Errorf("%s: %.0f allocations per warm what-if, ceiling %.0f", scenario, got, ceiling)
+		}
+	}
+}
+
+// TestEntryCompilesEveryIntentOnce: a cache entry holds a program for every
+// config a what-if, a search or a campaign on its base deploys, compiled from
+// that very config, so none of them compiles anything. A campaign deploys the
+// canonical intent (guard.CanonicalIntent), which must be its own canonical
+// form, or the campaign would copy the configs the programs were compiled
+// from.
+func TestEntryCompilesEveryIntentOnce(t *testing.T) {
+	s := New(Config{})
+	for _, scenario := range planner.ScenarioNames() {
+		entry, err := s.cache.get(scenario, confSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for kind, in := range map[string]struct {
+			intent   controller.Intent
+			programs map[topo.DeviceID]*core.Program
+		}{
+			"params":   {entry.Params.Intent, entry.Params.Compiled},
+			"campaign": {entry.campaign.Intent, entry.campaign.Compiled},
+		} {
+			for d, cfg := range in.intent {
+				if prog := in.programs[d]; prog == nil || prog.Config() != cfg {
+					t.Errorf("%s %s: %s has no program compiled from its config", scenario, kind, d)
+				}
+			}
+		}
+		for d, cfg := range guard.CanonicalIntent(entry.campaign.Intent) {
+			if cfg != entry.campaign.Intent[d] {
+				t.Errorf("%s: the campaign's intent is not canonical at %s", scenario, d)
+			}
 		}
 	}
 }

@@ -179,7 +179,7 @@ func TestCaptureFromMatchesFullCaptureOnScenarios(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		x, err := planner.NewExecutor(p.Intent, p.Workload(), p.OriginAltitude)
+		x, err := planner.NewExecutor(p.Intent, nil, p.Workload(), p.OriginAltitude)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,29 +261,35 @@ func TestCaptureFromMatchesFullCaptureOnScenarios(t *testing.T) {
 // its wave produced exactly once and re-encodes nothing it already holds — not
 // the last-good state, not the final state for its fingerprint — and, the
 // daemon keeping the execution live between posts, decodes nothing: no
-// checkpoint and no last-good state is read back.
+// checkpoint and no last-good state is read back. A campaign's first post
+// renders its base too unless something still holds a view of it: the cached
+// base keeps its rendering only weakly. Both cases are pinned — the miss after
+// a collection with no view held, the hit while a live search on the base
+// holds one.
 func TestExecuteEncodesEachStateOnce(t *testing.T) {
 	srv := server.New(server.Config{Workers: 2})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	post := func(body string) string {
+	postTo := func(path, body string) string {
 		t.Helper()
-		resp, err := ts.Client().Post(ts.URL+"/v1/execute", "application/json", strings.NewReader(body))
+		resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
 		data, err := io.ReadAll(resp.Body)
 		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("execute: status %d, err %v: %s", resp.StatusCode, err, data)
+			t.Fatalf("%s: status %d, err %v: %s", path, resp.StatusCode, err, data)
 		}
 		return string(data)
 	}
-	// Warm the base (building it encodes it once for its identity).
+	post := func(body string) string { t.Helper(); return postTo("/v1/execute", body) }
+	// Warm the base (building it renders it once, for its fingerprint).
 	post(`{"scenario":"fig10","seed":7,"max_retries":1}`)
 
 	seen := watch(t)
 	const paced = `{"scenario":"fig10","seed":7,"max_waves":1}`
+	runtime.GC() // no view of the base is held: this empties its weak memo
 	first := post(paced)
 	if got := seen.take(); got["encode"] != 2 || got["decode"] != 0 {
 		t.Errorf("first paced post: %v, want two encodes (the campaign's view of the base, the wave's new state) and no decode", got)
@@ -308,5 +314,20 @@ func TestExecuteEncodesEachStateOnce(t *testing.T) {
 		t.Fatal("a completed execution must replay its recorded response")
 	} else if got := seen.take(); len(got) != 0 {
 		t.Errorf("replaying a completed execution touched the codec: %v", got)
+	}
+
+	// A paced search on the base stays live between posts and holds its view
+	// through a collection; a second campaign's first post shares that
+	// rendering and encodes only its wave's new state.
+	if plan := postTo("/v1/plan", `{"scenario":"fig10","seed":7,"beam":2,"random_cands":-1,"max_levels":1}`); !strings.Contains(plan, `"done":false`) {
+		t.Fatalf("one level finished the plan: nothing holds the base: %s", plan)
+	}
+	seen.take()
+	runtime.GC()
+	if body := post(`{"scenario":"fig10","seed":7,"max_waves":1,"max_retries":2}`); !strings.Contains(body, `"state":"paused"`) {
+		t.Fatalf("second campaign did not pause after its first wave: %s", body)
+	}
+	if got := seen.take(); got["encode"] != 1 || got["decode"] != 0 || got["topo-export"] != 0 {
+		t.Errorf("second campaign's first post while a search holds the base's view: %v, want one encode (the wave's new state), no decode, no topology export", got)
 	}
 }

@@ -43,6 +43,8 @@ import (
 	"fmt"
 	"maps"
 	"os"
+	"sync"
+	"weak"
 
 	"centralium/internal/fabric"
 	"centralium/internal/topo"
@@ -52,14 +54,18 @@ import (
 // harness stores replay parameters there; operators can stash provenance).
 //
 // Concurrency contract: the captured state is immutable, and so is a rendered
-// snapshot's rendering — both are complete before the constructor returns
-// and nothing is memoized afterwards. Once built by Capture, CaptureFrom,
-// Rendered, Decode, DecodeRendered, or Load, a Snapshot is safe for concurrent
-// use by any number of goroutines — Restore, RestoreWith, Fork, Topology,
-// Encode, EncodeCanonical, Fingerprint, Now, and serving as CaptureFrom's
-// parent never write to it. What a rendered snapshot hands out from Encode,
-// EncodeCanonical and EncodeWithFingerprint is its rendering itself, not a
-// copy: read-only to every caller (TestSharedEncodingIsReadOnly). A restored
+// snapshot's rendering — both are complete before the constructor returns.
+// Once built by Capture, CaptureFrom, Rendered, Decode, DecodeRendered, or
+// Load, a Snapshot is safe for concurrent use by any number of goroutines —
+// Restore, RestoreWith, Fork, Topology, Encode, EncodeCanonical, Fingerprint,
+// Rendered, Now, and serving as CaptureFrom's parent never write to the
+// state. A plain snapshot memoizes two things, under its own lock: its
+// fingerprint, kept for good, and its last rendering, kept weakly — every
+// caller that asks while some view still holds that rendering gets the same
+// one, and once nothing does the collector takes it (see Rendered). What a
+// snapshot hands out from Encode, EncodeCanonical and EncodeWithFingerprint
+// when it has a rendering is that rendering itself, not a copy: read-only to
+// every caller (TestSharedEncodingIsReadOnly). A restored
 // network is not a deep copy of it: fabric.NewFromState copies what a
 // network edits in place (queue, session table) and shares the rest
 // read-only with the snapshot and every sibling restore — the frozen
@@ -74,9 +80,9 @@ import (
 // The one mutable field is Meta: callers that modify it while other
 // goroutines encode the same snapshot must synchronize, or use
 // EncodeCanonical, which never reads Meta. TestConcurrentFork,
-// TestSharedForksLeaveSnapshotUntouched, TestCaptureFromConcurrentSiblings
-// and TestSiblingForksBuildAndRead hold this contract under the race
-// detector.
+// TestSharedForksLeaveSnapshotUntouched, TestCaptureFromConcurrentSiblings,
+// TestSiblingForksBuildAndRead and TestRenderedSharesWhileHeld hold this
+// contract under the race detector.
 type Snapshot struct {
 	Meta map[string]string
 
@@ -85,6 +91,13 @@ type Snapshot struct {
 	// enc is the state's canonical rendering, on a rendered snapshot (see
 	// CaptureFrom); nil on any other.
 	enc *rendering
+
+	// On a plain snapshot, mu guards the memo of what rendering it cost:
+	// last, the latest rendering, for as long as something else holds it,
+	// and fp, its fingerprint, from the first rendering on.
+	mu   sync.Mutex
+	last weak.Pointer[rendering]
+	fp   string
 }
 
 // rendering is a state's canonical encoding, its fingerprint, and where in
@@ -97,8 +110,13 @@ type rendering struct {
 	layout
 }
 
-func newRendering(canon []byte, lay layout) *rendering {
-	return &rendering{canon: canon[:len(canon):len(canon)], fp: fingerprintOf(canon), layout: lay}
+// newRendering makes the rendering of canon; fp is its fingerprint, or ""
+// to hash it.
+func newRendering(canon []byte, fp string, lay layout) *rendering {
+	if fp == "" {
+		fp = fingerprintOf(canon)
+	}
+	return &rendering{canon: canon[:len(canon):len(canon)], fp: fp, layout: lay}
 }
 
 // Capture checkpoints a network. It fails when the network is not at a
@@ -125,10 +143,10 @@ func Capture(n *fabric.Network) (*Snapshot, error) {
 // is; the bytes are the same either way (TestCaptureFromMatchesFullCapture).
 //
 // A rendering is some tens to hundreds of kilobytes that live as long as the
-// snapshot does, which is why only this function, Rendered and DecodeRendered
-// make one: it belongs to the search or campaign holding the snapshot and
-// goes when that does. Long-lived holders (a daemon's cache of bases) keep
-// plain snapshots and hand out Rendered views.
+// rendered snapshot does: it belongs to the search or campaign holding the
+// snapshot and goes when that does. Long-lived holders (a daemon's cache of
+// bases) keep plain snapshots, which keep their renderings only weakly, and
+// hand out Rendered views.
 func CaptureFrom(parent *Snapshot, n *fabric.Network) (*Snapshot, error) {
 	st, sh, err := n.ExportShared()
 	if err != nil {
@@ -142,23 +160,21 @@ func CaptureFrom(parent *Snapshot, n *fabric.Network) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Snapshot{Meta: map[string]string{}, state: st, enc: newRendering(canon, lay)}, nil
+	return &Snapshot{Meta: map[string]string{}, state: st, enc: newRendering(canon, "", lay)}, nil
 }
 
 // Rendered returns a rendered snapshot of the same state (see CaptureFrom): s
-// itself when it is one, otherwise a private view that shares s's immutable
-// state, copies its metadata, and owns the rendering — s is left as it was,
-// holding no bytes.
+// itself when it is one, otherwise a view that shares s's immutable state,
+// copies its metadata, and holds s's rendering. Views taken while another
+// still holds that rendering share it; once none does, the collector takes
+// it, so s — a daemon's cached base, say — holds no bytes between the
+// searches and campaigns on it, only its fingerprint, which a later rendering
+// does not hash again (TestRenderedSharesWhileHeld).
 func (s *Snapshot) Rendered() (*Snapshot, error) {
 	if s.enc != nil {
 		return s, nil
 	}
-	if s.state == nil {
-		return nil, fmt.Errorf("snapshot: empty snapshot")
-	}
-	st := *s.state
-	st.Batched = 0 // as EncodeCanonical
-	canon, lay, err := encodeState(&st, nil, nil, fabric.Shared{})
+	r, err := s.rendered()
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +182,43 @@ func (s *Snapshot) Rendered() (*Snapshot, error) {
 	if meta == nil {
 		meta = map[string]string{}
 	}
-	return &Snapshot{Meta: meta, state: s.state, enc: newRendering(canon, lay)}, nil
+	return &Snapshot{Meta: meta, state: s.state, enc: r}, nil
+}
+
+// rendered returns the canonical rendering of s's state: its own on a
+// rendered snapshot; on a plain one the last one it made while anything still
+// holds that, else a new one. The lock makes concurrent callers on a miss
+// wait for one encode rather than each run their own.
+func (s *Snapshot) rendered() (*rendering, error) {
+	if s.enc != nil {
+		return s.enc, nil
+	}
+	if s.state == nil {
+		return nil, fmt.Errorf("snapshot: empty snapshot")
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if r := s.last.Value(); r != nil {
+		return r, nil
+	}
+	r, err := render(s.state, s.fp)
+	if err != nil {
+		return nil, err
+	}
+	s.last, s.fp = weak.Make(r), r.fp
+	return r, nil
+}
+
+// render encodes st canonically from scratch, its Batched slot cleared (see
+// EncodeCanonical); fp is the fingerprint of the result when known, or "".
+func render(st *fabric.NetState, fp string) (*rendering, error) {
+	c := *st
+	c.Batched = 0
+	canon, lay, err := encodeState(&c, nil, nil, fabric.Shared{})
+	if err != nil {
+		return nil, err
+	}
+	return newRendering(canon, fp, lay), nil
 }
 
 // DecodeRendered is Decode for bytes EncodeCanonical wrote: the result is a
@@ -181,10 +233,11 @@ func DecodeRendered(data []byte) (*Snapshot, error) {
 		return nil, err
 	}
 	s := &Snapshot{Meta: meta, state: st}
-	if !canonical {
-		return s.Rendered()
+	if canonical {
+		s.enc = newRendering(data, "", lay)
+	} else if s.enc, err = render(st, ""); err != nil {
+		return nil, err
 	}
-	s.enc = newRendering(data, lay)
 	return s, nil
 }
 
@@ -264,32 +317,34 @@ func (s *Snapshot) Encode() ([]byte, error) {
 // batch-parallel engine existed may carry a count, and their fingerprints
 // (cleared then as now) must not move. Unlike Encode with a cleared Meta,
 // it never touches the Meta field, so it is safe to call concurrently with
-// everything else.
+// everything else. The bytes are the snapshot's rendering (see Rendered):
+// read-only.
 func (s *Snapshot) EncodeCanonical() ([]byte, error) {
-	if s.state == nil {
-		return nil, fmt.Errorf("snapshot: empty snapshot")
+	r, err := s.rendered()
+	if err != nil {
+		return nil, err
 	}
-	if s.enc != nil {
-		return s.enc.canon, nil
-	}
-	st := *s.state
-	st.Batched = 0
-	data, _, err := encodeState(&st, nil, nil, fabric.Shared{})
-	return data, err
+	return r.canon, nil
 }
 
 // Fingerprint hashes the canonical encoding: a compact state identity for
 // cache keys and response memoization (the campaign planner and the
-// centraliumd snapshot cache both key by it).
+// centraliumd snapshot cache both key by it). A plain snapshot renders
+// itself for it once and keeps the result.
 func (s *Snapshot) Fingerprint() (string, error) {
-	if s.enc != nil {
-		return s.enc.fp, nil
+	if s.enc == nil {
+		s.mu.Lock()
+		fp := s.fp
+		s.mu.Unlock()
+		if fp != "" {
+			return fp, nil
+		}
 	}
-	data, err := s.EncodeCanonical()
+	r, err := s.rendered()
 	if err != nil {
 		return "", err
 	}
-	return fingerprintOf(data), nil
+	return r.fp, nil
 }
 
 func fingerprintOf(canonical []byte) string {
@@ -299,20 +354,17 @@ func fingerprintOf(canonical []byte) string {
 
 // EncodeWithFingerprint returns Encode's bytes and the fingerprint they are
 // stored under. With no metadata and nothing for the canonical form to
-// clear, the two encodings are the same bytes and one pass serves both.
+// clear, the two encodings are the same bytes and one rendering serves both.
 func (s *Snapshot) EncodeWithFingerprint() (enc []byte, fp string, err error) {
-	if enc, err = s.EncodeCanonical(); err != nil {
+	r, err := s.rendered()
+	if err != nil {
 		return nil, "", err
-	}
-	if s.enc != nil {
-		fp = s.enc.fp
-	} else {
-		fp = fingerprintOf(enc)
 	}
 	if len(s.Meta) > 0 || s.state.Batched != 0 {
 		enc, err = s.Encode()
+		return enc, r.fp, err
 	}
-	return enc, fp, err
+	return r.canon, r.fp, nil
 }
 
 // Decode parses bytes produced by Encode. Corrupt or truncated input
