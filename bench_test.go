@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"centralium/internal/bgp"
-	"centralium/internal/bgp/session"
 	"centralium/internal/bgp/wire"
 	"centralium/internal/controller"
 	"centralium/internal/core"
@@ -472,35 +471,6 @@ func BenchmarkEastWestWorkload(b *testing.B) {
 		rep := workload.CheckAnyToAny(n, demands)
 		if rep.Delivered < 0.999 {
 			b.Fatal("loss")
-		}
-	}
-}
-
-func BenchmarkLiveSessionPropagation(b *testing.B) {
-	// Cost of one route propagating across a real 3-node session chain.
-	tp := topo.New()
-	tp.AddDevice(topo.Device{ID: "a"})
-	tp.AddDevice(topo.Device{ID: "m"})
-	tp.AddDevice(topo.Device{ID: "z"})
-	tp.AddLink("a", "m", 100)
-	tp.AddLink("m", "z", 100)
-	lf, err := session.BuildLive(tp, 5*time.Second)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer lf.Close()
-	p := netip.MustParsePrefix("10.9.0.0/16")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lf.Endpoints["a"].WithSpeaker(func(s *bgp.Speaker) {
-			s.Originate(p, nil, core.OriginIGP, 0)
-		})
-		if !lf.WaitConverged(p, true, 5*time.Second) {
-			b.Fatal("no convergence")
-		}
-		lf.Endpoints["a"].WithSpeaker(func(s *bgp.Speaker) { s.WithdrawOrigin(p) })
-		if !lf.WaitConverged(p, false, 5*time.Second) {
-			b.Fatal("no withdrawal convergence")
 		}
 	}
 }

@@ -137,9 +137,6 @@ func (s *Speaker) MarkClean() { s.dirty = false }
 // ID returns the speaker's device name.
 func (s *Speaker) ID() string { return s.cfg.ID }
 
-// ASN returns the speaker's autonomous system number.
-func (s *Speaker) ASN() uint32 { return s.cfg.ASN }
-
 // FIB exposes the speaker's forwarding table.
 func (s *Speaker) FIB() *fib.Table { return s.fibTbl }
 
@@ -422,9 +419,8 @@ func (s *Speaker) WithdrawOrigin(p netip.Prefix) {
 // Adj-RIB-In and, prepended onto a fresh path, in what it advertises on —
 // so the caller hands them over for good: they must not be written to
 // after the call. Every producer obeys this by construction (advertise
-// builds a new path per call, the live-session endpoint and the snapshot
-// decoder allocate per message), and taps and perturbers may likewise
-// retain what they are shown.
+// builds a new path per call, the snapshot decoder allocates per message),
+// and taps and perturbers may likewise retain what they are shown.
 func (s *Speaker) HandleUpdate(sess SessionID, u Update) {
 	// First thing: the fabric stamps its per-node delivery clock, which the
 	// checkpoint carries beside the speaker, immediately before every call.

@@ -36,11 +36,6 @@ func TestDeterminismLint(t *testing.T) {
 	// Allowed files: the counted engine RNG is the one sanctioned
 	// unrestricted math/rand consumer.
 	randAllowed := map[string]bool{"rng.go": true}
-	// Skipped subdirectories: bgp/session speaks real TCP to external
-	// daemons and legitimately uses wall-clock deadlines; it is not part
-	// of the deterministic simulation core.
-	skipDirs := map[string]bool{"session": true}
-
 	// oneLoop marks the packages where goroutines are banned; the planner's
 	// candidate-evaluation pool is a different mechanism and stays.
 	// The probe's hook runs inside that loop, so it is held to the same rule.
@@ -51,13 +46,7 @@ func TestDeterminismLint(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if d.IsDir() {
-				if skipDirs[d.Name()] {
-					return filepath.SkipDir
-				}
-				return nil
-			}
-			if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 				return nil
 			}
 			lintFile(t, path, randAllowed[filepath.Base(path)], oneLoop[dir], dir == ".")

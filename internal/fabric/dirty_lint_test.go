@@ -41,7 +41,7 @@ import (
 func TestDirtyCoversEveryMutator(t *testing.T) {
 	readOnly := map[string]bool{
 		// Accessors.
-		"ID": true, "ASN": true, "FIB": true, "Stats": true, "RPAConfig": true, "Program": true,
+		"ID": true, "FIB": true, "Stats": true, "RPAConfig": true, "Program": true,
 		"Peers": true, "Drained": true, "Candidates": true, "Baseline": true, "Decision": true,
 		"AdjRIBOut": true, "AdvertiseMode": true, "IncrementalStats": true, "FullRecompute": true,
 		"ExportState": true, "Dirty": true,

@@ -22,8 +22,8 @@ import (
 //	KindRPAHit        <-> Stats Report with the statement-name TLV
 //	KindTrafficSample <-> Stats Report with traffic-share gauges
 //
-// Symbolic community strings are not carried (they are registry-relative;
-// see bgp/session.Registry) — detectors do not consume them.
+// Symbolic community strings are not carried — detectors do not consume
+// them.
 
 // sharePPM converts a fraction to parts-per-million for the wire.
 func sharePPM(f float64) uint64 { return uint64(f * 1e6) }

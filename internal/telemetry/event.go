@@ -10,7 +10,7 @@
 // §7.2 debugging) assume operators can watch routing transients as they
 // happen; this package is that substrate. Under the seeded fabric engine
 // every event carries the virtual clock, so a telemetry stream is exactly
-// reproducible; under the live session layer events carry wall time.
+// reproducible.
 package telemetry
 
 import (
@@ -106,9 +106,9 @@ type Event struct {
 	Blackholed float64 `json:"blackholed,omitempty"`
 }
 
-// Tap consumes tap events. Implementations must be safe for concurrent use
-// when attached to the live session layer (the deterministic fabric engine
-// is single-threaded). A nil Tap means telemetry is disabled; every emit
+// Tap consumes tap events. The deterministic fabric engine emits from its
+// one event loop; a tap shared by networks on several goroutines must be
+// safe for concurrent use. A nil Tap means telemetry is disabled; every emit
 // site guards on that, so the disabled hot path is one pointer comparison.
 type Tap interface {
 	Emit(Event)

@@ -14,8 +14,8 @@ import (
 // session identifies itself; every subsequent message on the connection
 // belongs to that device.
 //
-// Emit is safe for concurrent use (the live session layer emits from
-// per-connection goroutines). Write errors are sticky: after the first
+// Emit is safe for concurrent use (one exporter may serve networks driven
+// on several goroutines). Write errors are sticky: after the first
 // failure the exporter goes quiet rather than stalling the routing path.
 type Exporter struct {
 	mu  sync.Mutex
