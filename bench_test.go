@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"centralium/internal/bgp"
-	"centralium/internal/bgp/wire"
 	"centralium/internal/controller"
 	"centralium/internal/core"
 	"centralium/internal/experiments"
@@ -254,46 +253,6 @@ func BenchmarkAblationMinNextHopSweep(b *testing.B) {
 	}
 }
 
-func BenchmarkWireUpdateMarshal(b *testing.B) {
-	u := &wire.Update{
-		Origin:       0,
-		ASPath:       []wire.ASPathSegment{{Type: wire.SegSequence, ASNs: []uint32{4200000001, 4200000002, 64512}}},
-		NextHop:      netip.MustParseAddr("10.0.0.1"),
-		LocalPref:    100,
-		HasLocalPref: true,
-		Communities:  []wire.Community{42},
-		ExtCommunities: []wire.ExtCommunity{
-			wire.LinkBandwidth(23456, 100e9),
-		},
-		NLRI: []netip.Prefix{netip.MustParsePrefix("10.0.0.0/8")},
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := wire.Marshal(u); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkWireUpdateUnmarshal(b *testing.B) {
-	u := &wire.Update{
-		ASPath:  []wire.ASPathSegment{{Type: wire.SegSequence, ASNs: []uint32{1, 2, 3}}},
-		NextHop: netip.MustParseAddr("10.0.0.1"),
-		NLRI:    []netip.Prefix{netip.MustParsePrefix("10.0.0.0/8")},
-	}
-	data, err := wire.Marshal(u)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := wire.Unmarshal(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkFIBInstall(b *testing.B) {
 	tbl := fib.New(0)
 	hops := []fib.NextHop{{ID: "a", Weight: 3}, {ID: "b", Weight: 1}}
@@ -471,22 +430,6 @@ func BenchmarkEastWestWorkload(b *testing.B) {
 		rep := workload.CheckAnyToAny(n, demands)
 		if rep.Delivered < 0.999 {
 			b.Fatal("loss")
-		}
-	}
-}
-
-func BenchmarkWireMPBGPMarshal(b *testing.B) {
-	u := &wire.Update{
-		ASPath: []wire.ASPathSegment{{Type: wire.SegSequence, ASNs: []uint32{65001, 64512}}},
-		MPReach: &wire.MPReach{
-			NextHop: netip.MustParseAddr("fd00::1"),
-			NLRI:    []netip.Prefix{netip.MustParsePrefix("::/0"), netip.MustParsePrefix("2001:db8::/32")},
-		},
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := wire.Marshal(u); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -8,7 +8,7 @@
 // the internal packages (see DESIGN.md for the architecture):
 //
 //   - RPA types and evaluation        internal/core
-//   - per-switch BGP speakers          internal/bgp (+ bgp/wire codec)
+//   - per-switch BGP speakers          internal/bgp
 //   - topology builders                internal/topo
 //   - the emulated fabric              internal/fabric
 //   - traffic evaluation               internal/traffic

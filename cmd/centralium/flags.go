@@ -5,7 +5,8 @@ package main
 // (TestOneFrontDoor walks the FlagSets and fails a name that does).
 // -checkpoint / -resume (planner search container), -data-dir and the
 // -guard / -envelope / -max-retries trio have one taker, `plan`, and live
-// there; -save-snapshot writes what -snapshot reads.
+// there; -json has one taker, `tables`, and lives there too. -save-snapshot
+// writes what -snapshot reads.
 
 import (
 	"errors"
@@ -18,10 +19,6 @@ import (
 
 func seedFlag(fs *flag.FlagSet) *int64 {
 	return fs.Int64("seed", 42, "seed for the emulation and any search on it; same seed, same output")
-}
-
-func jsonFlag(fs *flag.FlagSet) *bool {
-	return fs.Bool("json", false, "print one JSON object per line instead of text")
 }
 
 func allFlag(fs *flag.FlagSet) *bool {

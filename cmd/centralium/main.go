@@ -1,7 +1,7 @@
 // Command centralium is the operator front door to the emulated stack: one
 // binary, one subcommand per tool, one flag vocabulary (flags.go).
 //
-//	centralium <stack|fabsim|migrate|plan|qualify|rpa|bmptail|tables> [flags]
+//	centralium <stack|fabsim|migrate|plan|qualify|rpa|tables> [flags]
 //	centralium help
 //
 // Every subcommand parses its own flag.FlagSet, writes results to stdout
@@ -52,8 +52,6 @@ var commands = []command{
 		summary: "pre-deployment qualification suites (§7.1); exit 1 on a violation"},
 	{name: "rpa", args: "<show|explain|fib> -scenario <name> [-device <id>] [-prefix <p>]", modes: []string{"show", "explain", "fib"}, setup: rpaCmd,
 		summary: "operator debugging (§7.2): active RPAs on a switch, why a route is governed, FIB dump"},
-	{name: "bmptail", args: "[-listen addr] [-count N] [-json] [-quiet]", setup: bmptailCmd,
-		summary: "fleet telemetry station: tail BMP-style streams, run the pathology detectors online"},
 	{name: "tables", args: "-list | -exp <id> | -all", setup: tablesCmd,
 		summary: "regenerate the paper's tables and figures on the emulated substrate"},
 }

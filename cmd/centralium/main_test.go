@@ -7,7 +7,6 @@ package main
 // this the one operator binary with one flag vocabulary.
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"flag"
@@ -17,7 +16,6 @@ import (
 	"go/parser"
 	"go/token"
 	"io"
-	"net"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -27,9 +25,7 @@ import (
 	"time"
 
 	"centralium/internal/experiments"
-	"centralium/internal/migrate"
 	"centralium/internal/planner"
-	"centralium/internal/telemetry"
 )
 
 // invoke runs one command line (without the program name) in-process.
@@ -372,64 +368,6 @@ func TestPlanCheckpointResume(t *testing.T) {
 			!strings.HasSuffix(replay, verdict[strings.Index(verdict, "guard: "):]) {
 			t.Errorf("%s guarded rerun did not replay the verdict\nfirst:\n%s\nrerun:\n%s", tc.name, verdict, replay)
 		}
-	}
-}
-
-// TestBmptail feeds the station from an in-process exporter over TCP: it
-// announces its address on stderr, prints what arrives, and exits 0 on its
-// own after -count events.
-func TestBmptail(t *testing.T) {
-	const count = 100
-	errR, errW := io.Pipe()
-	var stdout bytes.Buffer
-	code := make(chan int, 1)
-	go func() {
-		code <- run([]string{"bmptail", "-listen", "127.0.0.1:0", "-count", fmt.Sprint(count)}, &stdout, errW)
-		errW.Close()
-	}()
-
-	lines := bufio.NewReader(errR)
-	first, err := lines.ReadString('\n')
-	addr, ok := strings.CutPrefix(strings.TrimSpace(first), "bmptail: listening on ")
-	if err != nil || !ok {
-		t.Fatalf("no listening line on stderr: %q, %v", first, err)
-	}
-	summary := make(chan string, 1)
-	go func() {
-		rest, _ := io.ReadAll(lines)
-		summary <- string(rest)
-	}()
-
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	exp, err := telemetry.NewExporter(conn, "fig4-native")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The Figure 4 decommission emits well over count events; the station
-	// hanging up mid-stream only makes the exporter's writes fail.
-	migrate.RunScenario2(migrate.Scenario2Params{Seed: 7, Tap: exp})
-	exp.Close()
-
-	select {
-	case c := <-code:
-		if c != 0 {
-			t.Errorf("exit %d, want 0", c)
-		}
-	case <-time.After(time.Minute):
-		t.Fatal("bmptail did not exit after -count events")
-	}
-	if n := strings.Count(stdout.String(), "\n"); n < count {
-		t.Errorf("printed %d lines, want at least %d events:\n%s", n, count, stdout.String())
-	}
-	if !strings.Contains(stdout.String(), " adj-rib-in     fig4-native update 0.0.0.0/0 path=[") {
-		t.Errorf("no route update among the first %d events:\n%s", count, stdout.String())
-	}
-	if s := <-summary; !regexp.MustCompile(`^bmptail: \d+ events from 1 device\(s\), \d+ alert\(s\)\n$`).MatchString(s) {
-		t.Errorf("closing summary on stderr = %q", s)
 	}
 }
 

@@ -19,7 +19,7 @@ func tablesCmd(fs *flag.FlagSet) runFunc {
 		list    = fs.Bool("list", false, "list experiments")
 		all     = allFlag(fs)
 		seed    = seedFlag(fs)
-		jsonOut = jsonFlag(fs)
+		jsonOut = fs.Bool("json", false, "print one JSON object per line instead of text")
 	)
 	// emit runs one experiment and prints it, as text or as one JSON
 	// report line (the format the telemetry collector's replay tests

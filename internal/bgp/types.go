@@ -24,9 +24,7 @@ import (
 // of devices have distinct IDs (Figure 5 relies on this).
 type SessionID string
 
-// Update is one emulation-level BGP UPDATE for a single prefix. (The wire
-// codec in bgp/wire carries the same information in RFC 4271 framing; the
-// event engine uses this struct form directly.)
+// Update is one emulation-level BGP UPDATE for a single prefix.
 type Update struct {
 	Prefix   netip.Prefix
 	Withdraw bool

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"centralium/internal/openr"
-	"centralium/internal/telemetry"
 	"centralium/internal/topo"
 )
 
@@ -49,28 +48,6 @@ func DeviceFailureAlerts(dom *openr.Domain, source topo.DeviceID, intendedDown m
 		}
 	}
 	return expected, unexpected
-}
-
-// TelemetryCheck gates a rollout on the streaming telemetry plane: it
-// fails when the collector's online detectors have raised any pathology
-// alert (funneling, NHG pressure, route churn, black-hole suspicion). Run
-// it post-deployment the way Section 5's state-expectation checks run, but
-// against live transients rather than polled state.
-func TelemetryCheck(c *telemetry.Collector) HealthCheck {
-	return HealthCheck{
-		Name: "telemetry-pathologies",
-		Check: func() error {
-			alerts := c.Alerts()
-			if len(alerts) == 0 {
-				return nil
-			}
-			parts := make([]string, 0, len(alerts))
-			for _, a := range alerts {
-				parts = append(parts, a.String())
-			}
-			return fmt.Errorf("%d telemetry alert(s): %s", len(alerts), strings.Join(parts, "; "))
-		},
-	}
 }
 
 // ExpectationCheck wraps a named boolean expectation over collected state

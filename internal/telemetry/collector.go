@@ -1,230 +1,55 @@
 package telemetry
 
 import (
-	"errors"
-	"fmt"
-	"net"
 	"sort"
 	"sync"
-
-	"centralium/internal/telemetry/bmpwire"
 )
 
-// CollectorOptions configures a Collector.
-type CollectorOptions struct {
-	// RingSize caps the per-device event buffer (<= 0 gets the Ring
-	// default of 4096).
-	RingSize int
-	// Detectors run online over every ingested event. Nil gets
-	// StandardDetectors(); pass an empty non-nil slice to disable.
-	Detectors []Detector
-	// OnEvent, when set, observes every ingested event after buffering —
-	// the hook bmptail's follow mode uses.
-	OnEvent func(Event)
-	// OnAlert, when set, observes every fired alert.
-	OnAlert func(Alert)
-}
+// CollectorOptions has no settable fields: every Collector runs
+// StandardDetectors() over a 4096-event ring per device. The type stays
+// because the bench harness names it; it goes with the Collector (ROADMAP
+// item 1(b)).
+type CollectorOptions struct{}
 
-// Collector is the fleet aggregation point: it ingests events either
-// in-process (it is itself a Tap) or over BMP-style connections via Serve,
-// keeps a bounded ring of recent events per device, and runs the pathology
-// detectors online. All methods are safe for concurrent use.
+// Collector is the fleet aggregation point: a Tap that keeps a bounded
+// ring of recent events per device and runs the pathology detectors
+// online. All methods are safe for concurrent use.
 type Collector struct {
 	mu        sync.Mutex
-	opts      CollectorOptions
+	detectors []Detector
 	streams   map[string]*Ring
 	alerts    []Alert
-	msgCounts map[uint8]uint64 // received wire messages by BMP type
 	events    uint64
-	closed    bool
-	conns     map[net.Conn]struct{}
-	listeners map[net.Listener]struct{}
-	wg        sync.WaitGroup
 }
 
-// NewCollector builds a collector. A nil Detectors option installs the
-// standard battery.
-func NewCollector(opts CollectorOptions) *Collector {
-	if opts.Detectors == nil {
-		opts.Detectors = StandardDetectors()
-	}
-	return &Collector{
-		opts:      opts,
-		streams:   make(map[string]*Ring),
-		msgCounts: make(map[uint8]uint64),
-		conns:     make(map[net.Conn]struct{}),
-		listeners: make(map[net.Listener]struct{}),
-	}
+// NewCollector builds a collector running the standard detector battery.
+func NewCollector(CollectorOptions) *Collector {
+	return &Collector{detectors: StandardDetectors(), streams: make(map[string]*Ring)}
 }
 
-// Emit ingests one in-process event (Tap interface).
-func (c *Collector) Emit(ev Event) { c.ingest(ev) }
-
-func (c *Collector) ingest(ev Event) {
+// Emit ingests one event (Tap interface).
+func (c *Collector) Emit(ev Event) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.events++
 	r := c.streams[ev.Device]
 	if r == nil {
-		r = NewRing(c.opts.RingSize)
+		r = NewRing(0)
 		c.streams[ev.Device] = r
 	}
 	r.Push(ev)
-	var fired []Alert
-	for _, d := range c.opts.Detectors {
+	for _, d := range c.detectors {
 		if a, ok := d.Observe(ev); ok {
 			c.alerts = append(c.alerts, a)
-			fired = append(fired, a)
-		}
-	}
-	onEvent, onAlert := c.opts.OnEvent, c.opts.OnAlert
-	c.mu.Unlock()
-
-	if onEvent != nil {
-		onEvent(ev)
-	}
-	if onAlert != nil {
-		for _, a := range fired {
-			onAlert(a)
 		}
 	}
 }
 
-// Serve accepts BMP-style connections on ln until the listener closes or
-// the collector is closed. Each connection is one device's stream. Serve
-// blocks; run it in its own goroutine.
-func (c *Collector) Serve(ln net.Listener) error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		ln.Close()
-		return fmt.Errorf("telemetry: collector closed")
-	}
-	c.listeners[ln] = struct{}{}
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.listeners, ln)
-		c.mu.Unlock()
-	}()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			conn.Close()
-			return nil
-		}
-		c.conns[conn] = struct{}{}
-		c.wg.Add(1)
-		c.mu.Unlock()
-		go c.handleConn(conn)
-	}
-}
-
-// Start listens on addr (e.g. "127.0.0.1:0") and serves in the
-// background, returning the bound address. Close stops it.
-func (c *Collector) Start(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		ln.Close()
-		return "", fmt.Errorf("telemetry: collector closed")
-	}
-	c.wg.Add(1)
-	c.mu.Unlock()
-	go func() {
-		defer c.wg.Done()
-		c.Serve(ln)
-	}()
-	return ln.Addr().String(), nil
-}
-
-// handleConn drains one device stream. The device identity comes from the
-// Initiation sysName TLV; messages before it land under "(unbound)".
-func (c *Collector) handleConn(conn net.Conn) {
-	defer c.wg.Done()
-	defer func() {
-		c.mu.Lock()
-		delete(c.conns, conn)
-		c.mu.Unlock()
-		conn.Close()
-	}()
-
-	device := "(unbound)"
-	for {
-		m, err := bmpwire.ReadMessage(conn)
-		if err != nil {
-			return
-		}
-		c.mu.Lock()
-		c.msgCounts[m.Type()]++
-		c.mu.Unlock()
-
-		switch msg := m.(type) {
-		case *bmpwire.Initiation:
-			if name := msg.SysName(); name != "" {
-				device = name
-			}
-			continue
-		case *bmpwire.Termination:
-			return
-		default:
-			if ev, ok := DecodeMessage(device, m); ok {
-				c.ingest(ev)
-			}
-		}
-	}
-}
-
-// Close stops serving: the accept loop exits, open connections are closed,
-// and Close waits for the connection handlers to drain. Buffered events and
-// alerts remain readable.
-func (c *Collector) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	for ln := range c.listeners {
-		ln.Close()
-	}
-	for conn := range c.conns {
-		conn.Close()
-	}
-	c.mu.Unlock()
-	c.wg.Wait()
-	return nil
-}
-
-// EventCount reports how many events were ingested (in-process and wire).
+// EventCount reports how many events were ingested.
 func (c *Collector) EventCount() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.events
-}
-
-// MessageCount reports how many wire messages of the given BMP type were
-// received over connections (in-process taps are not counted here).
-func (c *Collector) MessageCount(bmpType uint8) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.msgCounts[bmpType]
-}
-
-// RouteMonitoringCount reports received route-monitoring wire messages.
-func (c *Collector) RouteMonitoringCount() uint64 {
-	return c.MessageCount(bmpwire.TypeRouteMonitoring)
 }
 
 // Devices lists devices with buffered events, sorted.

@@ -1,7 +1,6 @@
 // Package telemetry is the streaming monitoring plane of the emulated
 // fleet: a zero-cost-when-disabled event tap wired into the BGP speaker's
-// decision pipeline, a BMP-style wire encoding (see bmpwire) so taps can
-// stream over real connections, and a fleet collector with ring-buffered
+// decision pipeline, and an in-memory fleet collector with ring-buffered
 // per-device streams and online detectors for the paper's Section 3
 // pathologies — first/last-router funneling, NHG table pressure, route
 // churn, and black-hole suspicion.
@@ -25,7 +24,7 @@ type Kind uint8
 // Event kinds, in rough pipeline order.
 const (
 	// KindSessionUp fires when a BGP session is registered with a speaker
-	// (fabric link establishment or a live FSM reaching Established).
+	// (fabric link establishment).
 	KindSessionUp Kind = iota
 	// KindSessionDown fires when a session is torn down.
 	KindSessionDown
@@ -73,7 +72,7 @@ func (k Kind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()) }
 // not allocate; only the fields relevant to Kind are set.
 type Event struct {
 	Kind   Kind   `json:"kind"`
-	Time   int64  `json:"time_ns"` // virtual ns (fabric) or wall ns (live)
+	Time   int64  `json:"time_ns"` // virtual ns on the fabric clock
 	Device string `json:"device"`
 
 	// Session identity (session events, Adj-RIB-In).
@@ -120,8 +119,8 @@ type TapFunc func(Event)
 // Emit calls f.
 func (f TapFunc) Emit(ev Event) { f(ev) }
 
-// MultiTap fans one event stream out to several taps (e.g. a collector plus
-// a wire exporter). Nil members are skipped.
+// MultiTap fans one event stream out to several taps (e.g. a probe plus
+// the daemon's event bus). Nil members are skipped.
 type MultiTap []Tap
 
 // Emit forwards the event to every tap.
