@@ -16,6 +16,7 @@
 package guard
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -430,16 +431,20 @@ func (e *Execution) checkpoint(fp string) *Checkpoint {
 }
 
 // persist puts the last-good state's encoding in the object store under
-// cp.LastGood and journals cp.
+// cp.LastGood and journals cp, unless cp is byte-equal to the checkpoint the
+// execution last persisted or resumed from.
 func (e *Execution) persist(enc []byte, cp *Checkpoint) error {
+	data, err := cp.Encode()
+	if err != nil {
+		return err
+	}
+	if bytes.Equal(data, e.lastCP) {
+		return nil
+	}
 	if e.c.Objects != nil {
 		if err := e.c.Objects.Put(cp.LastGood, enc); err != nil {
 			return fmt.Errorf("guard: object store: %w", err)
 		}
-	}
-	data, err := cp.Encode()
-	if err != nil {
-		return err
 	}
 	e.lastCP = data
 	if e.c.Journal != nil {

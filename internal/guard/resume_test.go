@@ -228,17 +228,73 @@ func retryOnceInstrument(n *fabric.Network, wave, attempt int) {
 	}
 }
 
-// withoutRepeats drops every checkpoint equal to the one before it: a
-// paused campaign journals its resume point, and the call that continues
-// it journals the same record again before the wave runs.
-func withoutRepeats(cps [][]byte) [][]byte {
-	var out [][]byte
-	for _, cp := range cps {
-		if len(out) == 0 || !bytes.Equal(out[len(out)-1], cp) {
-			out = append(out, cp)
+// TestPersistSkipsRepeatedCheckpoint: a campaign paced one wave per call
+// journals no checkpoint twice in a row — the call that continues a paused
+// campaign does not journal its resume point again, nor Put its last-good
+// state — whether it continues the live execution or resumes from the
+// record, and lands on the one-shot run's final record and journal.
+func TestPersistSkipsRepeatedCheckpoint(t *testing.T) {
+	ctx := context.Background()
+	snap, c := fig10Campaign(t, 23)
+	var journal [][]byte
+	c.Journal = JournalFunc(func(_ int, cp []byte) error {
+		journal = append(journal, bytes.Clone(cp))
+		return nil
+	})
+	ref, err := Run(ctx, snap, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.State != StateCompleted || ref.Waves < 3 {
+		t.Fatalf("one-shot run %s over %d waves, want a completed campaign of 3 or more", ref.State, ref.Waves)
+	}
+	want := journal
+
+	puts := 0
+	objs := memObjects{}
+	c.Objects = countingObjects{objs, &puts}
+	for _, chain := range []string{"live", "resumed"} {
+		journal, puts = nil, 0
+		var res *Result
+		if chain == "live" {
+			e, err := NewExecution(snap, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for res == nil || res.State == StatePaused {
+				if res, err = e.Drive(ctx, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+		} else {
+			res = pacedToTerminal(t, snap, c, 1)
+		}
+		for i := 1; i < len(journal); i++ {
+			if bytes.Equal(journal[i-1], journal[i]) {
+				t.Errorf("%s: checkpoints %d and %d are byte-equal", chain, i-1, i)
+			}
+		}
+		if !reflect.DeepEqual(journal, want) {
+			t.Errorf("%s: journaled %d checkpoints, the one-shot run %d, or different ones", chain, len(journal), len(want))
+		}
+		if puts != len(want) {
+			t.Errorf("%s: %d object Puts for %d checkpoints", chain, puts, len(want))
+		}
+		if !bytes.Equal(res.Checkpoint, ref.Checkpoint) || res.FinalFP != ref.FinalFP {
+			t.Errorf("%s: final record diverged from the one-shot run's:\n got %s\nwant %s", chain, res.Checkpoint, ref.Checkpoint)
 		}
 	}
-	return out
+}
+
+// countingObjects counts the Puts that reach an object store.
+type countingObjects struct {
+	memObjects
+	puts *int
+}
+
+func (o countingObjects) Put(key string, data []byte) error {
+	*o.puts++
+	return o.memObjects.Put(key, data)
 }
 
 // TestLiveExecutionMatchesResume: at every pacing from one wave per call to
@@ -246,7 +302,7 @@ func withoutRepeats(cps [][]byte) [][]byte {
 // object store) and a chain of Resume calls that rebuild the execution from
 // each paused checkpoint both land on the uninterrupted run — decision log,
 // terminal fingerprint and record, incident report — and journal the same
-// checkpoints, byte for byte, that it journals, pause boundaries aside. A
+// checkpoints, byte for byte, that it journals. A
 // resume of the terminal record rebuilds the same result without running
 // anything.
 func TestLiveExecutionMatchesResume(t *testing.T) {
@@ -319,8 +375,8 @@ func TestLiveExecutionMatchesResume(t *testing.T) {
 				if !reflect.DeepEqual(liveCPs, resumedCPs) {
 					t.Fatalf("pace %d: the live chain journaled %d checkpoints, the resumed chain %d, or different ones", pace, len(liveCPs), len(resumedCPs))
 				}
-				if got := withoutRepeats(liveCPs); !reflect.DeepEqual(got, want) {
-					t.Fatalf("pace %d: %d distinct checkpoints journaled, the uninterrupted run journals %d, or different ones", pace, len(got), len(want))
+				if !reflect.DeepEqual(liveCPs, want) {
+					t.Fatalf("pace %d: %d checkpoints journaled, the uninterrupted run journals %d, or different ones", pace, len(liveCPs), len(want))
 				}
 			}
 		})

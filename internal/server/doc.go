@@ -38,10 +38,11 @@
 // early (max_levels / max_waves, a deadline) leaves it where the next one
 // continues. One request at a time advances a job; an entry in use is
 // never evicted. Serialized checkpoints exist for recovery only. With a
-// store, every level or wave journals one to the WAL before the next
-// starts — a plan's by reference, behind the states it names for the
-// first time, in one batch — into the job's record on its entry, the
-// daemon's only in-memory copy; drive resumes from it when it has no live
+// store, every level or wave journals one — a plan's by reference, behind
+// the states it names for the first time — and drive commits what the post
+// journaled, with its final, as one WAL batch before it answers, into the
+// job's record on its entry, the daemon's only in-memory copy; drive
+// resumes from it when it has no live
 // job — after a restart, or an advance that failed (the job is dropped, as
 // a crash would drop it). A journaled checkpoint that does not resume is
 // treated as absent and the job restarts: the final body is a pure

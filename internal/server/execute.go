@@ -4,8 +4,8 @@ package server
 // runs the scenario's migration campaign under the internal/guard
 // supervisor — telemetry-driven auto-pause, rollback to last-good,
 // bounded retry, quarantine-and-abort — as a job (jobs.go) whose checkpoint
-// journals before every wave. Guard state transitions stream on /v1/events
-// as they happen.
+// journals before every wave and commits with the post. Guard state
+// transitions stream on /v1/events as they happen.
 
 import (
 	"context"

@@ -187,10 +187,10 @@ func (s *Server) plan(ctx context.Context, ar *apiRequest) result {
 		return errorResult(http.StatusInternalServerError, "build scenario base: %v", err)
 	}
 	id := req.planID(entry.Fingerprint)
-	// With a store, every completed level journals durably before the next
-	// one starts: a crash mid-request loses at most the level in flight. The
-	// search keeps its states in the plan's own WAL records, so a level
-	// journals its manifest and the states it made, in one fsync.
+	// With a store, every completed level journals its manifest and the
+	// states it made into the plan's own WAL records, and the post commits
+	// them in one batch before it answers: a crash mid-request resumes from
+	// the previous post's last level.
 	return drive(s, s.plans, id, jobSteps[planner.Search]{
 		start: func(rec *jobRecord) (*planner.Search, error) {
 			p := entry.Params
@@ -319,7 +319,7 @@ func (s *Server) metricsHandler(ctx context.Context, ar *apiRequest) result {
 		snap.GuardCompleted, snap.GuardAborted, snap.GuardPaused = s.metrics.guardSnapshot()
 	if s.persist != nil {
 		snap.StoreEnabled = true
-		snap.StoreAppends, snap.StoreCompactions, snap.StoreErrors, snap.StoreSegments = s.persist.stats()
+		snap.StoreAppends, snap.StoreFsyncs, snap.StoreCompactions, snap.StoreErrors, snap.StoreSegments = s.persist.stats()
 		snap.StoreBytes, snap.StorePlanCheckpointBytes, snap.StorePlanStateBytes = s.persist.bytesAppended()
 		snap.StoreLiveStates = s.persist.liveStates()
 		snap.UnresumablePlans, snap.UnresumableExecs = s.plans.unresumable.Load(), s.execs.unresumable.Load()

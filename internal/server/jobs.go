@@ -7,6 +7,7 @@ package server
 // both; what differs per kind is data (jobStore) and jobSteps.
 
 import (
+	"fmt"
 	"log"
 	"net/http"
 	"sync"
@@ -134,21 +135,21 @@ func drive[J any](s *Server, js *jobStore[J], id string, steps jobSteps[J]) resu
 		e.live = live
 	}
 	res, final, err := steps.advance(e.live, rec)
-	if err != nil {
-		// Drop the job, so the next post resumes from the last journaled
-		// checkpoint as it would after a crash.
-		e.live = nil
-		return errorResult(http.StatusInternalServerError, "%s %s: %v", js.verb, id, err)
+	// What the post journaled and a finished job's final commit as one batch
+	// before it answers; the final retires the checkpoint and states.
+	if err == nil && final {
+		rec.post = append(rec.post, entry(jobRecords[js.kind].final, id, res.body))
 	}
-	if final {
-		// A finished job answers from final; its live job, checkpoint and
-		// states are dead weight. A final the log refuses is not kept: the
-		// next post resumes the job from its last checkpoint to the same one.
+	if cerr := s.persist.flush(js.kind, rec); cerr != nil && err == nil {
+		err = fmt.Errorf("journal: %w", cerr)
+	}
+	if err != nil || final {
+		// A failed post drops the job, so the next post resumes from the last
+		// committed checkpoint as it would after a crash.
 		e.live = nil
-		retire := func() { rec.final, rec.checkpoint, rec.states, rec.staged = res.body, nil, nil, nil }
-		if err := s.persist.commit(retire, entry(jobRecords[js.kind].final, id, res.body)); err != nil {
-			s.persist.noteError()
-		}
+	}
+	if err != nil {
+		return errorResult(http.StatusInternalServerError, "%s %s: %v", js.verb, id, err)
 	}
 	return res
 }

@@ -14,7 +14,8 @@ import (
 // TestOneJobDriver keeps one code path per daemon job. In non-test
 // internal/server the four job constructors are each named in one function,
 // which hands them to drive, and a job's live or final is written only by
-// drive and by recovery. A plan search there journals by reference: the
+// drive and by recovery: drive writes live, and fold, which only flush (for
+// drive) and recover call, writes final. A plan search there journals by reference: the
 // storeless constructors, whose searches checkpoint inline, are named
 // nowhere. And no non-test code outside internal/planner and bench/ names a
 // search's Step or StepJournaled in a function that loops: a search advances
@@ -32,7 +33,12 @@ func TestOneJobDriver(t *testing.T) {
 		"centralium/internal/planner.ResumeSearch": true,
 	}
 	callsDrive := map[string]bool{}
-	writers := map[string]bool{"drive": true, "persistor.recover": true}
+	writers := map[string]bool{"drive": true, "recordTypes.fold": true}
+	// callers are the functions allowed to call each writer of a final.
+	callers := map[string]map[string]bool{
+		"fold":  {"persistor.flush": true, "persistor.recover": true},
+		"flush": {"drive": true},
+	}
 	lintGo(t, ".", func(fset *token.FileSet, imports map[string]string, fn *ast.FuncDecl) {
 		name := funcName(fn)
 		ast.Inspect(fn, func(node ast.Node) bool {
@@ -54,6 +60,9 @@ func TestOneJobDriver(t *testing.T) {
 				}
 				if id, ok := fun.(*ast.Ident); ok && id.Name == "drive" {
 					callsDrive[name] = true
+				}
+				if sel, ok := fun.(*ast.SelectorExpr); ok && callers[sel.Sel.Name] != nil && !callers[sel.Sel.Name][name] {
+					t.Errorf("%s: %s calls %s, which writes a job's final — only drive and recovery do", fset.Position(sel.Pos()), name, sel.Sel.Name)
 				}
 			case *ast.AssignStmt:
 				for _, lhs := range n.Lhs {

@@ -190,7 +190,7 @@ func TestPlanRestartsVersion2Checkpoint(t *testing.T) {
 // type 1 or 4.
 func TestLegacyBaseAndMemoRecordsRecover(t *testing.T) {
 	const legacyBase, legacyMemo uint8 = 1, 4
-	wantFinal, wantWhatIf := referenceRun(t)
+	want := referenceRun(t)
 
 	src := t.TempDir()
 	var resumes int
@@ -234,7 +234,7 @@ func TestLegacyBaseAndMemoRecordsRecover(t *testing.T) {
 	}
 	for _, batch := range [][]store.Entry{
 		{entry(legacyBase, "fig10|1", baseRec)},
-		{entry(legacyMemo, wi.memoKey(paced.Fingerprint), []byte(wantWhatIf))},
+		{entry(legacyMemo, wi.memoKey(paced.Fingerprint), []byte(want.whatIf))},
 		level,
 	} {
 		if _, err := st.Log.AppendBatch(batch); err != nil {
@@ -250,11 +250,11 @@ func TestLegacyBaseAndMemoRecordsRecover(t *testing.T) {
 		t.Fatalf("recovered (plans, execs) = (%d, %d), want (1, 0)", plans, execs)
 	}
 	compact(t, s)
-	if rec := postPlan(t, ts.Client(), ts.URL, recPlanBody); rec.body != wantFinal {
-		t.Errorf("legacy plan diverged from uninterrupted:\n got: %s\nwant: %s", rec.body, wantFinal)
+	if rec := postPlan(t, ts.Client(), ts.URL, recPlanBody); rec.body != want.plan {
+		t.Errorf("legacy plan diverged from uninterrupted:\n got: %s\nwant: %s", rec.body, want.plan)
 	}
-	if got := postWhatIf(t, ts.Client(), ts.URL, recWhatIfBody); got.body != wantWhatIf {
-		t.Errorf("legacy what-if diverged:\n got: %s\nwant: %s", got.body, wantWhatIf)
+	if got := postWhatIf(t, ts.Client(), ts.URL, recWhatIfBody); got.body != want.whatIf {
+		t.Errorf("legacy what-if diverged:\n got: %s\nwant: %s", got.body, want.whatIf)
 	}
 	m := fetchMetrics(t, ts)
 	stop()
@@ -399,7 +399,7 @@ func TestPlanStatesJournaledOnce(t *testing.T) {
 	if checkpoints != levels || states <= levels {
 		t.Errorf("%d checkpoints and %d states over %d levels", checkpoints, states, levels)
 	}
-	if m.StoreAppends != int64(levels)+1 { // each level, the final
-		t.Errorf("store_appends %d over %d levels: want one batch per level", m.StoreAppends, levels)
+	if m.StoreAppends != int64(levels) { // each post, its level and the last one's final
+		t.Errorf("store_appends %d over %d posts: want one batch per post", m.StoreAppends, levels)
 	}
 }

@@ -202,9 +202,12 @@ type MetricsSnapshot struct {
 
 	// Durability counters (zero when the daemon runs without a store).
 	StoreEnabled bool `json:"store_enabled"`
-	// StoreAppends counts batches: a plan level's new states and its
-	// checkpoint are one.
+	// StoreAppends counts batches: everything one post journaled, with its
+	// final, is one. StoreFsyncs counts the fsyncs behind the log's appends
+	// and compactions' syncs, and the object store's (a file's and its
+	// directory's per object written).
 	StoreAppends     int64 `json:"store_appends"`
+	StoreFsyncs      int64 `json:"store_fsyncs"`
 	StoreCompactions int64 `json:"store_compactions"`
 	StoreErrors      int64 `json:"store_errors"`
 	StoreSegments    int   `json:"store_segments"`

@@ -41,20 +41,23 @@ package server
 // never takes an entry lock; no code calls into the persistor while it
 // holds a table lock.
 //
-// A plan's search checkpoints by reference (planner container v3, bare
+// A post is one batch — one write, one fsync: a job's journal stages its
+// checkpoints on the record, and drive commits them, with the job's final,
+// before the post answers; the record takes them once they are durable. A
+// plan's search checkpoints by reference (planner container v3, bare
 // framing): each state it names goes into the plan's own state records once
-// per job, in the same batch — one write, one fsync — as the first
-// checkpoint that names it, ahead of that checkpoint. A crash inside the
-// batch leaves states no checkpoint names yet, which are harmless: the
-// previous checkpoint still resumes. A final record drops the job's
-// checkpoint and states. Records keep journaled bytes without copying
-// them: a journal owns what it is handed, and recovery copies what it
-// replays out of the segment buffers.
+// per job, ahead of the first checkpoint that names it. A crash inside the
+// batch leaves a prefix of it, whose last checkpoint, if any, resumes. A
+// final record drops the job's checkpoint and states. Records keep
+// journaled bytes without copying them: a journal owns what it is handed,
+// and recovery copies what it replays out of the segment buffers.
 
 import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"log"
+	"slices"
 	"sort"
 	"sync"
 
@@ -86,21 +89,27 @@ const (
 	jobKinds
 )
 
+// recordTypes are one job kind's WAL record types.
+type recordTypes struct{ checkpoint, final, state uint8 }
+
 // jobRecords are each job kind's WAL record types. An execution has no
 // state records: its last-good states go to the object store.
-var jobRecords = [jobKinds]struct{ checkpoint, final, state uint8 }{
+var jobRecords = [jobKinds]recordTypes{
 	planJob: {recPlanCheckpoint, recPlanFinal, recPlanState},
 	execJob: {recExecCheckpoint, recExecFinal, 0},
 }
 
 // jobRecord is one job's durable state, held by its jobEntry: while it
-// runs, its latest checkpoint, the states its checkpoints name by
-// fingerprint and the states its search staged since its last journal;
-// once it is done, its final response bytes alone.
+// runs, its latest checkpoint and the states its checkpoints name by
+// fingerprint; once it is done, its final response bytes alone. staged are
+// the states its search Put since its last journal, and post the entries the
+// current post journaled, which drive commits; only the entry's holder
+// touches those two.
 type jobRecord struct {
 	checkpoint []byte
 	states     map[string][]byte
 	staged     []stagedState
+	post       []store.Entry
 	final      []byte
 }
 
@@ -143,41 +152,6 @@ type persistor struct {
 // of its value.
 func entry(typ uint8, key string, value ...[]byte) store.Entry {
 	return store.Entry{Type: typ, Key: key, Value: value}
-}
-
-// commit writes entries as one batch — one write, one fsync — and, once
-// they are durable, runs apply (when set), which folds them into a job's
-// record; then compacts when the log has accumulated enough dead weight, so
-// a compaction rewrites what the batch recorded. Without a store it only
-// applies.
-func (p *persistor) commit(apply func(), entries ...store.Entry) error {
-	if p == nil {
-		apply()
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.commitLocked(apply, entries...)
-}
-
-// commitLocked is commit with p.mu held.
-func (p *persistor) commitLocked(apply func(), entries ...store.Entry) error {
-	if _, err := p.st.Log.AppendBatch(entries); err != nil {
-		return err
-	}
-	p.appends++
-	for _, e := range entries {
-		p.bytes[e.Type] += int64(e.PayloadSize())
-	}
-	if apply != nil {
-		apply()
-	}
-	if p.st.Log.SegmentCount() > p.compactEvery {
-		if err := p.compactLocked(); err != nil {
-			return fmt.Errorf("compact: %w", err)
-		}
-	}
-	return nil
 }
 
 // compactLocked rewrites the job tables into a fresh segment and drops
@@ -229,34 +203,82 @@ func (p *persistor) compactLocked() error {
 	return nil
 }
 
-// journal appends job id's checkpoints into rec, each in one batch behind
-// the states the job's search staged for it that rec does not hold yet; nil
-// without a store.
+// journal stages job id's checkpoints on rec's post, each behind the states
+// the job's search staged for it that neither rec nor the post holds yet;
+// nil without a store.
 func (p *persistor) journal(k jobKind, id string, rec *jobRecord) planner.Journal {
 	if p == nil {
 		return nil
 	}
+	kind := jobRecords[k]
 	return planner.JournalFunc(func(_ int, cp []byte) error {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		staged := rec.staged
-		rec.staged = nil
-		var batch []store.Entry
-		for _, st := range staged {
-			if _, ok := rec.states[st.fp]; !ok {
-				batch = append(batch, entry(jobRecords[k].state, id, []byte(st.fp), st.data))
+		for _, st := range rec.staged {
+			if _, ok := rec.states[st.fp]; !ok && !slices.ContainsFunc(rec.post, func(e store.Entry) bool {
+				return e.Type == kind.state && string(e.Value[0]) == st.fp
+			}) {
+				rec.post = append(rec.post, entry(kind.state, id, []byte(st.fp), st.data))
 			}
 		}
-		return p.commitLocked(func() {
-			if rec.states == nil && len(staged) > 0 {
-				rec.states = make(map[string][]byte)
-			}
-			for _, st := range staged {
-				rec.states[st.fp] = st.data
-			}
-			rec.checkpoint = cp
-		}, append(batch, entry(jobRecords[k].checkpoint, id, cp))...)
+		rec.staged = nil
+		rec.post = append(rec.post, entry(kind.checkpoint, id, cp))
+		return nil
 	})
+}
+
+// flush commits rec's post — what the job journaled in this post, and its
+// final if it has one — as one batch, one write and one fsync, and once that
+// is durable folds the batch into rec; then it compacts when the log has
+// accumulated enough dead weight, so a compaction rewrites what the batch
+// recorded. It clears the post either way and appends nothing empty. A
+// failed compaction does not fail the post, whose batch is durable: it
+// counts in errors. Without a store it only folds.
+func (p *persistor) flush(k jobKind, rec *jobRecord) error {
+	entries := rec.post
+	rec.post = nil
+	if len(entries) == 0 {
+		return nil
+	}
+	if p == nil {
+		for _, e := range entries {
+			jobRecords[k].fold(rec, e)
+		}
+		return nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if _, err := p.st.Log.AppendBatch(entries); err != nil {
+		p.errors++
+		return err
+	}
+	p.appends++
+	for _, e := range entries {
+		p.bytes[e.Type] += int64(e.PayloadSize())
+		jobRecords[k].fold(rec, e)
+	}
+	if p.st.Log.SegmentCount() > p.compactEvery {
+		if err := p.compactLocked(); err != nil {
+			p.errors++
+			log.Printf("server: compact: %v", err)
+		}
+	}
+	return nil
+}
+
+// fold folds one of a job's records into rec: a state (its fingerprint, then
+// its encoding) joins the states the checkpoints name, a checkpoint replaces
+// the last, and a final retires both.
+func (kind recordTypes) fold(rec *jobRecord, e store.Entry) {
+	switch e.Type {
+	case kind.final:
+		rec.final, rec.checkpoint, rec.states, rec.staged = e.Value[0], nil, nil, nil
+	case kind.checkpoint:
+		rec.checkpoint = e.Value[0]
+	case kind.state:
+		if rec.states == nil {
+			rec.states = make(map[string][]byte)
+		}
+		rec.states[string(e.Value[0])] = e.Value[1]
+	}
 }
 
 // objects is the object store of a plan's search over rec from base; nil
@@ -265,7 +287,7 @@ func (p *persistor) objects(base *cacheEntry, rec *jobRecord) planner.ObjectStor
 	if p == nil {
 		return nil
 	}
-	return baseFirst{base, jobObjects{p, rec}}
+	return baseFirst{base, jobObjects{rec}}
 }
 
 // execObjects is the object store of an execution from base: its last-good
@@ -308,13 +330,10 @@ func (o baseFirst) Get(fp string) ([]byte, bool, error) {
 // entry lock, which the search's caller holds. Neither copies a state:
 // encodings are immutable.
 type jobObjects struct {
-	p   *persistor
 	rec *jobRecord
 }
 
 func (o jobObjects) Put(fp string, data []byte) error {
-	o.p.mu.Lock()
-	defer o.p.mu.Unlock()
 	o.rec.staged = append(o.rec.staged, stagedState{fp, data})
 	return nil
 }
@@ -324,16 +343,11 @@ func (o jobObjects) Get(fp string) ([]byte, bool, error) {
 	return data, ok, nil
 }
 
-func (p *persistor) noteError() {
-	p.mu.Lock()
-	p.errors++
-	p.mu.Unlock()
-}
-
-func (p *persistor) stats() (appends, compactions, errs int64, segments int) {
+func (p *persistor) stats() (appends, fsyncs, compactions, errs int64, segments int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.appends, p.compactions, p.errors, p.st.Log.SegmentCount()
+	fsyncs = p.st.Log.Fsyncs() + p.st.Objects.Fsyncs()
+	return p.appends, fsyncs, p.compactions, p.errors, p.st.Log.SegmentCount()
 }
 
 // bytesAppended reports the payload bytes behind stats' appends: in total,
@@ -383,20 +397,14 @@ func (p *persistor) recover() (recoveryStats, error) {
 				continue
 			}
 			value = bytes.Clone(value) // the table keeps it; the segment buffer goes
+			e := entry(r.Type, key, value)
+			if isState {
+				e = entry(r.Type, key, value[:fpLen], value[fpLen:])
+			}
 			p.jobs[k].update(key, func(j *jobRecord) {
 				p.mu.Lock()
 				defer p.mu.Unlock()
-				switch {
-				case r.Type == kind.final:
-					j.final, j.checkpoint, j.states, j.staged = value, nil, nil, nil
-				case r.Type == kind.checkpoint:
-					j.checkpoint = value
-				default:
-					if j.states == nil {
-						j.states = make(map[string][]byte)
-					}
-					j.states[string(value[:fpLen])] = value[fpLen:]
-				}
+				kind.fold(j, e)
 			})
 		}
 		return nil

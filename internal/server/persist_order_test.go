@@ -121,8 +121,8 @@ func TestRecoveryKeepsMostRecentlyRecorded(t *testing.T) {
 }
 
 // record writes one job record through the job's table, as the journal and
-// drive do: the job becomes the most recently used of its kind, and the log
-// and its record take the value.
+// drive do — a checkpoint is one post's batch — so the job becomes the most
+// recently used of its kind, and the log and its record take the value.
 func record(t *testing.T, s *Server, typ uint8, id string, body []byte) {
 	t.Helper()
 	for k, kind := range jobRecords {
@@ -133,9 +133,12 @@ func record(t *testing.T, s *Server, typ uint8, id string, body []byte) {
 		s.persist.jobs[k].update(id, func(r *jobRecord) {
 			if typ == kind.checkpoint {
 				err = s.persist.journal(jobKind(k), id, r).SaveProgress(0, body)
-				return
+			} else {
+				r.post = append(r.post, entry(typ, id, body))
 			}
-			err = s.persist.commit(func() { r.final, r.checkpoint, r.states = body, nil, nil }, entry(typ, id, body))
+			if err == nil {
+				err = s.persist.flush(jobKind(k), r)
+			}
 		})
 		if err != nil {
 			t.Fatalf("record %s: %v", id, err)
@@ -196,7 +199,7 @@ func walRecordTypes(t *testing.T, dir string) map[uint8]map[string]int {
 // checkpoint of every finished plan for the life of the process and copy it
 // into every compacted log.)
 func TestFinishedPlanDropsCheckpoint(t *testing.T) {
-	wantFinal, wantWhatIf := referenceRun(t)
+	want := referenceRun(t)
 	dir := t.TempDir()
 	st, err := store.Open(dir, store.Options{})
 	if err != nil {
@@ -207,13 +210,13 @@ func TestFinishedPlanDropsCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
-	if wi := postWhatIf(t, ts.Client(), ts.URL, recWhatIfBody); wi.body != wantWhatIf {
+	if wi := postWhatIf(t, ts.Client(), ts.URL, recWhatIfBody); wi.body != want.whatIf {
 		t.Fatalf("whatif diverged: %s", wi.body)
 	}
 	for i := 0; ; i++ { // one journaled checkpoint per level, then the final
 		rec := postPlan(t, ts.Client(), ts.URL, recStepBody)
 		if decodePlan(t, rec).Done {
-			if rec.body != wantFinal {
+			if rec.body != want.plan {
 				t.Fatalf("plan diverged: %s", rec.body)
 			}
 			break
@@ -250,7 +253,7 @@ func TestFinishedPlanDropsCheckpoint(t *testing.T) {
 			t.Errorf("compacted log holds %d state record(s) for finished plan %s", n, id)
 		}
 	}
-	checkRecovered(t, dir, wantFinal, wantWhatIf)
+	checkRecovered(t, dir, want)
 }
 
 // TestJobTablesBoundTheLog: the job tables — and so every compacted log —
@@ -374,7 +377,7 @@ func TestCompactionUnderConcurrentJobs(t *testing.T) {
 // recovered from that log resumes the plan — not restarts it — to the
 // byte-identical final.
 func TestCompactionKeepsLivePlanResumable(t *testing.T) {
-	wantFinal, _ := referenceRun(t)
+	want := referenceRun(t)
 	dir := t.TempDir()
 	var resumes int
 	s, ts, stop := openDurable(t, dir, &resumes)
@@ -404,8 +407,8 @@ func TestCompactionKeepsLivePlanResumable(t *testing.T) {
 
 	_, ts, stop = openDurable(t, dir, &resumes)
 	defer stop()
-	if rec := postPlan(t, ts.Client(), ts.URL, recPlanBody); rec.body != wantFinal {
-		t.Fatalf("plan resumed from the compacted log diverged:\n got: %swant: %s", rec.body, wantFinal)
+	if rec := postPlan(t, ts.Client(), ts.URL, recPlanBody); rec.body != want.plan {
+		t.Fatalf("plan resumed from the compacted log diverged:\n got: %swant: %s", rec.body, want.plan)
 	}
 	if m := fetchMetrics(t, ts); resumes != 1 || m.UnresumablePlans != 0 {
 		t.Errorf("%d resumes, %d unresumable: want the compacted checkpoint to resume once", resumes, m.UnresumablePlans)

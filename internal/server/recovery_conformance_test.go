@@ -10,6 +10,7 @@ package server
 // last journaled level, not start over.
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -21,9 +22,11 @@ import (
 )
 
 const (
-	recPlanBody   = `{"scenario":"fig10","seed":1,"beam":2,"random_cands":-1}`
-	recStepBody   = `{"scenario":"fig10","seed":1,"beam":2,"random_cands":-1,"max_levels":1}`
-	recWhatIfBody = `{"scenario":"fig10","seed":1}`
+	recPlanBody     = `{"scenario":"fig10","seed":1,"beam":2,"random_cands":-1}`
+	recStepBody     = `{"scenario":"fig10","seed":1,"beam":2,"random_cands":-1,"max_levels":1}`
+	recWhatIfBody   = `{"scenario":"fig10","seed":1}`
+	recExecBody     = `{"scenario":"fig10","seed":1}`
+	recExecStepBody = `{"scenario":"fig10","seed":1,"max_waves":1}`
 )
 
 // durableServer opens a store-backed daemon on dir. The store closes at
@@ -45,9 +48,24 @@ func durableServer(t *testing.T, dir string) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-// referenceRun computes the uninterrupted outputs on a store-free
-// daemon: the final plan response and the what-if verdict.
-func referenceRun(t *testing.T) (planFinal, whatIf string) {
+// reference is what a store-free daemon answers the serving history's
+// posts, uninterrupted: the final plan response, the what-if verdict, and
+// the finals of a clean and a violating execution.
+type reference struct {
+	plan, whatIf    string
+	exec, violating string
+}
+
+// recViolatingBody is an execution whose reversed fig10 schedule breaks the
+// share envelope at wave 0: it rolls back, retries and aborts.
+func recViolatingBody(t *testing.T) string {
+	t.Helper()
+	_, _, reversed := fig10Schedules(t)
+	return fmt.Sprintf(`{"scenario":"fig10","seed":%d,"schedule":%q,"envelope":"share=0.6"}`, confSeed, reversed)
+}
+
+// referenceRun computes the uninterrupted outputs on a store-free daemon.
+func referenceRun(t *testing.T) reference {
 	t.Helper()
 	s := New(Config{Workers: 2})
 	ts := httptest.NewServer(s.Handler())
@@ -60,31 +78,56 @@ func referenceRun(t *testing.T) (planFinal, whatIf string) {
 	if wi.status != http.StatusOK {
 		t.Fatalf("reference whatif status %d: %s", wi.status, wi.body)
 	}
-	return plan.body, wi.body
+	exec := postExecute(t, ts.Client(), ts.URL, recExecBody)
+	if st := decodeExecute(t, exec).State; st != "completed" {
+		t.Fatalf("reference execution %s, want completed", st)
+	}
+	viol := postExecute(t, ts.Client(), ts.URL, recViolatingBody(t))
+	if r := decodeExecute(t, viol); r.State != "aborted" || r.Rollbacks < 2 {
+		t.Fatalf("reference violating execution %s after %d rollbacks, want aborted after retries", r.State, r.Rollbacks)
+	}
+	return reference{plan: plan.body, whatIf: wi.body, exec: exec.body, violating: viol.body}
 }
 
 // serveHistory drives a durable daemon through a real serving history on
-// dir — a memoized what-if, then a plan advanced one level per request
-// to completion — so the WAL accumulates one batch per journaled level
-// plus the final record; the what-if journals nothing.
-func serveHistory(t *testing.T, dir, wantFinal, wantWhatIf string) {
+// dir — a memoized what-if, a plan advanced one level per request to
+// completion, an execution advanced one wave per request to completion,
+// then a violating execution in one post — so the WAL accumulates one batch
+// per post: a level's states and checkpoint, a wave's checkpoint, the
+// rollbacks' checkpoints, and each job's final with its last post's
+// records. The what-if journals nothing.
+func serveHistory(t *testing.T, dir string, want reference) {
 	t.Helper()
 	_, ts := durableServer(t, dir)
-	if wi := postWhatIf(t, ts.Client(), ts.URL, recWhatIfBody); wi.body != wantWhatIf {
-		t.Fatalf("history whatif diverged from reference:\n got: %swant: %s", wi.body, wantWhatIf)
+	if wi := postWhatIf(t, ts.Client(), ts.URL, recWhatIfBody); wi.body != want.whatIf {
+		t.Fatalf("history whatif diverged from reference:\n got: %swant: %s", wi.body, want.whatIf)
 	}
 	for i := 0; ; i++ {
 		rec := postPlan(t, ts.Client(), ts.URL, recStepBody)
-		resp := decodePlan(t, rec)
-		if resp.Done {
-			if rec.body != wantFinal {
-				t.Fatalf("history plan final diverged from reference:\n got: %swant: %s", rec.body, wantFinal)
+		if decodePlan(t, rec).Done {
+			if rec.body != want.plan {
+				t.Fatalf("history plan final diverged from reference:\n got: %swant: %s", rec.body, want.plan)
 			}
-			return
+			break
 		}
 		if i > 64 {
 			t.Fatalf("plan still not done after %d stepped requests", i)
 		}
+	}
+	for i := 0; ; i++ {
+		rec := postExecute(t, ts.Client(), ts.URL, recExecStepBody)
+		if decodeExecute(t, rec).State != "paused" {
+			if rec.body != want.exec {
+				t.Fatalf("history execution final diverged from reference:\n got: %swant: %s", rec.body, want.exec)
+			}
+			break
+		}
+		if i > 64 {
+			t.Fatalf("execution still paused after %d stepped requests", i)
+		}
+	}
+	if rec := postExecute(t, ts.Client(), ts.URL, recViolatingBody(t)); rec.body != want.violating {
+		t.Fatalf("history violating execution diverged from reference:\n got: %swant: %s", rec.body, want.violating)
 	}
 }
 
@@ -131,17 +174,31 @@ func cloneDir(t *testing.T, src string) string {
 // and requires the byte-identical reference outputs, with every journaled
 // checkpoint that survived resuming: a crash never leaves one that names a
 // state the log lost.
-func checkRecovered(t *testing.T, dir, wantFinal, wantWhatIf string) {
+func checkRecovered(t *testing.T, dir string, want reference) {
 	t.Helper()
 	_, ts := durableServer(t, dir)
-	if rec := postPlan(t, ts.Client(), ts.URL, recPlanBody); rec.body != wantFinal {
-		t.Fatalf("recovered plan diverged from reference:\n got: %swant: %s", rec.body, wantFinal)
+	checkServes(t, ts, want)
+}
+
+// checkServes posts the serving history's jobs to a recovered daemon and
+// requires the byte-identical reference outputs and no unresumable
+// checkpoint.
+func checkServes(t *testing.T, ts *httptest.Server, want reference) {
+	t.Helper()
+	if rec := postPlan(t, ts.Client(), ts.URL, recPlanBody); rec.body != want.plan {
+		t.Fatalf("recovered plan diverged from reference:\n got: %swant: %s", rec.body, want.plan)
 	}
-	if wi := postWhatIf(t, ts.Client(), ts.URL, recWhatIfBody); wi.body != wantWhatIf {
-		t.Fatalf("recovered whatif diverged from reference:\n got: %swant: %s", wi.body, wantWhatIf)
+	if wi := postWhatIf(t, ts.Client(), ts.URL, recWhatIfBody); wi.body != want.whatIf {
+		t.Fatalf("recovered whatif diverged from reference:\n got: %swant: %s", wi.body, want.whatIf)
 	}
-	if n := fetchMetrics(t, ts).UnresumablePlans; n != 0 {
-		t.Fatalf("%d recovered plan checkpoint(s) did not resume", n)
+	if rec := postExecute(t, ts.Client(), ts.URL, recExecBody); rec.body != want.exec {
+		t.Fatalf("recovered execution diverged from reference:\n got: %swant: %s", rec.body, want.exec)
+	}
+	if rec := postExecute(t, ts.Client(), ts.URL, recViolatingBody(t)); rec.body != want.violating {
+		t.Fatalf("recovered violating execution diverged from reference:\n got: %swant: %s", rec.body, want.violating)
+	}
+	if m := fetchMetrics(t, ts); m.UnresumablePlans != 0 || m.UnresumableExecs != 0 {
+		t.Fatalf("%d recovered plan and %d execution checkpoint(s) did not resume", m.UnresumablePlans, m.UnresumableExecs)
 	}
 }
 
@@ -150,21 +207,30 @@ func checkRecovered(t *testing.T, dir, wantFinal, wantWhatIf string) {
 // SyncAlways daemon could have died in — recover on exactly that prefix
 // and require byte-identical final outputs.
 func TestRecoveryAtEveryRecordBoundary(t *testing.T) {
-	wantFinal, wantWhatIf := referenceRun(t)
+	want := referenceRun(t)
 	history := t.TempDir()
-	serveHistory(t, history, wantFinal, wantWhatIf)
-	// A plan level is one batch, its new states ahead of its checkpoint, so
-	// the matrix also kills between a level's states and its checkpoint: the
-	// previous level must resume.
-	between := 0
+	serveHistory(t, history, want)
+	// A post is one batch. A plan level's new states go ahead of its
+	// checkpoint, so the matrix also kills between a level's states and its
+	// checkpoint: the previous level must resume. The violating execution's
+	// one post journals its rollbacks' checkpoints, its abort's and its
+	// final, so the matrix kills between a rollback checkpoint and the next
+	// record, and between the last checkpoint and the final.
+	var between, rollbacks, finals int
 	recs := walRecords(t, history)
 	for i := 1; i < len(recs); i++ {
-		if recs[i-1].typ == recPlanState && recs[i].typ == recPlanCheckpoint {
+		switch prev, cur := recs[i-1].typ, recs[i].typ; {
+		case prev == recPlanState && cur == recPlanCheckpoint:
 			between++
+		case prev == recExecCheckpoint && cur == recExecCheckpoint:
+			rollbacks++
+		case prev == recExecCheckpoint && cur == recExecFinal:
+			finals++
 		}
 	}
-	if between < 2 {
-		t.Fatalf("%d levels journal states ahead of their checkpoint: the history has no multi-record batches to cut", between)
+	if between < 2 || rollbacks < 2 || finals < 2 {
+		t.Fatalf("%d level batches with states, %d consecutive execution checkpoints and %d checkpoint-final pairs: the history has too few multi-record batches to cut",
+			between, rollbacks, finals)
 	}
 
 	segs := walSegments(t, history)
@@ -189,23 +255,23 @@ func TestRecoveryAtEveryRecordBoundary(t *testing.T) {
 					t.Fatalf("remove: %v", err)
 				}
 			}
-			checkRecovered(t, dir, wantFinal, wantWhatIf)
+			checkRecovered(t, dir, want)
 		}
 	}
 	if kills < 5 {
 		t.Fatalf("kill matrix exercised only %d boundaries — history too shallow to mean anything", kills)
 	}
 	// And the undamaged history: a clean restart serves both answers.
-	checkRecovered(t, cloneDir(t, history), wantFinal, wantWhatIf)
+	checkRecovered(t, cloneDir(t, history), want)
 }
 
 // TestRecoveryTornWriteTail kills the daemon mid-record: the newest
 // segment ends in a torn half-written frame plus garbage. Recovery must
 // truncate the tail and still serve byte-identical outputs.
 func TestRecoveryTornWriteTail(t *testing.T) {
-	wantFinal, wantWhatIf := referenceRun(t)
+	want := referenceRun(t)
 	history := t.TempDir()
-	serveHistory(t, history, wantFinal, wantWhatIf)
+	serveHistory(t, history, want)
 
 	dir := cloneDir(t, history)
 	segs := walSegments(t, dir)
@@ -239,8 +305,8 @@ func TestRecoveryTornWriteTail(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer st.Close()
-	if rec := postPlan(t, ts.Client(), ts.URL, recPlanBody); rec.body != wantFinal {
-		t.Fatalf("post-torn plan diverged:\n got: %swant: %s", rec.body, wantFinal)
+	if rec := postPlan(t, ts.Client(), ts.URL, recPlanBody); rec.body != want.plan {
+		t.Fatalf("post-torn plan diverged:\n got: %swant: %s", rec.body, want.plan)
 	}
 	after, err := os.Stat(newest)
 	if err != nil {
@@ -257,9 +323,9 @@ func TestRecoveryTornWriteTail(t *testing.T) {
 // torn record, keeps the whole ones before it, and the plan resumes from the
 // previous level to the byte-identical final.
 func TestRecoveryTornLevelBatch(t *testing.T) {
-	wantFinal, wantWhatIf := referenceRun(t)
+	want := referenceRun(t)
 	history := t.TempDir()
-	serveHistory(t, history, wantFinal, wantWhatIf)
+	serveHistory(t, history, want)
 
 	segs := walSegments(t, history)
 	newest := segs[len(segs)-1]
@@ -289,17 +355,23 @@ func TestRecoveryTornLevelBatch(t *testing.T) {
 		if err := os.Truncate(walSegments(t, dir)[len(segs)-1], cut); err != nil {
 			t.Fatal(err)
 		}
-		checkRecovered(t, dir, wantFinal, wantWhatIf)
+		checkRecovered(t, dir, want)
 	}
 }
 
 // TestRecoveryBitFlipTail flips one bit inside the newest segment's last
-// record. The CRC must catch it; recovery truncates the record and the
-// daemon re-derives the lost tail deterministically.
+// record: the violating execution's final, the tail of its one post's batch.
+// The CRC must catch it; recovery truncates the record, and the execution
+// resumes from the checkpoint ahead of it and re-derives the lost final
+// deterministically.
 func TestRecoveryBitFlipTail(t *testing.T) {
-	wantFinal, wantWhatIf := referenceRun(t)
+	want := referenceRun(t)
 	history := t.TempDir()
-	serveHistory(t, history, wantFinal, wantWhatIf)
+	serveHistory(t, history, want)
+	recs := walRecords(t, history)
+	if n := len(recs); n < 2 || recs[n-1].typ != recExecFinal || recs[n-2].typ != recExecCheckpoint || recs[n-2].key != recs[n-1].key {
+		t.Fatalf("the history does not end in an execution's checkpoint and final")
+	}
 
 	dir := cloneDir(t, history)
 	segs := walSegments(t, dir)
@@ -336,12 +408,7 @@ func TestRecoveryBitFlipTail(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	defer st.Close()
-	if rec := postPlan(t, ts.Client(), ts.URL, recPlanBody); rec.body != wantFinal {
-		t.Fatalf("post-flip plan diverged:\n got: %swant: %s", rec.body, wantFinal)
-	}
-	if wi := postWhatIf(t, ts.Client(), ts.URL, recWhatIfBody); wi.body != wantWhatIf {
-		t.Fatalf("post-flip whatif diverged:\n got: %swant: %s", wi.body, wantWhatIf)
-	}
+	checkServes(t, ts, want)
 	m := fetchMetrics(t, ts)
 	if m.RecoveredTruncatedBytes == 0 {
 		t.Fatalf("metrics do not report the truncated tail")
@@ -353,7 +420,7 @@ func TestRecoveryBitFlipTail(t *testing.T) {
 // by plan ID at the journaled level — it does not start over — and
 // finishes byte-identically.
 func TestRestartResumesInFlightPlan(t *testing.T) {
-	wantFinal, _ := referenceRun(t)
+	want := referenceRun(t)
 	dir := t.TempDir()
 
 	st, err := store.Open(dir, store.Options{})
@@ -391,8 +458,8 @@ func TestRestartResumesInFlightPlan(t *testing.T) {
 		t.Fatalf("restart did not resume at the journaled level: got level %d after %d", next.Level, second.Level)
 	}
 	rec := postPlan(t, ts2.Client(), ts2.URL, recPlanBody)
-	if rec.body != wantFinal {
-		t.Fatalf("resumed plan diverged from reference:\n got: %swant: %s", rec.body, wantFinal)
+	if rec.body != want.plan {
+		t.Fatalf("resumed plan diverged from reference:\n got: %swant: %s", rec.body, want.plan)
 	}
 	m := fetchMetrics(t, ts2)
 	if !m.StoreEnabled || m.RecoveredPlans != 1 {
@@ -406,25 +473,25 @@ func TestRestartResumesInFlightPlan(t *testing.T) {
 // base cold (one snapshot-cache miss), and the what-if is recomputed to the
 // bytes it was memoized with before the restart.
 func TestWarmRestartServesFromRecoveredState(t *testing.T) {
-	wantFinal, wantWhatIf := referenceRun(t)
+	want := referenceRun(t)
 	history := t.TempDir()
-	serveHistory(t, history, wantFinal, wantWhatIf)
+	serveHistory(t, history, want)
 
 	var resumes int
 	s, ts, stop := openDurable(t, history, &resumes)
 	defer stop()
-	if plans, execs, _ := s.Recovered(); plans != 1 || execs != 0 {
-		t.Fatalf("recovered (plans, execs) = (%d, %d), want (1, 0)", plans, execs)
+	if plans, execs, _ := s.Recovered(); plans != 1 || execs != 2 {
+		t.Fatalf("recovered (plans, execs) = (%d, %d), want (1, 2)", plans, execs)
 	}
-	if rec := postPlan(t, ts.Client(), ts.URL, recPlanBody); rec.body != wantFinal {
-		t.Fatalf("warm plan diverged:\n got: %swant: %s", rec.body, wantFinal)
+	if rec := postPlan(t, ts.Client(), ts.URL, recPlanBody); rec.body != want.plan {
+		t.Fatalf("warm plan diverged:\n got: %swant: %s", rec.body, want.plan)
 	}
 	if resumes != 0 {
 		t.Fatalf("a finished plan resumed %d times instead of answering from its final", resumes)
 	}
 	m0 := fetchMetrics(t, ts)
-	if wi := postWhatIf(t, ts.Client(), ts.URL, recWhatIfBody); wi.body != wantWhatIf {
-		t.Fatalf("warm whatif diverged:\n got: %swant: %s", wi.body, wantWhatIf)
+	if wi := postWhatIf(t, ts.Client(), ts.URL, recWhatIfBody); wi.body != want.whatIf {
+		t.Fatalf("warm whatif diverged:\n got: %swant: %s", wi.body, want.whatIf)
 	}
 	m1 := fetchMetrics(t, ts)
 	if m1.MemoHits != m0.MemoHits || m1.MemoMisses != m0.MemoMisses+1 {
@@ -436,11 +503,11 @@ func TestWarmRestartServesFromRecoveredState(t *testing.T) {
 	}
 }
 
-// TestCompactionPreservesServingState drives enough plan histories
-// through a tiny-segment store to force checkpoint compaction, restarts,
-// and requires every answer to survive the rewrite.
+// TestCompactionPreservesServingState drives a plan one level per post —
+// one batch each — through a tiny-segment store to force checkpoint
+// compaction, restarts, and requires every answer to survive the rewrite.
 func TestCompactionPreservesServingState(t *testing.T) {
-	wantFinal, wantWhatIf := referenceRun(t)
+	want := referenceRun(t)
 	dir := t.TempDir()
 
 	st, err := store.Open(dir, store.Options{SegmentBytes: 1 << 15})
@@ -452,11 +519,20 @@ func TestCompactionPreservesServingState(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts1 := httptest.NewServer(s1.Handler())
-	if wi := postWhatIf(t, ts1.Client(), ts1.URL, recWhatIfBody); wi.body != wantWhatIf {
+	if wi := postWhatIf(t, ts1.Client(), ts1.URL, recWhatIfBody); wi.body != want.whatIf {
 		t.Fatalf("whatif diverged: %s", wi.body)
 	}
-	if rec := postPlan(t, ts1.Client(), ts1.URL, recPlanBody); rec.body != wantFinal {
-		t.Fatalf("plan diverged: %s", rec.body)
+	for i := 0; ; i++ {
+		rec := postPlan(t, ts1.Client(), ts1.URL, recStepBody)
+		if decodePlan(t, rec).Done {
+			if rec.body != want.plan {
+				t.Fatalf("plan diverged: %s", rec.body)
+			}
+			break
+		}
+		if i > 64 {
+			t.Fatalf("plan still not done after %d stepped requests", i)
+		}
 	}
 	m := fetchMetrics(t, ts1)
 	if m.StoreCompactions == 0 {
@@ -467,7 +543,7 @@ func TestCompactionPreservesServingState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	checkRecovered(t, dir, wantFinal, wantWhatIf)
+	checkRecovered(t, dir, want)
 }
 
 // TestRecoveryRequestBodiesDecode guards against helper drift: the

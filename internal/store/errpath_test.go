@@ -201,6 +201,51 @@ func TestClosedLogRefusesRotateSyncReplay(t *testing.T) {
 	}
 }
 
+// TestFailedRotationKeepsAppending: a segment that cannot be created leaves
+// the active one open, so the log takes the next append, and a reopened log
+// replays every record.
+func TestFailedRotationKeepsAppending(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenLog(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(1, []byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	blocker := l.segPath(1) // the next segment's name, taken by a directory
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Rotate(); err == nil {
+		t.Fatal("Rotate onto an obstructed segment path succeeded")
+	}
+	if _, err := l.Append(1, []byte("b")); err != nil {
+		t.Fatalf("append after a failed rotation: %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("close after a failed rotation: %v", err)
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	l, err = OpenLog(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var got []string
+	if err := l.Replay(func(r Record) error {
+		got = append(got, string(r.Data))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(got, ",") != "a,b" {
+		t.Fatalf("replayed %q, want a and b", got)
+	}
+}
+
 func TestRotateEmptyActiveIsNoOp(t *testing.T) {
 	l, err := OpenLog(t.TempDir(), Options{Sync: SyncNever})
 	if err != nil {

@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // objMagic opens every object file; the digit is the format version.
@@ -28,6 +29,8 @@ const objHeaderSize = 8
 type SnapStore struct {
 	dir  string
 	sync bool
+	// fsyncs counts the file and directory fsyncs Put issued.
+	fsyncs atomic.Int64
 }
 
 // openSnapStore roots an object store at dir.
@@ -96,6 +99,7 @@ func (s *SnapStore) Put(key string, data []byte) error {
 		return fmt.Errorf("store: write object: %w", err)
 	}
 	if s.sync {
+		s.fsyncs.Add(1)
 		if err := tmp.Sync(); err != nil {
 			tmp.Close()
 			return fmt.Errorf("store: %w", err)
@@ -108,10 +112,15 @@ func (s *SnapStore) Put(key string, data []byte) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	if s.sync {
+		s.fsyncs.Add(1)
 		return syncDir(dir)
 	}
 	return nil
 }
+
+// Fsyncs counts the fsyncs Put has issued: two per object written, its
+// file's and its directory's, under a syncing store.
+func (s *SnapStore) Fsyncs() int64 { return s.fsyncs.Load() }
 
 // crcBytes is the object-payload checksum.
 func crcBytes(data []byte) uint32 {

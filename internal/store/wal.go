@@ -20,6 +20,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // segMagic opens every segment file; the digit is the format version.
@@ -100,6 +101,9 @@ type Log struct {
 	unsynced int
 
 	truncated int // corrupt/torn tail bytes dropped during recovery
+
+	// fsyncs counts the fsyncs appends and Sync issued.
+	fsyncs atomic.Int64
 }
 
 // OpenLog opens (creating or recovering) the log in dir.
@@ -257,14 +261,12 @@ func scanFrames(body []byte) (count uint64, validLen int, err error) {
 }
 
 // createSegment starts a fresh segment whose first record will have the
-// given index, leaving it active. prev, when set, is the outgoing
-// active file to sync and close first.
+// given index, leaving it active. prev, when set, is the outgoing active
+// file: it is synced first and closed once the new segment is in place, so
+// a segment that cannot be created leaves prev active and appending.
 func (l *Log) createSegment(base uint64, prev *os.File) error {
 	if prev != nil {
 		if err := prev.Sync(); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		if err := prev.Close(); err != nil {
 			return fmt.Errorf("store: %w", err)
 		}
 	}
@@ -276,17 +278,19 @@ func (l *Log) createSegment(base uint64, prev *os.File) error {
 	var hdr [segHeaderSize]byte
 	copy(hdr[:4], segMagic)
 	binary.LittleEndian.PutUint64(hdr[4:12], base)
-	if _, err := f.Write(hdr[:]); err != nil {
+	fail := func(err error) error {
 		f.Close()
-		return fmt.Errorf("store: %w", err)
+		os.Remove(path)
+		return err
+	}
+	if _, err := f.Write(hdr[:]); err != nil {
+		return fail(fmt.Errorf("store: %w", err))
 	}
 	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("store: %w", err)
+		return fail(fmt.Errorf("store: %w", err))
 	}
 	if err := syncDir(l.dir); err != nil {
-		f.Close()
-		return err
+		return fail(err)
 	}
 	if l.activeF != nil {
 		l.segs = append(l.segs, l.active)
@@ -296,6 +300,11 @@ func (l *Log) createSegment(base uint64, prev *os.File) error {
 	l.size = segHeaderSize
 	l.next = base
 	l.unsynced = 0
+	if prev != nil {
+		if err := prev.Close(); err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
+	}
 	return nil
 }
 
@@ -352,18 +361,9 @@ func (l *Log) write(frames []byte, n int) (uint64, error) {
 	l.active.count += uint64(n)
 	l.size += int64(len(frames))
 	l.unsynced += n
-	switch l.opts.Sync {
-	case SyncAlways:
-		if err := l.activeF.Sync(); err != nil {
-			return 0, fmt.Errorf("store: fsync: %w", err)
-		}
-		l.unsynced = 0
-	case SyncInterval:
-		if l.unsynced >= l.opts.SyncEvery {
-			if err := l.activeF.Sync(); err != nil {
-				return 0, fmt.Errorf("store: fsync: %w", err)
-			}
-			l.unsynced = 0
+	if l.opts.Sync == SyncAlways || l.opts.Sync == SyncInterval && l.unsynced >= l.opts.SyncEvery {
+		if err := l.syncLocked(); err != nil {
+			return 0, err
 		}
 	}
 	return idx, nil
@@ -377,12 +377,22 @@ func (l *Log) Sync() error {
 	if l.activeF == nil {
 		return fmt.Errorf("store: log closed")
 	}
+	return l.syncLocked()
+}
+
+// syncLocked fsyncs the active segment and counts it. Caller holds l.mu.
+func (l *Log) syncLocked() error {
+	l.fsyncs.Add(1)
 	if err := l.activeF.Sync(); err != nil {
 		return fmt.Errorf("store: fsync: %w", err)
 	}
 	l.unsynced = 0
 	return nil
 }
+
+// Fsyncs counts the fsyncs appends and Sync have issued since the log was
+// opened; segment creation and Close are not counted.
+func (l *Log) Fsyncs() int64 { return l.fsyncs.Load() }
 
 // Replay streams every record oldest-first. The data slice is private
 // to the callback invocation. Replay holds the log lock: appends wait.
